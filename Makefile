@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint fuzz bench benchgate baselines fmt
+.PHONY: all build test lint fuzz bench benchgate baselines expdiff fmt
 
 all: build test lint
 
@@ -35,6 +35,12 @@ benchgate:
 # Only do this deliberately, with the perf delta understood and explained.
 baselines: benchgate
 	cp BENCH_saturation.json BENCH_obs.json bench/baselines/
+
+# expdiff is the refactoring oracle: every experiment's stdout and
+# BENCH_<exp>.json at the work tree must be byte-identical to BASE's
+# (host-clock fields stripped). About 3 minutes on two cores.
+expdiff:
+	scripts/expdiff.sh $(BASE)
 
 fmt:
 	gofmt -w .

@@ -25,32 +25,17 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sort"
 	"strings"
+
+	"tsue/internal/harness"
 )
 
-// benchFile mirrors cmd/tsuebench's result envelope.
-type benchFile struct {
-	Experiment string   `json:"experiment"`
-	Scale      string   `json:"scale"`
-	Ops        int      `json:"ops"`
-	Metrics    []metric `json:"metrics"`
-}
-
-type metric struct {
-	Experiment string            `json:"experiment"`
-	Name       string            `json:"name"`
-	Labels     map[string]string `json:"labels,omitempty"`
-	Value      float64           `json:"value"`
-}
-
 // key canonicalizes a metric identity: name plus sorted labels.
-func (m metric) key() string {
+func key(m harness.Metric) string {
 	parts := make([]string, 0, len(m.Labels))
 	for k, v := range m.Labels {
 		parts = append(parts, k+"="+v)
@@ -70,25 +55,12 @@ var (
 // percentage, so such metrics gate on the absolute ceiling instead.
 const latFloorMs = 0.05
 
-func load(path string) (*benchFile, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var f benchFile
-	if err := json.Unmarshal(buf, &f); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return &f, nil
-}
-
 func gateExperiment(baseDir, freshDir, exp string, pct float64) []string {
-	name := "BENCH_" + exp + ".json"
-	base, err := load(filepath.Join(baseDir, name))
+	base, err := harness.LoadBenchFile(baseDir, exp)
 	if err != nil {
 		return []string{fmt.Sprintf("%s: baseline: %v", exp, err)}
 	}
-	fresh, err := load(filepath.Join(freshDir, name))
+	fresh, err := harness.LoadBenchFile(freshDir, exp)
 	if err != nil {
 		return []string{fmt.Sprintf("%s: fresh run: %v", exp, err)}
 	}
@@ -98,7 +70,7 @@ func gateExperiment(baseDir, freshDir, exp string, pct float64) []string {
 	}
 	got := make(map[string]float64, len(fresh.Metrics))
 	for _, m := range fresh.Metrics {
-		got[m.key()] = m.Value
+		got[key(m)] = m.Value
 	}
 	var fails []string
 	checked := 0
@@ -107,9 +79,9 @@ func gateExperiment(baseDir, freshDir, exp string, pct float64) []string {
 		if !worse && !better {
 			continue
 		}
-		cur, ok := got[m.key()]
+		cur, ok := got[key(m)]
 		if !ok {
-			fails = append(fails, fmt.Sprintf("%s: %s missing from fresh run", exp, m.key()))
+			fails = append(fails, fmt.Sprintf("%s: %s missing from fresh run", exp, key(m)))
 			continue
 		}
 		checked++
@@ -117,17 +89,17 @@ func gateExperiment(baseDir, freshDir, exp string, pct float64) []string {
 		case worse && m.Value < latFloorMs:
 			if cur > latFloorMs {
 				fails = append(fails, fmt.Sprintf("%s: %s rose %.4f -> %.4f ms (above the %.0fµs sub-floor ceiling)",
-					exp, m.key(), m.Value, cur, latFloorMs*1000))
+					exp, key(m), m.Value, cur, latFloorMs*1000))
 			}
 		case worse:
 			if cur > m.Value*(1+pct/100) {
 				fails = append(fails, fmt.Sprintf("%s: %s regressed %.4f -> %.4f (+%.1f%%, gate %.0f%%)",
-					exp, m.key(), m.Value, cur, 100*(cur/m.Value-1), pct))
+					exp, key(m), m.Value, cur, 100*(cur/m.Value-1), pct))
 			}
 		case better:
 			if cur < m.Value*(1-pct/100) {
 				fails = append(fails, fmt.Sprintf("%s: %s regressed %.1f -> %.1f (-%.1f%%, gate %.0f%%)",
-					exp, m.key(), m.Value, cur, 100*(1-cur/m.Value), pct))
+					exp, key(m), m.Value, cur, 100*(1-cur/m.Value), pct))
 			}
 		}
 	}

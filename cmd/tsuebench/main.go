@@ -9,7 +9,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -102,43 +101,20 @@ func main() {
 	}
 	wall := time.Since(start)
 	if *jsonOut {
-		if err := writeJSON(*exp, *scale, s, wall); err != nil {
+		out := harness.BenchFile{
+			Experiment: *exp,
+			Scale:      *scale,
+			Ops:        s.Ops,
+			FileMB:     s.FileMB,
+			WallMs:     wall.Milliseconds(),
+			Metrics:    s.Sink.Metrics,
+		}
+		path, err := out.Write(".")
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "tsuebench: %v\n", err)
 			os.Exit(1)
 		}
+		fmt.Printf("\n(wrote %s: %d metrics)\n", path, len(out.Metrics))
 	}
 	fmt.Printf("\n(%s scale, wall time %v)\n", *scale, wall.Round(time.Millisecond))
-}
-
-// benchFile is the machine-readable result envelope: one BENCH_<exp>.json
-// per invocation, so successive runs of the same experiment can be diffed
-// into a perf trajectory.
-type benchFile struct {
-	Experiment string           `json:"experiment"`
-	Scale      string           `json:"scale"`
-	Ops        int              `json:"ops"`
-	FileMB     int64            `json:"file_mb"`
-	WallMs     int64            `json:"wall_ms"`
-	Metrics    []harness.Metric `json:"metrics"`
-}
-
-func writeJSON(exp, scale string, s harness.Scale, wall time.Duration) error {
-	out := benchFile{
-		Experiment: exp,
-		Scale:      scale,
-		Ops:        s.Ops,
-		FileMB:     s.FileMB,
-		WallMs:     wall.Milliseconds(),
-		Metrics:    s.Sink.Metrics,
-	}
-	buf, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	path := fmt.Sprintf("BENCH_%s.json", exp)
-	if err := os.WriteFile(path, append(buf, '\n'), 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("\n(wrote %s: %d metrics)\n", path, len(out.Metrics))
-	return nil
 }

@@ -9,7 +9,6 @@ import (
 	"tsue/internal/cluster"
 	"tsue/internal/obs"
 	"tsue/internal/sim"
-	"tsue/internal/trace"
 )
 
 // This file is the open-loop load plane. The closed-loop replay in
@@ -124,18 +123,6 @@ type OpenLoopConfig struct {
 	// Zipf, when non-nil, overrides the trace generator's offsets with
 	// Zipf-skewed slot picks (slot size = the profile's Align, or 4 KiB).
 	Zipf *ZipfPicker
-	// Workers is the client-pool size ops round-robin over (default
-	// RunConfig.Clients). Open-loop concurrency is set by the arrival
-	// rate, not the pool; the pool only spreads view-cache refreshes.
-	Workers int
-	// RetryBackoff is the submitter's sleep after an ErrOverload bounce
-	// before retrying (default 2ms).
-	RetryBackoff time.Duration
-	// MaxRetries caps per-op overload retries; an op that exhausts them is
-	// counted in OpenLoopResult.Lost and reported, never silently dropped
-	// (default 10000 — effectively retry-to-success unless the policy
-	// wedges).
-	MaxRetries int
 	// Sample, when non-nil, runs every SamplePeriod of virtual time for the
 	// duration of the replay — the obs experiment's hook for polling NIC
 	// queue depths and link busy time into the cluster's metrics registry.
@@ -145,26 +132,23 @@ type OpenLoopConfig struct {
 	SamplePeriod time.Duration // default 1ms when Sample is set
 }
 
-func (ol OpenLoopConfig) withDefaults(cfg RunConfig) OpenLoopConfig {
-	if ol.Workers <= 0 {
-		ol.Workers = cfg.Clients
-	}
-	if ol.RetryBackoff <= 0 {
-		ol.RetryBackoff = 2 * time.Millisecond
-	}
-	if ol.MaxRetries <= 0 {
-		ol.MaxRetries = 10000
-	}
-	return ol
-}
+const (
+	// overloadBackoff is a submitter's sleep after an ErrOverload bounce
+	// before it retries.
+	overloadBackoff = 2 * time.Millisecond
+	// overloadRetries caps per-op overload retries — effectively
+	// retry-to-success unless the policy wedges. An op that exhausts them is
+	// counted in OpenLoopResult.Lost and reported, never silently dropped.
+	overloadRetries = 10000
+)
 
 // OpenLoopResult captures one open-loop run.
 type OpenLoopResult struct {
 	Submitted int // arrivals dispatched
 	Completed int // ops that finished successfully
-	Lost      int // ops that exhausted MaxRetries (always reported)
+	Lost      int // ops that exhausted overloadRetries (always reported)
 	// Rejections is the number of ErrOverload bounces submitters saw (each
-	// was retried after RetryBackoff; MDS-side counters must agree).
+	// was retried after overloadBackoff; MDS-side counters must agree).
 	Rejections int64
 	// Lats holds per-op latency = completion - scheduled arrival, so
 	// queueing delay past the saturation knee shows up even though the
@@ -192,15 +176,14 @@ func RunOpenLoop(cfg RunConfig, ol OpenLoopConfig) (*OpenLoopResult, error) {
 	if ol.Arrivals == nil {
 		return nil, fmt.Errorf("harness: open loop needs an ArrivalProcess")
 	}
-	ol = ol.withDefaults(cfg)
-	c, err := buildCluster(cfg)
+	s, err := newSession(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Env.Close()
+	defer s.close()
+	c := s.c
 
 	res := &OpenLoopResult{}
-	admin := c.NewClient()
 	var smp *obs.Sampler
 	if ol.Sample != nil {
 		period := ol.SamplePeriod
@@ -209,16 +192,15 @@ func RunOpenLoop(cfg RunConfig, ol OpenLoopConfig) (*OpenLoopResult, error) {
 		}
 		smp = obs.StartSampler(c.Env, period, func(now time.Duration) { ol.Sample(c, now) })
 	}
-	var runErr error
-	c.Env.Go("openloop", func(p *sim.Proc) {
-		runErr = openLoop(p, c, admin, cfg, ol, res)
+	err = s.run(func(p *sim.Proc) error {
+		err := s.openLoop(p, ol, res)
 		if smp != nil {
 			smp.Stop()
 		}
+		return err
 	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	if res.Elapsed > 0 {
 		res.Achieved = float64(res.Completed) / res.Elapsed.Seconds()
@@ -236,39 +218,26 @@ func RunOpenLoop(cfg RunConfig, ol OpenLoopConfig) (*OpenLoopResult, error) {
 	return res, nil
 }
 
-func openLoop(p *sim.Proc, c *cluster.Cluster, admin *cluster.Client, cfg RunConfig, ol OpenLoopConfig, res *OpenLoopResult) error {
-	inos, perFile, err := preload(p, c, admin, cfg)
-	if err != nil {
-		return err
-	}
-	c.ResetStats()
-
-	payload := make([]byte, 1<<20)
-	rand.New(rand.NewSource(cfg.Seed + 999)).Read(payload)
-
-	prof := cfg.Trace
-	prof.WorkingSet = perFile
-	gen := trace.MustGenerator(prof, cfg.Seed)
-	align := prof.Align
+// openLoop dispatches the arrival schedule over a pool of cfg.Clients
+// clients (open-loop concurrency is set by the arrival rate, not the pool;
+// the pool only spreads view-cache refreshes).
+func (s *session) openLoop(p *sim.Proc, ol OpenLoopConfig, res *OpenLoopResult) error {
+	gen := s.generator(s.cfg.Seed)
+	align := s.cfg.Trace.Align
 	if align <= 0 {
 		align = 4 << 10
 	}
-
-	pool := make([]*cluster.Client, ol.Workers)
+	pool := make([]*cluster.Client, s.cfg.Clients)
 	for i := range pool {
-		pool[i] = c.NewClient()
+		pool[i] = s.c.NewClient()
 	}
 
 	start := p.Now()
-	var last time.Duration
 	var firstErr error
-	wg := sim.NewWaitGroup(c.Env)
+	wg := sim.NewWaitGroup(s.c.Env)
 	for i := 0; ; i++ {
 		at, ok := ol.Arrivals.Next()
 		if !ok {
-			break
-		}
-		if cfg.MaxTime > 0 && at > cfg.MaxTime {
 			break
 		}
 		// The dispatcher sleeps to the arrival instant and fires the op
@@ -281,27 +250,15 @@ func openLoop(p *sim.Proc, c *cluster.Cluster, admin *cluster.Client, cfg RunCon
 		if ol.Zipf != nil {
 			op.Off = int64(ol.Zipf.Pick()) * align
 		}
-		if op.Off+int64(op.Size) > perFile {
-			op.Off = perFile - int64(op.Size)
-			if op.Off < 0 {
-				op.Off = 0
-			}
-		}
-		ino := inos[i%len(inos)]
+		ino := s.inos[i%len(s.inos)]
 		cl := pool[i%len(pool)]
 		arrival := p.Now() - start
 		res.Submitted++
 		wg.Add(1)
-		c.Env.Go(fmt.Sprintf("arrival%d", i), func(cp *sim.Proc) {
+		s.c.Env.Go(fmt.Sprintf("arrival%d", i), func(cp *sim.Proc) {
 			defer wg.Done()
-			for try := 0; ; try++ {
-				var err error
-				if op.Kind == trace.Write {
-					pstart := int(op.Off) % (len(payload) - int(op.Size))
-					err = cl.Update(cp, ino, op.Off, payload[pstart:pstart+int(op.Size)])
-				} else {
-					_, err = cl.Read(cp, ino, op.Off, int64(op.Size))
-				}
+			for try := 1; ; try++ {
+				err := s.issue(cp, cl, ino, op)
 				if err == nil {
 					break
 				}
@@ -312,24 +269,18 @@ func openLoop(p *sim.Proc, c *cluster.Cluster, admin *cluster.Client, cfg RunCon
 					return
 				}
 				res.Rejections++
-				if try+1 >= ol.MaxRetries {
+				if try >= overloadRetries {
 					res.Lost++
 					return
 				}
-				cp.Sleep(ol.RetryBackoff)
+				cp.Sleep(overloadBackoff)
 			}
 			res.Completed++
 			t := cp.Now() - start
 			res.Lats = append(res.Lats, t-arrival)
-			if t > last {
-				last = t
-			}
+			res.Elapsed = max(res.Elapsed, t)
 		})
 	}
 	wg.Wait(p)
-	if firstErr != nil {
-		return firstErr
-	}
-	res.Elapsed = last
-	return nil
+	return firstErr
 }

@@ -14,14 +14,11 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"text/tabwriter"
 	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/netsim"
 	"tsue/internal/sim"
-	"tsue/internal/trace"
 	"tsue/internal/update"
 	"tsue/internal/wire"
 )
@@ -67,16 +64,9 @@ type ChaosResult struct {
 	// Report is the recovery report for the kill scenarios; nil for the
 	// live-fault scenarios (partition, flap, corrupt), which never kill.
 	Report *cluster.RecoveryReport
-	// BaselineIOPS is foreground update throughput before the fault
-	// window; DuringIOPS is throughput inside it; DipPct the relative drop.
-	BaselineIOPS float64
-	DuringIOPS   float64
-	DipPct       float64
-	// ReadLats are latencies of reader-probe reads issued inside the fault
-	// window — the tail each fault inflates. ReadErrs counts window reads
-	// that exhausted their retry budget.
-	ReadLats []time.Duration
-	ReadErrs int
+	// Window is the foreground load inside the fault window: the IOPS dip
+	// and the read tail the fault inflates.
+	Window
 	// HedgeFired/HedgeWins aggregate the hedged-read counters across OSDs.
 	HedgeFired, HedgeWins int64
 	// CorruptInjected is what the fabric flipped; CorruptDetected what the
@@ -87,21 +77,6 @@ type ChaosResult struct {
 	RepairedBlocks int
 	// Stripes is the number of stripes scrubbed clean after the run.
 	Stripes int
-
-	// readDist caches the sorted ReadLats; built on first ReadP call, after
-	// the run has finished appending samples.
-	readDist *LatencyDist
-}
-
-// ReadP returns the p-quantile of the window read latencies. The samples
-// are sorted once and cached, so printing a row at p50/p95/p99/p999 pays
-// for one sort total.
-func (r *ChaosResult) ReadP(p float64) time.Duration {
-	if r.readDist == nil {
-		d := NewLatencyDist(r.ReadLats)
-		r.readDist = &d
-	}
-	return r.readDist.P(p)
 }
 
 // flipCorruptor corrupts every rate-th checksum-bearing payload crossing
@@ -172,286 +147,113 @@ func chaosKills(scenario string) bool {
 }
 
 // RunChaos preloads a volume, runs the degraded experiment's foreground
-// update + reader-probe workload, arms the scenario's fault a third of the
-// way through, and measures the read tail inside the fault window. Kill
-// scenarios recover under RecoverInterleaved while the fault is live;
-// live-fault scenarios heal the fabric after a fixed virtual window. Every
-// run ends with a drain, a tear-repair scrub where the fault can tear
-// stripes, and a full verification scrub.
+// update workload with a denser reader-probe pool (the fault windows are
+// short fixed slices of virtual time, so the tail estimate needs every
+// sample it can get), arms the scenario's fault a third of the way through,
+// and measures the read tail inside the fault window. Kill scenarios
+// recover under RecoverInterleaved after the window closes; live-fault
+// scenarios heal the fabric after a fixed virtual window. Every run ends
+// with a drain, a tear-repair scrub where the fault can tear stripes, and a
+// full verification scrub.
 func RunChaos(cfg RunConfig, scenario string) (*ChaosResult, error) {
-	c, err := buildCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Env.Close()
-	admin := c.NewClient()
 	res := &ChaosResult{Cfg: cfg, Scenario: scenario}
-	var runErr error
-	c.Env.Go("chaos-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
+	err := runSession(cfg, func(s *session, p *sim.Proc) error {
+		ld := s.startLoad(p, max(cfg.Clients/2, 4), 250*time.Microsecond)
+		if err := ld.warm(p); err != nil {
+			return err
 		}
-		c.ResetStats()
-
-		payload := make([]byte, 1<<20)
-		rand.New(rand.NewSource(cfg.Seed + 999)).Read(payload)
-
-		nClients := cfg.Clients
-		if nClients < 1 {
-			nClients = 1
-		}
-		opsPer := 20 * cfg.Ops / nClients
-		stop := false
-		done := 0
-		start := p.Now()
-		wg := sim.NewWaitGroup(c.Env)
-		wg.Add(nClients)
-		var clientErr error
-		var clientIDs []wire.NodeID
-		for ci := 0; ci < nClients; ci++ {
-			ci := ci
-			cl := c.NewClient()
-			clientIDs = append(clientIDs, cl.ID())
-			ino := inos[ci%len(inos)]
-			prof := cfg.Trace
-			prof.WorkingSet = perFile
-			gen := trace.MustGenerator(prof, cfg.Seed+int64(ci)*7919)
-			c.Env.Go(fmt.Sprintf("fg%d", ci), func(cp *sim.Proc) {
-				defer wg.Done()
-				for j := 0; j < opsPer && !stop; j++ {
-					op := gen.Next()
-					for op.Kind != trace.Write {
-						op = gen.Next()
-					}
-					off := op.Off
-					if off+int64(op.Size) > perFile {
-						off = perFile - int64(op.Size)
-					}
-					pstart := int(off) % (len(payload) - int(op.Size))
-					if err := cl.Update(cp, ino, off, payload[pstart:pstart+int(op.Size)]); err != nil {
-						if clientErr == nil {
-							clientErr = fmt.Errorf("foreground client %d op %d: %w", ci, j, err)
-						}
-						return
-					}
-					done++
-				}
-			})
-		}
-
-		type readSample struct{ start, lat time.Duration }
-		var samples []readSample
-		var errStarts []time.Duration
-		// A denser probe pool than the degraded experiment's: the fault
-		// windows are short fixed slices of virtual time, so the tail
-		// estimate needs every sample it can get.
-		nReaders := nClients / 2
-		if nReaders < 4 {
-			nReaders = 4
-		}
-		for ri := 0; ri < nReaders; ri++ {
-			ri := ri
-			rcl := c.NewClient()
-			clientIDs = append(clientIDs, rcl.ID())
-			ino := inos[ri%len(inos)]
-			prof := cfg.Trace
-			prof.WorkingSet = perFile
-			rgen := trace.MustGenerator(prof, cfg.Seed+int64(1000+ri)*104651)
-			wg.Add(1)
-			c.Env.Go(fmt.Sprintf("rd%d", ri), func(cp *sim.Proc) {
-				defer wg.Done()
-				for j := 0; j < opsPer && !stop; j++ {
-					op := rgen.Next()
-					off := op.Off
-					if off+int64(op.Size) > perFile {
-						off = perFile - int64(op.Size)
-					}
-					issued := cp.Now()
-					if _, err := rcl.Read(cp, ino, off, int64(op.Size)); err != nil {
-						errStarts = append(errStarts, issued)
-					} else {
-						samples = append(samples, readSample{start: issued, lat: cp.Now() - issued})
-					}
-					cp.Sleep(250 * time.Microsecond)
-				}
-			})
-		}
-
-		warmTarget := cfg.Ops / 3
-		if warmTarget < 1 {
-			warmTarget = 1
-		}
-		for done < warmTarget && clientErr == nil {
-			p.Sleep(100 * time.Microsecond)
-		}
-		if clientErr != nil {
-			runErr = clientErr
-			return
-		}
-		preOps := done
-		t0 := p.Now()
-
-		// Target selection: the most-loaded OSD is the kill victim (so the
-		// rebuild volume is representative); the fault target for the
-		// live-fault scenarios and the straggler is the most-loaded
-		// survivor, so the fault actually intersects the workload.
-		mostLoaded := func(exclude wire.NodeID) wire.NodeID {
-			id, most := wire.NodeID(1), -1
-			for _, osd := range c.OSDs {
-				if osd.NodeID() == exclude {
-					continue
-				}
-				if n := osd.Store().Len(); n > most {
-					most = n
-					id = osd.NodeID()
-				}
-			}
-			return id
-		}
-
-		var victim wire.NodeID
+		// The fault targets the most-loaded OSD, so it intersects the
+		// workload (and, for the kill scenarios, the rebuild volume is
+		// representative).
+		victim, fab := mostLoaded(s.c, 0), s.c.Fabric
 		switch scenario {
 		case ChaosBaseline, ChaosStraggler:
 			// Degraded window of fixed virtual length: the victim is down
 			// and the degraded route serves (reads of lost blocks
 			// reconstruct on the fly, updates journal at the surrogate),
-			// with one lognormal-slow survivor in the straggler variant.
-			// Recovery runs AFTER the window closes, so the measured tail
-			// is the straggler's (and the hedge's), not each engine's
-			// rebuild-duration artifact.
-			victim = mostLoaded(0)
-			target := mostLoaded(victim)
-			if err := c.Fabric.SetDown(victim, true); err != nil {
-				runErr = err
-				return
+			// with the most-loaded survivor lognormal-slow in the straggler
+			// variant. Recovery runs AFTER the window closes, so the
+			// measured tail is the straggler's (and the hedge's), not each
+			// engine's rebuild-duration artifact.
+			straggler := mostLoaded(s.c, victim)
+			if err := fab.SetDown(victim, true); err != nil {
+				return err
 			}
-			if err := c.BeginDegraded(p, victim, admin); err != nil {
-				runErr = fmt.Errorf("begin degraded (%s): %w", scenario, err)
-				return
+			if err := s.c.BeginDegraded(p, victim, s.admin); err != nil {
+				return fmt.Errorf("begin degraded (%s): %w", scenario, err)
 			}
 			if scenario == ChaosStraggler {
-				if err := c.Fabric.SetNodeShape(target, netsim.LinkShape{Latency: chaosStragglerDist()}); err != nil {
-					runErr = err
-					return
+				if err := fab.SetNodeShape(straggler, netsim.LinkShape{Latency: chaosStragglerDist()}); err != nil {
+					return err
 				}
 			}
 			p.Sleep(10 * time.Millisecond)
 			if scenario == ChaosStraggler {
-				if err := c.Fabric.SetNodeShape(target, netsim.LinkShape{}); err != nil {
-					runErr = err
-					return
+				if err := fab.SetNodeShape(straggler, netsim.LinkShape{}); err != nil {
+					return err
 				}
 			}
 		case ChaosPartition:
-			// Asymmetric grey failure: every client loses its link TO one
-			// loaded OSD (requests die pre-handler, so no side effects);
-			// ops touching it retry until the heal.
-			target := mostLoaded(0)
-			for _, cid := range clientIDs {
-				if err := c.Fabric.Partition(cid, target, true); err != nil {
-					runErr = err
-					return
+			// Asymmetric grey failure: every client loses its link TO the
+			// OSD (requests die pre-handler, so no side effects); ops
+			// touching it retry until the heal.
+			for _, cid := range ld.clients {
+				if err := fab.Partition(cid, victim, true); err != nil {
+					return err
 				}
 			}
 			p.Sleep(4 * time.Millisecond)
-			for _, cid := range clientIDs {
-				if err := c.Fabric.Partition(cid, target, false); err != nil {
-					runErr = err
-					return
+			for _, cid := range ld.clients {
+				if err := fab.Partition(cid, victim, false); err != nil {
+					return err
 				}
 			}
 			p.Sleep(time.Millisecond) // let retried ops land inside the window
 		case ChaosFlap:
-			// One loaded OSD flaps down/up mid-update. Drops inside the
-			// flap windows can tear stripes (data applied, parity delta
-			// lost, retried delta XORs to zero) — ScrubRepair re-encodes
-			// them after the drain, before the verification scrub.
-			target := mostLoaded(0)
-			if err := c.Fabric.ScheduleFlap(target, p.Now()+200*time.Microsecond, 500*time.Microsecond, 1500*time.Microsecond, 3); err != nil {
-				runErr = err
-				return
+			// The OSD flaps down/up mid-update. Drops inside the flap
+			// windows can tear stripes (data applied, parity delta lost,
+			// retried delta XORs to zero) — ScrubRepair re-encodes them
+			// after the drain, before the verification scrub.
+			if err := fab.ScheduleFlap(victim, p.Now()+200*time.Microsecond, 500*time.Microsecond, 1500*time.Microsecond, 3); err != nil {
+				return err
 			}
 			p.Sleep(6 * time.Millisecond) // outlasts the last flap window
 		case ChaosCorrupt:
-			c.Fabric.SetCorruptor(flipCorruptor(chaosCorruptRate))
+			fab.SetCorruptor(flipCorruptor(chaosCorruptRate))
 			p.Sleep(6 * time.Millisecond)
-			c.Fabric.SetCorruptor(nil)
+			fab.SetCorruptor(nil)
 		default:
-			runErr = fmt.Errorf("unknown chaos scenario %q", scenario)
-			return
+			return fmt.Errorf("unknown chaos scenario %q", scenario)
 		}
-
-		t1 := p.Now()
-		duringOps := done - preOps
-		stop = true
-		wg.Wait(p)
-		if clientErr != nil {
-			runErr = clientErr
-			return
+		var err error
+		if res.Window, err = ld.closeWindow(p); err != nil {
+			return err
 		}
 		if chaosKills(scenario) {
-			rep, err := c.Recover(p, victim, 8, cluster.RecoverInterleaved, admin)
-			if err != nil {
-				runErr = fmt.Errorf("recover (%s): %w", scenario, err)
-				return
-			}
-			res.Report = rep
-		}
-
-		for _, sm := range samples {
-			if sm.start >= t0 && sm.start <= t1 {
-				res.ReadLats = append(res.ReadLats, sm.lat)
+			if res.Report, err = s.c.Recover(p, victim, 8, cluster.RecoverInterleaved, s.admin); err != nil {
+				return fmt.Errorf("recover (%s): %w", scenario, err)
 			}
 		}
-		for _, es := range errStarts {
-			if es >= t0 && es <= t1 {
-				res.ReadErrs++
-			}
-		}
-		if d := (t0 - start).Seconds(); d > 0 {
-			res.BaselineIOPS = float64(preOps) / d
-		}
-		if d := (t1 - t0).Seconds(); d > 0 {
-			res.DuringIOPS = float64(duringOps) / d
-		}
-		if res.BaselineIOPS > 0 {
-			res.DipPct = 100 * (1 - res.DuringIOPS/res.BaselineIOPS)
-		}
-		res.HedgeFired, res.HedgeWins = c.HedgeStats()
-		res.CorruptInjected = c.Fabric.CorruptionsInjected()
-		res.CorruptDetected = c.CorruptionsDetected()
+		res.HedgeFired, res.HedgeWins = s.c.HedgeStats()
+		res.CorruptInjected = fab.CorruptionsInjected()
+		res.CorruptDetected = s.c.CorruptionsDetected()
 		if res.CorruptDetected != res.CorruptInjected {
-			runErr = fmt.Errorf("%s: %d corruptions injected but %d detected — silent escape",
+			return fmt.Errorf("%s: %d corruptions injected but %d detected — silent escape",
 				scenario, res.CorruptInjected, res.CorruptDetected)
-			return
 		}
-
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
+		if err := s.drain(p); err != nil {
+			return err
 		}
 		if scenario == ChaosFlap {
-			blocks, _, err := c.ScrubRepair(p)
-			if err != nil {
-				runErr = fmt.Errorf("scrub-repair after flap: %w", err)
-				return
+			if res.RepairedBlocks, _, err = s.c.ScrubRepair(p); err != nil {
+				return fmt.Errorf("scrub-repair after flap: %w", err)
 			}
-			res.RepairedBlocks = blocks
 		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-chaos scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
+		res.Stripes, err = s.scrub()
+		return err
 	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -463,16 +265,12 @@ func RunChaos(cfg RunConfig, scenario string) (*ChaosResult, error) {
 // headline comparison — each engine's straggler p99 degradation relative
 // to its own clean-recovery baseline.
 func Chaos(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Chaos: read tail under injected faults (SSD, RS(6,4), interleaved recovery for kill scenarios) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "engine\tscenario\trecover(ms)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd err\thedge f/w\tcorrupt i/d\trepaired\tp99 vs base")
+	t := s.table(w, "chaos", "== Chaos: read tail under injected faults (SSD, RS(6,4), interleaved recovery for kill scenarios) ==",
+		"engine\tscenario\trecover(ms)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd err\thedge f/w\tcorrupt i/d\trepaired\tp99 vs base")
 	for _, eng := range update.Names() {
 		var baselineP99 float64
 		for _, scen := range ChaosScenarios() {
-			cfg := baseRun(s)
-			cfg.Engine = eng
-			cfg.Clients = 16
-			cfg.Trace = s.traceProfile("ali")
+			cfg := s.config(eng, "ali", 16)
 			if chaosKills(scen) {
 				cfg.Hedge = chaosHedgeDelay
 			}
@@ -484,10 +282,8 @@ func Chaos(w io.Writer, s Scale) error {
 			if r.Report != nil {
 				recoverMS = ms(r.Report.TotalTime)
 			}
-			dist := NewLatencyDist(r.ReadLats) // one sort for all quantiles below
-			p99 := ms(dist.P(0.99))
+			p99 := ms(r.ReadP(0.99))
 			ratio := ""
-			labels := map[string]string{"engine": eng, "scenario": scen}
 			if scen == ChaosBaseline {
 				baselineP99 = p99
 			} else if scen == ChaosStraggler {
@@ -503,30 +299,30 @@ func Chaos(w io.Writer, s Scale) error {
 					fmt.Fprintf(w, "chaos %s: baseline window saw 0 reads; skipping straggler_p99_ratio\n", eng)
 				}
 			}
-			s.Sink.Record("chaos", "read_samples", labels, float64(dist.N()))
-			fmt.Fprintf(tw, "%s\t%s\t%.1f\t%.0f\t%.0f\t%.0f%%\t%.2f\t%.2f\t%.2f\t%d\t%d/%d\t%d/%d\t%d\t%s\n",
-				eng, scen, recoverMS,
-				r.BaselineIOPS, r.DuringIOPS, r.DipPct,
-				ms(dist.P(0.50)), ms(dist.P(0.95)), p99, r.ReadErrs,
-				r.HedgeFired, r.HedgeWins,
-				r.CorruptInjected, r.CorruptDetected,
-				r.RepairedBlocks, ratio)
-			s.Sink.Record("chaos", "read_p50_ms", labels, ms(dist.P(0.50)))
-			s.Sink.Record("chaos", "read_p95_ms", labels, ms(dist.P(0.95)))
-			s.Sink.Record("chaos", "read_p99_ms", labels, p99)
-			s.Sink.Record("chaos", "read_errs", labels, float64(r.ReadErrs))
-			s.Sink.Record("chaos", "dip_pct", labels, r.DipPct)
-			s.Sink.Record("chaos", "hedge_fired", labels, float64(r.HedgeFired))
-			s.Sink.Record("chaos", "hedge_wins", labels, float64(r.HedgeWins))
-			s.Sink.Record("chaos", "corrupt_injected", labels, float64(r.CorruptInjected))
-			s.Sink.Record("chaos", "corrupt_detected", labels, float64(r.CorruptDetected))
+			cells := []cell{
+				{"read_samples", "", len(r.ReadLats)},
+				{"", "%.1f", recoverMS},
+				{"", "%.0f", r.BaselineIOPS}, {"", "%.0f", r.DuringIOPS}, {"", "%.0f%%", r.DipPct},
+				{"read_p50_ms", "%.2f", ms(r.ReadP(0.50))},
+				{"read_p95_ms", "%.2f", ms(r.ReadP(0.95))},
+				{"read_p99_ms", "%.2f", p99},
+				{"read_errs", "%d", r.ReadErrs},
+				{"dip_pct", "", r.DipPct},
+				{"", "%s", fmt.Sprintf("%d/%d", r.HedgeFired, r.HedgeWins)},
+				{"hedge_fired", "", r.HedgeFired}, {"hedge_wins", "", r.HedgeWins},
+				{"", "%s", fmt.Sprintf("%d/%d", r.CorruptInjected, r.CorruptDetected)},
+				{"corrupt_injected", "", r.CorruptInjected}, {"corrupt_detected", "", r.CorruptDetected},
+				{"", "%d", r.RepairedBlocks},
+				{"", "%s", ratio},
+			}
 			if r.Report != nil {
-				s.Sink.Record("chaos", "recover_ms", labels, recoverMS)
+				cells = append(cells, cell{"recover_ms", "", recoverMS})
 			}
 			if scen == ChaosFlap {
-				s.Sink.Record("chaos", "repaired_blocks", labels, float64(r.RepairedBlocks))
+				cells = append(cells, cell{"repaired_blocks", "", r.RepairedBlocks})
 			}
+			t.row(map[string]string{"engine": eng, "scenario": scen}, eng+"\t"+scen, cells)
 		}
 	}
-	return tw.Flush()
+	return t.Flush()
 }

@@ -11,13 +11,9 @@ import (
 )
 
 func chaosTestConfig(engine string) RunConfig {
-	s := QuickScale()
-	cfg := baseRun(s)
-	cfg.Engine = engine
-	cfg.Clients = 16
+	cfg := QuickScale().config(engine, "ali", 16)
 	cfg.Ops = 800
 	cfg.FileBytes = 8 << 20
-	cfg.Trace = s.traceProfile("ali")
 	return cfg
 }
 

@@ -11,13 +11,10 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"text/tabwriter"
 	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/sim"
-	"tsue/internal/trace"
 	"tsue/internal/update"
 	"tsue/internal/wire"
 )
@@ -30,12 +27,9 @@ type DegradedResult struct {
 	// Report is the cluster's recovery report (rebuild/settle/replay times,
 	// replayed bytes, reconstruction bandwidth).
 	Report *cluster.RecoveryReport
-	// BaselineIOPS is foreground update throughput before the failure;
-	// DuringIOPS is throughput between failure injection and recovery
-	// completion; DipPct is the relative drop.
-	BaselineIOPS float64
-	DuringIOPS   float64
-	DipPct       float64
+	// Window is the foreground load from failure injection to recovery
+	// completion: the IOPS dip and the degraded-read latencies.
+	Window
 	// JournalBytes is surrogate-journal bytes appended per OSD during the
 	// degraded window (the placement experiment's surrogate-load spread).
 	JournalBytes map[wire.NodeID]int64
@@ -44,227 +38,37 @@ type DegradedResult struct {
 	// surrogates pushed to their holder sets, Held what the holders retain.
 	QuorumSentMsgs, QuorumSentBytes int64
 	QuorumHeldMsgs, QuorumHeldBytes int64
-	// ReadLats are the latencies of foreground reads issued inside the
-	// recovery window — the degraded-read latency distribution the ROADMAP
-	// trace-latency item asks for, not just the aggregate IOPS dip. Reads
-	// of degraded stripes route through the surrogate (on-the-fly
-	// reconstruction + journal overlay) or block at recovery gates, so the
-	// tail directly exposes each protocol's read-path cost.
-	ReadLats []time.Duration
-	// ReadErrs counts window reads that failed outright after exhausting
-	// their retry budget (drain-first recovery serves no degraded reads —
-	// the dead node's blocks are simply unreadable until rebuilt).
-	ReadErrs int
 	// Stripes is the number of stripes scrubbed clean after the run.
 	Stripes int
-
-	// readDist caches the sorted ReadLats; built on first ReadP call, after
-	// the run has finished appending samples.
-	readDist *LatencyDist
-}
-
-// ReadP returns the p-quantile of the window read latencies. The samples
-// are sorted once and cached, so printing a row at p50/p95/p99/p999 pays
-// for one sort total.
-func (r *DegradedResult) ReadP(p float64) time.Duration {
-	if r.readDist == nil {
-		d := NewLatencyDist(r.ReadLats)
-		r.readDist = &d
-	}
-	return r.readDist.P(p)
 }
 
 // RunDegraded preloads a volume, runs a continuous foreground update
-// workload, fails one OSD a third of the way through, and recovers it under
-// the given mode while the workload keeps issuing updates (which block at
-// the gate or route through the surrogate journal, depending on the mode).
-// The run ends with a drain and a full scrub.
+// workload plus a small pool of reader probes, fails the most-loaded OSD a
+// third of the way through, and recovers it under the given mode while the
+// workload keeps issuing updates (which block at the gate or route through
+// the surrogate journal, depending on the mode). The run ends with a drain
+// and a full scrub.
 func RunDegraded(cfg RunConfig, mode cluster.RecoverMode) (*DegradedResult, error) {
-	c, err := buildCluster(cfg)
+	res := &DegradedResult{Cfg: cfg, Mode: mode}
+	err := runSession(cfg, func(s *session, p *sim.Proc) error {
+		ld := s.startLoad(p, max(cfg.Clients/4, 2), 500*time.Microsecond)
+		if err := ld.warm(p); err != nil {
+			return err
+		}
+		var err error
+		if res.Report, err = s.c.Recover(p, mostLoaded(s.c, 0), 8, mode, s.admin); err != nil {
+			return fmt.Errorf("recover (%s): %w", mode, err)
+		}
+		if res.Window, err = ld.closeWindow(p); err != nil {
+			return err
+		}
+		res.JournalBytes = s.c.JournalBytesPerOSD()
+		res.QuorumSentMsgs, res.QuorumSentBytes, res.QuorumHeldMsgs, res.QuorumHeldBytes = s.c.JournalQuorumStats()
+		res.Stripes, err = s.finish(p)
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer c.Env.Close()
-	admin := c.NewClient()
-	res := &DegradedResult{Cfg: cfg, Mode: mode}
-	var runErr error
-	c.Env.Go("degraded-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		c.ResetStats()
-
-		payload := make([]byte, 1<<20)
-		rand.New(rand.NewSource(cfg.Seed + 999)).Read(payload)
-
-		nClients := cfg.Clients
-		if nClients < 1 {
-			nClients = 1
-		}
-		// Generous per-client cap: the stop flag (set when recovery
-		// completes) is the intended exit, the cap only bounds runaway runs.
-		// It must stay high enough that clients keep offering load through
-		// the whole recovery — journaled degraded updates complete at
-		// log-append speed, far above the steady-state rate.
-		opsPer := 20 * cfg.Ops / nClients
-		stop := false
-		done := 0
-		start := p.Now()
-		wg := sim.NewWaitGroup(c.Env)
-		wg.Add(nClients)
-		var clientErr error
-		for ci := 0; ci < nClients; ci++ {
-			ci := ci
-			cl := c.NewClient()
-			ino := inos[ci%len(inos)]
-			prof := cfg.Trace
-			prof.WorkingSet = perFile
-			gen := trace.MustGenerator(prof, cfg.Seed+int64(ci)*7919)
-			c.Env.Go(fmt.Sprintf("fg%d", ci), func(cp *sim.Proc) {
-				defer wg.Done()
-				for j := 0; j < opsPer && !stop; j++ {
-					// Update-only foreground: resample until a write so the
-					// dip measures the update path (reads of lost blocks are
-					// exercised by the degraded tests).
-					op := gen.Next()
-					for op.Kind != trace.Write {
-						op = gen.Next()
-					}
-					off := op.Off
-					if off+int64(op.Size) > perFile {
-						off = perFile - int64(op.Size)
-					}
-					pstart := int(off) % (len(payload) - int(op.Size))
-					if err := cl.Update(cp, ino, off, payload[pstart:pstart+int(op.Size)]); err != nil {
-						if clientErr == nil {
-							clientErr = fmt.Errorf("foreground client %d op %d: %w", ci, j, err)
-						}
-						return
-					}
-					done++
-				}
-			})
-		}
-
-		// Reader probes: a small pool of clients issuing trace-shaped reads
-		// at a gentle pace, so the degraded window yields a read-latency
-		// distribution without the probes themselves becoming the load.
-		type readSample struct{ start, lat time.Duration }
-		var samples []readSample
-		var errStarts []time.Duration
-		nReaders := nClients / 4
-		if nReaders < 2 {
-			nReaders = 2
-		}
-		for ri := 0; ri < nReaders; ri++ {
-			ri := ri
-			rcl := c.NewClient()
-			ino := inos[ri%len(inos)]
-			prof := cfg.Trace
-			prof.WorkingSet = perFile
-			rgen := trace.MustGenerator(prof, cfg.Seed+int64(1000+ri)*104651)
-			wg.Add(1)
-			c.Env.Go(fmt.Sprintf("rd%d", ri), func(cp *sim.Proc) {
-				defer wg.Done()
-				for j := 0; j < opsPer && !stop; j++ {
-					op := rgen.Next()
-					off := op.Off
-					if off+int64(op.Size) > perFile {
-						off = perFile - int64(op.Size)
-					}
-					issued := cp.Now()
-					if _, err := rcl.Read(cp, ino, off, int64(op.Size)); err != nil {
-						// Window reads CAN fail legitimately: drain-first
-						// recovery never serves the dead node's blocks.
-						errStarts = append(errStarts, issued)
-					} else {
-						samples = append(samples, readSample{start: issued, lat: cp.Now() - issued})
-					}
-					cp.Sleep(500 * time.Microsecond)
-				}
-			})
-		}
-
-		// Warm up to steady state, then fail a node and recover while the
-		// foreground keeps running.
-		warmTarget := cfg.Ops / 3
-		if warmTarget < 1 {
-			warmTarget = 1
-		}
-		for done < warmTarget && clientErr == nil {
-			p.Sleep(100 * time.Microsecond)
-		}
-		if clientErr != nil {
-			runErr = clientErr
-			return
-		}
-		preOps := done
-		t0 := p.Now()
-		// Fail the most-loaded OSD so the rebuild volume is representative
-		// (small working sets can leave hash-unlucky OSDs empty).
-		victim := wire.NodeID(1)
-		most := -1
-		for _, osd := range c.OSDs {
-			if n := osd.Store().Len(); n > most {
-				most = n
-				victim = osd.NodeID()
-			}
-		}
-		rep, err := c.Recover(p, victim, 8, mode, admin)
-		if err != nil {
-			runErr = fmt.Errorf("recover (%s): %w", mode, err)
-			return
-		}
-		t1 := p.Now()
-		duringOps := done - preOps
-		stop = true
-		wg.Wait(p)
-		if clientErr != nil {
-			runErr = clientErr
-			return
-		}
-
-		res.Report = rep
-		res.JournalBytes = c.JournalBytesPerOSD()
-		res.QuorumSentMsgs, res.QuorumSentBytes, res.QuorumHeldMsgs, res.QuorumHeldBytes = c.JournalQuorumStats()
-		for _, sm := range samples {
-			if sm.start >= t0 && sm.start <= t1 {
-				res.ReadLats = append(res.ReadLats, sm.lat)
-			}
-		}
-		for _, es := range errStarts {
-			if es >= t0 && es <= t1 {
-				res.ReadErrs++
-			}
-		}
-		if d := (t0 - start).Seconds(); d > 0 {
-			res.BaselineIOPS = float64(preOps) / d
-		}
-		if d := (t1 - t0).Seconds(); d > 0 {
-			res.DuringIOPS = float64(duringOps) / d
-		}
-		if res.BaselineIOPS > 0 {
-			res.DipPct = 100 * (1 - res.DuringIOPS/res.BaselineIOPS)
-		}
-
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-recovery scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
-	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
 	}
 	return res, nil
 }
@@ -287,42 +91,37 @@ func degradedModes() []cluster.RecoverMode {
 // paper's log-reliability argument is really about, completed with the
 // ROADMAP's trace-latency distribution item.
 func Degraded(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Degraded: recovery under foreground load (SSD, RS(6,4)); window read latency p50/p95/p99 ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "trace\tengine\tmode\trecover(ms)\tbarrier(ms)\trebuild(ms)\treplay(ms)\tgated(ms)\treplayed(KB)\trebuild(MB/s)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd err")
+	t := s.table(w, "degraded", "== Degraded: recovery under foreground load (SSD, RS(6,4)); window read latency p50/p95/p99 ==",
+		"trace\tengine\tmode\trecover(ms)\tbarrier(ms)\trebuild(ms)\treplay(ms)\tgated(ms)\treplayed(KB)\trebuild(MB/s)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd err")
 	for _, tr := range []string{"ali", "ten"} {
 		for _, eng := range update.Names() {
 			for _, mode := range degradedModes() {
-				cfg := baseRun(s)
-				cfg.Engine = eng
-				cfg.Clients = 16
-				cfg.Trace = s.traceProfile(tr)
-				r, err := RunDegraded(cfg, mode)
+				r, err := RunDegraded(s.config(eng, tr, 16), mode)
 				if err != nil {
 					return fmt.Errorf("degraded %s %s %s: %w", tr, eng, mode, err)
 				}
 				rep := r.Report
-				fmt.Fprintf(tw, "%s\t%s\t%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.0f\t%.0f\t%.0f%%\t%.2f\t%.2f\t%.2f\t%d\n",
-					tr, eng, mode,
-					ms(rep.TotalTime), ms(rep.DrainTime), ms(rep.RebuildTime), ms(rep.ReplayTime), ms(rep.GatedTime),
-					float64(rep.ReplayedBytes)/1024,
-					rep.BandwidthBps/(1<<20),
-					r.BaselineIOPS, r.DuringIOPS, r.DipPct,
-					ms(r.ReadP(0.50)), ms(r.ReadP(0.95)), ms(r.ReadP(0.99)), r.ReadErrs)
-				labels := map[string]string{"trace": tr, "engine": eng, "mode": mode.String()}
-				s.Sink.Record("degraded", "recover_ms", labels, ms(rep.TotalTime))
-				s.Sink.Record("degraded", "dip_pct", labels, r.DipPct)
-				s.Sink.Record("degraded", "read_p50_ms", labels, ms(r.ReadP(0.50)))
-				s.Sink.Record("degraded", "read_p95_ms", labels, ms(r.ReadP(0.95)))
-				s.Sink.Record("degraded", "read_p99_ms", labels, ms(r.ReadP(0.99)))
-				s.Sink.Record("degraded", "read_errs", labels, float64(r.ReadErrs))
-				s.Sink.Record("degraded", "journal_quorum_sent_msgs", labels, float64(r.QuorumSentMsgs))
-				s.Sink.Record("degraded", "journal_quorum_sent_bytes", labels, float64(r.QuorumSentBytes))
-				s.Sink.Record("degraded", "journal_quorum_held_bytes", labels, float64(r.QuorumHeldBytes))
+				t.row(map[string]string{"trace": tr, "engine": eng, "mode": mode.String()},
+					tr+"\t"+eng+"\t"+mode.String(), []cell{
+						{"recover_ms", "%.1f", ms(rep.TotalTime)},
+						{"", "%.1f", ms(rep.DrainTime)}, {"", "%.1f", ms(rep.RebuildTime)},
+						{"", "%.1f", ms(rep.ReplayTime)}, {"", "%.1f", ms(rep.GatedTime)},
+						{"", "%.1f", float64(rep.ReplayedBytes) / 1024},
+						{"", "%.1f", rep.BandwidthBps / (1 << 20)},
+						{"", "%.0f", r.BaselineIOPS}, {"", "%.0f", r.DuringIOPS},
+						{"dip_pct", "%.0f%%", r.DipPct},
+						{"read_p50_ms", "%.2f", ms(r.ReadP(0.50))},
+						{"read_p95_ms", "%.2f", ms(r.ReadP(0.95))},
+						{"read_p99_ms", "%.2f", ms(r.ReadP(0.99))},
+						{"read_errs", "%d", r.ReadErrs},
+						{"journal_quorum_sent_msgs", "", r.QuorumSentMsgs},
+						{"journal_quorum_sent_bytes", "", r.QuorumSentBytes},
+						{"journal_quorum_held_bytes", "", r.QuorumHeldBytes},
+					})
 			}
 		}
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

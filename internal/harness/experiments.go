@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
-	"text/tabwriter"
+	"strings"
 	"time"
 
 	"tsue/internal/device"
@@ -82,40 +82,71 @@ func (s Scale) traceProfile(name string) trace.Profile {
 	}
 }
 
-func baseRun(s Scale) RunConfig {
+// config is where every experiment's run starts: the paper-shaped default
+// at this scale's size, for one engine x trace x client count.
+func (s Scale) config(eng, tr string, clients int) RunConfig {
 	cfg := DefaultRunConfig()
+	cfg.Engine = eng
+	cfg.Trace = s.traceProfile(tr)
+	cfg.Clients = clients
 	cfg.Ops = s.Ops
 	cfg.FileBytes = s.FileMB << 20
 	cfg.TraceSample = s.TraceSample
 	return cfg
 }
 
+// multiFileConfig is config for the placement and rebalance experiments:
+// the working set split across s.Files files, and 256 KiB blocks — more
+// stripes per file, so per-PG moves, the minimal-remap bound and spread
+// differences across a PG sweep all have a stripe population to show in.
+func (s Scale) multiFileConfig(eng string, clients, pgs int) RunConfig {
+	cfg := s.config(eng, "ali", clients)
+	cfg.Files = s.Files
+	cfg.PGs = pgs
+	cfg.BlockSize = 256 << 10
+	return cfg
+}
+
+// perEngine measures one value per engine, in order, and returns the values
+// by engine name together with their table cells (tab-separated, each
+// printed with format).
+func perEngine(engines []string, format string, measure func(eng string) (float64, error)) (map[string]float64, string, error) {
+	vals := make(map[string]float64, len(engines))
+	cells := make([]string, len(engines))
+	for i, eng := range engines {
+		v, err := measure(eng)
+		if err != nil {
+			return nil, "", fmt.Errorf("%s: %w", eng, err)
+		}
+		vals[eng] = v
+		cells[i] = fmt.Sprintf(format, v)
+	}
+	return vals, strings.Join(cells, "\t"), nil
+}
+
 // Fig5 regenerates Fig. 5 (a)-(l): aggregate update IOPS on the SSD cluster
 // for every RS config x trace x client count x engine.
 func Fig5(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Fig. 5: update throughput, SSD cluster, 16 nodes, 25Gb/s ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintf(tw, "rs\ttrace\tclients\t%s\t%s\t%s\t%s\t%s\t%s\ttsue/pl\ttsue/best-other\n",
-		"fo", "pl", "plr", "parix", "cord", "tsue")
+	t := s.table(w, "fig5", "== Fig. 5: update throughput, SSD cluster, 16 nodes, 25Gb/s ==",
+		"rs\ttrace\tclients\t"+strings.Join(update.Names(), "\t")+"\ttsue/pl\ttsue/best-other")
 	for _, rsCfg := range s.RSConfigs {
 		for _, tr := range []string{"ali", "ten"} {
 			for _, nc := range s.Clients {
-				iops := map[string]float64{}
-				for _, eng := range update.Names() {
-					cfg := baseRun(s)
-					cfg.Engine = eng
+				iops, cells, err := perEngine(update.Names(), "%.0f", func(eng string) (float64, error) {
+					cfg := s.config(eng, tr, nc)
 					cfg.K, cfg.M = rsCfg[0], rsCfg[1]
-					cfg.Clients = nc
-					cfg.Trace = s.traceProfile(tr)
 					r, err := Run(cfg)
 					if err != nil {
-						return fmt.Errorf("fig5 %s rs(%d,%d) %s c=%d: %w", eng, rsCfg[0], rsCfg[1], tr, nc, err)
+						return 0, err
 					}
-					iops[eng] = r.IOPS
 					s.Sink.Record("fig5", "iops", map[string]string{
 						"engine": eng, "rs": fmt.Sprintf("%d_%d", rsCfg[0], rsCfg[1]),
 						"trace": tr, "clients": fmt.Sprintf("%d", nc),
 					}, r.IOPS)
+					return r.IOPS, nil
+				})
+				if err != nil {
+					return fmt.Errorf("fig5 rs(%d,%d) %s c=%d: %w", rsCfg[0], rsCfg[1], tr, nc, err)
 				}
 				best := 0.0
 				for _, eng := range update.Names() {
@@ -123,14 +154,12 @@ func Fig5(w io.Writer, s Scale) error {
 						best = iops[eng]
 					}
 				}
-				fmt.Fprintf(tw, "RS(%d,%d)\t%s\t%d\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.2fx\t%.2fx\n",
-					rsCfg[0], rsCfg[1], tr, nc,
-					iops["fo"], iops["pl"], iops["plr"], iops["parix"], iops["cord"], iops["tsue"],
+				fmt.Fprintf(t, "RS(%d,%d)\t%s\t%d\t%s\t%.2fx\t%.2fx\n", rsCfg[0], rsCfg[1], tr, nc, cells,
 					ratio(iops["tsue"], iops["pl"]), ratio(iops["tsue"], best))
 			}
 		}
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 func ratio(a, b float64) float64 {
@@ -144,48 +173,40 @@ func ratio(a, b float64) float64 {
 // recycle overhead is invisible with >= 4 log units but throttles appends
 // with only 2.
 func Fig6a(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Fig. 6a: recycle overhead during updates (IOPS timeline) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	t := s.table(w, "fig6a", "== Fig. 6a: recycle overhead during updates (IOPS timeline) ==", "")
 	for _, units := range []int{2, 4, 8} {
-		cfg := baseRun(s)
-		cfg.Engine = "tsue"
-		cfg.Clients = 32
-		cfg.Trace = s.traceProfile("ali")
+		cfg := s.config("tsue", "ali", 32)
 		cfg.Opts.MaxUnits = units
 		r, err := Run(cfg)
 		if err != nil {
 			return fmt.Errorf("fig6a units=%d: %w", units, err)
 		}
-		fmt.Fprintf(tw, "maxUnits=%d\tIOPS=%.0f\t", units, r.IOPS)
+		fmt.Fprintf(t, "maxUnits=%d\tIOPS=%.0f\t", units, r.IOPS)
 		for _, v := range r.Timeline(10) {
-			fmt.Fprintf(tw, "%.0f\t", v)
+			fmt.Fprintf(t, "%.0f\t", v)
 		}
-		fmt.Fprintln(tw)
+		fmt.Fprintln(t)
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 // Fig6b regenerates Fig. 6b: update IOPS and peak log memory as the unit
 // quota per pool sweeps 2..20.
 func Fig6b(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Fig. 6b: memory usage vs number of log units ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "maxUnits\tIOPS\tpeakLogMem(MB)\tmem% (of 16x1GB quota)")
+	t := s.table(w, "fig6b", "== Fig. 6b: memory usage vs number of log units ==",
+		"maxUnits\tIOPS\tpeakLogMem(MB)\tmem% (of 16x1GB quota)")
 	for _, units := range []int{2, 4, 6, 8, 12, 16, 20} {
-		cfg := baseRun(s)
-		cfg.Engine = "tsue"
-		cfg.Clients = 32
-		cfg.Trace = s.traceProfile("ali")
+		cfg := s.config("tsue", "ali", 32)
 		cfg.Opts.MaxUnits = units
 		r, err := Run(cfg)
 		if err != nil {
 			return fmt.Errorf("fig6b units=%d: %w", units, err)
 		}
 		quota := float64(16 << 30) // paper: <=1 GB per SSD across 16 nodes
-		fmt.Fprintf(tw, "%d\t%.0f\t%.1f\t%.3f%%\n", units, r.IOPS,
+		fmt.Fprintf(t, "%d\t%.0f\t%.1f\t%.3f%%\n", units, r.IOPS,
 			float64(r.PeakMem)/(1<<20), 100*float64(r.PeakMem)/quota)
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 // fig7Step describes one cumulative optimization of the breakdown.
@@ -214,105 +235,79 @@ func fig7Steps() []fig7Step {
 // Fig7 regenerates Fig. 7: the contribution breakdown — cumulative TSUE
 // optimizations O1..O5 over the two-log baseline, per trace and RS config.
 func Fig7(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Fig. 7: breakdown of update throughput (cumulative O1..O5) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprint(tw, "trace/rs\t")
+	t := s.table(w, "fig7", "== Fig. 7: breakdown of update throughput (cumulative O1..O5) ==", "")
+	fmt.Fprint(t, "trace/rs\t")
 	for _, st := range fig7Steps() {
-		fmt.Fprintf(tw, "%s\t", st.name)
+		fmt.Fprintf(t, "%s\t", st.name)
 	}
-	fmt.Fprintln(tw)
+	fmt.Fprintln(t)
 	rsSet := [][2]int{{6, 2}, {6, 3}, {6, 4}}
 	for _, tr := range []string{"ali", "ten"} {
 		for _, rsCfg := range rsSet {
-			fmt.Fprintf(tw, "%s RS(%d,%d)\t", tr, rsCfg[0], rsCfg[1])
-			opts := baseRun(s).Opts
-			for i, st := range fig7Steps() {
-				_ = i
+			fmt.Fprintf(t, "%s RS(%d,%d)\t", tr, rsCfg[0], rsCfg[1])
+			opts := DefaultRunConfig().Opts
+			for _, st := range fig7Steps() {
 				st.apply(&opts)
-				cfg := baseRun(s)
-				cfg.Engine = "tsue"
+				cfg := s.config("tsue", tr, 32)
 				cfg.K, cfg.M = rsCfg[0], rsCfg[1]
-				cfg.Clients = 32
-				cfg.Trace = s.traceProfile(tr)
 				cfg.Opts = opts
 				r, err := Run(cfg)
 				if err != nil {
 					return fmt.Errorf("fig7 %s %s: %w", tr, st.name, err)
 				}
-				fmt.Fprintf(tw, "%.0f\t", r.IOPS)
+				fmt.Fprintf(t, "%.0f\t", r.IOPS)
 			}
-			fmt.Fprintln(tw)
+			fmt.Fprintln(t)
 		}
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 // Table1 regenerates Table 1: storage workload and network traffic per
 // engine replaying Ten-Cloud under RS(6,4), plus the SSD-wear columns
 // backing the paper's lifespan claim.
 func Table1(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Table 1: storage workload and network traffic (Ten-Cloud, RS(6,4)) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "method\tR/W ops\tR/W vol(MB)\toverwrites\tovw vol(MB)\tnet(MB)\tNAND writes(MB)\terases\tlifespan vs tsue")
-	type row struct {
-		name   string
-		dev    device.Stats
-		netB   int64
-		erases int64
-	}
-	var rows []row
+	t := s.table(w, "table1", "== Table 1: storage workload and network traffic (Ten-Cloud, RS(6,4)) ==",
+		"method\tR/W ops\tR/W vol(MB)\toverwrites\tovw vol(MB)\tnet(MB)\tNAND writes(MB)\terases\tlifespan vs tsue")
+	runs := map[string]*Result{}
 	for _, eng := range update.Names() {
-		cfg := baseRun(s)
-		cfg.Engine = eng
-		cfg.K, cfg.M = 6, 4
-		cfg.Clients = 32
-		cfg.Trace = s.traceProfile("ten")
-		r, err := Run(cfg)
+		r, err := Run(s.config(eng, "ten", 32))
 		if err != nil {
 			return fmt.Errorf("table1 %s: %w", eng, err)
 		}
-		rows = append(rows, row{name: eng, dev: r.Device, netB: r.Net.BytesSent, erases: r.Device.Erases})
+		runs[eng] = r
 	}
-	var tsueNand int64
-	for _, r := range rows {
-		if r.name == "tsue" {
-			tsueNand = r.dev.NandWriteBytes
-		}
-	}
-	for _, r := range rows {
+	tsueNand := runs["tsue"].Device.NandWriteBytes
+	for _, eng := range update.Names() {
 		// Wear is NAND bytes actually programmed (host + RMW + GC); the
 		// relative lifespan is its inverse ratio.
+		d := runs[eng].Device
 		life := "1.00x"
 		if tsueNand > 0 {
-			life = fmt.Sprintf("%.2fx", float64(r.dev.NandWriteBytes)/float64(tsueNand))
+			life = fmt.Sprintf("%.2fx", float64(d.NandWriteBytes)/float64(tsueNand))
 		}
-		d := r.dev
-		fmt.Fprintf(tw, "%s\t%d\t%.0f\t%d\t%.0f\t%.0f\t%.0f\t%d\t%s\n",
-			r.name,
+		fmt.Fprintf(t, "%s\t%d\t%.0f\t%d\t%.0f\t%.0f\t%.0f\t%d\t%s\n",
+			eng,
 			d.ReadOps+d.WriteOps,
 			float64(d.ReadBytes+d.WriteBytes)/(1<<20),
 			d.OverwriteOps,
 			float64(d.OverwriteBytes)/(1<<20),
-			float64(r.netB)/(1<<20),
+			float64(runs[eng].Net.BytesSent)/(1<<20),
 			float64(d.NandWriteBytes)/(1<<20),
-			r.erases,
+			d.Erases,
 			life)
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 // Table2 regenerates Table 2: mean time updated data resides in each log
 // layer (append / buffer / recycle) under RS(12,4).
 func Table2(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Table 2: time (us) data resides in memory, RS(12,4) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "trace\tlayer\tappend(us)\tbuffer(us)\trecycle(us)\ttotal(us)")
+	t := s.table(w, "table2", "== Table 2: time (us) data resides in memory, RS(12,4) ==",
+		"trace\tlayer\tappend(us)\tbuffer(us)\trecycle(us)\ttotal(us)")
 	for _, tr := range []string{"ali", "ten"} {
-		cfg := baseRun(s)
-		cfg.Engine = "tsue"
+		cfg := s.config("tsue", tr, 32)
 		cfg.K, cfg.M = 12, 4
-		cfg.Clients = 32
-		cfg.Trace = s.traceProfile(tr)
 		r, err := Run(cfg)
 		if err != nil {
 			return fmt.Errorf("table2 %s: %w", tr, err)
@@ -324,24 +319,20 @@ func Table2(w io.Writer, s Scale) error {
 				continue
 			}
 			total += st.MeanAppend() + st.MeanBuffer() + st.MeanRecycle()
-			fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t\n", tr, layer,
+			fmt.Fprintf(t, "%s\t%s\t%d\t%d\t%d\t\n", tr, layer,
 				st.MeanAppend().Microseconds(), st.MeanBuffer().Microseconds(), st.MeanRecycle().Microseconds())
 		}
-		fmt.Fprintf(tw, "%s\tTOTAL\t\t\t\t%d\n", tr, total.Microseconds())
+		fmt.Fprintf(t, "%s\tTOTAL\t\t\t\t%d\n", tr, total.Microseconds())
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 // hddEngines is the Fig. 8 comparison set (the paper omits CoRD on HDDs).
 func hddEngines() []string { return []string{"fo", "pl", "plr", "parix", "tsue"} }
 
 func hddRun(s Scale, vol, eng string, unitSize int64) RunConfig {
-	cfg := baseRun(s)
-	cfg.Engine = eng
-	cfg.K, cfg.M = 6, 4
-	cfg.Clients = 16
+	cfg := s.config(eng, vol, 16)
 	cfg.Device = device.HDD
-	cfg.Trace = s.traceProfile(vol)
 	// Paper §5.4: on HDDs, DeltaLogs are disabled, the DataLog keeps 3
 	// copies, and each HDD gets one log pool. The unit size maps the
 	// paper's 16 MiB-unit steady state onto a seconds-long run: Fig. 8a
@@ -355,32 +346,28 @@ func hddRun(s Scale, vol, eng string, unitSize int64) RunConfig {
 	cfg.Opts.CordBufferSize = unitSize
 	cfg.Opts.Pools = 1 // paper: one log pool per HDD device
 	// HDD runs are slow per-op; keep the op count proportionate.
-	cfg.Ops = s.Ops / 4
-	if cfg.Ops < 500 {
-		cfg.Ops = 500
-	}
+	cfg.Ops = max(s.Ops/4, 500)
 	return cfg
 }
 
 // Fig8a regenerates Fig. 8a: HDD-cluster update throughput per MSR volume.
 func Fig8a(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Fig. 8a: update throughput with HDDs (MSR volumes, RS(6,4)) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "volume\tfo\tpl\tplr\tparix\ttsue\ttsue/parix")
+	t := s.table(w, "fig8a", "== Fig. 8a: update throughput with HDDs (MSR volumes, RS(6,4)) ==",
+		"volume\tfo\tpl\tplr\tparix\ttsue\ttsue/parix")
 	for _, vol := range trace.MSRVolumes() {
-		iops := map[string]float64{}
-		for _, eng := range hddEngines() {
+		iops, cells, err := perEngine(hddEngines(), "%.0f", func(eng string) (float64, error) {
 			r, err := Run(hddRun(s, vol, eng, 1<<20))
 			if err != nil {
-				return fmt.Errorf("fig8a %s %s: %w", vol, eng, err)
+				return 0, err
 			}
-			iops[eng] = r.IOPS
+			return r.IOPS, nil
+		})
+		if err != nil {
+			return fmt.Errorf("fig8a %s: %w", vol, err)
 		}
-		fmt.Fprintf(tw, "%s\t%.0f\t%.0f\t%.0f\t%.0f\t%.0f\t%.2fx\n",
-			vol, iops["fo"], iops["pl"], iops["plr"], iops["parix"], iops["tsue"],
-			ratio(iops["tsue"], iops["parix"]))
+		fmt.Fprintf(t, "%s\t%s\t%.2fx\n", vol, cells, ratio(iops["tsue"], iops["parix"]))
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 // Fig8b regenerates Fig. 8b: recovery bandwidth after an update run on the
@@ -388,23 +375,22 @@ func Fig8a(w io.Writer, s Scale) error {
 // consistency requirement), so lazy-log schemes pay their deferred debt
 // here while TSUE's real-time recycle leaves recovery nearly log-free.
 func Fig8b(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Fig. 8b: recovery bandwidth with HDDs (MSR volumes, RS(6,4)) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "volume\tfo(MB/s)\tpl\tplr\tparix\ttsue\ttsue/pl")
+	t := s.table(w, "fig8b", "== Fig. 8b: recovery bandwidth with HDDs (MSR volumes, RS(6,4)) ==",
+		"volume\tfo(MB/s)\tpl\tplr\tparix\ttsue\ttsue/pl")
 	for _, vol := range trace.MSRVolumes() {
-		bw := map[string]float64{}
-		for _, eng := range hddEngines() {
+		bw, cells, err := perEngine(hddEngines(), "%.1f", func(eng string) (float64, error) {
 			r, err := RunRecovery(hddRun(s, vol, eng, 64<<10))
 			if err != nil {
-				return fmt.Errorf("fig8b %s %s: %w", vol, eng, err)
+				return 0, err
 			}
-			bw[eng] = r.BandwidthBps / (1 << 20)
+			return r.BandwidthBps / (1 << 20), nil
+		})
+		if err != nil {
+			return fmt.Errorf("fig8b %s: %w", vol, err)
 		}
-		fmt.Fprintf(tw, "%s\t%.1f\t%.1f\t%.1f\t%.1f\t%.1f\t%.2fx\n",
-			vol, bw["fo"], bw["pl"], bw["plr"], bw["parix"], bw["tsue"],
-			ratio(bw["tsue"], bw["pl"]))
+		fmt.Fprintf(t, "%s\t%s\t%.2fx\n", vol, cells, ratio(bw["tsue"], bw["pl"]))
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 // Sweep regenerates the batched-recycle sweep (beyond the paper): TSUE
@@ -418,15 +404,11 @@ func Fig8b(w io.Writer, s Scale) error {
 // the last column — expect identical IOPS rows per batch size and a
 // wall-time drop on multi-core hosts.
 func Sweep(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Sweep: recycler batch size x codec workers (TSUE, SSD, Ali-Cloud, RS(6,4)) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "batch\tworkers\tIOPS\tovw ops\tovw vol(MB)\tnet(MB)\tpeakLogMem(MB)\trecycle(us)\twall(ms)")
+	t := s.table(w, "sweep", "== Sweep: recycler batch size x codec workers (TSUE, SSD, Ali-Cloud, RS(6,4)) ==",
+		"batch\tworkers\tIOPS\tovw ops\tovw vol(MB)\tnet(MB)\tpeakLogMem(MB)\trecycle(us)\twall(ms)")
 	for _, batch := range []int{1, 2, 4, 8} {
 		for _, workers := range []int{1, 4} {
-			cfg := baseRun(s)
-			cfg.Engine = "tsue"
-			cfg.Clients = 32
-			cfg.Trace = s.traceProfile("ali")
+			cfg := s.config("tsue", "ali", 32)
 			cfg.Opts.RecycleBatch = batch
 			cfg.Opts.CodecWorkers = workers
 			//lint:allow walltime(the wall(ms) column deliberately reports real elapsed host time of the simulation run, not sim time)
@@ -449,7 +431,7 @@ func Sweep(w io.Writer, s Scale) error {
 			if recN > 0 {
 				rec = recTime / time.Duration(recN)
 			}
-			fmt.Fprintf(tw, "%d\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.1f\t%d\t%d\n",
+			fmt.Fprintf(t, "%d\t%d\t%.0f\t%d\t%.1f\t%.1f\t%.1f\t%d\t%d\n",
 				batch, workers, r.IOPS,
 				r.Device.OverwriteOps, float64(r.Device.OverwriteBytes)/(1<<20),
 				float64(r.Net.BytesSent)/(1<<20),
@@ -458,14 +440,35 @@ func Sweep(w io.Writer, s Scale) error {
 				wall.Milliseconds())
 		}
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
-// All runs every experiment in paper order.
+// experiments is the one experiment table: CLI name and function, the
+// paper's figures and tables first (in paper order), then the beyond-paper
+// studies. inAll marks the members of the "all" suite.
+var experiments = []struct {
+	name  string
+	fn    func(io.Writer, Scale) error
+	inAll bool
+}{
+	{"fig5", Fig5, true}, {"fig6a", Fig6a, true}, {"fig6b", Fig6b, true}, {"fig7", Fig7, true},
+	{"table1", Table1, true}, {"table2", Table2, true}, {"fig8a", Fig8a, true}, {"fig8b", Fig8b, true},
+	{"sweep", Sweep, true}, {"degraded", Degraded, true}, {"placement", Placement, true},
+	{"rebalance", Rebalance, true}, {"rebalance-kill", RebalanceKill, false},
+	{"degraded-multikill", DegradedMultiKill, false}, {"chaos", Chaos, false},
+	{"saturation", Saturation, false}, {"obs", Obs, false},
+}
+
+// All runs the paper's experiments in paper order, then the single-fault
+// studies (sweep, degraded, placement, rebalance). The compound-fault and
+// open-loop experiments — rebalance-kill, degraded-multikill, chaos,
+// saturation, obs — are not part of it; run them by name.
 func All(w io.Writer, s Scale) error {
-	steps := []func(io.Writer, Scale) error{Fig5, Fig6a, Fig6b, Fig7, Table1, Table2, Fig8a, Fig8b, Sweep, Degraded, Placement, Rebalance}
-	for _, f := range steps {
-		if err := f(w, s); err != nil {
+	for _, e := range experiments {
+		if !e.inAll {
+			continue
+		}
+		if err := e.fn(w, s); err != nil {
 			return err
 		}
 		fmt.Fprintln(w)
@@ -473,14 +476,11 @@ func All(w io.Writer, s Scale) error {
 	return nil
 }
 
-// Experiments maps CLI names to experiment functions.
+// Experiments maps CLI names to experiment functions, "all" included.
 func Experiments() map[string]func(io.Writer, Scale) error {
-	return map[string]func(io.Writer, Scale) error{
-		"fig5": Fig5, "fig6a": Fig6a, "fig6b": Fig6b, "fig7": Fig7,
-		"table1": Table1, "table2": Table2, "fig8a": Fig8a, "fig8b": Fig8b,
-		"sweep": Sweep, "degraded": Degraded, "placement": Placement,
-		"rebalance": Rebalance, "rebalance-kill": RebalanceKill,
-		"degraded-multikill": DegradedMultiKill, "chaos": Chaos,
-		"saturation": Saturation, "obs": Obs, "all": All,
+	m := map[string]func(io.Writer, Scale) error{"all": All}
+	for _, e := range experiments {
+		m[e.name] = e.fn
 	}
+	return m
 }

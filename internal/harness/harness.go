@@ -6,7 +6,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"tsue/internal/cluster"
@@ -41,16 +40,11 @@ type RunConfig struct {
 	// PGs is the cluster's placement-group count (>= 1; Validate rejects
 	// zero — DefaultRunConfig carries the 8-per-OSD default explicitly).
 	PGs int
-	// MaxTime caps the replay in virtual time (0 = ops only).
-	MaxTime time.Duration
 	// Hedge > 0 arms hedged degraded reads (cluster.Config.HedgeDelay):
 	// on-the-fly reconstructions launch a second attempt from the
 	// alternate survivor set after this deadline. The chaos experiment's
 	// straggler scenarios set it; everything else leaves it off.
 	Hedge time.Duration
-	// SkipVerify disables the drain+scrub gate (never set in experiments;
-	// used by tests that verify separately).
-	SkipVerify bool
 	// Admission, when non-nil, installs MDS admission control
 	// (cluster.Config.Admission): every client block op first asks the MDS
 	// for a slot and overload bounces surface as cluster.ErrOverload. The
@@ -114,8 +108,6 @@ func (cfg RunConfig) Validate() error {
 		return fmt.Errorf("harness: Files must be >= 1, got %d", cfg.Files)
 	case cfg.PGs < 1:
 		return fmt.Errorf("harness: PGs must be >= 1, got %d", cfg.PGs)
-	case cfg.MaxTime < 0:
-		return fmt.Errorf("harness: MaxTime must not be negative, got %v", cfg.MaxTime)
 	case cfg.Opts.CodecWorkers < 0:
 		return fmt.Errorf("harness: CodecWorkers must not be negative, got %d", cfg.Opts.CodecWorkers)
 	case cfg.Opts.RecycleBatch < 0:
@@ -198,74 +190,25 @@ func buildCluster(cfg RunConfig) (*cluster.Cluster, error) {
 	return cluster.New(ccfg)
 }
 
-// preload creates the run's file set ("vol0"..) and writes deterministic
-// content through the normal encoded write path, returning the inodes and
-// the per-file byte size. The working set splits evenly across cfg.Files,
-// rounded up to whole stripes.
-func preload(p *sim.Proc, c *cluster.Cluster, admin *cluster.Client, cfg RunConfig) ([]uint64, int64, error) {
-	nFiles := cfg.Files
-	if nFiles < 1 {
-		nFiles = 1
-	}
-	sw := c.StripeWidth()
-	perFile := cfg.FileBytes / int64(nFiles)
-	if perFile < sw {
-		perFile = sw
-	}
-	perFile = (perFile + sw - 1) / sw * sw
-	inos := make([]uint64, nFiles)
-	content := make([]byte, perFile)
-	for f := 0; f < nFiles; f++ {
-		rand.New(rand.NewSource(cfg.Seed + int64(f)*104729)).Read(content)
-		ino, err := admin.Create(p, fmt.Sprintf("vol%d", f), perFile)
-		if err != nil {
-			return nil, 0, err
-		}
-		if err := admin.WriteFile(p, ino, content); err != nil {
-			return nil, 0, err
-		}
-		inos[f] = ino
-	}
-	return inos, perFile, nil
-}
-
-// Run executes one trace replay and verifies the stripe-consistency
-// invariant before returning.
+// Run executes one closed-loop trace replay, then drains every log — so
+// each scheme is charged its full merge debt, as the paper's Table 1 replays
+// the trace to completion with logs persisted and recycled — and verifies
+// the stripe-consistency invariant before returning.
 func Run(cfg RunConfig) (*Result, error) {
-	c, err := buildCluster(cfg)
+	res := &Result{Cfg: cfg}
+	err := runSession(cfg, func(s *session, p *sim.Proc) error {
+		if err := s.replay(p, res); err != nil {
+			return err
+		}
+		var err error
+		res.Stripes, err = s.finish(p)
+		res.Device = s.c.DeviceStats()
+		res.Net = s.c.Fabric.TotalStats()
+		res.Residency = s.c.Residency()
+		return err
+	})
 	if err != nil {
 		return nil, err
-	}
-	defer c.Env.Close()
-
-	res := &Result{Cfg: cfg}
-	admin := c.NewClient()
-	var runErr error
-	c.Env.Go("harness", func(p *sim.Proc) {
-		if runErr = replay(p, c, admin, cfg, res); runErr != nil {
-			return
-		}
-		// Merge all outstanding logs, then capture workload counters (so
-		// every scheme is charged its full merge debt — the paper's Table 1
-		// replays the trace to completion with logs persisted and recycled).
-		if runErr = c.DrainAll(p, admin); runErr != nil {
-			return
-		}
-		res.Device = c.DeviceStats()
-		res.Net = c.Fabric.TotalStats()
-		res.Residency = c.Residency()
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-run scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
-	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
 	}
 	if res.Elapsed > 0 {
 		res.IOPS = float64(res.Ops) / res.Elapsed.Seconds()
@@ -276,103 +219,54 @@ func Run(cfg RunConfig) (*Result, error) {
 // RunRecovery replays the trace WITHOUT draining, then fails one OSD and
 // measures recovery bandwidth including the forced log merge (Fig. 8b).
 func RunRecovery(cfg RunConfig) (*cluster.RecoveryReport, error) {
-	c, err := buildCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Env.Close()
-	admin := c.NewClient()
-	var runErr error
 	var rep *cluster.RecoveryReport
-	c.Env.Go("harness", func(p *sim.Proc) {
-		res := &Result{Cfg: cfg}
-		if runErr = replay(p, c, admin, cfg, res); runErr != nil {
-			return
+	err := runSession(cfg, func(s *session, p *sim.Proc) error {
+		if err := s.replay(p, &Result{Cfg: cfg}); err != nil {
+			return err
 		}
 		// Fail an OSD chosen deterministically; recovery drains first, per
-		// the paper's consistency protocol.
+		// the paper's consistency protocol, so the run ends with the scrub
+		// alone.
 		victim := wire.NodeID(cfg.Seed%int64(cfg.OSDs) + 1)
-		rep, runErr = c.Recover(p, victim, 8, cluster.RecoverDrainFirst, admin)
-		if runErr != nil {
-			return
+		var err error
+		if rep, err = s.c.Recover(p, victim, 8, cluster.RecoverDrainFirst, s.admin); err != nil {
+			return err
 		}
-		if !cfg.SkipVerify {
-			if _, err := c.Scrub(); err != nil {
-				runErr = fmt.Errorf("post-recovery scrub failed: %w", err)
-			}
-		}
+		_, err = s.scrub()
+		return err
 	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return rep, nil
 }
 
-func replay(p *sim.Proc, c *cluster.Cluster, admin *cluster.Client, cfg RunConfig, res *Result) error {
-	// Preload the file set through the normal encoded write path.
-	inos, perFile, err := preload(p, c, admin, cfg)
-	if err != nil {
-		return err
-	}
-	c.ResetStats()
-
-	// Payload source for updates: deterministic pseudo-random bytes.
-	payload := make([]byte, 1<<20)
-	rand.New(rand.NewSource(cfg.Seed + 999)).Read(payload)
-
+// replay runs the closed loop: cfg.Clients clients, each issuing its share
+// of cfg.Ops back to back against its file, every completion recorded in
+// res.
+func (s *session) replay(p *sim.Proc, res *Result) error {
 	start := p.Now()
-	nClients := cfg.Clients
-	if nClients < 1 {
-		nClients = 1
-	}
-	opsPer := cfg.Ops / nClients
-	if opsPer < 1 {
-		opsPer = 1
-	}
-	wg := sim.NewWaitGroup(c.Env)
-	wg.Add(nClients)
+	opsPer := max(s.cfg.Ops/s.cfg.Clients, 1)
+	wg := sim.NewWaitGroup(s.c.Env)
+	wg.Add(s.cfg.Clients)
 	var clientErr error
-	done := 0
-	var last time.Duration
-	for ci := 0; ci < nClients; ci++ {
+	for ci := 0; ci < s.cfg.Clients; ci++ {
 		ci := ci
-		cl := c.NewClient()
-		ino := inos[ci%len(inos)]
-		// Scope the generator's address space to the client's file.
-		prof := cfg.Trace
-		prof.WorkingSet = perFile
-		gen := trace.MustGenerator(prof, cfg.Seed+int64(ci)*7919)
-		c.Env.Go(fmt.Sprintf("client%d", ci), func(cp *sim.Proc) {
+		cl := s.c.NewClient()
+		ino := s.inos[ci%len(s.inos)]
+		gen := s.generator(s.cfg.Seed + int64(ci)*7919)
+		s.c.Env.Go(fmt.Sprintf("client%d", ci), func(cp *sim.Proc) {
 			defer wg.Done()
 			for j := 0; j < opsPer; j++ {
-				if cfg.MaxTime > 0 && cp.Now()-start >= cfg.MaxTime {
-					return
-				}
-				op := gen.Next()
-				off := op.Off
-				if off+int64(op.Size) > perFile {
-					off = perFile - int64(op.Size)
-				}
-				var err error
-				if op.Kind == trace.Write {
-					pstart := int(off) % (len(payload) - int(op.Size))
-					err = cl.Update(cp, ino, off, payload[pstart:pstart+int(op.Size)])
-				} else {
-					_, err = cl.Read(cp, ino, off, int64(op.Size))
-				}
-				if err != nil {
+				if err := s.issue(cp, cl, ino, gen.Next()); err != nil {
 					if clientErr == nil {
 						clientErr = fmt.Errorf("client %d op %d: %w", ci, j, err)
 					}
 					return
 				}
-				done++
 				t := cp.Now() - start
 				res.Completions = append(res.Completions, t)
-				if t > last {
-					last = t
-				}
+				res.Elapsed = max(res.Elapsed, t)
 			}
 		})
 	}
@@ -380,9 +274,8 @@ func replay(p *sim.Proc, c *cluster.Cluster, admin *cluster.Client, cfg RunConfi
 	if clientErr != nil {
 		return clientErr
 	}
-	res.Ops = done
-	res.Elapsed = last
-	res.PeakMem = c.PeakMemBytes()
-	res.FinalMem = c.MemBytes()
+	res.Ops = len(res.Completions)
+	res.PeakMem = s.c.PeakMemBytes()
+	res.FinalMem = s.c.MemBytes()
 	return nil
 }

@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"encoding/json"
+	"fmt"
 	"math"
+	"os"
+	"path/filepath"
 	"sort"
 	"time"
 )
@@ -15,6 +19,44 @@ type Metric struct {
 	Name       string            `json:"name"`
 	Labels     map[string]string `json:"labels,omitempty"`
 	Value      float64           `json:"value"`
+}
+
+// BenchFile is the machine-readable result envelope: tsuebench -json writes
+// one BENCH_<exp>.json per invocation, so successive runs of the same
+// experiment can be diffed into a perf trajectory; benchgate loads them.
+type BenchFile struct {
+	Experiment string   `json:"experiment"`
+	Scale      string   `json:"scale"`
+	Ops        int      `json:"ops"`
+	FileMB     int64    `json:"file_mb"`
+	WallMs     int64    `json:"wall_ms"`
+	Metrics    []Metric `json:"metrics"`
+}
+
+func benchFileName(exp string) string { return "BENCH_" + exp + ".json" }
+
+// Write stores the envelope as dir/BENCH_<exp>.json and returns the path.
+func (f BenchFile) Write(dir string) (string, error) {
+	buf, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		return "", err
+	}
+	path := filepath.Join(dir, benchFileName(f.Experiment))
+	return path, os.WriteFile(path, append(buf, '\n'), 0o644)
+}
+
+// LoadBenchFile reads dir/BENCH_<exp>.json.
+func LoadBenchFile(dir, exp string) (*BenchFile, error) {
+	path := filepath.Join(dir, benchFileName(exp))
+	buf, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
+	var f BenchFile
+	if err := json.Unmarshal(buf, &f); err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &f, nil
 }
 
 // Sink collects metrics across experiments. A nil *Sink discards records,
@@ -71,11 +113,4 @@ func (d LatencyDist) P(p float64) time.Duration {
 		rank = n
 	}
 	return d.sorted[rank-1]
-}
-
-// percentile returns the p-quantile (0..1) of the samples by
-// nearest-rank; 0 for an empty set. Callers taking several quantiles of
-// one sample set should build a LatencyDist instead to sort only once.
-func percentile(samples []time.Duration, p float64) time.Duration {
-	return NewLatencyDist(samples).P(p)
 }

@@ -51,7 +51,7 @@ func TestPercentileNearestRank(t *testing.T) {
 		{"empty", nil, 0.99, 0},
 	}
 	for _, tc := range cases {
-		if got := percentile(tc.samples, tc.p); got != tc.want {
+		if got := NewLatencyDist(tc.samples).P(tc.p); got != tc.want {
 			t.Errorf("%s: percentile=%v, want %v", tc.name, got, tc.want)
 		}
 		d := NewLatencyDist(tc.samples)

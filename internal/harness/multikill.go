@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"text/tabwriter"
 	"time"
 
 	"tsue/internal/cluster"
@@ -60,58 +59,44 @@ func RunDegradedMultiKill(cfg RunConfig, deaths int) (*MultiKillResult, error) {
 	if deaths < 1 || deaths > cfg.M {
 		return nil, fmt.Errorf("harness: %d deaths exceed the RS(%d,%d) parity budget", deaths, cfg.K, cfg.M)
 	}
-	c, err := buildCluster(cfg)
+	s, err := newSession(cfg)
 	if err != nil {
 		return nil, err
 	}
-	defer c.Env.Close()
-	admin := c.NewClient()
-	cl := c.NewClient()
+	defer s.close()
+	c, admin := s.c, s.admin
+	cl := c.NewClient() // created before the harness proc is spawned
 	res := &MultiKillResult{Cfg: cfg, Deaths: deaths}
-	var runErr error
-	c.Env.Go("multikill-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
+	err = s.run(func(p *sim.Proc) error {
+		// Settle the preload's own logs and restart the counters, so the
+		// quorum traffic below is the degraded appends' alone.
+		if err := s.drain(p); err != nil {
+			return err
 		}
 		c.ResetStats()
 
 		// Fail the most-loaded OSD and open its degraded window.
-		failed := wire.NodeID(1)
-		most := -1
-		for _, osd := range c.OSDs {
-			if n := osd.Store().Len(); n > most {
-				most = n
-				failed = osd.NodeID()
-			}
-		}
+		failed := mostLoaded(c, 0)
 		if err := c.BeginDegraded(p, failed, admin); err != nil {
-			runErr = fmt.Errorf("begin degraded: %w", err)
-			return
+			return fmt.Errorf("begin degraded: %w", err)
 		}
 		res.Failed = failed
 
 		// The failed node's lost DATA ranges — the offsets whose updates
 		// route through the surrogate journals.
 		sw := c.StripeWidth()
-		ino := inos[0]
+		ino := s.inos[0]
 		var lost []int64
-		for s := uint32(0); int64(s)*sw < perFile; s++ {
-			osds := c.Placement(wire.StripeID{Ino: ino, Stripe: s})
+		for st := uint32(0); int64(st)*sw < s.perFile; st++ {
+			osds := c.Placement(wire.StripeID{Ino: ino, Stripe: st})
 			for idx := 0; idx < c.Cfg.K; idx++ {
 				if osds[idx] == failed {
-					lost = append(lost, int64(s)*sw+int64(idx)*cfg.BlockSize)
+					lost = append(lost, int64(st)*sw+int64(idx)*cfg.BlockSize)
 				}
 			}
 		}
 		if len(lost) == 0 {
-			runErr = fmt.Errorf("most-loaded OSD %d holds no data blocks of vol0", failed)
-			return
+			return fmt.Errorf("most-loaded OSD %d holds no data blocks of vol0", failed)
 		}
 		rng := rand.New(rand.NewSource(cfg.Seed + 4243))
 		span := int(cfg.BlockSize - 4096)
@@ -127,13 +112,9 @@ func RunDegradedMultiKill(cfg RunConfig, deaths int) (*MultiKillResult, error) {
 			}
 			return nil
 		}
-		phase := cfg.Ops / 12
-		if phase < 20 {
-			phase = 20
-		}
+		phase := max(cfg.Ops/12, 20)
 		if err := appends(phase); err != nil {
-			runErr = err
-			return
+			return err
 		}
 
 		if deaths >= 2 {
@@ -141,41 +122,35 @@ func RunDegradedMultiKill(cfg RunConfig, deaths int) (*MultiKillResult, error) {
 			var surr wire.NodeID
 			var bmost int64 = -1
 			jb := c.JournalBytesPerOSD()
-			for _, s := range c.SurrogatesOf(failed) {
-				if jb[s] > bmost {
-					bmost, surr = jb[s], s
+			for _, id := range c.SurrogatesOf(failed) {
+				if jb[id] > bmost {
+					bmost, surr = jb[id], id
 				}
 			}
 			if surr == 0 {
-				runErr = fmt.Errorf("no surrogate journaled anything after %d appends", res.Appends)
-				return
+				return fmt.Errorf("no surrogate journaled anything after %d appends", res.Appends)
 			}
 			res.Surr = surr
 			if deaths >= 3 {
 				holders := c.JournalHoldersOf(failed, surr)
 				if len(holders) < 2 {
-					runErr = fmt.Errorf("surrogate %d has no holder quorum to kill from (%v)", surr, holders)
-					return
+					return fmt.Errorf("surrogate %d has no holder quorum to kill from (%v)", surr, holders)
 				}
 				res.Holder = holders[0]
 				if _, err := c.Kill(p, res.Holder, admin); err != nil {
-					runErr = fmt.Errorf("kill holder %d: %w", res.Holder, err)
-					return
+					return fmt.Errorf("kill holder %d: %w", res.Holder, err)
 				}
 				if err := appends(phase); err != nil {
-					runErr = err
-					return
+					return err
 				}
 			}
 			krep, err := c.Kill(p, surr, admin)
 			if err != nil {
-				runErr = fmt.Errorf("kill surrogate %d: %w", surr, err)
-				return
+				return fmt.Errorf("kill surrogate %d: %w", surr, err)
 			}
 			res.Kill = krep
 			if err := appends(phase); err != nil {
-				runErr = err
-				return
+				return err
 			}
 		}
 
@@ -193,35 +168,20 @@ func RunDegradedMultiKill(cfg RunConfig, deaths int) (*MultiKillResult, error) {
 			res.ReplayedItems += rep.ReplayedItems
 			return nil
 		}
-		if res.Holder != 0 {
-			if runErr = recover(res.Holder); runErr != nil {
-				return
+		for _, id := range []wire.NodeID{res.Holder, res.Surr, failed} {
+			if id == 0 {
+				continue
+			}
+			if err := recover(id); err != nil {
+				return err
 			}
 		}
-		if res.Surr != 0 {
-			if runErr = recover(res.Surr); runErr != nil {
-				return
-			}
-		}
-		if runErr = recover(failed); runErr != nil {
-			return
-		}
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-multikill scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
+		var err error
+		res.Stripes, err = s.finish(p)
+		return err
 	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -230,39 +190,33 @@ func RunDegradedMultiKill(cfg RunConfig, deaths int) (*MultiKillResult, error) {
 // and every death count up to 3, reporting quorum replication traffic,
 // promotion/read-repair work and total recovery time.
 func DegradedMultiKill(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Degraded × multi-death: quorum journals under chained kills (SSD, RS(6,4)) ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "engine\tdeaths\tappends\tq-sent msgs\tq-sent KB\tq-held msgs\tq-held KB\tpromoted\trepaired\treplayed\trecover(ms)\tstripes")
+	t := s.table(w, "degraded-multikill", "== Degraded × multi-death: quorum journals under chained kills (SSD, RS(6,4)) ==",
+		"engine\tdeaths\tappends\tq-sent msgs\tq-sent KB\tq-held msgs\tq-held KB\tpromoted\trepaired\treplayed\trecover(ms)\tstripes")
 	for _, eng := range update.Names() {
 		for _, m := range []int{1, 2, 3} {
-			cfg := baseRun(s)
-			cfg.Engine = eng
-			cfg.Trace = s.traceProfile("ali")
-			r, err := RunDegradedMultiKill(cfg, m)
+			r, err := RunDegradedMultiKill(s.config(eng, "ali", 16), m)
 			if err != nil {
 				return fmt.Errorf("degraded-multikill %s m=%d: %w", eng, m, err)
 			}
-			promoted, repaired, missed := 0, 0, uint64(0)
-			if r.Kill != nil {
-				promoted, repaired, missed = r.Kill.PromotedJournals, r.Kill.RepairedItems, r.Kill.MissedBeats
+			kill := r.Kill
+			if kill == nil {
+				kill = &cluster.KillReport{}
 			}
-			fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%.1f\t%d\t%.1f\t%d\t%d\t%d\t%.1f\t%d\n",
-				eng, m, r.Appends,
-				r.QuorumSentMsgs, float64(r.QuorumSentBytes)/1024,
-				r.QuorumHeldMsgs, float64(r.QuorumHeldBytes)/1024,
-				promoted, repaired, r.ReplayedItems, ms(r.RecoverTotal), r.Stripes)
-			labels := map[string]string{"engine": eng, "deaths": fmt.Sprintf("%d", m)}
-			s.Sink.Record("degraded-multikill", "appends", labels, float64(r.Appends))
-			s.Sink.Record("degraded-multikill", "quorum_sent_msgs", labels, float64(r.QuorumSentMsgs))
-			s.Sink.Record("degraded-multikill", "quorum_sent_bytes", labels, float64(r.QuorumSentBytes))
-			s.Sink.Record("degraded-multikill", "quorum_held_msgs", labels, float64(r.QuorumHeldMsgs))
-			s.Sink.Record("degraded-multikill", "quorum_held_bytes", labels, float64(r.QuorumHeldBytes))
-			s.Sink.Record("degraded-multikill", "promoted_journals", labels, float64(promoted))
-			s.Sink.Record("degraded-multikill", "repaired_items", labels, float64(repaired))
-			s.Sink.Record("degraded-multikill", "missed_beats", labels, float64(missed))
-			s.Sink.Record("degraded-multikill", "replayed_items", labels, float64(r.ReplayedItems))
-			s.Sink.Record("degraded-multikill", "recover_ms", labels, ms(r.RecoverTotal))
+			deaths := fmt.Sprintf("%d", m)
+			t.row(map[string]string{"engine": eng, "deaths": deaths}, eng+"\t"+deaths, []cell{
+				{"appends", "%d", r.Appends},
+				{"quorum_sent_msgs", "%d", r.QuorumSentMsgs},
+				{"quorum_sent_bytes", "", r.QuorumSentBytes}, {"", "%.1f", float64(r.QuorumSentBytes) / 1024},
+				{"quorum_held_msgs", "%d", r.QuorumHeldMsgs},
+				{"quorum_held_bytes", "", r.QuorumHeldBytes}, {"", "%.1f", float64(r.QuorumHeldBytes) / 1024},
+				{"promoted_journals", "%d", kill.PromotedJournals},
+				{"repaired_items", "%d", kill.RepairedItems},
+				{"missed_beats", "", kill.MissedBeats},
+				{"replayed_items", "%d", r.ReplayedItems},
+				{"recover_ms", "%.1f", ms(r.RecoverTotal)},
+				{"", "%d", r.Stripes},
+			})
 		}
 	}
-	return tw.Flush()
+	return t.Flush()
 }

@@ -16,7 +16,6 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"text/tabwriter"
 	"time"
 
 	"tsue/internal/cluster"
@@ -103,16 +102,6 @@ func analyzeUpdates(spans []obs.Span) obsPoint {
 	return pt
 }
 
-// obsPointConfig is one fully-specified load point: every op traced,
-// depth-based admission armed (so the admission stage has real content,
-// as in the saturation sweep).
-func obsPointConfig(base RunConfig) RunConfig {
-	cfg := base
-	cfg.TraceSample = 1
-	cfg.Admission = &cluster.TokenBucket{MaxInflight: 4 * cfg.Clients}
-	return cfg
-}
-
 // nicTxUtil reduces the sampler's per-tick busy-time histogram to a mean
 // tx-link utilization percentage: total busy time gained across all ticks
 // and nodes, over the virtual time those ticks spanned.
@@ -124,50 +113,23 @@ func nicTxUtil(res *OpenLoopResult) float64 {
 	return 100 * res.Metrics["nic_tx_busy_per_tick_sum_ns"] / (n * float64(obsNICPeriod))
 }
 
-func obsRunPoint(cfg RunConfig, offered float64, ops int, sample bool) (*OpenLoopResult, error) {
-	ol := OpenLoopConfig{
-		Arrivals: NewPoissonArrivals(offered, ops, cfg.Seed),
-		Zipf:     NewZipfPicker(uint64(cfg.FileBytes/(4<<10)), 1.1, 1, cfg.Seed+1),
-	}
-	if sample {
-		ol.Sample = nicSampler()
-		ol.SamplePeriod = obsNICPeriod
-	}
-	return RunOpenLoop(cfg, ol)
-}
-
 // Obs runs the observability experiment: per-engine, per-load-point stage
 // breakdown of update latency, p99 critical-path signatures, NIC
 // utilization from the periodic sampler, and a same-seed trace-determinism
-// byte check.
+// byte check. Load points are the saturation sweep's (calibrated grid,
+// admission armed so the admission stage has real content) with every op
+// traced.
 func Obs(w io.Writer, s Scale) error {
-	fmt.Fprintln(w, "== Obs: per-stage update-latency attribution from end-to-end traces ==")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "engine\tload\ttraces\te2e(ms)\tclient\tadmission\tnetwork\tservice\tjournal\tcodec\tdevice\tsum/e2e\tnicTx%\ttop p99 hop")
-	opsPerPoint := s.Ops / 3
-	if opsPerPoint < 300 {
-		opsPerPoint = 300
-	}
+	t := s.table(w, "obs", "== Obs: per-stage update-latency attribution from end-to-end traces ==",
+		"engine\tload\ttraces\te2e(ms)\tclient\tadmission\tnetwork\tservice\tjournal\tcodec\tdevice\tsum/e2e\tnicTx%\ttop p99 hop")
 	for _, eng := range update.Names() {
-		base := baseRun(s)
-		base.Engine = eng
-		base.Trace = s.traceProfile("ali")
-		base.Ops = opsPerPoint
-
-		// Calibrate closed-loop to anchor the offered-load grid, exactly as
-		// the saturation sweep does.
-		calib, err := Run(base)
+		cfg, calibIOPS, err := s.calibrate("obs", eng)
 		if err != nil {
-			return fmt.Errorf("obs %s calibration: %w", eng, err)
+			return err
 		}
-		if calib.IOPS <= 0 {
-			return fmt.Errorf("obs %s: calibration measured zero IOPS", eng)
-		}
-
+		cfg.TraceSample = 1
 		for _, frac := range obsFractions {
-			offered := calib.IOPS * frac
-			cfg := obsPointConfig(base)
-			res, err := obsRunPoint(cfg, offered, opsPerPoint, true)
+			res, err := offerLoad(cfg, calibIOPS*frac, cfg.Ops, nicSampler())
 			if err != nil {
 				return fmt.Errorf("obs %s %.2fx: %w", eng, frac, err)
 			}
@@ -175,31 +137,26 @@ func Obs(w io.Writer, s Scale) error {
 			if pt.traces == 0 {
 				return fmt.Errorf("obs %s %.2fx: no update traces recorded", eng, frac)
 			}
-
-			nicTx := nicTxUtil(res)
-
 			sig := ""
 			if len(pt.sigs) > 0 {
 				sig = fmt.Sprintf("%s x%d", pt.sigs[0].Sig, pt.sigs[0].N)
 			}
-			fmt.Fprintf(tw, "%s\t%.2fx\t%d\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.2f\t%.3f\t%.1f\t%s\n",
-				eng, frac, pt.traces, ms(pt.e2e),
-				ms(pt.stages[obs.StageClient]), ms(pt.stages[obs.StageAdmission]),
-				ms(pt.stages[obs.StageNetwork]), ms(pt.stages[obs.StageService]),
-				ms(pt.stages[obs.StageJournal]), ms(pt.stages[obs.StageCodec]),
-				ms(pt.stages[obs.StageDevice]), pt.ratio, nicTx, sig)
-
-			labels := map[string]string{"engine": eng, "load": fmt.Sprintf("%.2fx", frac)}
-			s.Sink.Record("obs", "traces", labels, float64(pt.traces))
-			s.Sink.Record("obs", "e2e_ms", labels, ms(pt.e2e))
-			s.Sink.Record("obs", "stage_sum_ratio", labels, pt.ratio)
-			s.Sink.Record("obs", "p99_ms", labels, ms(pt.p99))
-			s.Sink.Record("obs", "nic_tx_util_pct", labels, nicTx)
-			for st := obs.Stage(0); st < obs.NStages; st++ {
-				s.Sink.Record("obs", "stage_"+st.String()+"_ms", labels, ms(pt.stages[st]))
+			at := fmt.Sprintf("%.2fx", frac)
+			nicTx := nicTxUtil(res)
+			cells := []cell{
+				{"traces", "%d", pt.traces},
+				{"e2e_ms", "%.2f", ms(pt.e2e)},
+				{"stage_sum_ratio", "", pt.ratio},
+				{"p99_ms", "", ms(pt.p99)},
+				{"nic_tx_util_pct", "", nicTx},
 			}
+			for st := obs.Stage(0); st < obs.NStages; st++ {
+				cells = append(cells, cell{"stage_" + st.String() + "_ms", "%.2f", ms(pt.stages[st])})
+			}
+			t.row(map[string]string{"engine": eng, "load": at}, eng+"\t"+at, append(cells,
+				cell{"", "%.3f", pt.ratio}, cell{"", "%.1f", nicTx}, cell{"", "%s", sig}))
 			for rank, sc := range pt.sigs {
-				sl := map[string]string{"engine": eng, "load": labels["load"],
+				sl := map[string]string{"engine": eng, "load": at,
 					"rank": fmt.Sprintf("%d", rank+1), "sig": sc.Sig}
 				s.Sink.Record("obs", "p99_sig_n", sl, float64(sc.N))
 			}
@@ -211,29 +168,25 @@ func Obs(w io.Writer, s Scale) error {
 
 	// Determinism: the same seed must reproduce the same spans, byte for
 	// byte, in the canonical encoding. Two fresh runs of one point (tsue at
-	// the low-load fraction, no sampler — the check is about the tracer,
-	// not the poll cadence).
-	base := baseRun(s)
-	base.Engine = "tsue"
-	base.Trace = s.traceProfile("ali")
-	base.Ops = opsPerPoint
-	cfg := obsPointConfig(base)
-	offered := 200.0
-	a, err := obsRunPoint(cfg, offered, opsPerPoint/2, false)
-	if err != nil {
-		return fmt.Errorf("obs determinism run 1: %w", err)
+	// a low fixed rate, no sampler — the check is about the tracer, not the
+	// poll cadence).
+	cfg := s.loadPointConfig("tsue")
+	cfg.TraceSample = 1
+	var runs [2]*OpenLoopResult
+	for i := range runs {
+		var err error
+		if runs[i], err = offerLoad(cfg, 200, cfg.Ops/2, nil); err != nil {
+			return fmt.Errorf("obs determinism run %d: %w", i+1, err)
+		}
 	}
-	b, err := obsRunPoint(cfg, offered, opsPerPoint/2, false)
-	if err != nil {
-		return fmt.Errorf("obs determinism run 2: %w", err)
+	a, b := runs[0].Spans, runs[1].Spans
+	if !bytes.Equal(obs.Encode(a), obs.Encode(b)) {
+		return fmt.Errorf("obs: same-seed runs produced different traces (%d vs %d spans)", len(a), len(b))
 	}
-	if !bytes.Equal(obs.Encode(a.Spans), obs.Encode(b.Spans)) {
-		return fmt.Errorf("obs: same-seed runs produced different traces (%d vs %d spans)", len(a.Spans), len(b.Spans))
-	}
-	s.Sink.Record("obs", "trace_deterministic", map[string]string{"spans": fmt.Sprintf("%d", len(a.Spans))}, 1)
-	if err := tw.Flush(); err != nil {
+	s.Sink.Record("obs", "trace_deterministic", map[string]string{"spans": fmt.Sprintf("%d", len(a))}, 1)
+	if err := t.Flush(); err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "trace determinism: OK (%d spans byte-identical across two same-seed runs)\n", len(a.Spans))
+	fmt.Fprintf(w, "trace determinism: OK (%d spans byte-identical across two same-seed runs)\n", len(a))
 	return nil
 }

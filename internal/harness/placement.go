@@ -15,8 +15,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"text/tabwriter"
-	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/wire"
@@ -126,20 +124,10 @@ func RunPlacement(cfg RunConfig) (*PlacementResult, error) {
 // workload. Low PG counts reproduce the concentrated single-volume layout;
 // high counts approach uniform spread.
 func Placement(w io.Writer, s Scale) error {
-	fmt.Fprintf(w, "== Placement: recovery fan-out and surrogate spread vs PG count (tsue, SSD, Ali-Cloud, RS(6,4), %d files) ==\n", s.Files)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "pgs\tlost blks\tfanout\tsrc CV\tsrc max/mean\ttargets\tsurrogates\tjournal(KB)\tjournal CV\trecover(ms)\tdip")
+	t := s.table(w, "placement", fmt.Sprintf("== Placement: recovery fan-out and surrogate spread vs PG count (tsue, SSD, Ali-Cloud, RS(6,4), %d files) ==", s.Files),
+		"pgs\tlost blks\tfanout\tsrc CV\tsrc max/mean\ttargets\tsurrogates\tjournal(KB)\tjournal CV\trecover(ms)\tdip")
 	for _, pgs := range s.PGCounts {
-		cfg := baseRun(s)
-		cfg.Engine = "tsue"
-		cfg.Clients = 16
-		cfg.Files = s.Files
-		cfg.PGs = pgs
-		// Smaller blocks -> more stripes per file, so the PG sweep has a
-		// stripe population large enough for spread differences to show.
-		cfg.BlockSize = 256 << 10
-		cfg.Trace = s.traceProfile("ali")
-		r, err := RunPlacement(cfg)
+		r, err := RunPlacement(s.multiFileConfig("tsue", 16, pgs))
 		if err != nil {
 			return fmt.Errorf("placement pgs=%d: %w", pgs, err)
 		}
@@ -149,13 +137,13 @@ func Placement(w io.Writer, s Scale) error {
 		for _, v := range r.JournalBytes {
 			jTotal += v
 		}
-		fmt.Fprintf(tw, "%d\t%d\t%d\t%.2f\t%.2f\t%d\t%d\t%.1f\t%.2f\t%.1f\t%.0f%%\n",
+		fmt.Fprintf(t, "%d\t%d\t%d\t%.2f\t%.2f\t%d\t%d\t%.1f\t%.2f\t%.1f\t%.0f%%\n",
 			pgs, r.Report.Blocks, r.FanOut(), src.cv, src.maxRatio,
 			len(r.Targets), len(r.JournalBytes),
 			float64(jTotal)/1024, jrn.cv,
-			float64(r.Report.TotalTime)/float64(time.Millisecond),
+			ms(r.Report.TotalTime),
 			r.DipPct)
-		fmt.Fprintf(tw, "\tsrc KB/OSD (desc)\t%s\n", histogram(r.SourceBytes))
+		fmt.Fprintf(t, "\tsrc KB/OSD (desc)\t%s\n", histogram(r.SourceBytes))
 	}
-	return tw.Flush()
+	return t.Flush()
 }

@@ -16,14 +16,11 @@ package harness
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"text/tabwriter"
 	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/rebalance"
 	"tsue/internal/sim"
-	"tsue/internal/trace"
 	"tsue/internal/update"
 	"tsue/internal/wire"
 )
@@ -36,84 +33,11 @@ type RebalanceResult struct {
 	Reports []*rebalance.Report
 	// NewOSDs lists the added node IDs.
 	NewOSDs []wire.NodeID
-	// BaselineIOPS is foreground update throughput before the expansion;
-	// DuringIOPS covers the expansion window; DipPct is the relative drop.
-	BaselineIOPS float64
-	DuringIOPS   float64
-	DipPct       float64
+	// Window is the foreground load while the expansion runs: the IOPS dip
+	// (no reader probes, so no read latencies).
+	Window
 	// Stripes is the number of stripes scrubbed clean after the run.
 	Stripes int
-}
-
-// MovedBlocks sums blocks moved across all transitions.
-func (r *RebalanceResult) MovedBlocks() int {
-	n := 0
-	for _, rep := range r.Reports {
-		n += rep.MovedBlocks
-	}
-	return n
-}
-
-// BoundBlocks sums the per-transition minimal-remap bounds.
-func (r *RebalanceResult) BoundBlocks() float64 {
-	var b float64
-	for _, rep := range r.Reports {
-		b += rep.BoundBlocks
-	}
-	return b
-}
-
-// fgLoad is the control surface of a running foreground writer fleet
-// (startForegroundWriters): set *stop to end the loops, *done counts
-// completed ops, *err holds the first client failure, wg waits the
-// writers out.
-type fgLoad struct {
-	stop *bool
-	done *int
-	err  *error
-	wg   *sim.WaitGroup
-}
-
-// startForegroundWriters launches cfg.Clients trace-driven update writers
-// over the preloaded files (one payload pool seeded at cfg.Seed +
-// payloadSeed), writing up to 20×cfg.Ops/Clients ops each unless stopped.
-// Shared by the rebalance-family experiments.
-func startForegroundWriters(c *cluster.Cluster, cfg RunConfig, inos []uint64, perFile, payloadSeed int64) fgLoad {
-	payload := make([]byte, 1<<20)
-	rand.New(rand.NewSource(cfg.Seed + payloadSeed)).Read(payload)
-	load := fgLoad{stop: new(bool), done: new(int), err: new(error), wg: sim.NewWaitGroup(c.Env)}
-	load.wg.Add(cfg.Clients)
-	opsPer := 20 * cfg.Ops / cfg.Clients
-	for ci := 0; ci < cfg.Clients; ci++ {
-		ci := ci
-		cl := c.NewClient()
-		ino := inos[ci%len(inos)]
-		prof := cfg.Trace
-		prof.WorkingSet = perFile
-		gen := trace.MustGenerator(prof, cfg.Seed+int64(ci)*7919)
-		c.Env.Go(fmt.Sprintf("fg%d", ci), func(cp *sim.Proc) {
-			defer load.wg.Done()
-			for j := 0; j < opsPer && !*load.stop; j++ {
-				op := gen.Next()
-				for op.Kind != trace.Write {
-					op = gen.Next()
-				}
-				off := op.Off
-				if off+int64(op.Size) > perFile {
-					off = perFile - int64(op.Size)
-				}
-				pstart := int(off) % (len(payload) - int(op.Size))
-				if err := cl.Update(cp, ino, off, payload[pstart:pstart+int(op.Size)]); err != nil {
-					if *load.err == nil {
-						*load.err = fmt.Errorf("foreground client %d op %d: %w", ci, j, err)
-					}
-					return
-				}
-				*load.done++
-			}
-		})
-	}
-	return load
 }
 
 // RunRebalance preloads a multi-file working set, runs a continuous
@@ -124,82 +48,29 @@ func RunRebalance(cfg RunConfig, rcfg rebalance.Config, addOSDs int) (*Rebalance
 	if addOSDs < 1 {
 		return nil, fmt.Errorf("harness: addOSDs must be >= 1, got %d", addOSDs)
 	}
-	c, err := buildCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Env.Close()
-	admin := c.NewClient()
 	res := &RebalanceResult{Cfg: cfg}
-	var runErr error
-	c.Env.Go("rebalance-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
+	err := runSession(cfg, func(s *session, p *sim.Proc) error {
+		ld := s.startLoad(p, 0, 0)
+		if err := ld.warm(p); err != nil {
+			return err
 		}
-		c.ResetStats()
-
-		start := p.Now()
-		load := startForegroundWriters(c, cfg, inos, perFile, 999)
-
-		warmTarget := cfg.Ops / 3
-		if warmTarget < 1 {
-			warmTarget = 1
-		}
-		for *load.done < warmTarget && *load.err == nil {
-			p.Sleep(100 * time.Microsecond)
-		}
-		if *load.err != nil {
-			runErr = *load.err
-			return
-		}
-		preOps := *load.done
-		t0 := p.Now()
 		for i := 0; i < addOSDs; i++ {
-			rep, id, err := c.Expand(p, admin, rcfg)
+			rep, id, err := s.c.Expand(p, s.admin, rcfg)
 			if err != nil {
-				runErr = fmt.Errorf("expand %d: %w", i, err)
-				return
+				return fmt.Errorf("expand %d: %w", i, err)
 			}
 			res.Reports = append(res.Reports, rep)
 			res.NewOSDs = append(res.NewOSDs, id)
 		}
-		t1 := p.Now()
-		duringOps := *load.done - preOps
-		*load.stop = true
-		load.wg.Wait(p)
-		if *load.err != nil {
-			runErr = *load.err
-			return
+		var err error
+		if res.Window, err = ld.closeWindow(p); err != nil {
+			return err
 		}
-
-		if d := (t0 - start).Seconds(); d > 0 {
-			res.BaselineIOPS = float64(preOps) / d
-		}
-		if d := (t1 - t0).Seconds(); d > 0 {
-			res.DuringIOPS = float64(duringOps) / d
-		}
-		if res.BaselineIOPS > 0 {
-			res.DipPct = 100 * (1 - res.DuringIOPS/res.BaselineIOPS)
-		}
-
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-expansion scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
+		res.Stripes, err = s.finish(p)
+		return err
 	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -230,85 +101,41 @@ type RebalanceKillResult struct {
 // point is deterministic), waits for the per-PG resolution, recovers the
 // node under the settled epoch, and verifies with a drain + scrub.
 func RunRebalanceKill(cfg RunConfig, rcfg rebalance.Config) (*RebalanceKillResult, error) {
-	c, err := buildCluster(cfg)
-	if err != nil {
-		return nil, err
-	}
-	defer c.Env.Close()
-	admin := c.NewClient()
 	res := &RebalanceKillResult{Cfg: cfg}
-	var runErr error
-	c.Env.Go("rebalance-kill-harness", func(p *sim.Proc) {
-		inos, perFile, err := preload(p, c, admin, cfg)
-		if err != nil {
-			runErr = err
-			return
-		}
-		c.ResetStats()
-
-		load := startForegroundWriters(c, cfg, inos, perFile, 4242)
-		warmTarget := cfg.Ops / 3
-		if warmTarget < 1 {
-			warmTarget = 1
-		}
-		for *load.done < warmTarget && *load.err == nil {
-			p.Sleep(100 * time.Microsecond)
-		}
-		if *load.err != nil {
-			runErr = *load.err
-			return
+	err := runSession(cfg, func(s *session, p *sim.Proc) error {
+		ld := s.startLoad(p, 0, 0)
+		if err := ld.warm(p); err != nil {
+			return err
 		}
 		// Arm the kill: the first PG to finish its first copy loses its
 		// move source.
-		var victim wire.NodeID
-		c.SetTransHook(func(ev cluster.TransEvent) {
-			if victim != 0 || ev.Stage != cluster.StageCopying || ev.Copied == 0 {
+		s.c.SetTransHook(func(ev cluster.TransEvent) {
+			if res.Victim != 0 || ev.Stage != cluster.StageCopying || ev.Copied == 0 {
 				return
 			}
-			victim = ev.Moves[0].From
-			c.MarkDead(victim)
+			res.Victim = ev.Moves[0].From
+			s.c.MarkDead(res.Victim)
 		})
-		rep, _, err := c.Expand(p, admin, rcfg)
-		if err != nil {
-			runErr = fmt.Errorf("expand: %w", err)
-			return
+		var err error
+		if res.Report, _, err = s.c.Expand(p, s.admin, rcfg); err != nil {
+			return fmt.Errorf("expand: %w", err)
 		}
-		if victim == 0 {
-			runErr = fmt.Errorf("kill hook never fired (no moves?)")
-			return
+		if res.Victim == 0 {
+			return fmt.Errorf("kill hook never fired (no moves?)")
 		}
-		res.Report = rep
-		res.Victim = victim
-		res.SettledEpoch = c.MDS.CommittedEpoch()
-		rrep, err := c.Recover(p, victim, 4, cluster.RecoverInterleaved, admin)
-		if err != nil {
-			runErr = fmt.Errorf("recover after mid-rebalance kill: %w", err)
-			return
+		res.SettledEpoch = s.c.MDS.CommittedEpoch()
+		if res.Recovery, err = s.c.Recover(p, res.Victim, 4, cluster.RecoverInterleaved, s.admin); err != nil {
+			return fmt.Errorf("recover after mid-rebalance kill: %w", err)
 		}
-		res.Recovery = rrep
-		res.QuorumSentMsgs, res.QuorumSentBytes, res.QuorumHeldMsgs, res.QuorumHeldBytes = c.JournalQuorumStats()
-		*load.stop = true
-		load.wg.Wait(p)
-		if *load.err != nil {
-			runErr = *load.err
-			return
+		res.QuorumSentMsgs, res.QuorumSentBytes, res.QuorumHeldMsgs, res.QuorumHeldBytes = s.c.JournalQuorumStats()
+		if _, err := ld.closeWindow(p); err != nil {
+			return err
 		}
-		if err := c.DrainAll(p, admin); err != nil {
-			runErr = err
-			return
-		}
-		if !cfg.SkipVerify {
-			n, err := c.Scrub()
-			if err != nil {
-				runErr = fmt.Errorf("post-kill-rebalance scrub failed: %w", err)
-				return
-			}
-			res.Stripes = n
-		}
+		res.Stripes, err = s.finish(p)
+		return err
 	})
-	c.Env.Run(0)
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	return res, nil
 }
@@ -318,44 +145,35 @@ func RunRebalanceKill(cfg RunConfig, rcfg rebalance.Config) (*RebalanceKillResul
 // transition resolves (per-PG abort/finish outcomes), the node recovers
 // under the settled epoch, and the run ends scrubbed clean.
 func RebalanceKill(w io.Writer, s Scale) error {
-	fmt.Fprintf(w, "== Rebalance × failure: kill a copy source mid-expansion (+1 OSD, SSD, Ali-Cloud, RS(6,4), %d files) ==\n", s.Files)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	// "rec items/KB" are the recovery cutover's journal replays (seeds +
 	// degraded updates + any transition-orphaned records).
-	fmt.Fprintln(tw, "engine\tpgs\taborted\tfinished\treconstructed\taborted MB\tmoved MB\trestored\trec items\trebuilt blks\trec KB\trecovery(ms)")
+	t := s.table(w, "rebalance-kill", fmt.Sprintf("== Rebalance × failure: kill a copy source mid-expansion (+1 OSD, SSD, Ali-Cloud, RS(6,4), %d files) ==", s.Files),
+		"engine\tpgs\taborted\tfinished\treconstructed\taborted MB\tmoved MB\trestored\trec items\trebuilt blks\trec KB\trecovery(ms)")
 	for _, eng := range update.Names() {
-		cfg := baseRun(s)
-		cfg.Engine = eng
-		cfg.Clients = 8
-		cfg.Files = s.Files
-		cfg.PGs = 64
-		cfg.BlockSize = 256 << 10
-		cfg.Trace = s.traceProfile("ali")
 		rcfg := rebalance.Config{RateBps: s.RebalanceRateBps, MaxInFlightPGs: 2}
-		r, err := RunRebalanceKill(cfg, rcfg)
+		r, err := RunRebalanceKill(s.multiFileConfig(eng, 8, 64), rcfg)
 		if err != nil {
 			return fmt.Errorf("rebalance-kill %s: %w", eng, err)
 		}
 		rep := r.Report
-		fmt.Fprintf(tw, "%s\t%d\t%d\t%d\t%d\t%.1f\t%.1f\t%d\t%d\t%d\t%d\t%.1f\n",
-			eng, len(rep.Outcomes), rep.AbortedPGs, rep.FinishedPGs, rep.ReconstructedBlocks,
-			float64(rep.AbortedBytes)/(1<<20), float64(rep.MovedBytes)/(1<<20),
-			restoredItems(rep), r.Recovery.ReplayedItems, r.Recovery.Blocks,
-			int(r.Recovery.ReplayedBytes>>10), ms(r.Recovery.TotalTime))
-		labels := map[string]string{"engine": eng}
-		s.Sink.Record("rebalance-kill", "pgs", labels, float64(len(rep.Outcomes)))
-		s.Sink.Record("rebalance-kill", "aborted_pgs", labels, float64(rep.AbortedPGs))
-		s.Sink.Record("rebalance-kill", "finished_pgs", labels, float64(rep.FinishedPGs))
-		s.Sink.Record("rebalance-kill", "reconstructed_blocks", labels, float64(rep.ReconstructedBlocks))
-		s.Sink.Record("rebalance-kill", "aborted_bytes", labels, float64(rep.AbortedBytes))
-		s.Sink.Record("rebalance-kill", "moved_bytes", labels, float64(rep.MovedBytes))
-		s.Sink.Record("rebalance-kill", "recovery_ms", labels, ms(r.Recovery.TotalTime))
-		s.Sink.Record("rebalance-kill", "recovery_replayed_items", labels, float64(r.Recovery.ReplayedItems))
-		s.Sink.Record("rebalance-kill", "journal_quorum_sent_msgs", labels, float64(r.QuorumSentMsgs))
-		s.Sink.Record("rebalance-kill", "journal_quorum_sent_bytes", labels, float64(r.QuorumSentBytes))
-		s.Sink.Record("rebalance-kill", "journal_quorum_held_bytes", labels, float64(r.QuorumHeldBytes))
+		t.row(map[string]string{"engine": eng}, eng, []cell{
+			{"pgs", "%d", len(rep.Outcomes)},
+			{"aborted_pgs", "%d", rep.AbortedPGs},
+			{"finished_pgs", "%d", rep.FinishedPGs},
+			{"reconstructed_blocks", "%d", rep.ReconstructedBlocks},
+			{"aborted_bytes", "", rep.AbortedBytes}, {"", "%.1f", float64(rep.AbortedBytes) / (1 << 20)},
+			{"moved_bytes", "", rep.MovedBytes}, {"", "%.1f", float64(rep.MovedBytes) / (1 << 20)},
+			{"", "%d", restoredItems(rep)},
+			{"", "%d", r.Recovery.ReplayedItems}, {"", "%d", r.Recovery.Blocks},
+			{"", "%d", int(r.Recovery.ReplayedBytes >> 10)},
+			{"recovery_ms", "%.1f", ms(r.Recovery.TotalTime)},
+			{"recovery_replayed_items", "", r.Recovery.ReplayedItems},
+			{"journal_quorum_sent_msgs", "", r.QuorumSentMsgs},
+			{"journal_quorum_sent_bytes", "", r.QuorumSentBytes},
+			{"journal_quorum_held_bytes", "", r.QuorumHeldBytes},
+		})
 	}
-	return tw.Flush()
+	return t.Flush()
 }
 
 // restoredItems sums abort-path restores across a report's PG outcomes.
@@ -375,60 +193,43 @@ func Rebalance(w io.Writer, s Scale) error {
 	if s.RebalanceRateBps > 0 {
 		rate = fmt.Sprintf("%dMB/s", s.RebalanceRateBps>>20)
 	}
-	fmt.Fprintf(w, "== Rebalance: online expansion (+%d OSD, copy rate %s, SSD, Ali-Cloud, RS(6,4), %d files) ==\n",
-		s.AddOSDs, rate, s.Files)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "engine\tmoved blks\tbound\tx bound\tmoved MB\trecopied\treplayed KB\tpgs\tmigrate(ms)\tstall(ms)\tmax stall(ms)\tbase IOPS\tduring IOPS\tdip")
+	t := s.table(w, "rebalance", fmt.Sprintf("== Rebalance: online expansion (+%d OSD, copy rate %s, SSD, Ali-Cloud, RS(6,4), %d files) ==", s.AddOSDs, rate, s.Files),
+		"engine\tmoved blks\tbound\tx bound\tmoved MB\trecopied\treplayed KB\tpgs\tmigrate(ms)\tstall(ms)\tmax stall(ms)\tbase IOPS\tduring IOPS\tdip")
 	for _, eng := range update.Names() {
-		cfg := baseRun(s)
-		cfg.Engine = eng
-		cfg.Clients = 16
-		cfg.Files = s.Files
-		cfg.PGs = 64
-		// Smaller blocks -> more stripes, so per-PG moves and the bound are
-		// well populated (same reasoning as the placement experiment).
-		cfg.BlockSize = 256 << 10
-		cfg.Trace = s.traceProfile("ali")
 		rcfg := rebalance.Config{RateBps: s.RebalanceRateBps, MaxInFlightPGs: 2}
-		r, err := RunRebalance(cfg, rcfg, s.AddOSDs)
+		r, err := RunRebalance(s.multiFileConfig(eng, 16, 64), rcfg, s.AddOSDs)
 		if err != nil {
 			return fmt.Errorf("rebalance %s: %w", eng, err)
 		}
-		var movedMB float64
-		var recopied, replayedKB, pgs int
+		var bound, movedMB float64
+		var moved, recopied, replayedKB, pgs int
 		var migrate, stall, maxStall time.Duration
 		for _, rep := range r.Reports {
+			moved += rep.MovedBlocks
+			bound += rep.BoundBlocks
 			movedMB += float64(rep.MovedBytes) / (1 << 20)
 			recopied += rep.RecopiedBlocks
 			replayedKB += int(rep.ReplayedBytes >> 10)
 			pgs += rep.PGsMigrated
 			migrate += rep.MigrateTime
 			stall += rep.StallTime
-			if rep.MaxStall > maxStall {
-				maxStall = rep.MaxStall
-			}
+			maxStall = max(maxStall, rep.MaxStall)
 		}
-		moved, bound := r.MovedBlocks(), r.BoundBlocks()
-		ratio := 0.0
-		if bound > 0 {
-			ratio = float64(moved) / bound
-		}
-		fmt.Fprintf(tw, "%s\t%d\t%.1f\t%.2fx\t%.1f\t%d\t%d\t%d\t%.1f\t%.1f\t%.1f\t%.0f\t%.0f\t%.0f%%\n",
-			eng, moved, bound, ratio, movedMB, recopied, replayedKB, pgs,
-			ms(migrate), ms(stall), ms(maxStall),
-			r.BaselineIOPS, r.DuringIOPS, r.DipPct)
-		labels := map[string]string{"engine": eng}
-		s.Sink.Record("rebalance", "moved_blocks", labels, float64(moved))
-		s.Sink.Record("rebalance", "bound_blocks", labels, bound)
-		s.Sink.Record("rebalance", "actual_over_bound", labels, ratio)
-		s.Sink.Record("rebalance", "recopied_blocks", labels, float64(recopied))
-		s.Sink.Record("rebalance", "replayed_kb", labels, float64(replayedKB))
-		s.Sink.Record("rebalance", "migrate_ms", labels, ms(migrate))
-		s.Sink.Record("rebalance", "stall_ms_total", labels, ms(stall))
-		s.Sink.Record("rebalance", "stall_ms_max", labels, ms(maxStall))
-		s.Sink.Record("rebalance", "base_iops", labels, r.BaselineIOPS)
-		s.Sink.Record("rebalance", "during_iops", labels, r.DuringIOPS)
-		s.Sink.Record("rebalance", "dip_pct", labels, r.DipPct)
+		t.row(map[string]string{"engine": eng}, eng, []cell{
+			{"moved_blocks", "%d", moved},
+			{"bound_blocks", "%.1f", bound},
+			{"actual_over_bound", "%.2fx", ratio(float64(moved), bound)},
+			{"", "%.1f", movedMB},
+			{"recopied_blocks", "%d", recopied},
+			{"replayed_kb", "%d", replayedKB},
+			{"", "%d", pgs},
+			{"migrate_ms", "%.1f", ms(migrate)},
+			{"stall_ms_total", "%.1f", ms(stall)},
+			{"stall_ms_max", "%.1f", ms(maxStall)},
+			{"base_iops", "%.0f", r.BaselineIOPS},
+			{"during_iops", "%.0f", r.DuringIOPS},
+			{"dip_pct", "%.0f%%", r.DipPct},
+		})
 	}
-	return tw.Flush()
+	return t.Flush()
 }

@@ -6,11 +6,11 @@ import (
 	"tsue/internal/sim"
 )
 
-// Sampler drives a collection callback at a fixed virtual-time period —
-// the `sim.Sched`-compatible way to turn instantaneous state (NIC queue
-// lengths, resource busy time) into periodic gauges and histograms, since
-// each tick is an ordinary env event that any scheduler advances in global
-// timestamp order.
+// Sampler drives a collection callback at a fixed virtual-time period,
+// turning instantaneous state (NIC queue lengths, resource busy time) into
+// periodic gauges and histograms. Each tick is an ordinary env event, so
+// it runs in timestamp order with everything else whether the env is
+// driven by Env.Run or stepped with ProcessNextEvent.
 //
 // A sampler keeps the event queue nonempty by design, so it MUST be
 // Stop()ed before the final drain (an unbounded Env.Run would otherwise

@@ -165,85 +165,3 @@ func TestQueuePutAfterCloseDrops(t *testing.T) {
 		t.Fatal("env counter changed by unrelated queue")
 	}
 }
-
-func TestSchedGlobalOrder(t *testing.T) {
-	a, b := NewEnv(), NewEnv()
-	var order []string
-	a.At(1*time.Millisecond, func() { order = append(order, "a1") })
-	a.At(4*time.Millisecond, func() { order = append(order, "a4") })
-	b.At(2*time.Millisecond, func() { order = append(order, "b2") })
-	b.At(3*time.Millisecond, func() { order = append(order, "b3") })
-	s := NewSched(a, b)
-	end := s.Run(0)
-	want := []string{"a1", "b2", "b3", "a4"}
-	if len(order) != len(want) {
-		t.Fatalf("order=%v", order)
-	}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order=%v want=%v", order, want)
-		}
-	}
-	if end != 4*time.Millisecond {
-		t.Fatalf("end=%v", end)
-	}
-}
-
-func TestSchedTieBreaksByRegistrationOrder(t *testing.T) {
-	a, b := NewEnv(), NewEnv()
-	var order []string
-	a.At(time.Millisecond, func() { order = append(order, "a") })
-	b.At(time.Millisecond, func() { order = append(order, "b") })
-	s := NewSched(b, a) // b registered first wins the tie
-	s.Run(0)
-	if len(order) != 2 || order[0] != "b" || order[1] != "a" {
-		t.Fatalf("order=%v", order)
-	}
-}
-
-func TestSchedLimitAndResume(t *testing.T) {
-	a, b := NewEnv(), NewEnv()
-	var hits int
-	a.At(10*time.Millisecond, func() { hits++ })
-	b.At(30*time.Millisecond, func() { hits++ })
-	s := NewSched(a, b)
-	if end := s.Run(20 * time.Millisecond); end != 20*time.Millisecond {
-		t.Fatalf("end=%v", end)
-	}
-	if hits != 1 {
-		t.Fatalf("hits=%d after limited run", hits)
-	}
-	if !s.HasPendingEvents() {
-		t.Fatal("future event discarded by limit")
-	}
-	if end := s.Run(0); end != 30*time.Millisecond {
-		t.Fatalf("resume end=%v", end)
-	}
-	if hits != 2 {
-		t.Fatalf("hits=%d", hits)
-	}
-}
-
-func TestSchedProcsInterleave(t *testing.T) {
-	// Two independent simulators with real processes advance under one
-	// scheduler; each env's own clock only moves when its events run.
-	a, b := NewEnv(), NewEnv()
-	var aDone, bDone time.Duration
-	a.Go("pa", func(p *Proc) {
-		p.Sleep(5 * time.Millisecond)
-		aDone = p.Now()
-	})
-	b.Go("pb", func(p *Proc) {
-		p.Sleep(2 * time.Millisecond)
-		bDone = p.Now()
-	})
-	s := NewSched(a, b)
-	s.Run(0)
-	if aDone != 5*time.Millisecond || bDone != 2*time.Millisecond {
-		t.Fatalf("aDone=%v bDone=%v", aDone, bDone)
-	}
-	s.Close()
-	if a.LiveProcs() != 0 || b.LiveProcs() != 0 {
-		t.Fatal("Close left live procs")
-	}
-}

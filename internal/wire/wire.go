@@ -1,9 +1,10 @@
 // Package wire defines the ECFS RPC message set and a compact binary codec.
 //
-// The simulated transport passes message values directly (charging the wire
-// size to the network model); the TCP transport marshals them with the codec
-// in codec.go. Both paths use PayloadSize for size accounting, so simulated
-// and real network volumes agree.
+// The simulated fabric (internal/netsim) passes message values directly and
+// charges SizeOf(m) — headerSize + PayloadSize — to the network model; it is
+// the only transport. The codec in codec.go is not on that path: it defines
+// the byte layout PayloadSize accounts for, and its round-trip and fuzz
+// tests keep the two in agreement.
 package wire
 
 import (
@@ -155,7 +156,7 @@ func (t Type) String() string {
 }
 
 // headerSize models the per-message framing overhead (type, ids, lengths)
-// charged on the simulated wire; the TCP codec uses the same framing.
+// charged on the simulated wire on top of the payload.
 const headerSize = 40
 
 // Msg is implemented by every RPC message.
