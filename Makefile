@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test lint fuzz bench benchgate baselines expdiff fmt
+.PHONY: all build test lint fuzz bench benchgate baselines expdiff perf perfdiff fmt
 
 all: build test lint
 
@@ -20,6 +20,7 @@ lint:
 
 fuzz:
 	$(GO) test -fuzz=FuzzUnmarshalRoundTrip -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzInsertMatchesReference -fuzztime=10s ./internal/logpool
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
@@ -41,6 +42,24 @@ baselines: benchgate
 # (host-clock fields stripped). About 3 minutes on two cores.
 expdiff:
 	scripts/expdiff.sh $(BASE)
+
+# perf runs the repository's benchmark (bench/tsueperf, a module of its own
+# that BENCHMARK.json pins) once: the four workloads at one seed, about 80 s.
+# Every metric is printed; the full results land in .bench_build/perf.jsonl
+# (compare two such files with `.bench_build/tsueperf -compare a b`).
+SEED ?= 11
+perf:
+	rm -f .bench_build/perf.jsonl
+	for w in ali_tsue ten_plr open_tsue recover_tsue; do \
+		bash bench/tsueperf/run.sh --workload $$w --seed $(SEED) --seconds 14 --trace 0 -json .bench_build/perf.jsonl || exit 1; \
+	done
+
+# perfdiff holds the work tree's benchmark results against BASE's: the two
+# sides run alternately on the same seeds (SEEDS="11 12 ..." for more than
+# one), every sim_* value must be exactly equal and no end-to-end metric may
+# regress beyond its bound. About 3 minutes per seed.
+perfdiff:
+	scripts/perfdiff.sh $(BASE)
 
 fmt:
 	gofmt -w .

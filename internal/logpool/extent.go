@@ -13,6 +13,8 @@ package logpool
 import (
 	"fmt"
 	"sort"
+
+	"tsue/internal/gf256"
 )
 
 // MergeMode selects how an overlapping insert combines with indexed data.
@@ -55,6 +57,9 @@ type BlockLog struct {
 	// how much locality merging saved.
 	RawAppends int
 	RawBytes   int64
+	// lastEnd is where the previous insert ended: an insert starting there
+	// continues a sequential run, the one shape worth spare capacity.
+	lastEnd int64
 }
 
 func (b *BlockLog) setBitmap(off, end int64) {
@@ -86,15 +91,25 @@ func (b *BlockLog) mightContain(off, end int64) bool {
 	return false
 }
 
-// Insert merges [off, off+len(data)) into the log under the given mode.
+// Insert merges [off, off+len(data)) into the log under the given mode. The
+// bytes are copied (or XORed in); data is not retained.
+//
+// Insert mutates extent buffers in place, so it may run only on a log
+// nothing else reads: the active unit's, or a private merged view under
+// construction. Sealed units and extracted logs are immutable (see Extents).
 func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 	if len(data) == 0 {
 		return
+	}
+	if mode != Overwrite && mode != XOR {
+		panic(fmt.Sprintf("logpool: unknown merge mode %d", mode))
 	}
 	b.RawAppends++
 	b.RawBytes += int64(len(data))
 	end := off + int64(len(data))
 	b.setBitmap(off, end)
+	run := off == b.lastEnd
+	b.lastEnd = end
 
 	if b.Raw {
 		b.extents = append(b.extents, Extent{Off: off, Data: append([]byte(nil), data...)})
@@ -115,35 +130,51 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 		b.extents[lo] = Extent{Off: off, Data: append([]byte(nil), data...)}
 		return
 	}
-	mergedOff := off
-	if b.extents[lo].Off < mergedOff {
-		mergedOff = b.extents[lo].Off
-	}
-	mergedEnd := end
-	if e := b.extents[hi-1].End(); e > mergedEnd {
-		mergedEnd = e
-	}
-	buf := make([]byte, mergedEnd-mergedOff)
-	for i := lo; i < hi; i++ {
-		copy(buf[b.extents[i].Off-mergedOff:], b.extents[i].Data)
-	}
-	dst := buf[off-mergedOff : off-mergedOff+int64(len(data))]
-	switch mode {
-	case Overwrite:
-		copy(dst, data)
-	case XOR:
-		for i := range data {
-			dst[i] ^= data[i]
+	first := b.extents[lo]
+	mergedOff := min(off, first.Off)
+	n := max(end, b.extents[hi-1].End()) - mergedOff
+	// Every byte of the merged range lies in a window extent or in the new
+	// range, so a buffer need not start out zeroed — except under XOR,
+	// where the parts of the new range no extent covers accumulate onto 0.
+	var buf []byte
+	absorb := b.extents[lo:hi]
+	switch {
+	case mergedOff == first.Off && n <= int64(cap(first.Data)):
+		// The merged range starts where the first extent does and fits its
+		// buffer: merge in place, touching only the bytes that change.
+		buf = first.Data[:n]
+		if mode == XOR {
+			clear(buf[len(first.Data):])
 		}
+		absorb = absorb[1:]
+	case run && mergedOff == first.Off:
+		// A sequential run outgrew its extent: double, so a run of k
+		// appends copies O(k) bytes instead of O(k²). Every other shape
+		// (scattered neighbours, prepends, bridges) gets an exact fit —
+		// spare room there is mostly wasted on the next reallocation.
+		buf = make([]byte, n, 2*n)
 	default:
-		panic(fmt.Sprintf("logpool: unknown merge mode %d", mode))
+		buf = make([]byte, n)
+	}
+	for _, e := range absorb {
+		copy(buf[e.Off-mergedOff:], e.Data)
+	}
+	dst := buf[off-mergedOff:][:len(data)]
+	if mode == XOR {
+		gf256.XorSlice(dst, data)
+	} else {
+		copy(dst, data)
 	}
 	b.extents[lo] = Extent{Off: mergedOff, Data: buf}
 	b.extents = append(b.extents[:lo+1], b.extents[hi:]...)
 }
 
 // Extents returns the merged extents in offset order. The returned slice
-// and its buffers are owned by the log; callers must not mutate them.
+// and its buffers are owned by the log; callers must not mutate them. They
+// are stable only once the log can no longer see an Insert — its unit is
+// sealed, it was extracted (Pool.ExtractActive), or it is a merged view
+// whose construction finished; on a log still taking inserts the next
+// Insert may rewrite the buffers in place, so copy out (Overlay) instead.
 func (b *BlockLog) Extents() []Extent { return b.extents }
 
 // Bytes returns the total indexed (post-merge) byte count.

@@ -374,13 +374,6 @@ func TestPoolMinUnitsPanics(t *testing.T) {
 	NewPool(0, Overwrite, 10, 1)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestGaps(t *testing.T) {
 	var b BlockLog
 	b.Insert(10, make([]byte, 5), Overwrite)  // [10,15)

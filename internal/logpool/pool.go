@@ -100,9 +100,13 @@ func sortBlockIDs(ids []wire.BlockID) {
 // were accepted in. With raw set (the no-locality ablation) nothing merges:
 // records concatenate in append order and recycle individually, as before.
 //
-// The returned view is read-only and aliases the units' own (immutable
-// once sealed) logs wherever no merging happens: always for a single unit,
-// and per record in raw mode; only the non-raw multi-unit merge copies.
+// Every unit must be sealed: a sealed unit takes no more inserts, so its
+// extent buffers are stable and the view may alias them. It does wherever
+// no merging happens — always for a single unit, and per record in raw
+// mode; the non-raw multi-unit merge builds private buffers (Insert copies
+// what it is given, and merges in place only within those copies). Either
+// way the returned view is read-only and its buffers stay stable for as
+// long as the caller holds it: nothing inserts into it after this returns.
 // The block ID list is in the same deterministic order as Unit.Blocks.
 func MergeUnits(units []*Unit, mode MergeMode, raw bool) (map[wire.BlockID]*BlockLog, []wire.BlockID) {
 	if len(units) == 1 {
@@ -364,7 +368,9 @@ func (p *Pool) Stats() Stats { return p.stats }
 // in-flight pipeline state the caller must drain first — and recycled
 // (retained) units keep their read-cache copies, whose content is already
 // applied to the block. The unit's fill level is not reduced: the space the
-// records occupied in the on-disk log is consumed either way.
+// records occupied in the on-disk log is consumed either way. The log is
+// unlinked from the unit, so no later append can reach it: the returned
+// extents are stable and the caller's to keep.
 func (p *Pool) ExtractActive(blk wire.BlockID) []Extent {
 	u := p.Active()
 	if u == nil {

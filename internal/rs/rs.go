@@ -164,14 +164,22 @@ func ApplyParityDelta(parityRegion, parityDelta []byte) {
 }
 
 // DataDelta computes dst = newData XOR oldData, the data delta of
-// Equation (2). All three may alias; lengths must match.
+// Equation (2). Lengths must match. Any of the three may be the same slice
+// (dst ≡ oldData, dst ≡ newData, all three); slices that overlap at
+// different offsets are not supported.
 func DataDelta(dst, newData, oldData []byte) {
 	if len(dst) != len(newData) || len(dst) != len(oldData) {
 		panic("rs: DataDelta length mismatch")
 	}
-	for i := range dst {
-		dst[i] = newData[i] ^ oldData[i]
+	if len(dst) == 0 {
+		return
 	}
+	if &dst[0] == &oldData[0] {
+		gf256.XorSlice(dst, newData)
+		return
+	}
+	copy(dst, newData) // a no-op move when dst ≡ newData
+	gf256.XorSlice(dst, oldData)
 }
 
 // MergeDataDeltas folds data deltas from multiple data blocks at the same

@@ -387,3 +387,64 @@ func BenchmarkParityDelta4K(b *testing.B) {
 		c.ParityDelta(2, 3, dst, delta)
 	}
 }
+
+// dataDeltaRef is the byte-at-a-time loop DataDelta used to be.
+func dataDeltaRef(dst, newData, oldData []byte) {
+	for i := range dst {
+		dst[i] = newData[i] ^ oldData[i]
+	}
+}
+
+// TestDataDeltaMatchesLoop pins the kernel-backed DataDelta to the loop on
+// every documented aliasing: three disjoint slices, dst ≡ oldData (the
+// in-place RMW), dst ≡ newData, newData ≡ oldData, and all three the same —
+// at lengths on both sides of the word and vector widths.
+func TestDataDeltaMatchesLoop(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 63, 64, 65, 4095, 4096, 4099} {
+		a, b := make([]byte, n), make([]byte, n)
+		rng.Read(a)
+		rng.Read(b)
+		want := make([]byte, n)
+		dataDeltaRef(want, a, b)
+		clone := func(s []byte) []byte { return append([]byte{}, s...) }
+
+		dst := make([]byte, n)
+		rng.Read(dst) // stale content must not leak into the result
+		newData, oldData := clone(a), clone(b)
+		DataDelta(dst, newData, oldData)
+		if !bytes.Equal(dst, want) || !bytes.Equal(newData, a) || !bytes.Equal(oldData, b) {
+			t.Fatalf("n=%d disjoint: wrong delta or an input was modified", n)
+		}
+
+		newData, oldData = clone(a), clone(b)
+		DataDelta(oldData, newData, oldData)
+		if !bytes.Equal(oldData, want) || !bytes.Equal(newData, a) {
+			t.Fatalf("n=%d dst≡old: wrong delta or newData modified", n)
+		}
+
+		newData, oldData = clone(a), clone(b)
+		DataDelta(newData, newData, oldData)
+		if !bytes.Equal(newData, want) || !bytes.Equal(oldData, b) {
+			t.Fatalf("n=%d dst≡new: wrong delta or oldData modified", n)
+		}
+
+		zero := make([]byte, n)
+		dst, newData = clone(b), clone(a)
+		DataDelta(dst, newData, newData)
+		if !bytes.Equal(dst, zero) || !bytes.Equal(newData, a) {
+			t.Fatalf("n=%d new≡old: delta of a slice with itself is not zero", n)
+		}
+		newData = clone(a)
+		DataDelta(newData, newData, newData)
+		if !bytes.Equal(newData, zero) {
+			t.Fatalf("n=%d all three aliased: not zero", n)
+		}
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("length mismatch did not panic")
+		}
+	}()
+	DataDelta(make([]byte, 4), make([]byte, 4), make([]byte, 5))
+}

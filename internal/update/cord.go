@@ -118,6 +118,7 @@ func (e *cord) recycleUnit(p *sim.Proc, u *logpool.Unit) {
 	type stage struct{ perParity []*logpool.BlockLog }
 	stages := make(map[wire.StripeID]*stage)
 	order := []wire.StripeID{}
+	var pd []byte
 	for _, blk := range u.Blocks() {
 		s := blk.StripeID()
 		st, ok := stages[s]
@@ -131,8 +132,15 @@ func (e *cord) recycleUnit(p *sim.Proc, u *logpool.Unit) {
 		}
 		bl := u.Lookup(blk)
 		for _, ext := range bl.Extents() {
+			// Insert copies (or XORs in) what it is given, so one scratch
+			// buffer carries every coef * delta product of the pass.
+			if len(ext.Data) > cap(pd) {
+				pd = make([]byte, len(ext.Data))
+			}
+			pd = pd[:len(ext.Data)]
 			for j := 0; j < mm; j++ {
-				st.perParity[j].Insert(ext.Off, mulDelta(c, j, int(blk.Index), ext.Data), logpool.XOR)
+				c.ParityDelta(j, int(blk.Index), pd, ext.Data)
+				st.perParity[j].Insert(ext.Off, pd, logpool.XOR)
 			}
 		}
 	}

@@ -244,18 +244,19 @@ func (b *base) parityBlock(s wire.StripeID, j int) wire.BlockID {
 
 // readModifyWrite performs the in-place data-block update shared by FO, PL,
 // PLR and CoRD: read the old range (random read), overwrite with the new
-// data (random write), and return the data delta (Equation (2)).
+// data (random write), and return the data delta (Equation (2)). The delta
+// is a fresh buffer — callers put it on the wire — but the old bytes are
+// never copied out of the store.
 func (b *base) readModifyWrite(p *sim.Proc, blk wire.BlockID, off int64, data []byte) ([]byte, error) {
-	old, err := b.h.Store().ReadRange(p, blk, off, int64(len(data)))
-	if err != nil {
-		return nil, err
-	}
 	delta := make([]byte, len(data))
-	rs.DataDelta(delta, data, old)
-	// Zero-width codec marker: the simulator charges no CPU for the delta
-	// computation, but the hop still shows in traces.
-	obs.SpanOn(p, obs.StageCodec, "codec:data-delta", b.h.NodeID())()
-	if err := b.h.Store().WriteRange(p, blk, off, data); err != nil {
+	err := b.h.Store().Modify(p, blk, off, int64(len(data)), func(cur []byte) {
+		rs.DataDelta(delta, data, cur)
+		// Zero-width codec marker: the simulator charges no CPU for the
+		// delta computation, but the hop still shows in traces.
+		obs.SpanOn(p, obs.StageCodec, "codec:data-delta", b.h.NodeID())()
+		copy(cur, data)
+	})
+	if err != nil {
 		return nil, err
 	}
 	return delta, nil
@@ -268,13 +269,10 @@ func (b *base) readModifyWrite(p *sim.Proc, blk wire.BlockID, off int64, data []
 func (b *base) applyParityDelta(p *sim.Proc, blk wire.BlockID, off int64, delta []byte) error {
 	b.lockBlock(p, blk)
 	defer b.unlockBlock(blk)
-	cur, err := b.h.Store().ReadRange(p, blk, off, int64(len(delta)))
-	if err != nil {
-		return err
-	}
-	rs.ApplyParityDelta(cur, delta)
-	obs.SpanOn(p, obs.StageCodec, "codec:parity-fold", b.h.NodeID())()
-	return b.h.Store().WriteRange(p, blk, off, cur)
+	return b.h.Store().Modify(p, blk, off, int64(len(delta)), func(cur []byte) {
+		rs.ApplyParityDelta(cur, delta)
+		obs.SpanOn(p, obs.StageCodec, "codec:parity-fold", b.h.NodeID())()
+	})
 }
 
 // read is the default read path: straight from the block store.

@@ -2,6 +2,7 @@ package update
 
 import (
 	"tsue/internal/logpool"
+	"tsue/internal/rs"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
 )
@@ -201,12 +202,9 @@ func (e *parix) recycleAll(p *sim.Proc) {
 			// for one block are scattered through the arrival-ordered log).
 			e.readPos = (e.readPos + 1237*4096) % (e.logCursor + 1)
 			dev.Read(p, e.logZone, e.readPos, int64(len(ext.Data))*2)
-			ov := make([]byte, len(ext.Data))
-			og.Overlay(ext.Off, ov)
 			delta := make([]byte, len(ext.Data))
-			for i := range delta {
-				delta[i] = ext.Data[i] ^ ov[i]
-			}
+			og.Overlay(ext.Off, delta)
+			rs.DataDelta(delta, ext.Data, delta)
 			pd := mulDelta(e.h.Code(), j, int(blk.Index), delta)
 			if err := e.applyParityDelta(p, pblk, ext.Off, pd); err != nil {
 				panic("parix: recycle: " + err.Error())

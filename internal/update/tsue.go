@@ -443,14 +443,15 @@ func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit)
 		s := blk.StripeID()
 		osds := t.h.Placement(s)
 		for _, ext := range bl.Extents() {
-			old, err := st.ReadRange(p, blk, ext.Off, int64(len(ext.Data)))
-			if err != nil {
-				panic("tsue: data recycle read: " + err.Error())
-			}
+			// The delta goes on the wire, so it is a fresh buffer; the old
+			// bytes are consumed where they live.
 			delta := make([]byte, len(ext.Data))
-			rs.DataDelta(delta, ext.Data, old)
-			if err := st.WriteRange(p, blk, ext.Off, ext.Data); err != nil {
-				panic("tsue: data recycle write: " + err.Error())
+			err := st.Modify(p, blk, ext.Off, int64(len(ext.Data)), func(cur []byte) {
+				rs.DataDelta(delta, ext.Data, cur)
+				copy(cur, ext.Data)
+			})
+			if err != nil {
+				panic("tsue: data recycle: " + err.Error())
 			}
 			if t.delta != nil && t.h.Alive(osds[k]) {
 				// Primary delta to P1's DeltaLog; copy to P2 (if M >= 2).
