@@ -7,16 +7,18 @@ import (
 )
 
 // NogoroutineAnalyzer bans raw concurrency in kernel-owned packages: go
-// statements, channels, select, and the sync/sync-atomic packages. Exactly
-// one goroutine is runnable at any instant under the sim kernel, so all
-// concurrency must flow through sim.Proc spawns (sim.Env.Go) and the sim
-// synchronization primitives (sim.WaitGroup, sim.Cond, sim.Queue); anything
-// else reintroduces scheduler-dependent interleavings the seed cannot pin.
+// statements, channels, select, the sync/sync-atomic packages, and the iter
+// package (iter.Pull is a coroutine switch — what the kernel itself is built
+// on, and a second scheduler anywhere else). Exactly one goroutine is
+// runnable at any instant under the sim kernel, so all concurrency must flow
+// through sim.Proc spawns (sim.Env.Go) and the sim synchronization
+// primitives (sim.WaitGroup, sim.Cond, sim.Queue); anything else
+// reintroduces interleavings the event order does not pin.
 var NogoroutineAnalyzer = &Analyzer{
 	Name: "nogoroutine",
-	Doc: "ban go statements, channels, select, sync and sync/atomic in " +
-		"kernel-owned packages (sim, netsim, cluster, update, obs, " +
-		"harness): concurrency flows through sim.Proc spawns only",
+	Doc: "ban go statements, channels, select, sync, sync/atomic and iter " +
+		"(coroutines) in kernel-owned packages (sim, netsim, cluster, " +
+		"update, obs, harness): concurrency flows through sim.Proc spawns only",
 	Run: runNogoroutine,
 }
 
@@ -26,9 +28,11 @@ func runNogoroutine(p *Pass) {
 	}
 	for _, f := range p.Files {
 		for _, imp := range f.Imports {
-			switch strings.Trim(imp.Path.Value, `"`) {
+			switch path := strings.Trim(imp.Path.Value, `"`); path {
 			case "sync", "sync/atomic":
-				p.Reportf(imp.Pos(), "import %s in kernel package: the sim kernel is single-runnable; use sim.WaitGroup/sim.Cond, and put counters on the obs registry", strings.Trim(imp.Path.Value, `"`))
+				p.Reportf(imp.Pos(), "import %s in kernel package: the sim kernel is single-runnable; use sim.WaitGroup/sim.Cond, and put counters on the obs registry", path)
+			case "iter":
+				p.Reportf(imp.Pos(), "import iter in kernel package: an iter.Pull coroutine is a second scheduler beside the sim kernel, whose switches no event orders; spawn sim processes with sim.Env.Go")
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -1,10 +1,11 @@
 // Package simvet is the repository's determinism and protocol linter: a
 // small go/analysis-style framework plus six purpose-built analyzers that
 // machine-check the invariants the whole reproduction stands on — sim-time
-// determinism (no wall clock, no free-running goroutines, no order-dependent
-// map iteration in kernel-owned packages), wire-protocol completeness (every
-// message registered, fuzzed, traced, and checksummed), sentinel-error
-// discipline (errors.Is, not ==), and the obs-registry ownership rule.
+// determinism (no wall clock, no free-running goroutines or coroutines, no
+// order-dependent map iteration in kernel-owned packages), wire-protocol
+// completeness (every message registered, fuzzed, traced, and checksummed),
+// sentinel-error discipline (errors.Is, not ==), and the obs-registry
+// ownership rule.
 //
 // The framework is self-contained (no golang.org/x/tools dependency): the
 // container this repo builds in has no module cache, so cmd/simvet speaks
@@ -19,7 +20,7 @@
 // or, for a file that is wholesale exempt (e.g. the sim kernel itself):
 //
 //	//lint:allow-file nogoroutine(the kernel implementation is the one
-//	place real goroutines and channels exist)
+//	place that switches coroutines)
 //
 // The justification is mandatory: an allow comment with an empty reason is
 // itself reported and does not suppress anything.

@@ -3,7 +3,10 @@
 // escapes must stay quiet.
 package nogoroutine
 
-import "sync" // want "import sync in kernel package"
+import (
+	"iter" // want "import iter in kernel package"
+	"sync" // want "import sync in kernel package"
+)
 
 type env struct{}
 
@@ -29,6 +32,14 @@ func channels(c chan int) { // want "channel type in kernel package"
 	select { // want "select in kernel package"
 	default:
 	}
+}
+
+// coroutine switches between two bodies outside the event queue; the import
+// is the finding, so the calls themselves add none.
+func coroutine() {
+	next, stop := iter.Pull(func(yield func(int) bool) { yield(1) })
+	next()
+	stop()
 }
 
 func allowedChan() {

@@ -60,6 +60,8 @@ type BlockLog struct {
 	// lastEnd is where the previous insert ended: an insert starting there
 	// continues a sequential run, the one shape worth spare capacity.
 	lastEnd int64
+	// bytes is the sum of len(Data) over extents, kept by Insert.
+	bytes int64
 }
 
 func (b *BlockLog) setBitmap(off, end int64) {
@@ -113,6 +115,7 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 
 	if b.Raw {
 		b.extents = append(b.extents, Extent{Off: off, Data: append([]byte(nil), data...)})
+		b.bytes += int64(len(data))
 		return
 	}
 
@@ -128,6 +131,7 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 		b.extents = append(b.extents, Extent{})
 		copy(b.extents[lo+1:], b.extents[lo:])
 		b.extents[lo] = Extent{Off: off, Data: append([]byte(nil), data...)}
+		b.bytes += int64(len(data))
 		return
 	}
 	first := b.extents[lo]
@@ -138,6 +142,10 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 	// where the parts of the new range no extent covers accumulate onto 0.
 	var buf []byte
 	absorb := b.extents[lo:hi]
+	b.bytes += n
+	for _, e := range absorb {
+		b.bytes -= int64(len(e.Data))
+	}
 	switch {
 	case mergedOff == first.Off && n <= int64(cap(first.Data)):
 		// The merged range starts where the first extent does and fits its
@@ -178,13 +186,7 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 func (b *BlockLog) Extents() []Extent { return b.extents }
 
 // Bytes returns the total indexed (post-merge) byte count.
-func (b *BlockLog) Bytes() int64 {
-	var n int64
-	for _, e := range b.extents {
-		n += int64(len(e.Data))
-	}
-	return n
-}
+func (b *BlockLog) Bytes() int64 { return b.bytes }
 
 // Overlay copies every indexed byte intersecting [off, off+len(dst)) onto
 // dst (dst[i] corresponds to block offset off+i). In Raw mode records are

@@ -83,9 +83,9 @@ func sameLog(t testing.TB, step string, got, want *BlockLog) {
 				step, i, ge[i].Off, ge[i].End(), we[i].Off, we[i].End())
 		}
 	}
-	if got.Bytes() != want.Bytes() || got.RawAppends != want.RawAppends || got.RawBytes != want.RawBytes {
+	if got.Bytes() != recount(want) || got.RawAppends != want.RawAppends || got.RawBytes != want.RawBytes {
 		t.Fatalf("%s: Bytes/RawAppends/RawBytes %d/%d/%d, reference %d/%d/%d", step,
-			got.Bytes(), got.RawAppends, got.RawBytes, want.Bytes(), want.RawAppends, want.RawBytes)
+			got.Bytes(), got.RawAppends, got.RawBytes, recount(want), want.RawAppends, want.RawBytes)
 	}
 	for _, w := range [][2]int64{{0, diffSpan}, {diffSpan / 3, diffSpan / 2}, {diffSpan - 100, diffSpan + 50}} {
 		g, r := make([]byte, w[1]-w[0]), make([]byte, w[1]-w[0])
@@ -237,56 +237,134 @@ func TestInsertSequentialRunReusesCapacity(t *testing.T) {
 	}
 }
 
-// TestPoolMemCountsLenNotCap replays one append sequence — sequential runs
-// included, so extents carry spare capacity — through a Pool and through a
-// shadow index built with the reference insert, and requires MemBytes and
-// PeakMemBytes to equal the shadow's exact-size footprint after every
-// append: the accounting behind sim_peak_log_mb counts len, never cap.
+// recount is the from-scratch walk BlockLog.Bytes was before it became a
+// running count: the reference for every incremental byte counter.
+func recount(b *BlockLog) int64 {
+	var n int64
+	for _, e := range b.extents {
+		n += int64(len(e.Data))
+	}
+	return n
+}
+
+// TestPoolMemCountsLenNotCap drives a Pool through a random sequence of
+// appends — sequential runs included, so extents carry spare capacity —
+// forced seals, delayed recycles, unit reuse, extractions and batched merged
+// views, mirrored in a shadow index built with the reference insert. After
+// every step each incremental counter (BlockLog.Bytes, Unit.IndexedBytes,
+// Stats.MemBytes, Stats.PeakMemBytes) must equal a from-scratch recount of
+// the shadow's exact-size footprint: the accounting behind sim_peak_log_mb
+// counts len, never cap, and never drifts.
 func TestPoolMemCountsLenNotCap(t *testing.T) {
-	for _, mode := range []MergeMode{Overwrite, XOR} {
+	for _, tc := range []struct {
+		mode MergeMode
+		raw  bool
+	}{{Overwrite, false}, {XOR, false}, {Overwrite, true}} {
 		rng := rand.New(rand.NewSource(77))
-		p := NewPool(0, mode, 8<<10, 3)
+		p := NewPool(0, tc.mode, 8<<10, 3)
+		p.NoMerge = tc.raw
 		shadow := map[uint64]map[wire.BlockID]*BlockLog{} // by unit Seq
 		var peak int64
-		next := map[wire.BlockID]int64{}
-		for i := 0; i < 2000; i++ {
-			blk := wire.BlockID{Ino: 1, Index: uint16(rng.Intn(3))}
-			off := next[blk] // mostly sequential per block...
-			if rng.Intn(4) == 0 {
-				off = rng.Int63n(diffSpan) // ...with scattered records mixed in
-			}
-			data := make([]byte, 1+rng.Intn(200))
-			rng.Read(data)
-			next[blk] = (off + int64(len(data))) % diffSpan
-			sealed, ok := p.Append(blk, off, data, 0)
-			if !ok {
-				t.Fatalf("append %d stalled", i)
-			}
-			u := p.Tail()
-			if shadow[u.Seq] == nil {
-				shadow[u.Seq] = map[wire.BlockID]*BlockLog{}
-			}
-			if shadow[u.Seq][blk] == nil {
-				shadow[u.Seq][blk] = &BlockLog{}
-			}
-			insertRef(shadow[u.Seq][blk], off, data, mode)
+		var sealed []*Unit // sealed and not yet recycled, oldest first
+		step := ""
+		check := func() {
+			t.Helper()
 			var mem int64
 			for _, u := range p.Units() {
-				for _, bl := range shadow[u.Seq] {
-					mem += bl.Bytes()
+				var unit int64
+				for blk, ref := range shadow[u.Seq] {
+					n := recount(ref)
+					if bl := u.Lookup(blk); bl == nil || bl.Bytes() != n {
+						t.Fatalf("%s: unit %d block %v: log %v, recount %d", step, u.Seq, blk, bl, n)
+					}
+					unit += n
+				}
+				if len(u.Blocks()) != len(shadow[u.Seq]) || u.IndexedBytes() != unit {
+					t.Fatalf("%s: unit %d holds %d blocks / %d bytes, recount %d / %d",
+						step, u.Seq, len(u.Blocks()), u.IndexedBytes(), len(shadow[u.Seq]), unit)
+				}
+				mem += unit
+			}
+			peak = max(peak, mem)
+			if st := p.Stats(); st.MemBytes != mem || st.PeakMemBytes != peak {
+				t.Fatalf("%s: MemBytes %d peak %d, exact-size recount %d peak %d",
+					step, st.MemBytes, st.PeakMemBytes, mem, peak)
+			}
+		}
+		recycleOldest := func() {
+			if len(sealed) >= 2 {
+				// The batched view counts too: raw mode concatenates
+				// without Insert, merge mode re-inserts into private logs.
+				view, _ := MergeUnits(sealed[:2], tc.mode, tc.raw)
+				for blk, bl := range view {
+					if bl.Bytes() != recount(bl) {
+						t.Fatalf("%s: merged view of %v: Bytes %d, recount %d", step, blk, bl.Bytes(), recount(bl))
+					}
 				}
 			}
-			if mem > peak {
-				peak = mem
+			p.MarkRecycling(sealed[0])
+			p.MarkRecycled(sealed[0], 0)
+			sealed = sealed[1:]
+		}
+		next := map[wire.BlockID]int64{}
+		for i := 0; i < 4000; i++ {
+			blk := wire.BlockID{Ino: 1, Index: uint16(rng.Intn(3))}
+			switch k := rng.Intn(20); {
+			case k == 0:
+				step = fmt.Sprintf("mode %d raw %v step %d (seal)", tc.mode, tc.raw, i)
+				if u := p.SealActive(0); u != nil {
+					sealed = append(sealed, u)
+				}
+			case k == 1 && len(sealed) > 0:
+				step = fmt.Sprintf("mode %d raw %v step %d (recycle)", tc.mode, tc.raw, i)
+				recycleOldest()
+			case k == 2:
+				step = fmt.Sprintf("mode %d raw %v step %d (extract)", tc.mode, tc.raw, i)
+				var want []Extent
+				if u := p.Active(); u != nil && shadow[u.Seq][blk] != nil {
+					want = shadow[u.Seq][blk].Extents()
+					delete(shadow[u.Seq], blk)
+				}
+				got := p.ExtractActive(blk)
+				if len(got) != len(want) {
+					t.Fatalf("%s: extracted %d extents, shadow holds %d", step, len(got), len(want))
+				}
+				for j := range got {
+					if got[j].Off != want[j].Off || !bytes.Equal(got[j].Data, want[j].Data) {
+						t.Fatalf("%s: extracted extent %d differs from the shadow", step, j)
+					}
+				}
+			default:
+				step = fmt.Sprintf("mode %d raw %v step %d (append)", tc.mode, tc.raw, i)
+				off := next[blk] // mostly sequential per block...
+				if rng.Intn(4) == 0 {
+					off = rng.Int63n(diffSpan) // ...with scattered records mixed in
+				}
+				data := make([]byte, 1+rng.Intn(200))
+				rng.Read(data)
+				next[blk] = (off + int64(len(data))) % diffSpan
+				u, ok := p.Append(blk, off, data, 0)
+				if !ok { // every unit sealed: recycle one, which the retry reuses
+					check()
+					recycleOldest()
+					u, ok = p.Append(blk, off, data, 0)
+				}
+				if !ok {
+					t.Fatalf("%s: stalled with a recycled unit at the head", step)
+				}
+				if u != nil {
+					sealed = append(sealed, u)
+				}
+				tail := p.Tail()
+				if shadow[tail.Seq] == nil {
+					shadow[tail.Seq] = map[wire.BlockID]*BlockLog{}
+				}
+				if shadow[tail.Seq][blk] == nil {
+					shadow[tail.Seq][blk] = &BlockLog{Raw: tc.raw}
+				}
+				insertRef(shadow[tail.Seq][blk], off, data, tc.mode)
 			}
-			if st := p.Stats(); st.MemBytes != mem || st.PeakMemBytes != peak {
-				t.Fatalf("mode %d append %d: MemBytes %d peak %d, exact-size reference %d peak %d",
-					mode, i, st.MemBytes, st.PeakMemBytes, mem, peak)
-			}
-			if sealed != nil {
-				p.MarkRecycling(sealed)
-				p.MarkRecycled(sealed, 0)
-			}
+			check()
 		}
 	}
 }

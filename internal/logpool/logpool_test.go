@@ -356,9 +356,9 @@ func TestPoolSealActiveForDrain(t *testing.T) {
 
 func TestUnitBlocksDeterministic(t *testing.T) {
 	u := newUnit(0)
-	u.Block(wire.BlockID{Ino: 2, Stripe: 1, Index: 0})
-	u.Block(wire.BlockID{Ino: 1, Stripe: 5, Index: 3})
-	u.Block(wire.BlockID{Ino: 1, Stripe: 5, Index: 1})
+	for _, id := range []wire.BlockID{{Ino: 2, Stripe: 1, Index: 0}, {Ino: 1, Stripe: 5, Index: 3}, {Ino: 1, Stripe: 5, Index: 1}} {
+		u.insert(id, 0, []byte{1}, Overwrite, false)
+	}
 	b := u.Blocks()
 	if b[0].Ino != 1 || b[0].Index != 1 || b[2].Ino != 2 {
 		t.Fatalf("order %v", b)
@@ -425,9 +425,7 @@ func mkUnit(seq uint64, mode MergeMode, raw bool, recs []struct {
 }) *Unit {
 	u := newUnit(seq)
 	for _, r := range recs {
-		bl := u.Block(r.blk)
-		bl.Raw = raw
-		bl.Insert(r.off, r.data, mode)
+		u.insert(r.blk, r.off, r.data, mode, raw)
 	}
 	return u
 }

@@ -45,6 +45,7 @@ type Unit struct {
 	State    UnitState
 	Appended int64 // raw appended bytes (fills the unit)
 	blocks   map[wire.BlockID]*BlockLog
+	indexed  int64 // sum of Bytes() over blocks, kept by insert and ExtractActive
 
 	// Timestamps maintained by the engine for Table 2 residency stats.
 	FirstAppend time.Duration
@@ -56,14 +57,21 @@ func newUnit(seq uint64) *Unit {
 	return &Unit{Seq: seq, blocks: make(map[wire.BlockID]*BlockLog), FirstAppend: -1}
 }
 
-// Block returns the per-block log, creating it if absent.
-func (u *Unit) Block(blk wire.BlockID) *BlockLog {
+// insert merges one record into blk's log, creating the log if absent, and
+// returns by how much the unit's indexed bytes grew. It is the only way
+// bytes enter a unit, which is what keeps IndexedBytes a running sum.
+func (u *Unit) insert(blk wire.BlockID, off int64, data []byte, mode MergeMode, raw bool) int64 {
 	b, ok := u.blocks[blk]
 	if !ok {
 		b = &BlockLog{}
 		u.blocks[blk] = b
 	}
-	return b
+	b.Raw = raw
+	before := b.bytes
+	b.Insert(off, data, mode)
+	grew := b.bytes - before
+	u.indexed += grew
+	return grew
 }
 
 // Lookup returns the per-block log or nil.
@@ -128,6 +136,7 @@ func MergeUnits(units []*Unit, mode MergeMode, raw bool) (map[wire.BlockID]*Bloc
 				// in unit order, aliasing the (immutable once sealed)
 				// source buffers instead of copying them.
 				dst.extents = append(dst.extents, bl.extents...)
+				dst.bytes += bl.bytes
 				for w, bits := range bl.bitmap {
 					for w >= len(dst.bitmap) {
 						dst.bitmap = append(dst.bitmap, 0)
@@ -146,13 +155,7 @@ func MergeUnits(units []*Unit, mode MergeMode, raw bool) (map[wire.BlockID]*Bloc
 }
 
 // IndexedBytes returns post-merge bytes held by the unit (memory footprint).
-func (u *Unit) IndexedBytes() int64 {
-	var n int64
-	for _, b := range u.blocks {
-		n += b.Bytes()
-	}
-	return n
-}
+func (u *Unit) IndexedBytes() int64 { return u.indexed }
 
 // wipe resets the unit for reuse as the new active unit.
 func (u *Unit) wipe(seq uint64) {
@@ -160,6 +163,7 @@ func (u *Unit) wipe(seq uint64) {
 	u.State = Empty
 	u.Appended = 0
 	u.blocks = make(map[wire.BlockID]*BlockLog)
+	u.indexed = 0
 	u.FirstAppend = -1
 	u.SealedAt = 0
 	u.RecycledAt = 0
@@ -229,6 +233,7 @@ func (p *Pool) ensureActive() *Unit {
 	// Reuse the oldest unit if fully recycled.
 	if head := p.units[0]; head.State == Recycled {
 		p.units = append(p.units[1:], head)
+		p.stats.MemBytes -= head.indexed
 		head.wipe(p.nextSeq)
 		p.nextSeq++
 		return head
@@ -254,13 +259,11 @@ func (p *Pool) Append(blk wire.BlockID, off int64, data []byte, now time.Duratio
 	if u.FirstAppend < 0 {
 		u.FirstAppend = now
 	}
-	bl := u.Block(blk)
-	bl.Raw = p.NoMerge
-	bl.Insert(off, data, p.Mode)
+	p.stats.MemBytes += u.insert(blk, off, data, p.Mode, p.NoMerge)
+	p.stats.PeakMemBytes = max(p.stats.PeakMemBytes, p.stats.MemBytes)
 	u.Appended += int64(len(data))
 	p.stats.Appends++
 	p.stats.AppendBytes += int64(len(data))
-	p.updateMem()
 	if u.Appended >= p.UnitSize {
 		u.State = Recyclable
 		u.SealedAt = now
@@ -298,7 +301,6 @@ func (p *Pool) MarkRecycled(u *Unit, now time.Duration) {
 	}
 	u.State = Recycled
 	u.RecycledAt = now
-	p.updateMem()
 }
 
 // Stalled reports whether appends currently cannot proceed.
@@ -348,17 +350,6 @@ func (p *Pool) Pending() bool {
 	return false
 }
 
-func (p *Pool) updateMem() {
-	var m int64
-	for _, u := range p.units {
-		m += u.IndexedBytes()
-	}
-	p.stats.MemBytes = m
-	if m > p.stats.PeakMemBytes {
-		p.stats.PeakMemBytes = m
-	}
-}
-
 // Stats returns a snapshot of pool counters.
 func (p *Pool) Stats() Stats { return p.stats }
 
@@ -381,7 +372,8 @@ func (p *Pool) ExtractActive(blk wire.BlockID) []Extent {
 		return nil
 	}
 	delete(u.blocks, blk)
-	p.updateMem()
+	u.indexed -= b.bytes
+	p.stats.MemBytes -= b.bytes
 	return b.Extents()
 }
 

@@ -436,7 +436,7 @@ func (f *Fabric) handlerSpan(hp *sim.Proc, req wire.Msg, at wire.NodeID) func() 
 
 func (f *Fabric) dispatch(p *sim.Proc, src, dst *node, req wire.Msg, local bool) (wire.Msg, error) {
 	respQ := sim.NewQueue[callResult](f.env)
-	f.env.Go(fmt.Sprintf("rpc@%d", dst.id), func(hp *sim.Proc) {
+	f.env.Go("rpc", func(hp *sim.Proc) {
 		if !local {
 			f.xfer(hp, dst.rx, wire.SizeOf(req), f.bandwidth(src, dst, dst))
 		}

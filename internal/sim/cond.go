@@ -1,3 +1,5 @@
+//go:build go1.23
+
 package sim
 
 // Cond is a broadcast-only condition variable: processes Wait, and any code

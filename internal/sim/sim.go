@@ -1,23 +1,53 @@
+//go:build go1.23
+
+// The constraint above, on every non-test file of this package, exists for
+// the iter import alone. go.mod stays at "go 1.22": the pinned benchmark
+// module (bench/tsueperf/go.mod, go 1.22) requires this one, and the go
+// command stops with "updates to go.mod needed" when a dependency declares a
+// newer version than its dependent. The constraint lifts these files to the
+// 1.23 language version instead, so vet's stdversion check accepts the
+// import, and an older toolchain fails with the one line "build constraints
+// exclude all Go files", not a page of "undefined: sim.Proc".
+
 // Package sim is a small discrete-event simulation kernel. Simulated
-// processes are goroutines that run one at a time under a virtual clock;
-// they block on kernel primitives (Sleep, Resource, Queue) and the scheduler
-// advances time between events. This lets ordinary sequential Go code — the
-// whole ECFS cluster in this repository — execute unmodified under simulated
-// device and network timing, with fully deterministic results for a fixed
-// event order.
+// processes are coroutines that run one at a time under a virtual clock;
+// they block on kernel primitives (Sleep, Resource, Queue, WaitGroup, Cond)
+// and the scheduler advances time between events. This lets ordinary
+// sequential Go code — the whole ECFS cluster in this repository — execute
+// unmodified under simulated device and network timing, with fully
+// deterministic results for a fixed event order.
 //
-// Exactly one goroutine (the scheduler inside Run, or a single process) is
-// runnable at any instant, so simulated code needs no locking.
+// The scheduler is whoever calls Run or ProcessNextEvent. It pops events in
+// (time, sequence) order; an event either runs a callback in scheduler
+// context (At, After) or resumes one process, which then runs on the
+// scheduler's own thread until it blocks again or its body returns. A switch
+// is a direct coroutine hand-off (iter.Pull): no Go scheduler run queue, no
+// channel and no second thread is involved, and exactly one of scheduler and
+// processes executes at any instant, so simulated code needs no locking.
+//
+// A panic in a process body surfaces, wrapped with the process name and its
+// stack, as a panic in the caller of Run / ProcessNextEvent — the caller may
+// recover it, and Close afterwards still unwinds everything else.
+// runtime.Goexit in a body (t.FailNow in a test) likewise ends the caller.
+//
+// Close ends the environment. It unwinds every process that has started and
+// not finished, in spawn order: the blocking call each is parked in panics
+// with an internal sentinel, so the body's deferred functions run, and a
+// blocking call made while unwinding panics again instead of parking.
+// Processes whose start event never ran are dropped without running. The
+// idle coroutines kept for reuse are released, so no goroutine of the
+// environment outlives Close; an environment dropped without Close leaks
+// them.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
-	"sort"
+	"iter"
+	"runtime/debug"
 	"time"
 )
 
-//lint:allow-file nogoroutine(this file is the kernel implementation itself: the goroutines and yield/resume channels here are the machinery that enforces the one-runnable-goroutine discipline everywhere else)
+//lint:allow-file nogoroutine(this file is the kernel implementation itself: it imports iter because the coroutine switch between scheduler and procs IS the one-runnable-goroutine discipline the analyzer enforces everywhere else; it contains no go statement, channel or sync primitive)
 
 // Env is a simulation environment: a virtual clock plus an event queue.
 // Create with NewEnv, add processes with Go, execute with Run, release
@@ -25,50 +55,89 @@ import (
 type Env struct {
 	now         time.Duration
 	seq         uint64
-	procseq     uint64
-	events      eventQueue
-	yield       chan struct{}
-	procs       map[*Proc]struct{}
-	closing     bool
-	nprocs      int // live (started, unfinished) procs
-	droppedPuts int // values discarded by Queue.Put after Close, env-wide
+	events      eventHeap
+	first, last *Proc      // unfinished procs, an intrusive list in spawn order
+	idle        []*carrier // coroutines whose body returned, awaiting the next Go
+	nprocs      int        // unfinished procs (len of the first..last list)
+	droppedPuts int        // values discarded by Queue.Put after Close, env-wide
 }
 
 // NewEnv returns an empty environment at time zero.
-func NewEnv() *Env {
-	return &Env{
-		yield: make(chan struct{}),
-		procs: make(map[*Proc]struct{}),
-	}
-}
+func NewEnv() *Env { return &Env{} }
 
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.now }
 
+// event is one entry of the queue: at time t, resume p if it is set, else
+// call fn in scheduler context. Carrying the proc itself keeps Sleep, Put,
+// Release and Go free of a closure per event.
 type event struct {
 	t   time.Duration
 	seq uint64
+	p   *Proc
 	fn  func()
 }
 
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].t != q[j].t {
-		return q[i].t < q[j].t
+func (a *event) before(b *event) bool {
+	if a.t != b.t {
+		return a.t < b.t
 	}
-	return q[i].seq < q[j].seq
+	return a.seq < b.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = event{}
-	*q = old[:n-1]
-	return it
+
+// eventHeap is a binary min-heap on (t, seq). seq is unique, so the order is
+// total and the pop sequence is a function of the pushed set alone — it
+// cannot differ from any other correct priority queue's.
+type eventHeap []event
+
+func (h *eventHeap) push(ev event) {
+	q := append(*h, ev)
+	i := len(q) - 1
+	for i > 0 {
+		up := (i - 1) / 2
+		if !ev.before(&q[up]) {
+			break
+		}
+		q[i] = q[up]
+		i = up
+	}
+	q[i] = ev
+	*h = q
+}
+
+func (h *eventHeap) pop() event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	ev := q[n]
+	q[n] = event{}
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
+		}
+		if !q[c].before(&ev) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = ev
+	return top
+}
+
+func (e *Env) schedule(t time.Duration, p *Proc, fn func()) {
+	e.seq++
+	e.events.push(event{t: t, seq: e.seq, p: p, fn: fn})
 }
 
 // At schedules fn to run in scheduler context at absolute virtual time t
@@ -77,23 +146,21 @@ func (e *Env) At(t time.Duration, fn func()) {
 	if t < e.now {
 		t = e.now
 	}
-	e.seq++
-	heap.Push(&e.events, event{t: t, seq: e.seq, fn: fn})
+	e.schedule(t, nil, fn)
 }
 
 // After schedules fn at now+d.
 func (e *Env) After(d time.Duration, fn func()) { e.At(e.now+d, fn) }
 
 // Proc is a simulated process. All blocking methods must only be called from
-// the process's own goroutine.
+// the process's own body.
 type Proc struct {
-	env     *Env
-	name    string
-	id      uint64 // spawn order, the deterministic unwind order for Close
-	resume  chan struct{}
-	killed  bool
-	started bool
-	span    any
+	env        *Env
+	name       string
+	fn         func(*Proc) // the body; nil once it has started
+	co         *carrier    // the coroutine running the body; nil before start and after the end
+	prev, next *Proc       // Env's list of unfinished procs
+	span       any
 }
 
 // Env returns the environment that owns p.
@@ -121,47 +188,117 @@ func (k killedErr) Error() string { return "sim: proc " + k.name + " killed at C
 // Go starts a new process running fn. The process begins executing at the
 // current virtual time, after the caller yields to the scheduler.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{env: e, name: name, id: e.procseq, resume: make(chan struct{})}
-	e.procseq++
-	e.procs[p] = struct{}{}
+	p := &Proc{env: e, name: name, fn: fn, prev: e.last}
+	if e.last != nil {
+		e.last.next = p
+	} else {
+		e.first = p
+	}
+	e.last = p
 	e.nprocs++
-	e.At(e.now, func() {
-		p.started = true
-		go func() {
-			defer func() {
-				if r := recover(); r != nil {
-					if _, ok := r.(killedErr); !ok {
-						panic(r)
-					}
-				}
-				delete(e.procs, p)
-				e.nprocs--
-				e.yield <- struct{}{}
-			}()
-			fn(p)
-		}()
-		<-e.yield
-	})
+	e.schedule(e.now, p, nil)
 	return p
+}
+
+// unlink takes p off the list of unfinished procs.
+func (e *Env) unlink(p *Proc) {
+	if p.prev != nil {
+		p.prev.next = p.next
+	} else {
+		e.first = p.next
+	}
+	if p.next != nil {
+		p.next.prev = p.prev
+	} else {
+		e.last = p.prev
+	}
+	p.prev, p.next = nil, nil
+	e.nprocs--
+}
+
+// carrier is one coroutine. It runs a proc body, parks on Env.idle when the
+// body returns, and runs the next body handed to it: a short-lived proc (a
+// netsim handler per RPC) then costs neither a new goroutine nor growing a
+// fresh stack.
+type carrier struct {
+	env   *Env
+	p     *Proc                   // the proc whose body runs here; nil while idle
+	next  func() (struct{}, bool) // scheduler side: switch into the coroutine
+	stop  func()                  // scheduler side: make yield return false, wait for the coroutine to end
+	yield func(struct{}) bool     // coroutine side: switch back to the scheduler
+}
+
+func (e *Env) newCarrier() *carrier {
+	c := &carrier{env: e}
+	c.next, c.stop = iter.Pull(c.loop)
+	return c
+}
+
+func (c *carrier) loop(yield func(struct{}) bool) {
+	c.yield = yield
+	for c.run() {
+		c.env.idle = append(c.env.idle, c)
+		if !yield(struct{}{}) {
+			return // released by Close
+		}
+	}
+}
+
+// run executes the body of c.p and reports whether it returned normally, in
+// which case the carrier may be reused. A kill at Close ends the coroutine; so
+// does any other panic, which iter.Pull re-raises in the scheduler — on the
+// scheduler's stack, so the proc's name and stack travel in the value.
+func (c *carrier) run() (returned bool) {
+	p := c.p
+	defer func() {
+		c.p, p.co = nil, nil
+		c.env.unlink(p)
+		if returned {
+			return
+		}
+		switch r := recover().(type) {
+		case nil, killedErr: // nil: runtime.Goexit, which iter.Pull hands on
+		default:
+			panic(fmt.Sprintf("sim: proc %s panicked: %v\n%s", p.name, r, debug.Stack()))
+		}
+	}()
+	fn := p.fn
+	p.fn = nil
+	fn(p)
+	return true
+}
+
+// resume switches to p until it parks again or its body returns: the body
+// starts on an idle carrier, or a new one, the first time.
+func (e *Env) resume(p *Proc) {
+	c := p.co
+	if c == nil {
+		if p.fn == nil {
+			// With carriers reused this wake would otherwise run inside
+			// whatever body the carrier hosts by now.
+			panic("sim: wake for finished proc " + p.name)
+		}
+		if n := len(e.idle); n > 0 {
+			c, e.idle[n-1] = e.idle[n-1], nil
+			e.idle = e.idle[:n-1]
+		} else {
+			c = e.newCarrier()
+		}
+		c.p, p.co = p, c
+	}
+	c.next()
 }
 
 // park suspends the calling process until the scheduler wakes it.
 func (p *Proc) park() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-	if p.killed {
+	if !p.co.yield(struct{}{}) {
 		panic(killedErr{p.name})
 	}
 }
 
 // wakeAt schedules p to resume at absolute time t. Internal: each parked
 // process must have exactly one pending wake.
-func (e *Env) wakeAt(p *Proc, t time.Duration) {
-	e.At(t, func() {
-		p.resume <- struct{}{}
-		<-e.yield
-	})
-}
+func (e *Env) wakeAt(p *Proc, t time.Duration) { e.schedule(t, p, nil) }
 
 // Sleep suspends the process for virtual duration d.
 func (p *Proc) Sleep(d time.Duration) {
@@ -180,7 +317,7 @@ func (p *Proc) Yield() { p.Sleep(0) }
 // one of the three step primitives (with PeekNextEventTime and
 // ProcessNextEvent) that let an external scheduler drive several
 // environments in global timestamp order.
-func (e *Env) HasPendingEvents() bool { return e.events.Len() > 0 }
+func (e *Env) HasPendingEvents() bool { return len(e.events) > 0 }
 
 // PeekNextEventTime returns the timestamp of the earliest pending event
 // without executing it. Call only when HasPendingEvents reports true.
@@ -190,9 +327,13 @@ func (e *Env) PeekNextEventTime() time.Duration { return e.events[0].t }
 // its timestamp, and executes it. Call only when HasPendingEvents reports
 // true.
 func (e *Env) ProcessNextEvent() {
-	ev := heap.Pop(&e.events).(event)
+	ev := e.events.pop()
 	e.now = ev.t
-	ev.fn()
+	if ev.p != nil {
+		e.resume(ev.p)
+	} else {
+		ev.fn()
+	}
 }
 
 // Run executes events until the queue is empty or until limit (if > 0) is
@@ -211,9 +352,9 @@ func (e *Env) Run(limit time.Duration) time.Duration {
 }
 
 // Idle reports whether no events remain.
-func (e *Env) Idle() bool { return e.events.Len() == 0 }
+func (e *Env) Idle() bool { return len(e.events) == 0 }
 
-// LiveProcs returns the number of started, unfinished processes.
+// LiveProcs returns the number of unfinished processes.
 func (e *Env) LiveProcs() int { return e.nprocs }
 
 // DroppedPuts returns the total number of values discarded across all of
@@ -221,33 +362,23 @@ func (e *Env) LiveProcs() int { return e.nprocs }
 func (e *Env) DroppedPuts() int { return e.droppedPuts }
 
 // Close unwinds all parked processes (their blocking calls panic with an
-// internal sentinel that is recovered in the process wrapper) so their
-// goroutines exit. Call after Run when discarding the environment.
+// internal sentinel that is recovered in the process wrapper) and releases
+// the idle coroutines, so no goroutine of the environment remains. Call
+// after Run when discarding the environment.
 func (e *Env) Close() {
-	e.closing = true
-	// Processes whose start event never ran have no goroutine to unwind.
-	for p := range e.procs {
-		if !p.started {
-			delete(e.procs, p)
-			e.nprocs--
+	// Spawn order: the kill order is observable through user defers, so
+	// like everything else under the kernel it must be deterministic.
+	for p := e.first; p != nil; p = e.first {
+		if p.co == nil {
+			e.unlink(p) // its start event never ran: nothing to unwind
+			continue
 		}
+		p.co.stop() // park panics killedErr; run unlinks p
 	}
-	// Unwind in spawn order: the kill order is observable through user
-	// defers, so like everything else under the kernel it must be
-	// deterministic, not map-iteration order.
-	live := make([]*Proc, 0, len(e.procs))
-	for p := range e.procs {
-		live = append(live, p)
+	for _, c := range e.idle {
+		c.stop()
 	}
-	sort.Slice(live, func(i, j int) bool { return live[i].id < live[j].id })
-	for _, p := range live {
-		if _, ok := e.procs[p]; !ok {
-			continue // already gone: unwinding another proc released it
-		}
-		p.killed = true
-		p.resume <- struct{}{}
-		<-e.yield
-	}
+	e.idle = nil
 	e.events = nil
 }
 
