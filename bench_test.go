@@ -8,9 +8,11 @@ import (
 	"math/rand"
 	"testing"
 
+	"tsue/internal/cluster"
 	"tsue/internal/gf256"
 	"tsue/internal/harness"
 	"tsue/internal/rs"
+	"tsue/internal/sim"
 )
 
 // benchScale keeps the whole suite tractable under `go test -bench=.`.
@@ -161,3 +163,58 @@ func BenchmarkEncode(b *testing.B) {
 		})
 	}
 }
+
+// Update-path benchmarks: one 16 KiB client update per iteration against a
+// preloaded RS(6,4) cluster, the engine's background work (reserve recycles,
+// TSUE's three-layer pipeline) running interleaved as it does in a real run.
+// B/op is the number to watch — payload-sized buffers allocated per update,
+// the quantity internal/cluster's TestAllocationBudget holds a ceiling on —
+// and MB/s is host throughput of the simulator, not of the modelled cluster.
+// Use a fixed count long enough to reach steady state, e.g.
+// `go test -run '^$' -bench 'PLRUpdate|TSUEUpdate' -benchtime 2000x`.
+
+const updateBenchSize = 16 << 10
+
+func benchUpdate(b *testing.B, engine string) {
+	cfg := cluster.DefaultConfig()
+	cfg.OSDs = 12
+	cfg.PGs = 24
+	cfg.Engine = engine
+	cfg.EngineOpts.UnitSize = 1 << 20
+	c := cluster.MustNew(cfg)
+	defer c.Env.Close()
+	cl := c.NewClient()
+	rng := rand.New(rand.NewSource(44))
+	fileSize := 2 * c.StripeWidth()
+	content := make([]byte, fileSize)
+	rng.Read(content)
+	payload := content[:updateBenchSize]
+	b.ReportAllocs()
+	b.SetBytes(updateBenchSize)
+	var err error
+	c.Env.Go("bench", func(p *sim.Proc) {
+		var ino uint64
+		if ino, err = cl.Create(p, "f", fileSize); err != nil {
+			return
+		}
+		if err = cl.WriteFile(p, ino, content); err != nil {
+			return
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N && err == nil; i++ {
+			err = cl.Update(p, ino, rng.Int63n(fileSize-updateBenchSize)&^4095, payload)
+		}
+		b.StopTimer()
+	})
+	c.Env.Run(0)
+	if err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkPLRUpdate: in-place RMW plus M reserved-space parity-log appends.
+func BenchmarkPLRUpdate(b *testing.B) { benchUpdate(b, "plr") }
+
+// BenchmarkTSUEUpdate: DataLog append and replica, then the asynchronous
+// DataLog → DeltaLog → ParityLog recycle.
+func BenchmarkTSUEUpdate(b *testing.B) { benchUpdate(b, "tsue") }

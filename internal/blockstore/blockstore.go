@@ -7,7 +7,7 @@ package blockstore
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"tsue/internal/device"
 	"tsue/internal/sim"
@@ -305,15 +305,7 @@ func (s *Store) Blocks() []wire.BlockID {
 	for id := range s.blocks {
 		out = append(out, id)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Ino != b.Ino {
-			return a.Ino < b.Ino
-		}
-		if a.Stripe != b.Stripe {
-			return a.Stripe < b.Stripe
-		}
-		return a.Index < b.Index
-	})
+	// Map keys: no two ids compare equal, so the order is fully determined.
+	slices.SortFunc(out, wire.BlockID.Compare)
 	return out
 }

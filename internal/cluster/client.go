@@ -242,8 +242,14 @@ func (cl *Client) updateBlock(p *sim.Proc, blk wire.BlockID, boff int64, data []
 // Read returns [off, off+size) of the file, assembling across blocks.
 // Reads of degraded stripes route to the surrogate, which reconstructs lost
 // ranges on the fly and overlays journaled updates (read-your-writes even
-// while the home OSD is down).
+// while the home OSD is down). The result is the caller's: a read that
+// stays inside one block returns the verified response payload itself — a
+// ReadResp's buffer is built for that one message and moved to its receiver
+// — and only a read that crosses blocks allocates, once, at exact size.
 func (cl *Client) Read(p *sim.Proc, ino uint64, off, size int64) ([]byte, error) {
+	if blk, boff := cl.c.Locate(ino, off); size > 0 && size <= cl.c.Cfg.BlockSize-boff {
+		return cl.readBlock(p, blk, boff, size)
+	}
 	out := make([]byte, 0, size)
 	for size > 0 {
 		blk, boff := cl.c.Locate(ino, off)

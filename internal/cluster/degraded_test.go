@@ -57,6 +57,7 @@ type killRecoverRun struct {
 	stripesPer int         // stripes per file
 	victim     wire.NodeID // 0 = fail the most-loaded OSD
 	mod        func(*Config)
+	arm        func(*Cluster) // runs on the fresh cluster, before any traffic
 }
 
 // runKillRecover drives r.ops random updates/reads over r.files files,
@@ -77,6 +78,9 @@ func runKillRecover(t *testing.T, r killRecoverRun) *RecoveryReport {
 	}
 	c := MustNew(cfg)
 	defer c.Env.Close()
+	if r.arm != nil {
+		r.arm(c)
+	}
 	cl := c.NewClient()
 	admin := c.NewClient()
 	victim := r.victim
@@ -85,6 +89,9 @@ func runKillRecover(t *testing.T, r killRecoverRun) *RecoveryReport {
 	trigger, clientDone, allDone := false, false, false
 	c.Env.Go("recovery", func(p *sim.Proc) {
 		for !trigger {
+			if t.Failed() {
+				return // the workload gave up before the kill: do not spin forever
+			}
 			p.Sleep(200 * time.Microsecond)
 		}
 		var err error

@@ -155,7 +155,7 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 			o.c.noteCorruption()
 			return &wire.Ack{Err: fmt.Sprintf("update %v: %v", v.Blk, err)}
 		}
-		if err := o.engine.Update(p, v.Blk, v.Off, v.Data); err != nil {
+		if err := o.engine.Update(p, v.Blk, v.Off, v.Data, v.Sum); err != nil {
 			return &wire.Ack{Err: err.Error()}
 		}
 		return wire.OK
@@ -181,7 +181,7 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 			o.c.noteCorruption()
 			return &wire.Ack{Err: fmt.Sprintf("replay %v: %v", v.Blk, err)}
 		}
-		if err := update.Replay(p, o.engine, v.Blk, v.Off, v.Data); err != nil {
+		if err := update.Replay(p, o.engine, v.Blk, v.Off, v.Data, v.Sum); err != nil {
 			return &wire.Ack{Err: err.Error()}
 		}
 		return wire.OK

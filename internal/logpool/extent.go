@@ -11,7 +11,9 @@
 package logpool
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"tsue/internal/gf256"
@@ -94,12 +96,32 @@ func (b *BlockLog) mightContain(off, end int64) bool {
 }
 
 // Insert merges [off, off+len(data)) into the log under the given mode. The
-// bytes are copied (or XORed in); data is not retained.
+// bytes are copied (or XORed in); data is not retained, whatever the shape
+// of the insert.
 //
 // Insert mutates extent buffers in place, so it may run only on a log
 // nothing else reads: the active unit's, or a private merged view under
 // construction. Sealed units and extracted logs are immutable (see Extents).
 func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
+	b.insert(off, data, mode, false)
+}
+
+// InsertOwned is Insert for a buffer the caller gives up: data belongs to
+// the log from this call on, and the caller — and whoever built the buffer —
+// must never read or write it again. An insert that merges with nothing (and
+// every raw-mode record) keeps data itself as the extent's buffer instead of
+// copying it; an insert that merges still copies or XORs into the log's own
+// buffers and lets data go. Contents, boundaries and accounting are exactly
+// Insert's. It exists for payloads that were built for one message and moved
+// to their receiver (ARCHITECTURE, "Payload ownership"); anything a second
+// holder can still see goes through Insert.
+func (b *BlockLog) InsertOwned(off int64, data []byte, mode MergeMode) {
+	b.insert(off, data, mode, true)
+}
+
+// insert is the one body behind Insert and InsertOwned; owned only decides
+// whether a record that becomes an extent of its own is copied or kept.
+func (b *BlockLog) insert(off int64, data []byte, mode MergeMode, owned bool) {
 	if len(data) == 0 {
 		return
 	}
@@ -114,7 +136,7 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 	b.lastEnd = end
 
 	if b.Raw {
-		b.extents = append(b.extents, Extent{Off: off, Data: append([]byte(nil), data...)})
+		b.extents = append(b.extents, Extent{Off: off, Data: extentBuf(data, owned)})
 		b.bytes += int64(len(data))
 		return
 	}
@@ -130,7 +152,7 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 		// No overlap: plain insert.
 		b.extents = append(b.extents, Extent{})
 		copy(b.extents[lo+1:], b.extents[lo:])
-		b.extents[lo] = Extent{Off: off, Data: append([]byte(nil), data...)}
+		b.extents[lo] = Extent{Off: off, Data: extentBuf(data, owned)}
 		b.bytes += int64(len(data))
 		return
 	}
@@ -177,12 +199,25 @@ func (b *BlockLog) Insert(off int64, data []byte, mode MergeMode) {
 	b.extents = append(b.extents[:lo+1], b.extents[hi:]...)
 }
 
+// extentBuf returns the buffer of a record that becomes an extent as it is:
+// a copy, or the record itself when the log owns it. An adopted buffer is
+// clipped to its length — a later in-place merge grows an extent into its
+// spare capacity, and only the bytes handed over are the log's to write.
+func extentBuf(data []byte, owned bool) []byte {
+	if owned {
+		return data[:len(data):len(data)]
+	}
+	return append([]byte(nil), data...)
+}
+
 // Extents returns the merged extents in offset order. The returned slice
-// and its buffers are owned by the log; callers must not mutate them. They
-// are stable only once the log can no longer see an Insert — its unit is
-// sealed, it was extracted (Pool.ExtractActive), or it is a merged view
-// whose construction finished; on a log still taking inserts the next
-// Insert may rewrite the buffers in place, so copy out (Overlay) instead.
+// and its buffers are owned by the log — built by Insert or adopted whole
+// through InsertOwned, which makes no difference once they are in — and
+// callers must not mutate them. They are stable only once the log can no
+// longer see an Insert — its unit is sealed, it was extracted
+// (Pool.ExtractActive), or it is a merged view whose construction finished;
+// on a log still taking inserts the next Insert may rewrite the buffers in
+// place, so copy out (Overlay) instead.
 func (b *BlockLog) Extents() []Extent { return b.extents }
 
 // Bytes returns the total indexed (post-merge) byte count.
@@ -224,7 +259,9 @@ func (b *BlockLog) Overlay(off int64, dst []byte) {
 // records: the first value for a location wins).
 func (b *BlockLog) Gaps(off, end int64) [][2]int64 {
 	iv := b.covers(off, end, nil)
-	sort.Slice(iv, func(i, j int) bool { return iv[i][0] < iv[j][0] })
+	// Equal starts (raw-mode duplicates) commute under the running maximum
+	// below, so the order the sort leaves them in cannot show.
+	slices.SortFunc(iv, byStart)
 	var gaps [][2]int64
 	cur := off
 	for _, r := range iv {
@@ -240,6 +277,9 @@ func (b *BlockLog) Gaps(off, end int64) [][2]int64 {
 	}
 	return gaps
 }
+
+// byStart orders [start, end) intervals by start alone.
+func byStart(a, b [2]int64) int { return cmp.Compare(a[0], b[0]) }
 
 // covers appends the sub-intervals of [off, end) present in the log to out.
 func (b *BlockLog) covers(off, end int64, out [][2]int64) [][2]int64 {

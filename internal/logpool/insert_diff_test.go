@@ -152,15 +152,17 @@ func nextRecord(rng *rand.Rand, b *BlockLog, lastEnd int64) (off, n int64) {
 	}
 }
 
-// TestInsertMatchesAllocatingReference drives the in-place Insert and the
-// allocate-and-copy reference with the same random sequences, in both merge
-// modes with Raw off and on, and compares them after every single insert.
+// TestInsertMatchesAllocatingReference drives the in-place Insert, the
+// ownership-taking InsertOwned (fed a private clone of every record, which
+// nobody touches afterwards — the contract) and the allocate-and-copy
+// reference with the same random sequences, in both merge modes with Raw off
+// and on, and compares both against the reference after every single insert.
 func TestInsertMatchesAllocatingReference(t *testing.T) {
 	for _, mode := range []MergeMode{Overwrite, XOR} {
 		for _, raw := range []bool{false, true} {
 			for seed := int64(1); seed <= 30; seed++ {
 				rng := rand.New(rand.NewSource(seed*31 + int64(mode)))
-				got, want := &BlockLog{Raw: raw}, &BlockLog{Raw: raw}
+				got, own, want := &BlockLog{Raw: raw}, &BlockLog{Raw: raw}, &BlockLog{Raw: raw}
 				var lastEnd int64
 				for i := 0; i < 150; i++ {
 					off, n := nextRecord(rng, got, lastEnd)
@@ -169,11 +171,14 @@ func TestInsertMatchesAllocatingReference(t *testing.T) {
 					rng.Read(data)
 					pristine := append([]byte(nil), data...)
 					got.Insert(off, data, mode)
+					own.InsertOwned(off, append([]byte(nil), data...), mode)
 					insertRef(want, off, data, mode)
 					if !bytes.Equal(data, pristine) {
 						t.Fatalf("Insert mutated its argument")
 					}
-					sameLog(t, fmt.Sprintf("mode %d raw %v seed %d insert %d [%d,%d)", mode, raw, seed, i, off, off+n), got, want)
+					step := fmt.Sprintf("mode %d raw %v seed %d insert %d [%d,%d)", mode, raw, seed, i, off, off+n)
+					sameLog(t, step, got, want)
+					sameLog(t, step+" (owned)", own, want)
 				}
 			}
 		}
@@ -181,8 +186,8 @@ func TestInsertMatchesAllocatingReference(t *testing.T) {
 }
 
 // FuzzInsertMatchesReference decodes the input as a list of records
-// (offset, length, fill byte; 4 bytes each) and holds Insert to the
-// reference. `go test` replays the seeds below; `go test -fuzz` explores.
+// (offset, length, fill byte; 4 bytes each) and holds Insert and InsertOwned
+// to the reference. `go test` replays the seeds below; `go test -fuzz` explores.
 func FuzzInsertMatchesReference(f *testing.F) {
 	f.Add(uint8(0), []byte{0, 0, 8, 1, 0, 8, 8, 2, 0, 16, 8, 3, 0, 4, 40, 4})     // sequential run, then a cover
 	f.Add(uint8(1), []byte{0, 64, 8, 1, 0, 32, 8, 2, 0, 40, 24, 3, 0, 0, 200, 4}) // XOR: gap bridged, then a cover
@@ -190,7 +195,7 @@ func FuzzInsertMatchesReference(f *testing.F) {
 	f.Add(uint8(2), []byte{1, 0, 50, 1, 1, 0, 50, 2, 0, 200, 9, 3})               // raw
 	f.Fuzz(func(t *testing.T, flags uint8, recs []byte) {
 		mode, raw := MergeMode(flags&1), flags&2 != 0
-		got, want := &BlockLog{Raw: raw}, &BlockLog{Raw: raw}
+		got, own, want := &BlockLog{Raw: raw}, &BlockLog{Raw: raw}, &BlockLog{Raw: raw}
 		for i := 0; i+4 <= len(recs) && i < 4*200; i += 4 {
 			off := (int64(recs[i])<<8 | int64(recs[i+1])) % diffSpan
 			data := bytes.Repeat([]byte{recs[i+3]}, int(recs[i+2]))
@@ -198,8 +203,11 @@ func FuzzInsertMatchesReference(f *testing.F) {
 				data[j] += byte(j)
 			}
 			got.Insert(off, data, mode)
+			own.InsertOwned(off, append([]byte(nil), data...), mode)
 			insertRef(want, off, data, mode)
-			sameLog(t, fmt.Sprintf("record %d [%d,%d)", i/4, off, off+int64(len(data))), got, want)
+			step := fmt.Sprintf("record %d [%d,%d)", i/4, off, off+int64(len(data)))
+			sameLog(t, step, got, want)
+			sameLog(t, step+" (owned)", own, want)
 		}
 	})
 }
@@ -343,11 +351,19 @@ func TestPoolMemCountsLenNotCap(t *testing.T) {
 				data := make([]byte, 1+rng.Intn(200))
 				rng.Read(data)
 				next[blk] = (off + int64(len(data))) % diffSpan
-				u, ok := p.Append(blk, off, data, 0)
+				// Half the records are moved in: same accounting either way.
+				// The shadow is fed first — a moved buffer is not ours to
+				// read once the pool has it.
+				add := p.Append
+				if rng.Intn(2) == 0 {
+					add = p.AppendOwned
+				}
+				shadowData := append([]byte(nil), data...)
+				u, ok := add(blk, off, data, 0)
 				if !ok { // every unit sealed: recycle one, which the retry reuses
 					check()
 					recycleOldest()
-					u, ok = p.Append(blk, off, data, 0)
+					u, ok = add(blk, off, data, 0)
 				}
 				if !ok {
 					t.Fatalf("%s: stalled with a recycled unit at the head", step)
@@ -362,7 +378,7 @@ func TestPoolMemCountsLenNotCap(t *testing.T) {
 				if shadow[tail.Seq][blk] == nil {
 					shadow[tail.Seq][blk] = &BlockLog{Raw: tc.raw}
 				}
-				insertRef(shadow[tail.Seq][blk], off, data, tc.mode)
+				insertRef(shadow[tail.Seq][blk], off, shadowData, tc.mode)
 			}
 			check()
 		}
@@ -447,5 +463,70 @@ func TestSealedAndExtractedLogsAreImmutable(t *testing.T) {
 				t.Fatalf("mode %d: snapshot %d (0-1 sealed units, 2 merged view, 3 extracted) changed under later appends", mode, i)
 			}
 		}
+	}
+}
+
+// TestInsertOwnedKeepsPlainInsertsOnly pins who holds which buffer. An owned
+// record that merges with nothing — and every owned raw-mode record — IS the
+// extent's buffer from then on, clipped to its length so that a later
+// in-place merge cannot grow into bytes the caller never handed over; an
+// owned record that merges is copied or XORed into the log's buffers like
+// any other; and the copying entries never keep what they are given, so the
+// caller may overwrite it the moment they return.
+func TestInsertOwnedKeepsPlainInsertsOnly(t *testing.T) {
+	holds := func(ex []Extent, data []byte) bool {
+		for _, e := range ex {
+			if &e.Data[0] == &data[0] {
+				return true
+			}
+		}
+		return false
+	}
+	rec := func(fill byte) []byte { return bytes.Repeat([]byte{fill}, 64)[:48] } // cap 64 > len 48
+	for _, mode := range []MergeMode{Overwrite, XOR} {
+		for _, raw := range []bool{false, true} {
+			var b BlockLog
+			b.Raw = raw
+			first := rec(1)
+			b.InsertOwned(1000, first, mode)
+			ex := b.Extents()
+			if !holds(ex, first) || cap(ex[0].Data) != len(first) {
+				t.Fatalf("mode %d raw %v: plain owned insert not adopted (or not clipped: cap %d)", mode, raw, cap(ex[0].Data))
+			}
+			// Adjacent owned record, short enough to fit the spare capacity
+			// first came with: it merges (non-raw), so it is let go — and
+			// the merge must not have landed in that spare capacity.
+			second := rec(2)[:8]
+			b.InsertOwned(1048, second, mode)
+			if got := holds(b.Extents(), second); got != raw {
+				t.Fatalf("mode %d raw %v: merging owned insert adopted=%v, want %v", mode, raw, got, raw)
+			}
+			if !bytes.Equal(first[48:64], bytes.Repeat([]byte{1}, 16)) {
+				t.Fatalf("mode %d raw %v: a merge grew into the spare capacity of an adopted buffer", mode, raw)
+			}
+			// The copying entry never keeps its argument, plain or merging.
+			third, fourth := rec(3), rec(4)
+			b.Insert(5000, third, mode)
+			b.Insert(5048, fourth, mode)
+			if holds(b.Extents(), third) || holds(b.Extents(), fourth) {
+				t.Fatalf("mode %d raw %v: copying Insert kept its argument", mode, raw)
+			}
+			before := snap(b.Extents())
+			clear(third)
+			clear(fourth)
+			if !before.unchanged() {
+				t.Fatalf("mode %d raw %v: overwriting a copied record changed the log", mode, raw)
+			}
+		}
+	}
+
+	// The same through a pool: AppendOwned adopts, Append copies.
+	p := NewPool(0, XOR, 1<<20, 2)
+	moved, copied := rec(5), rec(6)
+	p.AppendOwned(blkA, 0, moved, 0)
+	p.Append(blkA, 4096, copied, 0)
+	ex := p.Tail().Lookup(blkA).Extents()
+	if !holds(ex, moved) || holds(ex, copied) {
+		t.Fatalf("pool: AppendOwned adopted=%v, Append kept=%v", holds(ex, moved), holds(ex, copied))
 	}
 }

@@ -357,7 +357,7 @@ func TestPoolSealActiveForDrain(t *testing.T) {
 func TestUnitBlocksDeterministic(t *testing.T) {
 	u := newUnit(0)
 	for _, id := range []wire.BlockID{{Ino: 2, Stripe: 1, Index: 0}, {Ino: 1, Stripe: 5, Index: 3}, {Ino: 1, Stripe: 5, Index: 1}} {
-		u.insert(id, 0, []byte{1}, Overwrite, false)
+		u.insert(id, 0, []byte{1}, Overwrite, false, false)
 	}
 	b := u.Blocks()
 	if b[0].Ino != 1 || b[0].Index != 1 || b[2].Ino != 2 {
@@ -425,7 +425,7 @@ func mkUnit(seq uint64, mode MergeMode, raw bool, recs []struct {
 }) *Unit {
 	u := newUnit(seq)
 	for _, r := range recs {
-		u.insert(r.blk, r.off, r.data, mode, raw)
+		u.insert(r.blk, r.off, r.data, mode, raw, false)
 	}
 	return u
 }

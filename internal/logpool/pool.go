@@ -2,7 +2,7 @@ package logpool
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"tsue/internal/wire"
@@ -59,8 +59,9 @@ func newUnit(seq uint64) *Unit {
 
 // insert merges one record into blk's log, creating the log if absent, and
 // returns by how much the unit's indexed bytes grew. It is the only way
-// bytes enter a unit, which is what keeps IndexedBytes a running sum.
-func (u *Unit) insert(blk wire.BlockID, off int64, data []byte, mode MergeMode, raw bool) int64 {
+// bytes enter a unit, which is what keeps IndexedBytes a running sum. With
+// owned set the log may keep data itself (BlockLog.InsertOwned).
+func (u *Unit) insert(blk wire.BlockID, off int64, data []byte, mode MergeMode, raw, owned bool) int64 {
 	b, ok := u.blocks[blk]
 	if !ok {
 		b = &BlockLog{}
@@ -68,7 +69,7 @@ func (u *Unit) insert(blk wire.BlockID, off int64, data []byte, mode MergeMode, 
 	}
 	b.Raw = raw
 	before := b.bytes
-	b.Insert(off, data, mode)
+	b.insert(off, data, mode, owned)
 	grew := b.bytes - before
 	u.indexed += grew
 	return grew
@@ -87,17 +88,10 @@ func (u *Unit) Blocks() []wire.BlockID {
 	return out
 }
 
+// sortBlockIDs sorts map keys, so no two compare equal and the unstable
+// sort has one possible result.
 func sortBlockIDs(ids []wire.BlockID) {
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if a.Ino != b.Ino {
-			return a.Ino < b.Ino
-		}
-		if a.Stripe != b.Stripe {
-			return a.Stripe < b.Stripe
-		}
-		return a.Index < b.Index
-	})
+	slices.SortFunc(ids, wire.BlockID.Compare)
 }
 
 // MergeUnits combines the per-block logs of several units into one view for
@@ -249,8 +243,21 @@ func (p *Pool) ensureActive() *Unit {
 
 // Append inserts one record at time now. It returns the unit that sealed as
 // a result (to be queued for recycling), and ok=false when the pool is
-// stalled (nothing was appended; retry after a unit recycles).
+// stalled (nothing was appended; retry after a unit recycles). The record is
+// copied (or merged) in; data is not retained.
 func (p *Pool) Append(blk wire.BlockID, off int64, data []byte, now time.Duration) (sealed *Unit, ok bool) {
+	return p.appendRec(blk, off, data, now, false)
+}
+
+// AppendOwned is Append for a buffer the caller gives up (see
+// BlockLog.InsertOwned): when it returns ok the pool owns data and may keep
+// it as an extent; on a stall nothing was appended and data is still the
+// caller's to retry with.
+func (p *Pool) AppendOwned(blk wire.BlockID, off int64, data []byte, now time.Duration) (sealed *Unit, ok bool) {
+	return p.appendRec(blk, off, data, now, true)
+}
+
+func (p *Pool) appendRec(blk wire.BlockID, off int64, data []byte, now time.Duration, owned bool) (sealed *Unit, ok bool) {
 	u := p.ensureActive()
 	if u == nil {
 		p.stats.Stalls++
@@ -259,7 +266,7 @@ func (p *Pool) Append(blk wire.BlockID, off int64, data []byte, now time.Duratio
 	if u.FirstAppend < 0 {
 		u.FirstAppend = now
 	}
-	p.stats.MemBytes += u.insert(blk, off, data, p.Mode, p.NoMerge)
+	p.stats.MemBytes += u.insert(blk, off, data, p.Mode, p.NoMerge, owned)
 	p.stats.PeakMemBytes = max(p.stats.PeakMemBytes, p.stats.MemBytes)
 	u.Appended += int64(len(data))
 	p.stats.Appends++
@@ -390,7 +397,9 @@ func (p *Pool) Covers(blk wire.BlockID, off, size int64) bool {
 	if len(iv) == 0 {
 		return size == 0
 	}
-	sort.Slice(iv, func(i, j int) bool { return iv[i][0] < iv[j][0] })
+	// Intervals with equal starts may land in either order: the sweep keeps
+	// a running maximum of the ends, which does not depend on it.
+	slices.SortFunc(iv, byStart)
 	cur := off
 	for _, r := range iv {
 		if r[0] > cur {

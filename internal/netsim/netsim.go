@@ -59,10 +59,15 @@ type Handler func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg
 
 // Corruptor inspects a message in flight on the from->to direction and may
 // replace it with a corrupted copy (return the mutated message and true).
-// Implementations must not mutate the original message or its payload
-// slices in place: messages pass by reference through the simulated
-// transport, so an in-place flip would corrupt the sender's buffers too.
-// Loopback traffic is exempt (it never crosses a wire).
+// Implementations must clone what they flip and leave the original message
+// and its payload slices alone: messages pass by reference through the
+// simulated transport, and the original's payload is either still its
+// sender's — it may alias a journal item, a replica-store record, the
+// client's own bytes — or, for a moved kind (parity deltas, read responses;
+// ARCHITECTURE, "Payload ownership"), about to become its receiver's. The
+// clone is what gets delivered; every receiver verifies the payload's sum
+// before it keeps or adopts anything, so a corrupted clone is rejected and
+// never retained. Loopback traffic is exempt (it never crosses a wire).
 type Corruptor func(from, to wire.NodeID, m wire.Msg) (wire.Msg, bool)
 
 // Dist is a latency distribution sampled once per one-way hop.

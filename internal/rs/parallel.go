@@ -1,7 +1,9 @@
 package rs
 
 import (
+	"cmp"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	//lint:allow obsregistry(real-parallelism codec worker pool below the sim layer; the atomic is work distribution, not a metrics counter)
@@ -130,7 +132,9 @@ func (c *Code) FoldDeltas(extents []DeltaExtent) [][]Extent {
 	if len(spans) == 0 {
 		return out
 	}
-	sort.Slice(spans, func(i, j int) bool { return spans[i].off < spans[j].off })
+	// Spans with equal starts may sort either way: the union below extends
+	// the last span to the running maximum of the ends, whatever their order.
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.off, b.off) })
 	merged := spans[:1]
 	for _, s := range spans[1:] {
 		if last := &merged[len(merged)-1]; s.off <= last.end {

@@ -42,7 +42,7 @@ func (*cord) Name() string { return "cord" }
 
 // Update overwrites the data block in place and ships the data delta to
 // the stripe's collector (first parity holder) in a single message.
-func (e *cord) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+func (e *cord) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, _ uint32) error {
 	e.lockBlock(p, blk)
 	delta, err := e.readModifyWrite(p, blk, off, data)
 	e.unlockBlock(blk)

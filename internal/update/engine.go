@@ -9,6 +9,7 @@ package update
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tsue/internal/blockstore"
@@ -59,8 +60,12 @@ type Engine interface {
 	// Name returns the scheme name ("fo", "pl", ...).
 	Name() string
 	// Update applies a client update to a data block this OSD hosts. It
-	// returns once the scheme's synchronous phase is durable.
-	Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error
+	// returns once the scheme's synchronous phase is durable. sum is
+	// wire.Checksum(data), which the caller has just verified: an engine
+	// that forwards the same bytes (TSUE's replicas, PARIX's speculative
+	// appends) forwards the sum with them instead of computing it again.
+	// data stays the caller's — an engine that keeps it copies it.
+	Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, sum uint32) error
 	// Handle processes a scheme-internal peer message; handled=false means
 	// the message is not for this engine.
 	Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (resp wire.Msg, handled bool)
@@ -245,12 +250,13 @@ func (b *base) parityBlock(s wire.StripeID, j int) wire.BlockID {
 // readModifyWrite performs the in-place data-block update shared by FO, PL,
 // PLR and CoRD: read the old range (random read), overwrite with the new
 // data (random write), and return the data delta (Equation (2)). The delta
-// is a fresh buffer — callers put it on the wire — but the old bytes are
-// never copied out of the store.
+// is a fresh buffer — callers put it on the wire — that starts as a copy of
+// the new bytes and has the old ones XORed in where they live: nothing is
+// zeroed first and the old bytes are never copied out of the store.
 func (b *base) readModifyWrite(p *sim.Proc, blk wire.BlockID, off int64, data []byte) ([]byte, error) {
-	delta := make([]byte, len(data))
+	delta := slices.Clone(data)
 	err := b.h.Store().Modify(p, blk, off, int64(len(data)), func(cur []byte) {
-		rs.DataDelta(delta, data, cur)
+		rs.DataDelta(delta, delta, cur)
 		// Zero-width codec marker: the simulator charges no CPU for the
 		// delta computation, but the hop still shows in traces.
 		obs.SpanOn(p, obs.StageCodec, "codec:data-delta", b.h.NodeID())()
@@ -333,7 +339,9 @@ func errAck(err error) *wire.Ack {
 	return &wire.Ack{Err: err.Error()}
 }
 
-// mulDelta returns coef * delta as a fresh buffer.
+// mulDelta returns coef * delta as a fresh buffer. Every caller puts it in
+// one parity-delta message and never touches it again: the buffer is built
+// to be moved to that message's receiver.
 func mulDelta(c *rs.Code, parity, dataIdx int, delta []byte) []byte {
 	out := make([]byte, len(delta))
 	c.ParityDelta(parity, dataIdx, out, delta)
@@ -381,17 +389,17 @@ type ResidencyReporter interface {
 // replication, asynchronous recycle — while tracking them as recovery
 // traffic. Engines without the hook take replays through Update.
 type Replayer interface {
-	ReplayInto(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error
+	ReplayInto(p *sim.Proc, blk wire.BlockID, off int64, data []byte, sum uint32) error
 }
 
 // Replay routes one recovered record into eng: through its ReplayInto hook
 // when implemented, otherwise through the ordinary update path (correct for
 // every in-place scheme, where replaying IS updating).
-func Replay(p *sim.Proc, eng Engine, blk wire.BlockID, off int64, data []byte) error {
+func Replay(p *sim.Proc, eng Engine, blk wire.BlockID, off int64, data []byte, sum uint32) error {
 	if r, ok := eng.(Replayer); ok {
-		return r.ReplayInto(p, blk, off, data)
+		return r.ReplayInto(p, blk, off, data, sum)
 	}
-	return eng.Update(p, blk, off, data)
+	return eng.Update(p, blk, off, data, sum)
 }
 
 // LogMigrator is implemented by engines whose replayable pure-overlay log

@@ -23,7 +23,7 @@ func (*fo) Name() string { return "fo" }
 
 // Update overwrites the data block in place and updates every parity
 // block in place, synchronously, one after another.
-func (e *fo) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+func (e *fo) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, _ uint32) error {
 	e.lockBlock(p, blk)
 	delta, err := e.readModifyWrite(p, blk, off, data)
 	// The lock only needs to cover the data RMW: parity deltas commute

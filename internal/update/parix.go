@@ -53,7 +53,7 @@ func (*parix) Name() string { return "parix" }
 // Update overwrites the data block speculatively (no read-before-write)
 // and ships the new data — plus, on first overwrite, the original — to
 // every parity OSD's log.
-func (e *parix) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+func (e *parix) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, sum uint32) error {
 	e.lockBlock(p, blk)
 	sent, ok := e.sent[blk]
 	if !ok {
@@ -91,16 +91,18 @@ func (e *parix) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) er
 	// speculative round so the parity log never holds new data whose
 	// baseline is still in flight.
 	if orig != nil {
+		origSum := wire.ChecksumPair(nil, orig)
 		if err := e.fanout(p, m, func(hp *sim.Proc, j int) error {
-			req := &wire.ParixAppend{Blk: blk, ParityIdx: uint16(j), Off: off, New: nil, Orig: orig, Sum: wire.ChecksumPair(nil, orig)}
+			req := &wire.ParixAppend{Blk: blk, ParityIdx: uint16(j), Off: off, New: nil, Orig: orig, Sum: origSum}
 			return e.callAck(hp, osds[k+j], req)
 		}); err != nil {
 			return err
 		}
 	}
-	// Speculative phase: ship only the new data.
+	// Speculative phase: ship only the new data. With Orig empty the pair
+	// sum is the sum of New alone — the one the caller verified.
 	return e.fanout(p, m, func(hp *sim.Proc, j int) error {
-		req := &wire.ParixAppend{Blk: blk, ParityIdx: uint16(j), Off: off, New: data, Sum: wire.ChecksumPair(data, nil)}
+		req := &wire.ParixAppend{Blk: blk, ParityIdx: uint16(j), Off: off, New: data, Sum: sum}
 		return e.callAck(hp, osds[k+j], req)
 	})
 }

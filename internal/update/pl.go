@@ -1,7 +1,7 @@
 package update
 
 import (
-	"sort"
+	"fmt"
 
 	"tsue/internal/sim"
 	"tsue/internal/wire"
@@ -28,7 +28,9 @@ type pl struct {
 }
 
 type plRec struct {
-	off   int64
+	off int64
+	// delta is the received message's payload itself (moved, not copied);
+	// it is only ever read, by the recycle that XORs it into the parity.
 	delta []byte
 	// pos is the record's location in the on-disk log (recycle reads it
 	// back with random I/O — PL's recycle inefficiency, §2.2).
@@ -49,7 +51,7 @@ func (*pl) Name() string { return "pl" }
 
 // Update overwrites the data block in place and appends the parity
 // deltas to each parity OSD's log in parallel.
-func (e *pl) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+func (e *pl) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, _ uint32) error {
 	e.lockBlock(p, blk)
 	delta, err := e.readModifyWrite(p, blk, off, data)
 	e.unlockBlock(blk)
@@ -77,6 +79,9 @@ func (e *pl) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool) 
 	if !ok {
 		return nil, false
 	}
+	if da.Kind != wire.KindParityDelta {
+		return errAck(fmt.Errorf("pl: unexpected delta kind %d", da.Kind)), true
+	}
 	pblk := e.parityBlock(da.Blk.StripeID(), int(da.ParityIdx))
 	// Sequential append to the local parity log (memory + SSD).
 	pos := e.logCursor % (2 * e.o.RecycleThreshold)
@@ -84,7 +89,9 @@ func (e *pl) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool) 
 	fin := e.logSpan(p, "log:append:pl")
 	e.h.Store().Device().Write(p, e.logZone, pos, int64(len(da.Data))+24, false)
 	fin()
-	e.records[pblk] = append(e.records[pblk], plRec{off: da.Off, delta: append([]byte(nil), da.Data...), pos: pos})
+	// A parity delta was built for this one message (mulDelta in Update):
+	// the record keeps the buffer instead of copying it.
+	e.records[pblk] = append(e.records[pblk], plRec{off: da.Off, delta: da.Data, pos: pos})
 	e.logBytes += int64(len(da.Data))
 	if e.logBytes > e.peak {
 		e.peak = e.logBytes
@@ -105,7 +112,7 @@ func (e *pl) recycleAll(p *sim.Proc) {
 	for b := range e.records {
 		blks = append(blks, b)
 	}
-	sort.Slice(blks, func(i, j int) bool { return less(blks[i], blks[j]) })
+	sortBlocks(blks)
 	dev := e.h.Store().Device()
 	for _, blk := range blks {
 		recs := e.records[blk]
@@ -153,13 +160,3 @@ func (e *pl) MemBytes() int64 { return e.logBytes }
 
 // PeakMemBytes returns the high-water parity-log footprint.
 func (e *pl) PeakMemBytes() int64 { return e.peak }
-
-func less(a, b wire.BlockID) bool {
-	if a.Ino != b.Ino {
-		return a.Ino < b.Ino
-	}
-	if a.Stripe != b.Stripe {
-		return a.Stripe < b.Stripe
-	}
-	return a.Index < b.Index
-}

@@ -1,6 +1,9 @@
 package update
 
 import (
+	"fmt"
+	"slices"
+
 	"tsue/internal/sim"
 	"tsue/internal/wire"
 )
@@ -62,7 +65,7 @@ func (e *plr) slot(blk wire.BlockID) int64 {
 
 // Update overwrites the data block in place and appends the parity
 // deltas to each parity block's reserved log space in parallel.
-func (e *plr) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+func (e *plr) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, _ uint32) error {
 	e.lockBlock(p, blk)
 	delta, err := e.readModifyWrite(p, blk, off, data)
 	e.unlockBlock(blk)
@@ -88,6 +91,9 @@ func (e *plr) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool)
 	da, ok := m.(*wire.DeltaAppend)
 	if !ok {
 		return nil, false
+	}
+	if da.Kind != wire.KindParityDelta {
+		return errAck(fmt.Errorf("plr: unexpected delta kind %d", da.Kind)), true
 	}
 	pblk := e.parityBlock(da.Blk.StripeID(), int(da.ParityIdx))
 	lg, okL := e.logs[pblk]
@@ -117,7 +123,8 @@ func (e *plr) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool)
 	e.h.Store().Device().Write(p, e.zone, base+lg.fill, need, false)
 	e.h.Store().Device().Write(p, e.metaZone, e.slot(pblk)*512, 512, true)
 	fin()
-	lg.recs = append(lg.recs, plRec{off: da.Off, delta: append([]byte(nil), da.Data...), pos: base + lg.fill})
+	// The parity delta moved here with its message: keep it, do not copy.
+	lg.recs = append(lg.recs, plRec{off: da.Off, delta: da.Data, pos: base + lg.fill})
 	lg.fill += need
 	e.mem += int64(len(da.Data))
 	if e.mem > e.peak {
@@ -201,10 +208,6 @@ func (e *plr) MemBytes() int64 { return e.mem }
 // PeakMemBytes returns the high-water reserve footprint.
 func (e *plr) PeakMemBytes() int64 { return e.peak }
 
-func sortBlocks(b []wire.BlockID) {
-	for i := 1; i < len(b); i++ {
-		for j := i; j > 0 && less(b[j], b[j-1]); j-- {
-			b[j], b[j-1] = b[j-1], b[j]
-		}
-	}
-}
+// sortBlocks puts map keys in the tree's deterministic block order; keys
+// are unique, so the result does not depend on the sort's stability.
+func sortBlocks(b []wire.BlockID) { slices.SortFunc(b, wire.BlockID.Compare) }

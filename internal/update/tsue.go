@@ -2,6 +2,7 @@ package update
 
 import (
 	"fmt"
+	"slices"
 
 	"tsue/internal/logpool"
 	"tsue/internal/obs"
@@ -229,16 +230,22 @@ func (t *tsue) startRecyclers(l *tsueLayer, fn func(p *sim.Proc, poolIdx int, un
 
 // appendLayer inserts one record into the layer's pool (blocking through
 // stalls), persists it to the log zone sequentially, and enqueues sealed
-// units for recycling. It returns the unit the record landed in.
-func (t *tsue) appendLayer(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.BlockID, off int64, data []byte) *logpool.Unit {
+// units for recycling. It returns the unit the record landed in. With owned
+// set, data was moved to this node with its message and the pool keeps the
+// buffer itself; otherwise the pool copies it.
+func (t *tsue) appendLayer(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.BlockID, off int64, data []byte, owned bool) *logpool.Unit {
 	start := p.Now()
 	pool := l.pools[poolIdx]
+	add := pool.Append
+	if owned {
+		add = pool.AppendOwned
+	}
 	for {
 		if l.exclusive && l.recycling > 0 {
 			l.cond.Wait(p)
 			continue
 		}
-		sealed, ok := pool.Append(blk, off, data, p.Now())
+		sealed, ok := add(blk, off, data, p.Now())
 		if !ok {
 			l.cond.Wait(p)
 			continue
@@ -262,10 +269,12 @@ func (t *tsue) appendLayer(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.Bloc
 	}
 }
 
-// Update is the synchronous front end: append locally, replicate, ack.
-func (t *tsue) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+// Update is the synchronous front end: append locally, replicate, ack. The
+// replicas carry the client's bytes and the sum the OSD verified them
+// against; each replica holder verifies again on arrival.
+func (t *tsue) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, sum uint32) error {
 	poolIdx := t.data.poolFor(hashBlk(blk))
-	u := t.appendLayer(p, t.data, poolIdx, blk, off, data)
+	u := t.appendLayer(p, t.data, poolIdx, blk, off, data, false)
 	// Replicate to the next Copies-1 OSDs' DataLog copies (2 total on SSD,
 	// 3 on HDD; §3.1.1).
 	nrep := t.o.Copies - 1
@@ -276,7 +285,7 @@ func (t *tsue) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte) err
 	return t.fanout(p, nrep, func(hp *sim.Proc, i int) error {
 		req := &wire.LogReplica{
 			SrcNode: self, Pool: uint16(poolIdx), UnitSeq: u.Seq,
-			Blk: blk, Off: off, Data: data, Sum: wire.Checksum(data),
+			Blk: blk, Off: off, Data: data, Sum: sum,
 		}
 		return t.callAck(hp, t.replicaTarget(i), req)
 	})
@@ -370,10 +379,14 @@ func (t *tsue) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool
 			return errAck(fmt.Errorf("tsue: DeltaLog disabled")), true
 		}
 		s := v.Blk.StripeID()
-		t.appendLayer(p, t.delta, t.delta.poolFor(hashStripe(s)), v.Blk, v.Off, v.Data)
+		// A data delta has two holders — its sender shows the same buffer
+		// to the reliability copy's holder — so the DeltaLog copies it.
+		t.appendLayer(p, t.delta, t.delta.poolFor(hashStripe(s)), v.Blk, v.Off, v.Data, false)
 		return wire.OK, true
 	case *wire.ParityDelta:
-		t.appendLayer(p, t.parity, t.parity.poolFor(hashBlk(v.Blk)), v.Blk, v.Off, v.Data)
+		// A parity delta was built for this one message: the ParityLog
+		// adopts the buffer.
+		t.appendLayer(p, t.parity, t.parity.poolFor(hashBlk(v.Blk)), v.Blk, v.Off, v.Data, true)
 		return wire.OK, true
 	case *wire.ReplicaRetire:
 		// A migrating block's extracted DataLog records are replayed at its
@@ -443,11 +456,11 @@ func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit)
 		s := blk.StripeID()
 		osds := t.h.Placement(s)
 		for _, ext := range bl.Extents() {
-			// The delta goes on the wire, so it is a fresh buffer; the old
-			// bytes are consumed where they live.
-			delta := make([]byte, len(ext.Data))
+			// The delta goes on the wire, so it is a fresh buffer: a copy of
+			// the new bytes with the old ones XORed in where they live.
+			delta := slices.Clone(ext.Data)
 			err := st.Modify(p, blk, ext.Off, int64(len(ext.Data)), func(cur []byte) {
-				rs.DataDelta(delta, ext.Data, cur)
+				rs.DataDelta(delta, delta, cur)
 				copy(cur, ext.Data)
 			})
 			if err != nil {
@@ -467,9 +480,9 @@ func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit)
 					// appended): degrade to direct parity appends.
 					t.forwardParityDirect(p, s, blk, ext.Off, delta, osds)
 				} else if mm >= 2 && t.o.Copies >= 2 {
-					// Reliability copy; best effort — a dead holder only
-					// narrows the redundancy window.
-					cp := &wire.DeltaAppend{Blk: blk, Off: ext.Off, Data: delta, Kind: wire.KindDataDelta, Replica: true, Sum: wire.Checksum(delta)}
+					// Reliability copy (same bytes, same sum); best effort — a
+					// dead holder only narrows the redundancy window.
+					cp := &wire.DeltaAppend{Blk: blk, Off: ext.Off, Data: delta, Kind: wire.KindDataDelta, Replica: true, Sum: req.Sum}
 					_ = t.callAck(p, osds[k+1], cp)
 				}
 			} else {
@@ -709,10 +722,10 @@ func (t *tsue) NeedsSettle(failed wire.NodeID) bool {
 // DataLog-replica item) through the normal two-stage path: DataLog append
 // plus replication, then the asynchronous three-layer recycle. Replays are
 // tracked as the "replay" residency layer.
-func (t *tsue) ReplayInto(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+func (t *tsue) ReplayInto(p *sim.Proc, blk wire.BlockID, off int64, data []byte, sum uint32) error {
 	t.replayN++
 	t.replayBytes += int64(len(data))
-	return t.Update(p, blk, off, data)
+	return t.Update(p, blk, off, data, sum)
 }
 
 var _ Replayer = (*tsue)(nil)

@@ -46,6 +46,12 @@ func (h *fakeHost) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, er
 	return wire.OK, nil
 }
 
+// applyUpdate calls eng.Update the way OSD.handle does: with the sum of the
+// bytes it has just verified.
+func applyUpdate(eng Engine, p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+	return eng.Update(p, blk, off, data, wire.Checksum(data))
+}
+
 func runProc(t *testing.T, h *fakeHost, fn func(p *sim.Proc)) {
 	t.Helper()
 	h.env.Go("t", func(p *sim.Proc) { fn(p) })
@@ -90,7 +96,7 @@ func TestPLUpdateSendsMDeltas(t *testing.T) {
 			return
 		}
 		newData := []byte{9, 9, 9, 9}
-		if err := eng.Update(p, blk, 100, newData); err != nil {
+		if err := applyUpdate(eng, p, blk, 100, newData); err != nil {
 			t.Error(err)
 			return
 		}
@@ -124,7 +130,7 @@ func TestCordSendsSingleMessage(t *testing.T) {
 	blk := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
 	runProc(t, h, func(p *sim.Proc) {
 		h.store.Put(p, blk, make([]byte, 4096))
-		if err := eng.Update(p, blk, 0, []byte{1, 2, 3}); err != nil {
+		if err := applyUpdate(eng, p, blk, 0, []byte{1, 2, 3}); err != nil {
 			t.Error(err)
 		}
 	})
@@ -145,7 +151,7 @@ func TestParixFirstWriteTwoRounds(t *testing.T) {
 	blk := wire.BlockID{Ino: 1, Stripe: 0, Index: 1}
 	runProc(t, h, func(p *sim.Proc) {
 		h.store.Put(p, blk, make([]byte, 4096))
-		if err := eng.Update(p, blk, 0, []byte{1}); err != nil {
+		if err := applyUpdate(eng, p, blk, 0, []byte{1}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -153,7 +159,7 @@ func TestParixFirstWriteTwoRounds(t *testing.T) {
 		if first != 4 { // M=2 orig msgs + M=2 new msgs
 			t.Errorf("first write sent %d msgs, want 4", first)
 		}
-		if err := eng.Update(p, blk, 0, []byte{2}); err != nil {
+		if err := applyUpdate(eng, p, blk, 0, []byte{2}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -173,7 +179,7 @@ func TestTsueFrontEndSequentialOnly(t *testing.T) {
 	runProc(t, h, func(p *sim.Proc) {
 		h.store.Put(p, blk, make([]byte, 4096))
 		before := h.store.Device().Stats()
-		if err := eng.Update(p, blk, 0, []byte{5, 5}); err != nil {
+		if err := applyUpdate(eng, p, blk, 0, []byte{5, 5}); err != nil {
 			t.Error(err)
 			return
 		}
@@ -209,7 +215,7 @@ func TestTsueReadCacheServesFromLog(t *testing.T) {
 	blk := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
 	runProc(t, h, func(p *sim.Proc) {
 		h.store.Put(p, blk, make([]byte, 4096))
-		if err := eng.Update(p, blk, 200, []byte{7, 8, 9}); err != nil {
+		if err := applyUpdate(eng, p, blk, 200, []byte{7, 8, 9}); err != nil {
 			t.Error(err)
 			return
 		}

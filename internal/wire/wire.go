@@ -8,6 +8,7 @@
 package wire
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -71,6 +72,13 @@ type BlockID struct {
 
 func (b BlockID) String() string {
 	return fmt.Sprintf("blk(%d/%d/%d)", b.Ino, b.Stripe, b.Index)
+}
+
+// Compare orders block ids by (Ino, Stripe, Index) — the deterministic
+// iteration order of every per-block map in the tree. Ids are unique keys
+// wherever they are sorted, so a sort by Compare has no ties to break.
+func (b BlockID) Compare(o BlockID) int {
+	return cmp.Or(cmp.Compare(b.Ino, o.Ino), cmp.Compare(b.Stripe, o.Stripe), cmp.Compare(b.Index, o.Index))
 }
 
 // StripeID names a stripe.
