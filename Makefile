@@ -19,7 +19,6 @@ lint:
 	$(GO) test ./internal/lint/simvet/
 
 fuzz:
-	$(GO) test -fuzz=FuzzUnmarshalRoundTrip -fuzztime=10s ./internal/wire
 	$(GO) test -fuzz=FuzzInsertMatchesReference -fuzztime=10s ./internal/logpool
 
 bench:

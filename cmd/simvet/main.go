@@ -167,7 +167,6 @@ func runUnit(cfgPath string) error {
 
 	unit := &simvet.Unit{
 		Path:  simvet.NormalizePath(cfg.ImportPath),
-		Dir:   cfg.Dir,
 		Fset:  fset,
 		Files: files,
 		Pkg:   pkg,

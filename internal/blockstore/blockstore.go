@@ -296,9 +296,6 @@ func (s *Store) Rewrite(p *sim.Proc, blk wire.BlockID, data []byte) error {
 // Delete removes blk (used when simulating data loss on a failed OSD).
 func (s *Store) Delete(blk wire.BlockID) { delete(s.blocks, blk) }
 
-// DeleteAll removes every block (node catastrophic failure).
-func (s *Store) DeleteAll() { s.blocks = make(map[wire.BlockID]*entry) }
-
 // Blocks returns all block IDs in deterministic order.
 func (s *Store) Blocks() []wire.BlockID {
 	out := make([]wire.BlockID, 0, len(s.blocks))

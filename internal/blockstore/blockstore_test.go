@@ -127,10 +127,6 @@ func TestBlocksSortedAndDelete(t *testing.T) {
 		if s.Has(b2) || s.Len() != 2 {
 			t.Fatal("delete failed")
 		}
-		s.DeleteAll()
-		if s.Len() != 0 {
-			t.Fatal("delete all failed")
-		}
 	})
 }
 

@@ -80,13 +80,6 @@ func (tb *TokenBucket) Admit(now time.Duration, inflight int) bool {
 	return true
 }
 
-// AdmitAll is the no-op policy: every op admitted, only the in-flight
-// accounting runs. Useful to measure admission overhead alone.
-type AdmitAll struct{}
-
-// Admit always reports true.
-func (AdmitAll) Admit(time.Duration, int) bool { return true }
-
 // AdmissionStats is the cluster-wide admission counter snapshot.
 //
 //lint:allow obsregistry(pre-registry snapshot struct returned by the admission API; its counters are mirrored onto the registry)

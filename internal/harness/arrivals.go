@@ -57,46 +57,12 @@ func (a *PoissonArrivals) Next() (time.Duration, bool) {
 	return a.at, true
 }
 
-// TraceArrivals replays an explicit timestamp schedule, e.g. parsed from a
-// real trace's arrival column, shifted so the first op lands at its
-// recorded offset from the trace start.
-type TraceArrivals struct {
-	times []time.Duration
-	i     int
-}
-
-// NewTraceArrivals validates that the schedule is nondecreasing and
-// returns a process replaying it. The slice is copied.
-func NewTraceArrivals(times []time.Duration) (*TraceArrivals, error) {
-	cp := append([]time.Duration(nil), times...)
-	for i, t := range cp {
-		if t < 0 {
-			return nil, fmt.Errorf("harness: trace arrival %d is negative (%v)", i, t)
-		}
-		if i > 0 && t < cp[i-1] {
-			return nil, fmt.Errorf("harness: trace arrivals not sorted at %d (%v < %v)", i, t, cp[i-1])
-		}
-	}
-	return &TraceArrivals{times: cp}, nil
-}
-
-// Next returns the next recorded arrival instant.
-func (a *TraceArrivals) Next() (time.Duration, bool) {
-	if a.i >= len(a.times) {
-		return 0, false
-	}
-	t := a.times[a.i]
-	a.i++
-	return t, true
-}
-
 // ZipfPicker draws object/offset slot indices over [0, n) with Zipf skew,
 // so a few hot slots absorb most of the load — the access pattern that
 // makes saturation engine-dependent (log contention concentrates instead
 // of spreading). s > 1 and v >= 1 per math/rand: larger s is more skewed.
 type ZipfPicker struct {
 	z *rand.Zipf
-	n uint64
 }
 
 // NewZipfPicker builds a deterministic picker over n slots.
@@ -104,14 +70,11 @@ func NewZipfPicker(n uint64, s, v float64, seed int64) *ZipfPicker {
 	if n == 0 {
 		panic("harness: ZipfPicker needs at least one slot")
 	}
-	return &ZipfPicker{z: rand.NewZipf(rand.New(rand.NewSource(seed)), s, v, n-1), n: n}
+	return &ZipfPicker{z: rand.NewZipf(rand.New(rand.NewSource(seed)), s, v, n-1)}
 }
 
 // Pick returns the next slot index in [0, n).
 func (zp *ZipfPicker) Pick() uint64 { return zp.z.Uint64() }
-
-// Slots returns the picker's slot count.
-func (zp *ZipfPicker) Slots() uint64 { return zp.n }
 
 // OpenLoopConfig parameterizes one open-loop replay on top of a RunConfig
 // (which still supplies the cluster shape, engine, trace profile and

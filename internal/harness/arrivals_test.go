@@ -62,29 +62,6 @@ func TestPoissonArrivalsMeanRate(t *testing.T) {
 	}
 }
 
-func TestTraceArrivals(t *testing.T) {
-	sched := []time.Duration{0, time.Millisecond, time.Millisecond, 5 * time.Millisecond}
-	a, err := NewTraceArrivals(sched)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, want := range sched {
-		got, ok := a.Next()
-		if !ok || got != want {
-			t.Fatalf("arrival %d: got %v ok=%v, want %v", i, got, ok, want)
-		}
-	}
-	if _, ok := a.Next(); ok {
-		t.Fatal("exhausted schedule yielded an arrival")
-	}
-	if _, err := NewTraceArrivals([]time.Duration{time.Second, 0}); err == nil {
-		t.Fatal("out-of-order schedule accepted")
-	}
-	if _, err := NewTraceArrivals([]time.Duration{-time.Second}); err == nil {
-		t.Fatal("negative timestamp accepted")
-	}
-}
-
 func TestZipfPickerSkewAndDeterminism(t *testing.T) {
 	const n = 256
 	a := NewZipfPicker(n, 1.2, 1, 11)

@@ -94,7 +94,7 @@ func loadFixture(t *testing.T, spec fixtureSpec) (*Unit, map[wantKey]*regexp.Reg
 			}
 		}
 	}
-	u := &Unit{Path: spec.path, Dir: dir, Fset: fset, Files: files}
+	u := &Unit{Path: spec.path, Fset: fset, Files: files}
 	if spec.typed {
 		conf := types.Config{
 			Importer: importer.ForCompiler(fset, "source", nil),

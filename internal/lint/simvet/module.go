@@ -71,7 +71,7 @@ func CheckModule(root string, analyzers []*Analyzer) ([]Diagnostic, error) {
 		if rel != "." {
 			path = module + "/" + filepath.ToSlash(rel)
 		}
-		u := &Unit{Path: path, Dir: dir, Fset: fset, Files: files}
+		u := &Unit{Path: path, Fset: fset, Files: files}
 		all = append(all, Run(u, analyzers)...)
 	}
 	return all, nil

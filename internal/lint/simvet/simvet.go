@@ -3,7 +3,7 @@
 // machine-check the invariants the whole reproduction stands on — sim-time
 // determinism (no wall clock, no free-running goroutines or coroutines, no
 // order-dependent map iteration in kernel-owned packages), wire-protocol
-// completeness (every message registered, fuzzed, traced, and checksummed),
+// completeness (every payload-bearing message traced and checksummed),
 // sentinel-error discipline (errors.Is, not ==), and the obs-registry
 // ownership rule.
 //
@@ -65,10 +65,7 @@ func Analyzers() []*Analyzer {
 type Unit struct {
 	// Path is the unit's import path with any test-variant decoration
 	// already stripped (see NormalizePath); analyzers scope on it.
-	Path string
-	// Dir is the package directory on disk; wireproto falls back to it for
-	// corpus discovery when the unit carries no test files.
-	Dir   string
+	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
 	// Pkg and Info are nil when the unit was not typechecked; analyzers
@@ -94,7 +91,6 @@ type Pass struct {
 	Fset     *token.FileSet
 	Files    []*ast.File
 	Path     string
-	Dir      string
 	Pkg      *types.Package
 	Info     *types.Info
 
@@ -129,7 +125,6 @@ func Run(u *Unit, analyzers []*Analyzer) []Diagnostic {
 			Fset:     u.Fset,
 			Files:    u.Files,
 			Path:     u.Path,
-			Dir:      u.Dir,
 			Pkg:      u.Pkg,
 			Info:     u.Info,
 			diags:    &diags,

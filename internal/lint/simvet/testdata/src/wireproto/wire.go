@@ -1,7 +1,7 @@
 // Package wire is the wireproto fixture: a miniature message set where each
 // defective message violates exactly one rule, plus conformant messages and
 // non-messages that must stay quiet. The analyzer enumerates messages from
-// the Type() Type method set — there is no registration list to seed.
+// the Type() Type method set — there is no registration list.
 package wire
 
 type Type uint8
@@ -12,8 +12,8 @@ type SpanCtx struct {
 	Op          uint8
 }
 
-// Good is fully conformant: codec-registered, corpus-seeded, and — being
-// payload-bearing — traced and checksummed. Must stay quiet.
+// Good is fully conformant: payload-bearing, traced and checksummed. Must
+// stay quiet.
 type Good struct {
 	Data []byte
 	Sum  uint32
@@ -29,33 +29,6 @@ func (*Control) Type() Type { return 2 }
 
 // helper has no Type() method: not a message, never checked.
 type helper struct{ Data []byte }
-
-// Unregistered is missing its marshal type-switch case.
-type Unregistered struct { // want "message Unregistered has no"
-	Data []byte
-	Sum  uint32
-	Span SpanCtx
-}
-
-func (*Unregistered) Type() Type { return 3 }
-
-// Undecodable is never constructed in Unmarshal.
-type Undecodable struct { // want "message Undecodable is never constructed in Unmarshal"
-	Data []byte
-	Sum  uint32
-	Span SpanCtx
-}
-
-func (*Undecodable) Type() Type { return 4 }
-
-// Unseeded is never constructed in a _test.go file.
-type Unseeded struct { // want "message Unseeded is not constructed in any _test.go file"
-	Data []byte
-	Sum  uint32
-	Span SpanCtx
-}
-
-func (*Unseeded) Type() Type { return 5 }
 
 // Untraced carries a payload but no SpanCtx.
 type Untraced struct { // want "payload-bearing message Untraced .* no SpanCtx"

@@ -2,33 +2,23 @@ package simvet
 
 import (
 	"go/ast"
-	"go/parser"
-	"go/token"
-	"os"
-	"path/filepath"
 	"strings"
 )
 
 // WireprotoAnalyzer turns the wire-protocol conventions into checked
 // properties. It enumerates the message set from the code itself — every
 // struct with a `Type() Type` method is a message; there is no hand-written
-// list to rot — and requires each message to be:
-//
-//   - registered in the codec: named in a `case *X:` of a marshal type
-//     switch AND constructed inside Unmarshal;
-//   - seeded into the fuzz corpus: constructed somewhere in the package's
-//     _test.go files, which is where FuzzUnmarshalRoundTrip takes its seeds;
-//   - traced and end-to-end verified when payload-bearing: a struct with a
-//     []byte data field must carry a SpanCtx field (the tracer follows the
-//     data path hop by hop) and a Sum (CRC) field (corruption injected by
-//     the chaos fabric is detectable at every receiver). Control-plane
-//     messages without payloads ride the requester's span and carry fixed
-//     fields the codec already length-checks.
+// list to rot — and requires each payload-bearing message (a struct with a
+// []byte data field) to be traced and end-to-end verified: it must carry a
+// SpanCtx field (the tracer follows the data path hop by hop) and a Sum
+// (CRC) field (corruption injected by the chaos fabric is detectable at
+// every receiver). Control-plane messages without payloads ride the
+// requester's span. Message sizes are pinned by the wire package's own size
+// table, not here.
 var WireprotoAnalyzer = &Analyzer{
 	Name: "wireproto",
-	Doc: "every wire message (struct with a Type() Type method) must be " +
-		"codec-registered and fuzz-corpus-seeded; payload-bearing messages " +
-		"([]byte field) must also be SpanCtx-traced and Sum-checksummed",
+	Doc: "every payload-bearing wire message (struct with a Type() Type method " +
+		"and a []byte field) must be SpanCtx-traced and Sum-checksummed",
 	Run: runWireproto,
 }
 
@@ -40,16 +30,9 @@ func runWireproto(p *Pass) {
 
 	structs := make(map[string]*ast.TypeSpec) // all struct types
 	messages := make(map[string]bool)         // structs with Type() Type
-	marshalCases := make(map[string]bool)     // `case *X:` in type switches
-	unmarshalMade := make(map[string]bool)    // composite lits in Unmarshal
-	corpusMade := make(map[string]bool)       // composite lits in test files
-	haveTests := false
 
 	for _, f := range p.Files {
-		test := isTestFile(p.Fset, f)
-		if test {
-			haveTests = true
-			collectComposites(f, corpusMade)
+		if isTestFile(p.Fset, f) {
 			continue
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -62,32 +45,9 @@ func runWireproto(p *Pass) {
 				if name := typeMethodRecv(v); name != "" {
 					messages[name] = true
 				}
-				if v.Name.Name == "Unmarshal" && v.Recv == nil {
-					collectComposites(v, unmarshalMade)
-				}
-			case *ast.TypeSwitchStmt:
-				for _, stmt := range v.Body.List {
-					cc, ok := stmt.(*ast.CaseClause)
-					if !ok {
-						continue
-					}
-					for _, e := range cc.List {
-						if star, ok := e.(*ast.StarExpr); ok {
-							if ident, ok := star.X.(*ast.Ident); ok {
-								marshalCases[ident.Name] = true
-							}
-						}
-					}
-				}
 			}
 			return true
 		})
-	}
-
-	// A unit handed over without test files (or a bare fixture) still checks
-	// corpus coverage by parsing the package directory's _test.go files.
-	if !haveTests && p.Dir != "" {
-		haveTests = collectDirTestComposites(p.Dir, corpusMade)
 	}
 
 	for name := range messages {
@@ -109,15 +69,6 @@ func runWireproto(p *Pass) {
 					hasSum = true
 				}
 			}
-		}
-		if !marshalCases[name] {
-			p.Reportf(ts.Pos(), "message %s has no `case *%s:` in a codec type switch: Marshal will reject it at runtime", name, name)
-		}
-		if !unmarshalMade[name] {
-			p.Reportf(ts.Pos(), "message %s is never constructed in Unmarshal: it cannot be decoded", name)
-		}
-		if haveTests && !corpusMade[name] {
-			p.Reportf(ts.Pos(), "message %s is not constructed in any _test.go file: FuzzUnmarshalRoundTrip has no corpus seed for it", name)
 		}
 		if hasPayload && !hasSpan {
 			p.Reportf(ts.Pos(), "payload-bearing message %s (has a []byte field) has no SpanCtx field: the tracer cannot follow the data path across this hop", name)
@@ -160,43 +111,4 @@ func isByteSlice(e ast.Expr) bool {
 	}
 	ident, ok := arr.Elt.(*ast.Ident)
 	return ok && ident.Name == "byte"
-}
-
-// collectComposites records every `X{...}` / `&X{...}` composite literal type
-// name under n.
-func collectComposites(n ast.Node, into map[string]bool) {
-	ast.Inspect(n, func(n ast.Node) bool {
-		cl, ok := n.(*ast.CompositeLit)
-		if !ok {
-			return true
-		}
-		if ident, ok := cl.Type.(*ast.Ident); ok {
-			into[ident.Name] = true
-		}
-		return true
-	})
-}
-
-// collectDirTestComposites parses dir's _test.go files syntactically and
-// records their composite-literal type names. Returns whether any test file
-// was found.
-func collectDirTestComposites(dir string, into map[string]bool) bool {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return false
-	}
-	fset := token.NewFileSet()
-	found := false
-	for _, e := range entries {
-		if e.IsDir() || !strings.HasSuffix(e.Name(), "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(fset, filepath.Join(dir, e.Name()), nil, parser.SkipObjectResolution)
-		if err != nil {
-			continue
-		}
-		found = true
-		collectComposites(f, into)
-	}
-	return found
 }

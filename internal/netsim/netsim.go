@@ -147,8 +147,7 @@ type Fabric struct {
 }
 
 // New creates an empty fabric. Latency distributions share a fabric-local
-// deterministic RNG (reseed with SetSeed); the default Fixed latency path
-// never touches it.
+// deterministic RNG; the default Fixed latency path never touches it.
 func New(e *sim.Env, p Params) *Fabric {
 	return &Fabric{
 		env:    e,
@@ -159,9 +158,6 @@ func New(e *sim.Env, p Params) *Fabric {
 		rng:    rand.New(rand.NewSource(1)),
 	}
 }
-
-// SetSeed reseeds the fabric's latency-sampling RNG.
-func (f *Fabric) SetSeed(seed int64) { f.rng = rand.New(rand.NewSource(seed)) }
 
 // AddNode registers a node; handler may be nil for pure clients.
 func (f *Fabric) AddNode(id wire.NodeID, h Handler) {
@@ -218,9 +214,6 @@ func (f *Fabric) SetLink(from, to wire.NodeID, s LinkShape) error {
 	return nil
 }
 
-// ClearLink removes a directed link override.
-func (f *Fabric) ClearLink(from, to wire.NodeID) { delete(f.links, linkKey{from, to}) }
-
 // SetNodeShape overrides the shape of every link touching a node (a limping
 // NIC): its bandwidth applies to the node's own NIC legs and its latency to
 // hops the node sends (and, when the sender has no shape, hops it
@@ -251,14 +244,6 @@ func (f *Fabric) Partition(from, to wire.NodeID, on bool) error {
 		delete(f.parts, linkKey{from, to})
 	}
 	return nil
-}
-
-// PartitionBoth cuts or heals both directions between two nodes.
-func (f *Fabric) PartitionBoth(a, b wire.NodeID, on bool) error {
-	if err := f.Partition(a, b, on); err != nil {
-		return err
-	}
-	return f.Partition(b, a, on)
 }
 
 // Partitioned reports whether the directed link from -> to is cut.

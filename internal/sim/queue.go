@@ -101,9 +101,6 @@ func (q *Queue[T]) Close() {
 	q.waiters = nil
 }
 
-// Closed reports whether Close has been called.
-func (q *Queue[T]) Closed() bool { return q.closed }
-
 // Dropped returns the number of values discarded by Put after Close.
 func (q *Queue[T]) Dropped() int { return q.dropped }
 

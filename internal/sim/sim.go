@@ -351,9 +351,6 @@ func (e *Env) Run(limit time.Duration) time.Duration {
 	return e.now
 }
 
-// Idle reports whether no events remain.
-func (e *Env) Idle() bool { return len(e.events) == 0 }
-
 // LiveProcs returns the number of unfinished processes.
 func (e *Env) LiveProcs() int { return e.nprocs }
 
@@ -433,9 +430,6 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 	p.Sleep(d)
 	r.Release()
 }
-
-// InUse returns the number of occupied slots.
-func (r *Resource) InUse() int { return r.inUse }
 
 // QueueLen returns the number of blocked waiters.
 func (r *Resource) QueueLen() int { return len(r.waiters) }

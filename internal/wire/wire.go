@@ -1,10 +1,11 @@
-// Package wire defines the ECFS RPC message set and a compact binary codec.
+// Package wire defines the ECFS RPC message set and its wire-size model.
 //
 // The simulated fabric (internal/netsim) passes message values directly and
-// charges SizeOf(m) — headerSize + PayloadSize — to the network model; it is
-// the only transport. The codec in codec.go is not on that path: it defines
-// the byte layout PayloadSize accounts for, and its round-trip and fuzz
-// tests keep the two in agreement.
+// charges SizeOf(m) — headerSize + PayloadSize — to the network model; no
+// message is ever encoded to bytes. PayloadSize is the modelled length of a
+// compact layout (fixed-width integers and bools, length-prefixed slices and
+// strings), and the size table in wire_test.go pins it per message type,
+// since every size feeds simulated network time.
 package wire
 
 import (
@@ -170,8 +171,8 @@ const headerSize = 40
 // Msg is implemented by every RPC message.
 type Msg interface {
 	Type() Type
-	// PayloadSize is the marshaled payload length in bytes, used for
-	// network bandwidth accounting and by the codec.
+	// PayloadSize is the modelled payload length in bytes, charged to the
+	// network model on top of the header.
 	PayloadSize() int
 }
 
@@ -183,18 +184,17 @@ func SizeOf(m Msg) int64 { return int64(headerSize + m.PayloadSize()) }
 // SpanCtx is the compact trace context piggybacked on payload-bearing
 // messages by the observability plane (internal/obs): the trace id of the
 // originating op, the id of the network span this message travels under,
-// and the op kind. A zero Trace means "untraced" and forces the other
-// fields to zero, so untraced messages have one canonical encoding. The
-// context is always encoded (spanSize bytes), traced or not, so wire sizes
-// — and therefore simulated network timing — are identical whether tracing
-// is enabled or disabled.
+// and the op kind. A zero Trace means "untraced": the tracer leaves the
+// other fields zero and receivers ignore them. The context always counts
+// spanSize bytes, so a message has the same size traced or not — and
+// simulated network timing is identical whether tracing is on or off.
 type SpanCtx struct {
 	Trace uint64
 	Span  uint64
 	Op    uint8
 }
 
-// spanSize is the encoded size of a SpanCtx.
+// spanSize is the modelled size of a SpanCtx.
 const spanSize = 8 + 8 + 1
 
 // Spanned is implemented by the messages that carry a SpanCtx: the netsim

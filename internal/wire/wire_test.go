@@ -1,103 +1,11 @@
 package wire
 
 import (
-	"bytes"
-	"encoding/binary"
 	"errors"
-	"math/rand"
+	"fmt"
 	"reflect"
 	"testing"
-	"testing/quick"
 )
-
-func sampleMessages() []Msg {
-	return []Msg{
-		&Ack{},
-		&Ack{Err: "boom"},
-		&CreateFile{Name: "vol0", Stripes: 42},
-		&CreateResp{Ino: 7, Err: ""},
-		&Lookup{Ino: 9, Stripe: 3},
-		&LookupResp{OSDs: []NodeID{1, 2, 3, 4}, PG: 17, Err: ""},
-		&PGLookup{PG: 9},
-		&Heartbeat{From: 11},
-		&Heartbeat{From: 11, Misses: 3},
-		&PutBlock{Blk: BlockID{1, 2, 3}, Data: []byte{9, 8, 7}},
-		&PutBlock{Blk: BlockID{1, 2, 3}, Data: []byte{9, 8, 7}, Sum: Checksum([]byte{9, 8, 7})},
-		&ReadBlock{Blk: BlockID{1, 2, 3}, Off: 4096, Size: 512},
-		&ReadResp{Data: []byte{1, 2}, Err: ""},
-		&ReadResp{Data: []byte{1, 2}, Err: "", Sum: Checksum([]byte{1, 2})},
-		&Update{Blk: BlockID{5, 6, 7}, Off: 123, Data: []byte{0xde, 0xad}},
-		&Update{Blk: BlockID{5, 6, 7}, Off: 123, Data: []byte{0xde, 0xad}, Sum: Checksum([]byte{0xde, 0xad})},
-		&DeltaAppend{Blk: BlockID{1, 1, 0}, ParityIdx: 2, Off: 64, Data: []byte{1}, Kind: KindDataDelta, Replica: true, Sum: Checksum([]byte{1})},
-		&DeltaAppend{Blk: BlockID{1, 1, 0}, ParityIdx: 0, Off: 0, Data: nil, Kind: KindParityDelta},
-		&ParixAppend{Blk: BlockID{2, 3, 1}, ParityIdx: 1, Off: 8, New: []byte{5, 5}, Orig: []byte{4, 4}, Sum: ChecksumPair([]byte{5, 5}, []byte{4, 4})},
-		&ParixAppend{Blk: BlockID{2, 3, 1}, ParityIdx: 1, Off: 8, New: []byte{5}, Orig: nil, Sum: ChecksumPair([]byte{5}, nil)},
-		&ParityDelta{Blk: BlockID{2, 3, 8}, Off: 16, Data: []byte{1, 2, 3, 4}, Sum: Checksum([]byte{1, 2, 3, 4})},
-		&LogReplica{SrcNode: 3, Pool: 1, UnitSeq: 99, Blk: BlockID{1, 0, 2}, Off: 77, Data: []byte{6}, Sum: Checksum([]byte{6})},
-		&UnitDone{SrcNode: 3, Pool: 2, UnitSeq: 100},
-		&Drain{},
-		&RecoverBlock{Blk: BlockID{4, 4, 4}},
-		&RecoverBlock{Blk: BlockID{4, 4, 6}, Reencode: true},
-		&DegradedUpdate{Failed: 5, Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{7, 7}},
-		&DegradedUpdate{Failed: 5, Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{7, 7}, Sum: Checksum([]byte{7, 7})},
-		&DegradedRead{Failed: 5, Blk: BlockID{1, 2, 0}, Off: 512, Size: 128},
-		&JournalReplica{Failed: 5, Surrogate: 2, Seq: 9, Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{7}},
-		&JournalReplica{Failed: 5, Surrogate: 2, Seq: 9, Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{7}, Sum: Checksum([]byte{7})},
-		&JournalAck{Seq: 9},
-		&JournalAck{Seq: 0, Err: "zone full"},
-		&JournalFetch{Failed: 5},
-		&JournalFetch{Failed: 5, Surrogate: 2, FromSeq: 3},
-		&JournalFetchResp{Items: []JournalItem{
-			{Seq: 4, Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{7, 8}},
-			{Seq: 5, Blk: BlockID{1, 3, 1}, Off: 0, Data: []byte{9}},
-		}},
-		&JournalFetchResp{Err: "not a holder"},
-		&ReplayUpdate{Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{9, 9, 9}, Sum: Checksum([]byte{9, 9, 9})},
-		&Settle{Failed: 3},
-		&LookupResp{OSDs: []NodeID{4, 5}, PG: 3, Epoch: 2, Err: ""},
-		&ReadBlock{Blk: BlockID{1, 2, 3}, Off: 64, Size: 32, Epoch: 7},
-		&Update{Blk: BlockID{5, 6, 7}, Off: 123, Data: []byte{1}, Epoch: 9},
-		&EpochUpdate{Kind: EpochStageAddOSD, OSD: 17},
-		&EpochUpdate{Kind: EpochStageSplitPGs, Factor: 4},
-		&EpochUpdate{Kind: EpochCommit},
-		&EpochResp{Epoch: 3},
-		&EpochResp{Err: "no transition"},
-		&MigrateBlock{Blk: BlockID{2, 9, 4}, From: 6},
-		&MigrateBlock{Blk: BlockID{2, 9, 4}, From: 6, Reconstruct: true, Reencode: true},
-		&PGCutover{PG: 41, Epoch: 2},
-		&MigrateLog{Blk: BlockID{2, 9, 4}},
-		&ReplicaFetch{Node: 6},
-		&ReplicaResp{},
-		&ReplicaResp{Items: []ReplicaItem{
-			{Blk: BlockID{2, 9, 4}, Off: 128, Data: []byte{3, 1}},
-			{Blk: BlockID{2, 9, 5}, Off: 0, Data: []byte{4}},
-		}},
-		&ReplicaRetire{Node: 6, Blk: BlockID{2, 9, 4}},
-		&PGAbort{PG: 41, Epoch: 2},
-		&TransitionStatus{},
-		&TransitionStatusResp{InFlight: true, Staged: 2, Committed: 1,
-			PGs: []PGStatus{{PG: 3, Stage: 1}, {PG: 9, Stage: 5}}},
-		&TransitionStatusResp{InFlight: true, Staged: 2, Committed: 1,
-			PGs:   []PGStatus{{PG: 3, Stage: 1}},
-			Beats: []BeatStatus{{OSD: 4, Misses: 2}, {OSD: 7, Misses: 11}}},
-		&TransitionStatusResp{Err: "no transition"},
-		&AdmitOp{},
-		// Traced variants: every Spanned message round-trips its SpanCtx.
-		&AdmitOp{Span: SpanCtx{Trace: 11, Span: 12, Op: 1}},
-		&Update{Blk: BlockID{5, 6, 7}, Off: 123, Data: []byte{1}, Epoch: 9, Span: SpanCtx{Trace: 3, Span: 4, Op: 1}},
-		&ReadBlock{Blk: BlockID{1, 2, 3}, Off: 64, Size: 32, Span: SpanCtx{Trace: 3, Span: 5, Op: 2}},
-		&PutBlock{Blk: BlockID{1, 2, 3}, Data: []byte{9}, Span: SpanCtx{Trace: 8, Span: 1, Op: 1}},
-		&DeltaAppend{Blk: BlockID{1, 1, 0}, ParityIdx: 2, Off: 64, Data: []byte{1}, Kind: KindDataDelta, Span: SpanCtx{Trace: 2, Span: 2, Op: 1}},
-		&ParixAppend{Blk: BlockID{2, 3, 1}, ParityIdx: 1, Off: 8, New: []byte{5}, Span: SpanCtx{Trace: 2, Span: 3, Op: 1}},
-		&ParityDelta{Blk: BlockID{2, 3, 8}, Off: 16, Data: []byte{1}, Span: SpanCtx{Trace: 2, Span: 4, Op: 1}},
-		&LogReplica{SrcNode: 3, Pool: 1, UnitSeq: 99, Blk: BlockID{1, 0, 2}, Off: 77, Data: []byte{6}, Span: SpanCtx{Trace: 2, Span: 5, Op: 1}},
-		&RecoverBlock{Blk: BlockID{4, 4, 4}, Span: SpanCtx{Trace: 6, Span: 6, Op: 5}},
-		&DegradedUpdate{Failed: 5, Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{7}, Span: SpanCtx{Trace: 4, Span: 7, Op: 3}},
-		&DegradedRead{Failed: 5, Blk: BlockID{1, 2, 0}, Off: 512, Size: 128, Span: SpanCtx{Trace: 4, Span: 8, Op: 4}},
-		&JournalReplica{Failed: 5, Surrogate: 2, Seq: 9, Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{7}, Span: SpanCtx{Trace: 4, Span: 9, Op: 3}},
-		&ReplayUpdate{Blk: BlockID{1, 2, 0}, Off: 512, Data: []byte{9}, Span: SpanCtx{Trace: 5, Span: 10, Op: 5}},
-	}
-}
 
 // Compile-time check: the full set of payload-bearing messages on the traced
 // paths implements Spanned.
@@ -108,190 +16,176 @@ var _ = []Spanned{
 	(*DegradedRead)(nil), (*JournalReplica)(nil), (*ReplayUpdate)(nil),
 }
 
-func roundTrip(t *testing.T, m Msg) Msg {
-	t.Helper()
-	buf := Marshal(nil, m)
-	if buf[0] != byte(m.Type()) {
-		t.Fatalf("frame type %d != %v", buf[0], m.Type())
+// sizeRows has one message per type with its modelled payload size.
+// SizeOf is what the fabric charges to simulated NIC time, so each want is
+// a literal: a PayloadSize edit moves sim-time results and must fail
+// TestSizeOfIncludesHeader first. Fixed-width fields are left zero (their
+// values never change a size, which FuzzUnmarshalRoundTrip checks); every
+// variable-length field is filled, with distinct lengths, so each term of a
+// PayloadSize is covered. The comment after a row spells out its sum; 17 is
+// the SpanCtx.
+var sizeRows = func() []sizeRow {
+	b := func(n int) []byte { return make([]byte, n) }
+	return []sizeRow{
+		{&Ack{Err: "boom"}, 6},                                   // 2+4
+		{&CreateFile{Name: "vol0"}, 10},                          // 2+4+4
+		{&CreateResp{Err: "exists"}, 16},                         // 8+2+6
+		{&Lookup{}, 12},                                          // 8+4
+		{&LookupResp{OSDs: make([]NodeID, 3), Err: "stale"}, 33}, // 2+4*3+4+8+2+5
+		{&PutBlock{Data: b(3)}, 42},                              // 14+4+3+4+17
+		{&ReadBlock{}, 52},                                       // 14+13+8+17
+		{&ReadResp{Data: b(2), Err: "eio"}, 15},                  // 4+2+2+3+4
+		{&Update{Data: b(2)}, 57},                                // 14+8+4+2+8+4+17
+		{&DeltaAppend{Data: b(1)}, 52},                           // 14+2+8+4+1+2+4+17
+		{&ParixAppend{New: b(2), Orig: b(3)}, 58},                // 14+2+8+4+2+4+3+4+17
+		{&ParityDelta{Data: b(4)}, 51},                           // 14+8+4+4+4+17
+		{&LogReplica{Data: b(1)}, 62},                            // 4+2+8+14+8+4+1+4+17
+		{&UnitDone{}, 14},                                        // 4+2+8
+		{&Drain{}, 0},
+		{&Heartbeat{}, 8},     // 4+4
+		{&RecoverBlock{}, 32}, // 14+1+17
+		{&ReplicaFetch{}, 4},  // 4
+		{&ReplicaResp{Items: []ReplicaItem{{Data: b(2)}, {Data: b(1)}}}, 59}, // 4+(14+8+4+2)+(14+8+4+1)
+		{&DegradedUpdate{Data: b(2)}, 53},                                    // 4+14+8+4+2+4+17
+		{&DegradedRead{}, 47},                                                // 4+14+8+4+17
+		{&JournalReplica{Data: b(1)}, 64},                                    // 4+4+8+14+8+4+1+4+17
+		{&JournalFetch{}, 16},                                                // 4+4+8
+		{&ReplayUpdate{Data: b(3)}, 50},                                      // 14+8+4+3+4+17
+		{&Settle{}, 4},                                                       // 4
+		{&PGLookup{}, 4},                                                     // 4
+		{&EpochUpdate{}, 9},                                                  // 1+4+4
+		{&EpochResp{Err: "no transition"}, 23},                               // 8+2+13
+		{&MigrateBlock{}, 20},                                                // 14+4+2
+		{&PGCutover{}, 12},                                                   // 4+8
+		{&MigrateLog{}, 14},                                                  // 14
+		{&ReplicaRetire{}, 18},                                               // 4+14
+		{&PGAbort{}, 12},                                                     // 4+8
+		{&TransitionStatus{}, 0},
+		{&TransitionStatusResp{PGs: make([]PGStatus, 2), Beats: make([]BeatStatus, 3), Err: "busy"}, 77}, // 1+8+8+4+5*2+4+12*3+2+4
+		{&JournalAck{Err: "zone full"}, 19}, // 8+2+9
+		{&JournalFetchResp{Items: []JournalItem{{Data: b(2)}, {Data: b(1)}}, Err: "partial"}, 84}, // 4+(8+14+8+4+2)+(8+14+8+4+1)+2+7
+		{&AdmitOp{}, 17}, // 17
 	}
-	plen := int(binary.LittleEndian.Uint32(buf[1:5]))
-	if plen != len(buf)-5 {
-		t.Fatalf("frame length %d != %d", plen, len(buf)-5)
-	}
-	if plen != m.PayloadSize() {
-		t.Fatalf("%v PayloadSize %d != encoded %d", m.Type(), m.PayloadSize(), plen)
-	}
-	out, err := Unmarshal(m.Type(), buf[5:])
-	if err != nil {
-		t.Fatalf("unmarshal %v: %v", m.Type(), err)
-	}
-	return out
+}()
+
+type sizeRow struct {
+	m    Msg
+	want int // PayloadSize; SizeOf adds the 40-byte header
 }
 
-func TestRoundTripAll(t *testing.T) {
-	for _, m := range sampleMessages() {
-		out := roundTrip(t, m)
-		if !reflect.DeepEqual(normalize(m), normalize(out)) {
-			t.Fatalf("%v round trip mismatch:\n in=%#v\nout=%#v", m.Type(), m, out)
-		}
-	}
-}
-
-// normalize maps nil byte slices to empty so DeepEqual tolerates the
-// codec's empty-vs-nil distinction.
-func normalize(m Msg) Msg {
-	switch v := m.(type) {
-	case *ParixAppend:
-		c := *v
-		if c.Orig == nil {
-			c.Orig = []byte{}
-		}
-		if c.New == nil {
-			c.New = []byte{}
-		}
-		return &c
-	case *DeltaAppend:
-		c := *v
-		if c.Data == nil {
-			c.Data = []byte{}
-		}
-		return &c
-	case *ReadResp:
-		c := *v
-		if c.Data == nil {
-			c.Data = []byte{}
-		}
-		return &c
-	case *PutBlock:
-		c := *v
-		if c.Data == nil {
-			c.Data = []byte{}
-		}
-		return &c
-	case *Update:
-		c := *v
-		if c.Data == nil {
-			c.Data = []byte{}
-		}
-		return &c
-	case *ParityDelta:
-		c := *v
-		if c.Data == nil {
-			c.Data = []byte{}
-		}
-		return &c
-	case *LogReplica:
-		c := *v
-		if c.Data == nil {
-			c.Data = []byte{}
-		}
-		return &c
-	case *LookupResp:
-		c := *v
-		if c.OSDs == nil {
-			c.OSDs = []NodeID{}
-		}
-		return &c
-	}
-	return m
-}
-
-func TestUnmarshalTruncated(t *testing.T) {
-	for _, m := range sampleMessages() {
-		buf := Marshal(nil, m)
-		payload := buf[5:]
-		for cut := 0; cut < len(payload); cut++ {
-			if _, err := Unmarshal(m.Type(), payload[:cut]); err == nil && cut < len(payload) {
-				// Some prefixes may decode cleanly only if the full payload
-				// was consumed; trailing check catches the rest.
-				t.Fatalf("%v: truncation to %d/%d bytes not detected", m.Type(), cut, len(payload))
-			}
-		}
-	}
-}
-
-func TestUnmarshalTrailingGarbage(t *testing.T) {
-	buf := Marshal(nil, &Lookup{Ino: 1, Stripe: 2})
-	payload := append(buf[5:], 0xff)
-	if _, err := Unmarshal(TLookup, payload); err == nil {
-		t.Fatal("trailing bytes not detected")
-	}
-}
-
-func TestUnknownType(t *testing.T) {
-	if _, err := Unmarshal(Type(200), nil); err == nil {
-		t.Fatal("unknown type accepted")
-	}
-}
-
+// TestSizeOfIncludesHeader checks every sizeRows literal, and that every
+// type has a row and a name.
 func TestSizeOfIncludesHeader(t *testing.T) {
-	m := &Update{Blk: BlockID{1, 2, 3}, Off: 0, Data: make([]byte, 100)}
-	if SizeOf(m) != int64(headerSize+m.PayloadSize()) {
-		t.Fatal("SizeOf wrong")
+	rows := make(map[Type]bool)
+	for _, c := range sizeRows {
+		typ := c.m.Type()
+		rows[typ] = true
+		if got := c.m.PayloadSize(); got != c.want {
+			t.Errorf("%v: PayloadSize %d, want %d", typ, got, c.want)
+		}
+		if got := SizeOf(c.m); got != int64(40+c.want) {
+			t.Errorf("%v: SizeOf %d, want %d", typ, got, 40+c.want)
+		}
+	}
+	for typ := TAck; typ <= TAdmitOp; typ++ {
+		if !rows[typ] {
+			t.Errorf("%v has no size row", typ)
+		}
+		if _, ok := typeNames[typ]; !ok {
+			t.Errorf("Type(%d) has no typeNames entry", uint8(typ))
+		}
+	}
+	if len(typeNames) != int(TAdmitOp) {
+		t.Errorf("typeNames has %d entries for %d types: a type past TAdmitOp needs a row here", len(typeNames), TAdmitOp)
 	}
 }
 
-func TestPayloadSizeMatchesEncodingProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	f := func(ino uint64, stripe uint32, idx uint16, off int64, n uint8) bool {
-		data := make([]byte, int(n))
-		rng.Read(data)
-		msgs := []Msg{
-			&Update{Blk: BlockID{ino, stripe, idx}, Off: off, Data: data},
-			&DeltaAppend{Blk: BlockID{ino, stripe, idx}, ParityIdx: 1, Off: off, Data: data, Kind: KindDataDelta},
-			&ParityDelta{Blk: BlockID{ino, stripe, idx}, Off: off, Data: data},
-		}
-		for _, m := range msgs {
-			buf := Marshal(nil, m)
-			if len(buf)-5 != m.PayloadSize() {
-				return false
+// FuzzUnmarshalRoundTrip decodes an arbitrary (frame type, payload) pair
+// into a message: the type byte picks the type's sizeRows message, every
+// byte-slice and string field takes the payload, and every fixed-width
+// field takes a value drawn from it. The message must report the frame
+// type back, and its modelled size must move by exactly the variable bytes
+// it gained: no fixed-width value (a Sum, an epoch, a SpanCtx traced or
+// not) changes a size. A type byte with no row must have no name either.
+// The seeds give every type an empty and a non-empty payload.
+func FuzzUnmarshalRoundTrip(f *testing.F) {
+	rows := make(map[Type]Msg, len(sizeRows))
+	for _, r := range sizeRows {
+		rows[r.m.Type()] = r.m
+		f.Add(byte(r.m.Type()), []byte(nil))
+		f.Add(byte(r.m.Type()), []byte("two-stage update"))
+	}
+	f.Add(byte(0), []byte{})
+	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
+		proto, ok := rows[Type(typ)]
+		if !ok {
+			if got, want := Type(typ).String(), fmt.Sprintf("Type(%d)", typ); got != want {
+				t.Fatalf("type byte %d has no size row but is named %q", typ, got)
 			}
+			return
 		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
+		m, grew := decode(t, proto, payload)
+		if m.Type() != Type(typ) {
+			t.Fatalf("decoded %v from frame type %d", m.Type(), typ)
+		}
+		if got, want := m.PayloadSize(), proto.PayloadSize()+grew; got != want {
+			t.Fatalf("%v with %d-byte payload: PayloadSize %d, want %d", m.Type(), len(payload), got, want)
+		}
+		if got := SizeOf(m); got != int64(headerSize+m.PayloadSize()) {
+			t.Fatalf("%v: SizeOf %d, want %d", m.Type(), got, headerSize+m.PayloadSize())
+		}
+	})
 }
 
-func TestMarshalAppends(t *testing.T) {
-	prefix := []byte{1, 2, 3}
-	buf := Marshal(prefix, &Drain{})
-	if !bytes.HasPrefix(buf, prefix) {
-		t.Fatal("Marshal did not append")
+// decode returns a copy of proto with every field reachable through
+// structs and slice elements overwritten: byte slices and strings with
+// payload, integers and bools with values drawn from it. Other slices keep
+// their length. grew is the number of variable bytes the copy gained.
+func decode(t *testing.T, proto Msg, payload []byte) (m Msg, grew int) {
+	v := reflect.New(reflect.TypeOf(proto).Elem())
+	v.Elem().Set(reflect.ValueOf(proto).Elem())
+	i := 0
+	next := func() uint64 {
+		i++
+		if len(payload) == 0 {
+			return uint64(i)
+		}
+		return uint64(payload[i%len(payload)])<<(i%57) | uint64(i)
 	}
-}
-
-// TestSpanStrictDecode pins the SpanCtx canonical-encoding rule (the bool8
-// idiom applied to the trace context): an untraced context must be all-zero
-// on the wire, so nonzero Span/Op bytes under a zero Trace are rejected
-// rather than decoded into a message that would re-encode differently.
-func TestSpanStrictDecode(t *testing.T) {
-	m := &AdmitOp{Span: SpanCtx{Trace: 7, Span: 9, Op: 2}}
-	out := roundTrip(t, m).(*AdmitOp)
-	if out.Span != m.Span {
-		t.Fatalf("span round trip: got %+v want %+v", out.Span, m.Span)
+	var fill func(f reflect.Value)
+	fill = func(f reflect.Value) {
+		switch f.Kind() {
+		case reflect.Struct:
+			for j := range f.NumField() {
+				fill(f.Field(j))
+			}
+		case reflect.Slice:
+			if f.Type().Elem().Kind() == reflect.Uint8 {
+				grew += len(payload) - f.Len()
+				f.SetBytes(payload)
+				return
+			}
+			c := reflect.MakeSlice(f.Type(), f.Len(), f.Len())
+			reflect.Copy(c, f)
+			f.Set(c)
+			for j := range f.Len() {
+				fill(f.Index(j))
+			}
+		case reflect.String:
+			grew += len(payload) - f.Len()
+			f.SetString(string(payload))
+		case reflect.Bool:
+			f.SetBool(next()%2 == 1)
+		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+			f.SetInt(int64(next()))
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(next())
+		default:
+			t.Fatalf("%v: field of kind %v has no modelled size", proto.Type(), f.Kind())
+		}
 	}
-	// Zero the trace id in the encoded payload but keep the span id: the
-	// decoder must reject the non-canonical frame.
-	buf := Marshal(nil, m)
-	payload := buf[5:]
-	for i := 0; i < 8; i++ {
-		payload[i] = 0
-	}
-	if _, err := Unmarshal(TAdmitOp, payload); err == nil {
-		t.Fatal("nonzero span fields under zero trace id not rejected")
-	}
-	// The same rule holds at the tail of a data-bearing message.
-	u := &Update{Blk: BlockID{1, 2, 3}, Data: []byte{1}, Span: SpanCtx{Trace: 5, Span: 6, Op: 1}}
-	ubuf := Marshal(nil, u)
-	up := ubuf[5:]
-	for i := len(up) - 17; i < len(up)-9; i++ {
-		up[i] = 0
-	}
-	if _, err := Unmarshal(TUpdate, up); err == nil {
-		t.Fatal("Update: nonzero span fields under zero trace id not rejected")
-	}
+	fill(v.Elem())
+	return v.Interface().(Msg), grew
 }
 
 func TestChecksum(t *testing.T) {
