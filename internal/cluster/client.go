@@ -62,7 +62,7 @@ func (cl *Client) WriteFile(p *sim.Proc, ino uint64, data []byte) error {
 			shards[i] = make([]byte, cfg.BlockSize)
 			off := s*sw + int64(i)*cfg.BlockSize
 			if off < int64(len(data)) {
-				copy(shards[i], data[off:min64(int64(len(data)), off+cfg.BlockSize)])
+				copy(shards[i], data[off:min(int64(len(data)), off+cfg.BlockSize)])
 			}
 		}
 		for i := 0; i < cfg.M; i++ {
@@ -73,30 +73,15 @@ func (cl *Client) WriteFile(p *sim.Proc, ino uint64, data []byte) error {
 		}
 		sid := wire.StripeID{Ino: ino, Stripe: uint32(s)}
 		osds := cl.c.Placement(sid)
-		var firstErr error
-		wg := sim.NewWaitGroup(cl.c.Env)
-		wg.Add(len(shards))
-		for i := range shards {
-			i := i
-			pp := cl.c.Env.Go("put", func(hp *sim.Proc) {
-				defer wg.Done()
-				blk := wire.BlockID{Ino: ino, Stripe: uint32(s), Index: uint16(i)}
-				resp, err := cl.c.Fabric.Call(hp, cl.id, osds[i],
-					&wire.PutBlock{Blk: blk, Data: shards[i], Sum: wire.Checksum(shards[i])})
-				if err == nil {
-					if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-						err = fmt.Errorf("%s", a.Err)
-					}
-				}
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("put %v: %w", blk, err)
-				}
-			})
-			obs.Inherit(pp, p)
-		}
-		wg.Wait(p)
-		if firstErr != nil {
-			return firstErr
+		if err := sim.Parallel(p, "put", len(shards), func(hp *sim.Proc, i int) error {
+			blk := wire.BlockID{Ino: ino, Stripe: uint32(s), Index: uint16(i)}
+			req := &wire.PutBlock{Blk: blk, Data: shards[i], Sum: wire.Checksum(shards[i])}
+			if err := wire.AckErr(cl.c.Fabric.Call(hp, cl.id, osds[i], req)); err != nil {
+				return fmt.Errorf("put %v: %w", blk, err)
+			}
+			return nil
+		}); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -213,12 +198,7 @@ func (cl *Client) updateBlock(p *sim.Proc, blk wire.BlockID, boff int64, data []
 				cl.c.gateCond.Broadcast()
 			}
 		}
-		if err == nil {
-			if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-				err = fmt.Errorf("%s", a.Err)
-			}
-		}
-		if err == nil {
+		if err = wire.AckErr(resp, err); err == nil {
 			return nil
 		}
 		// Checksum rejections are retryable: the receiver discarded the
@@ -379,11 +359,4 @@ func (cl *Client) LookupPG(p *sim.Proc, pg uint32) ([]wire.NodeID, error) {
 		return nil, fmt.Errorf("pg lookup: %s", lr.Err)
 	}
 	return lr.OSDs, nil
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -378,46 +378,40 @@ func (c *Cluster) NewClient() *Client {
 // clean everywhere; recycling forwards work to peers, so one round is not
 // enough (DataLog→DeltaLog→ParityLog spans up to three nodes).
 func (c *Cluster) DrainAll(p *sim.Proc, via *Client) error {
+	return c.barrier(p, via, "drain", &wire.Drain{}, update.Engine.Dirty)
+}
+
+// barrier sends req to every live OSD in parallel, in rounds, until a round
+// starts with busy false on every one of them; at most 12 rounds. A node
+// that dies mid-round is no longer the barrier's problem: its state is
+// recovery's now.
+func (c *Cluster) barrier(p *sim.Proc, via *Client, name string, req wire.Msg, busy func(update.Engine) bool) error {
 	for round := 0; round < 12; round++ {
+		var live []*OSD
 		dirty := false
-		var firstErr error
-		wg := sim.NewWaitGroup(c.Env)
 		for _, osd := range c.OSDs {
 			if c.Fabric.Down(osd.id) {
 				continue
 			}
-			if osd.engine.Dirty() {
+			live = append(live, osd)
+			if busy(osd.engine) {
 				dirty = true
 			}
-			osd := osd
-			wg.Add(1)
-			c.Env.Go("drain", func(hp *sim.Proc) {
-				defer wg.Done()
-				resp, err := c.Fabric.Call(hp, via.id, osd.id, &wire.Drain{})
-				if err == nil {
-					if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-						err = fmt.Errorf("%s", a.Err)
-					}
-				}
-				// A node that dies mid-round is no longer this drain's
-				// problem: its logs are recovery's to replay.
-				if errors.Is(err, netsim.ErrNodeDown) {
-					err = nil
-				}
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("drain %d: %w", osd.id, err)
-				}
-			})
 		}
-		wg.Wait(p)
-		if firstErr != nil {
-			return firstErr
+		if err := sim.Parallel(p, name, len(live), func(hp *sim.Proc, i int) error {
+			err := wire.AckErr(c.Fabric.Call(hp, via.id, live[i].id, req))
+			if err != nil && !errors.Is(err, netsim.ErrNodeDown) {
+				return fmt.Errorf("%s %d: %w", name, live[i].id, err)
+			}
+			return nil
+		}); err != nil {
+			return err
 		}
 		if !dirty {
 			return nil
 		}
 	}
-	return fmt.Errorf("cluster: drain did not converge")
+	return fmt.Errorf("cluster: %s did not converge", name)
 }
 
 // Scrub verifies every stripe: parity must equal the re-encoded data. It

@@ -23,7 +23,6 @@ package cluster
 // foreground traffic the rest of the cluster is taking.
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -481,42 +480,34 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 	// fails the ack — the client retries and the duplicate append is
 	// harmless (same bytes at the same offset for both overlay and replay).
 	holders := st.holders[o.id]
-	var acked int
-	var firstErr error
-	wg := sim.NewWaitGroup(o.c.Env)
+	var live []wire.NodeID
 	for _, h := range holders {
-		if o.c.Fabric.Down(h) {
-			continue
+		if !o.c.Fabric.Down(h) {
+			live = append(live, h)
 		}
-		h := h
-		wg.Add(1)
-		jp := o.c.Env.Go("journal-repl", func(hp *sim.Proc) {
-			defer wg.Done()
-			resp, err := o.Call(hp, h, &wire.JournalReplica{
-				Failed: v.Failed, Surrogate: o.id, Seq: seq,
-				Blk: v.Blk, Off: v.Off, Data: v.Data, Sum: v.Sum,
-			})
-			if err != nil {
-				if !nodeDownErr(err) && firstErr == nil {
-					firstErr = fmt.Errorf("journal replica @%d: %w", h, err)
-				}
-				return
-			}
-			if ja, ok := resp.(*wire.JournalAck); !ok || ja.Err != "" {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("journal replica @%d: %v", h, resp)
-				}
-				return
-			}
-			o.jrSentMsgs++
-			o.jrSentBytes += int64(len(v.Data))
-			acked++
-		})
-		obs.Inherit(jp, p)
 	}
-	wg.Wait(p)
-	if firstErr != nil {
-		return &wire.Ack{Err: firstErr.Error()}
+	var acked int
+	if err := sim.Parallel(p, "journal-repl", len(live), func(hp *sim.Proc, i int) error {
+		h := live[i]
+		resp, err := o.Call(hp, h, &wire.JournalReplica{
+			Failed: v.Failed, Surrogate: o.id, Seq: seq,
+			Blk: v.Blk, Off: v.Off, Data: v.Data, Sum: v.Sum,
+		})
+		if err != nil {
+			if nodeDownErr(err) {
+				return nil
+			}
+			return fmt.Errorf("journal replica @%d: %w", h, err)
+		}
+		if ja, ok := resp.(*wire.JournalAck); !ok || ja.Err != "" {
+			return fmt.Errorf("journal replica @%d: %v", h, resp)
+		}
+		o.jrSentMsgs++
+		o.jrSentBytes += int64(len(v.Data))
+		acked++
+		return nil
+	}); err != nil {
+		return &wire.Ack{Err: err.Error()}
 	}
 	if acked == 0 && len(holders) > 0 {
 		// Every holder died mid-window: acking now would leave the record
@@ -726,44 +717,8 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 // flush (their raw shards feed reconstruction), pure overlay elsewhere may
 // stay.
 func (c *Cluster) SettleAll(p *sim.Proc, via *Client, failed wire.NodeID) error {
-	for round := 0; round < 12; round++ {
-		busy := false
-		var firstErr error
-		wg := sim.NewWaitGroup(c.Env)
-		for _, osd := range c.OSDs {
-			if c.Fabric.Down(osd.id) {
-				continue
-			}
-			if osd.engine.NeedsSettle(failed) {
-				busy = true
-			}
-			osd := osd
-			wg.Add(1)
-			c.Env.Go("settle", func(hp *sim.Proc) {
-				defer wg.Done()
-				resp, err := c.Fabric.Call(hp, via.id, osd.id, &wire.Settle{Failed: failed})
-				if err == nil {
-					if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-						err = fmt.Errorf("%s", a.Err)
-					}
-				}
-				if errors.Is(err, netsim.ErrNodeDown) {
-					err = nil // died mid-round; its state is recovery's now
-				}
-				if err != nil && firstErr == nil {
-					firstErr = fmt.Errorf("settle %d: %w", osd.id, err)
-				}
-			})
-		}
-		wg.Wait(p)
-		if firstErr != nil {
-			return firstErr
-		}
-		if !busy {
-			return nil
-		}
-	}
-	return fmt.Errorf("cluster: settle did not converge")
+	return c.barrier(p, via, "settle", &wire.Settle{Failed: failed},
+		func(e update.Engine) bool { return e.NeedsSettle(failed) })
 }
 
 // resetStripeState clears engine-side cross-update baselines (PARIX's

@@ -328,45 +328,28 @@ func (o *OSD) readSurvivingShards(p *sim.Proc, blk wire.BlockID, off, size int64
 	if len(sources) < cfg.K {
 		return nil, fmt.Errorf("recover %v: only %d surviving shards", blk, len(sources))
 	}
-	var firstErr error
-	wg := sim.NewWaitGroup(o.c.Env)
-	wg.Add(len(sources))
-	for _, idx := range sources {
-		idx := idx
-		rp := o.c.Env.Go("recover-read", func(hp *sim.Proc) {
-			defer wg.Done()
-			sblk := wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(idx)}
-			resp, err := o.Call(hp, osds[idx], &wire.ReadBlock{Blk: sblk, Off: off, Size: int32(size), Raw: true})
-			if err != nil {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("recover read %v: %w", sblk, err)
-				}
-				return
-			}
-			rr, ok := resp.(*wire.ReadResp)
-			if !ok || rr.Err != "" {
-				if firstErr == nil {
-					firstErr = fmt.Errorf("recover read %v: %v", sblk, resp)
-				}
-				return
-			}
-			// A corrupt shard fed into rs.Reconstruct would silently rebuild
-			// wrong bytes — the one place wire rot is most dangerous.
-			if err := wire.VerifySum(rr.Data, rr.Sum); err != nil {
-				o.c.noteCorruption()
-				if firstErr == nil {
-					firstErr = fmt.Errorf("recover read %v: %w", sblk, err)
-				}
-				return
-			}
-			o.c.OSDByID(osds[idx]).recSrcReadBytes += int64(len(rr.Data))
-			shards[idx] = rr.Data
-		})
-		obs.Inherit(rp, p)
-	}
-	wg.Wait(p)
-	if firstErr != nil {
-		return nil, firstErr
+	if err := sim.Parallel(p, "recover-read", len(sources), func(hp *sim.Proc, i int) error {
+		idx := sources[i]
+		sblk := wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(idx)}
+		resp, err := o.Call(hp, osds[idx], &wire.ReadBlock{Blk: sblk, Off: off, Size: int32(size), Raw: true})
+		if err != nil {
+			return fmt.Errorf("recover read %v: %w", sblk, err)
+		}
+		rr, ok := resp.(*wire.ReadResp)
+		if !ok || rr.Err != "" {
+			return fmt.Errorf("recover read %v: %v", sblk, resp)
+		}
+		// A corrupt shard fed into rs.Reconstruct would silently rebuild
+		// wrong bytes — the one place wire rot is most dangerous.
+		if err := wire.VerifySum(rr.Data, rr.Sum); err != nil {
+			o.c.noteCorruption()
+			return fmt.Errorf("recover read %v: %w", sblk, err)
+		}
+		o.c.OSDByID(osds[idx]).recSrcReadBytes += int64(len(rr.Data))
+		shards[idx] = rr.Data
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	return shards, nil
 }
@@ -433,12 +416,9 @@ func (o *OSD) recoverStripeRepair(p *sim.Proc, blk wire.BlockID) error {
 			continue
 		}
 		pblk := wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(cfg.K + j)}
-		resp, err := o.Call(p, osds[cfg.K+j], &wire.PutBlock{Blk: pblk, Data: parity[j], Sum: wire.Checksum(parity[j])})
-		if err != nil {
+		req := &wire.PutBlock{Blk: pblk, Data: parity[j], Sum: wire.Checksum(parity[j])}
+		if err := wire.AckErr(o.Call(p, osds[cfg.K+j], req)); err != nil {
 			return fmt.Errorf("parity repair %v: %w", pblk, err)
-		}
-		if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-			return fmt.Errorf("parity repair %v: %s", pblk, a.Err)
 		}
 	}
 	return nil

@@ -558,12 +558,9 @@ func (pm *pgMover) replayDeadSourceOverlay(p *sim.Proc, pg rebalance.PGMoves, de
 }
 
 func (pm *pgMover) copyBlock(p *sim.Proc, mv placement.Move) error {
-	resp, err := pm.c.Fabric.Call(p, pm.via.id, mv.To, &wire.MigrateBlock{Blk: mv.Blk, From: mv.From})
-	if err != nil {
+	req := &wire.MigrateBlock{Blk: mv.Blk, From: mv.From}
+	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, mv.To, req)); err != nil {
 		return fmt.Errorf("migrate copy %v: %w", mv.Blk, err)
-	}
-	if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-		return fmt.Errorf("migrate copy %v: %s", mv.Blk, a.Err)
 	}
 	return nil
 }
@@ -573,13 +570,9 @@ func (pm *pgMover) copyBlock(p *sim.Proc, mv placement.Move) error {
 // the finish policy's copy path. It must run under the fence, after the
 // settle barrier.
 func (pm *pgMover) reconstructBlock(p *sim.Proc, mv placement.Move, reencode bool) error {
-	resp, err := pm.c.Fabric.Call(p, pm.via.id, mv.To,
-		&wire.MigrateBlock{Blk: mv.Blk, From: mv.From, Reconstruct: true, Reencode: reencode})
-	if err != nil {
+	req := &wire.MigrateBlock{Blk: mv.Blk, From: mv.From, Reconstruct: true, Reencode: reencode}
+	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, mv.To, req)); err != nil {
 		return fmt.Errorf("migrate reconstruct %v: %w", mv.Blk, err)
-	}
-	if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-		return fmt.Errorf("migrate reconstruct %v: %s", mv.Blk, a.Err)
 	}
 	return nil
 }
@@ -597,34 +590,25 @@ func (pm *pgMover) extractLog(p *sim.Proc, mv placement.Move) ([]wire.ReplicaIte
 }
 
 func (pm *pgMover) replay(p *sim.Proc, to wire.NodeID, it wire.ReplicaItem) error {
-	resp, err := pm.c.Fabric.Call(p, pm.via.id, to, &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)})
-	if err != nil {
+	req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
+	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, to, req)); err != nil {
 		return fmt.Errorf("migrate replay %v: %w", it.Blk, err)
-	}
-	if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-		return fmt.Errorf("migrate replay %v: %s", it.Blk, a.Err)
 	}
 	return nil
 }
 
 func (pm *pgMover) cutover(p *sim.Proc, pg int) error {
-	resp, err := pm.c.Fabric.Call(p, pm.via.id, mdsID, &wire.PGCutover{PG: uint32(pg), Epoch: pm.c.MDS.trans.next})
-	if err != nil {
+	req := &wire.PGCutover{PG: uint32(pg), Epoch: pm.c.MDS.trans.next}
+	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, mdsID, req)); err != nil {
 		return fmt.Errorf("pg %d cutover: %w", pg, err)
-	}
-	if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-		return fmt.Errorf("pg %d cutover: %s", pg, a.Err)
 	}
 	return nil
 }
 
 func (pm *pgMover) pgAbort(p *sim.Proc, pg int) error {
-	resp, err := pm.c.Fabric.Call(p, pm.via.id, mdsID, &wire.PGAbort{PG: uint32(pg), Epoch: pm.c.MDS.trans.next})
-	if err != nil {
+	req := &wire.PGAbort{PG: uint32(pg), Epoch: pm.c.MDS.trans.next}
+	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, mdsID, req)); err != nil {
 		return fmt.Errorf("pg %d abort: %w", pg, err)
-	}
-	if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-		return fmt.Errorf("pg %d abort: %s", pg, a.Err)
 	}
 	return nil
 }

@@ -279,34 +279,23 @@ func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Cl
 	}
 	rebuildStart := p.Now()
 	sem := c.Env.NewResource("recover-sem", parallel)
-	wg := sim.NewWaitGroup(c.Env)
-	wg.Add(len(lost))
-	var firstErr error
+	reencode := make([]bool, len(lost))
 	for i, blk := range lost {
-		blk := blk
-		target := targets[i]
-		reencode := repair && c.stripeRepair(blk)
-		if reencode {
+		reencode[i] = repair && c.stripeRepair(blk)
+		if reencode[i] {
 			rep.ReencodedStripes++
 		}
-		c.Env.Go("recover", func(hp *sim.Proc) {
-			defer wg.Done()
-			sem.Acquire(hp)
-			defer sem.Release()
-			resp, err := c.Fabric.Call(hp, via.id, target, &wire.RecoverBlock{Blk: blk, Reencode: reencode})
-			if err == nil {
-				if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-					err = fmt.Errorf("%s", a.Err)
-				}
-			}
-			if err != nil && firstErr == nil {
-				firstErr = fmt.Errorf("recover %v: %w", blk, err)
-			}
-		})
 	}
-	wg.Wait(p)
-	if firstErr != nil {
-		return nil, firstErr
+	if err := sim.Parallel(p, "recover", len(lost), func(hp *sim.Proc, i int) error {
+		sem.Acquire(hp)
+		defer sem.Release()
+		req := &wire.RecoverBlock{Blk: lost[i], Reencode: reencode[i]}
+		if err := wire.AckErr(c.Fabric.Call(hp, via.id, targets[i], req)); err != nil {
+			return fmt.Errorf("recover %v: %w", lost[i], err)
+		}
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	rep.Blocks = len(lost)
 	rep.Bytes = int64(len(lost)) * c.Cfg.BlockSize
@@ -385,12 +374,9 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 			// against each other (overwrites of the same range).
 			for _, it := range rr.Items {
 				osds := c.Placement(it.Blk.StripeID())
-				resp, err := c.Fabric.Call(p, via.id, osds[it.Blk.Index], &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)})
-				if err != nil {
+				req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
+				if err := wire.AckErr(c.Fabric.Call(p, via.id, osds[it.Blk.Index], req)); err != nil {
 					return fmt.Errorf("replay %v @%d: %w", it.Blk, osds[it.Blk.Index], err)
-				}
-				if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-					return fmt.Errorf("replay %v @%d: %s", it.Blk, osds[it.Blk.Index], a.Err)
 				}
 				rep.ReplayedItems++
 				rep.ReplayedBytes += int64(len(it.Data))

@@ -140,3 +140,27 @@ func (w *WaitGroup) Wait(p *Proc) {
 	w.waiters = append(w.waiters, p)
 	p.park()
 }
+
+// Parallel spawns n processes named name, in index order, runs fn(hp, i) in
+// the i-th, and blocks p until all have returned. Each child starts with p's
+// span annotation, so a traced parent's RPCs stay in its trace. The result
+// is the first non-nil error in completion order.
+func Parallel(p *Proc, name string, n int, fn func(hp *Proc, i int) error) error {
+	if n == 0 {
+		return nil
+	}
+	wg := NewWaitGroup(p.env)
+	wg.Add(n)
+	var firstErr error
+	for i := 0; i < n; i++ {
+		c := p.env.Go(name, func(hp *Proc) {
+			if err := fn(hp, i); err != nil && firstErr == nil {
+				firstErr = err
+			}
+			wg.Done()
+		})
+		c.span = p.span
+	}
+	wg.Wait(p)
+	return firstErr
+}

@@ -11,11 +11,12 @@
 
 // Package sim is a small discrete-event simulation kernel. Simulated
 // processes are coroutines that run one at a time under a virtual clock;
-// they block on kernel primitives (Sleep, Resource, Queue, WaitGroup, Cond)
-// and the scheduler advances time between events. This lets ordinary
-// sequential Go code — the whole ECFS cluster in this repository — execute
-// unmodified under simulated device and network timing, with fully
-// deterministic results for a fixed event order.
+// they block on kernel primitives (Sleep, Resource, Queue, WaitGroup, Cond,
+// and Parallel, a fan-out that waits for its children) and the scheduler
+// advances time between events. This lets ordinary sequential Go code — the
+// whole ECFS cluster in this repository — execute unmodified under simulated
+// device and network timing, with fully deterministic results for a fixed
+// event order.
 //
 // The scheduler is whoever calls Run or ProcessNextEvent. It pops events in
 // (time, sequence) order; an event either runs a callback in scheduler

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"testing"
 	"time"
 )
@@ -240,6 +241,55 @@ func TestWaitGroup(t *testing.T) {
 	e.Run(0)
 	if doneAt != 3*time.Millisecond {
 		t.Fatalf("wait finished at %v, want 3ms", doneAt)
+	}
+}
+
+func TestParallel(t *testing.T) {
+	e := NewEnv()
+	var zeroErr, gotErr error
+	var spawned, finished int
+	var doneAt time.Duration
+	var spans []any
+	e.Go("parent", func(p *Proc) {
+		before := e.LiveProcs()
+		zeroErr = Parallel(p, "none", 0, func(*Proc, int) error {
+			t.Error("fn called with n == 0")
+			return nil
+		})
+		spawned = e.LiveProcs() - before
+		p.SetSpan("parent-span")
+		gotErr = Parallel(p, "child", 3, func(hp *Proc, i int) error {
+			spans = append(spans, hp.Span())
+			switch i {
+			case 0:
+				hp.Sleep(2 * time.Millisecond)
+				finished++
+				return errors.New("proc 0")
+			case 1:
+				hp.Sleep(time.Millisecond)
+				finished++
+				return errors.New("proc 1")
+			}
+			hp.Sleep(3 * time.Millisecond)
+			finished++
+			return nil
+		})
+		doneAt = p.Now()
+	})
+	e.Run(0)
+	if zeroErr != nil || spawned != 0 {
+		t.Fatalf("n == 0: err=%v, spawned %d procs", zeroErr, spawned)
+	}
+	if finished != 3 || doneAt != 3*time.Millisecond {
+		t.Fatalf("returned at %v with %d of 3 children finished", doneAt, finished)
+	}
+	if gotErr == nil || gotErr.Error() != "proc 1" {
+		t.Fatalf("err = %v, want the first to complete (proc 1)", gotErr)
+	}
+	for i, s := range spans {
+		if s != "parent-span" {
+			t.Fatalf("child %d span = %v, want the parent's", i, s)
+		}
 	}
 }
 

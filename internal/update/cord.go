@@ -173,11 +173,6 @@ func (e *cord) recycleUnit(p *sim.Proc, u *logpool.Unit) {
 	}
 }
 
-// Read serves straight from the block store (data blocks are in place).
-func (e *cord) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, error) {
-	return e.read(p, blk, off, size)
-}
-
 // Drain recycles the collector buffer to quiescence.
 func (e *cord) Drain(p *sim.Proc) error {
 	for e.recycling {

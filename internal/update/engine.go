@@ -281,48 +281,46 @@ func (b *base) applyParityDelta(p *sim.Proc, blk wire.BlockID, off int64, delta 
 	})
 }
 
-// read is the default read path: straight from the block store.
-func (b *base) read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, error) {
+// Read is the default read path: straight from the block store (data
+// blocks are updated in place).
+func (b *base) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, error) {
 	return b.h.Store().ReadRange(p, blk, off, size)
 }
 
 // callAck performs an RPC and converts a non-empty Ack.Err into an error.
 func (b *base) callAck(p *sim.Proc, to wire.NodeID, req wire.Msg) error {
-	resp, err := b.h.Call(p, to, req)
-	if err != nil {
-		return err
-	}
-	if a, ok := resp.(*wire.Ack); ok && a.Err != "" {
-		return fmt.Errorf("%s", a.Err)
-	}
-	return nil
+	return wire.AckErr(b.h.Call(p, to, req))
 }
 
 // fanout runs one call per target in parallel and waits for all, returning
-// the first error.
+// the first error. A single target is called inline, without a proc.
 func (b *base) fanout(p *sim.Proc, n int, fn func(hp *sim.Proc, i int) error) error {
-	if n == 0 {
-		return nil
-	}
 	if n == 1 {
 		return fn(p, 0)
 	}
-	env := b.h.Env()
-	wg := sim.NewWaitGroup(env)
-	wg.Add(n)
-	var firstErr error
-	for i := 0; i < n; i++ {
-		i := i
-		fp := env.Go("fanout", func(hp *sim.Proc) {
-			if err := fn(hp, i); err != nil && firstErr == nil {
-				firstErr = err
-			}
-			wg.Done()
-		})
-		obs.Inherit(fp, p)
+	return sim.Parallel(p, "fanout", n, fn)
+}
+
+// logParityDeltas is the parity-logging update (PL, PLR): overwrite the data
+// block in place, then append each parity's delta to that parity OSD's log
+// in parallel.
+func (b *base) logParityDeltas(p *sim.Proc, blk wire.BlockID, off int64, data []byte) error {
+	b.lockBlock(p, blk)
+	delta, err := b.readModifyWrite(p, blk, off, data)
+	b.unlockBlock(blk)
+	if err != nil {
+		return err
 	}
-	wg.Wait(p)
-	return firstErr
+	osds := b.h.Placement(blk.StripeID())
+	k, m := b.h.Code().K, b.h.Code().M
+	return b.fanout(p, m, func(hp *sim.Proc, j int) error {
+		pd := mulDelta(b.h.Code(), j, int(blk.Index), delta)
+		req := &wire.DeltaAppend{
+			Blk: blk, ParityIdx: uint16(j), Off: off, Data: pd,
+			Kind: wire.KindParityDelta, Sum: wire.Checksum(pd),
+		}
+		return b.callAck(hp, osds[k+j], req)
+	})
 }
 
 // logSpan opens a journal-stage span around one engine log append so the

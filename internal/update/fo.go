@@ -66,11 +66,6 @@ func (e *fo) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool) 
 	return errAck(e.applyParityDelta(p, pd.Blk, pd.Off, pd.Data)), true
 }
 
-// Read serves straight from the block store (FO keeps no overlays).
-func (e *fo) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, error) {
-	return e.read(p, blk, off, size)
-}
-
 // Drain is a no-op: FO keeps no logs.
 func (e *fo) Drain(*sim.Proc) error { return nil }
 

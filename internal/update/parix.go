@@ -219,11 +219,6 @@ func (e *parix) recycleAll(p *sim.Proc) {
 	e.mem = e.memBytes()
 }
 
-// Read serves straight from the block store (data blocks are in place).
-func (e *parix) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, error) {
-	return e.read(p, blk, off, size)
-}
-
 // Drain folds every pending speculative record into its parity block.
 func (e *parix) Drain(p *sim.Proc) error {
 	e.recycleAll(p)

@@ -52,24 +52,7 @@ func (*pl) Name() string { return "pl" }
 // Update overwrites the data block in place and appends the parity
 // deltas to each parity OSD's log in parallel.
 func (e *pl) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, _ uint32) error {
-	e.lockBlock(p, blk)
-	delta, err := e.readModifyWrite(p, blk, off, data)
-	e.unlockBlock(blk)
-	if err != nil {
-		return err
-	}
-	s := blk.StripeID()
-	osds := e.h.Placement(s)
-	k, m := e.h.Code().K, e.h.Code().M
-	// Parallel append of the parity delta to each parity OSD's log.
-	return e.fanout(p, m, func(hp *sim.Proc, j int) error {
-		pd := mulDelta(e.h.Code(), j, int(blk.Index), delta)
-		req := &wire.DeltaAppend{
-			Blk: blk, ParityIdx: uint16(j), Off: off, Data: pd,
-			Kind: wire.KindParityDelta, Sum: wire.Checksum(pd),
-		}
-		return e.callAck(hp, osds[k+j], req)
-	})
+	return e.logParityDeltas(p, blk, off, data)
 }
 
 // Handle appends incoming parity deltas to the local log, recycling when
@@ -132,11 +115,6 @@ func (e *pl) recycleAll(p *sim.Proc) {
 		}
 	}
 	e.logCursor = 0
-}
-
-// Read serves straight from the block store (data blocks are in place).
-func (e *pl) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, error) {
-	return e.read(p, blk, off, size)
 }
 
 // Drain merges every pending parity delta into its parity block.

@@ -66,23 +66,7 @@ func (e *plr) slot(blk wire.BlockID) int64 {
 // Update overwrites the data block in place and appends the parity
 // deltas to each parity block's reserved log space in parallel.
 func (e *plr) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, _ uint32) error {
-	e.lockBlock(p, blk)
-	delta, err := e.readModifyWrite(p, blk, off, data)
-	e.unlockBlock(blk)
-	if err != nil {
-		return err
-	}
-	s := blk.StripeID()
-	osds := e.h.Placement(s)
-	k, m := e.h.Code().K, e.h.Code().M
-	return e.fanout(p, m, func(hp *sim.Proc, j int) error {
-		pd := mulDelta(e.h.Code(), j, int(blk.Index), delta)
-		req := &wire.DeltaAppend{
-			Blk: blk, ParityIdx: uint16(j), Off: off, Data: pd,
-			Kind: wire.KindParityDelta, Sum: wire.Checksum(pd),
-		}
-		return e.callAck(hp, osds[k+j], req)
-	})
+	return e.logParityDeltas(p, blk, off, data)
 }
 
 // Handle appends incoming parity deltas into the block's reserve,
@@ -165,11 +149,6 @@ func (e *plr) recycleBlock(p *sim.Proc, pblk wire.BlockID, lg *plrLog) {
 			panic("plr: recycle: " + err.Error())
 		}
 	}
-}
-
-// Read serves straight from the block store (data blocks are in place).
-func (e *plr) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, error) {
-	return e.read(p, blk, off, size)
 }
 
 // Drain merges every parity block's reserve into the parity block.

@@ -219,6 +219,19 @@ func (a *Ack) PayloadSize() int { return 2 + len(a.Err) }
 // OK is a shared success ack (never mutated).
 var OK = &Ack{}
 
+// AckErr is the error outcome of an RPC: the transport error if there is
+// one, else a non-empty Ack.Err as an error, else nil. Any other response
+// is a success.
+func AckErr(resp Msg, err error) error {
+	if err != nil {
+		return err
+	}
+	if a, ok := resp.(*Ack); ok && a.Err != "" {
+		return errors.New(a.Err)
+	}
+	return nil
+}
+
 // ---- metadata ----
 
 // CreateFile asks the MDS to create a file covering the given stripe count.

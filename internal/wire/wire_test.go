@@ -216,3 +216,19 @@ func TestBlockIDStripe(t *testing.T) {
 		t.Fatal("StripeID wrong")
 	}
 }
+
+func TestAckErr(t *testing.T) {
+	transport := errors.New("node down")
+	if err := AckErr(nil, transport); !errors.Is(err, transport) {
+		t.Fatalf("transport error: got %v", err)
+	}
+	if err := AckErr(&Ack{Err: "x"}, nil); err == nil || err.Error() != "x" {
+		t.Fatalf("Ack{Err: x}: got %v", err)
+	}
+	if err := AckErr(OK, nil); err != nil {
+		t.Fatalf("OK: got %v", err)
+	}
+	if err := AckErr(&ReadResp{}, nil); err != nil {
+		t.Fatalf("non-Ack response: got %v", err)
+	}
+}
