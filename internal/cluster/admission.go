@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"errors"
-	"strings"
 	"time"
 )
 
@@ -11,18 +10,8 @@ import (
 // and the submitter should back off and retry (or count the rejection).
 // Unlike the terminal sentinels (ErrClusterDegraded, ErrSurrogateLost) it
 // promises nothing is wrong with the op itself — resubmitting later
-// succeeds once load drains.
+// succeeds once load drains. The MDS sends it as the AdmitOp Ack's Err.
 var ErrOverload = errors.New("cluster: admission rejected, overloaded")
-
-// errOverload is the Ack string form of ErrOverload — like errStaleEpoch,
-// the rejection crosses the wire as an Ack and is classified by substring.
-const errOverload = "cluster: admission rejected, overloaded"
-
-// overloadErr reports whether an error (possibly stringified across the
-// MDS hop as an Ack) was an admission rejection.
-func overloadErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), errOverload)
-}
 
 // AdmissionPolicy decides, per foreground client op, whether the MDS admits
 // it. now is the virtual time of the decision and inflight the number of

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"tsue/internal/netsim"
 	"tsue/internal/obs"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
@@ -35,16 +36,9 @@ func (cl *Client) Create(p *sim.Proc, name string, size int64) (uint64, error) {
 	if stripes == 0 {
 		stripes = 1
 	}
-	resp, err := cl.c.Fabric.Call(p, cl.id, mdsID, &wire.CreateFile{Name: name, Stripes: stripes})
+	cr, err := askMDS[*wire.CreateResp](p, cl, &wire.CreateFile{Name: name, Stripes: stripes}, "client: create")
 	if err != nil {
 		return 0, err
-	}
-	cr, ok := resp.(*wire.CreateResp)
-	if !ok {
-		return 0, fmt.Errorf("client: unexpected create response %T", resp)
-	}
-	if cr.Err != "" {
-		return 0, fmt.Errorf("client: create: %s", cr.Err)
 	}
 	return cr.Ino, nil
 }
@@ -132,21 +126,14 @@ func (cl *Client) admit(p *sim.Proc) (release func(), err error) {
 	if cl.c.Cfg.Admission == nil {
 		return func() {}, nil
 	}
-	resp, err := cl.c.Fabric.Call(p, cl.id, mdsID, &wire.AdmitOp{})
-	if err != nil {
+	switch err = wire.AckErr(cl.c.Fabric.Call(p, cl.id, mdsID, &wire.AdmitOp{})); {
+	case err == nil:
+		return cl.c.admissionDone, nil
+	case errors.Is(err, ErrOverload):
+		return nil, err
+	default:
 		return nil, fmt.Errorf("admit: %w", err)
 	}
-	a, ok := resp.(*wire.Ack)
-	if !ok {
-		return nil, fmt.Errorf("admit: unexpected response %T", resp)
-	}
-	if a.Err != "" {
-		if overloadErr(errors.New(a.Err)) {
-			return nil, ErrOverload
-		}
-		return nil, fmt.Errorf("admit: %s", a.Err)
-	}
-	return cl.c.admissionDone, nil
 }
 
 // startOp opens the root span of one foreground client op (when sampled)
@@ -201,22 +188,32 @@ func (cl *Client) updateBlock(p *sim.Proc, blk wire.BlockID, boff int64, data []
 		if err = wire.AckErr(resp, err); err == nil {
 			return nil
 		}
-		// Checksum rejections are retryable: the receiver discarded the
-		// corrupt payload before any side effect, so a clean resend repairs.
-		if attempt >= routeRetries || !(retryableRouteErr(err) || checksumErr(err)) {
+		if !cl.retry(p, blk, attempt, err) {
 			return fmt.Errorf("update %v: %w", blk, err)
 		}
-		if staleEpochErr(err) {
-			cl.refreshView(p, blk)
-		} else {
-			if nodeDownErr(err) {
-				// A dead home cannot bounce a stale epoch: refresh the map
-				// view in case placement moved the block off the dead node.
-				cl.refreshView(p, blk)
-			}
-			p.Sleep(routeRetryDelay)
-		}
 	}
+}
+
+// retry reports whether a block op's failed attempt is retried, and if so
+// prepares the next one. Route bounces and checksum rejections (the corrupt
+// payload was discarded before any side effect) retry until the budget runs
+// out. A stale-epoch bounce refreshes the map view and retries at once;
+// other retries wait routeRetryDelay, and a dead node refreshes the view
+// too: it cannot bounce a stale epoch, and placement may have moved the
+// block off it in flight (the hole the kill-during-rebalance grid pinned).
+func (cl *Client) retry(p *sim.Proc, blk wire.BlockID, attempt int, err error) bool {
+	if attempt >= routeRetries || !(retryableRouteErr(err) || errors.Is(err, wire.ErrChecksum)) {
+		return false
+	}
+	if errors.Is(err, errStaleEpoch) {
+		cl.refreshView(p, blk)
+		return true
+	}
+	if errors.Is(err, netsim.ErrNodeDown) {
+		cl.refreshView(p, blk)
+	}
+	p.Sleep(routeRetryDelay)
+	return true
 }
 
 // Read returns [off, off+size) of the file, assembling across blocks.
@@ -279,35 +276,21 @@ func (cl *Client) readBlock(p *sim.Proc, blk wire.BlockID, boff, n int64) ([]byt
 			resp, err = cl.c.Fabric.Call(p, cl.id, osds[blk.Index],
 				&wire.ReadBlock{Blk: blk, Off: boff, Size: int32(n), Epoch: epoch})
 		}
-		if err == nil {
+		if err = wire.AckErr(resp, err); err == nil {
 			rr, ok := resp.(*wire.ReadResp)
 			if !ok {
 				return nil, fmt.Errorf("read %v: unexpected response %T", blk, resp)
 			}
-			if rr.Err == "" {
-				// End-to-end verification: the response payload survived the
-				// wire. A mismatch is retryable like any transient fault.
-				if verr := wire.VerifySum(rr.Data, rr.Sum); verr != nil {
-					cl.c.noteCorruption()
-					err = fmt.Errorf("read %v: %w", blk, verr)
-				} else {
-					return rr.Data, nil
-				}
-			} else {
-				err = fmt.Errorf("%s", rr.Err)
+			// End-to-end verification: the response payload survived the
+			// wire. A mismatch is retryable like any transient fault.
+			if err = wire.VerifySum(rr.Data, rr.Sum); err == nil {
+				return rr.Data, nil
 			}
+			cl.c.noteCorruption()
+			err = fmt.Errorf("read %v: %w", blk, err)
 		}
-		if attempt >= routeRetries || !(retryableRouteErr(err) || checksumErr(err)) {
+		if !cl.retry(p, blk, attempt, err) {
 			return nil, fmt.Errorf("read %v: %w", blk, err)
-		}
-		if staleEpochErr(err) {
-			cl.refreshView(p, blk)
-		} else {
-			if nodeDownErr(err) {
-				// See updateBlock: a dead home cannot bounce a stale epoch.
-				cl.refreshView(p, blk)
-			}
-			p.Sleep(routeRetryDelay)
 		}
 	}
 }
@@ -315,31 +298,40 @@ func (cl *Client) readBlock(p *sim.Proc, blk wire.BlockID, boff, n int64) ([]byt
 // refreshView re-resolves the client's placement view from the MDS after a
 // stale-epoch bounce — one metadata round trip, after which ResolveView
 // routes through the newest map (and, mid-transition, the shipped per-PG
-// cutover state).
+// cutover state). On failure the next attempt bounces again.
 func (cl *Client) refreshView(p *sim.Proc, blk wire.BlockID) {
-	resp, err := cl.c.Fabric.Call(p, cl.id, mdsID, &wire.Lookup{Ino: blk.Ino, Stripe: blk.Stripe})
-	if err != nil {
-		return // next attempt bounces again
-	}
-	if lr, ok := resp.(*wire.LookupResp); ok && lr.Err == "" && lr.Epoch > cl.view {
+	lr, err := askMDS[*wire.LookupResp](p, cl, &wire.Lookup{Ino: blk.Ino, Stripe: blk.Stripe}, "lookup")
+	if err == nil && lr.Epoch > cl.view {
 		cl.view = lr.Epoch
 	}
+}
+
+// askMDS sends req from cl to the MDS and returns the answer as a T. A
+// transport error comes back as is; a response of another type, or one
+// carrying an error, is prefixed with what.
+func askMDS[T wire.Msg](p *sim.Proc, cl *Client, req wire.Msg, what string) (T, error) {
+	var zero T
+	resp, err := cl.c.Fabric.Call(p, cl.id, mdsID, req)
+	if err != nil {
+		return zero, err
+	}
+	t, ok := resp.(T)
+	if !ok {
+		return zero, fmt.Errorf("%s: unexpected response %T", what, resp)
+	}
+	if err := wire.AckErr(t, nil); err != nil {
+		return zero, fmt.Errorf("%s: %w", what, err)
+	}
+	return t, nil
 }
 
 // Lookup queries the MDS for a stripe's placement and the PG it resolved
 // through (the cached fast path computes placement locally from the shared
 // map; this exercises the metadata protocol).
 func (cl *Client) Lookup(p *sim.Proc, ino uint64, stripe uint32) ([]wire.NodeID, uint32, error) {
-	resp, err := cl.c.Fabric.Call(p, cl.id, mdsID, &wire.Lookup{Ino: ino, Stripe: stripe})
+	lr, err := askMDS[*wire.LookupResp](p, cl, &wire.Lookup{Ino: ino, Stripe: stripe}, "lookup")
 	if err != nil {
 		return nil, 0, err
-	}
-	lr, ok := resp.(*wire.LookupResp)
-	if !ok {
-		return nil, 0, fmt.Errorf("lookup: unexpected response %T", resp)
-	}
-	if lr.Err != "" {
-		return nil, 0, fmt.Errorf("lookup: %s", lr.Err)
 	}
 	return lr.OSDs, lr.PG, nil
 }
@@ -347,16 +339,9 @@ func (cl *Client) Lookup(p *sim.Proc, ino uint64, stripe uint32) ([]wire.NodeID,
 // LookupPG queries the MDS for a placement group's member OSDs (slot order,
 // before per-stripe role rotation).
 func (cl *Client) LookupPG(p *sim.Proc, pg uint32) ([]wire.NodeID, error) {
-	resp, err := cl.c.Fabric.Call(p, cl.id, mdsID, &wire.PGLookup{PG: pg})
+	lr, err := askMDS[*wire.LookupResp](p, cl, &wire.PGLookup{PG: pg}, "pg lookup")
 	if err != nil {
 		return nil, err
-	}
-	lr, ok := resp.(*wire.LookupResp)
-	if !ok {
-		return nil, fmt.Errorf("pg lookup: unexpected response %T", resp)
-	}
-	if lr.Err != "" {
-		return nil, fmt.Errorf("pg lookup: %s", lr.Err)
 	}
 	return lr.OSDs, nil
 }

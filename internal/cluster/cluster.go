@@ -295,7 +295,7 @@ func (c *Cluster) Placement(s wire.StripeID) []wire.NodeID {
 // request. Clients at the staged epoch resolve per PG through the cutover
 // set (the MDS ships incremental PG flips with the map, as Ceph does with
 // OSDMap incrementals); older clients resolve under their stale map and
-// carry its epoch tag, which OSDs bounce with ErrStaleEpoch once the PG
+// carry its epoch tag, which OSDs bounce with errStaleEpoch once the PG
 // has moved on.
 func (c *Cluster) ResolveView(s wire.StripeID, view uint64) ([]wire.NodeID, uint64) {
 	m := c.MDS

@@ -23,8 +23,8 @@ package cluster
 // foreground traffic the rest of the cluster is taking.
 
 import (
+	"errors"
 	"fmt"
-	"strings"
 
 	"tsue/internal/netsim"
 	"tsue/internal/obs"
@@ -33,62 +33,35 @@ import (
 	"tsue/internal/wire"
 )
 
-// errDegradedGone is the retryable Ack error the surrogate returns when the
-// degraded route was cut over while the request was in flight; the client
-// re-resolves and retries on the normal path.
-const errDegradedGone = "cluster: degraded route gone"
-
-// errStaleEpoch is the retryable error OSDs return for a request routed
-// under a placement-map view that no longer matches the block's PG's
-// authoritative epoch; the client refreshes its view from the MDS and
-// retries against the re-resolved home.
-const errStaleEpoch = "cluster: stale placement epoch"
-
-// errMigrating is the retryable error OSDs return for a read that arrives
-// inside its PG's cutover fence — the window where overlay logs have been
-// extracted from the old home but not yet replayed at the new one. The
-// client waits out the fence and retries.
-const errMigrating = "cluster: pg cutover in progress"
+var (
+	// errDegradedGone is the retryable error the surrogate returns when the
+	// degraded route was cut over while the request was in flight; the
+	// client re-resolves and retries on the normal path.
+	errDegradedGone = errors.New("cluster: degraded route gone")
+	// errStaleEpoch is the retryable error OSDs return for a request routed
+	// under a placement-map view that no longer matches the block's PG's
+	// authoritative epoch; the client refreshes its view from the MDS and
+	// retries against the re-resolved home.
+	errStaleEpoch = errors.New("cluster: stale placement epoch")
+	// errMigrating is the retryable error OSDs return for a read that
+	// arrives inside its PG's cutover fence — the window where overlay logs
+	// have been extracted from the old home but not yet replayed at the new
+	// one. The client waits out the fence and retries.
+	errMigrating = errors.New("cluster: pg cutover in progress")
+)
 
 // retryableRouteErr reports whether a client op failed only because its
 // route is mid-transition (node just failed, registration in flight,
 // degraded or epoch cutover just completed, or a PG cutover fence) and
-// should be retried after a short wait. Errors cross OSD hops as Ack
-// strings, so this matches substrings rather than wrapped error values.
+// should be retried after a short wait. Responses carry the handler's
+// error value across every hop, so a bounce wrapped with %w on the way
+// still matches.
 func retryableRouteErr(err error) bool {
-	s := err.Error()
-	return strings.Contains(s, netsim.ErrNodeDown.Error()) ||
-		strings.Contains(s, netsim.ErrPartitioned.Error()) ||
-		strings.Contains(s, errDegradedGone) ||
-		strings.Contains(s, errStaleEpoch) ||
-		strings.Contains(s, errMigrating)
-}
-
-// checksumErr reports whether the failure (possibly stringified across an
-// OSD hop) was a checksum-verification rejection. Clients retry these: the
-// payload was corrupted in flight and discarded before any side effect, so
-// a clean resend (or re-read) is the repair.
-func checksumErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), wire.ErrChecksum.Error())
-}
-
-// staleEpochErr reports whether the failure was a stale-epoch bounce
-// specifically — the retryable class where the client must refresh its
-// map view before retrying, not merely wait.
-func staleEpochErr(err error) bool {
-	return strings.Contains(err.Error(), errStaleEpoch)
-}
-
-// nodeDownErr reports whether an error (possibly stringified across an
-// OSD hop as an Ack) was caused by a dead node. Beyond the migration
-// driver's resolution checks, the client retry loops treat it as a
-// possible stale view: a dead node cannot bounce a stale epoch, and
-// placement may have moved the block off it (an epoch commit or a
-// recovery remap) while the request was in flight — the composition hole
-// the kill-during-rebalance grid pinned (a stale-view client retried a
-// committed-away dead home until its budget ran out).
-func nodeDownErr(err error) bool {
-	return err != nil && strings.Contains(err.Error(), netsim.ErrNodeDown.Error())
+	return errors.Is(err, netsim.ErrNodeDown) ||
+		errors.Is(err, netsim.ErrPartitioned) ||
+		errors.Is(err, errDegradedGone) ||
+		errors.Is(err, errStaleEpoch) ||
+		errors.Is(err, errMigrating)
 }
 
 // degradedState tracks one failed OSD served in degraded mode. Surrogates
@@ -459,7 +432,7 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 	// degraded reads and replayed at cutover.
 	if err := wire.VerifySum(v.Data, v.Sum); err != nil {
 		o.c.noteCorruption()
-		return &wire.Ack{Err: fmt.Sprintf("degraded update %v: %v", v.Blk, err)}
+		return &wire.Ack{Err: fmt.Errorf("degraded update %v: %w", v.Blk, err)}
 	}
 	o.c.surrOpsInFlight++
 	defer o.c.surrOpDone()
@@ -493,26 +466,23 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 			Failed: v.Failed, Surrogate: o.id, Seq: seq,
 			Blk: v.Blk, Off: v.Off, Data: v.Data, Sum: v.Sum,
 		})
-		if err != nil {
-			if nodeDownErr(err) {
-				return nil
-			}
-			return fmt.Errorf("journal replica @%d: %w", h, err)
+		if errors.Is(err, netsim.ErrNodeDown) {
+			return nil
 		}
-		if ja, ok := resp.(*wire.JournalAck); !ok || ja.Err != "" {
-			return fmt.Errorf("journal replica @%d: %v", h, resp)
+		if err := wire.AckErr(resp, err); err != nil {
+			return fmt.Errorf("journal replica @%d: %w", h, err)
 		}
 		o.jrSentMsgs++
 		o.jrSentBytes += int64(len(v.Data))
 		acked++
 		return nil
 	}); err != nil {
-		return &wire.Ack{Err: err.Error()}
+		return &wire.Ack{Err: err}
 	}
 	if acked == 0 && len(holders) > 0 {
 		// Every holder died mid-window: acking now would leave the record
 		// with zero durable copies beyond this surrogate.
-		return &wire.Ack{Err: "cluster: degraded journal quorum unreachable"}
+		return &wire.Ack{Err: errors.New("cluster: degraded journal quorum unreachable")}
 	}
 	if st.ackSeq[o.id] < seq {
 		st.ackSeq[o.id] = seq
@@ -549,8 +519,10 @@ func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 		})
 		if err == nil {
 			rr, ok := resp.(*wire.ReadResp)
-			if !ok || rr.Err != "" {
-				err = fmt.Errorf("degraded read fwd %v: %v", v.Blk, resp)
+			if rerr := wire.AckErr(resp, nil); rerr != nil {
+				err = fmt.Errorf("degraded read fwd %v: %w", v.Blk, rerr)
+			} else if !ok {
+				err = fmt.Errorf("degraded read fwd %v: unexpected response %T", v.Blk, resp)
 			} else if verr := wire.VerifySum(rr.Data, rr.Sum); verr != nil {
 				o.c.noteCorruption()
 				err = fmt.Errorf("degraded read fwd %v: %w", v.Blk, verr)
@@ -560,7 +532,7 @@ func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 		}
 	}
 	if err != nil {
-		return &wire.ReadResp{Err: err.Error()}
+		return &wire.ReadResp{Err: err}
 	}
 	// Overlay journal items oldest-first so the newest write wins. The gate
 	// excludes cutover, so the journal cannot be stolen mid-read.

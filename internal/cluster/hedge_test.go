@@ -250,7 +250,7 @@ func TestDegradedReadCorruptionSurfacesChecksum(t *testing.T) {
 			armed := true
 			c.Fabric.SetCorruptor(func(from, to wire.NodeID, m wire.Msg) (wire.Msg, bool) {
 				rr, ok := m.(*wire.ReadResp)
-				if !armed || !ok || rr.Err != "" || len(rr.Data) == 0 {
+				if !armed || !ok || wire.AckErr(rr, nil) != nil || len(rr.Data) == 0 {
 					return nil, false
 				}
 				armed = false

@@ -28,6 +28,7 @@ import (
 	"sort"
 	"time"
 
+	"tsue/internal/netsim"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
 )
@@ -35,8 +36,9 @@ import (
 // Sentinel errors for the cluster's fatal control-plane guards. They are
 // distinct from the retryable routing bounces (stale epoch, degraded route
 // gone, cutover fence): a caller that sees one of these must change its
-// plan, not retry the same call. retryableRouteErr never matches them —
-// the stress suite pins that.
+// plan, not retry the same call. retryableRouteErr matches only the bounce
+// sentinels by errors.Is, so it never matches these —
+// TestSentinelErrorsNotRetryable pins that.
 var (
 	// ErrClusterDegraded: the operation refuses while a node is served in
 	// degraded mode (e.g. Expand during a failure window).
@@ -165,15 +167,15 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	bySeq := make(map[uint64]wire.JournalItem)
 	for _, h := range reachable {
 		resp, err := c.Fabric.Call(p, via.id, h, &wire.JournalFetch{Failed: st.failed, Surrogate: victim})
-		if err != nil {
-			if nodeDownErr(err) {
-				continue // died under us: monotone narrowing, peers cover it
-			}
+		if errors.Is(err, netsim.ErrNodeDown) {
+			continue // died under us: monotone narrowing, peers cover it
+		}
+		if err = wire.AckErr(resp, err); err != nil {
 			return fmt.Errorf("journal repair fetch @%d: %w", h, err)
 		}
 		fr, ok := resp.(*wire.JournalFetchResp)
-		if !ok || fr.Err != "" {
-			return fmt.Errorf("journal repair fetch @%d: %v", h, resp)
+		if !ok {
+			return fmt.Errorf("journal repair fetch @%d: unexpected response %T", h, resp)
 		}
 		for _, it := range fr.Items {
 			if _, dup := bySeq[it.Seq]; !dup {
@@ -262,14 +264,11 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 				Failed: st.failed, Surrogate: cand, Seq: newSeqs[i],
 				Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data),
 			})
-			if err != nil {
-				if nodeDownErr(err) {
-					continue
-				}
-				return fmt.Errorf("journal re-replicate @%d: %w", h, err)
+			if errors.Is(err, netsim.ErrNodeDown) {
+				continue
 			}
-			if ja, ok := resp.(*wire.JournalAck); !ok || ja.Err != "" {
-				return fmt.Errorf("journal re-replicate @%d: %v", h, resp)
+			if err := wire.AckErr(resp, err); err != nil {
+				return fmt.Errorf("journal re-replicate @%d: %w", h, err)
 			}
 			osd.jrSentMsgs++
 			osd.jrSentBytes += int64(len(it.Data))

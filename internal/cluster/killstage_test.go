@@ -19,6 +19,7 @@ import (
 	"testing"
 	"time"
 
+	"tsue/internal/netsim"
 	"tsue/internal/rebalance"
 	"tsue/internal/sim"
 	"tsue/internal/update"
@@ -332,8 +333,8 @@ func TestKillResolvesTransition(t *testing.T) {
 
 // TestSentinelErrorsNotRetryable pins the satellite bugfix: the fatal
 // control-plane sentinels must be distinguishable via errors.Is AND must
-// never be classified as retryable routing bounces, while the retryable
-// bounce strings stay retryable.
+// never be classified as retryable routing bounces (the retryable bounces
+// themselves are pinned across hops by TestRouteBouncesCrossHops).
 func TestSentinelErrorsNotRetryable(t *testing.T) {
 	cfg := testConfig("tsue")
 	run(t, cfg, func(p *sim.Proc, c *Cluster, cl *Client) {
@@ -380,18 +381,104 @@ func TestSentinelErrorsNotRetryable(t *testing.T) {
 		if !errors.Is(err, ErrTransitionInProgress) {
 			t.Fatalf("racing Expand: got %v, want ErrTransitionInProgress", err)
 		}
-		// The retryable bounces stay retryable — the client retry loop
-		// depends on the classification not leaking across the two sets.
-		for _, s := range []string{errDegradedGone, errStaleEpoch, errMigrating} {
-			if !retryableRouteErr(fmt.Errorf("read blk(1/2/3): %s", s)) {
-				t.Fatalf("%q no longer classified retryable", s)
-			}
-		}
-		if retryableRouteErr(ErrSurrogateLost) {
-			t.Fatal("ErrSurrogateLost classified retryable")
-		}
 		// Settle the staged transition so the run tears down clean.
 		if _, err := c.migrate(p, cl, c.MDS.trans.next, rebalance.Config{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DrainAll(p, cl); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Scrub(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestRouteBouncesCrossHops sends requests that a real OSD handler bounces,
+// over the fabric, and checks what the client sees: every retryable bounce
+// — stale epoch, cutover fence, degraded route gone, node down, partition,
+// checksum reject — arrives as an error that errors.Is matches against its
+// sentinel and that the client retries. The fence bounce also crosses two
+// hops (client → surrogate DegradedRead → home ReadBlock), wrapped once on
+// the way. The fatal control-plane sentinels stay non-retryable, bare or
+// wrapped.
+func TestRouteBouncesCrossHops(t *testing.T) {
+	run(t, testConfig("tsue"), func(p *sim.Proc, c *Cluster, cl *Client) {
+		fileSize := c.StripeWidth()
+		ino, err := cl.Create(p, "f", fileSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.WriteFile(p, ino, make([]byte, fileSize)); err != nil {
+			t.Fatal(err)
+		}
+		s := wire.StripeID{Ino: ino}
+		osds := c.Placement(s)
+		blk := wire.BlockID{Ino: ino}
+		home, peer, puller := osds[0], osds[1], osds[2]
+		data := []byte("two-stage update")
+		epoch := c.MDS.committed
+		bounce := func(name string, to wire.NodeID, req wire.Msg, want error) error {
+			t.Helper()
+			err := wire.AckErr(c.Fabric.Call(p, cl.id, to, req))
+			if !errors.Is(err, want) {
+				t.Errorf("%s: got %v, want errors.Is %v", name, err, want)
+			}
+			if !cl.retry(p, blk, 0, err) {
+				t.Errorf("%s: %v not retried by the client", name, err)
+			}
+			return err
+		}
+
+		bounce("stale-epoch read", home, &wire.ReadBlock{Blk: blk, Size: 64, Epoch: epoch + 7}, errStaleEpoch)
+		bounce("stale-epoch update", home, &wire.Update{Blk: blk, Data: data, Epoch: epoch + 7, Sum: wire.Checksum(data)}, errStaleEpoch)
+		bounce("checksum reject", home, &wire.Update{Blk: blk, Data: data, Epoch: epoch, Sum: wire.Checksum(data) ^ 1}, wire.ErrChecksum)
+		bounce("degraded read, route gone", home, &wire.DegradedRead{Failed: peer, Blk: blk, Size: 64}, errDegradedGone)
+		bounce("degraded update, route gone", home, &wire.DegradedUpdate{Failed: peer, Blk: blk, Data: data, Sum: wire.Checksum(data)}, errDegradedGone)
+		pull := &wire.MigrateBlock{Blk: wire.BlockID{Ino: ino, Index: 1}, From: peer}
+		c.Fabric.SetDown(peer, true)
+		bounce("migrate pull from a dead node", puller, pull, netsim.ErrNodeDown)
+		c.Fabric.SetDown(peer, false)
+		c.Fabric.Partition(puller, peer, true)
+		bounce("migrate pull over a cut link", puller, pull, netsim.ErrPartitioned)
+		c.Fabric.Partition(puller, peer, false)
+
+		// The cutover fence: stage an epoch and fence the stripe's PG.
+		osd, err := c.AddOSDNode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, err := c.stageEpoch(p, cl, &wire.EpochUpdate{Kind: wire.EpochStageAddOSD, OSD: osd.id})
+		if err != nil {
+			t.Fatal(err)
+		}
+		pg := c.MDS.epochs.At(next).PGOf(s)
+		c.MDS.trans.fencing[pg] = true
+		bounce("read inside the fence", home, &wire.ReadBlock{Blk: blk, Size: 64, Epoch: epoch}, errMigrating)
+		// Two hops: the surrogate forwards a live block's degraded read to
+		// its home, which bounces it from inside the fence.
+		c.Fabric.SetDown(peer, true)
+		st, err := c.registerDegraded(p, peer, cl)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sur := st.surr[c.PG(s)]
+		err = bounce("degraded read forwarded into the fence", sur, &wire.DegradedRead{Failed: peer, Blk: blk, Size: 64}, errMigrating)
+		if want := fmt.Sprintf("degraded read fwd %v: %v", blk, errMigrating); err == nil || err.Error() != want {
+			t.Errorf("two-hop bounce text %v, want %q", err, want)
+		}
+		c.unregisterDegraded(peer)
+		c.Fabric.SetDown(peer, false)
+		c.MDS.trans.fencing[pg] = false
+
+		for _, fatal := range []error{ErrSurrogateLost, ErrClusterDegraded, ErrTransitionInProgress} {
+			for _, err := range []error{fatal, fmt.Errorf("read %v: %w", blk, fatal)} {
+				if cl.retry(p, blk, 0, err) {
+					t.Errorf("%v classified retryable", err)
+				}
+			}
+		}
+		if _, err := c.migrate(p, cl, next, rebalance.Config{}); err != nil {
 			t.Fatal(err)
 		}
 		if err := c.DrainAll(p, cl); err != nil {

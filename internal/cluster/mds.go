@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"time"
@@ -193,7 +194,7 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 	case *wire.Lookup:
 		fm, ok := m.files[v.Ino]
 		if !ok || v.Stripe >= fm.stripes {
-			return &wire.LookupResp{Err: "no such stripe"}
+			return &wire.LookupResp{Err: errors.New("no such stripe")}
 		}
 		sid := wire.StripeID{Ino: v.Ino, Stripe: v.Stripe}
 		return &wire.LookupResp{
@@ -204,7 +205,7 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 	case *wire.PGLookup:
 		mem, err := m.PlacementMap().Members(int(v.PG), nil)
 		if err != nil {
-			return &wire.LookupResp{Err: err.Error()}
+			return &wire.LookupResp{Err: err}
 		}
 		return &wire.LookupResp{OSDs: mem, PG: v.PG, Epoch: m.view()}
 	case *wire.EpochUpdate:
@@ -212,10 +213,10 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 	case *wire.PGCutover:
 		t := m.trans
 		if t == nil || v.Epoch != t.next {
-			return &wire.Ack{Err: fmt.Sprintf("mds: cutover for epoch %d outside transition", v.Epoch)}
+			return &wire.Ack{Err: fmt.Errorf("mds: cutover for epoch %d outside transition", v.Epoch)}
 		}
 		if t.aborted[int(v.PG)] {
-			return &wire.Ack{Err: fmt.Sprintf("mds: pg %d already aborted", v.PG)}
+			return &wire.Ack{Err: fmt.Errorf("mds: pg %d already aborted", v.PG)}
 		}
 		t.cutover[int(v.PG)] = true
 		t.stage[int(v.PG)] = StageReplaying
@@ -223,13 +224,13 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 	case *wire.PGAbort:
 		t := m.trans
 		if t == nil || v.Epoch != t.next {
-			return &wire.Ack{Err: fmt.Sprintf("mds: abort for epoch %d outside transition", v.Epoch)}
+			return &wire.Ack{Err: fmt.Errorf("mds: abort for epoch %d outside transition", v.Epoch)}
 		}
 		if t.cutover[int(v.PG)] {
 			// Past the flip the staged map is authoritative for the PG;
 			// rolling back would strand replayed state. The mover's policy
 			// never aborts here (it finishes instead).
-			return &wire.Ack{Err: fmt.Sprintf("mds: pg %d already cut over, cannot abort", v.PG)}
+			return &wire.Ack{Err: fmt.Errorf("mds: pg %d already cut over, cannot abort", v.PG)}
 		}
 		t.aborted[int(v.PG)] = true
 		t.stage[int(v.PG)] = StageAborted
@@ -264,9 +265,9 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 			return wire.OK
 		}
 		m.c.rejected.Inc()
-		return &wire.Ack{Err: errOverload}
+		return &wire.Ack{Err: ErrOverload}
 	}
-	return &wire.Ack{Err: "mds: unhandled message " + msg.Type().String()}
+	return &wire.Ack{Err: fmt.Errorf("mds: unhandled message %v", msg.Type())}
 }
 
 // handleEpochUpdate stages or commits a placement epoch. One transition at
@@ -276,14 +277,14 @@ func (m *MDS) handleEpochUpdate(v *wire.EpochUpdate) wire.Msg {
 	switch v.Kind {
 	case wire.EpochCommit:
 		if m.trans == nil {
-			return &wire.EpochResp{Err: "mds: no transition to commit"}
+			return &wire.EpochResp{Err: errors.New("mds: no transition to commit")}
 		}
 		m.committed = m.trans.next
 		m.trans = nil
 		return &wire.EpochResp{Epoch: m.committed}
 	case wire.EpochStageAddOSD, wire.EpochStageRemoveOSD, wire.EpochStageSplitPGs:
 		if m.trans != nil {
-			return &wire.EpochResp{Err: fmt.Sprintf("mds: transition to epoch %d already in flight", m.trans.next)}
+			return &wire.EpochResp{Err: fmt.Errorf("mds: transition to epoch %d already in flight", m.trans.next)}
 		}
 		var next uint64
 		var err error
@@ -296,7 +297,7 @@ func (m *MDS) handleEpochUpdate(v *wire.EpochUpdate) wire.Msg {
 			next, err = m.epochs.SplitPGs(int(v.Factor))
 		}
 		if err != nil {
-			return &wire.EpochResp{Err: err.Error()}
+			return &wire.EpochResp{Err: err}
 		}
 		m.trans = &transition{
 			next:    next,
@@ -307,7 +308,7 @@ func (m *MDS) handleEpochUpdate(v *wire.EpochUpdate) wire.Msg {
 		}
 		return &wire.EpochResp{Epoch: next}
 	}
-	return &wire.EpochResp{Err: fmt.Sprintf("mds: unknown epoch op %d", v.Kind)}
+	return &wire.EpochResp{Err: fmt.Errorf("mds: unknown epoch op %d", v.Kind)}
 }
 
 // setPGStage advances a migrating PG's state-machine position. The mover

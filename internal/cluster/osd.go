@@ -116,10 +116,10 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		// must never become the stored copy.
 		if err := wire.VerifySum(v.Data, v.Sum); err != nil {
 			o.c.noteCorruption()
-			return &wire.Ack{Err: fmt.Sprintf("put %v: %v", v.Blk, err)}
+			return &wire.Ack{Err: fmt.Errorf("put %v: %w", v.Blk, err)}
 		}
 		if err := o.store.Put(p, v.Blk, v.Data); err != nil {
-			return &wire.Ack{Err: err.Error()}
+			return &wire.Ack{Err: err}
 		}
 		return wire.OK
 	case *wire.ReadBlock:
@@ -142,7 +142,7 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 			buf, err = o.engine.Read(p, v.Blk, v.Off, int64(v.Size))
 		}
 		if err != nil {
-			return &wire.ReadResp{Err: err.Error()}
+			return &wire.ReadResp{Err: err}
 		}
 		return &wire.ReadResp{Data: buf, Sum: wire.Checksum(buf)}
 	case *wire.Update:
@@ -153,25 +153,25 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		// data or parity would tear the stripe undetectably.
 		if err := wire.VerifySum(v.Data, v.Sum); err != nil {
 			o.c.noteCorruption()
-			return &wire.Ack{Err: fmt.Sprintf("update %v: %v", v.Blk, err)}
+			return &wire.Ack{Err: fmt.Errorf("update %v: %w", v.Blk, err)}
 		}
 		if err := o.engine.Update(p, v.Blk, v.Off, v.Data, v.Sum); err != nil {
-			return &wire.Ack{Err: err.Error()}
+			return &wire.Ack{Err: err}
 		}
 		return wire.OK
 	case *wire.Drain:
 		if err := o.engine.Drain(p); err != nil {
-			return &wire.Ack{Err: err.Error()}
+			return &wire.Ack{Err: err}
 		}
 		return wire.OK
 	case *wire.Settle:
 		if err := o.engine.Settle(p, v.Failed); err != nil {
-			return &wire.Ack{Err: err.Error()}
+			return &wire.Ack{Err: err}
 		}
 		return wire.OK
 	case *wire.RecoverBlock:
 		if err := o.recoverBlock(p, v); err != nil {
-			return &wire.Ack{Err: err.Error()}
+			return &wire.Ack{Err: err}
 		}
 		return wire.OK
 	case *wire.ReplayUpdate:
@@ -179,10 +179,10 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		// bytes into the rebuilt block — verify before touching the engine.
 		if err := wire.VerifySum(v.Data, v.Sum); err != nil {
 			o.c.noteCorruption()
-			return &wire.Ack{Err: fmt.Sprintf("replay %v: %v", v.Blk, err)}
+			return &wire.Ack{Err: fmt.Errorf("replay %v: %w", v.Blk, err)}
 		}
 		if err := update.Replay(p, o.engine, v.Blk, v.Off, v.Data, v.Sum); err != nil {
-			return &wire.Ack{Err: err.Error()}
+			return &wire.Ack{Err: err}
 		}
 		return wire.OK
 	case *wire.DegradedUpdate:
@@ -198,7 +198,7 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		// the quorum could later read-repair garbage over good records.
 		if err := wire.VerifySum(v.Data, v.Sum); err != nil {
 			o.c.noteCorruption()
-			return &wire.JournalAck{Seq: v.Seq, Err: err.Error()}
+			return &wire.JournalAck{Seq: v.Seq, Err: err}
 		}
 		j := o.journalFor(v.Failed)
 		if j.repl == nil {
@@ -225,13 +225,13 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		if sp, ok := m.(wire.SummedPayload); ok {
 			if err := sp.VerifyPayload(); err != nil {
 				o.c.noteCorruption()
-				return &wire.Ack{Err: fmt.Sprintf("osd %d: %v: %v", o.id, m.Type(), err)}
+				return &wire.Ack{Err: fmt.Errorf("osd %d: %v: %w", o.id, m.Type(), err)}
 			}
 		}
 		if resp, handled := o.engine.Handle(p, from, m); handled {
 			return resp
 		}
-		return &wire.Ack{Err: fmt.Sprintf("osd %d: unhandled message %v", o.id, m.Type())}
+		return &wire.Ack{Err: fmt.Errorf("osd %d: unhandled message %v", o.id, m.Type())}
 	}
 }
 
@@ -246,26 +246,26 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 func (o *OSD) handleMigrateBlock(p *sim.Proc, v *wire.MigrateBlock) wire.Msg {
 	if v.Reconstruct {
 		if err := o.recoverBlock(p, &wire.RecoverBlock{Blk: v.Blk, Reencode: v.Reencode}); err != nil {
-			return &wire.Ack{Err: fmt.Sprintf("migrate reconstruct %v: %v", v.Blk, err)}
+			return &wire.Ack{Err: fmt.Errorf("migrate reconstruct %v: %w", v.Blk, err)}
 		}
 		return wire.OK
 	}
 	resp, err := o.Call(p, v.From, &wire.ReadBlock{
 		Blk: v.Blk, Off: 0, Size: int32(o.c.Cfg.BlockSize), Raw: true,
 	})
-	if err != nil {
-		return &wire.Ack{Err: fmt.Sprintf("migrate pull %v from %d: %v", v.Blk, v.From, err)}
+	if err = wire.AckErr(resp, err); err != nil {
+		return &wire.Ack{Err: fmt.Errorf("migrate pull %v from %d: %w", v.Blk, v.From, err)}
 	}
 	rr, ok := resp.(*wire.ReadResp)
-	if !ok || rr.Err != "" {
-		return &wire.Ack{Err: fmt.Sprintf("migrate pull %v from %d: %v", v.Blk, v.From, resp)}
+	if !ok {
+		return &wire.Ack{Err: fmt.Errorf("migrate pull %v from %d: unexpected response %T", v.Blk, v.From, resp)}
 	}
 	if err := wire.VerifySum(rr.Data, rr.Sum); err != nil {
 		o.c.noteCorruption()
-		return &wire.Ack{Err: fmt.Sprintf("migrate pull %v from %d: %v", v.Blk, v.From, err)}
+		return &wire.Ack{Err: fmt.Errorf("migrate pull %v from %d: %w", v.Blk, v.From, err)}
 	}
 	if err := o.store.Put(p, v.Blk, rr.Data); err != nil {
-		return &wire.Ack{Err: err.Error()}
+		return &wire.Ack{Err: err}
 	}
 	return wire.OK
 }
@@ -332,12 +332,12 @@ func (o *OSD) readSurvivingShards(p *sim.Proc, blk wire.BlockID, off, size int64
 		idx := sources[i]
 		sblk := wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(idx)}
 		resp, err := o.Call(hp, osds[idx], &wire.ReadBlock{Blk: sblk, Off: off, Size: int32(size), Raw: true})
-		if err != nil {
+		if err = wire.AckErr(resp, err); err != nil {
 			return fmt.Errorf("recover read %v: %w", sblk, err)
 		}
 		rr, ok := resp.(*wire.ReadResp)
-		if !ok || rr.Err != "" {
-			return fmt.Errorf("recover read %v: %v", sblk, resp)
+		if !ok {
+			return fmt.Errorf("recover read %v: unexpected response %T", sblk, resp)
 		}
 		// A corrupt shard fed into rs.Reconstruct would silently rebuild
 		// wrong bytes — the one place wire rot is most dangerous.

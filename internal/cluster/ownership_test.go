@@ -10,7 +10,6 @@ package cluster
 import (
 	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"tsue/internal/netsim"
@@ -98,7 +97,7 @@ func strictOwnership(h netsim.Handler) netsim.Handler {
 		for _, b := range after {
 			scribble(b)
 		}
-		if rr, ok := resp.(*wire.ReadResp); ok && rr.Err == "" {
+		if rr, ok := resp.(*wire.ReadResp); ok && wire.AckErr(rr, nil) == nil {
 			cp := *rr
 			moved(&cp.Data)
 			return &cp
@@ -185,9 +184,8 @@ func TestCorruptMovedPayloadRejectedBeforeAdoption(t *testing.T) {
 					m = &wire.DeltaAppend{Blk: wire.BlockID{Ino: ino}, Off: 64, Data: bad, Kind: wire.KindParityDelta, Sum: wire.Checksum(good)}
 				}
 				before := c.CorruptionsDetected()
-				ack, ok := holder.handle(p, cl.ID(), m).(*wire.Ack)
-				if !ok || !strings.Contains(ack.Err, wire.ErrChecksum.Error()) {
-					t.Errorf("corrupt %T answered %v, want an Ack carrying ErrChecksum", m, ack)
+				if resp := holder.handle(p, cl.ID(), m); !errors.Is(wire.AckErr(resp, nil), wire.ErrChecksum) {
+					t.Errorf("corrupt %T answered %v, want a response carrying ErrChecksum", m, resp)
 				}
 				if c.CorruptionsDetected() != before+1 {
 					t.Errorf("detections went %d -> %d, want +1", before, c.CorruptionsDetected())

@@ -39,8 +39,10 @@ package cluster
 // the cluster; Kill resolves the transition first and recovery follows.
 
 import (
+	"errors"
 	"fmt"
 
+	"tsue/internal/netsim"
 	"tsue/internal/placement"
 	"tsue/internal/rebalance"
 	"tsue/internal/sim"
@@ -101,16 +103,9 @@ func (c *Cluster) SplitPGs(p *sim.Proc, via *Client, factor int, rcfg rebalance.
 // stageEpoch sends the staging request to the MDS and returns the staged
 // epoch number.
 func (c *Cluster) stageEpoch(p *sim.Proc, via *Client, req *wire.EpochUpdate) (uint64, error) {
-	resp, err := c.Fabric.Call(p, via.id, mdsID, req)
+	er, err := askMDS[*wire.EpochResp](p, via, req, "cluster: stage epoch")
 	if err != nil {
 		return 0, err
-	}
-	er, ok := resp.(*wire.EpochResp)
-	if !ok {
-		return 0, fmt.Errorf("cluster: stage epoch: unexpected response %T", resp)
-	}
-	if er.Err != "" {
-		return 0, fmt.Errorf("cluster: stage epoch: %s", er.Err)
 	}
 	return er.Epoch, nil
 }
@@ -169,12 +164,8 @@ func (c *Cluster) migrate(p *sim.Proc, via *Client, next uint64, rcfg rebalance.
 	// placement is identical under both maps (or they hold no blocks), so
 	// the flip needs no fence. In-flight requests tagged with the retiring
 	// epoch bounce once and re-resolve.
-	resp, err := c.Fabric.Call(p, via.id, mdsID, &wire.EpochUpdate{Kind: wire.EpochCommit})
-	if err != nil {
+	if _, err := askMDS[*wire.EpochResp](p, via, &wire.EpochUpdate{Kind: wire.EpochCommit}, "cluster: commit epoch"); err != nil {
 		return nil, err
-	}
-	if er, ok := resp.(*wire.EpochResp); !ok || er.Err != "" {
-		return nil, fmt.Errorf("cluster: commit epoch: %v", resp)
 	}
 	return rep, nil
 }
@@ -280,7 +271,7 @@ func (pm *pgMover) MigratePG(p *sim.Proc, pg rebalance.PGMoves, th *rebalance.Th
 		th.Take(p, blockSize)
 		vers[i] = c.OSDByID(mv.From).store.Version(mv.Blk)
 		if err := pm.copyBlock(p, mv); err != nil {
-			if nodeDownErr(err) && (c.Fabric.Down(mv.From) || c.Fabric.Down(mv.To)) {
+			if errors.Is(err, netsim.ErrNodeDown) && (c.Fabric.Down(mv.From) || c.Fabric.Down(mv.To)) {
 				// The copy's endpoint died under us: early abort.
 				return pm.abortPG(p, pg, nil, &res)
 			}
@@ -379,7 +370,7 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 				continue
 			}
 			if err := pm.copyBlock(p, mv); err != nil {
-				if nodeDownErr(err) && c.Fabric.Down(mv.From) {
+				if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(mv.From) {
 					changed = true // died mid-copy; next round reconstructs
 					continue
 				}
@@ -408,7 +399,7 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 		}
 		got, err := pm.extractLog(p, mv)
 		if err != nil {
-			if nodeDownErr(err) {
+			if errors.Is(err, netsim.ErrNodeDown) {
 				continue
 			}
 			return err
@@ -435,7 +426,7 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 	for i, mv := range pg.Moves {
 		for _, it := range items[i] {
 			if err := pm.replay(p, mv.To, it); err != nil {
-				if nodeDownErr(err) && c.Fabric.Down(mv.To) {
+				if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(mv.To) {
 					// The new home died after the flip: the record cannot
 					// land now, but it must not be lost — stash it for the
 					// degraded-journal machinery (registerDegraded seeds it

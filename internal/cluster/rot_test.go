@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -58,10 +59,10 @@ func TestAtRestRotDetectedAndRepaired(t *testing.T) {
 				rotted := blkOff + 2*gran // file offset of the rotted granule
 				clean := blkOff + 3*gran  // a neighbour in the same block
 
-				if got, err := cl.Read(p, ino, rotted+100, 64); !checksumErr(err) {
+				if got, err := cl.Read(p, ino, rotted+100, 64); !errors.Is(err, wire.ErrChecksum) {
 					t.Fatalf("read covering the rot: err=%v (%d bytes), want a checksum error", err, len(got))
 				}
-				if got, err := cl.Read(p, ino, blkOff, bs); !checksumErr(err) {
+				if got, err := cl.Read(p, ino, blkOff, bs); !errors.Is(err, wire.ErrChecksum) {
 					t.Fatalf("whole-block read over the rot: err=%v (%d bytes), want a checksum error", err, len(got))
 				}
 				got, err := cl.Read(p, ino, clean, gran)

@@ -111,7 +111,7 @@ func flipCorruptor(rate int) netsim.Corruptor {
 				return &cp, true
 			}
 		case *wire.ReadResp:
-			if v.Err == "" {
+			if wire.AckErr(v, nil) == nil {
 				if data, ok := flip(v.Data); ok {
 					cp := *v
 					cp.Data = data

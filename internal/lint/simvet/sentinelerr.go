@@ -3,23 +3,29 @@ package simvet
 import (
 	"go/ast"
 	"go/token"
+	"slices"
 	"strings"
 )
 
 // SentinelerrAnalyzer enforces sentinel-error discipline. The cluster layer
-// classifies retryable vs fatal outcomes by matching exported Err* sentinels
-// across RPC boundaries, and wrapping (%w) is how context is attached without
-// destroying that classification — so a raw `err == ErrX` comparison or a
-// `switch err` over sentinels silently stops matching the moment anyone wraps
-// the error. errors.Is is mandatory. In internal/cluster, returning a bare
-// errors.New(...) is flagged too: an ad-hoc error cannot be classified by any
-// retry policy; use a package sentinel or wrap one with %w.
+// classifies retryable vs fatal outcomes with errors.Is against sentinels;
+// RPC responses carry the handler's error value, so a sentinel wrapped with
+// %w on one node still matches on the other. Hence a raw `err == ErrX` or a
+// `switch err` over exported Err* sentinels (they stop matching the moment
+// anyone wraps), and — outside tests — a strings.Contains, HasPrefix,
+// HasSuffix or Index over an .Error() call (it matches what an error says,
+// not which one it is) are flagged. In internal/cluster, returning a bare
+// errors.New(...) is flagged too: an ad-hoc error cannot be classified by
+// any retry policy; use a package sentinel or wrap one with %w.
 var SentinelerrAnalyzer = &Analyzer{
 	Name: "sentinelerr",
-	Doc: "require errors.Is for exported Err* sentinels (no == / switch err) " +
-		"and ban unclassifiable errors.New at return sites in internal/cluster",
+	Doc: "require errors.Is for exported Err* sentinels (no == / switch err), ban substring " +
+		"tests on an error's text outside tests, and ban errors.New at internal/cluster return sites",
 	Run: runSentinelerr,
 }
+
+// textMatchers are the strings functions that search one string for another.
+var textMatchers = map[string]bool{"Contains": true, "HasPrefix": true, "HasSuffix": true, "Index": true}
 
 func runSentinelerr(p *Pass) {
 	if !inInternal(p.Path) {
@@ -31,6 +37,14 @@ func runSentinelerr(p *Pass) {
 		testFile := isTestFile(p.Fset, f)
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch v := n.(type) {
+			case *ast.CallExpr:
+				sel, _ := v.Fun.(*ast.SelectorExpr)
+				if testFile || sel == nil || !textMatchers[sel.Sel.Name] || !slices.ContainsFunc(v.Args, isErrorText) {
+					return true
+				}
+				if pkg, ok := sel.X.(*ast.Ident); ok && p.isPkgIdent(imps, pkg, "strings") {
+					p.Reportf(v.Pos(), "strings.%s on an error's text: classify with errors.Is against a sentinel (responses carry the error value across hops)", sel.Sel.Name)
+				}
 			case *ast.BinaryExpr:
 				if v.Op != token.EQL && v.Op != token.NEQ {
 					return true
@@ -78,6 +92,15 @@ func runSentinelerr(p *Pass) {
 			return true
 		})
 	}
+}
+
+// isErrorText reports whether e is a call x.Error().
+func isErrorText(e ast.Expr) bool {
+	if call, ok := e.(*ast.CallExpr); ok && len(call.Args) == 0 {
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		return ok && sel.Sel.Name == "Error"
+	}
+	return false
 }
 
 // sentinelName returns the exported Err* sentinel name the expression refers

@@ -4,7 +4,7 @@
 // determinism (no wall clock, no free-running goroutines or coroutines, no
 // order-dependent map iteration in kernel-owned packages), wire-protocol
 // completeness (every payload-bearing message traced and checksummed),
-// sentinel-error discipline (errors.Is, not ==), and the obs-registry
+// sentinel-error discipline (errors.Is, not == or text), and the obs-registry
 // ownership rule.
 //
 // The framework is self-contained (no golang.org/x/tools dependency): the

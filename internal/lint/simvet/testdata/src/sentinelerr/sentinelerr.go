@@ -1,12 +1,14 @@
 // Package sentinelerr is the sentinelerr fixture: == / != / switch over
-// exported Err* sentinels must be flagged, as must bare errors.New at return
-// sites in the cluster-scoped unit; errors.Is, nil checks, %w wrapping, and
-// justified escapes must stay quiet.
+// exported Err* sentinels must be flagged, as must substring tests on an
+// error's text and bare errors.New at return sites in the cluster-scoped
+// unit; errors.Is, nil checks, %w wrapping, substring tests on other
+// strings, and justified escapes must stay quiet.
 package sentinelerr
 
 import (
 	"errors"
 	"fmt"
+	"strings"
 )
 
 var ErrGone = errors.New("gone")
@@ -30,6 +32,16 @@ func switchCase(err error) int {
 // classify is the sanctioned form: must stay quiet.
 func classify(err error) bool {
 	return errors.Is(err, ErrGone)
+}
+
+// textMatch classifies by what the error says, not which error it is.
+func textMatch(err error) bool {
+	return strings.Contains(err.Error(), ErrGone.Error()) // want "strings.Contains on an error's text"
+}
+
+// nameMatch tests a string that is not an error's text: must stay quiet.
+func nameMatch(name string) bool {
+	return strings.HasPrefix(name, "Err")
 }
 
 // nilCheck compares against nil, not a sentinel: must stay quiet.

@@ -171,7 +171,7 @@ func TestNestedCallFromHandler(t *testing.T) {
 	f.AddNode(1, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		resp, err := f.Call(p, 1, 2, &wire.Drain{})
 		if err != nil {
-			return &wire.Ack{Err: err.Error()}
+			return &wire.Ack{Err: err}
 		}
 		return resp
 	})
@@ -180,8 +180,7 @@ func TestNestedCallFromHandler(t *testing.T) {
 		resp, _ = f.Call(p, 0, 1, &wire.Heartbeat{From: 0})
 	})
 	e.Run(0)
-	a, ok := resp.(*wire.Ack)
-	if !ok || a.Err != "" {
+	if _, ok := resp.(*wire.Ack); !ok || wire.AckErr(resp, nil) != nil {
 		t.Fatalf("nested call failed: %#v", resp)
 	}
 }

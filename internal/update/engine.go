@@ -287,7 +287,7 @@ func (b *base) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, err
 	return b.h.Store().ReadRange(p, blk, off, size)
 }
 
-// callAck performs an RPC and converts a non-empty Ack.Err into an error.
+// callAck performs an RPC and returns its outcome as wire.AckErr reads it.
 func (b *base) callAck(p *sim.Proc, to wire.NodeID, req wire.Msg) error {
 	return wire.AckErr(b.h.Call(p, to, req))
 }
@@ -334,7 +334,7 @@ func errAck(err error) *wire.Ack {
 	if err == nil {
 		return wire.OK
 	}
-	return &wire.Ack{Err: err.Error()}
+	return &wire.Ack{Err: err}
 }
 
 // mulDelta returns coef * delta as a fresh buffer. Every caller puts it in

@@ -69,7 +69,7 @@ func TestMovedParityDeltaIsKeptByReference(t *testing.T) {
 				}
 				wrong := &wire.DeltaAppend{Blk: da.Blk, Off: 0, Data: payload(), Kind: wire.KindDataDelta}
 				resp, _ := eng.Handle(p, 2, wrong)
-				if a, ok := resp.(*wire.Ack); !ok || !strings.Contains(a.Err, "unexpected delta kind") {
+				if err := wire.AckErr(resp, nil); err == nil || !strings.Contains(err.Error(), "unexpected delta kind") {
 					t.Errorf("%s accepted a data-delta DeltaAppend: %v", name, resp)
 				}
 			})

@@ -3,9 +3,9 @@
 // The simulated fabric (internal/netsim) passes message values directly and
 // charges SizeOf(m) — headerSize + PayloadSize — to the network model; no
 // message is ever encoded to bytes. PayloadSize is the modelled length of a
-// compact layout (fixed-width integers and bools, length-prefixed slices and
-// strings), and the size table in wire_test.go pins it per message type,
-// since every size feeds simulated network time.
+// compact layout (fixed-width integers and bools, length-prefixed slices,
+// strings and error texts), and the size table in wire_test.go pins it per
+// message type, since every size feeds simulated network time.
 package wire
 
 import (
@@ -17,8 +17,8 @@ import (
 
 // ErrChecksum is the sentinel for an end-to-end payload checksum mismatch:
 // the bytes delivered are not the bytes summed at the source. Receivers
-// surface it (directly or as an error string containing this text) instead
-// of ever acting on — or returning — corrupt data.
+// surface it (directly, or wrapped in a response's Err) instead of ever
+// acting on — or returning — corrupt data.
 var ErrChecksum = errors.New("wire: checksum mismatch")
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -208,26 +208,41 @@ type Spanned interface {
 
 // ---- generic ----
 
-// Ack is the generic response; Err is empty on success.
+// errLen is the modelled length of a response's Err: its text, sent as a
+// length-prefixed string (0 bytes for nil).
+func errLen(err error) int {
+	if err == nil {
+		return 0
+	}
+	return len(err.Error())
+}
+
+// erring is implemented by the responses that carry an Err.
+type erring interface{ carried() error }
+
+// Ack is the generic response; Err is nil on success.
 type Ack struct {
-	Err string
+	Err error
 }
 
 func (*Ack) Type() Type         { return TAck }
-func (a *Ack) PayloadSize() int { return 2 + len(a.Err) }
+func (a *Ack) PayloadSize() int { return 2 + errLen(a.Err) }
+func (a *Ack) carried() error   { return a.Err }
 
 // OK is a shared success ack (never mutated).
 var OK = &Ack{}
 
 // AckErr is the error outcome of an RPC: the transport error if there is
-// one, else a non-empty Ack.Err as an error, else nil. Any other response
-// is a success.
+// one, else the Err the response carries, else nil (a response type without
+// an Err is a success). The fabric hands the handler's error value itself
+// to the caller, so a sentinel wrapped with %w on one node still satisfies
+// errors.Is on the other.
 func AckErr(resp Msg, err error) error {
 	if err != nil {
 		return err
 	}
-	if a, ok := resp.(*Ack); ok && a.Err != "" {
-		return errors.New(a.Err)
+	if r, ok := resp.(erring); ok {
+		return r.carried()
 	}
 	return nil
 }
@@ -246,11 +261,12 @@ func (c *CreateFile) PayloadSize() int { return 2 + len(c.Name) + 4 }
 // CreateResp returns the assigned inode.
 type CreateResp struct {
 	Ino uint64
-	Err string
+	Err error
 }
 
 func (*CreateResp) Type() Type         { return TCreateResp }
-func (c *CreateResp) PayloadSize() int { return 8 + 2 + len(c.Err) }
+func (c *CreateResp) PayloadSize() int { return 8 + 2 + errLen(c.Err) }
+func (c *CreateResp) carried() error   { return c.Err }
 
 // Lookup asks the MDS for the OSDs of a stripe.
 type Lookup struct {
@@ -271,11 +287,12 @@ type LookupResp struct {
 	OSDs  []NodeID
 	PG    uint32
 	Epoch uint64
-	Err   string
+	Err   error
 }
 
 func (*LookupResp) Type() Type         { return TLookupResp }
-func (l *LookupResp) PayloadSize() int { return 2 + 4*len(l.OSDs) + 4 + 8 + 2 + len(l.Err) }
+func (l *LookupResp) PayloadSize() int { return 2 + 4*len(l.OSDs) + 4 + 8 + 2 + errLen(l.Err) }
+func (l *LookupResp) carried() error   { return l.Err }
 
 // PGLookup asks the MDS for a placement group's member OSDs (slot order,
 // before per-stripe role rotation). Answered with a LookupResp.
@@ -301,7 +318,7 @@ func (*Heartbeat) PayloadSize() int { return 4 + 4 }
 // AdmitOp asks the MDS for admission of one foreground client op before the
 // client performs it — the backpressure half of the open-loop load plane.
 // The MDS runs its configured admission policy (token-bucket rate plus
-// queue-depth limits) and answers with an Ack: empty Err admits the op, an
+// queue-depth limits) and answers with an Ack: a nil Err admits the op, an
 // overload Err bounces it back to the submitter as a retryable rejection.
 type AdmitOp struct {
 	Span SpanCtx
@@ -331,8 +348,8 @@ func (p *PutBlock) SpanRef() *SpanCtx { return &p.Span }
 // and block migration, which must see a version consistent with the
 // (equally log-lagged) parity. Epoch is the placement epoch the client
 // resolved the block's home under; a non-raw read whose epoch no longer
-// matches the PG's authoritative epoch is rejected with ErrStaleEpoch so
-// the client re-resolves (raw reads are server-internal and exempt).
+// matches the PG's authoritative epoch is rejected with a stale-epoch error
+// so the client re-resolves (raw reads are server-internal and exempt).
 type ReadBlock struct {
 	Blk   BlockID
 	Off   int64
@@ -355,12 +372,13 @@ func (b *ReadBlock) SpanRef() *SpanCtx { return &b.Span }
 //lint:allow wireproto(response rides the requester's rpc span; netsim links the return hop without a carried context)
 type ReadResp struct {
 	Data []byte
-	Err  string
+	Err  error
 	Sum  uint32
 }
 
 func (*ReadResp) Type() Type         { return TReadResp }
-func (r *ReadResp) PayloadSize() int { return 4 + len(r.Data) + 2 + len(r.Err) + 4 }
+func (r *ReadResp) PayloadSize() int { return 4 + len(r.Data) + 2 + errLen(r.Err) + 4 }
+func (r *ReadResp) carried() error   { return r.Err }
 
 // Update is a client update to the OSD hosting a data block. Epoch is the
 // placement epoch the client resolved the route under (see ReadBlock).
@@ -592,11 +610,12 @@ func (j *JournalReplica) SpanRef() *SpanCtx { return &j.Span }
 // sequence so the surrogate can match acks to appends.
 type JournalAck struct {
 	Seq uint64
-	Err string
+	Err error
 }
 
 func (*JournalAck) Type() Type         { return TJournalAck }
-func (j *JournalAck) PayloadSize() int { return 8 + 2 + len(j.Err) }
+func (j *JournalAck) PayloadSize() int { return 8 + 2 + errLen(j.Err) }
+func (j *JournalAck) carried() error   { return j.Err }
 
 // JournalFetch retrieves surrogate-journal state for the given failed node.
 // Two modes share the message:
@@ -630,7 +649,7 @@ type JournalItem struct {
 // (failed, surrogate) pair, in ascending Seq order.
 type JournalFetchResp struct {
 	Items []JournalItem
-	Err   string
+	Err   error
 }
 
 func (*JournalFetchResp) Type() Type { return TJournalFetchResp }
@@ -639,8 +658,9 @@ func (j *JournalFetchResp) PayloadSize() int {
 	for _, it := range j.Items {
 		n += 8 + 14 + 8 + 4 + len(it.Data)
 	}
-	return n + 2 + len(j.Err)
+	return n + 2 + errLen(j.Err)
 }
+func (j *JournalFetchResp) carried() error { return j.Err }
 
 // ReplayUpdate carries one recovered log/journal record to the (possibly
 // remapped) home OSD, which merges it through the engine's replay hook
@@ -692,11 +712,12 @@ func (*EpochUpdate) PayloadSize() int { return 1 + 4 + 4 }
 // EpochResp returns the (staged or committed) epoch number.
 type EpochResp struct {
 	Epoch uint64
-	Err   string
+	Err   error
 }
 
 func (*EpochResp) Type() Type         { return TEpochResp }
-func (e *EpochResp) PayloadSize() int { return 8 + 2 + len(e.Err) }
+func (e *EpochResp) PayloadSize() int { return 8 + 2 + errLen(e.Err) }
+func (e *EpochResp) carried() error   { return e.Err }
 
 // MigrateBlock asks a block's NEW home to pull the raw block from its old
 // home From and store it locally — the bulk-copy step of a PG migration.
@@ -802,13 +823,14 @@ type TransitionStatusResp struct {
 	Committed uint64
 	PGs       []PGStatus
 	Beats     []BeatStatus
-	Err       string
+	Err       error
 }
 
 func (*TransitionStatusResp) Type() Type { return TTransitionStatusResp }
 func (t *TransitionStatusResp) PayloadSize() int {
-	return 1 + 8 + 8 + 4 + 5*len(t.PGs) + 4 + 12*len(t.Beats) + 2 + len(t.Err)
+	return 1 + 8 + 8 + 4 + 5*len(t.PGs) + 4 + 12*len(t.Beats) + 2 + errLen(t.Err)
 }
+func (t *TransitionStatusResp) carried() error { return t.Err }
 
 // Settle asks an OSD to bring its raw block stores to stripe consistency
 // with minimal merging: every engine drains the log state whose effects are

@@ -26,21 +26,22 @@ var _ = []Spanned{
 // the SpanCtx.
 var sizeRows = func() []sizeRow {
 	b := func(n int) []byte { return make([]byte, n) }
+	e := errors.New
 	return []sizeRow{
-		{&Ack{Err: "boom"}, 6},                                   // 2+4
-		{&CreateFile{Name: "vol0"}, 10},                          // 2+4+4
-		{&CreateResp{Err: "exists"}, 16},                         // 8+2+6
-		{&Lookup{}, 12},                                          // 8+4
-		{&LookupResp{OSDs: make([]NodeID, 3), Err: "stale"}, 33}, // 2+4*3+4+8+2+5
-		{&PutBlock{Data: b(3)}, 42},                              // 14+4+3+4+17
-		{&ReadBlock{}, 52},                                       // 14+13+8+17
-		{&ReadResp{Data: b(2), Err: "eio"}, 15},                  // 4+2+2+3+4
-		{&Update{Data: b(2)}, 57},                                // 14+8+4+2+8+4+17
-		{&DeltaAppend{Data: b(1)}, 52},                           // 14+2+8+4+1+2+4+17
-		{&ParixAppend{New: b(2), Orig: b(3)}, 58},                // 14+2+8+4+2+4+3+4+17
-		{&ParityDelta{Data: b(4)}, 51},                           // 14+8+4+4+4+17
-		{&LogReplica{Data: b(1)}, 62},                            // 4+2+8+14+8+4+1+4+17
-		{&UnitDone{}, 14},                                        // 4+2+8
+		{&Ack{Err: e("boom")}, 6},                                   // 2+4
+		{&CreateFile{Name: "vol0"}, 10},                             // 2+4+4
+		{&CreateResp{Err: e("exists")}, 16},                         // 8+2+6
+		{&Lookup{}, 12},                                             // 8+4
+		{&LookupResp{OSDs: make([]NodeID, 3), Err: e("stale")}, 33}, // 2+4*3+4+8+2+5
+		{&PutBlock{Data: b(3)}, 42},                                 // 14+4+3+4+17
+		{&ReadBlock{}, 52},                                          // 14+13+8+17
+		{&ReadResp{Data: b(2), Err: e("eio")}, 15},                  // 4+2+2+3+4
+		{&Update{Data: b(2)}, 57},                                   // 14+8+4+2+8+4+17
+		{&DeltaAppend{Data: b(1)}, 52},                              // 14+2+8+4+1+2+4+17
+		{&ParixAppend{New: b(2), Orig: b(3)}, 58},                   // 14+2+8+4+2+4+3+4+17
+		{&ParityDelta{Data: b(4)}, 51},                              // 14+8+4+4+4+17
+		{&LogReplica{Data: b(1)}, 62},                               // 4+2+8+14+8+4+1+4+17
+		{&UnitDone{}, 14},                                           // 4+2+8
 		{&Drain{}, 0},
 		{&Heartbeat{}, 8},     // 4+4
 		{&RecoverBlock{}, 32}, // 14+1+17
@@ -54,16 +55,16 @@ var sizeRows = func() []sizeRow {
 		{&Settle{}, 4},                                                       // 4
 		{&PGLookup{}, 4},                                                     // 4
 		{&EpochUpdate{}, 9},                                                  // 1+4+4
-		{&EpochResp{Err: "no transition"}, 23},                               // 8+2+13
+		{&EpochResp{Err: e("no transition")}, 23},                            // 8+2+13
 		{&MigrateBlock{}, 20},                                                // 14+4+2
 		{&PGCutover{}, 12},                                                   // 4+8
 		{&MigrateLog{}, 14},                                                  // 14
 		{&ReplicaRetire{}, 18},                                               // 4+14
 		{&PGAbort{}, 12},                                                     // 4+8
 		{&TransitionStatus{}, 0},
-		{&TransitionStatusResp{PGs: make([]PGStatus, 2), Beats: make([]BeatStatus, 3), Err: "busy"}, 77}, // 1+8+8+4+5*2+4+12*3+2+4
-		{&JournalAck{Err: "zone full"}, 19}, // 8+2+9
-		{&JournalFetchResp{Items: []JournalItem{{Data: b(2)}, {Data: b(1)}}, Err: "partial"}, 84}, // 4+(8+14+8+4+2)+(8+14+8+4+1)+2+7
+		{&TransitionStatusResp{PGs: make([]PGStatus, 2), Beats: make([]BeatStatus, 3), Err: e("busy")}, 77}, // 1+8+8+4+5*2+4+12*3+2+4
+		{&JournalAck{Err: e("zone full")}, 19},                                                       // 8+2+9
+		{&JournalFetchResp{Items: []JournalItem{{Data: b(2)}, {Data: b(1)}}, Err: e("partial")}, 84}, // 4+(8+14+8+4+2)+(8+14+8+4+1)+2+7
 		{&AdmitOp{}, 17}, // 17
 	}
 }()
@@ -102,8 +103,9 @@ func TestSizeOfIncludesHeader(t *testing.T) {
 
 // FuzzUnmarshalRoundTrip decodes an arbitrary (frame type, payload) pair
 // into a message: the type byte picks the type's sizeRows message, every
-// byte-slice and string field takes the payload, and every fixed-width
-// field takes a value drawn from it. The message must report the frame
+// byte-slice and string field takes the payload, every error field an
+// error with the payload as its text, and every fixed-width field a value
+// drawn from it. The message must report the frame
 // type back, and its modelled size must move by exactly the variable bytes
 // it gained: no fixed-width value (a Sum, an epoch, a SpanCtx traced or
 // not) changes a size. A type byte with no row must have no name either.
@@ -139,8 +141,9 @@ func FuzzUnmarshalRoundTrip(f *testing.F) {
 
 // decode returns a copy of proto with every field reachable through
 // structs and slice elements overwritten: byte slices and strings with
-// payload, integers and bools with values drawn from it. Other slices keep
-// their length. grew is the number of variable bytes the copy gained.
+// payload, errors with an error whose text is payload, integers and bools
+// with values drawn from it. Other slices keep their length. grew is the
+// number of variable bytes the copy gained.
 func decode(t *testing.T, proto Msg, payload []byte) (m Msg, grew int) {
 	v := reflect.New(reflect.TypeOf(proto).Elem())
 	v.Elem().Set(reflect.ValueOf(proto).Elem())
@@ -174,6 +177,15 @@ func decode(t *testing.T, proto Msg, payload []byte) (m Msg, grew int) {
 		case reflect.String:
 			grew += len(payload) - f.Len()
 			f.SetString(string(payload))
+		case reflect.Interface:
+			if f.Type() != errorType {
+				t.Fatalf("%v: interface field %v has no modelled size", proto.Type(), f.Type())
+			}
+			if !f.IsNil() {
+				grew -= len(f.Interface().(error).Error())
+			}
+			grew += len(payload)
+			f.Set(reflect.ValueOf(errors.New(string(payload))))
 		case reflect.Bool:
 			f.SetBool(next()%2 == 1)
 		case reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
@@ -217,18 +229,47 @@ func TestBlockIDStripe(t *testing.T) {
 	}
 }
 
+var errorType = reflect.TypeOf((*error)(nil)).Elem()
+
+// TestAckErr holds AckErr to one rule over every response that carries an
+// Err: a nil Err is a success, a carried error comes back as the value the
+// handler set — a wrapped sentinel still satisfies errors.Is, and its text
+// is unchanged — and a transport error wins over any response. The table
+// must name every message type with an Err field.
 func TestAckErr(t *testing.T) {
 	transport := errors.New("node down")
-	if err := AckErr(nil, transport); !errors.Is(err, transport) {
-		t.Fatalf("transport error: got %v", err)
+	carried := fmt.Errorf("update blk(1/2/3): %w", ErrChecksum)
+	rows := []struct{ ok, failed Msg }{
+		{OK, &Ack{Err: carried}},
+		{&CreateResp{Ino: 7}, &CreateResp{Err: carried}},
+		{&LookupResp{OSDs: []NodeID{1}}, &LookupResp{Err: carried}},
+		{&ReadResp{Data: []byte("x")}, &ReadResp{Err: carried}},
+		{&EpochResp{Epoch: 2}, &EpochResp{Err: carried}},
+		{&JournalAck{Seq: 3}, &JournalAck{Seq: 3, Err: carried}},
+		{&JournalFetchResp{}, &JournalFetchResp{Err: carried}},
+		{&TransitionStatusResp{}, &TransitionStatusResp{Err: carried}},
 	}
-	if err := AckErr(&Ack{Err: "x"}, nil); err == nil || err.Error() != "x" {
-		t.Fatalf("Ack{Err: x}: got %v", err)
+	covered := make(map[Type]bool)
+	for _, r := range rows {
+		typ := r.failed.Type()
+		covered[typ] = true
+		if err := AckErr(r.ok, nil); err != nil {
+			t.Errorf("%v without Err: got %v", typ, err)
+		}
+		err := AckErr(r.failed, nil)
+		if !errors.Is(err, ErrChecksum) || err.Error() != carried.Error() {
+			t.Errorf("%v carrying %q: got %v", typ, carried, err)
+		}
+		if err := AckErr(r.failed, transport); err != transport {
+			t.Errorf("%v with a transport error: got %v", typ, err)
+		}
 	}
-	if err := AckErr(OK, nil); err != nil {
-		t.Fatalf("OK: got %v", err)
+	if err := AckErr(&Update{}, nil); err != nil {
+		t.Fatalf("response without an Err field: got %v", err)
 	}
-	if err := AckErr(&ReadResp{}, nil); err != nil {
-		t.Fatalf("non-Ack response: got %v", err)
+	for _, r := range sizeRows {
+		if _, ok := reflect.TypeOf(r.m).Elem().FieldByName("Err"); ok && !covered[r.m.Type()] {
+			t.Errorf("%v has an Err field but no AckErr row", r.m.Type())
+		}
 	}
 }
