@@ -22,6 +22,12 @@
 // instead. A gated metric present in the baseline but missing from the
 // fresh run is itself a failure — a gate that can be silently narrowed is
 // no gate.
+//
+// Load points are relative (load=0.75x is 0.75 of the engine's own
+// closed-loop calibration), so an engine that got faster is gated at a
+// higher absolute rate. A failing row with a load label therefore also
+// prints both runs' offered rate and the engine's calib_iops, read from
+// each directory's saturation file; the pass/fail rule ignores them.
 package main
 
 import (
@@ -29,6 +35,7 @@ import (
 	"fmt"
 	"os"
 	"sort"
+	"strconv"
 	"strings"
 
 	"tsue/internal/harness"
@@ -55,6 +62,43 @@ var (
 // percentage, so such metrics gate on the absolute ceiling instead.
 const latFloorMs = 0.05
 
+// calibIOPS returns each engine's closed-loop calibration throughput from
+// dir's saturation file (nil if there is none). The obs experiment
+// calibrates with the same config and seed, so the table serves its load
+// points too.
+func calibIOPS(dir string) map[string]float64 {
+	f, err := harness.LoadBenchFile(dir, "saturation")
+	if err != nil {
+		return nil
+	}
+	out := make(map[string]float64)
+	for _, m := range f.Metrics {
+		if m.Name == "calib_iops" {
+			out[m.Labels["engine"]] = m.Value
+		}
+	}
+	return out
+}
+
+// loadPoint describes where a relative load point sat in absolute terms in
+// each run: offered = fraction x calib_iops, which is what saturation
+// records as offered_iops (obs rows record no rate of their own). It is ""
+// for a metric with no load label or an engine with no calibration on
+// either side.
+func loadPoint(m harness.Metric, baseCalib, freshCalib map[string]float64) string {
+	frac, err := strconv.ParseFloat(strings.TrimSuffix(m.Labels["load"], "x"), 64)
+	if err != nil {
+		return ""
+	}
+	eng := m.Labels["engine"]
+	b, okB := baseCalib[eng]
+	f, okF := freshCalib[eng]
+	if !okB || !okF {
+		return ""
+	}
+	return fmt.Sprintf("; load point: offered_iops %.0f -> %.0f, calib_iops %.0f -> %.0f", frac*b, frac*f, b, f)
+}
+
 func gateExperiment(baseDir, freshDir, exp string, pct float64) []string {
 	base, err := harness.LoadBenchFile(baseDir, exp)
 	if err != nil {
@@ -72,6 +116,7 @@ func gateExperiment(baseDir, freshDir, exp string, pct float64) []string {
 	for _, m := range fresh.Metrics {
 		got[key(m)] = m.Value
 	}
+	baseCalib, freshCalib := calibIOPS(baseDir), calibIOPS(freshDir)
 	var fails []string
 	checked := 0
 	for _, m := range base.Metrics {
@@ -85,22 +130,26 @@ func gateExperiment(baseDir, freshDir, exp string, pct float64) []string {
 			continue
 		}
 		checked++
+		var fail string
 		switch {
 		case worse && m.Value < latFloorMs:
 			if cur > latFloorMs {
-				fails = append(fails, fmt.Sprintf("%s: %s rose %.4f -> %.4f ms (above the %.0fµs sub-floor ceiling)",
-					exp, key(m), m.Value, cur, latFloorMs*1000))
+				fail = fmt.Sprintf("%s: %s rose %.4f -> %.4f ms (above the %.0fµs sub-floor ceiling)",
+					exp, key(m), m.Value, cur, latFloorMs*1000)
 			}
 		case worse:
 			if cur > m.Value*(1+pct/100) {
-				fails = append(fails, fmt.Sprintf("%s: %s regressed %.4f -> %.4f (+%.1f%%, gate %.0f%%)",
-					exp, key(m), m.Value, cur, 100*(cur/m.Value-1), pct))
+				fail = fmt.Sprintf("%s: %s regressed %.4f -> %.4f (+%.1f%%, gate %.0f%%)",
+					exp, key(m), m.Value, cur, 100*(cur/m.Value-1), pct)
 			}
 		case better:
 			if cur < m.Value*(1-pct/100) {
-				fails = append(fails, fmt.Sprintf("%s: %s regressed %.1f -> %.1f (-%.1f%%, gate %.0f%%)",
-					exp, key(m), m.Value, cur, 100*(1-cur/m.Value), pct))
+				fail = fmt.Sprintf("%s: %s regressed %.1f -> %.1f (-%.1f%%, gate %.0f%%)",
+					exp, key(m), m.Value, cur, 100*(1-cur/m.Value), pct)
 			}
+		}
+		if fail != "" {
+			fails = append(fails, fail+loadPoint(m, baseCalib, freshCalib))
 		}
 	}
 	fmt.Printf("benchgate: %s: %d gated metrics checked, %d failed\n", exp, checked, len(fails))

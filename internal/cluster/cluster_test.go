@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"tsue/internal/obs"
 	"tsue/internal/sim"
 	"tsue/internal/update"
 	"tsue/internal/wire"
@@ -249,6 +250,80 @@ func TestReadYourWritesBeforeDrain(t *testing.T) {
 			t.Fatal("whole-file read mismatch before drain")
 		}
 	})
+}
+
+// TestTsueStallIsNamed: with tiny DataLog pools, concurrent updates stall
+// on a full pool, and the stall is its own journal span — so at least one
+// traced update's dominant hop names the stalled layer instead of the
+// generic handler span around it.
+func TestTsueStallIsNamed(t *testing.T) {
+	cfg := testConfig("tsue")
+	cfg.EngineOpts.MaxUnits = 2
+	cfg.EngineOpts.UnitSize = 8 << 10
+	cfg.EngineOpts.Pools = 1
+	cfg.TraceSample = 1
+	c := MustNew(cfg)
+	admin := c.NewClient()
+	fileSize := 4 * c.StripeWidth()
+	ok := false
+	c.Env.Go("setup", func(p *sim.Proc) {
+		content := make([]byte, fileSize)
+		rand.New(rand.NewSource(5)).Read(content)
+		ino, err := admin.Create(p, "f", fileSize)
+		if err == nil {
+			err = admin.WriteFile(p, ino, content)
+		}
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		wg := sim.NewWaitGroup(c.Env)
+		wg.Add(8)
+		for ci := 0; ci < 8; ci++ {
+			cl := c.NewClient()
+			c.Env.Go("client", func(cp *sim.Proc) {
+				defer wg.Done()
+				rng := rand.New(rand.NewSource(int64(200 + ci)))
+				for i := 0; i < 30; i++ {
+					buf := make([]byte, 4096)
+					rng.Read(buf)
+					if err := cl.Update(cp, ino, int64(rng.Intn(int(fileSize-4096))), buf); err != nil {
+						t.Errorf("client %d: %v", ci, err)
+						return
+					}
+				}
+			})
+		}
+		wg.Wait(p)
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Scrub(); err != nil {
+			t.Error(err)
+			return
+		}
+		ok = true
+	})
+	c.Env.Run(0)
+	c.Env.Close()
+	if !ok {
+		t.Fatal("run did not complete")
+	}
+	const want = "journal:log:stall:tsue-data"
+	updates, stalled := 0, 0
+	for _, tv := range obs.GroupTraces(c.Obs.Tracer.Spans()) {
+		if tv.Op != obs.OpUpdate {
+			continue
+		}
+		updates++
+		if sig, _ := tv.Dominant(); sig == want {
+			stalled++
+		}
+	}
+	if stalled == 0 {
+		t.Fatalf("no update of %d has %s as its dominant hop", updates, want)
+	}
 }
 
 // TestRecoveryAllEngines: fail one OSD after a drained update run; the

@@ -24,10 +24,17 @@ import (
 //
 //	DataLog  — merged extents are RMW'd into the data block; the data deltas
 //	           forward to the DeltaLog on the first parity holder (copy to
-//	           the second).
+//	           the second), or, without a DeltaLog, straight to the M
+//	           ParityLogs.
 //	DeltaLog — deltas of one stripe fold into per-parity-block staged deltas
 //	           (Equation (5)) and ship to each parity holder's ParityLog.
 //	ParityLog— merged parity deltas XOR into the parity block in place.
+//
+// Both sites that feed the ParityLogs send to a stripe's M parity holders
+// in parallel (stripes stay in order, and each holder gets its extents in
+// fold order): the holders are independent, and a serial walk over them
+// backs the DeltaLog up until its appenders stall. Data extents recycle
+// one at a time, and a stall in any layer's append is a "log:stall" span.
 //
 // Every layer uses the FIFO log-pool structure with the two-level index, so
 // repeated and adjacent updates collapse before they cost device or network
@@ -240,33 +247,42 @@ func (t *tsue) appendLayer(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.Bloc
 	if owned {
 		add = pool.AppendOwned
 	}
+	// Backpressure: wait while an exclusive log recycles or the pool is
+	// full. The wait is its own journal span, so a stalled update's trace
+	// names the stalled layer rather than the handler that called it.
+	var sealed *logpool.Unit
+	var endStall func()
 	for {
-		if l.exclusive && l.recycling > 0 {
-			l.cond.Wait(p)
-			continue
+		if !l.exclusive || l.recycling == 0 {
+			var ok bool
+			if sealed, ok = add(blk, off, data, p.Now()); ok {
+				break
+			}
 		}
-		sealed, ok := add(blk, off, data, p.Now())
-		if !ok {
-			l.cond.Wait(p)
-			continue
+		if endStall == nil {
+			endStall = t.logSpan(p, "log:stall:tsue-"+l.name)
 		}
-		rec := int64(len(data)) + 24
-		// The on-disk log region is circular (MaxUnits units worth of
-		// space per pool): recycled units' space is overwritten, which the
-		// FTL sees as invalidation rather than unbounded growth.
-		span := int64(t.o.MaxUnits) * t.o.UnitSize
-		pos := l.cursors[poolIdx] % span
-		l.cursors[poolIdx] += rec
-		fin := t.logSpan(p, "log:append:tsue-"+l.name)
-		t.h.Store().Device().Write(p, l.zones[poolIdx], pos, rec, false)
-		fin()
-		if sealed != nil {
-			l.queues[poolIdx].Put(sealed)
-		}
-		l.stats.AppendN++
-		l.stats.AppendTime += p.Now() - start
-		return pool.Tail()
+		l.cond.Wait(p)
 	}
+	if endStall != nil {
+		endStall()
+	}
+	rec := int64(len(data)) + 24
+	// The on-disk log region is circular (MaxUnits units worth of space per
+	// pool): recycled units' space is overwritten, which the FTL sees as
+	// invalidation rather than unbounded growth.
+	span := int64(t.o.MaxUnits) * t.o.UnitSize
+	pos := l.cursors[poolIdx] % span
+	l.cursors[poolIdx] += rec
+	fin := t.logSpan(p, "log:append:tsue-"+l.name)
+	t.h.Store().Device().Write(p, l.zones[poolIdx], pos, rec, false)
+	fin()
+	if sealed != nil {
+		l.queues[poolIdx].Put(sealed)
+	}
+	l.stats.AppendN++
+	l.stats.AppendTime += p.Now() - start
+	return pool.Tail()
 }
 
 // Update is the synchronous front end: append locally, replicate, ack. The
@@ -506,32 +522,39 @@ func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit)
 }
 
 // forwardParityDirect multiplies a data delta locally and appends it to
-// each live parity holder's ParityLog — the no-DeltaLog path, also the
-// degraded fallback when the DeltaLog holder is down. Deltas for a dead
-// parity holder are dropped: its block is rebuilt by re-encoding the
-// already-updated data (degraded-mode recovery).
+// each live parity holder's ParityLog, all M in parallel — the no-DeltaLog
+// path, also the degraded fallback when the DeltaLog holder is down. Deltas
+// for a dead parity holder are dropped: its block is rebuilt by re-encoding
+// the already-updated data (degraded-mode recovery).
 func (t *tsue) forwardParityDirect(p *sim.Proc, s wire.StripeID, blk wire.BlockID, off int64, delta []byte, osds []wire.NodeID) {
 	c := t.h.Code()
-	k, mm := c.K, c.M
-	for j := 0; j < mm; j++ {
+	k := c.K
+	err := t.fanout(p, c.M, func(hp *sim.Proc, j int) error {
 		if !t.h.Alive(osds[k+j]) {
-			continue
+			return nil
 		}
 		pd := mulDelta(c, j, int(blk.Index), delta)
 		req := &wire.ParityDelta{Blk: t.parityBlock(s, j), Off: off, Data: pd, Sum: wire.Checksum(pd)}
-		if err := t.callAck(p, osds[k+j], req); err != nil {
+		if err := t.callAck(hp, osds[k+j], req); err != nil {
 			if !t.h.Alive(osds[k+j]) || !t.h.Alive(t.h.NodeID()) {
-				continue // one end died mid-forward; recovery repairs
+				return nil // one end died mid-forward; recovery repairs
 			}
-			panic("tsue: parity fwd: " + err.Error())
+			return err
 		}
+		return nil
+	})
+	if err != nil {
+		panic("tsue: parity fwd: " + err.Error())
 	}
 }
 
 // recycleDeltaUnits folds a batch of DeltaLog units' data deltas into
 // per-parity staged deltas and ships them to the parity logs. Deltas XOR-
 // merge across units first, then each stripe's extents fold through the
-// codec's batched Equation (5) (rs.FoldDeltas) in one pass.
+// codec's batched Equation (5) (rs.FoldDeltas) in one pass. A stripe's M
+// parity holders are independent, so their sends run in parallel; each
+// holder still receives its extents in fold order, and the next stripe
+// starts once every holder has acked this one.
 func (t *tsue) recycleDeltaUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit) {
 	// Dead node: buffered deltas are lost with it; the re-encode repair
 	// rebuilds the parities they were destined for.
@@ -539,7 +562,7 @@ func (t *tsue) recycleDeltaUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit
 		return
 	}
 	c := t.h.Code()
-	k, mm := c.K, c.M
+	k := c.K
 	merged, order := logpool.MergeUnits(units, logpool.XOR, false)
 	perStripe := make(map[wire.StripeID][]rs.DeltaExtent)
 	var stripes []wire.StripeID
@@ -556,22 +579,26 @@ func (t *tsue) recycleDeltaUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit
 	for _, s := range stripes {
 		folded := c.FoldDeltas(perStripe[s])
 		osds := t.h.Placement(s)
-		for j := 0; j < mm; j++ {
+		err := t.fanout(p, c.M, func(hp *sim.Proc, j int) error {
 			// Deltas for a dead parity holder are dropped; recovery rebuilds
 			// that block by re-encoding the data.
 			if !t.h.Alive(osds[k+j]) {
-				continue
+				return nil
 			}
 			pblk := t.parityBlock(s, j)
 			for _, ext := range folded[j] {
 				req := &wire.ParityDelta{Blk: pblk, Off: ext.Off, Data: ext.Data, Sum: wire.Checksum(ext.Data)}
-				if err := t.callAck(p, osds[k+j], req); err != nil {
+				if err := t.callAck(hp, osds[k+j], req); err != nil {
 					if !t.h.Alive(osds[k+j]) || !t.h.Alive(t.h.NodeID()) {
-						break // one end died mid-fold; recovery repairs
+						return nil // one end died mid-fold; recovery repairs
 					}
-					panic("tsue: parity delta fwd: " + err.Error())
+					return err
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			panic("tsue: parity delta fwd: " + err.Error())
 		}
 	}
 }

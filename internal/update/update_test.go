@@ -1,6 +1,7 @@
 package update
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -244,6 +245,109 @@ func TestTsueReadCacheServesFromLog(t *testing.T) {
 			t.Error("partial read skipped the device")
 		}
 	})
+}
+
+// paritySend is one ParityDelta as it left the host.
+type paritySend struct {
+	to  wire.NodeID
+	at  time.Duration
+	off int64
+}
+
+// parityHost is a fakeHost that records the destination and sim send time
+// of every ParityDelta, and reports one node (if non-zero) dead.
+type parityHost struct {
+	*fakeHost
+	dead  wire.NodeID
+	sends []paritySend
+}
+
+func (h *parityHost) Alive(id wire.NodeID) bool { return id != h.dead }
+func (h *parityHost) Placement(wire.StripeID) []wire.NodeID {
+	return []wire.NodeID{1, 2, 3, 4, 5, 6, 7}
+}
+func (h *parityHost) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, error) {
+	if pd, ok := req.(*wire.ParityDelta); ok {
+		h.sends = append(h.sends, paritySend{to: to, at: p.Now(), off: pd.Off})
+	}
+	return h.fakeHost.Call(p, to, req)
+}
+
+// TestTsueParityFanout: both TSUE sites that feed the ParityLogs — the
+// DeltaLog recycle and the direct path — send to a stripe's M parity
+// holders concurrently. Every live holder's first send starts at the same
+// instant, each holder receives its extents in fold (offset) order, and a
+// dead holder gets nothing while the others get everything.
+func TestTsueParityFanout(t *testing.T) {
+	offs := []int64{0, 1024, 2048}
+	for _, deltaLog := range []bool{true, false} {
+		for _, dead := range []wire.NodeID{0, 6} {
+			t.Run(fmt.Sprintf("deltalog=%v/dead=%d", deltaLog, dead), func(t *testing.T) {
+				h := &parityHost{fakeHost: newFakeHost(t), dead: dead}
+				h.code = rs.MustNew(4, 3, rs.Vandermonde)
+				o := DefaultOptions()
+				o.Pools = 1
+				o.UseDeltaLog = deltaLog
+				eng, err := New("tsue", h, o)
+				if err != nil {
+					t.Fatal(err)
+				}
+				blk := wire.BlockID{Ino: 1, Stripe: 0, Index: 1}
+				runProc(t, h.fakeHost, func(p *sim.Proc) {
+					if err := h.store.Put(p, blk, make([]byte, 4096)); err != nil {
+						t.Error(err)
+						return
+					}
+					for i, off := range offs {
+						data := []byte{byte(i + 1), 7, 7, 7}
+						var err error
+						if deltaLog {
+							req := &wire.DeltaAppend{Blk: blk, Off: off, Data: data, Kind: wire.KindDataDelta, Sum: wire.Checksum(data)}
+							resp, _ := eng.Handle(p, 2, req)
+							err = wire.AckErr(resp, nil)
+						} else {
+							err = applyUpdate(eng, p, blk, off, data)
+						}
+						if err != nil {
+							t.Error(err)
+							return
+						}
+					}
+					if err := eng.Drain(p); err != nil {
+						t.Error(err)
+					}
+				})
+				first := time.Duration(-1)
+				for _, holder := range []wire.NodeID{5, 6, 7} {
+					var got []paritySend
+					for _, s := range h.sends {
+						if s.to == holder {
+							got = append(got, s)
+						}
+					}
+					if holder == dead {
+						if len(got) != 0 {
+							t.Errorf("dead holder %d was sent %d parity deltas", holder, len(got))
+						}
+						continue
+					}
+					if len(got) != len(offs) {
+						t.Fatalf("holder %d got %d parity deltas, want %d", holder, len(got), len(offs))
+					}
+					for i, s := range got {
+						if s.off != offs[i] {
+							t.Errorf("holder %d extent %d at offset %d, want %d (fold order)", holder, i, s.off, offs[i])
+						}
+					}
+					if first < 0 {
+						first = got[0].at
+					} else if got[0].at != first {
+						t.Errorf("holder %d first send at %v, want %v with the other holders", holder, got[0].at, first)
+					}
+				}
+			})
+		}
+	}
 }
 
 func TestFOHasNoLogState(t *testing.T) {
