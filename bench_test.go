@@ -59,8 +59,8 @@ func BenchmarkFig8a(b *testing.B) { runExp(b, harness.Fig8a) }
 // BenchmarkFig8b regenerates Fig. 8b: HDD recovery bandwidth per MSR volume.
 func BenchmarkFig8b(b *testing.B) { runExp(b, harness.Fig8b) }
 
-// BenchmarkSweep regenerates the batched-recycle sweep (recycler batch size
-// x codec workers).
+// BenchmarkSweep regenerates the batched-recycle sweep over recycler batch
+// sizes.
 func BenchmarkSweep(b *testing.B) { runExp(b, harness.Sweep) }
 
 // Kernel micro-benchmarks: the word-wise gf256 slice kernels against their
@@ -131,8 +131,7 @@ func BenchmarkXorSlice(b *testing.B) {
 	})
 }
 
-// BenchmarkEncode measures full-stripe RS(6,4) encoding of 1 MiB shards
-// through the striped codec, at 1 worker and at the default worker bound.
+// BenchmarkEncode measures full-stripe RS(6,4) encoding of 1 MiB shards.
 func BenchmarkEncode(b *testing.B) {
 	code := rs.MustNew(6, 4, rs.Vandermonde)
 	const shard = 1 << 20
@@ -146,21 +145,12 @@ func BenchmarkEncode(b *testing.B) {
 	for i := range parity {
 		parity[i] = make([]byte, shard)
 	}
-	for _, workers := range []int{1, 0} {
-		name := "default-workers"
-		if workers == 1 {
-			name = "1-worker"
+	b.SetBytes(6 * shard)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := code.Encode(data, parity); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			rs.SetWorkers(workers)
-			defer rs.SetWorkers(0)
-			b.SetBytes(6 * shard)
-			for i := 0; i < b.N; i++ {
-				if err := code.Encode(data, parity); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
 	}
 }
 

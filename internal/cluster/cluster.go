@@ -37,8 +37,6 @@ type Config struct {
 	PGs int
 	// HeartbeatInterval > 0 starts OSD→MDS heartbeats.
 	HeartbeatInterval time.Duration
-	// HeartbeatTimeout marks an OSD dead when its beat is older than this.
-	HeartbeatTimeout time.Duration
 	// HedgeDelay > 0 arms hedged degraded reads: when an on-the-fly
 	// reconstruction has not completed within this deadline (a straggling
 	// survivor), the surrogate fires a second reconstruction from an

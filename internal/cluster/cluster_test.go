@@ -463,17 +463,17 @@ func TestLookupMatchesLocalPlacement(t *testing.T) {
 
 func TestHeartbeatLiveness(t *testing.T) {
 	cfg := testConfig("fo")
+	const timeout = 50 * time.Millisecond
 	cfg.HeartbeatInterval = 10 * time.Millisecond
-	cfg.HeartbeatTimeout = 50 * time.Millisecond
 	c := MustNew(cfg)
 	c.Env.Go("observer", func(p *sim.Proc) {
 		p.Sleep(100 * time.Millisecond)
-		if dead := c.MDS.DeadOSDs(p.Now(), cfg.HeartbeatTimeout); len(dead) != 0 {
+		if dead := c.MDS.DeadOSDs(p.Now(), timeout); len(dead) != 0 {
 			t.Errorf("healthy OSDs reported dead: %v", dead)
 		}
 		c.Fabric.SetDown(wire.NodeID(2), true)
 		p.Sleep(200 * time.Millisecond)
-		dead := c.MDS.DeadOSDs(p.Now(), cfg.HeartbeatTimeout)
+		dead := c.MDS.DeadOSDs(p.Now(), timeout)
 		if len(dead) != 1 || dead[0] != wire.NodeID(2) {
 			t.Errorf("dead set %v, want [2]", dead)
 		}

@@ -87,7 +87,7 @@ func DefaultRunConfig() RunConfig {
 
 // Validate rejects nonsensical run parameters with a clear error instead
 // of a downstream panic or a silent default. Everything that counts
-// something must be positive; worker bounds must not be negative.
+// something must be positive; engine option counts must not be negative.
 func (cfg RunConfig) Validate() error {
 	switch {
 	case cfg.Engine == "":
@@ -108,8 +108,6 @@ func (cfg RunConfig) Validate() error {
 		return fmt.Errorf("harness: Files must be >= 1, got %d", cfg.Files)
 	case cfg.PGs < 1:
 		return fmt.Errorf("harness: PGs must be >= 1, got %d", cfg.PGs)
-	case cfg.Opts.CodecWorkers < 0:
-		return fmt.Errorf("harness: CodecWorkers must not be negative, got %d", cfg.Opts.CodecWorkers)
 	case cfg.Opts.RecycleBatch < 0:
 		return fmt.Errorf("harness: RecycleBatch must not be negative, got %d", cfg.Opts.RecycleBatch)
 	case cfg.Opts.Pools < 0 || cfg.Opts.MaxUnits < 0 || cfg.Opts.Copies < 0:

@@ -29,7 +29,6 @@ func TestRunConfigValidation(t *testing.T) {
 		{"negative files", func(c *RunConfig) { c.Files = -1 }},
 		{"zero pgs", func(c *RunConfig) { c.PGs = 0 }},
 		{"negative pgs", func(c *RunConfig) { c.PGs = -8 }},
-		{"negative codec workers", func(c *RunConfig) { c.Opts.CodecWorkers = -1 }},
 		{"negative recycle batch", func(c *RunConfig) { c.Opts.RecycleBatch = -1 }},
 		{"negative pools", func(c *RunConfig) { c.Opts.Pools = -1 }},
 	}

@@ -132,21 +132,13 @@ func (c *Code) Encode(data, parity [][]byte) error {
 			return fmt.Errorf("rs: parity shard %d size %d != %d", i, len(p), size)
 		}
 	}
-	// Stripe the byte range across the worker pool: each worker computes
-	// every parity row over its own sub-range, so rows stay single-writer
-	// and the data shards are read-shared.
-	stripeRanges(size, func(lo, hi int) {
-		for i := 0; i < c.M; i++ {
-			row := c.coef.Row(i)
-			out := parity[i][lo:hi]
-			for b := range out {
-				out[b] = 0
-			}
-			for j := 0; j < c.K; j++ {
-				gf256.MulXorSlice(row[j], out, data[j][lo:hi])
-			}
+	for i, out := range parity {
+		row := c.coef.Row(i)
+		clear(out)
+		for j, d := range data {
+			gf256.MulXorSlice(row[j], out, d)
 		}
-	})
+	}
 	return nil
 }
 
@@ -186,8 +178,8 @@ func DataDelta(dst, newData, oldData []byte) {
 // intra-block range into the single parity delta for parity block `parity`
 // (Equation (5)): dst ^= sum_j coef[parity][block_j] * delta_j.
 // dst must be pre-sized; each delta must have the same length as dst.
-// Large ranges stripe across the codec worker pool. For folding a whole
-// stripe's worth of irregular extents in one pass, see FoldDeltas.
+// For folding a whole stripe's worth of irregular extents in one pass, see
+// FoldDeltas.
 func (c *Code) MergeDataDeltas(parity int, dst []byte, blocks []int, deltas [][]byte) {
 	if len(blocks) != len(deltas) {
 		panic("rs: MergeDataDeltas blocks/deltas length mismatch")
@@ -197,11 +189,9 @@ func (c *Code) MergeDataDeltas(parity int, dst []byte, blocks []int, deltas [][]
 			panic("rs: MergeDataDeltas delta length mismatch")
 		}
 	}
-	stripeRanges(len(dst), func(lo, hi int) {
-		for i, b := range blocks {
-			gf256.MulXorSlice(c.coef.At(parity, b), dst[lo:hi], deltas[i][lo:hi])
-		}
-	})
+	for i, b := range blocks {
+		gf256.MulXorSlice(c.coef.At(parity, b), dst, deltas[i])
+	}
 }
 
 // Reconstruct recovers missing shards. shards has length K+M: index < K are
@@ -250,9 +240,10 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 	}
 	// Decode matrix rows for the original data blocks: data = inv * selected.
 	// For each missing shard i, its generator row full[i] applied to the
-	// decoded data gives the shard: rec_i = full[i] * inv * selected.
-	recRows := make([][]byte, len(missing))
-	for mi, idx := range missing {
+	// decoded data gives the shard: rec_i = full[i] * inv * selected. sel
+	// holds only present shards, so each rebuilt shard can be stored as
+	// soon as it is complete.
+	for _, idx := range missing {
 		// row = full[idx] (1 x K) * inv (K x K) -> 1 x K over selected shards.
 		row := make([]byte, c.K)
 		frow := c.full.Row(idx)
@@ -261,26 +252,12 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 				gf256.MulXorSlice(f, row, inv.Row(j))
 			}
 		}
-		recRows[mi] = row
-	}
-	// The O(missing * K * size) shard rebuild dominates; stripe it across
-	// the worker pool. Each worker owns a byte sub-range of every
-	// reconstructed shard, the present shards are read-shared.
-	rec := make([][]byte, len(missing))
-	for mi := range missing {
-		rec[mi] = make([]byte, size)
-	}
-	stripeRanges(size, func(lo, hi int) {
-		for mi := range missing {
-			out := rec[mi][lo:hi]
-			row := recRows[mi]
-			for j, srcIdx := range sel {
-				gf256.MulXorSlice(row[j], out, shards[srcIdx][lo:hi])
-			}
+		// The O(missing * K * size) shard rebuild dominates.
+		rec := make([]byte, size)
+		for j, srcIdx := range sel {
+			gf256.MulXorSlice(row[j], rec, shards[srcIdx])
 		}
-	})
-	for mi, idx := range missing {
-		shards[idx] = rec[mi]
+		shards[idx] = rec
 	}
 	return nil
 }

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tsue/internal/gf256"
 )
 
 func randShards(rng *rand.Rand, k, size int) [][]byte {
@@ -58,6 +60,116 @@ func TestEncodeDecodeAllKinds(t *testing.T) {
 			if err != nil || !ok {
 				t.Fatalf("%v RS(%d,%d): verify failed: %v", kind, cfg.k, cfg.m, err)
 			}
+		}
+	}
+}
+
+// largeShard is a shard size in the range of a recycler's merged extent or
+// a recovery read; the large-shard tests use multiples of it, plus odd
+// tails.
+const largeShard = 64 << 10
+
+// encodeRef is Encode built from the scalar gf256 reference kernel.
+func encodeRef(c *Code, data [][]byte) [][]byte {
+	parity := makeParity(c.M, len(data[0]))
+	for i := range parity {
+		for j, d := range data {
+			gf256.MulXorSliceRef(c.Coef(i, j), parity[i], d)
+		}
+	}
+	return parity
+}
+
+// TestEncodeMatchesScalarRef: Encode must equal a scalar-reference encode
+// from 1 byte to several large shards, odd lengths included, and must
+// overwrite whatever the parity shards held.
+func TestEncodeMatchesScalarRef(t *testing.T) {
+	rng := rand.New(rand.NewSource(20))
+	c := MustNew(6, 3, Vandermonde)
+	for _, size := range []int{1, 100, 4096, largeShard - 1, 2*largeShard + 13, 5 * largeShard} {
+		data := randShards(rng, 6, size)
+		parity := randShards(rng, 3, size)
+		if err := c.Encode(data, parity); err != nil {
+			t.Fatal(err)
+		}
+		for i, want := range encodeRef(c, data) {
+			if !bytes.Equal(parity[i], want) {
+				t.Fatalf("size %d: parity %d differs from the scalar reference", size, i)
+			}
+		}
+	}
+}
+
+// TestEncodeVerifyRoundTripLarge: Verify accepts a large-shard encode and
+// catches a single flipped bit.
+func TestEncodeVerifyRoundTripLarge(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	c := MustNew(8, 4, Vandermonde)
+	size := 4 * largeShard
+	data := randShards(rng, 8, size)
+	parity := randShards(rng, 4, size)
+	if err := c.Encode(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	ok, err := c.Verify(data, parity)
+	if err != nil || !ok {
+		t.Fatalf("verify after encode: ok=%v err=%v", ok, err)
+	}
+	parity[2][size/2] ^= 1
+	ok, err = c.Verify(data, parity)
+	if err != nil || ok {
+		t.Fatalf("verify missed corruption: ok=%v err=%v", ok, err)
+	}
+}
+
+// TestReconstructLargeShards: rebuilding two data shards and one parity
+// shard of a large stripe must recover them byte-identical.
+func TestReconstructLargeShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	c := MustNew(5, 3, Cauchy)
+	size := 3*largeShard + 7
+	data := randShards(rng, 5, size)
+	parity := randShards(rng, 3, size)
+	if err := c.Encode(data, parity); err != nil {
+		t.Fatal(err)
+	}
+	shards := make([][]byte, 8)
+	for i := 0; i < 5; i++ {
+		shards[i] = append([]byte(nil), data[i]...)
+	}
+	for i := 0; i < 3; i++ {
+		shards[5+i] = append([]byte(nil), parity[i]...)
+	}
+	shards[1], shards[4], shards[6] = nil, nil, nil
+	if err := c.Reconstruct(shards); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(shards[1], data[1]) || !bytes.Equal(shards[4], data[4]) {
+		t.Fatal("reconstruct corrupted data shards")
+	}
+	if !bytes.Equal(shards[6], parity[1]) {
+		t.Fatal("reconstruct corrupted parity shard")
+	}
+}
+
+// TestMergeDataDeltasLargeShards pins MergeDataDeltas over a large range to
+// a scalar-reference accumulation.
+func TestMergeDataDeltasLargeShards(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	c := MustNew(6, 4, Vandermonde)
+	size := 2*largeShard + 33
+	deltas := randShards(rng, 3, size)
+	blocks := []int{0, 2, 5}
+	for parity := 0; parity < 4; parity++ {
+		dst := make([]byte, size)
+		rng.Read(dst)
+		want := append([]byte(nil), dst...)
+		for i, b := range blocks {
+			gf256.MulXorSliceRef(c.Coef(parity, b), want, deltas[i])
+		}
+		c.MergeDataDeltas(parity, dst, blocks, deltas)
+		if !bytes.Equal(dst, want) {
+			t.Fatalf("MergeDataDeltas diverges for parity %d", parity)
 		}
 	}
 }

@@ -3,9 +3,9 @@
 # so a change that claims to leave behaviour alone must leave every
 # experiment's output byte-identical. This builds tsuebench at a base git
 # ref and at the work tree, runs every experiment at a small scale on both
-# (side by side, one directory each), strips the three host-clock fields
-# (the trailing "wall time" line, "wall_ms", sweep's wall(ms) column) and
-# diffs stdout and BENCH_<exp>.json. Exit 1 on any difference.
+# (side by side, one directory each), strips the two host-clock fields
+# (the trailing "wall time" line and "wall_ms") and diffs stdout and
+# BENCH_<exp>.json. Exit 1 on any difference.
 #
 # usage: scripts/expdiff.sh <base-git-ref>      (or: make expdiff BASE=<ref>)
 set -euo pipefail
@@ -29,9 +29,6 @@ run_side() {
 		sed -E -i -e 's/wall time [^)]*/wall time -/' "$exp.out"
 		sed -E -i -e 's/"wall_ms": [0-9]+/"wall_ms": 0/' "BENCH_$exp.json"
 	done
-	# sweep's last column is host milliseconds; it is the row's final,
-	# unpadded cell, so dropping it leaves the other columns' bytes alone.
-	sed -E -i -e 's/^([0-9].*[^ ]) +[0-9]+$/\1/' sweep.out
 	rm tsuebench
 }
 
