@@ -25,12 +25,13 @@ const (
 	// DataLog through the engines' replay hook (§4.2 log reliability).
 	RecoverLogReplay
 	// RecoverInterleaved keeps foreground I/O flowing while the node
-	// rebuilds: a brief gated settle barrier restores raw stripe
-	// consistency, then reconstruction proceeds `parallel` stripes at a time
-	// while degraded-stripe I/O routes through the surrogate (reads
-	// reconstruct on the fly, updates journal) and non-degraded I/O runs the
-	// normal path — contending with recovery traffic on the same simulated
-	// NICs. A second brief gate covers the journal cutover.
+	// rebuilds: a gated settle barrier restores raw stripe consistency, then
+	// reconstruction proceeds `parallel` stripes at a time while
+	// degraded-stripe I/O routes through the surrogate (reads reconstruct on
+	// the fly, updates journal) and non-degraded I/O runs the normal path —
+	// contending with recovery traffic on the same simulated NICs. A second
+	// gate covers the journal cutover. The two gates, not the rebuild, take
+	// most of the window when the rebuild is short.
 	RecoverInterleaved
 )
 
@@ -179,7 +180,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 
 	case RecoverInterleaved:
 		c.Fabric.SetDown(failed, true)
-		// Brief fence: publish the degraded routes under the closed gate
+		// First fence: publish the degraded routes under the closed gate
 		// and restore raw stripe consistency (see RecoverLogReplay for the
 		// ordering rationale), then let foreground I/O flow again while
 		// blocks rebuild. A pre-opened window already did both — the
@@ -343,10 +344,12 @@ func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
 // home OSDs, then atomically retires the degraded route. With per-PG
 // surrogates there is one journal per surrogate OSD; a stripe's records
 // all live on its PG's surrogate, so draining surrogates in deterministic
-// order preserves per-range replay order. It must run under the closed
-// gate (after a fence, so no degraded op is mid-flight) so the journals
-// cannot grow behind the steal and degraded reads cannot observe
-// mid-replay stripes.
+// order preserves per-range replay order. Inside one journal each block's
+// records replay in order while distinct blocks replay in parallel: the
+// engines already take concurrent updates to different blocks of a stripe
+// from clients. It must run under the closed gate (after a fence, so no
+// degraded op is mid-flight) so the journals cannot grow behind the steal
+// and degraded reads cannot observe mid-replay stripes.
 func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
 	st := c.degraded[failed]
 	if st == nil {
@@ -370,16 +373,23 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 			if !ok {
 				return fmt.Errorf("journal fetch @%d: unexpected response %T", sur, resp)
 			}
-			// Strictly in journal order: replayed records must not reorder
-			// against each other (overwrites of the same range).
-			for _, it := range rr.Items {
-				osds := c.Placement(it.Blk.StripeID())
-				req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
-				if err := wire.AckErr(c.Fabric.Call(p, via.id, osds[it.Blk.Index], req)); err != nil {
-					return fmt.Errorf("replay %v @%d: %w", it.Blk, osds[it.Blk.Index], err)
+			// In journal order per block, blocks in parallel: replayed
+			// records must not reorder against each other where they can
+			// overwrite the same range, and that is only within one block.
+			blocks := groupByBlock(rr.Items)
+			if err := sim.Parallel(p, "replay", len(blocks), func(hp *sim.Proc, i int) error {
+				for _, it := range blocks[i] {
+					osds := c.Placement(it.Blk.StripeID())
+					req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
+					if err := wire.AckErr(c.Fabric.Call(hp, via.id, osds[it.Blk.Index], req)); err != nil {
+						return fmt.Errorf("replay %v @%d: %w", it.Blk, osds[it.Blk.Index], err)
+					}
+					rep.ReplayedItems++
+					rep.ReplayedBytes += int64(len(it.Data))
 				}
-				rep.ReplayedItems++
-				rep.ReplayedBytes += int64(len(it.Data))
+				return nil
+			}); err != nil {
+				return err
 			}
 		}
 		if !remaining {
@@ -389,6 +399,23 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 	}
 	rep.ReplayTime = p.Now() - replayStart
 	return nil
+}
+
+// groupByBlock splits journal items into one list per block, blocks in
+// order of first appearance and each list in journal order.
+func groupByBlock(items []wire.ReplicaItem) [][]wire.ReplicaItem {
+	idx := make(map[wire.BlockID]int)
+	var out [][]wire.ReplicaItem
+	for _, it := range items {
+		i, ok := idx[it.Blk]
+		if !ok {
+			i = len(out)
+			idx[it.Blk] = i
+			out = append(out, nil)
+		}
+		out[i] = append(out[i], it)
+	}
+	return out
 }
 
 // fetchReplicaItems collects the failed node's replicated, unrecycled

@@ -95,6 +95,117 @@ func TestRecoverZeroLogs(t *testing.T) {
 	})
 }
 
+// TestCutoverReplaysBlocksConcurrently: the journal cutover replays each
+// block's records in journal order and distinct blocks in parallel. Three
+// overlapping updates to the failed node's block and one update each to
+// the stripe's three other data blocks are journaled on the surrogate;
+// after the cutover and a drain every byte reads back as last written, the
+// stripe scrubs clean, every record is counted, and ReplayUpdates of
+// distinct blocks overlap in sim time.
+func TestCutoverReplaysBlocksConcurrently(t *testing.T) {
+	c := MustNew(testConfig("tsue"))
+	defer c.Env.Close()
+	type replay struct {
+		blk        wire.BlockID
+		start, end time.Duration
+	}
+	var replays []replay
+	for _, o := range c.OSDs {
+		h := o.handle
+		if err := c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+			ru, ok := m.(*wire.ReplayUpdate)
+			if !ok {
+				return h(p, from, m)
+			}
+			start := p.Now()
+			resp := h(p, from, m)
+			replays = append(replays, replay{ru.Blk, start, p.Now()})
+			return resp
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := c.NewClient()
+	done := false
+	c.Env.Go("test", func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(43))
+		content := make([]byte, c.StripeWidth())
+		rng.Read(content)
+		ino, _ := cl.Create(p, "f", int64(len(content)))
+		if err := cl.WriteFile(p, ino, content); err != nil {
+			t.Error(err)
+			return
+		}
+		// Nothing unrecycled: the journal holds only what is written below.
+		if err := c.DrainAll(p, cl); err != nil {
+			t.Error(err)
+			return
+		}
+		victim := c.Placement(wire.StripeID{Ino: ino})[0]
+		if err := c.BeginDegraded(p, victim, cl); err != nil {
+			t.Error(err)
+			return
+		}
+		bs := c.Cfg.BlockSize
+		writes := [][2]int64{{100, 2000}, {500, 2000}, {1000, 600}} // block 0, overlapping
+		for i := int64(1); i < int64(c.Cfg.K); i++ {
+			writes = append(writes, [2]int64{i*bs + 300, 1000})
+		}
+		for _, w := range writes {
+			buf := make([]byte, w[1])
+			rng.Read(buf)
+			if err := cl.Update(p, ino, w[0], buf); err != nil {
+				t.Error(err)
+				return
+			}
+			copy(content[w[0]:], buf)
+		}
+		rep, err := c.Recover(p, victim, 2, RecoverInterleaved, cl)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if rep.ReplayedItems != len(writes) {
+			t.Errorf("replayed %d items, want %d", rep.ReplayedItems, len(writes))
+		}
+		if err := c.DrainAll(p, cl); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Scrub(); err != nil {
+			t.Errorf("scrub: %v", err)
+			return
+		}
+		got, err := cl.Read(p, ino, 0, int64(len(content)))
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, content) {
+			t.Error("content after the cutover differs from the last writes")
+		}
+		done = true
+	})
+	c.Env.Run(0)
+	if !done {
+		if !t.Failed() {
+			t.Fatal("deadlock")
+		}
+		return
+	}
+	overlap := false
+	for i, a := range replays {
+		for _, b := range replays[i+1:] {
+			if a.blk != b.blk && a.start < b.end && b.start < a.end {
+				overlap = true
+			}
+		}
+	}
+	if !overlap {
+		t.Errorf("no two blocks' ReplayUpdates overlapped in sim time: %v", replays)
+	}
+}
+
 // TestRecoverRacesDrainAll: a cluster-wide drain already in flight when a
 // node fails and recovery starts must either complete or step aside
 // (nodes dying mid-round are not drain errors); both operations finish and

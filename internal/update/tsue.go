@@ -33,8 +33,11 @@ import (
 // Both sites that feed the ParityLogs send to a stripe's M parity holders
 // in parallel (stripes stay in order, and each holder gets its extents in
 // fold order): the holders are independent, and a serial walk over them
-// backs the DeltaLog up until its appenders stall. Data extents recycle
-// one at a time, and a stall in any layer's append is a "log:stall" span.
+// backs the DeltaLog up until its appenders stall. A DataLog pass is a
+// two-stage pipeline: the recycler read-modify-writes its extents in merge
+// order while a forwarder ships the finished deltas downstream in that
+// same order, so one extent's RMW overlaps the previous extent's acks. A
+// stall in any layer's append is a "log:stall" span.
 //
 // Every layer uses the FIFO log-pool structure with the two-level index, so
 // repeated and adjacent updates collapse before they cost device or network
@@ -451,27 +454,64 @@ func (t *tsue) ExtractBlockLog(p *sim.Proc, blk wire.BlockID) []wire.ReplicaItem
 
 var _ LogMigrator = (*tsue)(nil)
 
+// dataFwd is one read-modify-written DataLog extent on its way downstream:
+// the data delta and the stripe placement it was recycled under.
+type dataFwd struct {
+	blk   wire.BlockID
+	off   int64
+	delta []byte
+	osds  []wire.NodeID
+}
+
 // recycleDataUnits merges a batch of DataLog units into data blocks and
 // forwards the data deltas downstream. Extents of one block merge across
 // the whole batch (latest write wins) before the single read-modify-write,
 // so an update overwritten in a later unit never touches the device; the
 // forwarded delta is the XOR of old and merged-new content, which equals
 // the fold of the per-unit deltas (XOR is associative).
+//
+// The pass is a two-stage pipeline. This proc runs the read-modify-writes
+// in merge order and hands each delta to the pass's forwarder, which sends
+// them in that same order — the DeltaLog sees the serial loop's delta
+// sequence, but the next extent's RMW no longer waits for the previous
+// extent's acks. The pass returns (and its units count as recycled) only
+// once the forwarder has drained.
 func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit) {
 	// A dead node's recyclers discard their work: the store is lost and the
 	// unrecycled items live on in the replicas recovery replays.
 	if !t.h.Alive(t.h.NodeID()) {
 		return
 	}
-	c := t.h.Code()
-	k, mm := c.K, c.M
+	env := t.h.Env()
 	st := t.h.Store()
 	merged, order := logpool.MergeUnits(units, logpool.Overwrite, t.data.pools[poolIdx].NoMerge)
+	fwds := sim.NewQueue[dataFwd](env)
+	drained := sim.NewWaitGroup(env)
+	drained.Add(1)
+	died := false // this node died mid-forward: both stages stop
+	fwd := env.Go("tsue-recycle-fwd", func(fp *sim.Proc) {
+		for {
+			f, ok := fwds.Get(fp)
+			if !ok {
+				break
+			}
+			if !t.forwardDataDelta(fp, f) {
+				died = true
+				break
+			}
+			t.data.stats.RecycleN++
+		}
+		drained.Done()
+	})
+	// The forwards belong to this pass's op:recycle trace.
+	fwd.SetSpan(p.Span())
+rmw:
 	for _, blk := range order {
-		bl := merged[blk]
-		s := blk.StripeID()
-		osds := t.h.Placement(s)
-		for _, ext := range bl.Extents() {
+		osds := t.h.Placement(blk.StripeID())
+		for _, ext := range merged[blk].Extents() {
+			if died {
+				break rmw
+			}
 			// The delta goes on the wire, so it is a fresh buffer: a copy of
 			// the new bytes with the old ones XORed in where they live.
 			delta := slices.Clone(ext.Data)
@@ -482,33 +522,13 @@ func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit)
 			if err != nil {
 				panic("tsue: data recycle: " + err.Error())
 			}
-			if t.delta != nil && t.h.Alive(osds[k]) {
-				// Primary delta to P1's DeltaLog; copy to P2 (if M >= 2).
-				req := &wire.DeltaAppend{Blk: blk, Off: ext.Off, Data: delta, Kind: wire.KindDataDelta, Sum: wire.Checksum(delta)}
-				if err := t.callAck(p, osds[k], req); err != nil {
-					if !t.h.Alive(t.h.NodeID()) {
-						return // we died mid-recycle; replicas replay
-					}
-					if t.h.Alive(osds[k]) {
-						panic("tsue: delta fwd: " + err.Error())
-					}
-					// The DeltaLog holder died mid-forward (nothing was
-					// appended): degrade to direct parity appends.
-					t.forwardParityDirect(p, s, blk, ext.Off, delta, osds)
-				} else if mm >= 2 && t.o.Copies >= 2 {
-					// Reliability copy (same bytes, same sum); best effort — a
-					// dead holder only narrows the redundancy window.
-					cp := &wire.DeltaAppend{Blk: blk, Off: ext.Off, Data: delta, Kind: wire.KindDataDelta, Replica: true, Sum: req.Sum}
-					_ = t.callAck(p, osds[k+1], cp)
-				}
-			} else {
-				// No DeltaLog (HDD config / pre-O5) or its holder is down:
-				// multiply locally and append straight to each live
-				// ParityLog.
-				t.forwardParityDirect(p, s, blk, ext.Off, delta, osds)
-			}
-			t.data.stats.RecycleN++
+			fwds.Put(dataFwd{blk: blk, off: ext.Off, delta: delta, osds: osds})
 		}
+	}
+	fwds.Close()
+	drained.Wait(p)
+	if died {
+		return // replicas replay the pass's units
 	}
 	// Tell replica holders to drop their copies of these units (best
 	// effort; stale replica entries are only garbage, never incorrectness).
@@ -519,6 +539,42 @@ func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit)
 			_ = t.callAck(p, t.replicaTarget(i), done)
 		}
 	}
+}
+
+// forwardDataDelta ships one recycled extent's data delta downstream: to
+// the DeltaLog on the stripe's first parity holder, with a reliability copy
+// on the second, or — without a DeltaLog, or with its holder down —
+// straight to the M ParityLogs. It reports false if this node died
+// mid-forward.
+func (t *tsue) forwardDataDelta(p *sim.Proc, f dataFwd) bool {
+	c := t.h.Code()
+	k := c.K
+	s := f.blk.StripeID()
+	if t.delta == nil || !t.h.Alive(f.osds[k]) {
+		// No DeltaLog (HDD config / pre-O5) or its holder is down: multiply
+		// locally and append straight to each live ParityLog.
+		t.forwardParityDirect(p, s, f.blk, f.off, f.delta, f.osds)
+		return true
+	}
+	// Primary delta to P1's DeltaLog; copy to P2 (if M >= 2).
+	req := &wire.DeltaAppend{Blk: f.blk, Off: f.off, Data: f.delta, Kind: wire.KindDataDelta, Sum: wire.Checksum(f.delta)}
+	if err := t.callAck(p, f.osds[k], req); err != nil {
+		if !t.h.Alive(t.h.NodeID()) {
+			return false
+		}
+		if t.h.Alive(f.osds[k]) {
+			panic("tsue: delta fwd: " + err.Error())
+		}
+		// The DeltaLog holder died mid-forward (nothing was appended):
+		// degrade to direct parity appends.
+		t.forwardParityDirect(p, s, f.blk, f.off, f.delta, f.osds)
+	} else if c.M >= 2 && t.o.Copies >= 2 {
+		// Reliability copy (same bytes, same sum); best effort — a dead
+		// holder only narrows the redundancy window.
+		cp := &wire.DeltaAppend{Blk: f.blk, Off: f.off, Data: f.delta, Kind: wire.KindDataDelta, Replica: true, Sum: req.Sum}
+		_ = t.callAck(p, f.osds[k+1], cp)
+	}
+	return true
 }
 
 // forwardParityDirect multiplies a data delta locally and appends it to

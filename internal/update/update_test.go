@@ -1,7 +1,9 @@
 package update
 
 import (
+	"errors"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -347,6 +349,163 @@ func TestTsueParityFanout(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// pipeSend is one call a DataLog recycle pass made, as the host saw it:
+// when it left, when it was answered, and how many device reads — one per
+// read-modify-write — had started by the answer.
+type pipeSend struct {
+	msg         wire.Msg
+	to          wire.NodeID
+	sent, acked time.Duration
+	reads       int64
+	failed      bool
+}
+
+// pipeHost is a fakeHost that records every call, and can kill one node
+// (the callee, or this node) just as the kill-th primary DeltaAppend is
+// sent: that call fails without reaching the DeltaLog.
+type pipeHost struct {
+	*fakeHost
+	dead      wire.NodeID
+	kill      int
+	killSelf  bool
+	primaries int
+	sends     []pipeSend
+}
+
+func (h *pipeHost) Alive(id wire.NodeID) bool { return id != h.dead }
+func (h *pipeHost) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, error) {
+	s := pipeSend{msg: req, to: to, sent: p.Now()}
+	if da, ok := req.(*wire.DeltaAppend); ok && !da.Replica {
+		if h.primaries++; h.primaries == h.kill {
+			h.dead = to
+			if h.killSelf {
+				h.dead = h.NodeID()
+			}
+			s.failed = true
+		}
+	}
+	resp, err := h.fakeHost.Call(p, to, req)
+	if s.failed {
+		resp, err = nil, errors.New("node down")
+	}
+	s.acked, s.reads = p.Now(), h.store.Device().Stats().ReadOps
+	h.sends = append(h.sends, s)
+	return resp, err
+}
+
+// TestTsueDataRecyclePipeline: a DataLog pass read-modify-writes its
+// extents ahead of the forwarder, which sends them downstream in the serial
+// loop's (block, offset) order. A DeltaLog holder that dies mid-forward
+// sends that extent (and the rest) down the direct path; no UnitDone
+// leaves before the last forward is acked; and when this node dies
+// mid-forward, both stages stop with no UnitDone.
+func TestTsueDataRecyclePipeline(t *testing.T) {
+	a := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
+	b := wire.BlockID{Ino: 1, Stripe: 0, Index: 1}
+	type ext struct {
+		blk wire.BlockID
+		off int64
+	}
+	appended := []ext{{b, 1024}, {a, 2048}, {a, 0}}
+	serial := []ext{{a, 0}, {a, 2048}, {b, 1024}}
+	for _, tc := range []struct {
+		name     string
+		kill     int
+		killSelf bool
+		primary  int     // primary DeltaAppends sent (including a failed one)
+		copies   int     // reliability copies sent
+		direct   []int64 // offsets sent straight to the ParityLogs
+	}{
+		{name: "live", primary: 3, copies: 3},
+		{name: "holder-dies", kill: 2, primary: 2, copies: 1, direct: []int64{2048, 1024}},
+		{name: "self-dies", kill: 2, killSelf: true, primary: 2, copies: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			h := &pipeHost{fakeHost: newFakeHost(t), kill: tc.kill, killSelf: tc.killSelf}
+			o := DefaultOptions()
+			o.Pools = 1
+			eng, err := New("tsue", h, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var base int64
+			runProc(t, h.fakeHost, func(p *sim.Proc) {
+				for _, blk := range []wire.BlockID{a, b} {
+					if err := h.store.Put(p, blk, make([]byte, 4096)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				for i, e := range appended {
+					if err := applyUpdate(eng, p, e.blk, e.off, []byte{byte(i + 1), 7, 7, 7}); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				h.sends = nil
+				base = h.store.Device().Stats().ReadOps
+				if err := eng.Drain(p); err != nil {
+					t.Error(err)
+				}
+			})
+			var primary, copies []ext
+			var direct []int64
+			firstPrimary := -1
+			var lastFwd time.Duration
+			var unitDone []pipeSend
+			for i, s := range h.sends {
+				switch m := s.msg.(type) {
+				case *wire.DeltaAppend:
+					if m.Replica {
+						copies = append(copies, ext{m.Blk, m.Off})
+					} else {
+						primary = append(primary, ext{m.Blk, m.Off})
+						if firstPrimary < 0 {
+							firstPrimary = i
+						}
+					}
+				case *wire.ParityDelta:
+					if s.to != 6 {
+						t.Errorf("ParityDelta at %d sent to node %d, want only the live parity holder 6", m.Off, s.to)
+					}
+					direct = append(direct, m.Off)
+				case *wire.UnitDone:
+					unitDone = append(unitDone, s)
+					continue
+				}
+				lastFwd = max(lastFwd, s.acked)
+			}
+			if !slices.Equal(primary, serial[:tc.primary]) {
+				t.Errorf("primary DeltaAppends %v, want %v in (block, offset) order", primary, serial[:tc.primary])
+			}
+			if !slices.Equal(copies, serial[:tc.copies]) {
+				t.Errorf("reliability copies %v, want %v", copies, serial[:tc.copies])
+			}
+			if !slices.Equal(direct, tc.direct) {
+				t.Errorf("direct-path extents %v, want %v", direct, tc.direct)
+			}
+			if firstPrimary < 0 {
+				t.Fatal("no DeltaAppend sent")
+			}
+			if rmws := h.sends[firstPrimary].reads - base; rmws < 2 {
+				t.Errorf("%d read-modify-write(s) started by the first DeltaAppend's ack, want the second extent's too", rmws)
+			}
+			if tc.killSelf {
+				if len(unitDone) != 0 {
+					t.Errorf("a dead node sent %d UnitDone", len(unitDone))
+				}
+				return
+			}
+			if len(unitDone) != 1 {
+				t.Fatalf("sent %d UnitDone, want 1", len(unitDone))
+			}
+			if unitDone[0].sent < lastFwd {
+				t.Errorf("UnitDone sent at %v, before the last forward was acked at %v", unitDone[0].sent, lastFwd)
+			}
+		})
 	}
 }
 

@@ -10,11 +10,13 @@
 #   2. `tsueperf -compare` must report no regression beyond the benchmark's
 #      own bounds (an "unresolved" metric is printed, not failed).
 #
-# Exit 1 on a sim difference or a regression. One seed takes about three
-# minutes on two cores; SEEDS="11 12 ... 20" gives the ten-seed table a
-# performance claim quotes. The raw results stay in
-# .bench_build/perfdiff.{base,head}.jsonl (one line per run, same order on
-# both sides) for per-pair counts.
+# When sim values differ, the diff is followed by a table of seed pairs the
+# work tree won, lost and tied per workload and sim_* metric — the count a
+# sim-clock gain claim quotes. Exit 1 on a sim difference or a regression.
+# One seed takes about three minutes on two cores; SEEDS="11 12 ... 20"
+# gives the ten-seed table a performance claim quotes. The raw results stay
+# in .bench_build/perfdiff.{base,head}.jsonl (one line per run, same order
+# on both sides).
 #
 # usage: [SEEDS="11 12"] scripts/perfdiff.sh <base-git-ref>   (or: make perfdiff BASE=<ref>)
 set -euo pipefail
@@ -65,11 +67,42 @@ sims() {
 	done <"$1" | sort
 }
 
+# pairs prints, for every workload and sim_* metric, how many seeds the work
+# tree won, lost and tied against the base. Which way is better comes from
+# the metric's "better" field in BENCHMARK.json; an equal value is a tie.
+pairs() {
+	echo "perfdiff: seed pairs won by the work tree against $base"
+	printf '%-14s %-26s %4s %5s %5s\n' workload metric won lost tied
+	awk '
+	FNR == 1 { f++ }
+	f == 1 && /"name":/ { gsub(/[",]/, "", $2); name = $2 }
+	f == 1 && /"better":/ { gsub(/[",]/, "", $2); better[name] = $2 }
+	f > 1 {
+		split($1, w, "\""); seed = $1; sub(/.*:/, "", seed)
+		split($2, m, "\""); v = $2; sub(/.*:/, "", v)
+		k = w[4] " " m[2]
+		if (f == 2) { base[k " " seed] = v; next }
+		if (!((k " " seed) in base)) next
+		d = v - base[k " " seed]
+		if (d == 0) tied[k]++
+		else if ((d > 0) == (better[m[2]] == "higher")) won[k]++
+		else lost[k]++
+		seen[k] = 1
+	}
+	END {
+		for (k in seen) {
+			split(k, p, " ")
+			printf "%-14s %-26s %4d %5d %5d\n", p[1], p[2], won[k], lost[k], tied[k]
+		}
+	}' "$root/BENCHMARK.json" <(sims "$a") <(sims "$b") | sort
+}
+
 status=0
 if diff <(sims "$a") <(sims "$b"); then
 	echo "perfdiff: every sim_* value of $n runs is identical to $base"
 else
 	echo "perfdiff: sim-clock values differ from $base (< base, > work tree)" >&2
+	pairs
 	status=1
 fi
 "$root/.bench_build/tsueperf" -compare "$a" "$b" || status=1
