@@ -26,6 +26,7 @@ import (
 	"errors"
 	"fmt"
 
+	"tsue/internal/device"
 	"tsue/internal/netsim"
 	"tsue/internal/obs"
 	"tsue/internal/sim"
@@ -350,23 +351,22 @@ func (c *Cluster) takeOrphans(target wire.NodeID) []wire.ReplicaItem {
 
 // journal is the surrogate's degraded-update log for one failed node: an
 // in-memory item list (replayed at cutover, overlaid on degraded reads)
-// persisted to a sequential device zone and quorum-replicated to the
-// surrogate's fixed holder set. cursor counts primary appends; replCursor
-// counts durability copies held for other surrogates (kept separate so
-// the placement experiment's surrogate-load accounting sees only primary
-// journal work, not holder copies). nextSeq numbers this OSD's own
-// appends (1, 2, ...; seeds and orphans carry no seq — they are
+// persisted to a circular device log and quorum-replicated to the
+// surrogate's fixed holder set. The log takes both primary appends and
+// durability copies held for other surrogates; primary counts only the
+// former, so the placement experiment's surrogate-load accounting sees
+// only primary journal work, not holder copies. nextSeq numbers this OSD's
+// own appends (1, 2, ...; seeds and orphans carry no seq — they are
 // recoverable elsewhere). repl retains, per appending surrogate, the
 // sequenced durability copies this OSD holds as a quorum member so a dead
 // surrogate's journal can be read-repaired across holders
 // (Cluster.promoteSurrogate); they are dropped when the window closes.
 type journal struct {
-	zone       int
-	cursor     int64
-	replCursor int64
-	nextSeq    uint64
-	items      []wire.ReplicaItem
-	repl       map[wire.NodeID][]wire.JournalItem
+	log     *device.Log
+	primary int64 // bytes of primary appends
+	nextSeq uint64
+	items   []wire.ReplicaItem
+	repl    map[wire.NodeID][]wire.JournalItem
 }
 
 // journalSpan bounds the circular on-disk journal region (per failed node).
@@ -377,7 +377,7 @@ const journalSpan = 64 << 20
 func (o *OSD) journalFor(failed wire.NodeID) *journal {
 	j, ok := o.journals[failed]
 	if !ok {
-		j = &journal{zone: o.dev.NewZone(fmt.Sprintf("degraded-journal-%d@%d", failed, o.id), true)}
+		j = &journal{log: o.dev.NewLog(fmt.Sprintf("degraded-journal-%d@%d", failed, o.id), journalSpan)}
 		o.journals[failed] = j
 	}
 	return j
@@ -394,25 +394,22 @@ func (o *OSD) journalItems(failed wire.NodeID) []wire.ReplicaItem {
 }
 
 // journalPersist charges one sequential append of n payload bytes to the
-// journal's circular log zone (primary surrogate work). The append runs
-// under a journal-stage span so its device cost lands in a trace's journal
-// bucket, not the generic device one.
+// journal's circular log (primary surrogate work). The append runs under a
+// journal-stage span so its device cost lands in a trace's journal bucket,
+// not the generic device one.
 func (o *OSD) journalPersist(p *sim.Proc, j *journal, n int64) {
 	fin := obs.SpanOn(p, obs.StageJournal, "journal:persist", o.id)
-	rec := n + 24
-	o.dev.Write(p, j.zone, (j.cursor+j.replCursor)%journalSpan, rec, false)
-	j.cursor += rec
+	j.primary += n + 24
+	j.log.Append(p, n+24)
 	fin()
 }
 
 // journalPersistReplica charges a durability copy of a peer surrogate's
-// record; tracked apart from primary appends so JournalBytes reports only
+// record; kept out of the primary count so JournalBytes reports only
 // surrogate load.
 func (o *OSD) journalPersistReplica(p *sim.Proc, j *journal, n int64) {
 	fin := obs.SpanOn(p, obs.StageJournal, "journal:persist-replica", o.id)
-	rec := n + 24
-	o.dev.Write(p, j.zone, (j.cursor+j.replCursor)%journalSpan, rec, false)
-	j.replCursor += rec
+	j.log.Append(p, n+24)
 	fin()
 }
 
@@ -663,7 +660,7 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 			}
 		}
 		if total > 0 {
-			o.dev.Read(p, j.zone, 0, total)
+			j.log.Read(p, 0, total)
 		}
 		return resp
 	}
@@ -677,7 +674,7 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 	for _, it := range items {
 		total += int64(len(it.Data))
 	}
-	o.dev.Read(p, j.zone, 0, total)
+	j.log.Read(p, 0, total)
 	return &wire.ReplicaResp{Items: items}
 }
 

@@ -96,13 +96,13 @@ func (o *OSD) Engine() update.Engine { return o.engine }
 func (o *OSD) Device() *device.Disk { return o.dev }
 
 // JournalBytes returns the total bytes this OSD ever appended to surrogate
-// journals as the PRIMARY surrogate (cursors survive cutover; ring-successor
+// journals as the PRIMARY surrogate (counts survive cutover; ring-successor
 // durability copies are excluded) — the surrogate-load measure of the
 // placement experiment.
 func (o *OSD) JournalBytes() int64 {
 	var n int64
 	for _, j := range o.journals {
-		n += j.cursor
+		n += j.primary
 	}
 	return n
 }

@@ -116,6 +116,40 @@ func TestHDDSingleQueue(t *testing.T) {
 	}
 }
 
+// TestLogReservesBeforeWrite: appends that overlap in time get distinct,
+// contiguous positions in arrival order, so only the first touch of the
+// zone is charged as a random write.
+func TestLogReservesBeforeWrite(t *testing.T) {
+	e := sim.NewEnv()
+	d := New(e, "d", SSD, SSDParams())
+	l := d.NewLog("log", 1<<20)
+	sizes := []int64{64 << 10, 16, 4096, 512}
+	pos := make([]int64, len(sizes))
+	for i, n := range sizes {
+		e.Go("append", func(p *sim.Proc) { pos[i] = l.Append(p, n) })
+	}
+	e.Run(0)
+	e.Close()
+	var want int64
+	for i, n := range sizes {
+		if pos[i] != want {
+			t.Errorf("append %d at %d, want %d", i, pos[i], want)
+		}
+		want += n
+	}
+	if l.Len() != want {
+		t.Errorf("Len %d, want %d", l.Len(), want)
+	}
+	st := d.Stats()
+	if st.RandWriteOps != 1 || st.SeqWriteOps != int64(len(sizes)-1) {
+		t.Errorf("rand=%d seq=%d, want 1/%d", st.RandWriteOps, st.SeqWriteOps, len(sizes)-1)
+	}
+	l.Reset()
+	if got := l.Reserve(8); got != 0 {
+		t.Errorf("first reservation after Reset at %d, want 0", got)
+	}
+}
+
 func TestStatsAdd(t *testing.T) {
 	a := Stats{ReadOps: 1, WriteBytes: 10, Erases: 2}
 	b := Stats{ReadOps: 2, WriteBytes: 5, Erases: 1}

@@ -8,14 +8,18 @@ package harness
 // client/admission/network/service/journal/codec/device stages — the sums
 // reproduce the end-to-end duration exactly, which the stage_sum_ratio
 // metric asserts — and the dominant-hop signatures of the p99 tail name
-// the critical path a profiler would point at. A same-seed repeat of one
-// point byte-compares the canonical span encoding, pinning the tracer's
-// determinism claim in the bench artifact itself.
+// the critical path a profiler would point at. A per-hop line names the
+// hops with the most mean exclusive time per update, and per pass of each
+// background recycle root (TSUE's op:recycle:<layer>). A same-seed repeat
+// of one point byte-compares the canonical span encoding, pinning the
+// tracer's determinism claim in the bench artifact itself.
 
 import (
 	"bytes"
 	"fmt"
 	"io"
+	"sort"
+	"strings"
 	"time"
 
 	"tsue/internal/cluster"
@@ -63,18 +67,55 @@ type obsPoint struct {
 	ratio  float64 // sum(stage means) / e2e mean — 1.0 by construction
 	p99    time.Duration
 	sigs   []obs.SigCount // top dominant-hop signatures at p99
+	hops   []string       // top hops per update, then per pass of each recycle root
+}
+
+// topHops ranks the hop signatures of traces by mean exclusive time per
+// trace and formats the top k.
+func topHops(tvs []obs.TraceView, k int) string {
+	sums := make(map[string]time.Duration)
+	for i := range tvs {
+		for sig, d := range tvs[i].Hops() {
+			sums[sig] += d
+		}
+	}
+	sigs := make([]string, 0, len(sums))
+	for sig := range sums {
+		sigs = append(sigs, sig)
+	}
+	sort.Slice(sigs, func(i, j int) bool {
+		if sums[sigs[i]] != sums[sigs[j]] {
+			return sums[sigs[i]] > sums[sigs[j]]
+		}
+		return sigs[i] < sigs[j]
+	})
+	parts := make([]string, 0, k)
+	for _, sig := range sigs[:min(k, len(sigs))] {
+		mean := sums[sig] / time.Duration(len(tvs))
+		parts = append(parts, fmt.Sprintf("%s %v", sig, mean.Round(100*time.Nanosecond)))
+	}
+	return strings.Join(parts, ", ")
 }
 
 // analyzeUpdates assembles spans into traces and reduces the update traces
-// (normal and degraded) to per-stage means.
+// (normal and degraded) to per-stage means, and the update and recycle
+// traces to their top hops.
 func analyzeUpdates(spans []obs.Span) obsPoint {
 	tvs := obs.GroupTraces(spans)
 	var upd []obs.TraceView
 	var durs []time.Duration
+	recycles := make(map[string][]obs.TraceView)
+	var roots []string
 	for _, tv := range tvs {
-		if tv.Op == obs.OpUpdate || tv.Op == obs.OpDegradedUpdate {
+		switch tv.Op {
+		case obs.OpUpdate, obs.OpDegradedUpdate:
 			upd = append(upd, tv)
 			durs = append(durs, tv.Duration())
+		case obs.OpRecycle:
+			if _, ok := recycles[tv.Root.Name]; !ok {
+				roots = append(roots, tv.Root.Name)
+			}
+			recycles[tv.Root.Name] = append(recycles[tv.Root.Name], tv)
 		}
 	}
 	pt := obsPoint{traces: len(upd)}
@@ -99,6 +140,11 @@ func analyzeUpdates(spans []obs.Span) obsPoint {
 	pt.ratio = float64(sumStages) / float64(sumE2E)
 	pt.p99 = NewLatencyDist(durs).P(0.99)
 	pt.sigs = obs.TopSignatures(upd, pt.p99, 3)
+	pt.hops = []string{"update: " + topHops(upd, 3)}
+	sort.Strings(roots)
+	for _, r := range roots {
+		pt.hops = append(pt.hops, r+": "+topHops(recycles[r], 3))
+	}
 	return pt
 }
 
@@ -122,6 +168,7 @@ func nicTxUtil(res *OpenLoopResult) float64 {
 func Obs(w io.Writer, s Scale) error {
 	t := s.table(w, "obs", "== Obs: per-stage update-latency attribution from end-to-end traces ==",
 		"engine\tload\ttraces\te2e(ms)\tclient\tadmission\tnetwork\tservice\tjournal\tcodec\tdevice\tsum/e2e\tnicTx%\ttop p99 hop")
+	var hops []string // printed after the table
 	for _, eng := range update.Names() {
 		cfg, calibIOPS, err := s.calibrate("obs", eng)
 		if err != nil {
@@ -160,6 +207,7 @@ func Obs(w io.Writer, s Scale) error {
 					"rank": fmt.Sprintf("%d", rank+1), "sig": sc.Sig}
 				s.Sink.Record("obs", "p99_sig_n", sl, float64(sc.N))
 			}
+			hops = append(hops, fmt.Sprintf("top hops %s %s: %s", eng, at, strings.Join(pt.hops, "; ")))
 			if pt.ratio < 0.95 || pt.ratio > 1.05 {
 				return fmt.Errorf("obs %s %.2fx: stage sums are %.3f of end-to-end (want within 5%%)", eng, frac, pt.ratio)
 			}
@@ -186,6 +234,9 @@ func Obs(w io.Writer, s Scale) error {
 	s.Sink.Record("obs", "trace_deterministic", map[string]string{"spans": fmt.Sprintf("%d", len(a))}, 1)
 	if err := t.Flush(); err != nil {
 		return err
+	}
+	for _, l := range hops {
+		fmt.Fprintln(w, l)
 	}
 	fmt.Fprintf(w, "trace determinism: OK (%d spans byte-identical across two same-seed runs)\n", len(a))
 	return nil

@@ -107,6 +107,49 @@ func TestDominantAndTopSignatures(t *testing.T) {
 	}
 }
 
+// TestHopsSumToDuration: per-signature exclusive times add up to the
+// trace's end-to-end time, and spans sharing a signature pool their time.
+func TestHopsSumToDuration(t *testing.T) {
+	env := sim.NewEnv()
+	tr := NewTracer(env, 1)
+	env.Go("op", func(p *sim.Proc) {
+		fin := tr.StartOp(p, OpUpdate, 1, "op:update")
+		for i := 0; i < 2; i++ {
+			devFin := SpanOn(p, StageDevice, "dev:write", 1)
+			p.Sleep(2 * time.Millisecond)
+			devFin()
+			p.Sleep(time.Millisecond)
+		}
+		fin()
+	})
+	env.Run(0)
+	env.Close()
+	tvs := GroupTraces(tr.Spans())
+	if len(tvs) != 1 {
+		t.Fatalf("%d traces, want 1", len(tvs))
+	}
+	hops := tvs[0].Hops()
+	var sum time.Duration
+	for _, d := range hops {
+		sum += d
+	}
+	if sum != tvs[0].Duration() {
+		t.Fatalf("hop sum %v != e2e %v (%v)", sum, tvs[0].Duration(), hops)
+	}
+	if hops["device:dev:write"] != 4*time.Millisecond || hops["client:op:update"] != 2*time.Millisecond {
+		t.Fatalf("hops %v, want device:dev:write 4ms and client:op:update 2ms", hops)
+	}
+	for _, tv := range GroupTraces(runTracedWorkload(t, 1)) {
+		sum = 0
+		for _, d := range tv.Hops() {
+			sum += d
+		}
+		if sum != tv.Duration() {
+			t.Fatalf("trace %d: hop sum %v != e2e %v", tv.Trace, sum, tv.Duration())
+		}
+	}
+}
+
 func TestResumeLinksRemoteSpans(t *testing.T) {
 	env := sim.NewEnv()
 	tr := NewTracer(env, 1)

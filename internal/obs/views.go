@@ -178,6 +178,19 @@ func (tv *TraceView) Dominant() (string, time.Duration) {
 	return e.span.Stage.String() + ":" + e.span.Name, e.excl
 }
 
+// Hops returns the exclusive time of every hop signature ("stage:name")
+// in the trace: the sweep's per-span times, summed over the spans that
+// share a signature. The values add up to Duration() exactly.
+func (tv *TraceView) Hops() map[string]time.Duration {
+	out := make(map[string]time.Duration)
+	for _, e := range tv.sweep() {
+		if e.excl > 0 {
+			out[e.span.Stage.String()+":"+e.span.Name] += e.excl
+		}
+	}
+	return out
+}
+
 // SigCount is one critical-path signature with its occurrence count.
 type SigCount struct {
 	Sig string

@@ -3,6 +3,7 @@ package update
 import (
 	"time"
 
+	"tsue/internal/device"
 	"tsue/internal/logpool"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
@@ -19,8 +20,7 @@ type cord struct {
 	base
 	o Options
 
-	zone      int
-	cursor    int64
+	log       *device.Log
 	pool      *logpool.Pool
 	recycling bool
 	cond      *sim.Cond
@@ -31,7 +31,7 @@ func newCord(h Host, o Options) *cord {
 	return &cord{
 		base: newBase(h),
 		o:    o,
-		zone: h.Store().Device().NewZone("cord-buffer", true),
+		log:  h.Store().Device().NewLog("cord-buffer", 2*o.CordBufferSize),
 		pool: logpool.NewPool(0, logpool.XOR, o.CordBufferSize, 2),
 		cond: sim.NewCond(h.Env()),
 	}
@@ -83,9 +83,8 @@ func (e *cord) append(p *sim.Proc, da *wire.DeltaAppend) {
 			continue
 		}
 		fin := e.logSpan(p, "log:append:cord")
-		e.h.Store().Device().Write(p, e.zone, e.cursor%(2*e.o.CordBufferSize), int64(len(da.Data))+24, false)
+		e.log.Append(p, int64(len(da.Data))+24)
 		fin()
-		e.cursor += int64(len(da.Data)) + 24
 		if mem := e.pool.Stats().MemBytes; mem > e.peak {
 			e.peak = mem
 		}

@@ -1,6 +1,7 @@
 package update
 
 import (
+	"tsue/internal/device"
 	"tsue/internal/logpool"
 	"tsue/internal/rs"
 	"tsue/internal/sim"
@@ -18,8 +19,7 @@ type parix struct {
 	base
 	o Options
 
-	logZone   int
-	logCursor int64
+	log *device.Log
 	// sent tracks which ranges of each local data block already shipped
 	// their original value (reset never: the parity side retains origs).
 	sent map[wire.BlockID]*logpool.BlockLog
@@ -39,7 +39,7 @@ func newParix(h Host, o Options) *parix {
 	return &parix{
 		base:      newBase(h),
 		o:         o,
-		logZone:   h.Store().Device().NewZone("parix-log", true),
+		log:       h.Store().Device().NewLog("parix-log", 2*o.RecycleThreshold),
 		sent:      make(map[wire.BlockID]*logpool.BlockLog),
 		orig:      make(map[wire.BlockID]*logpool.BlockLog),
 		latest:    make(map[wire.BlockID]*logpool.BlockLog),
@@ -117,9 +117,8 @@ func (e *parix) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, boo
 	// Sequential append of the record to the local parity log.
 	n := int64(len(pa.New)+len(pa.Orig)) + 32
 	fin := e.logSpan(p, "log:append:parix")
-	e.h.Store().Device().Write(p, e.logZone, e.logCursor%(2*e.o.RecycleThreshold), n, false)
+	e.log.Append(p, n)
 	fin()
-	e.logCursor += n
 
 	lat, ok := e.latest[pa.Blk]
 	if !ok {
@@ -180,7 +179,6 @@ func (e *parix) recycleAll(p *sim.Proc) {
 		blks = append(blks, b)
 	}
 	sortBlocks(blks)
-	dev := e.h.Store().Device()
 	for _, blk := range blks {
 		lat := work[blk]
 		og := e.orig[blk]
@@ -202,8 +200,8 @@ func (e *parix) recycleAll(p *sim.Proc) {
 		for _, ext := range lat.Extents() {
 			// Random read of the log area holding this record pair (records
 			// for one block are scattered through the arrival-ordered log).
-			e.readPos = (e.readPos + 1237*4096) % (e.logCursor + 1)
-			dev.Read(p, e.logZone, e.readPos, int64(len(ext.Data))*2)
+			e.readPos = (e.readPos + 1237*4096) % (e.log.Len() + 1)
+			e.log.Read(p, e.readPos, int64(len(ext.Data))*2)
 			delta := make([]byte, len(ext.Data))
 			og.Overlay(ext.Off, delta)
 			rs.DataDelta(delta, ext.Data, delta)
@@ -215,7 +213,7 @@ func (e *parix) recycleAll(p *sim.Proc) {
 			og.Insert(ext.Off, ext.Data, logpool.Overwrite)
 		}
 	}
-	e.logCursor = 0
+	e.log.Reset()
 	e.mem = e.memBytes()
 }
 

@@ -3,6 +3,7 @@ package update
 import (
 	"fmt"
 
+	"tsue/internal/device"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
 )
@@ -17,8 +18,7 @@ type pl struct {
 	base
 	o Options
 
-	logZone   int
-	logCursor int64
+	log *device.Log
 	// records per parity block, in arrival order (PL does not merge).
 	records  map[wire.BlockID][]plRec
 	logBytes int64
@@ -41,7 +41,7 @@ func newPL(h Host, o Options) *pl {
 	return &pl{
 		base:    newBase(h),
 		o:       o,
-		logZone: h.Store().Device().NewZone("pl-log", true),
+		log:     h.Store().Device().NewLog("pl-log", 2*o.RecycleThreshold),
 		records: make(map[wire.BlockID][]plRec),
 	}
 }
@@ -67,10 +67,8 @@ func (e *pl) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool) 
 	}
 	pblk := e.parityBlock(da.Blk.StripeID(), int(da.ParityIdx))
 	// Sequential append to the local parity log (memory + SSD).
-	pos := e.logCursor % (2 * e.o.RecycleThreshold)
-	e.logCursor += int64(len(da.Data)) + 24
 	fin := e.logSpan(p, "log:append:pl")
-	e.h.Store().Device().Write(p, e.logZone, pos, int64(len(da.Data))+24, false)
+	pos := e.log.Append(p, int64(len(da.Data))+24)
 	fin()
 	// A parity delta was built for this one message (mulDelta in Update):
 	// the record keeps the buffer instead of copying it.
@@ -96,7 +94,6 @@ func (e *pl) recycleAll(p *sim.Proc) {
 		blks = append(blks, b)
 	}
 	sortBlocks(blks)
-	dev := e.h.Store().Device()
 	for _, blk := range blks {
 		recs := e.records[blk]
 		delete(e.records, blk)
@@ -104,7 +101,7 @@ func (e *pl) recycleAll(p *sim.Proc) {
 		// the on-disk log plus an individual parity RMW — the recycle
 		// inefficiency the paper attributes to PL (§2.2).
 		for _, r := range recs {
-			dev.Read(p, e.logZone, r.pos, int64(len(r.delta))+24)
+			e.log.Read(p, r.pos, int64(len(r.delta))+24)
 			e.logBytes -= int64(len(r.delta))
 			if err := e.applyParityDelta(p, blk, r.off, r.delta); err != nil {
 				// Parity blocks always exist for preloaded stripes; surface
@@ -114,7 +111,7 @@ func (e *pl) recycleAll(p *sim.Proc) {
 			e.recycles++
 		}
 	}
-	e.logCursor = 0
+	e.log.Reset()
 }
 
 // Drain merges every pending parity delta into its parity block.

@@ -3,7 +3,9 @@ package update
 import (
 	"fmt"
 	"slices"
+	"time"
 
+	"tsue/internal/device"
 	"tsue/internal/logpool"
 	"tsue/internal/obs"
 	"tsue/internal/rs"
@@ -13,9 +15,10 @@ import (
 
 // tsue is the paper's contribution: a two-stage update scheme.
 //
-// Front end (synchronous): an update is appended to the local DataLog
-// (memory index + sequential SSD persist) and replicated to the next OSD's
-// DataLog copy, then acked — no read-modify-write on the update path.
+// Front end (synchronous): an update is inserted into the local DataLog's
+// memory index, then persisted to its sequential SSD log and replicated to
+// the next OSD's DataLog copy at the same time, and acked once both are
+// done — no read-modify-write on the update path.
 //
 // Back end (asynchronous, real-time): per-pool recyclers drain sealed log
 // units — up to Options.RecycleBatch per pass, merging extents across the
@@ -36,8 +39,9 @@ import (
 // backs the DeltaLog up until its appenders stall. A DataLog pass is a
 // two-stage pipeline: the recycler read-modify-writes its extents in merge
 // order while a forwarder ships the finished deltas downstream in that
-// same order, so one extent's RMW overlaps the previous extent's acks. A
-// stall in any layer's append is a "log:stall" span.
+// same order, so one extent's RMW overlaps the previous extent's acks; each
+// delta goes to the DeltaLog and to its reliability copy at once. A stall
+// in any layer's append is a "log:stall" span.
 //
 // Every layer uses the FIFO log-pool structure with the two-level index, so
 // repeated and adjacent updates collapse before they cost device or network
@@ -51,10 +55,10 @@ type tsue struct {
 	parity *tsueLayer
 
 	// Replica store: unrecycled DataLog items held for peers, by source
-	// node and pool; dropped on UnitDone; replayed at recovery.
-	replicaZone   int
-	replicaCursor int64
-	replicas      map[replicaKey][]replicaItem
+	// node and pool; dropped on UnitDone; replayed at recovery. The replica
+	// log persists them and the DeltaLog reliability copies held here.
+	replog   *device.Log
+	replicas map[replicaKey][]replicaItem
 
 	// Recovery replays merged through ReplayInto (reported as the "replay"
 	// residency layer).
@@ -80,8 +84,7 @@ type replicaItem struct {
 type tsueLayer struct {
 	name      string
 	pools     []*logpool.Pool
-	zones     []int
-	cursors   []int64
+	logs      []*device.Log
 	queues    []*sim.Queue[*logpool.Unit]
 	cond      *sim.Cond // unit recycled: stalled appenders retry
 	exclusive bool      // pre-O3 baseline: recycle blocks appends
@@ -101,12 +104,15 @@ func newTsueLayer(h Host, name string, mode logpool.MergeMode, o Options, pools 
 		// somewhere to land once the recycle finishes.
 		maxUnits = 2
 	}
+	// The on-disk log region is circular (MaxUnits units worth of space per
+	// pool): recycled units' space is overwritten, which the FTL sees as
+	// invalidation rather than unbounded growth.
+	span := int64(o.MaxUnits) * o.UnitSize
 	for i := 0; i < pools; i++ {
 		pool := logpool.NewPool(i, mode, o.UnitSize, maxUnits)
 		pool.NoMerge = noMerge
 		l.pools = append(l.pools, pool)
-		l.zones = append(l.zones, h.Store().Device().NewZone(fmt.Sprintf("tsue-%s-%d", name, i), true))
-		l.cursors = append(l.cursors, 0)
+		l.logs = append(l.logs, h.Store().Device().NewLog(fmt.Sprintf("tsue-%s-%d", name, i), span))
 		l.queues = append(l.queues, sim.NewQueue[*logpool.Unit](h.Env()))
 	}
 	return l
@@ -162,11 +168,11 @@ func hashStripe(s wire.StripeID) uint64 {
 
 func newTsue(h Host, o Options) *tsue {
 	t := &tsue{
-		base:        newBase(h),
-		o:           o,
-		replicaZone: h.Store().Device().NewZone("tsue-replog", true),
-		replicas:    make(map[replicaKey][]replicaItem),
-		idle:        sim.NewCond(h.Env()),
+		base:     newBase(h),
+		o:        o,
+		replog:   h.Store().Device().NewLog("tsue-replog", int64(o.MaxUnits)*o.UnitSize*2),
+		replicas: make(map[replicaKey][]replicaItem),
+		idle:     sim.NewCond(h.Env()),
 	}
 	t.data = newTsueLayer(h, "data", logpool.Overwrite, o, o.Pools, !o.DataLocality)
 	if o.UseDeltaLog {
@@ -238,13 +244,25 @@ func (t *tsue) startRecyclers(l *tsueLayer, fn func(p *sim.Proc, poolIdx int, un
 	}
 }
 
-// appendLayer inserts one record into the layer's pool (blocking through
-// stalls), persists it to the log zone sequentially, and enqueues sealed
-// units for recycling. It returns the unit the record landed in. With owned
-// set, data was moved to this node with its message and the pool keeps the
-// buffer itself; otherwise the pool copies it.
-func (t *tsue) appendLayer(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.BlockID, off int64, data []byte, owned bool) *logpool.Unit {
-	start := p.Now()
+// logRecord is one record inserted into a layer's pool, with its log
+// position reserved, on its way to the device.
+type logRecord struct {
+	l      *tsueLayer
+	pool   int
+	unit   *logpool.Unit // the unit the record landed in
+	sealed *logpool.Unit // the unit the insert sealed, if any
+	pos, n int64
+	start  time.Duration
+}
+
+// insert puts one record into the layer's pool, blocking through stalls,
+// and reserves its position in the pool's log. Nothing after the stall
+// yields, so records hold log positions in insert order and unit is the
+// unit the record landed in. With owned set, data was moved to this node
+// with its message and the pool keeps the buffer itself; otherwise the
+// pool copies it.
+func (t *tsue) insert(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.BlockID, off int64, data []byte, owned bool) logRecord {
+	r := logRecord{l: l, pool: poolIdx, n: int64(len(data)) + 24, start: p.Now()}
 	pool := l.pools[poolIdx]
 	add := pool.Append
 	if owned {
@@ -253,12 +271,11 @@ func (t *tsue) appendLayer(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.Bloc
 	// Backpressure: wait while an exclusive log recycles or the pool is
 	// full. The wait is its own journal span, so a stalled update's trace
 	// names the stalled layer rather than the handler that called it.
-	var sealed *logpool.Unit
 	var endStall func()
 	for {
 		if !l.exclusive || l.recycling == 0 {
 			var ok bool
-			if sealed, ok = add(blk, off, data, p.Now()); ok {
+			if r.sealed, ok = add(blk, off, data, p.Now()); ok {
 				break
 			}
 		}
@@ -270,43 +287,50 @@ func (t *tsue) appendLayer(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.Bloc
 	if endStall != nil {
 		endStall()
 	}
-	rec := int64(len(data)) + 24
-	// The on-disk log region is circular (MaxUnits units worth of space per
-	// pool): recycled units' space is overwritten, which the FTL sees as
-	// invalidation rather than unbounded growth.
-	span := int64(t.o.MaxUnits) * t.o.UnitSize
-	pos := l.cursors[poolIdx] % span
-	l.cursors[poolIdx] += rec
-	fin := t.logSpan(p, "log:append:tsue-"+l.name)
-	t.h.Store().Device().Write(p, l.zones[poolIdx], pos, rec, false)
-	fin()
-	if sealed != nil {
-		l.queues[poolIdx].Put(sealed)
-	}
-	l.stats.AppendN++
-	l.stats.AppendTime += p.Now() - start
-	return pool.Tail()
+	r.unit = pool.Tail()
+	r.pos = l.logs[poolIdx].Reserve(r.n)
+	return r
 }
 
-// Update is the synchronous front end: append locally, replicate, ack. The
-// replicas carry the client's bytes and the sum the OSD verified them
-// against; each replica holder verifies again on arrival.
+// persist charges an inserted record's sequential log write, then queues
+// the unit its insert sealed for recycling.
+func (t *tsue) persist(p *sim.Proc, r logRecord) {
+	fin := t.logSpan(p, "log:append:tsue-"+r.l.name)
+	r.l.logs[r.pool].Write(p, r.pos, r.n)
+	fin()
+	if r.sealed != nil {
+		r.l.queues[r.pool].Put(r.sealed)
+	}
+	r.l.stats.AppendN++
+	r.l.stats.AppendTime += p.Now() - r.start
+}
+
+// appendLayer inserts one record and persists it.
+func (t *tsue) appendLayer(p *sim.Proc, l *tsueLayer, poolIdx int, blk wire.BlockID, off int64, data []byte, owned bool) {
+	t.persist(p, t.insert(p, l, poolIdx, blk, off, data, owned))
+}
+
+// Update is the synchronous front end: insert locally, then persist and
+// replicate at once, and ack when all are done. The replicas carry the
+// client's bytes and the sum the OSD verified them against; each replica
+// holder verifies again on arrival.
 func (t *tsue) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, sum uint32) error {
 	poolIdx := t.data.poolFor(hashBlk(blk))
-	u := t.appendLayer(p, t.data, poolIdx, blk, off, data, false)
-	// Replicate to the next Copies-1 OSDs' DataLog copies (2 total on SSD,
-	// 3 on HDD; §3.1.1).
-	nrep := t.o.Copies - 1
-	if nrep <= 0 {
-		return nil
-	}
+	r := t.insert(p, t.data, poolIdx, blk, off, data, false)
+	// The local persist and the next Copies-1 OSDs' DataLog copies (2 total
+	// on SSD, 3 on HDD; §3.1.1). Each replica names the unit the record
+	// landed in, so the unit's UnitDone retires it.
 	self := t.h.NodeID()
-	return t.fanout(p, nrep, func(hp *sim.Proc, i int) error {
+	return t.fanout(p, t.o.Copies, func(hp *sim.Proc, i int) error {
+		if i == 0 {
+			t.persist(hp, r)
+			return nil
+		}
 		req := &wire.LogReplica{
-			SrcNode: self, Pool: uint16(poolIdx), UnitSeq: u.Seq,
+			SrcNode: self, Pool: uint16(poolIdx), UnitSeq: r.unit.Seq,
 			Blk: blk, Off: off, Data: data, Sum: sum,
 		}
-		return t.callAck(hp, t.replicaTarget(i), req)
+		return t.callAck(hp, t.replicaTarget(i-1), req)
 	})
 }
 
@@ -341,17 +365,14 @@ func (t *tsue) replicaTarget(i int) wire.NodeID {
 func (t *tsue) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool) {
 	switch v := m.(type) {
 	case *wire.LogReplica:
-		rec := int64(len(v.Data)) + 32
-		span := int64(t.o.MaxUnits) * t.o.UnitSize * 2
-		fin := t.logSpan(p, "log:append:tsue-replog")
-		t.h.Store().Device().Write(p, t.replicaZone, t.replicaCursor%span, rec, false)
-		fin()
-		t.replicaCursor += rec
+		// Recorded before the write yields: ReplicaFetch replays in arrival
+		// order, whichever write finishes first.
 		key := replicaKey{src: v.SrcNode, pool: v.Pool}
 		t.replicas[key] = append(t.replicas[key], replicaItem{
 			unitSeq: v.UnitSeq, blk: v.Blk, off: v.Off,
 			data: append([]byte(nil), v.Data...),
 		})
+		t.appendReplog(p, int64(len(v.Data))+32)
 		return wire.OK, true
 	case *wire.UnitDone:
 		key := replicaKey{src: v.SrcNode, pool: v.Pool}
@@ -376,7 +397,7 @@ func (t *tsue) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool
 			}
 		}
 		if total > 0 {
-			t.h.Store().Device().Read(p, t.replicaZone, 0, total)
+			t.replog.Read(p, 0, total)
 		}
 		return &wire.ReplicaResp{Items: out}, true
 	case *wire.DeltaAppend:
@@ -386,12 +407,7 @@ func (t *tsue) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool
 		if v.Replica {
 			// Reliability copy of the data delta (stored on the second
 			// parity holder's SSD only; never recycled, dropped implicitly).
-			rec := int64(len(v.Data)) + 32
-			span := int64(t.o.MaxUnits) * t.o.UnitSize * 2
-			fin := t.logSpan(p, "log:append:tsue-replog")
-			t.h.Store().Device().Write(p, t.replicaZone, t.replicaCursor%span, rec, false)
-			fin()
-			t.replicaCursor += rec
+			t.appendReplog(p, int64(len(v.Data))+32)
 			return wire.OK, true
 		}
 		if t.delta == nil {
@@ -448,8 +464,15 @@ func (t *tsue) ExtractBlockLog(p *sim.Proc, blk wire.BlockID) []wire.ReplicaItem
 		out = append(out, wire.ReplicaItem{Blk: blk, Off: e.Off, Data: e.Data})
 		total += int64(len(e.Data))
 	}
-	t.h.Store().Device().Read(p, t.data.zones[poolIdx], 0, total)
+	t.data.logs[poolIdx].Read(p, 0, total)
 	return out
+}
+
+// appendReplog charges one n-byte record to the replica log.
+func (t *tsue) appendReplog(p *sim.Proc, n int64) {
+	fin := t.logSpan(p, "log:append:tsue-replog")
+	t.replog.Append(p, n)
+	fin()
 }
 
 var _ LogMigrator = (*tsue)(nil)
@@ -542,10 +565,10 @@ rmw:
 }
 
 // forwardDataDelta ships one recycled extent's data delta downstream: to
-// the DeltaLog on the stripe's first parity holder, with a reliability copy
-// on the second, or — without a DeltaLog, or with its holder down —
-// straight to the M ParityLogs. It reports false if this node died
-// mid-forward.
+// the DeltaLog on the stripe's first parity holder and, at the same time, a
+// reliability copy to the second, or — without a DeltaLog, or with its
+// holder down — straight to the M ParityLogs. It returns once every send
+// is acked, and reports false if this node died mid-forward.
 func (t *tsue) forwardDataDelta(p *sim.Proc, f dataFwd) bool {
 	c := t.h.Code()
 	k := c.K
@@ -556,9 +579,23 @@ func (t *tsue) forwardDataDelta(p *sim.Proc, f dataFwd) bool {
 		t.forwardParityDirect(p, s, f.blk, f.off, f.delta, f.osds)
 		return true
 	}
-	// Primary delta to P1's DeltaLog; copy to P2 (if M >= 2).
 	req := &wire.DeltaAppend{Blk: f.blk, Off: f.off, Data: f.delta, Kind: wire.KindDataDelta, Sum: wire.Checksum(f.delta)}
-	if err := t.callAck(p, f.osds[k], req); err != nil {
+	sends := 1
+	if c.M >= 2 && t.o.Copies >= 2 {
+		sends = 2
+	}
+	err := t.fanout(p, sends, func(hp *sim.Proc, i int) error {
+		if i == 0 {
+			return t.callAck(hp, f.osds[k], req)
+		}
+		// Reliability copy (same bytes, same sum); best effort — a dead
+		// holder only narrows the redundancy window, and a copy whose
+		// primary failed is only a replica-log write: copies never recycle.
+		cp := &wire.DeltaAppend{Blk: f.blk, Off: f.off, Data: f.delta, Kind: wire.KindDataDelta, Replica: true, Sum: req.Sum}
+		_ = t.callAck(hp, f.osds[k+1], cp)
+		return nil
+	})
+	if err != nil {
 		if !t.h.Alive(t.h.NodeID()) {
 			return false
 		}
@@ -568,11 +605,6 @@ func (t *tsue) forwardDataDelta(p *sim.Proc, f dataFwd) bool {
 		// The DeltaLog holder died mid-forward (nothing was appended):
 		// degrade to direct parity appends.
 		t.forwardParityDirect(p, s, f.blk, f.off, f.delta, f.osds)
-	} else if c.M >= 2 && t.o.Copies >= 2 {
-		// Reliability copy (same bytes, same sum); best effort — a dead
-		// holder only narrows the redundancy window.
-		cp := &wire.DeltaAppend{Blk: f.blk, Off: f.off, Data: f.delta, Kind: wire.KindDataDelta, Replica: true, Sum: req.Sum}
-		_ = t.callAck(p, f.osds[k+1], cp)
 	}
 	return true
 }

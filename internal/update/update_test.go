@@ -173,15 +173,20 @@ func TestParixFirstWriteTwoRounds(t *testing.T) {
 }
 
 // TestTsueFrontEndSequentialOnly: a TSUE update must not touch the data
-// block (no random block I/O on the synchronous path) and must replicate
-// Copies-1 times.
+// block (no random block I/O on the synchronous path), must replicate
+// Copies-1 times, and must start its DataLog write and its replica at the
+// same instant. A replica holder appends overlapping replicas to its
+// replica log as one sequential stream, in arrival order.
 func TestTsueFrontEndSequentialOnly(t *testing.T) {
-	h := newFakeHost(t)
+	h := &pipeHost{fakeHost: newFakeHost(t)}
 	eng, _ := New("tsue", h, Options{Copies: 2, Pools: 1})
 	blk := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
-	runProc(t, h, func(p *sim.Proc) {
+	var start time.Duration
+	var before device.Stats
+	runProc(t, h.fakeHost, func(p *sim.Proc) {
 		h.store.Put(p, blk, make([]byte, 4096))
-		before := h.store.Device().Stats()
+		before = h.store.Device().Stats()
+		start = p.Now()
 		if err := applyUpdate(eng, p, blk, 0, []byte{5, 5}); err != nil {
 			t.Error(err)
 			return
@@ -199,14 +204,103 @@ func TestTsueFrontEndSequentialOnly(t *testing.T) {
 			t.Error("TSUE front end overwrote in place")
 		}
 	})
-	reps := 0
-	for _, m := range h.calls {
-		if _, ok := m.(*wire.LogReplica); ok {
-			reps++
+	var reps []pipeSend
+	for _, s := range h.sends {
+		if _, ok := s.msg.(*wire.LogReplica); ok {
+			reps = append(reps, s)
 		}
 	}
-	if reps != 1 {
-		t.Fatalf("replicated %d times, want Copies-1=1", reps)
+	if len(reps) != 1 {
+		t.Fatalf("replicated %d times, want Copies-1=1", len(reps))
+	}
+	if reps[0].sent != start || reps[0].writes != before.WriteOps+1 {
+		t.Errorf("LogReplica sent at %v with %d DataLog write(s) started, want at %v with 1",
+			reps[0].sent, reps[0].writes-before.WriteOps, start)
+	}
+
+	// The holder side: overlapping replicas, a large one first.
+	hh := newFakeHost(t)
+	holder, _ := New("tsue", hh, Options{Pools: 1})
+	sizes := []int{64 << 10, 16, 4096, 512}
+	acked := sim.NewWaitGroup(hh.env)
+	acked.Add(len(sizes))
+	for i, n := range sizes {
+		hh.env.Go("replica", func(p *sim.Proc) {
+			data := make([]byte, n)
+			req := &wire.LogReplica{SrcNode: 2, Blk: blk, Off: int64(i) * 1024, Data: data, Sum: wire.Checksum(data)}
+			resp, _ := holder.Handle(p, 2, req)
+			if err := wire.AckErr(resp, nil); err != nil {
+				t.Error(err)
+			}
+			acked.Done()
+		})
+	}
+	var got []int
+	hh.env.Go("fetch", func(p *sim.Proc) {
+		acked.Wait(p)
+		resp, _ := holder.Handle(p, 3, &wire.ReplicaFetch{Node: 2})
+		for _, it := range resp.(*wire.ReplicaResp).Items {
+			got = append(got, len(it.Data))
+		}
+	})
+	hh.env.Run(0)
+	hh.env.Close()
+	st := hh.store.Device().Stats()
+	if st.SeqWriteOps != int64(len(sizes)-1) || st.RandWriteOps != 1 {
+		t.Errorf("%d overlapping replicas charged %d sequential and %d random writes, want %d and 1",
+			len(sizes), st.SeqWriteOps, st.RandWriteOps, len(sizes)-1)
+	}
+	if !slices.Equal(got, sizes) {
+		t.Errorf("ReplicaFetch returned sizes %v, want arrival order %v", got, sizes)
+	}
+}
+
+// TestTsueReplicaNamesItsUnit: an update's LogReplica names the unit its
+// record landed in, even when a concurrent update rotates a new unit in
+// while the first one's DataLog write is in flight — or the replica would
+// outlive that unit's UnitDone.
+func TestTsueReplicaNamesItsUnit(t *testing.T) {
+	h := &pipeHost{fakeHost: newFakeHost(t)}
+	eng, _ := New("tsue", h, Options{Copies: 2, Pools: 1, UnitSize: 4096})
+	blk := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
+	runProc(t, h.fakeHost, func(p *sim.Proc) {
+		if err := h.store.Put(p, blk, make([]byte, 4096)); err != nil {
+			t.Error(err)
+			return
+		}
+		wg := sim.NewWaitGroup(h.env)
+		// The first update fills and seals the active unit; the second
+		// lands in the next one.
+		for _, n := range []int{4096, 16} {
+			wg.Add(1)
+			h.env.Go("update", func(up *sim.Proc) {
+				if err := applyUpdate(eng, up, blk, 0, make([]byte, n)); err != nil {
+					t.Error(err)
+				}
+				wg.Done()
+			})
+		}
+		wg.Wait(p)
+		if err := eng.Drain(p); err != nil {
+			t.Error(err)
+		}
+	})
+	unitOf := make(map[int]uint64)
+	var done []uint64
+	for _, s := range h.sends {
+		switch m := s.msg.(type) {
+		case *wire.LogReplica:
+			unitOf[len(m.Data)] = m.UnitSeq
+		case *wire.UnitDone:
+			done = append(done, m.UnitSeq)
+		}
+	}
+	if len(done) != 2 {
+		t.Fatalf("sent %d UnitDone, want 2", len(done))
+	}
+	if unitOf[4096] != done[0] || unitOf[16] != done[1] {
+		t.Errorf("replicas name units %d and %d, want %d and %d (the units their records landed in)",
+			unitOf[4096], unitOf[16], done[0], done[1])
 	}
 }
 
@@ -352,13 +446,15 @@ func TestTsueParityFanout(t *testing.T) {
 	}
 }
 
-// pipeSend is one call a DataLog recycle pass made, as the host saw it:
-// when it left, when it was answered, and how many device reads — one per
-// read-modify-write — had started by the answer.
+// pipeSend is one call the engine made, as the host saw it: when it left,
+// how many device writes had started by then, when it was answered, and
+// how many device reads — one per read-modify-write — had started by the
+// answer.
 type pipeSend struct {
 	msg         wire.Msg
 	to          wire.NodeID
 	sent, acked time.Duration
+	writes      int64
 	reads       int64
 	failed      bool
 }
@@ -377,7 +473,7 @@ type pipeHost struct {
 
 func (h *pipeHost) Alive(id wire.NodeID) bool { return id != h.dead }
 func (h *pipeHost) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, error) {
-	s := pipeSend{msg: req, to: to, sent: p.Now()}
+	s := pipeSend{msg: req, to: to, sent: p.Now(), writes: h.store.Device().Stats().WriteOps}
 	if da, ok := req.(*wire.DeltaAppend); ok && !da.Replica {
 		if h.primaries++; h.primaries == h.kill {
 			h.dead = to
@@ -398,10 +494,11 @@ func (h *pipeHost) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, er
 
 // TestTsueDataRecyclePipeline: a DataLog pass read-modify-writes its
 // extents ahead of the forwarder, which sends them downstream in the serial
-// loop's (block, offset) order. A DeltaLog holder that dies mid-forward
-// sends that extent (and the rest) down the direct path; no UnitDone
-// leaves before the last forward is acked; and when this node dies
-// mid-forward, both stages stop with no UnitDone.
+// loop's (block, offset) order, each primary DeltaAppend together with its
+// reliability copy. A DeltaLog holder that dies mid-forward sends that
+// extent (and the rest) down the direct path; no UnitDone leaves before the
+// last forward is acked; and when this node dies mid-forward, both stages
+// stop with no UnitDone.
 func TestTsueDataRecyclePipeline(t *testing.T) {
 	a := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
 	b := wire.BlockID{Ino: 1, Stripe: 0, Index: 1}
@@ -420,8 +517,9 @@ func TestTsueDataRecyclePipeline(t *testing.T) {
 		direct   []int64 // offsets sent straight to the ParityLogs
 	}{
 		{name: "live", primary: 3, copies: 3},
-		{name: "holder-dies", kill: 2, primary: 2, copies: 1, direct: []int64{2048, 1024}},
-		{name: "self-dies", kill: 2, killSelf: true, primary: 2, copies: 1},
+		// The failed primary's copy left with it.
+		{name: "holder-dies", kill: 2, primary: 2, copies: 2, direct: []int64{2048, 1024}},
+		{name: "self-dies", kill: 2, killSelf: true, primary: 2, copies: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			h := &pipeHost{fakeHost: newFakeHost(t), kill: tc.kill, killSelf: tc.killSelf}
@@ -456,13 +554,16 @@ func TestTsueDataRecyclePipeline(t *testing.T) {
 			firstPrimary := -1
 			var lastFwd time.Duration
 			var unitDone []pipeSend
+			sentAt := make(map[ext]time.Duration) // primaries' send instants
 			for i, s := range h.sends {
 				switch m := s.msg.(type) {
 				case *wire.DeltaAppend:
+					e := ext{m.Blk, m.Off}
 					if m.Replica {
-						copies = append(copies, ext{m.Blk, m.Off})
+						copies = append(copies, e)
 					} else {
-						primary = append(primary, ext{m.Blk, m.Off})
+						primary = append(primary, e)
+						sentAt[e] = s.sent
 						if firstPrimary < 0 {
 							firstPrimary = i
 						}
@@ -483,6 +584,13 @@ func TestTsueDataRecyclePipeline(t *testing.T) {
 			}
 			if !slices.Equal(copies, serial[:tc.copies]) {
 				t.Errorf("reliability copies %v, want %v", copies, serial[:tc.copies])
+			}
+			for _, s := range h.sends {
+				if m, ok := s.msg.(*wire.DeltaAppend); ok && m.Replica {
+					if at, ok := sentAt[ext{m.Blk, m.Off}]; !ok || at != s.sent {
+						t.Errorf("copy of %v at %d sent at %v, want with its primary at %v", m.Blk, m.Off, s.sent, at)
+					}
+				}
 			}
 			if !slices.Equal(direct, tc.direct) {
 				t.Errorf("direct-path extents %v, want %v", direct, tc.direct)
