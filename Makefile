@@ -10,8 +10,8 @@ build:
 test:
 	$(GO) test ./...
 
-# lint builds the simvet vettool and runs the full determinism & protocol
-# analyzer suite over every package, then the analyzers' own fixture tests.
+# lint builds the simvet vettool and runs the full determinism analyzer
+# suite over every package, then the analyzers' own fixture tests.
 # Findings fail the build; escapes need a justified //lint:allow comment.
 lint:
 	$(GO) build -o bin/simvet ./cmd/simvet
@@ -20,6 +20,7 @@ lint:
 
 fuzz:
 	$(GO) test -fuzz=FuzzInsertMatchesReference -fuzztime=10s ./internal/logpool
+	$(GO) test -fuzz=FuzzUnmarshalRoundTrip -fuzztime=10s ./internal/wire
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -267,7 +267,7 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 		m.c.rejected.Inc()
 		return &wire.Ack{Err: ErrOverload}
 	}
-	return &wire.Ack{Err: fmt.Errorf("mds: unhandled message %v", msg.Type())}
+	return &wire.Ack{Err: fmt.Errorf("mds: unhandled message %s", wire.Name(msg))}
 }
 
 // handleEpochUpdate stages or commits a placement epoch. One transition at

@@ -225,13 +225,13 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		if sp, ok := m.(wire.SummedPayload); ok {
 			if err := sp.VerifyPayload(); err != nil {
 				o.c.noteCorruption()
-				return &wire.Ack{Err: fmt.Errorf("osd %d: %v: %w", o.id, m.Type(), err)}
+				return &wire.Ack{Err: fmt.Errorf("osd %d: %s: %w", o.id, wire.Name(m), err)}
 			}
 		}
 		if resp, handled := o.engine.Handle(p, from, m); handled {
 			return resp
 		}
-		return &wire.Ack{Err: fmt.Errorf("osd %d: unhandled message %v", o.id, m.Type())}
+		return &wire.Ack{Err: fmt.Errorf("osd %d: unhandled message %s", o.id, wire.Name(m))}
 	}
 }
 

@@ -125,14 +125,6 @@ func (s *Stats) Add(o Stats) {
 	s.Erases += o.Erases
 }
 
-// WriteAmp returns NAND-bytes-written / host-bytes-written (1.0 = none).
-func (s Stats) WriteAmp() float64 {
-	if s.HostWriteBytes == 0 {
-		return 1
-	}
-	return float64(s.NandWriteBytes) / float64(s.HostWriteBytes)
-}
-
 // Disk is a simulated block device.
 type Disk struct {
 	name   string

@@ -32,7 +32,6 @@ func fixtureSpecs() []fixtureSpec {
 		{WalltimeAnalyzer, "walltime", "tsue/internal/harness", true},
 		{NogoroutineAnalyzer, "nogoroutine", "tsue/internal/sim", false},
 		{MaporderAnalyzer, "maporder", "tsue/internal/cluster", true},
-		{WireprotoAnalyzer, "wireproto", "tsue/internal/wire", false},
 		{SentinelerrAnalyzer, "sentinelerr", "tsue/internal/cluster", false},
 		{ObsregistryAnalyzer, "obsregistry", "tsue/internal/device", false},
 	}

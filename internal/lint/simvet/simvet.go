@@ -1,11 +1,11 @@
-// Package simvet is the repository's determinism and protocol linter: a
-// small go/analysis-style framework plus six purpose-built analyzers that
+// Package simvet is the repository's invariant linter: a small
+// go/analysis-style framework plus five purpose-built analyzers that
 // machine-check the invariants the whole reproduction stands on — sim-time
 // determinism (no wall clock, no free-running goroutines or coroutines, no
-// order-dependent map iteration in kernel-owned packages), wire-protocol
-// completeness (every payload-bearing message traced and checksummed),
-// sentinel-error discipline (errors.Is, not == or text), and the obs-registry
-// ownership rule.
+// order-dependent map iteration in kernel-owned packages), sentinel-error
+// discipline (errors.Is, not == or text), and the obs-registry ownership
+// rule. The wire-protocol conventions (every payload-bearing message traced
+// and checksummed) are tests in internal/wire, not analyzers.
 //
 // The framework is self-contained (no golang.org/x/tools dependency): the
 // container this repo builds in has no module cache, so cmd/simvet speaks
@@ -53,7 +53,6 @@ func Analyzers() []*Analyzer {
 		WalltimeAnalyzer,
 		NogoroutineAnalyzer,
 		MaporderAnalyzer,
-		WireprotoAnalyzer,
 		SentinelerrAnalyzer,
 		ObsregistryAnalyzer,
 	}

@@ -402,7 +402,7 @@ func (f *Fabric) rpcSpan(p *sim.Proc, req wire.Msg, to wire.NodeID) func() {
 	if !on {
 		return nil
 	}
-	child, fin := a.Child(obs.RPCStage(req.Type()), "rpc:"+req.Type().String(), to)
+	child, fin := a.Child(obs.RPCStage(req), "rpc:"+wire.Name(req), to)
 	*sp.SpanRef() = child.Ctx()
 	return fin
 }
@@ -417,9 +417,9 @@ func (f *Fabric) handlerSpan(hp *sim.Proc, req wire.Msg, at wire.NodeID) func() 
 	if !ok || sp.SpanRef().Trace == 0 {
 		return nil
 	}
-	stage := obs.HandlerStage(req.Type())
+	stage := obs.HandlerStage(req)
 	h := obs.Resume(f.tracer, *sp.SpanRef(), stage)
-	hc, fin := h.Child(stage, "handle:"+req.Type().String(), at)
+	hc, fin := h.Child(stage, "handle:"+wire.Name(req), at)
 	hp.SetSpan(hc)
 	return fin
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"tsue/internal/obs"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
 )
@@ -183,6 +184,64 @@ func TestNestedCallFromHandler(t *testing.T) {
 	if _, ok := resp.(*wire.Ack); !ok || wire.AckErr(resp, nil) != nil {
 		t.Fatalf("nested call failed: %#v", resp)
 	}
+}
+
+// TestTracedRPCSpans pins the spans a traced call records: the sender's wire
+// span "rpc:<message>" and the receiver's handler span "handle:<message>"
+// under it, each at the stage obs classifies the message under. A call made
+// outside any traced op records nothing.
+func TestTracedRPCSpans(t *testing.T) {
+	call := func(t *testing.T, req wire.Msg, traced bool) []obs.Span {
+		e := sim.NewEnv()
+		f := New(e, Ethernet25G())
+		tr := obs.NewTracer(e, 1)
+		f.SetTracer(tr)
+		f.AddNode(0, nil)
+		f.AddNode(1, echoHandler)
+		e.Go("c", func(p *sim.Proc) {
+			if traced {
+				defer tr.StartOp(p, obs.OpUpdate, 0, "op:update")()
+			}
+			if _, err := f.Call(p, 0, 1, req); err != nil {
+				t.Error(err)
+			}
+		})
+		e.Run(0)
+		return tr.Spans()
+	}
+	cases := []struct {
+		req          wire.Msg
+		rpc, handler obs.Stage
+	}{
+		{&wire.Update{}, obs.StageNetwork, obs.StageService},
+		{&wire.AdmitOp{}, obs.StageAdmission, obs.StageAdmission},
+		{&wire.JournalReplica{}, obs.StageJournal, obs.StageJournal},
+	}
+	for _, c := range cases {
+		name := wire.Name(c.req)
+		t.Run(name, func(t *testing.T) {
+			spans := call(t, c.req, true)
+			byName := make(map[string]obs.Span, len(spans))
+			for _, s := range spans {
+				byName[s.Name] = s
+			}
+			root, rpc, h := byName["op:update"], byName["rpc:"+name], byName["handle:"+name]
+			if len(spans) != 3 || root.ID == 0 || rpc.ID == 0 || h.ID == 0 {
+				t.Fatalf("spans %+v, want op:update, rpc:%s and handle:%s", spans, name, name)
+			}
+			if rpc.Parent != root.ID || rpc.Stage != c.rpc || rpc.Node != 1 {
+				t.Errorf("rpc span %+v, want parent %d, stage %v, node 1", rpc, root.ID, c.rpc)
+			}
+			if h.Parent != rpc.ID || h.Stage != c.handler || h.Node != 1 {
+				t.Errorf("handler span %+v, want parent %d, stage %v, node 1", h, rpc.ID, c.handler)
+			}
+		})
+	}
+	t.Run("untraced", func(t *testing.T) {
+		if spans := call(t, &wire.Update{}, false); len(spans) != 0 {
+			t.Fatalf("untraced call recorded %+v", spans)
+		}
+	})
 }
 
 func TestUnknownNode(t *testing.T) {

@@ -106,11 +106,11 @@ func (s Stage) String() string {
 // RPCStage classifies a traced RPC's wire span by message type: admission
 // and journal-replication round trips are charged to their own stages, all
 // other traffic to the network stage.
-func RPCStage(t wire.Type) Stage {
-	switch t {
-	case wire.TAdmitOp:
+func RPCStage(m wire.Msg) Stage {
+	switch m.(type) {
+	case *wire.AdmitOp:
 		return StageAdmission
-	case wire.TJournalReplica:
+	case *wire.JournalReplica:
 		return StageJournal
 	default:
 		return StageNetwork
@@ -118,11 +118,11 @@ func RPCStage(t wire.Type) Stage {
 }
 
 // HandlerStage classifies a traced RPC's receiver-side handler span.
-func HandlerStage(t wire.Type) Stage {
-	switch t {
-	case wire.TAdmitOp:
+func HandlerStage(m wire.Msg) Stage {
+	switch m.(type) {
+	case *wire.AdmitOp:
 		return StageAdmission
-	case wire.TJournalReplica:
+	case *wire.JournalReplica:
 		return StageJournal
 	default:
 		return StageService

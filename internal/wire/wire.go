@@ -2,10 +2,13 @@
 //
 // The simulated fabric (internal/netsim) passes message values directly and
 // charges SizeOf(m) — headerSize + PayloadSize — to the network model; no
-// message is ever encoded to bytes. PayloadSize is the modelled length of a
-// compact layout (fixed-width integers and bools, length-prefixed slices,
-// strings and error texts), and the size table in wire_test.go pins it per
-// message type, since every size feeds simulated network time.
+// message is ever encoded to bytes. A message's type is its Go type: there is
+// no type tag, and Name(m) is the name spans and error texts use.
+// PayloadSize is the modelled length of a compact layout (fixed-width
+// integers and bools, length-prefixed slices, strings and error texts), and
+// the size table in wire_test.go pins it per message type, since every size
+// feeds simulated network time. A message is kept in step in two places: its
+// struct with its PayloadSize method, and its size-table row.
 package wire
 
 import (
@@ -13,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"reflect"
 )
 
 // ErrChecksum is the sentinel for an end-to-end payload checksum mismatch:
@@ -91,86 +95,12 @@ type StripeID struct {
 // Stripe returns the stripe this block belongs to.
 func (b BlockID) StripeID() StripeID { return StripeID{Ino: b.Ino, Stripe: b.Stripe} }
 
-// Type enumerates message types.
-type Type uint8
-
-const (
-	TAck Type = iota + 1
-	TCreateFile
-	TCreateResp
-	TLookup
-	TLookupResp
-	TPutBlock
-	TReadBlock
-	TReadResp
-	TUpdate
-	TDeltaAppend
-	TParixAppend
-	TParityDelta
-	TLogReplica
-	TUnitDone
-	TDrain
-	THeartbeat
-	TRecoverBlock
-	TReplicaFetch
-	TReplicaResp
-	TDegradedUpdate
-	TDegradedRead
-	TJournalReplica
-	TJournalFetch
-	TReplayUpdate
-	TSettle
-	TPGLookup
-	TEpochUpdate
-	TEpochResp
-	TMigrateBlock
-	TPGCutover
-	TMigrateLog
-	TReplicaRetire
-	TPGAbort
-	TTransitionStatus
-	TTransitionStatusResp
-	TJournalAck
-	TJournalFetchResp
-	TAdmitOp
-)
-
-var typeNames = map[Type]string{
-	TAck: "Ack", TCreateFile: "CreateFile", TCreateResp: "CreateResp",
-	TLookup: "Lookup", TLookupResp: "LookupResp", TPutBlock: "PutBlock",
-	TReadBlock: "ReadBlock", TReadResp: "ReadResp", TUpdate: "Update",
-	TDeltaAppend: "DeltaAppend", TParixAppend: "ParixAppend",
-	TParityDelta: "ParityDelta", TLogReplica: "LogReplica",
-	TUnitDone: "UnitDone", TDrain: "Drain", THeartbeat: "Heartbeat",
-	TRecoverBlock: "RecoverBlock", TReplicaFetch: "ReplicaFetch",
-	TReplicaResp: "ReplicaResp", TDegradedUpdate: "DegradedUpdate",
-	TDegradedRead: "DegradedRead", TJournalReplica: "JournalReplica",
-	TJournalFetch: "JournalFetch", TReplayUpdate: "ReplayUpdate",
-	TSettle: "Settle", TPGLookup: "PGLookup",
-	TEpochUpdate: "EpochUpdate", TEpochResp: "EpochResp",
-	TMigrateBlock: "MigrateBlock", TPGCutover: "PGCutover",
-	TMigrateLog: "MigrateLog", TReplicaRetire: "ReplicaRetire",
-	TPGAbort: "PGAbort", TTransitionStatus: "TransitionStatus",
-	TTransitionStatusResp: "TransitionStatusResp",
-	TJournalAck:           "JournalAck",
-	TJournalFetchResp:     "JournalFetchResp",
-	TAdmitOp:              "AdmitOp",
-}
-
-func (t Type) String() string {
-	if s, ok := typeNames[t]; ok {
-		return s
-	}
-	return fmt.Sprintf("Type(%d)", uint8(t))
-}
-
 // headerSize models the per-message framing overhead (type, ids, lengths)
 // charged on the simulated wire on top of the payload.
 const headerSize = 40
 
-// Msg is implemented by every RPC message.
+// Msg is implemented by every RPC message (always a pointer to its struct).
 type Msg interface {
-	Type() Type
 	// PayloadSize is the modelled payload length in bytes, charged to the
 	// network model on top of the header.
 	PayloadSize() int
@@ -178,6 +108,10 @@ type Msg interface {
 
 // SizeOf returns the total on-wire size of a message.
 func SizeOf(m Msg) int64 { return int64(headerSize + m.PayloadSize()) }
+
+// Name returns a message's type name ("Update", "AdmitOp"): the name span
+// names and error texts carry.
+func Name(m Msg) string { return reflect.TypeOf(m).Elem().Name() }
 
 // ---- tracing ----
 
@@ -225,7 +159,6 @@ type Ack struct {
 	Err error
 }
 
-func (*Ack) Type() Type         { return TAck }
 func (a *Ack) PayloadSize() int { return 2 + errLen(a.Err) }
 func (a *Ack) carried() error   { return a.Err }
 
@@ -255,7 +188,6 @@ type CreateFile struct {
 	Stripes uint32
 }
 
-func (*CreateFile) Type() Type         { return TCreateFile }
 func (c *CreateFile) PayloadSize() int { return 2 + len(c.Name) + 4 }
 
 // CreateResp returns the assigned inode.
@@ -264,7 +196,6 @@ type CreateResp struct {
 	Err error
 }
 
-func (*CreateResp) Type() Type         { return TCreateResp }
 func (c *CreateResp) PayloadSize() int { return 8 + 2 + errLen(c.Err) }
 func (c *CreateResp) carried() error   { return c.Err }
 
@@ -274,7 +205,6 @@ type Lookup struct {
 	Stripe uint32
 }
 
-func (*Lookup) Type() Type       { return TLookup }
 func (*Lookup) PayloadSize() int { return 12 }
 
 // LookupResp carries the K+M block locations of a stripe (or of a whole
@@ -290,7 +220,6 @@ type LookupResp struct {
 	Err   error
 }
 
-func (*LookupResp) Type() Type         { return TLookupResp }
 func (l *LookupResp) PayloadSize() int { return 2 + 4*len(l.OSDs) + 4 + 8 + 2 + errLen(l.Err) }
 func (l *LookupResp) carried() error   { return l.Err }
 
@@ -300,7 +229,6 @@ type PGLookup struct {
 	PG uint32
 }
 
-func (*PGLookup) Type() Type       { return TPGLookup }
 func (*PGLookup) PayloadSize() int { return 4 }
 
 // Heartbeat is the OSD -> MDS liveness beacon. Misses reports how many
@@ -312,7 +240,6 @@ type Heartbeat struct {
 	Misses uint32
 }
 
-func (*Heartbeat) Type() Type       { return THeartbeat }
 func (*Heartbeat) PayloadSize() int { return 4 + 4 }
 
 // AdmitOp asks the MDS for admission of one foreground client op before the
@@ -324,7 +251,6 @@ type AdmitOp struct {
 	Span SpanCtx
 }
 
-func (*AdmitOp) Type() Type          { return TAdmitOp }
 func (*AdmitOp) PayloadSize() int    { return spanSize }
 func (a *AdmitOp) SpanRef() *SpanCtx { return &a.Span }
 
@@ -339,7 +265,6 @@ type PutBlock struct {
 	Span SpanCtx
 }
 
-func (*PutBlock) Type() Type          { return TPutBlock }
 func (p *PutBlock) PayloadSize() int  { return 14 + 4 + len(p.Data) + 4 + spanSize }
 func (p *PutBlock) SpanRef() *SpanCtx { return &p.Span }
 
@@ -359,7 +284,6 @@ type ReadBlock struct {
 	Span  SpanCtx
 }
 
-func (*ReadBlock) Type() Type          { return TReadBlock }
 func (*ReadBlock) PayloadSize() int    { return 14 + 13 + 8 + spanSize }
 func (b *ReadBlock) SpanRef() *SpanCtx { return &b.Span }
 
@@ -368,15 +292,12 @@ func (b *ReadBlock) SpanRef() *SpanCtx { return &b.Span }
 // SpanCtx: a response travels inside the requester's rpc span (netsim links
 // the return hop to the call), so a second context would be redundant bytes
 // on every read.
-//
-//lint:allow wireproto(response rides the requester's rpc span; netsim links the return hop without a carried context)
 type ReadResp struct {
 	Data []byte
 	Err  error
 	Sum  uint32
 }
 
-func (*ReadResp) Type() Type         { return TReadResp }
 func (r *ReadResp) PayloadSize() int { return 4 + len(r.Data) + 2 + errLen(r.Err) + 4 }
 func (r *ReadResp) carried() error   { return r.Err }
 
@@ -393,7 +314,6 @@ type Update struct {
 	Span  SpanCtx
 }
 
-func (*Update) Type() Type          { return TUpdate }
 func (u *Update) PayloadSize() int  { return 14 + 8 + 4 + len(u.Data) + 8 + 4 + spanSize }
 func (u *Update) SpanRef() *SpanCtx { return &u.Span }
 
@@ -426,7 +346,6 @@ type DeltaAppend struct {
 	Span      SpanCtx
 }
 
-func (*DeltaAppend) Type() Type             { return TDeltaAppend }
 func (d *DeltaAppend) PayloadSize() int     { return 14 + 2 + 8 + 4 + len(d.Data) + 2 + 4 + spanSize }
 func (d *DeltaAppend) SpanRef() *SpanCtx    { return &d.Span }
 func (d *DeltaAppend) VerifyPayload() error { return VerifySum(d.Data, d.Sum) }
@@ -443,7 +362,6 @@ type ParixAppend struct {
 	Span      SpanCtx
 }
 
-func (*ParixAppend) Type() Type { return TParixAppend }
 func (p *ParixAppend) PayloadSize() int {
 	return 14 + 2 + 8 + 4 + len(p.New) + 4 + len(p.Orig) + 4 + spanSize
 }
@@ -460,7 +378,6 @@ type ParityDelta struct {
 	Span SpanCtx
 }
 
-func (*ParityDelta) Type() Type             { return TParityDelta }
 func (p *ParityDelta) PayloadSize() int     { return 14 + 8 + 4 + len(p.Data) + 4 + spanSize }
 func (p *ParityDelta) SpanRef() *SpanCtx    { return &p.Span }
 func (p *ParityDelta) VerifyPayload() error { return VerifySum(p.Data, p.Sum) }
@@ -477,7 +394,6 @@ type LogReplica struct {
 	Span    SpanCtx
 }
 
-func (*LogReplica) Type() Type             { return TLogReplica }
 func (l *LogReplica) PayloadSize() int     { return 4 + 2 + 8 + 14 + 8 + 4 + len(l.Data) + 4 + spanSize }
 func (l *LogReplica) SpanRef() *SpanCtx    { return &l.Span }
 func (l *LogReplica) VerifyPayload() error { return VerifySum(l.Data, l.Sum) }
@@ -490,13 +406,11 @@ type UnitDone struct {
 	UnitSeq uint64
 }
 
-func (*UnitDone) Type() Type       { return TUnitDone }
 func (*UnitDone) PayloadSize() int { return 14 }
 
 // Drain asks an OSD to flush all update-engine logs to quiescence.
 type Drain struct{}
 
-func (*Drain) Type() Type       { return TDrain }
 func (*Drain) PayloadSize() int { return 0 }
 
 // RecoverBlock asks an OSD to reconstruct and store one lost block, reading
@@ -511,7 +425,6 @@ type RecoverBlock struct {
 	Span     SpanCtx
 }
 
-func (*RecoverBlock) Type() Type           { return TRecoverBlock }
 func (*RecoverBlock) PayloadSize() int     { return 14 + 1 + spanSize }
 func (rb *RecoverBlock) SpanRef() *SpanCtx { return &rb.Span }
 
@@ -528,7 +441,6 @@ type ReplicaFetch struct {
 	Node NodeID
 }
 
-func (*ReplicaFetch) Type() Type       { return TReplicaFetch }
 func (*ReplicaFetch) PayloadSize() int { return 4 }
 
 // ReplicaResp returns the surviving log items, in original append order.
@@ -536,7 +448,6 @@ type ReplicaResp struct {
 	Items []ReplicaItem
 }
 
-func (*ReplicaResp) Type() Type { return TReplicaResp }
 func (r *ReplicaResp) PayloadSize() int {
 	n := 4
 	for _, it := range r.Items {
@@ -560,7 +471,6 @@ type DegradedUpdate struct {
 	Span   SpanCtx
 }
 
-func (*DegradedUpdate) Type() Type          { return TDegradedUpdate }
 func (d *DegradedUpdate) PayloadSize() int  { return 4 + 14 + 8 + 4 + len(d.Data) + 4 + spanSize }
 func (d *DegradedUpdate) SpanRef() *SpanCtx { return &d.Span }
 
@@ -576,7 +486,6 @@ type DegradedRead struct {
 	Span   SpanCtx
 }
 
-func (*DegradedRead) Type() Type          { return TDegradedRead }
 func (*DegradedRead) PayloadSize() int    { return 4 + 14 + 8 + 4 + spanSize }
 func (d *DegradedRead) SpanRef() *SpanCtx { return &d.Span }
 
@@ -599,7 +508,6 @@ type JournalReplica struct {
 	Span      SpanCtx
 }
 
-func (*JournalReplica) Type() Type { return TJournalReplica }
 func (j *JournalReplica) PayloadSize() int {
 	return 4 + 4 + 8 + 14 + 8 + 4 + len(j.Data) + 4 + spanSize
 }
@@ -613,7 +521,6 @@ type JournalAck struct {
 	Err error
 }
 
-func (*JournalAck) Type() Type         { return TJournalAck }
 func (j *JournalAck) PayloadSize() int { return 8 + 2 + errLen(j.Err) }
 func (j *JournalAck) carried() error   { return j.Err }
 
@@ -633,7 +540,6 @@ type JournalFetch struct {
 	FromSeq   uint64
 }
 
-func (*JournalFetch) Type() Type       { return TJournalFetch }
 func (*JournalFetch) PayloadSize() int { return 4 + 4 + 8 }
 
 // JournalItem is one sequenced surrogate-journal record held by a quorum
@@ -652,7 +558,6 @@ type JournalFetchResp struct {
 	Err   error
 }
 
-func (*JournalFetchResp) Type() Type { return TJournalFetchResp }
 func (j *JournalFetchResp) PayloadSize() int {
 	n := 4
 	for _, it := range j.Items {
@@ -673,7 +578,6 @@ type ReplayUpdate struct {
 	Span SpanCtx
 }
 
-func (*ReplayUpdate) Type() Type             { return TReplayUpdate }
 func (r *ReplayUpdate) PayloadSize() int     { return 14 + 8 + 4 + len(r.Data) + 4 + spanSize }
 func (r *ReplayUpdate) SpanRef() *SpanCtx    { return &r.Span }
 func (r *ReplayUpdate) VerifyPayload() error { return VerifySum(r.Data, r.Sum) }
@@ -706,7 +610,6 @@ type EpochUpdate struct {
 	Factor uint32
 }
 
-func (*EpochUpdate) Type() Type       { return TEpochUpdate }
 func (*EpochUpdate) PayloadSize() int { return 1 + 4 + 4 }
 
 // EpochResp returns the (staged or committed) epoch number.
@@ -715,7 +618,6 @@ type EpochResp struct {
 	Err   error
 }
 
-func (*EpochResp) Type() Type         { return TEpochResp }
 func (e *EpochResp) PayloadSize() int { return 8 + 2 + errLen(e.Err) }
 func (e *EpochResp) carried() error   { return e.Err }
 
@@ -733,7 +635,6 @@ type MigrateBlock struct {
 	Reencode    bool
 }
 
-func (*MigrateBlock) Type() Type       { return TMigrateBlock }
 func (*MigrateBlock) PayloadSize() int { return 14 + 4 + 2 }
 
 // PGCutover tells the MDS that one placement group's blocks (and logs) are
@@ -745,7 +646,6 @@ type PGCutover struct {
 	Epoch uint64
 }
 
-func (*PGCutover) Type() Type       { return TPGCutover }
 func (*PGCutover) PayloadSize() int { return 4 + 8 }
 
 // MigrateLog asks a migrating block's OLD home to extract the replayable
@@ -759,7 +659,6 @@ type MigrateLog struct {
 	Blk BlockID
 }
 
-func (*MigrateLog) Type() Type       { return TMigrateLog }
 func (*MigrateLog) PayloadSize() int { return 14 }
 
 // ReplicaRetire tells a replica holder to drop every replicated, unrecycled
@@ -771,7 +670,6 @@ type ReplicaRetire struct {
 	Blk  BlockID
 }
 
-func (*ReplicaRetire) Type() Type       { return TReplicaRetire }
 func (*ReplicaRetire) PayloadSize() int { return 4 + 14 }
 
 // PGAbort tells the MDS that one placement group's migration was rolled
@@ -786,7 +684,6 @@ type PGAbort struct {
 	Epoch uint64
 }
 
-func (*PGAbort) Type() Type       { return TPGAbort }
 func (*PGAbort) PayloadSize() int { return 4 + 8 }
 
 // TransitionStatus asks the MDS for the in-flight placement transition's
@@ -794,7 +691,6 @@ func (*PGAbort) PayloadSize() int { return 4 + 8 }
 // a TransitionStatusResp.
 type TransitionStatus struct{}
 
-func (*TransitionStatus) Type() Type       { return TTransitionStatus }
 func (*TransitionStatus) PayloadSize() int { return 0 }
 
 // PGStatus is one migrating PG's stage in a TransitionStatusResp. Stage
@@ -826,7 +722,6 @@ type TransitionStatusResp struct {
 	Err       error
 }
 
-func (*TransitionStatusResp) Type() Type { return TTransitionStatusResp }
 func (t *TransitionStatusResp) PayloadSize() int {
 	return 1 + 8 + 8 + 4 + 5*len(t.PGs) + 4 + 12*len(t.Beats) + 2 + errLen(t.Err)
 }
@@ -843,5 +738,4 @@ type Settle struct {
 	Failed NodeID
 }
 
-func (*Settle) Type() Type       { return TSettle }
 func (*Settle) PayloadSize() int { return 4 }

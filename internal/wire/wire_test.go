@@ -3,18 +3,14 @@ package wire
 import (
 	"errors"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 )
-
-// Compile-time check: the full set of payload-bearing messages on the traced
-// paths implements Spanned.
-var _ = []Spanned{
-	(*AdmitOp)(nil), (*Update)(nil), (*ReadBlock)(nil), (*PutBlock)(nil),
-	(*DeltaAppend)(nil), (*ParixAppend)(nil), (*ParityDelta)(nil),
-	(*LogReplica)(nil), (*RecoverBlock)(nil), (*DegradedUpdate)(nil),
-	(*DegradedRead)(nil), (*JournalReplica)(nil), (*ReplayUpdate)(nil),
-}
 
 // sizeRows has one message per type with its modelled payload size.
 // SizeOf is what the fabric charges to simulated NIC time, so each want is
@@ -75,66 +71,127 @@ type sizeRow struct {
 }
 
 // TestSizeOfIncludesHeader checks every sizeRows literal, and that every
-// type has a row and a name.
+// message has exactly one row. The message set is read from the package's
+// source: every receiver of a PayloadSize method is a message.
 func TestSizeOfIncludesHeader(t *testing.T) {
-	rows := make(map[Type]bool)
+	rows := make(map[string]bool)
 	for _, c := range sizeRows {
-		typ := c.m.Type()
-		rows[typ] = true
+		name := Name(c.m)
+		if rows[name] {
+			t.Errorf("%s has two size rows", name)
+		}
+		rows[name] = true
 		if got := c.m.PayloadSize(); got != c.want {
-			t.Errorf("%v: PayloadSize %d, want %d", typ, got, c.want)
+			t.Errorf("%s: PayloadSize %d, want %d", name, got, c.want)
 		}
 		if got := SizeOf(c.m); got != int64(40+c.want) {
-			t.Errorf("%v: SizeOf %d, want %d", typ, got, 40+c.want)
+			t.Errorf("%s: SizeOf %d, want %d", name, got, 40+c.want)
 		}
 	}
-	for typ := TAck; typ <= TAdmitOp; typ++ {
-		if !rows[typ] {
-			t.Errorf("%v has no size row", typ)
+	for _, name := range messageNames(t) {
+		if !rows[name] {
+			t.Errorf("%s has no size row", name)
 		}
-		if _, ok := typeNames[typ]; !ok {
-			t.Errorf("Type(%d) has no typeNames entry", uint8(typ))
-		}
-	}
-	if len(typeNames) != int(TAdmitOp) {
-		t.Errorf("typeNames has %d entries for %d types: a type past TAdmitOp needs a row here", len(typeNames), TAdmitOp)
 	}
 }
 
-// FuzzUnmarshalRoundTrip decodes an arbitrary (frame type, payload) pair
-// into a message: the type byte picks the type's sizeRows message, every
+// messageNames parses the package's non-test files and returns the receiver
+// type name of every PayloadSize method.
+func messageNames(t *testing.T) []string {
+	t.Helper()
+	entries, err := os.ReadDir(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var names []string
+	for _, e := range entries {
+		if !strings.HasSuffix(e.Name(), ".go") || strings.HasSuffix(e.Name(), "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, e.Name(), nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			if !ok || fn.Recv == nil || fn.Name.Name != "PayloadSize" {
+				continue
+			}
+			recv := fn.Recv.List[0].Type
+			if star, ok := recv.(*ast.StarExpr); ok {
+				recv = star.X
+			}
+			names = append(names, recv.(*ast.Ident).Name)
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("found no PayloadSize methods")
+	}
+	return names
+}
+
+// untracedPayloads names the payload-bearing messages exempt from carrying
+// a SpanCtx, each with its reason.
+var untracedPayloads = map[string]string{
+	"ReadResp": "a response rides the requester's rpc span; netsim links the return hop without a carried context",
+}
+
+// TestPayloadMessagesTracedAndSummed holds every message (each has a size
+// row) to the wire conventions: one with a []byte field carries a Sum
+// checksum, so corruption injected by the chaos fabric is detectable at the
+// receiver, and a SpanCtx, so the tracer follows the data path hop by hop;
+// and a message carries a SpanCtx exactly when it implements Spanned, so the
+// fabric stamps every context it carries.
+func TestPayloadMessagesTracedAndSummed(t *testing.T) {
+	bytesType, spanType := reflect.TypeOf([]byte(nil)), reflect.TypeOf(SpanCtx{})
+	for _, r := range sizeRows {
+		name, st := Name(r.m), reflect.TypeOf(r.m).Elem()
+		payload, sum, span := false, false, false
+		for i := range st.NumField() {
+			f := st.Field(i)
+			payload = payload || f.Type == bytesType
+			sum = sum || strings.HasSuffix(f.Name, "Sum")
+			span = span || f.Type == spanType
+		}
+		if payload && !sum {
+			t.Errorf("%s carries a payload but no Sum", name)
+		}
+		if reason, exempt := untracedPayloads[name]; exempt {
+			if span || !payload {
+				t.Errorf("%s is exempt from a SpanCtx (%s) but has one or carries no payload", name, reason)
+			}
+		} else if payload && !span {
+			t.Errorf("%s carries a payload but no SpanCtx", name)
+		}
+		if _, ok := r.m.(Spanned); ok != span {
+			t.Errorf("%s: has a SpanCtx field %v, implements Spanned %v", name, span, ok)
+		}
+	}
+}
+
+// FuzzUnmarshalRoundTrip decodes an arbitrary (row, payload) pair into a
+// message: the row index (modulo the table) picks a sizeRows message, every
 // byte-slice and string field takes the payload, every error field an
 // error with the payload as its text, and every fixed-width field a value
-// drawn from it. The message must report the frame
-// type back, and its modelled size must move by exactly the variable bytes
-// it gained: no fixed-width value (a Sum, an epoch, a SpanCtx traced or
-// not) changes a size. A type byte with no row must have no name either.
-// The seeds give every type an empty and a non-empty payload.
+// drawn from it. The message's modelled size must move by exactly the
+// variable bytes it gained: no fixed-width value (a Sum, an epoch, a
+// SpanCtx traced or not) changes a size. The seeds give every row an empty
+// and a non-empty payload, plus an index past the end of the table.
 func FuzzUnmarshalRoundTrip(f *testing.F) {
-	rows := make(map[Type]Msg, len(sizeRows))
-	for _, r := range sizeRows {
-		rows[r.m.Type()] = r.m
-		f.Add(byte(r.m.Type()), []byte(nil))
-		f.Add(byte(r.m.Type()), []byte("two-stage update"))
+	for i := range sizeRows {
+		f.Add(uint(i), []byte(nil))
+		f.Add(uint(i), []byte("two-stage update"))
 	}
-	f.Add(byte(0), []byte{})
-	f.Fuzz(func(t *testing.T, typ byte, payload []byte) {
-		proto, ok := rows[Type(typ)]
-		if !ok {
-			if got, want := Type(typ).String(), fmt.Sprintf("Type(%d)", typ); got != want {
-				t.Fatalf("type byte %d has no size row but is named %q", typ, got)
-			}
-			return
-		}
+	f.Add(uint(len(sizeRows)), []byte{})
+	f.Fuzz(func(t *testing.T, row uint, payload []byte) {
+		proto := sizeRows[row%uint(len(sizeRows))].m
 		m, grew := decode(t, proto, payload)
-		if m.Type() != Type(typ) {
-			t.Fatalf("decoded %v from frame type %d", m.Type(), typ)
-		}
 		if got, want := m.PayloadSize(), proto.PayloadSize()+grew; got != want {
-			t.Fatalf("%v with %d-byte payload: PayloadSize %d, want %d", m.Type(), len(payload), got, want)
+			t.Fatalf("%s with %d-byte payload: PayloadSize %d, want %d", Name(m), len(payload), got, want)
 		}
 		if got := SizeOf(m); got != int64(headerSize+m.PayloadSize()) {
-			t.Fatalf("%v: SizeOf %d, want %d", m.Type(), got, headerSize+m.PayloadSize())
+			t.Fatalf("%s: SizeOf %d, want %d", Name(m), got, headerSize+m.PayloadSize())
 		}
 	})
 }
@@ -179,7 +236,7 @@ func decode(t *testing.T, proto Msg, payload []byte) (m Msg, grew int) {
 			f.SetString(string(payload))
 		case reflect.Interface:
 			if f.Type() != errorType {
-				t.Fatalf("%v: interface field %v has no modelled size", proto.Type(), f.Type())
+				t.Fatalf("%s: interface field %v has no modelled size", Name(proto), f.Type())
 			}
 			if !f.IsNil() {
 				grew -= len(f.Interface().(error).Error())
@@ -193,7 +250,7 @@ func decode(t *testing.T, proto Msg, payload []byte) (m Msg, grew int) {
 		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
 			f.SetUint(next())
 		default:
-			t.Fatalf("%v: field of kind %v has no modelled size", proto.Type(), f.Kind())
+			t.Fatalf("%s: field of kind %v has no modelled size", Name(proto), f.Kind())
 		}
 	}
 	fill(v.Elem())
@@ -249,27 +306,27 @@ func TestAckErr(t *testing.T) {
 		{&JournalFetchResp{}, &JournalFetchResp{Err: carried}},
 		{&TransitionStatusResp{}, &TransitionStatusResp{Err: carried}},
 	}
-	covered := make(map[Type]bool)
+	covered := make(map[string]bool)
 	for _, r := range rows {
-		typ := r.failed.Type()
-		covered[typ] = true
+		name := Name(r.failed)
+		covered[name] = true
 		if err := AckErr(r.ok, nil); err != nil {
-			t.Errorf("%v without Err: got %v", typ, err)
+			t.Errorf("%s without Err: got %v", name, err)
 		}
 		err := AckErr(r.failed, nil)
 		if !errors.Is(err, ErrChecksum) || err.Error() != carried.Error() {
-			t.Errorf("%v carrying %q: got %v", typ, carried, err)
+			t.Errorf("%s carrying %q: got %v", name, carried, err)
 		}
 		if err := AckErr(r.failed, transport); err != transport {
-			t.Errorf("%v with a transport error: got %v", typ, err)
+			t.Errorf("%s with a transport error: got %v", name, err)
 		}
 	}
 	if err := AckErr(&Update{}, nil); err != nil {
 		t.Fatalf("response without an Err field: got %v", err)
 	}
 	for _, r := range sizeRows {
-		if _, ok := reflect.TypeOf(r.m).Elem().FieldByName("Err"); ok && !covered[r.m.Type()] {
-			t.Errorf("%v has an Err field but no AckErr row", r.m.Type())
+		if _, ok := reflect.TypeOf(r.m).Elem().FieldByName("Err"); ok && !covered[Name(r.m)] {
+			t.Errorf("%s has an Err field but no AckErr row", Name(r.m))
 		}
 	}
 }
