@@ -30,8 +30,11 @@ const (
 	// degraded-stripe I/O routes through the surrogate (reads reconstruct on
 	// the fly, updates journal) and non-degraded I/O runs the normal path —
 	// contending with recovery traffic on the same simulated NICs. A second
-	// gate covers the journal cutover. The two gates, not the rebuild, take
-	// most of the window when the rebuild is short.
+	// gate covers the journal cutover, which replays every surrogate's
+	// journal at once. The settle seals a log pool only while its recycler
+	// is idle, so it pays for the in-flight pipeline in few large units.
+	// Even so, the two gates, not the rebuild, take most of the window when
+	// the rebuild is short.
 	RecoverInterleaved
 )
 
@@ -342,14 +345,16 @@ func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
 // unrecycled DataLog items followed by every update journaled while the
 // node was degraded — through the engines' replay hook at the (remapped)
 // home OSDs, then atomically retires the degraded route. With per-PG
-// surrogates there is one journal per surrogate OSD; a stripe's records
-// all live on its PG's surrogate, so draining surrogates in deterministic
-// order preserves per-range replay order. Inside one journal each block's
-// records replay in order while distinct blocks replay in parallel: the
-// engines already take concurrent updates to different blocks of a stripe
-// from clients. It must run under the closed gate (after a fence, so no
-// degraded op is mid-flight) so the journals cannot grow behind the steal
-// and degraded reads cannot observe mid-replay stripes.
+// surrogates there is one journal per surrogate OSD, and every surrogate's
+// journal is fetched and replayed at once. That is safe because a block's
+// records all live on its PG's surrogate (a promotion moves a dead
+// surrogate's PGs, with their records, to one new surrogate), so no two
+// journals share a block. Inside one journal each block's records replay in
+// order while distinct blocks replay in parallel: the engines already take
+// concurrent updates to different blocks of a stripe from clients. It must
+// run under the closed gate (after a fence, so no degraded op is
+// mid-flight) so the journals cannot grow behind the steal and degraded
+// reads cannot observe mid-replay stripes.
 func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
 	st := c.degraded[failed]
 	if st == nil {
@@ -359,13 +364,19 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 	for {
 		// Atomic with the steals below: with the gate closed nothing can
 		// append, so journals found empty stay empty until we unregister.
-		remaining := false
+		var busy []wire.NodeID
 		for _, sur := range st.surrogates {
-			if len(c.OSDByID(sur).journalItems(failed)) == 0 {
-				continue
+			if len(c.OSDByID(sur).journalItems(failed)) > 0 {
+				busy = append(busy, sur)
 			}
-			remaining = true
-			resp, err := c.Fabric.Call(p, via.id, sur, &wire.JournalFetch{Failed: failed})
+		}
+		if len(busy) == 0 {
+			c.unregisterDegraded(failed)
+			break
+		}
+		if err := sim.Parallel(p, "replay-journal", len(busy), func(sp *sim.Proc, j int) error {
+			sur := busy[j]
+			resp, err := c.Fabric.Call(sp, via.id, sur, &wire.JournalFetch{Failed: failed})
 			if err != nil {
 				return fmt.Errorf("journal fetch @%d: %w", sur, err)
 			}
@@ -377,7 +388,7 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 			// records must not reorder against each other where they can
 			// overwrite the same range, and that is only within one block.
 			blocks := groupByBlock(rr.Items)
-			if err := sim.Parallel(p, "replay", len(blocks), func(hp *sim.Proc, i int) error {
+			return sim.Parallel(sp, "replay", len(blocks), func(hp *sim.Proc, i int) error {
 				for _, it := range blocks[i] {
 					osds := c.Placement(it.Blk.StripeID())
 					req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
@@ -388,13 +399,9 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 					rep.ReplayedBytes += int64(len(it.Data))
 				}
 				return nil
-			}); err != nil {
-				return err
-			}
-		}
-		if !remaining {
-			c.unregisterDegraded(failed)
-			break
+			})
+		}); err != nil {
+			return err
 		}
 	}
 	rep.ReplayTime = p.Now() - replayStart

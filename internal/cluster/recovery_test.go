@@ -7,6 +7,7 @@ package cluster
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -203,6 +204,191 @@ func TestCutoverReplaysBlocksConcurrently(t *testing.T) {
 	}
 	if !overlap {
 		t.Errorf("no two blocks' ReplayUpdates overlapped in sim time: %v", replays)
+	}
+}
+
+// journalOwners maps every block journaled for failed to the surrogate whose
+// journal holds it. It fails the test when a block sits in two surrogates'
+// journals, or in a journal other than its PG's surrogate's: the concurrent
+// cutover replays each journal on its own, so that disjointness is what
+// keeps one block's records in order.
+func journalOwners(t *testing.T, c *Cluster, st *degradedState) map[wire.BlockID]wire.NodeID {
+	t.Helper()
+	owner := make(map[wire.BlockID]wire.NodeID)
+	for _, sur := range st.surrogates {
+		for _, it := range c.OSDByID(sur).journalItems(st.failed) {
+			if o, ok := owner[it.Blk]; ok && o != sur {
+				t.Errorf("block %v journaled on surrogates %d and %d", it.Blk, o, sur)
+			}
+			if want := st.surr[c.PG(it.Blk.StripeID())]; want != sur {
+				t.Errorf("block %v journaled on %d, its PG's surrogate is %d", it.Blk, sur, want)
+			}
+			owner[it.Blk] = sur
+		}
+	}
+	return owner
+}
+
+// TestCutoverReplaysSurrogatesConcurrently: the cutover replays every
+// surrogate's journal at once. A degraded window journals three
+// overlapping updates to one lost block per surrogate, and then one
+// surrogate dies and its journal is promoted. No block may sit in two
+// surrogates' journals, before or after the promotion. The victim's
+// recovery must count every journal record, and ReplayUpdates of blocks
+// on different surrogates must overlap in sim time. Once the dead
+// surrogate is recovered too, every byte reads back as last written and
+// the cluster scrubs clean.
+func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
+	c := MustNew(degradedConfig("tsue"))
+	defer c.Env.Close()
+	type replay struct {
+		blk        wire.BlockID
+		start, end time.Duration
+	}
+	var replays []replay
+	recording := false
+	for _, o := range c.OSDs {
+		h := o.handle
+		if err := c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+			ru, ok := m.(*wire.ReplayUpdate)
+			if !ok || !recording {
+				return h(p, from, m)
+			}
+			start := p.Now()
+			resp := h(p, from, m)
+			replays = append(replays, replay{ru.Blk, start, p.Now()})
+			return resp
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := c.NewClient()
+	admin := c.NewClient()
+	var owner map[wire.BlockID]wire.NodeID
+	done := false
+	c.Env.Go("test", func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(47))
+		fileSize := 8 * c.StripeWidth()
+		content := make([]byte, fileSize)
+		rng.Read(content)
+		ino, err := cl.Create(p, "f", fileSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := cl.WriteFile(p, ino, content); err != nil {
+			t.Error(err)
+			return
+		}
+		// Nothing unrecycled: the journals hold only what is written below.
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		victim := wire.NodeID(3)
+		if err := c.BeginDegraded(p, victim, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		st := c.degraded[victim]
+		// One lost data block per surrogate, in block order. Lost blocks are
+		// the only ranges still served once a second node is down.
+		var lost []wire.BlockID
+		for blk := range st.lost {
+			if int(blk.Index) < c.Cfg.K {
+				lost = append(lost, blk)
+			}
+		}
+		slices.SortFunc(lost, func(a, b wire.BlockID) int { return int(a.Stripe) - int(b.Stripe) })
+		picked := make(map[wire.NodeID]bool)
+		for _, blk := range lost {
+			sur := st.surr[c.PG(blk.StripeID())]
+			if picked[sur] {
+				continue
+			}
+			picked[sur] = true
+			base := int64(blk.Stripe)*c.StripeWidth() + int64(blk.Index)*c.Cfg.BlockSize
+			for _, w := range [][2]int64{{100, 2000}, {500, 2000}, {1000, 600}} {
+				buf := make([]byte, w[1])
+				rng.Read(buf)
+				if err := cl.Update(p, ino, base+w[0], buf); err != nil {
+					t.Error(err)
+					return
+				}
+				copy(content[base+w[0]:], buf)
+			}
+		}
+		if len(picked) < 3 {
+			t.Errorf("lost data blocks on %d surrogates, want at least 3", len(picked))
+			return
+		}
+		journalOwners(t, c, st)
+		dead := st.surrogates[0]
+		if _, err := c.Kill(p, dead, admin); err != nil {
+			t.Errorf("kill surrogate %d: %v", dead, err)
+			return
+		}
+		owner = journalOwners(t, c, st)
+		journaled := 0
+		for _, sur := range st.surrogates {
+			journaled += len(c.OSDByID(sur).journalItems(victim))
+		}
+		recording = true
+		rep, err := c.Recover(p, victim, 4, RecoverInterleaved, admin)
+		recording = false
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if rep.ReplayedItems != journaled {
+			t.Errorf("replayed %d items, want the %d journal records", rep.ReplayedItems, journaled)
+		}
+		if _, err := c.Recover(p, dead, 4, RecoverInterleaved, admin); err != nil {
+			t.Errorf("recover dead surrogate: %v", err)
+			return
+		}
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Scrub(); err != nil {
+			t.Errorf("scrub: %v", err)
+			return
+		}
+		got, err := cl.Read(p, ino, 0, fileSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, content) {
+			t.Error("content after the cutover differs from the last writes")
+		}
+		done = true
+	})
+	c.Env.Run(0)
+	if !done {
+		if !t.Failed() {
+			t.Fatal("deadlock")
+		}
+		return
+	}
+	surrogates := make(map[wire.NodeID]bool)
+	for _, sur := range owner {
+		surrogates[sur] = true
+	}
+	if len(surrogates) < 2 {
+		t.Fatalf("journals on %d surrogate(s) after the promotion, want at least 2", len(surrogates))
+	}
+	overlap := false
+	for i, a := range replays {
+		for _, b := range replays[i+1:] {
+			if owner[a.blk] != owner[b.blk] && a.start < b.end && b.start < a.end {
+				overlap = true
+			}
+		}
+	}
+	if !overlap {
+		t.Errorf("no ReplayUpdates of blocks on different surrogates overlapped in sim time: %v", replays)
 	}
 }
 

@@ -766,6 +766,13 @@ func (t *tsue) Drain(p *sim.Proc) error {
 // force-seals (and drains through) every active DataLog unit holding an
 // item for a degraded stripe; unrelated active units stay as overlay.
 //
+// A DeltaLog or ParityLog pool's active unit is force-sealed only while the
+// pool has no sealed unit queued or recycling. Deltas forwarded during a
+// running recycle gather in the active unit and go as one unit once the
+// recycler idles. Sealing a busy pool would cut the pipeline into many
+// small units, each recycled in a pass of its own, and stall appenders at
+// MaxUnits.
+//
 // Settle is a barrier: the caller must fence appends (the recovery gate)
 // while it runs.
 func (t *tsue) Settle(p *sim.Proc, failed wire.NodeID) error {
@@ -784,6 +791,9 @@ func (t *tsue) Settle(p *sim.Proc, failed wire.NodeID) error {
 				continue
 			}
 			for i, pool := range l.pools {
+				if pool.PendingSealed() {
+					continue
+				}
 				if u := pool.SealActive(p.Now()); u != nil {
 					l.queues[i].Put(u)
 				}

@@ -1,14 +1,17 @@
 package update
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"slices"
 	"testing"
 	"time"
 
 	"tsue/internal/blockstore"
 	"tsue/internal/device"
+	"tsue/internal/logpool"
 	"tsue/internal/rs"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
@@ -614,6 +617,135 @@ func TestTsueDataRecyclePipeline(t *testing.T) {
 				t.Errorf("UnitDone sent at %v, before the last forward was acked at %v", unitDone[0].sent, lastFwd)
 			}
 		})
+	}
+}
+
+// TestTsueSettleSealsIdlePoolsOnly: Settle force-seals a ParityLog pool's
+// active unit only while the pool has no sealed unit queued or recycling.
+// The recycler is busy on a full unit when Settle starts, and upstream
+// parity deltas keep arriving during its pass, as they do from other nodes'
+// recycles during a settle barrier. A watcher checks that no force-sealed
+// unit ever sits behind an older pending one. Settle seals at most once per
+// recycle pass, plus once at its start, and afterwards the stripe's parity
+// equals its re-encoded data.
+func TestTsueSettleSealsIdlePoolsOnly(t *testing.T) {
+	h := newFakeHost(t)
+	const bs = 64 << 10
+	h.store = blockstore.New(h.store.Device(), bs)
+	eng, err := New("tsue", h, Options{Pools: 1, UnitSize: 8 << 10, MaxUnits: 8, RecycleBatch: 1, Copies: 1, UseLogPool: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := eng.(*tsue)
+	pool := ts.parity.pools[0]
+	code := h.code
+	s := wire.StripeID{Ino: 1}
+	rng := rand.New(rand.NewSource(5))
+	// The data shards live here; only the parity blocks are stored.
+	shards := make([][]byte, code.K+code.M)
+	for i := range shards {
+		shards[i] = make([]byte, bs)
+		if i < code.K {
+			rng.Read(shards[i])
+		}
+	}
+	if err := code.Encode(shards[:code.K], shards[code.K:]); err != nil {
+		t.Fatal(err)
+	}
+	// update rewrites n random bytes of a data shard, as the shard's holder
+	// would, and sends this node the two parity deltas.
+	update := func(p *sim.Proc, n int) {
+		i := rng.Intn(code.K)
+		off := rng.Intn(bs - n)
+		data, delta := make([]byte, n), make([]byte, n)
+		rng.Read(data)
+		rs.DataDelta(delta, data, shards[i][off:off+n])
+		copy(shards[i][off:], data)
+		for j := 0; j < code.M; j++ {
+			pd := mulDelta(code, j, i, delta)
+			req := &wire.ParityDelta{Blk: ts.parityBlock(s, j), Off: int64(off), Data: pd, Sum: wire.Checksum(pd)}
+			resp, _ := eng.Handle(p, 2, req)
+			if err := wire.AckErr(resp, nil); err != nil {
+				t.Error(err)
+			}
+		}
+	}
+	// behind maps each unit found force-sealed behind an older pending unit
+	// to when it was first seen.
+	behind := make(map[uint64]time.Duration)
+	settled := false
+	h.env.Go("watch", func(p *sim.Proc) {
+		pending := func(u *logpool.Unit) bool { return u.State == logpool.Recyclable || u.State == logpool.Recycling }
+		for !settled {
+			units := pool.Units()
+			for i, u := range units {
+				if !pending(u) || u.Appended >= pool.UnitSize {
+					continue // not force-sealed
+				}
+				if _, seen := behind[u.Seq]; !seen && slices.ContainsFunc(units[:i], pending) {
+					behind[u.Seq] = p.Now()
+				}
+			}
+			p.Sleep(time.Microsecond)
+		}
+	})
+	runProc(t, h, func(p *sim.Proc) {
+		defer func() { settled = true }()
+		for j := 0; j < code.M; j++ {
+			if err := h.store.Put(p, ts.parityBlock(s, j), slices.Clone(shards[code.K+j])); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		// Fill and seal the first unit, and start the next: the recycler is
+		// now busy on a full unit and the active one holds a few deltas.
+		for pool.Stats().Seals == 0 || pool.Active() == nil || pool.Active().Appended == 0 {
+			update(p, 128)
+		}
+		if !pool.PendingSealed() {
+			t.Error("the recycler is idle before Settle")
+			return
+		}
+		seals, passes := pool.Stats().Seals, ts.parity.stats.Units
+		feed := sim.NewWaitGroup(h.env)
+		feed.Add(1)
+		h.env.Go("upstream", func(up *sim.Proc) {
+			for i := 0; i < 40; i++ {
+				update(up, 128)
+				up.Sleep(400 * time.Microsecond)
+			}
+			feed.Done()
+		})
+		if err := eng.Settle(p, 0); err != nil {
+			t.Error(err)
+		}
+		feed.Wait(p)
+		for eng.NeedsSettle(0) {
+			if err := eng.Settle(p, 0); err != nil {
+				t.Error(err)
+			}
+		}
+		seals, passes = pool.Stats().Seals-seals, ts.parity.stats.Units-passes
+		if seals > passes+1 {
+			t.Errorf("Settle sealed %d units over %d recycle passes, want at most one per pass plus one", seals, passes)
+		}
+		if err := code.Encode(shards[:code.K], shards[code.K:]); err != nil {
+			t.Error(err)
+			return
+		}
+		for j := 0; j < code.M; j++ {
+			got, err := h.store.ReadRange(p, ts.parityBlock(s, j), 0, bs)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if !bytes.Equal(got, shards[code.K+j]) {
+				t.Errorf("parity %d differs from the re-encoded data after Settle", j)
+			}
+		}
+	})
+	if len(behind) > 0 {
+		t.Errorf("Settle force-sealed units behind a pending unit (unit: first seen): %v", behind)
 	}
 }
 
