@@ -10,7 +10,10 @@ package harness
 // metric asserts — and the dominant-hop signatures of the p99 tail name
 // the critical path a profiler would point at. A per-hop line names the
 // hops with the most mean exclusive time per update, and per pass of each
-// background recycle root (TSUE's op:recycle:<layer>). A same-seed repeat
+// background recycle root (TSUE's op:recycle:<layer>); for TSUE a second
+// line counts, per log layer, the traces whose appends stalled there and
+// their mean exclusive stall time, which names the layer that backs up
+// first. A same-seed repeat
 // of one point byte-compares the canonical span encoding, pinning the
 // tracer's determinism claim in the bench artifact itself.
 
@@ -68,14 +71,15 @@ type obsPoint struct {
 	p99    time.Duration
 	sigs   []obs.SigCount // top dominant-hop signatures at p99
 	hops   []string       // top hops per update, then per pass of each recycle root
+	stalls string         // per TSUE log layer: stalled traces x mean stall
 }
 
-// topHops ranks the hop signatures of traces by mean exclusive time per
-// trace and formats the top k.
-func topHops(tvs []obs.TraceView, k int) string {
+// topHops ranks the hop signatures of traces (one TraceView.Hops map per
+// trace) by mean exclusive time per trace and formats the top k.
+func topHops(hops []map[string]time.Duration, k int) string {
 	sums := make(map[string]time.Duration)
-	for i := range tvs {
-		for sig, d := range tvs[i].Hops() {
+	for _, h := range hops {
+		for sig, d := range h {
 			sums[sig] += d
 		}
 	}
@@ -91,31 +95,60 @@ func topHops(tvs []obs.TraceView, k int) string {
 	})
 	parts := make([]string, 0, k)
 	for _, sig := range sigs[:min(k, len(sigs))] {
-		mean := sums[sig] / time.Duration(len(tvs))
+		mean := sums[sig] / time.Duration(len(hops))
 		parts = append(parts, fmt.Sprintf("%s %v", sig, mean.Round(100*time.Nanosecond)))
 	}
 	return strings.Join(parts, ", ")
 }
 
+// logStalls formats, per TSUE log layer, how many traces (one
+// TraceView.Hops map each) stalled in that layer's append — the hop
+// "journal:log:stall:tsue-<layer>" — and their mean exclusive stall time.
+func logStalls(hops []map[string]time.Duration) string {
+	var parts []string
+	for _, l := range []string{"data", "delta", "parity"} {
+		sig := obs.StageJournal.String() + ":log:stall:tsue-" + l
+		n, sum := 0, time.Duration(0)
+		for _, h := range hops {
+			if d := h[sig]; d > 0 {
+				n++
+				sum += d
+			}
+		}
+		mean := time.Duration(0)
+		if n > 0 {
+			mean = sum / time.Duration(n)
+		}
+		parts = append(parts, fmt.Sprintf("%s %d x %v", l, n, mean.Round(100*time.Nanosecond)))
+	}
+	return strings.Join(parts, ", ")
+}
+
 // analyzeUpdates assembles spans into traces and reduces the update traces
-// (normal and degraded) to per-stage means, and the update and recycle
-// traces to their top hops.
+// (normal and degraded) to per-stage means, the update and recycle traces
+// to their top hops, and both to TSUE's per-layer log stalls.
 func analyzeUpdates(spans []obs.Span) obsPoint {
 	tvs := obs.GroupTraces(spans)
 	var upd []obs.TraceView
 	var durs []time.Duration
-	recycles := make(map[string][]obs.TraceView)
+	var updHops, allHops []map[string]time.Duration
+	recycles := make(map[string][]map[string]time.Duration)
 	var roots []string
 	for _, tv := range tvs {
 		switch tv.Op {
 		case obs.OpUpdate, obs.OpDegradedUpdate:
+			h := tv.Hops()
 			upd = append(upd, tv)
 			durs = append(durs, tv.Duration())
+			updHops = append(updHops, h)
+			allHops = append(allHops, h)
 		case obs.OpRecycle:
 			if _, ok := recycles[tv.Root.Name]; !ok {
 				roots = append(roots, tv.Root.Name)
 			}
-			recycles[tv.Root.Name] = append(recycles[tv.Root.Name], tv)
+			h := tv.Hops()
+			recycles[tv.Root.Name] = append(recycles[tv.Root.Name], h)
+			allHops = append(allHops, h)
 		}
 	}
 	pt := obsPoint{traces: len(upd)}
@@ -140,11 +173,12 @@ func analyzeUpdates(spans []obs.Span) obsPoint {
 	pt.ratio = float64(sumStages) / float64(sumE2E)
 	pt.p99 = NewLatencyDist(durs).P(0.99)
 	pt.sigs = obs.TopSignatures(upd, pt.p99, 3)
-	pt.hops = []string{"update: " + topHops(upd, 3)}
+	pt.hops = []string{"update: " + topHops(updHops, 3)}
 	sort.Strings(roots)
 	for _, r := range roots {
 		pt.hops = append(pt.hops, r+": "+topHops(recycles[r], 3))
 	}
+	pt.stalls = logStalls(allHops)
 	return pt
 }
 
@@ -208,6 +242,9 @@ func Obs(w io.Writer, s Scale) error {
 				s.Sink.Record("obs", "p99_sig_n", sl, float64(sc.N))
 			}
 			hops = append(hops, fmt.Sprintf("top hops %s %s: %s", eng, at, strings.Join(pt.hops, "; ")))
+			if eng == "tsue" {
+				hops = append(hops, fmt.Sprintf("log stalls %s %s (traces x mean stall): %s", eng, at, pt.stalls))
+			}
 			if pt.ratio < 0.95 || pt.ratio > 1.05 {
 				return fmt.Errorf("obs %s %.2fx: stage sums are %.3f of end-to-end (want within 5%%)", eng, frac, pt.ratio)
 			}

@@ -267,6 +267,12 @@ func (b *base) readModifyWrite(p *sim.Proc, blk wire.BlockID, off int64, data []
 func (b *base) applyParityDelta(p *sim.Proc, blk wire.BlockID, off int64, delta []byte) error {
 	b.lockBlock(p, blk)
 	defer b.unlockBlock(blk)
+	return b.foldParityDelta(p, blk, off, delta)
+}
+
+// foldParityDelta is applyParityDelta without the block lock, for a caller
+// that holds it around several disjoint extents of one block.
+func (b *base) foldParityDelta(p *sim.Proc, blk wire.BlockID, off int64, delta []byte) error {
 	return b.h.Store().Modify(p, blk, off, int64(len(delta)), func(cur []byte) {
 		rs.ApplyParityDelta(cur, delta)
 		obs.SpanOn(p, obs.StageCodec, "codec:parity-fold", b.h.NodeID())()

@@ -36,12 +36,14 @@ import (
 // Both sites that feed the ParityLogs send to a stripe's M parity holders
 // in parallel (stripes stay in order, and each holder gets its extents in
 // fold order): the holders are independent, and a serial walk over them
-// backs the DeltaLog up until its appenders stall. A DataLog pass is a
-// two-stage pipeline: the recycler read-modify-writes its extents in merge
-// order while a forwarder ships the finished deltas downstream in that
-// same order, so one extent's RMW overlaps the previous extent's acks; each
-// delta goes to the DeltaLog and to its reliability copy at once. A stall
-// in any layer's append is a "log:stall" span.
+// backs the DeltaLog up until its appenders stall. A DataLog pass
+// read-modify-writes its extents one after another in merge order, and each
+// extent's delta leaves in a proc of its own as soon as its RMW returns, to
+// the DeltaLog and its reliability copy at once; the forwards overlap each
+// other and the RMWs behind them. A ParityLog pass runs all its RMWs at
+// once. Neither needs an order: a pass's merged extents are disjoint, and
+// the DeltaLog and ParityLog merge by XOR. A stall in any layer's append is
+// a "log:stall" span.
 //
 // Every layer uses the FIFO log-pool structure with the two-level index, so
 // repeated and adjacent updates collapse before they cost device or network
@@ -477,15 +479,6 @@ func (t *tsue) appendReplog(p *sim.Proc, n int64) {
 
 var _ LogMigrator = (*tsue)(nil)
 
-// dataFwd is one read-modify-written DataLog extent on its way downstream:
-// the data delta and the stripe placement it was recycled under.
-type dataFwd struct {
-	blk   wire.BlockID
-	off   int64
-	delta []byte
-	osds  []wire.NodeID
-}
-
 // recycleDataUnits merges a batch of DataLog units into data blocks and
 // forwards the data deltas downstream. Extents of one block merge across
 // the whole batch (latest write wins) before the single read-modify-write,
@@ -493,12 +486,13 @@ type dataFwd struct {
 // forwarded delta is the XOR of old and merged-new content, which equals
 // the fold of the per-unit deltas (XOR is associative).
 //
-// The pass is a two-stage pipeline. This proc runs the read-modify-writes
-// in merge order and hands each delta to the pass's forwarder, which sends
-// them in that same order — the DeltaLog sees the serial loop's delta
-// sequence, but the next extent's RMW no longer waits for the previous
-// extent's acks. The pass returns (and its units count as recycled) only
-// once the forwarder has drained.
+// This proc runs the read-modify-writes one after another in merge order.
+// Each extent's forward starts in a proc of its own as soon as its RMW
+// returns, so forwards overlap each other and the RMWs behind them; their
+// order does not matter, because the extents are disjoint and the DeltaLog
+// and ParityLog merge by XOR. Once this node is seen dead, no RMW and no
+// forward starts. The pass sends its UnitDones, all at once, and returns
+// (its units count as recycled) only after every forward has returned.
 func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit) {
 	// A dead node's recyclers discard their work: the store is lost and the
 	// unrecycled items live on in the replicas recovery replays.
@@ -508,26 +502,8 @@ func (t *tsue) recycleDataUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit)
 	env := t.h.Env()
 	st := t.h.Store()
 	merged, order := logpool.MergeUnits(units, logpool.Overwrite, t.data.pools[poolIdx].NoMerge)
-	fwds := sim.NewQueue[dataFwd](env)
-	drained := sim.NewWaitGroup(env)
-	drained.Add(1)
-	died := false // this node died mid-forward: both stages stop
-	fwd := env.Go("tsue-recycle-fwd", func(fp *sim.Proc) {
-		for {
-			f, ok := fwds.Get(fp)
-			if !ok {
-				break
-			}
-			if !t.forwardDataDelta(fp, f) {
-				died = true
-				break
-			}
-			t.data.stats.RecycleN++
-		}
-		drained.Done()
-	})
-	// The forwards belong to this pass's op:recycle trace.
-	fwd.SetSpan(p.Span())
+	fwds := sim.NewWaitGroup(env)
+	died := false // a forward saw this node die
 rmw:
 	for _, blk := range order {
 		osds := t.h.Placement(blk.StripeID())
@@ -545,66 +521,78 @@ rmw:
 			if err != nil {
 				panic("tsue: data recycle: " + err.Error())
 			}
-			fwds.Put(dataFwd{blk: blk, off: ext.Off, delta: delta, osds: osds})
+			if died {
+				break rmw
+			}
+			fwds.Add(1)
+			fwd := env.Go("tsue-recycle-fwd", func(fp *sim.Proc) {
+				if t.forwardDataDelta(fp, blk, ext.Off, delta, osds) {
+					t.data.stats.RecycleN++
+				} else {
+					died = true
+				}
+				fwds.Done()
+			})
+			// The forwards belong to this pass's op:recycle trace.
+			fwd.SetSpan(p.Span())
 		}
 	}
-	fwds.Close()
-	drained.Wait(p)
+	fwds.Wait(p)
 	if died {
 		return // replicas replay the pass's units
 	}
-	// Tell replica holders to drop their copies of these units (best
+	// Tell every replica holder to drop its copies of these units (best
 	// effort; stale replica entries are only garbage, never incorrectness).
 	nrep := t.o.Copies - 1
-	for _, u := range units {
-		for i := 0; i < nrep; i++ {
-			done := &wire.UnitDone{SrcNode: t.h.NodeID(), Pool: uint16(poolIdx), UnitSeq: u.Seq}
-			_ = t.callAck(p, t.replicaTarget(i), done)
-		}
-	}
+	_ = t.fanout(p, len(units)*nrep, func(hp *sim.Proc, i int) error {
+		done := &wire.UnitDone{SrcNode: t.h.NodeID(), Pool: uint16(poolIdx), UnitSeq: units[i/nrep].Seq}
+		_ = t.callAck(hp, t.replicaTarget(i%nrep), done)
+		return nil
+	})
 }
 
 // forwardDataDelta ships one recycled extent's data delta downstream: to
 // the DeltaLog on the stripe's first parity holder and, at the same time, a
 // reliability copy to the second, or — without a DeltaLog, or with its
-// holder down — straight to the M ParityLogs. It returns once every send
-// is acked, and reports false if this node died mid-forward.
-func (t *tsue) forwardDataDelta(p *sim.Proc, f dataFwd) bool {
+// holder down — straight to the M ParityLogs. osds is the stripe placement
+// the extent was recycled under. It returns once every send is acked, and
+// reports false if this node died mid-forward.
+func (t *tsue) forwardDataDelta(p *sim.Proc, blk wire.BlockID, off int64, delta []byte, osds []wire.NodeID) bool {
 	c := t.h.Code()
 	k := c.K
-	s := f.blk.StripeID()
-	if t.delta == nil || !t.h.Alive(f.osds[k]) {
+	s := blk.StripeID()
+	if t.delta == nil || !t.h.Alive(osds[k]) {
 		// No DeltaLog (HDD config / pre-O5) or its holder is down: multiply
 		// locally and append straight to each live ParityLog.
-		t.forwardParityDirect(p, s, f.blk, f.off, f.delta, f.osds)
+		t.forwardParityDirect(p, s, blk, off, delta, osds)
 		return true
 	}
-	req := &wire.DeltaAppend{Blk: f.blk, Off: f.off, Data: f.delta, Kind: wire.KindDataDelta, Sum: wire.Checksum(f.delta)}
+	req := &wire.DeltaAppend{Blk: blk, Off: off, Data: delta, Kind: wire.KindDataDelta, Sum: wire.Checksum(delta)}
 	sends := 1
 	if c.M >= 2 && t.o.Copies >= 2 {
 		sends = 2
 	}
 	err := t.fanout(p, sends, func(hp *sim.Proc, i int) error {
 		if i == 0 {
-			return t.callAck(hp, f.osds[k], req)
+			return t.callAck(hp, osds[k], req)
 		}
 		// Reliability copy (same bytes, same sum); best effort — a dead
 		// holder only narrows the redundancy window, and a copy whose
 		// primary failed is only a replica-log write: copies never recycle.
-		cp := &wire.DeltaAppend{Blk: f.blk, Off: f.off, Data: f.delta, Kind: wire.KindDataDelta, Replica: true, Sum: req.Sum}
-		_ = t.callAck(hp, f.osds[k+1], cp)
+		cp := &wire.DeltaAppend{Blk: blk, Off: off, Data: delta, Kind: wire.KindDataDelta, Replica: true, Sum: req.Sum}
+		_ = t.callAck(hp, osds[k+1], cp)
 		return nil
 	})
 	if err != nil {
 		if !t.h.Alive(t.h.NodeID()) {
 			return false
 		}
-		if t.h.Alive(f.osds[k]) {
+		if t.h.Alive(osds[k]) {
 			panic("tsue: delta fwd: " + err.Error())
 		}
 		// The DeltaLog holder died mid-forward (nothing was appended):
 		// degrade to direct parity appends.
-		t.forwardParityDirect(p, s, f.blk, f.off, f.delta, f.osds)
+		t.forwardParityDirect(p, s, blk, off, delta, osds)
 	}
 	return true
 }
@@ -693,17 +681,37 @@ func (t *tsue) recycleDeltaUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit
 
 // recycleParityUnits XORs a batch of ParityLog units' merged deltas into
 // parity blocks in place — one read-modify-write per merged extent, however
-// many units contributed to it.
+// many units contributed to it. All of a pass's RMWs run at once, one proc
+// per extent, so they share the device's internal parallelism instead of
+// queueing behind each other. XOR commutes, and concurrent Store.Modify
+// calls on one block are safe: each verifies its granules before its read
+// yields, then XORs and re-sums the live bytes without yielding. Each
+// parity block's lock is held once around all its extents; taking it per
+// extent (applyParityDelta) would serialize them again.
 func (t *tsue) recycleParityUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit) {
 	merged, order := logpool.MergeUnits(units, logpool.XOR, t.parity.pools[poolIdx].NoMerge)
+	type parityExt struct {
+		blk   wire.BlockID
+		off   int64
+		delta []byte
+	}
+	var exts []parityExt
 	for _, blk := range order {
+		t.lockBlock(p, blk)
 		for _, ext := range merged[blk].Extents() {
-			if err := t.applyParityDelta(p, blk, ext.Off, ext.Data); err != nil {
-				panic("tsue: parity recycle: " + err.Error())
-			}
-			t.parity.stats.RecycleN++
+			exts = append(exts, parityExt{blk: blk, off: ext.Off, delta: ext.Data})
 		}
 	}
+	err := t.fanout(p, len(exts), func(hp *sim.Proc, i int) error {
+		return t.foldParityDelta(hp, exts[i].blk, exts[i].off, exts[i].delta)
+	})
+	for _, blk := range order {
+		t.unlockBlock(blk)
+	}
+	if err != nil {
+		panic("tsue: parity recycle: " + err.Error())
+	}
+	t.parity.stats.RecycleN += int64(len(exts))
 }
 
 // Read consults the DataLog read cache (§3.3.3): a fully covered range is

@@ -2,6 +2,7 @@ package update
 
 import (
 	"bytes"
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -464,12 +465,14 @@ type pipeSend struct {
 
 // pipeHost is a fakeHost that records every call, and can kill one node
 // (the callee, or this node) just as the kill-th primary DeltaAppend is
-// sent: that call fails without reaching the DeltaLog.
+// sent: that call fails without reaching the DeltaLog. Every other primary
+// DeltaAppend takes slow longer than a plain call.
 type pipeHost struct {
 	*fakeHost
 	dead      wire.NodeID
 	kill      int
 	killSelf  bool
+	slow      time.Duration
 	primaries int
 	sends     []pipeSend
 }
@@ -484,6 +487,8 @@ func (h *pipeHost) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, er
 				h.dead = h.NodeID()
 			}
 			s.failed = true
+		} else {
+			p.Sleep(h.slow)
 		}
 	}
 	resp, err := h.fakeHost.Call(p, to, req)
@@ -496,12 +501,15 @@ func (h *pipeHost) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, er
 }
 
 // TestTsueDataRecyclePipeline: a DataLog pass read-modify-writes its
-// extents ahead of the forwarder, which sends them downstream in the serial
-// loop's (block, offset) order, each primary DeltaAppend together with its
-// reliability copy. A DeltaLog holder that dies mid-forward sends that
-// extent (and the rest) down the direct path; no UnitDone leaves before the
-// last forward is acked; and when this node dies mid-forward, both stages
-// stop with no UnitDone.
+// extents one after another, and each extent's forward leaves as soon as
+// its RMW is done, without waiting for the previous forward's acks: the
+// second primary DeltaAppend is sent before the first is acked. Each
+// primary leaves together with its reliability copy. A DeltaLog holder that
+// dies mid-forward sends that extent (and the rest) down the direct path.
+// The UnitDones leave together, and only after the last forward is acked.
+// When this node dies mid-forward, no RMW and no forward starts once the
+// failed forward has returned, and no UnitDone is sent; a forward already
+// sent may still land.
 func TestTsueDataRecyclePipeline(t *testing.T) {
 	a := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
 	b := wire.BlockID{Ino: 1, Stripe: 0, Index: 1}
@@ -509,25 +517,36 @@ func TestTsueDataRecyclePipeline(t *testing.T) {
 		blk wire.BlockID
 		off int64
 	}
-	appended := []ext{{b, 1024}, {a, 2048}, {a, 0}}
-	serial := []ext{{a, 0}, {a, 2048}, {b, 1024}}
+	cmpExt := func(x, y ext) int {
+		if x.blk.Index != y.blk.Index {
+			return int(x.blk.Index) - int(y.blk.Index)
+		}
+		return int(x.off - y.off)
+	}
+	appended := []ext{{b, 3072}, {b, 1024}, {a, 2048}, {b, 512}, {a, 0}}
+	merge := slices.Clone(appended) // the RMW order
+	slices.SortFunc(merge, cmpExt)
 	for _, tc := range []struct {
 		name     string
 		kill     int
 		killSelf bool
 		primary  int     // primary DeltaAppends sent (including a failed one)
 		copies   int     // reliability copies sent
+		rmws     int     // read-modify-writes run
 		direct   []int64 // offsets sent straight to the ParityLogs
 	}{
-		{name: "live", primary: 3, copies: 3},
+		{name: "live", primary: 5, copies: 5, rmws: 5},
 		// The failed primary's copy left with it.
-		{name: "holder-dies", kill: 2, primary: 2, copies: 2, direct: []int64{2048, 1024}},
-		{name: "self-dies", kill: 2, killSelf: true, primary: 2, copies: 2},
+		{name: "holder-dies", kill: 2, primary: 2, copies: 2, rmws: 5, direct: []int64{512, 1024, 2048, 3072}},
+		// The third RMW is under way when the failed forward returns; the
+		// fourth never starts.
+		{name: "self-dies", kill: 2, killSelf: true, primary: 2, copies: 2, rmws: 3},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			h := &pipeHost{fakeHost: newFakeHost(t), kill: tc.kill, killSelf: tc.killSelf}
+			h := &pipeHost{fakeHost: newFakeHost(t), kill: tc.kill, killSelf: tc.killSelf, slow: time.Millisecond}
 			o := DefaultOptions()
 			o.Pools = 1
+			o.Copies = 3 // two UnitDones for the pass's one unit
 			eng, err := New("tsue", h, o)
 			if err != nil {
 				t.Fatal(err)
@@ -552,24 +571,16 @@ func TestTsueDataRecyclePipeline(t *testing.T) {
 					t.Error(err)
 				}
 			})
-			var primary, copies []ext
+			var primary, copies, unitDone []pipeSend
 			var direct []int64
-			firstPrimary := -1
 			var lastFwd time.Duration
-			var unitDone []pipeSend
-			sentAt := make(map[ext]time.Duration) // primaries' send instants
-			for i, s := range h.sends {
+			for _, s := range h.sends {
 				switch m := s.msg.(type) {
 				case *wire.DeltaAppend:
-					e := ext{m.Blk, m.Off}
 					if m.Replica {
-						copies = append(copies, e)
+						copies = append(copies, s)
 					} else {
-						primary = append(primary, e)
-						sentAt[e] = s.sent
-						if firstPrimary < 0 {
-							firstPrimary = i
-						}
+						primary = append(primary, s)
 					}
 				case *wire.ParityDelta:
 					if s.to != 6 {
@@ -582,41 +593,183 @@ func TestTsueDataRecyclePipeline(t *testing.T) {
 				}
 				lastFwd = max(lastFwd, s.acked)
 			}
-			if !slices.Equal(primary, serial[:tc.primary]) {
-				t.Errorf("primary DeltaAppends %v, want %v in (block, offset) order", primary, serial[:tc.primary])
+			// h.sends is in ack order; the primaries go in send order.
+			slices.SortStableFunc(primary, func(x, y pipeSend) int { return cmp.Compare(x.sent, y.sent) })
+			exts := func(ss []pipeSend) []ext {
+				var out []ext
+				for _, s := range ss {
+					m := s.msg.(*wire.DeltaAppend)
+					out = append(out, ext{m.Blk, m.Off})
+				}
+				slices.SortFunc(out, cmpExt)
+				return out
 			}
-			if !slices.Equal(copies, serial[:tc.copies]) {
-				t.Errorf("reliability copies %v, want %v", copies, serial[:tc.copies])
+			if got, want := exts(primary), merge[:tc.primary]; !slices.Equal(got, want) {
+				t.Errorf("primary DeltaAppends for %v, want %v", got, want)
 			}
-			for _, s := range h.sends {
-				if m, ok := s.msg.(*wire.DeltaAppend); ok && m.Replica {
-					if at, ok := sentAt[ext{m.Blk, m.Off}]; !ok || at != s.sent {
-						t.Errorf("copy of %v at %d sent at %v, want with its primary at %v", m.Blk, m.Off, s.sent, at)
-					}
+			if got, want := exts(copies), merge[:tc.copies]; !slices.Equal(got, want) {
+				t.Errorf("reliability copies for %v, want %v", got, want)
+			}
+			sentAt := make(map[ext]time.Duration) // primaries' send instants
+			for _, s := range primary {
+				m := s.msg.(*wire.DeltaAppend)
+				sentAt[ext{m.Blk, m.Off}] = s.sent
+			}
+			for _, s := range copies {
+				m := s.msg.(*wire.DeltaAppend)
+				if at, ok := sentAt[ext{m.Blk, m.Off}]; !ok || at != s.sent {
+					t.Errorf("copy of %v at %d sent at %v, want with its primary at %v", m.Blk, m.Off, s.sent, at)
 				}
 			}
+			slices.Sort(direct)
 			if !slices.Equal(direct, tc.direct) {
 				t.Errorf("direct-path extents %v, want %v", direct, tc.direct)
 			}
-			if firstPrimary < 0 {
-				t.Fatal("no DeltaAppend sent")
+			if len(primary) < 2 {
+				t.Fatalf("%d DeltaAppend(s) sent, want at least 2", len(primary))
 			}
-			if rmws := h.sends[firstPrimary].reads - base; rmws < 2 {
+			if primary[1].sent >= primary[0].acked {
+				t.Errorf("second DeltaAppend sent at %v, want before the first is acked at %v", primary[1].sent, primary[0].acked)
+			}
+			if rmws := primary[0].reads - base; rmws < 2 {
 				t.Errorf("%d read-modify-write(s) started by the first DeltaAppend's ack, want the second extent's too", rmws)
 			}
+			reads := h.store.Device().Stats().ReadOps - base
+			if reads != int64(tc.rmws) {
+				t.Errorf("%d read-modify-write(s) run, want %d", reads, tc.rmws)
+			}
 			if tc.killSelf {
+				// The death is seen when the failed forward returns.
+				i := slices.IndexFunc(primary, func(s pipeSend) bool { return s.failed })
+				if i < 0 {
+					t.Fatal("no DeltaAppend failed")
+				}
+				seen := primary[i]
+				for _, s := range h.sends {
+					if s.sent > seen.acked {
+						t.Errorf("%s sent at %v, after this node's death was seen at %v", wire.Name(s.msg), s.sent, seen.acked)
+					}
+				}
+				if seenReads := seen.reads - base; reads != seenReads {
+					t.Errorf("%d read-modify-write(s) started after this node's death was seen (%d before)", reads-seenReads, seenReads)
+				}
 				if len(unitDone) != 0 {
 					t.Errorf("a dead node sent %d UnitDone", len(unitDone))
 				}
 				return
 			}
-			if len(unitDone) != 1 {
-				t.Fatalf("sent %d UnitDone, want 1", len(unitDone))
+			if len(unitDone) != o.Copies-1 {
+				t.Fatalf("sent %d UnitDone, want %d", len(unitDone), o.Copies-1)
 			}
-			if unitDone[0].sent < lastFwd {
-				t.Errorf("UnitDone sent at %v, before the last forward was acked at %v", unitDone[0].sent, lastFwd)
+			for _, s := range unitDone {
+				if s.sent != unitDone[0].sent {
+					t.Errorf("UnitDones sent at %v and %v, want at once", unitDone[0].sent, s.sent)
+				}
+				if s.sent < lastFwd {
+					t.Errorf("UnitDone sent at %v, before the last forward was acked at %v", s.sent, lastFwd)
+				}
 			}
 		})
+	}
+}
+
+// TestTsueParityRecycleConcurrent: a ParityLog pass applies its merged
+// extents at once. The pass holds three disjoint extents on each parity
+// block, two of them inside one 4 KiB granule. All their device reads start
+// together; each parity block ends up as its old bytes XOR the deltas,
+// with every granule's sum intact; and the stripe re-encodes to the stored
+// parity, which is what Scrub checks.
+func TestTsueParityRecycleConcurrent(t *testing.T) {
+	h := newFakeHost(t)
+	const bs = 64 << 10
+	h.store = blockstore.New(h.store.Device(), bs)
+	eng, err := New("tsue", h, Options{Pools: 1, Copies: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := eng.(*tsue)
+	code := h.code
+	s := wire.StripeID{Ino: 1}
+	rng := rand.New(rand.NewSource(7))
+	shards := make([][]byte, code.K+code.M)
+	for i := range shards {
+		shards[i] = make([]byte, bs)
+		if i < code.K {
+			rng.Read(shards[i])
+		}
+	}
+	if err := code.Encode(shards[:code.K], shards[code.K:]); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]byte, code.M) // each parity block XOR its deltas
+	for j := range want {
+		want[j] = slices.Clone(shards[code.K+j])
+	}
+	// Rewritten ranges of data shard 1: two inside granule 0, one in
+	// granule 2.
+	ranges := [][2]int{{100, 700}, {2000, 1500}, {9000, 3000}}
+	var reads []time.Duration // when each device read started, to 1 µs
+	done := false
+	h.env.Go("watch", func(p *sim.Proc) {
+		var seen int64
+		for !done {
+			for n := h.store.Device().Stats().ReadOps; seen < n; seen++ {
+				reads = append(reads, p.Now())
+			}
+			p.Sleep(time.Microsecond)
+		}
+	})
+	runProc(t, h, func(p *sim.Proc) {
+		defer func() { done = true }()
+		for j := 0; j < code.M; j++ {
+			if err := h.store.Put(p, ts.parityBlock(s, j), slices.Clone(shards[code.K+j])); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for _, r := range ranges {
+			off, n := r[0], r[1]
+			data, delta := make([]byte, n), make([]byte, n)
+			rng.Read(data)
+			rs.DataDelta(delta, data, shards[1][off:off+n])
+			copy(shards[1][off:], data)
+			for j := 0; j < code.M; j++ {
+				pd := mulDelta(code, j, 1, delta)
+				rs.ApplyParityDelta(want[j][off:off+n], pd)
+				req := &wire.ParityDelta{Blk: ts.parityBlock(s, j), Off: int64(off), Data: pd, Sum: wire.Checksum(pd)}
+				resp, _ := eng.Handle(p, 2, req)
+				if err := wire.AckErr(resp, nil); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}
+		if err := eng.Drain(p); err != nil {
+			t.Error(err)
+		}
+	})
+	st := ts.parity.stats
+	if n := len(ranges) * code.M; st.Units != 1 || st.RecycleN != int64(n) || len(reads) != n {
+		t.Fatalf("%d pass(es), %d extents recycled, %d device reads; want 1 pass, %d and %d", st.Units, st.RecycleN, len(reads), n, n)
+	}
+	if spread := reads[len(reads)-1] - reads[0]; spread >= device.SSDParams().SeqReadLat {
+		t.Errorf("the pass's device reads started over %v, want all before the first could finish", spread)
+	}
+	if err := code.Encode(shards[:code.K], shards[code.K:]); err != nil {
+		t.Fatal(err)
+	}
+	for j := 0; j < code.M; j++ {
+		blk := ts.parityBlock(s, j)
+		got, _ := h.store.Peek(blk)
+		if !bytes.Equal(got, want[j]) {
+			t.Errorf("parity %d is not its old bytes XOR its deltas", j)
+		}
+		if !bytes.Equal(got, shards[code.K+j]) {
+			t.Errorf("parity %d differs from the re-encoded data", j)
+		}
+		if !h.store.VerifyStored(blk) {
+			t.Errorf("parity %d fails its granule checksums", j)
+		}
 	}
 }
 
