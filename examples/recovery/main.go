@@ -43,8 +43,8 @@ func main() {
 		fmt.Printf("recovered %d blocks (%.1f MiB) in %v — %.1f MiB/s\n",
 			rep.Blocks, float64(rep.Bytes)/(1<<20), rep.TotalTime.Round(0),
 			rep.BandwidthBps/(1<<20))
-		fmt.Printf("replayed %d unrecycled DataLog items (%.1f KiB) from replica holders\n",
-			rep.ReplayedItems, float64(rep.ReplayedBytes)/1024)
+		fmt.Printf("replayed %d unrecycled DataLog records from replica holders as %d merged extents (%.1f KiB)\n",
+			rep.ReplayedRecords, rep.ReplayedItems, float64(rep.ReplayedBytes)/1024)
 
 		n, err := c.Scrub()
 		check(err)

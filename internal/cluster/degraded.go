@@ -27,6 +27,7 @@ import (
 	"fmt"
 
 	"tsue/internal/device"
+	"tsue/internal/logpool"
 	"tsue/internal/netsim"
 	"tsue/internal/obs"
 	"tsue/internal/sim"
@@ -305,8 +306,7 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 			continue
 		}
 		sur := st.surr[pmap.PGOf(it.Blk.StripeID())]
-		j := c.OSDByID(sur).journalFor(failed)
-		j.items = append(j.items, it)
+		c.OSDByID(sur).journalFor(failed).add(it.Blk, it.Off, it.Data)
 		perSurr[sur] += int64(len(it.Data))
 	}
 	// Charge the journal persists after the fact; the seeds already have
@@ -349,23 +349,28 @@ func (c *Cluster) takeOrphans(target wire.NodeID) []wire.ReplicaItem {
 
 // ---- surrogate-side journal ----
 
-// journal is the surrogate's degraded-update log for one failed node: an
-// in-memory item list (replayed at cutover, overlaid on degraded reads)
-// persisted to a circular device log and quorum-replicated to the
-// surrogate's fixed holder set. The log takes both primary appends and
-// durability copies held for other surrogates; primary counts only the
-// former, so the placement experiment's surrogate-load accounting sees
-// only primary journal work, not holder copies. nextSeq numbers this OSD's
-// own appends (1, 2, ...; seeds and orphans carry no seq — they are
-// recoverable elsewhere). repl retains, per appending surrogate, the
-// sequenced durability copies this OSD holds as a quorum member so a dead
-// surrogate's journal can be read-repaired across holders
+// journal is the surrogate's degraded-update log for one failed node. In
+// memory it is the DataLog's two-level index (paper §3.3): one
+// Overwrite-mode logpool.BlockLog per block, so repeated and adjacent
+// records of a block merge into non-overlapping extents as they arrive, and
+// the blocks in order of first appearance. Degraded reads overlay it and the
+// cutover steals it whole, replaying each block's merged extents once. It
+// is persisted to a circular device log and quorum-replicated to the
+// surrogate's fixed holder set, record by record. The log takes both
+// primary appends and durability copies held for other surrogates; primary
+// counts only the former, so the placement experiment's surrogate-load
+// accounting sees only primary journal work, not holder copies. nextSeq
+// numbers this OSD's own appends (1, 2, ...; seeds and orphans carry no seq
+// — they are recoverable elsewhere). repl retains, per appending surrogate,
+// the sequenced durability copies this OSD holds as a quorum member so a
+// dead surrogate's journal can be read-repaired across holders
 // (Cluster.promoteSurrogate); they are dropped when the window closes.
 type journal struct {
 	log     *device.Log
 	primary int64 // bytes of primary appends
 	nextSeq uint64
-	items   []wire.ReplicaItem
+	blocks  map[wire.BlockID]*logpool.BlockLog
+	order   []wire.BlockID
 	repl    map[wire.NodeID][]wire.JournalItem
 }
 
@@ -383,14 +388,59 @@ func (o *OSD) journalFor(failed wire.NodeID) *journal {
 	return j
 }
 
-// journalItems exposes the journal length for the cutover's atomic
-// empty-check (control plane, no simulated cost).
-func (o *OSD) journalItems(failed wire.NodeID) []wire.ReplicaItem {
+// add merges one record into the index, newest bytes winning. The bytes are
+// copied: every caller's buffer is shared (a replica holder's item, an
+// orphan kept for promotion, a payload also sent to the quorum holders).
+func (j *journal) add(blk wire.BlockID, off int64, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	b, ok := j.blocks[blk]
+	if !ok {
+		if j.blocks == nil {
+			j.blocks = make(map[wire.BlockID]*logpool.BlockLog)
+		}
+		b = &logpool.BlockLog{}
+		j.blocks[blk] = b
+		j.order = append(j.order, blk)
+	}
+	b.Insert(off, data, logpool.Overwrite)
+}
+
+// records returns how many records the index took since the last steal
+// (before the merge).
+func (j *journal) records() int {
+	n := 0
+	for _, blk := range j.order {
+		n += j.blocks[blk].RawAppends
+	}
+	return n
+}
+
+// steal empties the index and returns its merged extents as replay records,
+// blocks in order of first appearance and each block's extents in offset
+// order, with the bytes appended since the last steal. The extents are the
+// caller's: nothing can insert into a log once it is unlinked.
+func (j *journal) steal() (items []wire.ReplicaItem, appended int64) {
+	for _, blk := range j.order {
+		b := j.blocks[blk]
+		appended += b.RawBytes
+		for _, e := range b.Extents() {
+			items = append(items, wire.ReplicaItem{Blk: blk, Off: e.Off, Data: e.Data})
+		}
+	}
+	j.blocks, j.order = nil, nil
+	return items, appended
+}
+
+// journalRecords returns the journal's record count for the cutover's
+// atomic empty-check (control plane, no simulated cost).
+func (o *OSD) journalRecords(failed wire.NodeID) int {
 	j, ok := o.journals[failed]
 	if !ok {
-		return nil
+		return 0
 	}
-	return j.items
+	return j.records()
 }
 
 // journalPersist charges one sequential append of n payload bytes to the
@@ -435,10 +485,8 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 	defer o.c.surrOpDone()
 	j := o.journalFor(v.Failed)
 	// The append and its sequence number are assigned atomically (no yield),
-	// so j.items order and seq order agree.
-	j.items = append(j.items, wire.ReplicaItem{
-		Blk: v.Blk, Off: v.Off, Data: append([]byte(nil), v.Data...),
-	})
+	// so index order and seq order agree.
+	j.add(v.Blk, v.Off, v.Data)
 	j.nextSeq++
 	seq := j.nextSeq
 	o.journalPersist(p, j, int64(len(v.Data)))
@@ -531,32 +579,14 @@ func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 	if err != nil {
 		return &wire.ReadResp{Err: err}
 	}
-	// Overlay journal items oldest-first so the newest write wins. The gate
-	// excludes cutover, so the journal cannot be stolen mid-read.
-	for _, it := range o.journalFor(v.Failed).items {
-		if it.Blk != v.Blk {
-			continue
-		}
-		overlayRange(buf, v.Off, it.Off, it.Data)
+	// Overlay the block's merged journal extents, which already hold the
+	// newest write of every byte. The gate excludes cutover, so the journal
+	// cannot be stolen mid-read.
+	if b := o.journalFor(v.Failed).blocks[v.Blk]; b != nil {
+		b.Overlay(v.Off, buf)
 	}
 	// The checksum covers the post-overlay bytes the client will consume.
 	return &wire.ReadResp{Data: buf, Sum: wire.Checksum(buf)}
-}
-
-// overlayRange copies the intersection of record (recOff, recData) onto
-// dst, where dst holds the byte range starting at dstOff.
-func overlayRange(dst []byte, dstOff, recOff int64, recData []byte) {
-	lo, hi := recOff, recOff+int64(len(recData))
-	if lo < dstOff {
-		lo = dstOff
-	}
-	if end := dstOff + int64(len(dst)); hi > end {
-		hi = end
-	}
-	if lo >= hi {
-		return
-	}
-	copy(dst[lo-dstOff:hi-dstOff], recData[lo-recOff:hi-recOff])
 }
 
 // reconstructRange rebuilds [off, off+size) of a lost block from the same
@@ -642,9 +672,11 @@ func (o *OSD) reconstructRangeHedged(p *sim.Proc, blk wire.BlockID, off, size in
 // set it is the non-destructive read-repair fetch: return the sequenced
 // durability copies held for that surrogate with Seq > FromSeq, leaving
 // them in place (promotion unions several holders' ranges). Otherwise it
-// steals this OSD's own journal for the failed node: all items are
-// returned in append order and forgotten. The recovery cutover runs the
-// steal under the closed gate, so nothing can land behind it.
+// steals this OSD's own journal for the failed node: every block's merged
+// extents are returned, blocks in order of first appearance, and
+// forgotten. The device read still covers every appended byte, since the
+// on-disk journal holds the records as they arrived. The recovery cutover
+// runs the steal under the closed gate, so nothing can land behind it.
 func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 	if v.Surrogate != 0 {
 		resp := &wire.JournalFetchResp{}
@@ -665,16 +697,11 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 		return resp
 	}
 	j, ok := o.journals[v.Failed]
-	if !ok || len(j.items) == 0 {
+	if !ok || j.records() == 0 {
 		return &wire.ReplicaResp{}
 	}
-	items := j.items
-	j.items = nil
-	var total int64
-	for _, it := range items {
-		total += int64(len(it.Data))
-	}
-	j.log.Read(p, 0, total)
+	items, appended := j.steal()
+	j.log.Read(p, 0, appended)
 	return &wire.ReplicaResp{Items: items}
 }
 

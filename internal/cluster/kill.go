@@ -214,7 +214,7 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 		if !pgs[pmap.PGOf(it.Blk.StripeID())] || !st.stripes[it.Blk.StripeID()] {
 			continue
 		}
-		j.items = append(j.items, it)
+		j.add(it.Blk, it.Off, it.Data)
 		seeded += int64(len(it.Data))
 	}
 	// Transition-orphaned records the victim's journal was seeded with live
@@ -225,14 +225,14 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 		if !pgs[pmap.PGOf(it.Blk.StripeID())] {
 			continue
 		}
-		j.items = append(j.items, it)
+		j.add(it.Blk, it.Off, it.Data)
 		seeded += int64(len(it.Data))
 	}
 	// Splice the recovered appends behind the seeds in original seq order,
 	// renumbering them into the new surrogate's own append sequence.
 	newSeqs := make([]uint64, len(recovered))
 	for i, it := range recovered {
-		j.items = append(j.items, wire.ReplicaItem{Blk: it.Blk, Off: it.Off, Data: it.Data})
+		j.add(it.Blk, it.Off, it.Data)
 		j.nextSeq++
 		newSeqs[i] = j.nextSeq
 		seeded += int64(len(it.Data))

@@ -98,7 +98,7 @@ func runMultiDeath(t *testing.T, r multiDeathRun) {
 			if r.b > 0 && !degradedStripeOps(t, p, c, cl, st, ino, content, rng, r.b) {
 				return
 			}
-			journaled := len(c.OSDByID(surr).journalItems(failed))
+			journaled := c.OSDByID(surr).journalRecords(failed)
 			krep, err := c.Kill(p, surr, admin)
 			if err != nil {
 				t.Errorf("kill surrogate %d: %v", surr, err)

@@ -112,7 +112,7 @@ func TestKillSurrogatePromotesJournal(t *testing.T) {
 		var surr wire.NodeID
 		most := 0
 		for _, s := range st.surrogates {
-			if n := len(c.OSDByID(s).journalItems(victim)); n > most {
+			if n := c.OSDByID(s).journalRecords(victim); n > most {
 				most, surr = n, s
 			}
 		}
@@ -196,7 +196,7 @@ func busiestSurrogate(c *Cluster, st *degradedState) wire.NodeID {
 	var surr wire.NodeID
 	most := 0
 	for _, s := range st.surrogates {
-		if n := len(c.OSDByID(s).journalItems(st.failed)); n > most {
+		if n := c.OSDByID(s).journalRecords(st.failed); n > most {
 			most, surr = n, s
 		}
 	}
@@ -283,7 +283,7 @@ func TestKillSurrogateHolderQuorumSurvives(t *testing.T) {
 		// here (the m=3 grid covers it); the journal itself must survive.
 		held := 0
 		for _, s := range st.surrogates {
-			held += len(c.OSDByID(s).journalItems(victim))
+			held += c.OSDByID(s).journalRecords(victim)
 		}
 		if held < krep.RepairedItems {
 			t.Errorf("surrogates hold %d journal items, want ≥ %d repaired", held, krep.RepairedItems)

@@ -60,21 +60,44 @@ type RecoveryReport struct {
 	Bytes  int64
 	// DrainTime is the time spent in the gated pre-reconstruction log
 	// barrier: a full drain for drain-first, the settle barrier for
-	// log-replay and interleaved.
-	DrainTime time.Duration
+	// log-replay and interleaved. It is the sum of the next three phases:
+	// Fence1Wait waits out the client ops already past the gate,
+	// RegisterTime publishes the degraded routes and seeds the journals
+	// (registerDegraded), and SettleTime runs SettleAll (drain-first:
+	// DrainAll). A pre-opened degraded window already did the last two, and
+	// interleaved recovery then skips fence 1 altogether.
+	DrainTime    time.Duration
+	Fence1Wait   time.Duration
+	RegisterTime time.Duration
+	SettleTime   time.Duration
 	// RebuildTime covers the parallel block reconstruction phase.
 	RebuildTime time.Duration
 	// ReplayTime covers the journal cutover (replica + degraded-update
-	// replay through the engines).
+	// replay through the engines). Interleaved recovery's second gate
+	// first waits Fence2Wait for in-flight ops; log-replay's cutover runs
+	// under the first gate and waits for nothing.
 	ReplayTime time.Duration
+	Fence2Wait time.Duration
+	// JournalFetchTime and JournalReplayTime split the cutover's critical
+	// path: the surrogate journal whose replay finished last, fetched (the
+	// steal's device read and transfer) and then replayed.
+	JournalFetchTime  time.Duration
+	JournalReplayTime time.Duration
 	// GatedTime is how long client updates were fenced in total — the
 	// foreground outage the degraded experiment measures.
 	GatedTime time.Duration
-	// ReplayedItems / ReplayedBytes count journal records merged back
-	// through the engines (failed node's DataLog replicas plus degraded
-	// updates journaled during recovery).
-	ReplayedItems int
-	ReplayedBytes int64
+	// ReplayedRecords counts the journal records the cutover took (the
+	// failed node's DataLog replicas plus the degraded updates journaled
+	// during recovery); each journal's index merged them per block, and
+	// ReplayedItems / ReplayedBytes count the extents and bytes replayed
+	// through the engines.
+	ReplayedRecords int
+	ReplayedItems   int
+	ReplayedBytes   int64
+	// MaxJournalRecords is the record count of the largest surrogate
+	// journal, and MaxJournalExtents what its index merged them into.
+	MaxJournalRecords int
+	MaxJournalExtents int
 	// ReencodedStripes counts stripes whose parity set was repaired by
 	// re-encoding (lost first-parity with a cross-parity delta buffer).
 	ReencodedStripes int
@@ -130,7 +153,9 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		// then fail and rebuild.
 		gateStart := p.Now()
 		c.fenceUpdates(p)
+		rep.Fence1Wait = p.Now() - gateStart
 		err := c.DrainAll(p, via)
+		rep.SettleTime = p.Now() - gateStart - rep.Fence1Wait
 		rep.DrainTime = p.Now() - gateStart
 		if err == nil {
 			c.Fabric.SetDown(failed, true)
@@ -156,12 +181,10 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		c.Fabric.SetDown(failed, true)
 		gateStart := p.Now()
 		c.fenceUpdates(p)
+		rep.Fence1Wait = p.Now() - gateStart
 		var err error
 		if !pre {
-			_, err = c.registerDegraded(p, failed, via)
-			if err == nil {
-				err = c.SettleAll(p, via, failed)
-			}
+			err = c.registerAndSettle(p, failed, via, rep)
 		}
 		rep.DrainTime = p.Now() - gateStart
 		if err == nil {
@@ -192,10 +215,8 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		if !pre {
 			gateStart := p.Now()
 			c.fenceUpdates(p)
-			_, err := c.registerDegraded(p, failed, via)
-			if err == nil {
-				err = c.SettleAll(p, via, failed)
-			}
+			rep.Fence1Wait = p.Now() - gateStart
+			err := c.registerAndSettle(p, failed, via, rep)
 			c.openGate()
 			rep.DrainTime = p.Now() - gateStart
 			rep.GatedTime = p.Now() - gateStart
@@ -214,6 +235,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		// to the rebuilt placement.
 		gateStart := p.Now()
 		c.fenceUpdates(p)
+		rep.Fence2Wait = p.Now() - gateStart
 		err = c.cutover(p, failed, via, rep)
 		c.openGate()
 		rep.GatedTime += p.Now() - gateStart
@@ -231,6 +253,21 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		rep.BandwidthBps = float64(rep.Bytes) / rep.TotalTime.Seconds()
 	}
 	return rep, nil
+}
+
+// registerAndSettle is the replaying modes' first barrier after the fence:
+// publish the degraded routes, then settle, timing each phase into rep.
+func (c *Cluster) registerAndSettle(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
+	start := p.Now()
+	_, err := c.registerDegraded(p, failed, via)
+	rep.RegisterTime = p.Now() - start
+	if err != nil {
+		return err
+	}
+	start = p.Now()
+	err = c.SettleAll(p, via, failed)
+	rep.SettleTime = p.Now() - start
+	return err
 }
 
 // rebuild reconstructs every block the failed node hosted onto surviving
@@ -344,17 +381,19 @@ func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
 // cutover replays the surrogate journals — the failed node's replicated
 // unrecycled DataLog items followed by every update journaled while the
 // node was degraded — through the engines' replay hook at the (remapped)
-// home OSDs, then atomically retires the degraded route. With per-PG
-// surrogates there is one journal per surrogate OSD, and every surrogate's
-// journal is fetched and replayed at once. That is safe because a block's
-// records all live on its PG's surrogate (a promotion moves a dead
-// surrogate's PGs, with their records, to one new surrogate), so no two
-// journals share a block. Inside one journal each block's records replay in
-// order while distinct blocks replay in parallel: the engines already take
-// concurrent updates to different blocks of a stripe from clients. It must
-// run under the closed gate (after a fence, so no degraded op is
-// mid-flight) so the journals cannot grow behind the steal and degraded
-// reads cannot observe mid-replay stripes.
+// home OSDs, then atomically retires the degraded route. Each journal is
+// indexed per block like the DataLog, so the steal returns every block's
+// merged extents and each byte range is fetched and replayed once. With
+// per-PG surrogates there is one journal per surrogate OSD, and every
+// surrogate's journal is fetched and replayed at once. That is safe because
+// a block's records all live on its PG's surrogate (a promotion moves a
+// dead surrogate's PGs, with their records, to one new surrogate), so no
+// two journals share a block. Inside one journal each block's extents
+// replay in order while distinct blocks replay in parallel: the engines
+// already take concurrent updates to different blocks of a stripe from
+// clients. It must run under the closed gate (after a fence, so no degraded
+// op is mid-flight) so the journals cannot grow behind the steal and
+// degraded reads cannot observe mid-replay stripes.
 func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
 	st := c.degraded[failed]
 	if st == nil {
@@ -365,15 +404,21 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 		// Atomic with the steals below: with the gate closed nothing can
 		// append, so journals found empty stay empty until we unregister.
 		var busy []wire.NodeID
+		var records []int
 		for _, sur := range st.surrogates {
-			if len(c.OSDByID(sur).journalItems(failed)) > 0 {
+			if n := c.OSDByID(sur).journalRecords(failed); n > 0 {
 				busy = append(busy, sur)
+				records = append(records, n)
 			}
 		}
 		if len(busy) == 0 {
 			c.unregisterDegraded(failed)
 			break
 		}
+		roundStart := p.Now()
+		fetched := make([]time.Duration, len(busy))
+		replayed := make([]time.Duration, len(busy))
+		extents := make([]int, len(busy))
 		if err := sim.Parallel(p, "replay-journal", len(busy), func(sp *sim.Proc, j int) error {
 			sur := busy[j]
 			resp, err := c.Fabric.Call(sp, via.id, sur, &wire.JournalFetch{Failed: failed})
@@ -384,11 +429,14 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 			if !ok {
 				return fmt.Errorf("journal fetch @%d: unexpected response %T", sur, resp)
 			}
-			// In journal order per block, blocks in parallel: replayed
-			// records must not reorder against each other where they can
-			// overwrite the same range, and that is only within one block.
+			fetched[j] = sp.Now()
+			extents[j] = len(rr.Items)
+			// Blocks in parallel, each block's extents one at a time in
+			// offset order. A block's extents do not overlap, so their order
+			// cannot change the result; replaying them serially keeps
+			// same-block concurrency out of the engines' replay path.
 			blocks := groupByBlock(rr.Items)
-			return sim.Parallel(sp, "replay", len(blocks), func(hp *sim.Proc, i int) error {
+			err = sim.Parallel(sp, "replay", len(blocks), func(hp *sim.Proc, i int) error {
 				for _, it := range blocks[i] {
 					osds := c.Placement(it.Blk.StripeID())
 					req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
@@ -400,16 +448,30 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 				}
 				return nil
 			})
+			replayed[j] = sp.Now()
+			return err
 		}); err != nil {
 			return err
 		}
+		last := 0
+		for j := range busy {
+			rep.ReplayedRecords += records[j]
+			if records[j] > rep.MaxJournalRecords {
+				rep.MaxJournalRecords, rep.MaxJournalExtents = records[j], extents[j]
+			}
+			if replayed[j] > replayed[last] {
+				last = j
+			}
+		}
+		rep.JournalFetchTime += fetched[last] - roundStart
+		rep.JournalReplayTime += replayed[last] - fetched[last]
 	}
 	rep.ReplayTime = p.Now() - replayStart
 	return nil
 }
 
-// groupByBlock splits journal items into one list per block, blocks in
-// order of first appearance and each list in journal order.
+// groupByBlock splits replay records into one list per block, blocks in
+// order of first appearance and each list in the order given.
 func groupByBlock(items []wire.ReplicaItem) [][]wire.ReplicaItem {
 	idx := make(map[wire.BlockID]int)
 	var out [][]wire.ReplicaItem

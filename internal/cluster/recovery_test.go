@@ -97,12 +97,13 @@ func TestRecoverZeroLogs(t *testing.T) {
 }
 
 // TestCutoverReplaysBlocksConcurrently: the journal cutover replays each
-// block's records in journal order and distinct blocks in parallel. Three
+// block's merged extents and distinct blocks in parallel. Three
 // overlapping updates to the failed node's block and one update each to
 // the stripe's three other data blocks are journaled on the surrogate;
 // after the cutover and a drain every byte reads back as last written, the
-// stripe scrubs clean, every record is counted, and ReplayUpdates of
-// distinct blocks overlap in sim time.
+// stripe scrubs clean, every record is counted, the three overlapping
+// records replay as one extent, and ReplayUpdates of distinct blocks
+// overlap in sim time.
 func TestCutoverReplaysBlocksConcurrently(t *testing.T) {
 	c := MustNew(testConfig("tsue"))
 	defer c.Env.Close()
@@ -166,8 +167,13 @@ func TestCutoverReplaysBlocksConcurrently(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if rep.ReplayedItems != len(writes) {
-			t.Errorf("replayed %d items, want %d", rep.ReplayedItems, len(writes))
+		if rep.ReplayedRecords != len(writes) {
+			t.Errorf("replayed %d records, want %d", rep.ReplayedRecords, len(writes))
+		}
+		// Block 0's three records merge into [100, 2500); every other block
+		// has one record.
+		if want := c.Cfg.K; rep.ReplayedItems != want {
+			t.Errorf("replayed %d extents, want %d", rep.ReplayedItems, want)
 		}
 		if err := c.DrainAll(p, cl); err != nil {
 			t.Error(err)
@@ -216,17 +222,34 @@ func journalOwners(t *testing.T, c *Cluster, st *degradedState) map[wire.BlockID
 	t.Helper()
 	owner := make(map[wire.BlockID]wire.NodeID)
 	for _, sur := range st.surrogates {
-		for _, it := range c.OSDByID(sur).journalItems(st.failed) {
-			if o, ok := owner[it.Blk]; ok && o != sur {
-				t.Errorf("block %v journaled on surrogates %d and %d", it.Blk, o, sur)
+		j, ok := c.OSDByID(sur).journals[st.failed]
+		if !ok {
+			continue
+		}
+		for _, blk := range j.order {
+			if o, ok := owner[blk]; ok && o != sur {
+				t.Errorf("block %v journaled on surrogates %d and %d", blk, o, sur)
 			}
-			if want := st.surr[c.PG(it.Blk.StripeID())]; want != sur {
-				t.Errorf("block %v journaled on %d, its PG's surrogate is %d", it.Blk, sur, want)
+			if want := st.surr[c.PG(blk.StripeID())]; want != sur {
+				t.Errorf("block %v journaled on %d, its PG's surrogate is %d", blk, sur, want)
 			}
-			owner[it.Blk] = sur
+			owner[blk] = sur
 		}
 	}
 	return owner
+}
+
+// journalExtents counts the merged extents in sur's journal for failed.
+func journalExtents(c *Cluster, sur, failed wire.NodeID) int {
+	j, ok := c.OSDByID(sur).journals[failed]
+	if !ok {
+		return 0
+	}
+	n := 0
+	for _, blk := range j.order {
+		n += len(j.blocks[blk].Extents())
+	}
+	return n
 }
 
 // TestCutoverReplaysSurrogatesConcurrently: the cutover replays every
@@ -234,8 +257,9 @@ func journalOwners(t *testing.T, c *Cluster, st *degradedState) map[wire.BlockID
 // overlapping updates to one lost block per surrogate, and then one
 // surrogate dies and its journal is promoted. No block may sit in two
 // surrogates' journals, before or after the promotion. The victim's
-// recovery must count every journal record, and ReplayUpdates of blocks
-// on different surrogates must overlap in sim time. Once the dead
+// recovery must count every journal record, replay each block's three
+// records as one extent, and ReplayUpdates of blocks on different
+// surrogates must overlap in sim time. Once the dead
 // surrogate is recovered too, every byte reads back as last written and
 // the cluster scrubs clean.
 func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
@@ -329,9 +353,13 @@ func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
 			return
 		}
 		owner = journalOwners(t, c, st)
-		journaled := 0
+		journaled, extents := 0, 0
 		for _, sur := range st.surrogates {
-			journaled += len(c.OSDByID(sur).journalItems(victim))
+			journaled += c.OSDByID(sur).journalRecords(victim)
+			extents += journalExtents(c, sur, victim)
+		}
+		if want := len(picked); extents != want {
+			t.Errorf("journals hold %d extents, want one per written block (%d)", extents, want)
 		}
 		recording = true
 		rep, err := c.Recover(p, victim, 4, RecoverInterleaved, admin)
@@ -340,8 +368,11 @@ func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if rep.ReplayedItems != journaled {
-			t.Errorf("replayed %d items, want the %d journal records", rep.ReplayedItems, journaled)
+		if rep.ReplayedRecords != journaled {
+			t.Errorf("replayed %d records, want the %d journal records", rep.ReplayedRecords, journaled)
+		}
+		if rep.ReplayedItems != extents {
+			t.Errorf("replayed %d extents, want the journals' %d", rep.ReplayedItems, extents)
 		}
 		if _, err := c.Recover(p, dead, 4, RecoverInterleaved, admin); err != nil {
 			t.Errorf("recover dead surrogate: %v", err)

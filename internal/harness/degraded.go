@@ -89,10 +89,13 @@ func degradedModes() []cluster.RecoverMode {
 // percentiles (p50/p95/p99 of reads issued inside the recovery window) —
 // the Fig. 8b comparison extended with the update/failure overlap the
 // paper's log-reliability argument is really about, completed with the
-// ROADMAP's trace-latency distribution item.
+// ROADMAP's trace-latency distribution item. A second table splits each
+// run's gated windows into their phases and sets the journal records the
+// cutover took against the extents it replayed.
 func Degraded(w io.Writer, s Scale) error {
 	t := s.table(w, "degraded", "== Degraded: recovery under foreground load (SSD, RS(6,4)); window read latency p50/p95/p99 ==",
 		"trace\tengine\tmode\trecover(ms)\tbarrier(ms)\trebuild(ms)\treplay(ms)\tgated(ms)\treplayed(KB)\trebuild(MB/s)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd err")
+	var phases []phaseRow
 	for _, tr := range []string{"ali", "ten"} {
 		for _, eng := range update.Names() {
 			for _, mode := range degradedModes() {
@@ -101,25 +104,65 @@ func Degraded(w io.Writer, s Scale) error {
 					return fmt.Errorf("degraded %s %s %s: %w", tr, eng, mode, err)
 				}
 				rep := r.Report
-				t.row(map[string]string{"trace": tr, "engine": eng, "mode": mode.String()},
-					tr+"\t"+eng+"\t"+mode.String(), []cell{
-						{"recover_ms", "%.1f", ms(rep.TotalTime)},
-						{"", "%.1f", ms(rep.DrainTime)}, {"", "%.1f", ms(rep.RebuildTime)},
-						{"", "%.1f", ms(rep.ReplayTime)}, {"", "%.1f", ms(rep.GatedTime)},
-						{"", "%.1f", float64(rep.ReplayedBytes) / 1024},
-						{"", "%.1f", rep.BandwidthBps / (1 << 20)},
-						{"", "%.0f", r.BaselineIOPS}, {"", "%.0f", r.DuringIOPS},
-						{"dip_pct", "%.0f%%", r.DipPct},
-						{"read_p50_ms", "%.2f", ms(r.ReadP(0.50))},
-						{"read_p95_ms", "%.2f", ms(r.ReadP(0.95))},
-						{"read_p99_ms", "%.2f", ms(r.ReadP(0.99))},
-						{"read_errs", "%d", r.ReadErrs},
-						{"journal_quorum_sent_msgs", "", r.QuorumSentMsgs},
-						{"journal_quorum_sent_bytes", "", r.QuorumSentBytes},
-						{"journal_quorum_held_bytes", "", r.QuorumHeldBytes},
-					})
+				labels := map[string]string{"trace": tr, "engine": eng, "mode": mode.String()}
+				lead := tr + "\t" + eng + "\t" + mode.String()
+				phases = append(phases, phaseRow{labels, lead, rep})
+				t.row(labels, lead, []cell{
+					{"recover_ms", "%.1f", ms(rep.TotalTime)},
+					{"", "%.1f", ms(rep.DrainTime)}, {"", "%.1f", ms(rep.RebuildTime)},
+					{"", "%.1f", ms(rep.ReplayTime)}, {"", "%.1f", ms(rep.GatedTime)},
+					{"", "%.1f", float64(rep.ReplayedBytes) / 1024},
+					{"", "%.1f", rep.BandwidthBps / (1 << 20)},
+					{"", "%.0f", r.BaselineIOPS}, {"", "%.0f", r.DuringIOPS},
+					{"dip_pct", "%.0f%%", r.DipPct},
+					{"read_p50_ms", "%.2f", ms(r.ReadP(0.50))},
+					{"read_p95_ms", "%.2f", ms(r.ReadP(0.95))},
+					{"read_p99_ms", "%.2f", ms(r.ReadP(0.99))},
+					{"read_errs", "%d", r.ReadErrs},
+					{"journal_quorum_sent_msgs", "", r.QuorumSentMsgs},
+					{"journal_quorum_sent_bytes", "", r.QuorumSentBytes},
+					{"journal_quorum_held_bytes", "", r.QuorumHeldBytes},
+				})
 			}
 		}
+	}
+	if err := t.Flush(); err != nil {
+		return err
+	}
+	return degradedPhases(w, s, phases)
+}
+
+// phaseRow is one degraded run's row of the phases table.
+type phaseRow struct {
+	labels map[string]string
+	lead   string
+	rep    *cluster.RecoveryReport
+}
+
+// degradedPhases prints the recovery phases of every degraded run: fence 1
+// (its wait for in-flight ops, registerDegraded, SettleAll), the rebuild,
+// and fence 2 (its wait, then the cutover's critical journal fetched and
+// replayed), with the journal records replayed against their merged
+// extents, in total and for the largest journal.
+func degradedPhases(w io.Writer, s Scale, rows []phaseRow) error {
+	t := s.table(w, "degraded", "== Degraded: recovery phases (ms); journal records vs merged extents replayed ==",
+		"trace\tengine\tmode\tfence1 wait\tregister\tsettle\trebuild\tfence2 wait\tfetch\treplay\trecords\textents\tmax journal")
+	for _, r := range rows {
+		rep := r.rep
+		t.row(r.labels, r.lead, []cell{
+			{"fence1_wait_ms", "%.2f", ms(rep.Fence1Wait)},
+			{"register_ms", "%.2f", ms(rep.RegisterTime)},
+			{"settle_ms", "%.2f", ms(rep.SettleTime)},
+			{"", "%.2f", ms(rep.RebuildTime)},
+			{"fence2_wait_ms", "%.2f", ms(rep.Fence2Wait)},
+			{"journal_fetch_ms", "%.2f", ms(rep.JournalFetchTime)},
+			{"journal_replay_ms", "%.2f", ms(rep.JournalReplayTime)},
+			{"replayed_records", "%d", rep.ReplayedRecords},
+			{"replayed_extents", "%d", rep.ReplayedItems},
+			{"", "%s", fmt.Sprintf("%d/%d", rep.MaxJournalRecords, rep.MaxJournalExtents)},
+			{"max_journal_records", "", rep.MaxJournalRecords},
+			{"max_journal_extents", "", rep.MaxJournalExtents},
+		})
 	}
 	return t.Flush()
 }

@@ -165,7 +165,7 @@ func RunDegradedMultiKill(cfg RunConfig, deaths int) (*MultiKillResult, error) {
 				return fmt.Errorf("recover %d: %w", id, err)
 			}
 			res.RecoverTotal += rep.TotalTime
-			res.ReplayedItems += rep.ReplayedItems
+			res.ReplayedItems += rep.ReplayedRecords
 			return nil
 		}
 		for _, id := range []wire.NodeID{res.Holder, res.Surr, failed} {
