@@ -8,10 +8,9 @@ package cluster
 //   straggler  one survivor's NIC latency explodes; hedged degraded reads
 //              must fire after HedgeDelay and win from the alternate
 //              survivor set.
-//   partition  asymmetric cuts on client→OSD and OSD→MDS links (engine-
-//              internal links stay up, so no stripe can tear); foreground
-//              ops retry through ErrPartitioned and heartbeat misses are
-//              observed.
+//   partition  an asymmetric client→OSD cut (engine-internal links stay
+//              up, so no stripe can tear); foreground ops retry through
+//              ErrPartitioned.
 //   flap       the future victim bounces down/up on a schedule; dropped
 //              engine-internal propagation may tear its stripes, which the
 //              post-heal ScrubRepair plus the later rebuild must repair.
@@ -85,66 +84,6 @@ func (r *chaosRun) ops(p *sim.Proc, phase string, n int) {
 	}
 }
 
-// chaosCorruptor corrupts every rate-th checksum-bearing payload crossing
-// the fabric (request or response), cloning so the sender's buffers stay
-// intact. The engines' internal fan-out messages now carry Sums too
-// (verified centrally at OSD dispatch) but are deliberately left alone:
-// a rejected XOR delta retried mid-fan-out re-applies to parities that
-// already took it, which is not idempotent — their verify path is pinned
-// by the wire unit tests instead.
-func chaosCorruptor(rate int) netsim.Corruptor {
-	seen := 0
-	flip := func(data []byte) ([]byte, bool) {
-		if len(data) == 0 {
-			return nil, false
-		}
-		seen++
-		if seen%rate != 0 {
-			return nil, false
-		}
-		cp := append([]byte(nil), data...)
-		cp[len(cp)/2] ^= 0xff
-		return cp, true
-	}
-	return func(from, to wire.NodeID, m wire.Msg) (wire.Msg, bool) {
-		switch v := m.(type) {
-		case *wire.PutBlock:
-			if data, ok := flip(v.Data); ok {
-				cp := *v
-				cp.Data = data
-				return &cp, true
-			}
-		case *wire.ReadResp:
-			if wire.AckErr(v, nil) == nil {
-				if data, ok := flip(v.Data); ok {
-					cp := *v
-					cp.Data = data
-					return &cp, true
-				}
-			}
-		case *wire.Update:
-			if data, ok := flip(v.Data); ok {
-				cp := *v
-				cp.Data = data
-				return &cp, true
-			}
-		case *wire.DegradedUpdate:
-			if data, ok := flip(v.Data); ok {
-				cp := *v
-				cp.Data = data
-				return &cp, true
-			}
-		case *wire.JournalReplica:
-			if data, ok := flip(v.Data); ok {
-				cp := *v
-				cp.Data = data
-				return &cp, true
-			}
-		}
-		return nil, false
-	}
-}
-
 func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 	cfg := degradedConfig(engine)
 	const hedgeDelay = time.Millisecond
@@ -152,8 +91,6 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 	switch scen {
 	case chaosStraggler:
 		cfg.HedgeDelay = hedgeDelay
-	case chaosPartition:
-		cfg.HeartbeatInterval = 500 * time.Microsecond
 	}
 	c := MustNew(cfg)
 	defer c.Env.Close()
@@ -204,21 +141,15 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 				return
 			}
 		case chaosPartition:
-			// Asymmetric: client's requests to node 5 die on the wire, and
-			// node 5's heartbeats die on their way to the MDS. Engine-internal
-			// OSD↔OSD links stay up, so no stripe can tear.
+			// Asymmetric: client's requests to node 5 die on the wire.
+			// Engine-internal OSD↔OSD links stay up, so no stripe can tear.
 			if err := c.Fabric.Partition(cl.ID(), partNode, true); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := c.Fabric.Partition(partNode, mdsID, true); err != nil {
 				t.Error(err)
 				return
 			}
 			c.Env.Go("heal", func(hp *sim.Proc) {
 				hp.Sleep(4 * time.Millisecond)
 				c.Fabric.Partition(cl.ID(), partNode, false)
-				c.Fabric.Partition(partNode, mdsID, false)
 			})
 		case chaosFlap:
 			// The future victim bounces: three 400µs outages. Client-visible
@@ -230,7 +161,7 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 				return
 			}
 		case chaosCorrupt:
-			c.Fabric.SetCorruptor(chaosCorruptor(7))
+			c.Fabric.SetCorruptor(FlipCorruptor(7))
 		}
 		r.ops(p, "phase1", 60)
 		if t.Failed() {
@@ -243,14 +174,6 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 			c.Fabric.SetNodeShape(partNode, netsim.LinkShape{})
 		case chaosPartition:
 			p.Sleep(5 * time.Millisecond) // outlast the heal timer
-			var misses uint64
-			for _, osd := range c.OSDs {
-				misses += osd.HeartbeatMisses()
-			}
-			if misses == 0 {
-				t.Error("partitioned OSD→MDS link produced no heartbeat misses")
-				return
-			}
 		case chaosFlap:
 			p.Sleep(5 * time.Millisecond) // outlast the last flap window
 		}
@@ -390,13 +313,7 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 		}
 		done = true
 	})
-	if scen == chaosPartition {
-		// Heartbeat loops never terminate, so the partition cell's event
-		// queue is never empty: bound the run in virtual time instead.
-		c.Env.Run(5 * time.Second)
-	} else {
-		c.Env.Run(0)
-	}
+	c.Env.Run(0)
 	if t.Failed() {
 		return
 	}

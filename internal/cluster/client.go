@@ -335,13 +335,3 @@ func (cl *Client) Lookup(p *sim.Proc, ino uint64, stripe uint32) ([]wire.NodeID,
 	}
 	return lr.OSDs, lr.PG, nil
 }
-
-// LookupPG queries the MDS for a placement group's member OSDs (slot order,
-// before per-stripe role rotation).
-func (cl *Client) LookupPG(p *sim.Proc, pg uint32) ([]wire.NodeID, error) {
-	lr, err := askMDS[*wire.LookupResp](p, cl, &wire.PGLookup{PG: pg}, "pg lookup")
-	if err != nil {
-		return nil, err
-	}
-	return lr.OSDs, nil
-}

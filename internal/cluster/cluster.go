@@ -35,8 +35,6 @@ type Config struct {
 	// PGs is the placement-group count for the CRUSH-like stripe placement
 	// (internal/placement). 0 defaults to 8 PGs per OSD.
 	PGs int
-	// HeartbeatInterval > 0 starts OSD→MDS heartbeats.
-	HeartbeatInterval time.Duration
 	// HedgeDelay > 0 arms hedged degraded reads: when an on-the-fly
 	// reconstruction has not completed within this deadline (a straggling
 	// survivor), the surrogate fires a second reconstruction from an
@@ -231,11 +229,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		osd.engine = eng
 	}
-	if cfg.HeartbeatInterval > 0 {
-		for _, osd := range c.OSDs {
-			osd.startHeartbeat(cfg.HeartbeatInterval)
-		}
-	}
 	return c, nil
 }
 
@@ -330,7 +323,7 @@ func (c *Cluster) migrationFenced(blk wire.BlockID) bool {
 func (c *Cluster) PG(s wire.StripeID) int { return c.MDS.PlacementMap().PGOf(s) }
 
 // AddOSDNode creates and wires a brand-new OSD — fabric node, device,
-// block store, update engine, heartbeat — WITHOUT putting it on the
+// block store, update engine — WITHOUT putting it on the
 // placement map: staging the epoch that adopts it is the rebalance
 // engine's job (Expand). The node ID is allocated above every existing
 // node, so OSD IDs are no longer dense once a cluster has grown.
@@ -346,9 +339,6 @@ func (c *Cluster) AddOSDNode() (*OSD, error) {
 	c.OSDs = append(c.OSDs, osd)
 	c.byID[id] = osd
 	c.Fabric.AddNode(id, osd.handle)
-	if c.Cfg.HeartbeatInterval > 0 {
-		osd.startHeartbeat(c.Cfg.HeartbeatInterval)
-	}
 	return osd, nil
 }
 

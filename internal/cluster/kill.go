@@ -71,9 +71,6 @@ type KillReport struct {
 	// RepairedItems counts journal records recovered from quorum holders
 	// during those promotions.
 	RepairedItems int
-	// MissedBeats is the cumulative missed-heartbeat count the dead node
-	// had reported to the MDS before it died (partitioned-link accounting).
-	MissedBeats uint64
 }
 
 // resolveWait bounds how long Kill waits (virtual time) for the migration
@@ -91,7 +88,7 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 	if c.Fabric.Down(failed) {
 		return nil, fmt.Errorf("cluster: Kill: node %d is already down", failed)
 	}
-	rep := &KillReport{MissedBeats: c.MDS.BeatMisses(failed)}
+	rep := &KillReport{}
 	inTrans := c.MDS.trans != nil
 	c.MarkDead(failed)
 	// Mutual exclusion means at most one of these two branches has work:

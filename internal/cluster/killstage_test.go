@@ -164,7 +164,7 @@ func runKillAtStage(t *testing.T, engine, role string, stageIdx int, seed int64)
 			t.Fatal(wErr)
 		}
 
-		rep, newID, err := c.Expand(p, cl, rebalance.Config{MaxInFlightPGs: 2})
+		rep, newID, err := c.Expand(p, cl, rebalance.Config{})
 		if err != nil {
 			t.Fatalf("expand: %v", err)
 		}
@@ -490,10 +490,10 @@ func TestRouteBouncesCrossHops(t *testing.T) {
 	})
 }
 
-// TestTransitionStatusRPC covers the operator-facing state-machine
-// snapshot: mid-transition the MDS reports per-PG stages; afterwards it
-// reports no transition.
-func TestTransitionStatusRPC(t *testing.T) {
+// TestPGStageLifecycle: mid-transition the MDS reports a fenced PG's
+// stage; after Expand commits it reports no transition and the settled
+// epoch.
+func TestPGStageLifecycle(t *testing.T) {
 	cfg := testConfig("tsue")
 	run(t, cfg, func(p *sim.Proc, c *Cluster, cl *Client) {
 		fileSize := 4 * c.StripeWidth()
@@ -523,16 +523,11 @@ func TestTransitionStatusRPC(t *testing.T) {
 		if !sawStages {
 			t.Fatal("fence stage never observed")
 		}
-		resp, err := c.Fabric.Call(p, cl.id, wire.NodeID(0), &wire.TransitionStatus{})
-		if err != nil {
-			t.Fatal(err)
+		if c.MDS.trans != nil {
+			t.Fatal("transition still in flight after Expand")
 		}
-		ts, ok := resp.(*wire.TransitionStatusResp)
-		if !ok {
-			t.Fatalf("unexpected response %T", resp)
-		}
-		if ts.InFlight || ts.Committed != 1 {
-			t.Fatalf("post-commit status %+v, want settled at epoch 1", ts)
+		if got := c.MDS.CommittedEpoch(); got != 1 {
+			t.Fatalf("committed epoch %d after Expand, want 1", got)
 		}
 	})
 }

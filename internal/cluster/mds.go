@@ -4,9 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"time"
 
-	"tsue/internal/obs"
 	"tsue/internal/placement"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
@@ -14,10 +12,10 @@ import (
 
 // MDS is the metadata server: file namespace, the placement authority (it
 // owns the epoch chain of CRUSH-like placement maps that clients and OSDs
-// resolve stripe homes through), heartbeat tracking, and recovery
-// orchestration (§4). During an online rebalance the MDS also owns the
-// transition state: which staged-epoch PGs have cut over to their new
-// homes, and which are inside a cutover fence right now.
+// resolve stripe homes through), and recovery orchestration (§4). During an
+// online rebalance the MDS also owns the transition state: which
+// staged-epoch PGs have cut over to their new homes, and which are inside a
+// cutover fence right now.
 type MDS struct {
 	c      *Cluster
 	epochs *placement.Epochs
@@ -25,17 +23,10 @@ type MDS struct {
 	// during one, PGs flip from committed to trans.next as they cut over.
 	committed uint64
 	// trans is the in-flight transition (nil when none).
-	trans    *transition
-	nextIno  uint64
-	byName   map[string]uint64
-	files    map[uint64]*fileMeta
-	lastBeat map[wire.NodeID]time.Duration
-	// beatMisses accumulates, per OSD, the missed-heartbeat counts OSDs
-	// report once a beat gets through again (wire.Heartbeat.Misses) — the
-	// partitioned-link signal surfaced in TransitionStatus and kill reports.
-	// Each entry is a registry counter ("mds_beat_misses_osd<n>") so the
-	// unified metrics snapshot carries the per-OSD miss accounting.
-	beatMisses map[wire.NodeID]*obs.Counter
+	trans   *transition
+	nextIno uint64
+	byName  map[string]uint64
+	files   map[uint64]*fileMeta
 }
 
 // PGStage enumerates one migrating PG's position in a placement
@@ -105,25 +96,12 @@ type transition struct {
 
 func newMDS(c *Cluster, place *placement.Map) *MDS {
 	return &MDS{
-		c:          c,
-		epochs:     placement.NewEpochs(place),
-		nextIno:    1,
-		byName:     make(map[string]uint64),
-		files:      make(map[uint64]*fileMeta),
-		lastBeat:   make(map[wire.NodeID]time.Duration),
-		beatMisses: make(map[wire.NodeID]*obs.Counter),
+		c:       c,
+		epochs:  placement.NewEpochs(place),
+		nextIno: 1,
+		byName:  make(map[string]uint64),
+		files:   make(map[uint64]*fileMeta),
 	}
-}
-
-// beatMiss returns (creating on first miss) the registry counter holding the
-// accumulated missed-heartbeat count reported for one OSD.
-func (m *MDS) beatMiss(id wire.NodeID) *obs.Counter {
-	ctr, ok := m.beatMisses[id]
-	if !ok {
-		ctr = m.c.Obs.Reg.Counter(fmt.Sprintf("mds_beat_misses_osd%d", id))
-		m.beatMisses[id] = ctr
-	}
-	return ctr
 }
 
 // PlacementMap exposes the committed placement map (read-only authority for
@@ -202,12 +180,6 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 			PG:    uint32(m.PlacementMap().PGOf(sid)),
 			Epoch: m.view(),
 		}
-	case *wire.PGLookup:
-		mem, err := m.PlacementMap().Members(int(v.PG), nil)
-		if err != nil {
-			return &wire.LookupResp{Err: err}
-		}
-		return &wire.LookupResp{OSDs: mem, PG: v.PG, Epoch: m.view()}
 	case *wire.EpochUpdate:
 		return m.handleEpochUpdate(v)
 	case *wire.PGCutover:
@@ -234,28 +206,6 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 		}
 		t.aborted[int(v.PG)] = true
 		t.stage[int(v.PG)] = StageAborted
-		return wire.OK
-	case *wire.TransitionStatus:
-		t := m.trans
-		if t == nil {
-			return &wire.TransitionStatusResp{Committed: m.committed, Beats: m.beatStatus()}
-		}
-		resp := &wire.TransitionStatusResp{InFlight: true, Staged: t.next, Committed: m.committed,
-			Beats: m.beatStatus()}
-		pgs := make([]int, 0, len(t.stage))
-		for pg := range t.stage {
-			pgs = append(pgs, pg)
-		}
-		sort.Ints(pgs)
-		for _, pg := range pgs {
-			resp.PGs = append(resp.PGs, wire.PGStatus{PG: uint32(pg), Stage: uint8(t.stage[pg])})
-		}
-		return resp
-	case *wire.Heartbeat:
-		m.lastBeat[v.From] = p.Now()
-		if v.Misses > 0 {
-			m.beatMiss(v.From).Add(uint64(v.Misses))
-		}
 		return wire.OK
 	case *wire.AdmitOp:
 		pol := m.c.Cfg.Admission
@@ -314,8 +264,7 @@ func (m *MDS) handleEpochUpdate(v *wire.EpochUpdate) wire.Msg {
 // setPGStage advances a migrating PG's state-machine position. The mover
 // drives the happy-path edges directly (control plane); the abort edge and
 // the replaying edge arrive over the wire (PGAbort / PGCutover) so the MDS
-// stays the single authority TransitionStatus and the resolution policy
-// read.
+// stays the single authority PGStageOf and the resolution policy read.
 func (m *MDS) setPGStage(pg int, s PGStage) {
 	if t := m.trans; t != nil {
 		t.stage[pg] = s
@@ -331,41 +280,4 @@ func (m *MDS) PGStageOf(pg int) (PGStage, bool) {
 	}
 	s, ok := t.stage[pg]
 	return s, ok
-}
-
-// beatStatus lists every OSD with reported heartbeat misses in ascending
-// OSD order (the Beats section of a TransitionStatusResp).
-func (m *MDS) beatStatus() []wire.BeatStatus {
-	ids := make([]wire.NodeID, 0, len(m.beatMisses))
-	for id := range m.beatMisses {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	var out []wire.BeatStatus
-	for _, id := range ids {
-		out = append(out, wire.BeatStatus{OSD: id, Misses: m.beatMisses[id].Value()})
-	}
-	return out
-}
-
-// BeatMisses returns the accumulated missed-heartbeat count reported for
-// one OSD (kill-report accounting, tests).
-func (m *MDS) BeatMisses(id wire.NodeID) uint64 {
-	ctr, ok := m.beatMisses[id]
-	if !ok {
-		return 0
-	}
-	return ctr.Value()
-}
-
-// DeadOSDs returns OSDs whose last heartbeat is older than timeout at the
-// given time (requires heartbeats enabled).
-func (m *MDS) DeadOSDs(now, timeout time.Duration) []wire.NodeID {
-	var dead []wire.NodeID
-	for _, osd := range m.c.OSDs {
-		if now-m.lastBeat[osd.id] > timeout {
-			dead = append(dead, osd.id)
-		}
-	}
-	return dead
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"tsue/internal/blockstore"
 	"tsue/internal/device"
@@ -37,13 +36,6 @@ type OSD struct {
 	jrSentBytes int64
 	jrHeldMsgs  int64
 	jrHeldBytes int64
-	// beatMissStreak counts consecutive heartbeat sends that failed to reach
-	// the MDS; reported in the Misses field of the next beat that gets
-	// through and folded into the MDS's per-OSD miss accounting.
-	beatMissStreak uint32
-	// beatMissTotal is the lifetime count of failed heartbeat sends (local
-	// accounting for kill reports and tests).
-	beatMissTotal uint64
 }
 
 func newOSD(c *Cluster, id wire.NodeID) *OSD {
@@ -422,29 +414,4 @@ func (o *OSD) recoverStripeRepair(p *sim.Proc, blk wire.BlockID) error {
 		}
 	}
 	return nil
-}
-
-// HeartbeatMisses returns how many heartbeat sends from this OSD have ever
-// failed to reach the MDS (kill-report accounting, tests).
-func (o *OSD) HeartbeatMisses() uint64 { return o.beatMissTotal }
-
-func (o *OSD) startHeartbeat(interval time.Duration) {
-	o.c.Env.Go(fmt.Sprintf("heartbeat@%d", o.id), func(p *sim.Proc) {
-		for {
-			p.Sleep(interval)
-			if o.c.Fabric.Down(o.id) {
-				return
-			}
-			// The MDS judges liveness by beat age, but send failures are not
-			// silently dropped: they accumulate as a miss streak reported in
-			// the next beat that gets through, so a flaky or partitioned link
-			// shows up in TransitionStatus / kill-report accounting.
-			if _, err := o.Call(p, mdsID, &wire.Heartbeat{From: o.id, Misses: o.beatMissStreak}); err != nil {
-				o.beatMissStreak++
-				o.beatMissTotal++
-				continue
-			}
-			o.beatMissStreak = 0
-		}
-	})
 }

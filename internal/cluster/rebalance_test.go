@@ -99,10 +99,7 @@ func TestExpandUnderLoad(t *testing.T) {
 				if wErr != nil {
 					t.Fatal(wErr)
 				}
-				rep, newID, err := c.Expand(p, cl, rebalance.Config{
-					RateBps:        64 << 20,
-					MaxInFlightPGs: 2,
-				})
+				rep, newID, err := c.Expand(p, cl, rebalance.Config{RateBps: 64 << 20})
 				if err != nil {
 					t.Fatalf("expand: %v", err)
 				}

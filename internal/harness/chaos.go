@@ -20,7 +20,6 @@ import (
 	"tsue/internal/netsim"
 	"tsue/internal/sim"
 	"tsue/internal/update"
-	"tsue/internal/wire"
 )
 
 // Chaos scenario names. Order matters to the driver: baseline runs before
@@ -77,68 +76,6 @@ type ChaosResult struct {
 	RepairedBlocks int
 	// Stripes is the number of stripes scrubbed clean after the run.
 	Stripes int
-}
-
-// flipCorruptor corrupts every rate-th checksum-bearing payload crossing
-// the fabric, cloning so the sender's buffers stay intact. The corruptor
-// targets the client-facing and repair paths; the engines' internal
-// fan-out messages (DeltaAppend, ParixAppend, ParityDelta, LogReplica,
-// ReplayUpdate) now carry Sums too and are verified centrally at OSD
-// dispatch, but they are deliberately NOT corrupted here: a flipped XOR
-// delta rejected mid-fan-out would make the client's retry re-apply the
-// delta to parities that already took it, which is not idempotent — the
-// detection path is covered by the wire-level unit tests instead.
-func flipCorruptor(rate int) netsim.Corruptor {
-	seen := 0
-	flip := func(data []byte) ([]byte, bool) {
-		if len(data) == 0 {
-			return nil, false
-		}
-		seen++
-		if seen%rate != 0 {
-			return nil, false
-		}
-		cp := append([]byte(nil), data...)
-		cp[len(cp)/2] ^= 0xff
-		return cp, true
-	}
-	return func(from, to wire.NodeID, m wire.Msg) (wire.Msg, bool) {
-		switch v := m.(type) {
-		case *wire.PutBlock:
-			if data, ok := flip(v.Data); ok {
-				cp := *v
-				cp.Data = data
-				return &cp, true
-			}
-		case *wire.ReadResp:
-			if wire.AckErr(v, nil) == nil {
-				if data, ok := flip(v.Data); ok {
-					cp := *v
-					cp.Data = data
-					return &cp, true
-				}
-			}
-		case *wire.Update:
-			if data, ok := flip(v.Data); ok {
-				cp := *v
-				cp.Data = data
-				return &cp, true
-			}
-		case *wire.DegradedUpdate:
-			if data, ok := flip(v.Data); ok {
-				cp := *v
-				cp.Data = data
-				return &cp, true
-			}
-		case *wire.JournalReplica:
-			if data, ok := flip(v.Data); ok {
-				cp := *v
-				cp.Data = data
-				return &cp, true
-			}
-		}
-		return nil, false
-	}
 }
 
 // chaosKills reports whether the scenario fails and recovers an OSD.
@@ -219,7 +156,7 @@ func RunChaos(cfg RunConfig, scenario string) (*ChaosResult, error) {
 			}
 			p.Sleep(6 * time.Millisecond) // outlasts the last flap window
 		case ChaosCorrupt:
-			fab.SetCorruptor(flipCorruptor(chaosCorruptRate))
+			fab.SetCorruptor(cluster.FlipCorruptor(chaosCorruptRate))
 			p.Sleep(6 * time.Millisecond)
 			fab.SetCorruptor(nil)
 		default:

@@ -32,8 +32,8 @@ type MultiKillResult struct {
 	Failed, Surr, Holder wire.NodeID
 	// Appends counts acked degraded updates across the append phases.
 	Appends int
-	// Kill is the surrogate-death report: journal promotions, read-repaired
-	// items, missed heartbeats of the victim.
+	// Kill is the surrogate-death report: journal promotions and
+	// read-repaired items.
 	Kill *cluster.KillReport
 	// Quorum* aggregate the journal replication traffic: Sent counts acked
 	// JournalReplica messages/bytes surrogates pushed to their holder sets,
@@ -211,7 +211,6 @@ func DegradedMultiKill(w io.Writer, s Scale) error {
 				{"quorum_held_bytes", "", r.QuorumHeldBytes}, {"", "%.1f", float64(r.QuorumHeldBytes) / 1024},
 				{"promoted_journals", "%d", kill.PromotedJournals},
 				{"repaired_items", "%d", kill.RepairedItems},
-				{"missed_beats", "", kill.MissedBeats},
 				{"replayed_items", "%d", r.ReplayedItems},
 				{"recover_ms", "%.1f", ms(r.RecoverTotal)},
 				{"", "%d", r.Stripes},

@@ -150,7 +150,7 @@ func RebalanceKill(w io.Writer, s Scale) error {
 	t := s.table(w, "rebalance-kill", fmt.Sprintf("== Rebalance × failure: kill a copy source mid-expansion (+1 OSD, SSD, Ali-Cloud, RS(6,4), %d files) ==", s.Files),
 		"engine\tpgs\taborted\tfinished\treconstructed\taborted MB\tmoved MB\trestored\trec items\trebuilt blks\trec KB\trecovery(ms)")
 	for _, eng := range update.Names() {
-		rcfg := rebalance.Config{RateBps: s.RebalanceRateBps, MaxInFlightPGs: 2}
+		rcfg := rebalance.Config{RateBps: s.RebalanceRateBps}
 		r, err := RunRebalanceKill(s.multiFileConfig(eng, 8, 64), rcfg)
 		if err != nil {
 			return fmt.Errorf("rebalance-kill %s: %w", eng, err)
@@ -196,7 +196,7 @@ func Rebalance(w io.Writer, s Scale) error {
 	t := s.table(w, "rebalance", fmt.Sprintf("== Rebalance: online expansion (+%d OSD, copy rate %s, SSD, Ali-Cloud, RS(6,4), %d files) ==", s.AddOSDs, rate, s.Files),
 		"engine\tmoved blks\tbound\tx bound\tmoved MB\trecopied\treplayed KB\tpgs\tmigrate(ms)\tstall(ms)\tmax stall(ms)\tbase IOPS\tduring IOPS\tdip")
 	for _, eng := range update.Names() {
-		rcfg := rebalance.Config{RateBps: s.RebalanceRateBps, MaxInFlightPGs: 2}
+		rcfg := rebalance.Config{RateBps: s.RebalanceRateBps}
 		r, err := RunRebalance(s.multiFileConfig(eng, 16, 64), rcfg, s.AddOSDs)
 		if err != nil {
 			return fmt.Errorf("rebalance %s: %w", eng, err)

@@ -24,7 +24,7 @@ func windowTestConfig() RunConfig {
 // seed: the results must be identical, scrubbed, and carry a window whose
 // dip is the one its two throughputs imply.
 func TestWindowedRuns(t *testing.T) {
-	rcfg := rebalance.Config{MaxInFlightPGs: 2}
+	rcfg := rebalance.Config{}
 	cases := []struct {
 		name   string
 		probes bool // the load runs reader probes

@@ -22,7 +22,7 @@ func TestCallRoundTrip(t *testing.T) {
 	var resp wire.Msg
 	var err error
 	e.Go("c", func(p *sim.Proc) {
-		resp, err = f.Call(p, 0, 1, &wire.Heartbeat{From: 0})
+		resp, err = f.Call(p, 0, 1, &wire.Lookup{Ino: 1})
 	})
 	e.Run(0)
 	if err != nil {
@@ -178,7 +178,7 @@ func TestNestedCallFromHandler(t *testing.T) {
 	})
 	var resp wire.Msg
 	e.Go("c", func(p *sim.Proc) {
-		resp, _ = f.Call(p, 0, 1, &wire.Heartbeat{From: 0})
+		resp, _ = f.Call(p, 0, 1, &wire.Lookup{Ino: 1})
 	})
 	e.Run(0)
 	if _, ok := resp.(*wire.Ack); !ok || wire.AckErr(resp, nil) != nil {

@@ -25,18 +25,12 @@ type Config struct {
 	// RateBps caps the aggregate block-copy rate in bytes per second of
 	// virtual time (0 = unthrottled). The cap spans all in-flight PGs.
 	RateBps int64
-	// MaxInFlightPGs bounds how many PGs migrate concurrently (0 = default
-	// 2). Cutovers serialize on the cluster's fence regardless; this bounds
-	// the copy-phase parallelism.
-	MaxInFlightPGs int
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxInFlightPGs <= 0 {
-		c.MaxInFlightPGs = 2
-	}
-	return c
-}
+// maxInFlightPGs bounds how many PGs migrate concurrently. Cutovers
+// serialize on the cluster's fence regardless; this bounds the copy-phase
+// parallelism.
+const maxInFlightPGs = 2
 
 // PGMoves is one placement group's share of a transition's diff.
 type PGMoves struct {
@@ -230,14 +224,13 @@ type Report struct {
 	MaxStall    time.Duration
 }
 
-// Run executes the plan: up to cfg.MaxInFlightPGs PGs migrate concurrently,
+// Run executes the plan: up to maxInFlightPGs PGs migrate concurrently,
 // block copies across all of them share one throttle, and per-PG results
 // aggregate into the Report. The first Mover error aborts scheduling of
 // further PGs (in-flight ones finish) and is returned.
 func Run(env *sim.Env, p *sim.Proc, plan *Plan, cfg Config, mover Mover) (*Report, error) {
-	cfg = cfg.withDefaults()
 	th := NewThrottle(cfg.RateBps)
-	sem := env.NewResource("rebalance-pgs", cfg.MaxInFlightPGs)
+	sem := env.NewResource("rebalance-pgs", maxInFlightPGs)
 	wg := sim.NewWaitGroup(env)
 	rep := &Report{FromEpoch: plan.FromEpoch, ToEpoch: plan.ToEpoch, BoundBlocks: plan.BoundBlocks}
 	start := p.Now()

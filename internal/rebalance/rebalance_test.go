@@ -119,7 +119,7 @@ func TestRunAggregatesAndBoundsConcurrency(t *testing.T) {
 	var rep *Report
 	var err error
 	env.Go("run", func(p *sim.Proc) {
-		rep, err = Run(env, p, planN(8, 3), Config{MaxInFlightPGs: 2}, fm)
+		rep, err = Run(env, p, planN(8, 3), Config{}, fm)
 	})
 	env.Run(0)
 	env.Close()
@@ -127,7 +127,7 @@ func TestRunAggregatesAndBoundsConcurrency(t *testing.T) {
 		t.Fatal(err)
 	}
 	if fm.maxSeen > 2 {
-		t.Fatalf("concurrency %d exceeded MaxInFlightPGs", fm.maxSeen)
+		t.Fatalf("concurrency %d exceeded maxInFlightPGs", fm.maxSeen)
 	}
 	if rep.PGsMigrated != 8 || rep.MovedBlocks != 24 || rep.MovedBytes != 24<<10 {
 		t.Fatalf("aggregation wrong: %+v", rep)
@@ -145,7 +145,7 @@ func TestRunPropagatesMoverError(t *testing.T) {
 	fm := &fakeMover{env: env, failPG: 3}
 	var err error
 	env.Go("run", func(p *sim.Proc) {
-		_, err = Run(env, p, planN(6, 1), Config{MaxInFlightPGs: 1}, fm)
+		_, err = Run(env, p, planN(6, 1), Config{}, fm)
 	})
 	env.Run(0)
 	env.Close()

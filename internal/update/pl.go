@@ -24,7 +24,6 @@ type pl struct {
 	logBytes int64
 	peak     int64
 	draining bool
-	recycles int64
 }
 
 type plRec struct {
@@ -108,7 +107,6 @@ func (e *pl) recycleAll(p *sim.Proc) {
 				// loudly in tests.
 				panic("pl: recycle: " + err.Error())
 			}
-			e.recycles++
 		}
 	}
 	e.log.Reset()

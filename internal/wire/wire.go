@@ -207,9 +207,8 @@ type Lookup struct {
 
 func (*Lookup) PayloadSize() int { return 12 }
 
-// LookupResp carries the K+M block locations of a stripe (or of a whole
-// placement group, when answering a PGLookup) plus the PG the MDS resolved
-// them through — the PG-aware address clients cache and cite in telemetry.
+// LookupResp carries the K+M block locations of a stripe plus the PG the
+// MDS resolved them through — the PG-aware address clients cache and cite in telemetry.
 // Epoch is the newest placement epoch the MDS has staged: clients cache it
 // as their map view and carry it on Update/ReadBlock so OSDs can reject
 // stale routing (see EpochUpdate).
@@ -222,25 +221,6 @@ type LookupResp struct {
 
 func (l *LookupResp) PayloadSize() int { return 2 + 4*len(l.OSDs) + 4 + 8 + 2 + errLen(l.Err) }
 func (l *LookupResp) carried() error   { return l.Err }
-
-// PGLookup asks the MDS for a placement group's member OSDs (slot order,
-// before per-stripe role rotation). Answered with a LookupResp.
-type PGLookup struct {
-	PG uint32
-}
-
-func (*PGLookup) PayloadSize() int { return 4 }
-
-// Heartbeat is the OSD -> MDS liveness beacon. Misses reports how many
-// consecutive earlier beacons failed to reach the MDS before this one got
-// through — a partitioned-link signal the MDS folds into TransitionStatus
-// and kill-report accounting instead of silently losing it.
-type Heartbeat struct {
-	From   NodeID
-	Misses uint32
-}
-
-func (*Heartbeat) PayloadSize() int { return 4 + 4 }
 
 // AdmitOp asks the MDS for admission of one foreground client op before the
 // client performs it — the backpressure half of the open-loop load plane.
@@ -685,47 +665,6 @@ type PGAbort struct {
 }
 
 func (*PGAbort) PayloadSize() int { return 4 + 8 }
-
-// TransitionStatus asks the MDS for the in-flight placement transition's
-// per-PG state machine snapshot (harness, tests, operators). Answered with
-// a TransitionStatusResp.
-type TransitionStatus struct{}
-
-func (*TransitionStatus) PayloadSize() int { return 0 }
-
-// PGStatus is one migrating PG's stage in a TransitionStatusResp. Stage
-// values mirror cluster.PGStage (staged → copying → fenced → replaying →
-// committed, or aborted).
-type PGStatus struct {
-	PG    uint32
-	Stage uint8
-}
-
-// BeatStatus reports one OSD's heartbeat health as seen by the MDS: the
-// cumulative count of missed (send-failed) beacons the OSD has reported.
-type BeatStatus struct {
-	OSD    NodeID
-	Misses uint64
-}
-
-// TransitionStatusResp reports the transition state: InFlight says whether
-// a transition exists at all; Staged/Committed are the epoch pair; PGs
-// lists every migrating PG's current stage in ascending PG order. Beats
-// lists, in ascending OSD order, every OSD that has reported missed
-// heartbeats (partitioned-link accounting).
-type TransitionStatusResp struct {
-	InFlight  bool
-	Staged    uint64
-	Committed uint64
-	PGs       []PGStatus
-	Beats     []BeatStatus
-	Err       error
-}
-
-func (t *TransitionStatusResp) PayloadSize() int {
-	return 1 + 8 + 8 + 4 + 5*len(t.PGs) + 4 + 12*len(t.Beats) + 2 + errLen(t.Err)
-}
-func (t *TransitionStatusResp) carried() error { return t.Err }
 
 // Settle asks an OSD to bring its raw block stores to stripe consistency
 // with minimal merging: every engine drains the log state whose effects are

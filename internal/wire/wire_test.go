@@ -39,7 +39,6 @@ var sizeRows = func() []sizeRow {
 		{&LogReplica{Data: b(1)}, 62},                               // 4+2+8+14+8+4+1+4+17
 		{&UnitDone{}, 14},                                           // 4+2+8
 		{&Drain{}, 0},
-		{&Heartbeat{}, 8},     // 4+4
 		{&RecoverBlock{}, 32}, // 14+1+17
 		{&ReplicaFetch{}, 4},  // 4
 		{&ReplicaResp{Items: []ReplicaItem{{Data: b(2)}, {Data: b(1)}}}, 59}, // 4+(14+8+4+2)+(14+8+4+1)
@@ -49,7 +48,6 @@ var sizeRows = func() []sizeRow {
 		{&JournalFetch{}, 16},                                                // 4+4+8
 		{&ReplayUpdate{Data: b(3)}, 50},                                      // 14+8+4+3+4+17
 		{&Settle{}, 4},                                                       // 4
-		{&PGLookup{}, 4},                                                     // 4
 		{&EpochUpdate{}, 9},                                                  // 1+4+4
 		{&EpochResp{Err: e("no transition")}, 23},                            // 8+2+13
 		{&MigrateBlock{}, 20},                                                // 14+4+2
@@ -57,9 +55,7 @@ var sizeRows = func() []sizeRow {
 		{&MigrateLog{}, 14},                                                  // 14
 		{&ReplicaRetire{}, 18},                                               // 4+14
 		{&PGAbort{}, 12},                                                     // 4+8
-		{&TransitionStatus{}, 0},
-		{&TransitionStatusResp{PGs: make([]PGStatus, 2), Beats: make([]BeatStatus, 3), Err: e("busy")}, 77}, // 1+8+8+4+5*2+4+12*3+2+4
-		{&JournalAck{Err: e("zone full")}, 19},                                                       // 8+2+9
+		{&JournalAck{Err: e("zone full")}, 19},                               // 8+2+9
 		{&JournalFetchResp{Items: []JournalItem{{Data: b(2)}, {Data: b(1)}}, Err: e("partial")}, 84}, // 4+(8+14+8+4+2)+(8+14+8+4+1)+2+7
 		{&AdmitOp{}, 17}, // 17
 	}
@@ -304,7 +300,6 @@ func TestAckErr(t *testing.T) {
 		{&EpochResp{Epoch: 2}, &EpochResp{Err: carried}},
 		{&JournalAck{Seq: 3}, &JournalAck{Seq: 3, Err: carried}},
 		{&JournalFetchResp{}, &JournalFetchResp{Err: carried}},
-		{&TransitionStatusResp{}, &TransitionStatusResp{Err: carried}},
 	}
 	covered := make(map[string]bool)
 	for _, r := range rows {
