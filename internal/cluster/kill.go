@@ -62,7 +62,7 @@ type KillReport struct {
 	// TransitionResolved is set when the death landed during a placement
 	// transition; SettledEpoch is the epoch the transition committed at
 	// after per-PG abort/finish resolution. Per-PG outcomes appear in the
-	// rebalance.Report returned to the Expand/SplitPGs caller.
+	// rebalance.Report returned to the Expand caller.
 	TransitionResolved bool
 	SettledEpoch       uint64
 	// PromotedJournals counts degraded-update journals promoted (via quorum
@@ -82,7 +82,7 @@ const resolveWait = 5 * time.Minute
 // the death lands in: an in-flight placement transition resolves per PG
 // (abort or finish) and commits, and any degraded-update journal the node
 // held as surrogate is promoted onto its replica holder. It must be called
-// from a process other than the one driving an Expand/SplitPGs. After Kill
+// from a process other than the one driving an Expand. After Kill
 // returns, Recover(failed) proceeds normally under the settled epoch.
 func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillReport, error) {
 	if c.Fabric.Down(failed) {

@@ -492,7 +492,8 @@ func TestRouteBouncesCrossHops(t *testing.T) {
 
 // TestPGStageLifecycle: mid-transition the MDS reports a fenced PG's
 // stage; after Expand commits it reports no transition and the settled
-// epoch.
+// epoch, and refuses a commit with nothing staged and an unknown epoch op
+// without moving that epoch.
 func TestPGStageLifecycle(t *testing.T) {
 	cfg := testConfig("tsue")
 	run(t, cfg, func(p *sim.Proc, c *Cluster, cl *Client) {
@@ -528,6 +529,14 @@ func TestPGStageLifecycle(t *testing.T) {
 		}
 		if got := c.MDS.CommittedEpoch(); got != 1 {
 			t.Fatalf("committed epoch %d after Expand, want 1", got)
+		}
+		for _, req := range []*wire.EpochUpdate{{Kind: wire.EpochCommit}, {}} {
+			if _, err := askMDS[*wire.EpochResp](p, cl, req, "epoch update"); err == nil {
+				t.Fatalf("EpochUpdate kind %d accepted with nothing staged", req.Kind)
+			}
+			if got := c.MDS.CommittedEpoch(); got != 1 {
+				t.Fatalf("committed epoch %d after refused kind %d, want 1", got, req.Kind)
+			}
 		}
 	})
 }

@@ -110,9 +110,6 @@ func newMDS(c *Cluster, place *placement.Map) *MDS {
 // committed map is THE map.
 func (m *MDS) PlacementMap() *placement.Map { return m.epochs.At(m.committed) }
 
-// Epochs exposes the epoch chain (rebalance planning, tests).
-func (m *MDS) Epochs() *placement.Epochs { return m.epochs }
-
 // CommittedEpoch returns the committed epoch number.
 func (m *MDS) CommittedEpoch() uint64 { return m.committed }
 
@@ -232,20 +229,11 @@ func (m *MDS) handleEpochUpdate(v *wire.EpochUpdate) wire.Msg {
 		m.committed = m.trans.next
 		m.trans = nil
 		return &wire.EpochResp{Epoch: m.committed}
-	case wire.EpochStageAddOSD, wire.EpochStageRemoveOSD, wire.EpochStageSplitPGs:
+	case wire.EpochStageAddOSD:
 		if m.trans != nil {
 			return &wire.EpochResp{Err: fmt.Errorf("mds: transition to epoch %d already in flight", m.trans.next)}
 		}
-		var next uint64
-		var err error
-		switch v.Kind {
-		case wire.EpochStageAddOSD:
-			next, err = m.epochs.AddOSD(v.OSD)
-		case wire.EpochStageRemoveOSD:
-			next, err = m.epochs.RemoveOSD(v.OSD)
-		case wire.EpochStageSplitPGs:
-			next, err = m.epochs.SplitPGs(int(v.Factor))
-		}
+		next, err := m.epochs.AddOSD(v.OSD)
 		if err != nil {
 			return &wire.EpochResp{Err: err}
 		}

@@ -81,25 +81,6 @@ func (c *Cluster) Expand(p *sim.Proc, via *Client, rcfg rebalance.Config) (*reba
 	return rep, osd.id, nil
 }
 
-// SplitPGs re-epochs the cluster with factor× the placement groups — a
-// movement-free transition (child PGs inherit their parents' members) that
-// buys finer granularity for later expansions. It still runs the full
-// stage→migrate→commit protocol so epoch bookkeeping and client views
-// advance uniformly.
-func (c *Cluster) SplitPGs(p *sim.Proc, via *Client, factor int, rcfg rebalance.Config) (*rebalance.Report, error) {
-	if len(c.degraded) > 0 {
-		return nil, fmt.Errorf("cluster: cannot re-epoch: %w", ErrClusterDegraded)
-	}
-	if t := c.MDS.trans; t != nil {
-		return nil, fmt.Errorf("cluster: cannot re-epoch (epoch %d staged): %w", t.next, ErrTransitionInProgress)
-	}
-	next, err := c.stageEpoch(p, via, &wire.EpochUpdate{Kind: wire.EpochStageSplitPGs, Factor: uint32(factor)})
-	if err != nil {
-		return nil, err
-	}
-	return c.migrate(p, via, next, rcfg)
-}
-
 // stageEpoch sends the staging request to the MDS and returns the staged
 // epoch number.
 func (c *Cluster) stageEpoch(p *sim.Proc, via *Client, req *wire.EpochUpdate) (uint64, error) {

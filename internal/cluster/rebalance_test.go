@@ -210,46 +210,6 @@ func TestExpandLogFollowsBlock(t *testing.T) {
 	})
 }
 
-// TestSplitPGsOnline: a PG split is a movement-free re-epoching that keeps
-// content intact and doubles the committed map's PG count.
-func TestSplitPGsOnline(t *testing.T) {
-	cfg := testConfig("tsue")
-	run(t, cfg, func(p *sim.Proc, c *Cluster, cl *Client) {
-		rng := rand.New(rand.NewSource(5))
-		fileSize := 4 * c.StripeWidth()
-		content := make([]byte, fileSize)
-		rng.Read(content)
-		ino, err := cl.Create(p, "f", fileSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cl.WriteFile(p, ino, content); err != nil {
-			t.Fatal(err)
-		}
-		oldPGs := c.MDS.PlacementMap().Config().PGs
-		rep, err := c.SplitPGs(p, cl, 2, rebalance.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if rep.MovedBlocks != 0 || rep.BoundBlocks != 0 {
-			t.Fatalf("split moved %d blocks (bound %.1f)", rep.MovedBlocks, rep.BoundBlocks)
-		}
-		if got := c.MDS.PlacementMap().Config().PGs; got != 2*oldPGs {
-			t.Fatalf("PGs after split = %d, want %d", got, 2*oldPGs)
-		}
-		got, err := cl.Read(p, ino, 0, fileSize)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got, content) {
-			t.Fatal("read mismatch after split")
-		}
-		if _, err := c.Scrub(); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestExpandRecoveryMutualExclusion pins the control-plane guard rails:
 // expansion refuses while a node is degraded, and recovery refuses while a
 // transition is staged.
@@ -291,7 +251,7 @@ func TestExpandRecoveryMutualExclusion(t *testing.T) {
 			t.Fatal("Recover accepted during a placement transition")
 		}
 		// Staging twice is refused too.
-		if _, err := c.stageEpoch(p, cl, &wire.EpochUpdate{Kind: wire.EpochStageSplitPGs, Factor: 2}); err == nil {
+		if _, err := c.stageEpoch(p, cl, &wire.EpochUpdate{Kind: wire.EpochStageAddOSD, OSD: osd.id}); err == nil {
 			t.Fatal("second stage accepted mid-transition")
 		}
 		// Finish the transition properly so the cluster ends consistent.

@@ -4,23 +4,13 @@ package placement
 // membership; cluster expansion needs a *sequence* of maps plus a precise
 // account of which blocks each transition moves. Epochs is that sequence:
 // an append-only chain of maps where each successor is derived from its
-// parent by one transition (AddOSD, RemoveOSD or SplitPGs) that changes as
-// few PG slots as possible:
-//
-//   - AddOSD: per PG, the new OSD takes over exactly one slot — the
-//     weakest-scored current member's — and only when it outranks that
-//     member; every other slot keeps its OSD. The resulting member set is
-//     the straw top-Width of the grown candidate list, so repeated adds
-//     converge to the from-scratch map, but only ~Width/(N+1) of the PGs
-//     change at all and each changed PG moves one slot's blocks.
-//   - RemoveOSD: PGs containing the removed OSD replace it in its slot by
-//     the best-ranked non-member; all other PGs are untouched, so actual
-//     movement equals the lower bound (the removed node's blocks).
-//   - SplitPGs: the PG count multiplies by an integer factor. PGOf is
-//     modulo-based, so a stripe's new PG is congruent to its old PG and
-//     each child PG inherits its parent's slot assignment — a split moves
-//     nothing by itself; it buys finer cutover/diff granularity for later
-//     transitions.
+// parent by AddOSD, which changes as few PG slots as possible: per PG, the
+// new OSD takes over exactly one slot — the weakest-scored current
+// member's — and only when it outranks that member; every other slot keeps
+// its OSD. The resulting member set is the straw top-Width of the grown
+// candidate list, so repeated adds converge to the from-scratch map, but
+// only ~Width/(N+1) of the PGs change at all and each changed PG moves one
+// slot's blocks.
 //
 // Diff enumerates the (PG, block) moves between two maps for a given
 // stripe population, and MinimalBound reports the information-theoretic
@@ -33,39 +23,6 @@ import (
 	"tsue/internal/wire"
 )
 
-// TransitionKind enumerates epoch transitions.
-type TransitionKind int
-
-const (
-	// TransAddOSD grows the cluster by one OSD.
-	TransAddOSD TransitionKind = iota + 1
-	// TransRemoveOSD shrinks the cluster by one OSD (planned decommission,
-	// not failure — failures are handled by liveness views, not epochs).
-	TransRemoveOSD
-	// TransSplitPGs multiplies the PG count by Factor.
-	TransSplitPGs
-)
-
-// String returns the transition kind's wire/report name.
-func (k TransitionKind) String() string {
-	switch k {
-	case TransAddOSD:
-		return "add-osd"
-	case TransRemoveOSD:
-		return "remove-osd"
-	case TransSplitPGs:
-		return "split-pgs"
-	}
-	return fmt.Sprintf("TransitionKind(%d)", int(k))
-}
-
-// Transition records how one epoch was derived from its predecessor.
-type Transition struct {
-	Kind   TransitionKind
-	OSD    wire.NodeID // AddOSD / RemoveOSD
-	Factor int         // SplitPGs
-}
-
 // Move is one block relocation a transition requires.
 type Move struct {
 	Blk wire.BlockID
@@ -76,12 +33,11 @@ type Move struct {
 }
 
 // Epochs is the append-only chain of placement maps. Epoch 0 is the
-// initial map; epoch i>0 was produced from epoch i-1 by Transitions()[i-1].
-// Like Map it is pure computation: staging, cutover and commit semantics
-// live with the map's owner (the MDS).
+// initial map; epoch i>0 was produced from epoch i-1 by one AddOSD. Like
+// Map it is pure computation: staging, cutover and commit semantics live
+// with the map's owner (the MDS).
 type Epochs struct {
-	maps  []*Map
-	trans []Transition
+	maps []*Map
 }
 
 // NewEpochs starts a chain at epoch 0 with the given initial map.
@@ -103,14 +59,6 @@ func (e *Epochs) At(epoch uint64) *Map {
 	return e.maps[epoch]
 }
 
-// Transition returns the transition that produced epoch `to` (to >= 1).
-func (e *Epochs) Transition(to uint64) Transition {
-	if to == 0 || to >= uint64(len(e.maps)) {
-		panic(fmt.Sprintf("placement: no transition produced epoch %d", to))
-	}
-	return e.trans[to-1]
-}
-
 // AddOSD derives a new epoch with id joined, returning the epoch number.
 func (e *Epochs) AddOSD(id wire.NodeID) (uint64, error) {
 	next, err := deriveAddOSD(e.Current(), id)
@@ -118,29 +66,6 @@ func (e *Epochs) AddOSD(id wire.NodeID) (uint64, error) {
 		return 0, err
 	}
 	e.maps = append(e.maps, next)
-	e.trans = append(e.trans, Transition{Kind: TransAddOSD, OSD: id})
-	return e.Epoch(), nil
-}
-
-// RemoveOSD derives a new epoch with id decommissioned.
-func (e *Epochs) RemoveOSD(id wire.NodeID) (uint64, error) {
-	next, err := deriveRemoveOSD(e.Current(), id)
-	if err != nil {
-		return 0, err
-	}
-	e.maps = append(e.maps, next)
-	e.trans = append(e.trans, Transition{Kind: TransRemoveOSD, OSD: id})
-	return e.Epoch(), nil
-}
-
-// SplitPGs derives a new epoch with factor× the PG count.
-func (e *Epochs) SplitPGs(factor int) (uint64, error) {
-	next, err := deriveSplitPGs(e.Current(), factor)
-	if err != nil {
-		return 0, err
-	}
-	e.maps = append(e.maps, next)
-	e.trans = append(e.trans, Transition{Kind: TransSplitPGs, Factor: factor})
 	return e.Epoch(), nil
 }
 
@@ -175,36 +100,12 @@ func Diff(old, new *Map, stripes []wire.StripeID) []Move {
 }
 
 // MinimalBound returns the minimal-remap lower bound on blocks that ANY
-// placement scheme must move for the transition that produced epoch `to`,
-// given the stripe population: an added OSD must receive its balanced
-// share of the grown cluster's blocks, a removed OSD's blocks must all
-// move somewhere, and a pure PG split requires no movement.
+// placement scheme must move for the AddOSD that produced epoch `to`,
+// given the stripe population: the added OSD must receive its balanced
+// share of the grown cluster's blocks.
 func (e *Epochs) MinimalBound(to uint64, stripes []wire.StripeID) float64 {
-	tr := e.Transition(to)
-	newMap := e.At(to)
-	switch tr.Kind {
-	case TransAddOSD:
-		total := float64(len(stripes) * newMap.cfg.Width)
-		return total / float64(len(newMap.cfg.OSDs))
-	case TransRemoveOSD:
-		oldMap := e.At(to - 1)
-		n := 0
-		for _, s := range stripes {
-			p, err := oldMap.Place(s, nil)
-			if err != nil {
-				panic("placement: bound place: " + err.Error())
-			}
-			for _, id := range p {
-				if id == tr.OSD {
-					n++
-				}
-			}
-		}
-		return float64(n)
-	case TransSplitPGs:
-		return 0
-	}
-	return 0
+	cfg := e.At(to).cfg
+	return float64(len(stripes)*cfg.Width) / float64(len(cfg.OSDs))
 }
 
 // ranksBelow reports whether a ranks strictly below b in the PG's straw
@@ -241,79 +142,6 @@ func deriveAddOSD(parent *Map, id wire.NodeID) (*Map, error) {
 			cur[weak] = id
 		}
 		members[pg] = cur
-	}
-	next.members = members
-	return next, nil
-}
-
-// deriveRemoveOSD builds the successor map with id decommissioned: in PGs
-// whose member set contains id, its slot is taken by the best-ranked
-// candidate not already a member; other PGs keep their assignment.
-func deriveRemoveOSD(parent *Map, id wire.NodeID) (*Map, error) {
-	cfg := parent.cfg
-	rest := make([]wire.NodeID, 0, len(cfg.OSDs))
-	for _, o := range cfg.OSDs {
-		if o != id {
-			rest = append(rest, o)
-		}
-	}
-	if len(rest) == len(cfg.OSDs) {
-		return nil, fmt.Errorf("placement: OSD %d not in the map", id)
-	}
-	cfg.OSDs = rest
-	next, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	members := make([][]wire.NodeID, cfg.PGs)
-	for pg := 0; pg < cfg.PGs; pg++ {
-		cur := append([]wire.NodeID(nil), parent.baseline(pg)...)
-		slot := -1
-		in := make(map[wire.NodeID]bool, len(cur))
-		for i, mem := range cur {
-			in[mem] = true
-			if mem == id {
-				slot = i
-			}
-		}
-		if slot >= 0 {
-			picked := false
-			for _, c := range next.cand[pg] {
-				if !in[c] {
-					cur[slot] = c
-					picked = true
-					break
-				}
-			}
-			if !picked {
-				// Unreachable: New guarantees Width <= len(rest) and cur
-				// holds only Width-1 survivors from the new candidate set.
-				return nil, fmt.Errorf("placement: PG %d has no replacement for OSD %d", pg, id)
-			}
-		}
-		members[pg] = cur
-	}
-	next.members = members
-	return next, nil
-}
-
-// deriveSplitPGs builds the successor map with factor× PGs. PGOf is modulo
-// the PG count, so a stripe's child PG is congruent to its parent PG; each
-// child inherits the parent's slot assignment and nothing moves.
-func deriveSplitPGs(parent *Map, factor int) (*Map, error) {
-	if factor < 2 {
-		return nil, fmt.Errorf("placement: split factor %d < 2", factor)
-	}
-	cfg := parent.cfg
-	oldPGs := cfg.PGs
-	cfg.PGs = oldPGs * factor
-	next, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	members := make([][]wire.NodeID, cfg.PGs)
-	for pg := 0; pg < cfg.PGs; pg++ {
-		members[pg] = append([]wire.NodeID(nil), parent.baseline(pg%oldPGs)...)
 	}
 	next.members = members
 	return next, nil

@@ -111,65 +111,6 @@ func TestAddOSDConvergesToStraw(t *testing.T) {
 	}
 }
 
-// TestRemoveOSDMovesExactlyItsBlocks: decommissioning moves precisely the
-// removed node's blocks (actual == bound) and nothing else.
-func TestRemoveOSDMovesExactlyItsBlocks(t *testing.T) {
-	e := epochBase(t, 9, 48, 6)
-	stripes := stripePop(3, 24)
-	old := e.Current()
-	victim := wire.NodeID(4)
-	to, err := e.RemoveOSD(victim)
-	if err != nil {
-		t.Fatal(err)
-	}
-	moves := Diff(old, e.At(to), stripes)
-	bound := e.MinimalBound(to, stripes)
-	if float64(len(moves)) != bound {
-		t.Fatalf("moved %d != bound %.0f", len(moves), bound)
-	}
-	for _, mv := range moves {
-		if mv.From != victim {
-			t.Fatalf("move %+v does not originate at the removed OSD", mv)
-		}
-		if mv.To == victim {
-			t.Fatalf("move %+v targets the removed OSD", mv)
-		}
-	}
-	if _, err := e.RemoveOSD(victim); err == nil {
-		t.Fatal("second removal of the same OSD accepted")
-	}
-}
-
-// TestSplitPGsMovesNothing: a split multiplies the PG count, keeps every
-// stripe's membership, and reports a zero bound.
-func TestSplitPGsMovesNothing(t *testing.T) {
-	e := epochBase(t, 8, 16, 5)
-	stripes := stripePop(4, 32)
-	old := e.Current()
-	to, err := e.SplitPGs(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	next := e.At(to)
-	if got := next.Config().PGs; got != 64 {
-		t.Fatalf("split PGs = %d, want 64", got)
-	}
-	if moves := Diff(old, next, stripes); len(moves) != 0 {
-		t.Fatalf("split moved %d blocks", len(moves))
-	}
-	if b := e.MinimalBound(to, stripes); b != 0 {
-		t.Fatalf("split bound = %v", b)
-	}
-	for _, s := range stripes {
-		if next.PGOf(s)%16 != old.PGOf(s) {
-			t.Fatalf("stripe %v left its PG class: %d vs %d", s, next.PGOf(s), old.PGOf(s))
-		}
-	}
-	if _, err := e.SplitPGs(1); err == nil {
-		t.Fatal("split factor 1 accepted")
-	}
-}
-
 // TestDerivedMapLiveness: dead-slot replacement and Replacement still work
 // on an epoch-derived map (explicit member assignment), with the same
 // stability guarantees as the base map.
@@ -209,15 +150,12 @@ func TestDerivedMapLiveness(t *testing.T) {
 	}
 }
 
-// TestEpochChainDeterminism: the same transition sequence yields identical
+// TestEpochChainDeterminism: the same AddOSD sequence yields identical
 // placement twice over.
 func TestEpochChainDeterminism(t *testing.T) {
 	build := func() *Epochs {
 		e := epochBase(t, 8, 32, 5)
 		if _, err := e.AddOSD(9); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.SplitPGs(2); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := e.AddOSD(10); err != nil {
@@ -226,11 +164,8 @@ func TestEpochChainDeterminism(t *testing.T) {
 		return e
 	}
 	a, b := build(), build()
-	if a.Epoch() != 3 || b.Epoch() != 3 {
+	if a.Epoch() != 2 || b.Epoch() != 2 {
 		t.Fatalf("chain length %d/%d", a.Epoch(), b.Epoch())
-	}
-	if a.Transition(3).Kind != TransAddOSD || a.Transition(2).Kind != TransSplitPGs {
-		t.Fatal("transition bookkeeping wrong")
 	}
 	for _, s := range stripePop(2, 16) {
 		pa, _ := a.Current().Place(s, nil)

@@ -224,19 +224,6 @@ func (m *Map) MemberSlot(pg int, id wire.NodeID) int {
 	return r
 }
 
-// PGsOf enumerates the PGs whose baseline member set includes the OSD —
-// the groups a failed OSD degrades, and the only groups whose membership
-// its death may change.
-func (m *Map) PGsOf(id wire.NodeID) []int {
-	var out []int
-	for pg := 0; pg < m.cfg.PGs; pg++ {
-		if m.MemberSlot(pg, id) >= 0 {
-			out = append(out, pg)
-		}
-	}
-	return out
-}
-
 // Replacement returns the OSD that should take over block index idx of
 // stripe s under the given liveness view: the stable in-slot replacement
 // from Members, falling back down the PG's candidate ranking past any OSD

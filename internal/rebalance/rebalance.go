@@ -1,18 +1,19 @@
 // Package rebalance is the control plane for online cluster reshaping: it
-// turns a placement-epoch transition (internal/placement's AddOSD /
-// RemoveOSD / SplitPGs diffs) into a throttled background migration. The
-// package owns the *schedule* — which PGs move when, how fast bytes may
-// flow, how much runs in parallel — and reports movement against the
-// minimal-remap bound; the *mechanics* of moving one PG (raw copy, log
-// settle/replay, MDS cutover) are behind the Mover interface, implemented
-// by the cluster layer. Kermarrec et al. and the Facebook warehouse study
-// (PAPERS.md) both find migration traffic, not repair traffic, dominating
-// operational cost in EC clusters: the throttle and the per-PG cutover
-// stall are exactly the two knobs those papers argue an operator must hold.
+// turns a placement-epoch transition (internal/placement's AddOSD diff)
+// into a throttled background migration. The package owns the *schedule*
+// — which PGs move when, how fast bytes may flow, how much runs in
+// parallel — and reports movement against the minimal-remap bound; the
+// *mechanics* of moving one PG (raw copy, log settle/replay, MDS cutover)
+// are behind the Mover interface, implemented by the cluster layer.
+// Kermarrec et al. and the Facebook warehouse study (PAPERS.md) both find
+// migration traffic, not repair traffic, dominating operational cost in EC
+// clusters: the throttle and the per-PG cutover stall are exactly the two
+// knobs those papers argue an operator must hold.
 package rebalance
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -67,16 +68,7 @@ func BuildPlan(from, to uint64, moves []placement.Move, boundBlocks float64) *Pl
 	plan := &Plan{FromEpoch: from, ToEpoch: to, BoundBlocks: boundBlocks, TotalMoves: len(moves)}
 	for _, pg := range pgs {
 		mvs := perPG[pg]
-		sort.Slice(mvs, func(i, j int) bool {
-			a, b := mvs[i].Blk, mvs[j].Blk
-			if a.Ino != b.Ino {
-				return a.Ino < b.Ino
-			}
-			if a.Stripe != b.Stripe {
-				return a.Stripe < b.Stripe
-			}
-			return a.Index < b.Index
-		})
+		slices.SortFunc(mvs, func(a, b placement.Move) int { return a.Blk.Compare(b.Blk) })
 		plan.PGs = append(plan.PGs, PGMoves{PG: pg, Moves: mvs})
 	}
 	return plan
@@ -214,7 +206,7 @@ type Report struct {
 	ReconstructedBlocks int
 	// BoundBlocks is the minimal-remap lower bound; ActualOverBound is
 	// MovedBlocks relative to it (1.0 = optimal; 0 when the bound is 0,
-	// e.g. a pure PG split).
+	// which happens only when there are no stripes).
 	BoundBlocks     float64
 	ActualOverBound float64
 	// MigrateTime is the whole migration's virtual wall time; StallTime

@@ -573,10 +573,6 @@ const (
 	// map, the rest the old — and OSDs start rejecting requests whose Epoch
 	// does not match their PG's authoritative epoch.
 	EpochStageAddOSD EpochKind = iota + 1
-	// EpochStageRemoveOSD stages a new epoch with OSD decommissioned.
-	EpochStageRemoveOSD
-	// EpochStageSplitPGs stages a new epoch with Factor× the PG count.
-	EpochStageSplitPGs
 	// EpochCommit ends the transition: every PG has cut over and the staged
 	// epoch becomes the committed one.
 	EpochCommit
@@ -585,12 +581,11 @@ const (
 // EpochUpdate is the rebalance engine's control message to the MDS: stage a
 // new placement epoch or commit the in-flight one. Answered with EpochResp.
 type EpochUpdate struct {
-	Kind   EpochKind
-	OSD    NodeID
-	Factor uint32
+	Kind EpochKind
+	OSD  NodeID
 }
 
-func (*EpochUpdate) PayloadSize() int { return 1 + 4 + 4 }
+func (*EpochUpdate) PayloadSize() int { return 1 + 4 }
 
 // EpochResp returns the (staged or committed) epoch number.
 type EpochResp struct {

@@ -48,7 +48,7 @@ var sizeRows = func() []sizeRow {
 		{&JournalFetch{}, 16},                                                // 4+4+8
 		{&ReplayUpdate{Data: b(3)}, 50},                                      // 14+8+4+3+4+17
 		{&Settle{}, 4},                                                       // 4
-		{&EpochUpdate{}, 9},                                                  // 1+4+4
+		{&EpochUpdate{}, 5},                                                  // 1+4
 		{&EpochResp{Err: e("no transition")}, 23},                            // 8+2+13
 		{&MigrateBlock{}, 20},                                                // 14+4+2
 		{&PGCutover{}, 12},                                                   // 4+8
