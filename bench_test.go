@@ -196,6 +196,7 @@ func benchUpdate(b *testing.B, engine string) {
 		}
 		b.StopTimer()
 	})
+	// Unbounded: b.N updates may need more events than sim.SmallBound.
 	c.Env.Run(0)
 	if err != nil {
 		b.Fatal(err)

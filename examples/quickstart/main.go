@@ -59,7 +59,9 @@ func main() {
 		fmt.Printf("device totals: %d reads, %d writes, %d overwrites, %.1f MiB NAND-written\n",
 			st.ReadOps, st.WriteOps, st.OverwriteOps, float64(st.NandWriteBytes)/(1<<20))
 	})
-	c.Env.Run(0)
+	if _, err := c.Env.RunBounded(sim.SmallBound); err != nil {
+		log.Fatal(err)
+	}
 	c.Env.Close()
 }
 

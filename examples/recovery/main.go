@@ -55,7 +55,9 @@ func main() {
 		}
 		fmt.Printf("scrub OK (%d stripes) and byte-exact content after node loss\n", n)
 	})
-	c.Env.Run(0)
+	if _, err := c.Env.RunBounded(sim.SmallBound); err != nil {
+		log.Fatal(err)
+	}
 	c.Env.Close()
 }
 

@@ -23,7 +23,7 @@ func withStoreOf(t *testing.T, blockSize int64, fn func(p *sim.Proc, s *Store)) 
 	d := device.New(e, "d", device.SSD, device.SSDParams())
 	s := New(d, blockSize)
 	e.Go("t", func(p *sim.Proc) { fn(p, s) })
-	e.Run(0)
+	e.RunTest(t)
 	e.Close()
 	return d.Stats()
 }

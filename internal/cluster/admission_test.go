@@ -148,7 +148,7 @@ func TestAdmissionDepthBackpressure(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	var rejections int64
 	doneOps := 0
 	for i := 0; i < 4; i++ {
@@ -170,7 +170,7 @@ func TestAdmissionDepthBackpressure(t *testing.T) {
 			}
 		})
 	}
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	c.Env.Close()
 	if doneOps != 4 {
 		t.Fatalf("completed %d/4 ops", doneOps)

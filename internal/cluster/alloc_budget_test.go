@@ -127,7 +127,7 @@ func allocPerPayloadByte(t *testing.T, engine string) float64 {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done {
 		t.Fatal("budget run did not finish")
 	}

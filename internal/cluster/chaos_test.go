@@ -313,7 +313,7 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if t.Failed() {
 		return
 	}

@@ -600,12 +600,13 @@ func (c *Cluster) JournalHoldersOf(failed, surrogate wire.NodeID) []wire.NodeID 
 
 // BeginDegraded opens a degraded window for a node without rebuilding it:
 // the node comes off the fabric, degraded routes publish under a brief
-// fence, and the settle barrier restores raw stripe consistency — then
-// foreground I/O flows degraded (updates journal on the surrogates) until
-// a later Recover(failed) rebuilds and cuts over. Recover detects the
-// pre-opened window and skips re-registration. Multi-death tests and
-// harness scenarios use this to inject surrogate/holder deaths at
-// controlled points between the failure and its recovery.
+// fence, and the settle barrier restores raw stripe consistency while
+// foreground I/O already flows degraded (updates journal on the
+// surrogates; openDegraded) — until a later Recover(failed) rebuilds and
+// cuts over. Recover detects the pre-opened window and skips
+// re-registration. Multi-death tests and harness scenarios use this to
+// inject surrogate/holder deaths at controlled points between the failure
+// and its recovery.
 func (c *Cluster) BeginDegraded(p *sim.Proc, failed wire.NodeID, via *Client) error {
 	if t := c.MDS.trans; t != nil {
 		return fmt.Errorf("cluster: cannot open degraded window for node %d while epoch %d is staged: %w",
@@ -615,13 +616,7 @@ func (c *Cluster) BeginDegraded(p *sim.Proc, failed wire.NodeID, via *Client) er
 		return fmt.Errorf("cluster: node %d already degraded", failed)
 	}
 	c.Fabric.SetDown(failed, true)
-	c.fenceUpdates(p)
-	_, err := c.registerDegraded(p, failed, via)
-	if err == nil {
-		err = c.SettleAll(p, via, failed)
-	}
-	c.openGate()
-	return err
+	return c.openDegraded(p, failed, via, &RecoveryReport{})
 }
 
 // JournalBytesPerOSD returns surrogate-journal bytes appended per OSD

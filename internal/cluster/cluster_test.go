@@ -46,7 +46,7 @@ func run(t *testing.T, cfg Config, fn func(p *sim.Proc, c *Cluster, cl *Client))
 		fn(p, c, cl)
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	c.Env.Close()
 	if !done {
 		t.Fatal("test body deadlocked (did not complete)")
@@ -200,7 +200,7 @@ func TestConcurrentClientsScrub(t *testing.T) {
 				}
 				ok = true
 			})
-			c.Env.Run(0)
+			c.Env.RunTest(t)
 			c.Env.Close()
 			if !ok && !t.Failed() {
 				t.Fatal("deadlock")
@@ -305,7 +305,7 @@ func TestTsueStallIsNamed(t *testing.T) {
 		}
 		ok = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	c.Env.Close()
 	if !ok {
 		t.Fatal("run did not complete")
@@ -471,7 +471,7 @@ func TestDeterminism(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		end := c.Env.Run(0)
+		end := c.Env.RunTest(t)
 		ops := c.DeviceStats().WriteOps
 		c.Env.Close()
 		return end, ops

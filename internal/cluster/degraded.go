@@ -18,13 +18,16 @@ package cluster
 //     the journal newest-wins so degraded reads stay read-your-writes.
 //
 // Routing degraded-stripe *updates* away from the engines is also what
-// keeps reconstruction byte-exact: after the settle barrier the raw shards
-// of a degraded stripe are frozen and mutually consistent, however much
-// foreground traffic the rest of the cluster is taking.
+// keeps reconstruction byte-exact: once the routes are published no update
+// reaches a degraded stripe's raw shards, so the settle barrier that merges
+// their pending log state can run while foreground traffic flows, and
+// after it the raw shards of a degraded stripe are frozen and mutually
+// consistent, however much traffic the rest of the cluster is taking.
 
 import (
 	"errors"
 	"fmt"
+	"time"
 
 	"tsue/internal/device"
 	"tsue/internal/logpool"
@@ -94,6 +97,11 @@ type degradedState struct {
 	// recover every seq in 1..ackSeq; a gap means more than m holders died
 	// and the journal is genuinely unrecoverable (ErrSurrogateLost).
 	ackSeq map[wire.NodeID]uint64
+	// settling is set while the window's settle barrier runs with the gate
+	// open (openDegraded): a degraded read of a lost block, which
+	// reconstructs from the stripe's raw shards, waits until no live engine
+	// holds state for its byte range (settleFenced).
+	settling bool
 	// orphans keeps the transition-orphaned records seeded into this
 	// window's journals (takeOrphans at registration). They exist neither
 	// in the DataLog replicas (retired at extraction) nor in JournalReplica
@@ -104,10 +112,13 @@ type degradedState struct {
 // ---- update gate ----
 
 // The gate fences client updates (and degraded reads) during recovery's
-// consistency windows: the drain/settle barrier before reconstruction and
+// consistency windows: the route registration (for drain-first and
+// log-replay, the whole drain or settle barrier and the rebuild too) and
 // the journal cutover. Gated requests block rather than fail, so the
 // foreground workload sees a latency dip, not errors — the IOPS shape the
-// degraded experiment measures.
+// degraded experiment measures. An interleaved window's settle runs with
+// the gate open and fences only degraded reads of lost blocks whose range
+// the settle has yet to merge (degradedState.settling, settleFenced).
 
 func (c *Cluster) closeGate() { c.gateClosed = true }
 
@@ -538,16 +549,28 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 // handleDegradedRead serves [Off, Off+Size) of a degraded-stripe block:
 // lost blocks are reconstructed on the fly from K surviving shards, live
 // blocks are read (with engine semantics) from their home; the journal then
-// overlays newest-wins, which keeps degraded reads read-your-writes. The
-// whole read counts as in flight so a recovery fence (settle barrier or
-// journal cutover) cannot begin between the gate check and the overlay —
+// overlays newest-wins, which keeps degraded reads read-your-writes. A read
+// of a lost block first waits until the window's settle barrier has merged
+// its range (settleFenced). The whole
+// read counts as in flight so a recovery fence (the journal cutover)
+// cannot begin between the gate check and the overlay —
 // without that, a cutover could steal the journal mid-read and the overlay
 // would silently miss journaled updates.
 func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
-	o.c.waitGate(p)
-	st := o.c.degraded[v.Failed]
-	if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
-		return &wire.ReadResp{Err: errDegradedGone}
+	var st *degradedState
+	for {
+		o.c.waitGate(p)
+		st = o.c.degraded[v.Failed]
+		if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
+			return &wire.ReadResp{Err: errDegradedGone}
+		}
+		// A lost block reconstructs from raw shards the settle barrier may
+		// still be merging into; a surviving block reads its home through
+		// the engine and need not wait.
+		if !st.lost[v.Blk] || !o.c.settleFenced(st, v.Blk.StripeID(), v.Off, v.Off+int64(v.Size)) {
+			break
+		}
+		p.Sleep(settlePoll)
 	}
 	o.c.surrOpsInFlight++
 	defer o.c.surrOpDone()
@@ -705,13 +728,40 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 	return &wire.ReplicaResp{Items: items}
 }
 
+// settlePoll is how often a degraded read fenced by settleFenced looks
+// again. The merges it waits for finish in other procs on other OSDs, none
+// of which signals the surrogate; a fenced read leaves at most this long
+// after its range settles, and the few fenced reads of a window cost one
+// check each per interval.
+const settlePoll = 100 * time.Microsecond
+
+// settleFenced reports whether a reconstruction of [off, end) of stripe s
+// must still wait for the window's settle barrier: the barrier runs, and a
+// live engine holds or is merging state of s overlapping the range. RS
+// coding works column by column, so a range no engine reports is final on
+// every raw shard, and stays so: no update reaches a degraded stripe's
+// engines once its route is published, and what the barrier still merges
+// elsewhere in the stripe touches other bytes.
+func (c *Cluster) settleFenced(st *degradedState, s wire.StripeID, off, end int64) bool {
+	if !st.settling {
+		return false
+	}
+	for _, osd := range c.OSDs {
+		if !c.Fabric.Down(osd.id) && osd.engine.NeedsSettleRange(s, off, end) {
+			return true
+		}
+	}
+	return false
+}
+
 // SettleAll brings every live OSD's raw stores to stripe consistency with
 // minimal merging (engine Settle), repeating rounds until a full round
-// reports nothing left to settle — the consistency barrier interleaved
-// recovery runs under the closed gate before reconstruction starts. The
-// failed node scopes the barrier: overlay state touching its stripes must
-// flush (their raw shards feed reconstruction), pure overlay elsewhere may
-// stay.
+// reports nothing left to settle — the consistency barrier recovery runs
+// before reconstruction starts. The failed node scopes the barrier: with
+// failed != 0 it covers only the state touching the failed node's stripes,
+// overlay included (their raw shards feed reconstruction), and converges
+// while updates to other stripes flow; with failed == 0 it covers every
+// stripe except pure overlay and needs the update gate closed.
 func (c *Cluster) SettleAll(p *sim.Proc, via *Client, failed wire.NodeID) error {
 	return c.barrier(p, via, "settle", &wire.Settle{Failed: failed},
 		func(e update.Engine) bool { return e.NeedsSettle(failed) })

@@ -196,7 +196,7 @@ func runKillRecover(t *testing.T, r killRecoverRun) *RecoveryReport {
 		}
 		allDone = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if t.Failed() {
 		return rep
 	}
@@ -423,7 +423,7 @@ func TestDegradedReadLostBlock(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}

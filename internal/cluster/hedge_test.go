@@ -141,7 +141,7 @@ func TestHedgedReadStragglerFiresAndWins(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}
@@ -177,7 +177,7 @@ func TestHedgeQuietWhenSurvivorsHealthy(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}
@@ -218,7 +218,7 @@ func TestHedgeDisabledWaitsOutStraggler(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}
@@ -285,7 +285,7 @@ func TestDegradedReadCorruptionSurfacesChecksum(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}

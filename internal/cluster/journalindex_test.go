@@ -218,7 +218,7 @@ func runJournalIndexDiff(t *testing.T, seed int64) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}

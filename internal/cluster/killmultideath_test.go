@@ -165,7 +165,7 @@ func runMultiDeath(t *testing.T, r multiDeathRun) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}
@@ -293,7 +293,7 @@ func TestDegradedUpdateQuorumUnreachable(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}

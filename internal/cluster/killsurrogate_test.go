@@ -184,7 +184,7 @@ func TestKillSurrogatePromotesJournal(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}
@@ -291,7 +291,7 @@ func TestKillSurrogateHolderQuorumSurvives(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}
@@ -352,7 +352,7 @@ func TestKillSurrogateAllHoldersLost(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}

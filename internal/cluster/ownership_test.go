@@ -157,7 +157,7 @@ func ownershipCluster(t *testing.T, engine string, body func(p *sim.Proc, c *Clu
 		body(p, c, cl, ino, content)
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}

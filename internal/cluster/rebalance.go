@@ -292,13 +292,20 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 	c := pm.c
 	// Settle: bring raw shards to stripe consistency with minimal merging.
 	// In-place engines drain their whole debt here (the "in-place schemes
-	// drain" half of the cutover); TSUE retains its replayable overlay —
-	// scoped by the dead node (if any), whose stripes' raw shards feed the
-	// finish policy's reconstructions and must flush like recovery's.
-	if err := c.SettleAll(p, pm.via, c.transDead()); err != nil {
+	// drain" half of the cutover); TSUE retains its replayable overlay,
+	// except that of a node dead mid-transition: its stripes' raw shards
+	// feed the finish policy's reconstructions and must flush like
+	// recovery's, so a second barrier scoped to it follows.
+	if err := c.SettleAll(p, pm.via, 0); err != nil {
 		return err
 	}
 	dead := c.transDead()
+	if dead != 0 {
+		if err := c.SettleAll(p, pm.via, dead); err != nil {
+			return err
+		}
+		dead = c.transDead()
+	}
 	if _, dst := pgRole(pg, dead); dst {
 		// The PG's new home died before the flip: roll back.
 		return pm.abortLocked(p, pg, nil, res)

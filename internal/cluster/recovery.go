@@ -19,22 +19,22 @@ const (
 	// block is rebuilt.
 	RecoverDrainFirst RecoverMode = iota
 	// RecoverLogReplay terminates client updates (gate) but merges only the
-	// minimum log state — the settle barrier, which for lazy-log schemes
-	// degenerates to a full drain while TSUE keeps its replayable DataLog —
-	// then reconstructs and replays the failed node's replicated unrecycled
+	// minimum log state — the settle barrier for the failed node's stripes,
+	// which for lazy-log schemes merges every parity record of those
+	// stripes while TSUE keeps its replayable DataLog elsewhere — then
+	// reconstructs and replays the failed node's replicated unrecycled
 	// DataLog through the engines' replay hook (§4.2 log reliability).
 	RecoverLogReplay
 	// RecoverInterleaved keeps foreground I/O flowing while the node
-	// rebuilds: a gated settle barrier restores raw stripe consistency, then
-	// reconstruction proceeds `parallel` stripes at a time while
-	// degraded-stripe I/O routes through the surrogate (reads reconstruct on
-	// the fly, updates journal) and non-degraded I/O runs the normal path —
-	// contending with recovery traffic on the same simulated NICs. A second
-	// gate covers the journal cutover, which replays every surrogate's
-	// journal at once. The settle seals a log pool only while its recycler
-	// is idle, so it pays for the in-flight pipeline in few large units.
-	// Even so, the two gates, not the rebuild, take most of the window when
-	// the rebuild is short.
+	// rebuilds: a brief gate publishes the degraded routes, a settle barrier
+	// scoped to the failed node's stripes then restores their raw stripe
+	// consistency with updates flowing (only a degraded read of a lost
+	// block's range it has yet to merge waits), and reconstruction proceeds `parallel` stripes at a time
+	// while degraded-stripe I/O routes through the surrogate (reads
+	// reconstruct on the fly, updates journal) and non-degraded I/O runs the
+	// normal path — contending with recovery traffic on the same simulated
+	// NICs. A second gate covers the journal cutover, which replays every
+	// surrogate's journal at once.
 	RecoverInterleaved
 )
 
@@ -58,14 +58,18 @@ type RecoveryReport struct {
 	// Blocks and Bytes count the reconstructed blocks.
 	Blocks int
 	Bytes  int64
-	// DrainTime is the time spent in the gated pre-reconstruction log
-	// barrier: a full drain for drain-first, the settle barrier for
-	// log-replay and interleaved. It is the sum of the next three phases:
-	// Fence1Wait waits out the client ops already past the gate,
-	// RegisterTime publishes the degraded routes and seeds the journals
-	// (registerDegraded), and SettleTime runs SettleAll (drain-first:
-	// DrainAll). A pre-opened degraded window already did the last two, and
-	// interleaved recovery then skips fence 1 altogether.
+	// DrainTime is the time spent in the pre-reconstruction log barrier: a
+	// full drain for drain-first, the settle barrier for log-replay and
+	// interleaved. It is the sum of the next three phases: Fence1Wait waits
+	// out the client ops already past the gate, RegisterTime publishes the
+	// degraded routes and seeds the journals (registerDegraded), and
+	// SettleTime runs SettleAll (drain-first: DrainAll). Drain-first and
+	// log-replay keep client updates gated through all of it; interleaved
+	// recovery reopens the gate after RegisterTime, and its SettleTime is
+	// how long degraded reads of lost blocks could be fenced: one whose byte
+	// range the settle has yet to merge waits until it has. A pre-opened
+	// degraded window already did the last two, and interleaved recovery
+	// then skips fence 1 altogether.
 	DrainTime    time.Duration
 	Fence1Wait   time.Duration
 	RegisterTime time.Duration
@@ -84,7 +88,9 @@ type RecoveryReport struct {
 	JournalFetchTime  time.Duration
 	JournalReplayTime time.Duration
 	// GatedTime is how long client updates were fenced in total — the
-	// foreground outage the degraded experiment measures.
+	// foreground outage the degraded experiment measures. For interleaved
+	// recovery it is Fence1Wait + RegisterTime + the second fence
+	// (Fence2Wait + ReplayTime); the settle and the rebuild run ungated.
 	GatedTime time.Duration
 	// ReplayedRecords counts the journal records the cutover took (the
 	// failed node's DataLog replicas plus the degraded updates journaled
@@ -206,21 +212,12 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 
 	case RecoverInterleaved:
 		c.Fabric.SetDown(failed, true)
-		// First fence: publish the degraded routes under the closed gate
-		// and restore raw stripe consistency (see RecoverLogReplay for the
-		// ordering rationale), then let foreground I/O flow again while
-		// blocks rebuild. A pre-opened window already did both — the
-		// degraded stripes' raw shards have been frozen since — so the
-		// fence is skipped entirely.
+		// First fence: publish the degraded routes, then settle with client
+		// updates flowing (openDegraded). A pre-opened window already did
+		// both — the degraded stripes' raw shards have been frozen since —
+		// so the fence is skipped entirely.
 		if !pre {
-			gateStart := p.Now()
-			c.fenceUpdates(p)
-			rep.Fence1Wait = p.Now() - gateStart
-			err := c.registerAndSettle(p, failed, via, rep)
-			c.openGate()
-			rep.DrainTime = p.Now() - gateStart
-			rep.GatedTime = p.Now() - gateStart
-			if err != nil {
+			if err := c.openDegraded(p, failed, via, rep); err != nil {
 				return nil, err
 			}
 		}
@@ -255,8 +252,10 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	return rep, nil
 }
 
-// registerAndSettle is the replaying modes' first barrier after the fence:
-// publish the degraded routes, then settle, timing each phase into rep.
+// registerAndSettle is log-replay's first barrier after the fence: publish
+// the degraded routes, then settle the failed node's stripes (the rest of
+// the merge debt waits for the DrainAll after the cutover), timing each
+// phase into rep.
 func (c *Cluster) registerAndSettle(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
 	start := p.Now()
 	_, err := c.registerDegraded(p, failed, via)
@@ -267,6 +266,40 @@ func (c *Cluster) registerAndSettle(p *sim.Proc, failed wire.NodeID, via *Client
 	start = p.Now()
 	err = c.SettleAll(p, via, failed)
 	rep.SettleTime = p.Now() - start
+	return err
+}
+
+// openDegraded opens a degraded window for a node already off the fabric,
+// with client updates gated only while the routes change. It closes the
+// gate, waits out the client ops already past it, publishes the degraded
+// routes (registerDegraded) and reopens the gate; then it runs the settle
+// barrier for the failed node's stripes while updates flow. That is safe
+// because from the registration on no update reaches a degraded stripe's
+// engines: the client routes it to the surrogate, which journals it. So
+// the barrier only has to hold back what reads a degraded stripe's raw
+// shards: a degraded read of a lost block, which reconstructs its range
+// from them, waits while any live engine still holds state for that range
+// (settleFenced). Degraded reads of surviving blocks and all normal reads
+// go ahead. The rebuild starts after openDegraded returns.
+func (c *Cluster) openDegraded(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
+	gateStart := p.Now()
+	c.fenceUpdates(p)
+	rep.Fence1Wait = p.Now() - gateStart
+	st, err := c.registerDegraded(p, failed, via)
+	rep.RegisterTime = p.Now() - gateStart - rep.Fence1Wait
+	if err != nil {
+		c.openGate()
+		return err
+	}
+	st.settling = true
+	c.openGate()
+	rep.GatedTime = p.Now() - gateStart
+	start := p.Now()
+	err = c.SettleAll(p, via, failed)
+	st.settling = false
+	c.gateCond.Broadcast()
+	rep.SettleTime = p.Now() - start
+	rep.DrainTime = p.Now() - gateStart
 	return err
 }
 

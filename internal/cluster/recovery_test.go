@@ -193,7 +193,7 @@ func TestCutoverReplaysBlocksConcurrently(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done {
 		if !t.Failed() {
 			t.Fatal("deadlock")
@@ -396,7 +396,7 @@ func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done {
 		if !t.Failed() {
 			t.Fatal("deadlock")
@@ -492,7 +492,7 @@ func TestRecoverRacesDrainAll(t *testing.T) {
 		}
 		verified = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if t.Failed() {
 		return
 	}

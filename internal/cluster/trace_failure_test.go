@@ -147,7 +147,7 @@ func replayTraceThroughFailure(t *testing.T, engine string, prof trace.Profile, 
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if t.Failed() {
 		return
 	}

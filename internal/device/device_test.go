@@ -12,7 +12,7 @@ func runOne(t *testing.T, fn func(p *sim.Proc, d *Disk)) (Stats, time.Duration) 
 	e := sim.NewEnv()
 	d := New(e, "d0", SSD, SSDParams())
 	e.Go("t", func(p *sim.Proc) { fn(p, d) })
-	end := e.Run(0)
+	end := e.RunTest(t)
 	e.Close()
 	return d.Stats(), end
 }
@@ -93,7 +93,7 @@ func TestParallelismLimitsThroughput(t *testing.T) {
 			d.Read(p, z, int64(i*1<<20), 4096)
 		})
 	}
-	end := e.Run(0)
+	end := e.RunTest(t)
 	if end != 200*time.Microsecond {
 		t.Fatalf("end=%v want 200us", end)
 	}
@@ -109,7 +109,7 @@ func TestHDDSingleQueue(t *testing.T) {
 			d.Read(p, z, int64(i)*1<<30, 4096)
 		})
 	}
-	end := e.Run(0)
+	end := e.RunTest(t)
 	// 4 random reads serialized: >= 4 * RandReadLat.
 	if end < 4*HDDParams().RandReadLat {
 		t.Fatalf("HDD did not serialize: %v", end)
@@ -128,7 +128,7 @@ func TestLogReservesBeforeWrite(t *testing.T) {
 	for i, n := range sizes {
 		e.Go("append", func(p *sim.Proc) { pos[i] = l.Append(p, n) })
 	}
-	e.Run(0)
+	e.RunTest(t)
 	e.Close()
 	var want int64
 	for i, n := range sizes {
@@ -255,7 +255,7 @@ func TestDiskFTLIntegration(t *testing.T) {
 			}
 		}
 	})
-	e.Run(0)
+	e.RunTest(t)
 	st := d.Stats()
 	if st.HostWriteBytes == 0 || st.NandWriteBytes < st.HostWriteBytes {
 		t.Fatalf("FTL accounting missing: %+v", st)
@@ -274,7 +274,7 @@ func TestNonFlashZoneSkipsFTL(t *testing.T) {
 	e.Go("w", func(p *sim.Proc) {
 		d.Write(p, z, 0, 4096, false)
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if d.Stats().HostWriteBytes != 0 {
 		t.Fatal("non-flash zone hit the FTL")
 	}
@@ -292,7 +292,7 @@ func TestUtilization(t *testing.T) {
 		d.Write(p, z, 1<<30, 1, false)
 		p.Sleep(time.Millisecond) // idle
 	})
-	end := e.Run(0)
+	end := e.RunTest(t)
 	u := d.Utilization(end)
 	if u < 0.45 || u > 0.55 {
 		t.Fatalf("utilization=%f want ~0.5", u)

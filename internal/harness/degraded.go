@@ -89,9 +89,13 @@ func degradedModes() []cluster.RecoverMode {
 // percentiles (p50/p95/p99 of reads issued inside the recovery window) —
 // the Fig. 8b comparison extended with the update/failure overlap the
 // paper's log-reliability argument is really about, completed with the
-// ROADMAP's trace-latency distribution item. A second table splits each
-// run's gated windows into their phases and sets the journal records the
-// cutover took against the extents it replayed.
+// ROADMAP's trace-latency distribution item. "barrier" is the
+// pre-reconstruction barrier (RecoveryReport.DrainTime) and "gated" the
+// time client updates were fenced; for interleaved recovery the barrier's
+// settle runs ungated, so gated counts only the route registration and the
+// cutover. A second table splits each run's barrier and cutover into their
+// phases and sets the journal records the cutover took against the extents
+// it replayed.
 func Degraded(w io.Writer, s Scale) error {
 	t := s.table(w, "degraded", "== Degraded: recovery under foreground load (SSD, RS(6,4)); window read latency p50/p95/p99 ==",
 		"trace\tengine\tmode\trecover(ms)\tbarrier(ms)\trebuild(ms)\treplay(ms)\tgated(ms)\treplayed(KB)\trebuild(MB/s)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd err")
@@ -140,10 +144,14 @@ type phaseRow struct {
 }
 
 // degradedPhases prints the recovery phases of every degraded run: fence 1
-// (its wait for in-flight ops, registerDegraded, SettleAll), the rebuild,
-// and fence 2 (its wait, then the cutover's critical journal fetched and
-// replayed), with the journal records replayed against their merged
-// extents, in total and for the largest journal.
+// (its wait for in-flight ops and registerDegraded), the settle (SettleAll;
+// drain-first: DrainAll), the rebuild, and fence 2 (its wait, then the
+// cutover's critical journal fetched and replayed), with the journal
+// records replayed against their merged extents, in total and for the
+// largest journal. Drain-first and log-replay hold the gate through the
+// settle; interleaved recovery reopens it before the settle and fences
+// only degraded reads of lost blocks, each until the settle has merged its
+// byte range.
 func degradedPhases(w io.Writer, s Scale, rows []phaseRow) error {
 	t := s.table(w, "degraded", "== Degraded: recovery phases (ms); journal records vs merged extents replayed ==",
 		"trace\tengine\tmode\tfence1 wait\tregister\tsettle\trebuild\tfence2 wait\tfetch\treplay\trecords\textents\tmax journal")

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"math/rand"
+	"time"
 
 	"tsue/internal/cluster"
 	"tsue/internal/sim"
@@ -51,10 +52,18 @@ func runSession(cfg RunConfig, body func(s *session, p *sim.Proc) error) error {
 // close unwinds every proc still parked in the cluster's kernel.
 func (s *session) close() { s.c.Env.Close() }
 
+// runBound is the budget of one harness run. Measured at -scale full, the
+// HDD runs of fig8a and fig8b reach 153 s of sim time (past SmallBound's
+// minute) and the degraded experiment's pl/interleaved run 1.8 million
+// events, so this leaves over 20 times either and stops only a run that
+// livelocks or never quiesces, after a few minutes of host time.
+var runBound = sim.Bound{Events: 500_000_000, Deadline: time.Hour}
+
 // run spawns the harness proc — open, then body — runs the kernel until no
-// event is left, and returns the proc's error. A foreground load still
-// running when body returns (a fault step failed) is told to stop, so the
-// kernel quiesces at once instead of after the load's iteration cap.
+// event is left, and returns the proc's error, or the seed and the
+// kernel's report if the run exhausts runBound first. A foreground load
+// still running when body returns (a fault step failed) is told to stop,
+// so the kernel quiesces at once instead of after the load's iteration cap.
 func (s *session) run(body func(p *sim.Proc) error) error {
 	var err error
 	s.c.Env.Go("harness", func(p *sim.Proc) {
@@ -65,7 +74,9 @@ func (s *session) run(body func(p *sim.Proc) error) error {
 			s.ld.stop = true
 		}
 	})
-	s.c.Env.Run(0)
+	if _, rerr := s.c.Env.RunBounded(runBound); rerr != nil {
+		return fmt.Errorf("seed %d: %w", s.cfg.Seed, rerr)
+	}
 	return err
 }
 

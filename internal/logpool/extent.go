@@ -254,6 +254,19 @@ func (b *BlockLog) Overlay(off int64, dst []byte) {
 	}
 }
 
+// Touches reports whether any extent overlaps [off, end).
+func (b *BlockLog) Touches(off, end int64) bool {
+	if !b.mightContain(off, end) {
+		return false
+	}
+	for _, e := range b.extents {
+		if e.Off < end && off < e.End() {
+			return true
+		}
+	}
+	return false
+}
+
 // Gaps returns the maximal sub-intervals of [off, end) NOT covered by any
 // extent, in order. Used for insert-if-absent semantics (PARIX original-data
 // records: the first value for a location wins).

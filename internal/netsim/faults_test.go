@@ -173,7 +173,7 @@ func TestStragglerNodeSlowsRoundTrip(t *testing.T) {
 		}
 		rtt = p.Now() - start
 	})
-	e.Run(0)
+	e.RunTest(t)
 	// Both hops route through the straggler's latency (it is receiver on the
 	// request, sender on the response).
 	if rtt < 10*time.Millisecond {
@@ -188,7 +188,7 @@ func TestStragglerNodeSlowsRoundTrip(t *testing.T) {
 		f.Call(p, 0, 1, &wire.Drain{})
 		rtt = p.Now() - start
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if rtt > time.Millisecond {
 		t.Fatalf("healed RTT %v still slow", rtt)
 	}
@@ -223,7 +223,7 @@ func TestAsymmetricPartition(t *testing.T) {
 			t.Errorf("reverse call err=%v, want ErrPartitioned (ack crosses the cut)", err)
 		}
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if handled[1] != 0 {
 		t.Fatalf("node 1 handler ran %d times across a request-direction cut", handled[1])
 	}
@@ -246,7 +246,7 @@ func TestAsymmetricPartition(t *testing.T) {
 			t.Errorf("healed reverse call err=%v", err)
 		}
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if handled[0] != 2 || handled[1] != 1 {
 		t.Fatalf("healed handler counts = %v, want node0:2 node1:1", handled)
 	}
@@ -278,7 +278,7 @@ func TestScheduleFlap(t *testing.T) {
 		probe(p, 3200*time.Microsecond, true) // second down window
 		probe(p, 3700*time.Microsecond, false)
 	})
-	e.Run(0)
+	e.RunTest(t)
 
 	if err := f.ScheduleFlap(1, 0, 0, time.Millisecond, 1); err == nil {
 		t.Fatal("zero downFor accepted")
@@ -314,7 +314,7 @@ func TestCorruptorFlipsPayloadCopy(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if bytes.Equal(got, orig) {
 		t.Fatal("corruptor did not mutate the delivered payload")
 	}
@@ -331,7 +331,7 @@ func TestCorruptorFlipsPayloadCopy(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if f.CorruptionsInjected() != 1 {
 		t.Fatalf("loopback corrupted: injected=%d", f.CorruptionsInjected())
 	}

@@ -24,7 +24,7 @@ func TestCallRoundTrip(t *testing.T) {
 	e.Go("c", func(p *sim.Proc) {
 		resp, err = f.Call(p, 0, 1, &wire.Lookup{Ino: 1})
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +44,7 @@ func TestCallLatency(t *testing.T) {
 		f.Call(pr, 0, 1, &wire.Drain{}) // 40-byte frame
 		done = pr.Now()
 	})
-	e.Run(0)
+	e.RunTest(t)
 	// >= 2 base latencies plus four transfer legs of 40ns each.
 	if done < 2*p.BaseLat {
 		t.Fatalf("RTT %v < 2x base", done)
@@ -65,7 +65,7 @@ func TestBandwidthDominatesLargeTransfers(t *testing.T) {
 		f.Call(pr, 0, 1, &wire.PutBlock{Blk: wire.BlockID{}, Data: make([]byte, 1<<20)})
 		done = pr.Now()
 	})
-	e.Run(0)
+	e.RunTest(t)
 	// 1 MiB at 1 MB/s: ~1.05s on tx and again on rx.
 	if done < 2*time.Second {
 		t.Fatalf("large transfer took %v, want >= ~2.1s", done)
@@ -89,7 +89,7 @@ func TestNICContention(t *testing.T) {
 		f.Call(pr, 0, 2, &wire.PutBlock{Data: make([]byte, 1e6)})
 		t2 = pr.Now()
 	})
-	e.Run(0)
+	e.RunTest(t)
 	last := t1
 	if t2 > last {
 		last = t2
@@ -108,7 +108,7 @@ func TestTrafficAccounting(t *testing.T) {
 	e.Go("c", func(p *sim.Proc) {
 		f.Call(p, 0, 1, msg)
 	})
-	e.Run(0)
+	e.RunTest(t)
 	want := wire.SizeOf(msg) + wire.SizeOf(wire.OK)
 	if f.TotalStats().BytesSent != want {
 		t.Fatalf("total=%d want %d", f.TotalStats().BytesSent, want)
@@ -130,7 +130,7 @@ func TestLoopbackSkipsNIC(t *testing.T) {
 			t.Error(err)
 		}
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if f.TotalStats().BytesSent != 0 {
 		t.Fatal("loopback charged the network")
 	}
@@ -146,7 +146,7 @@ func TestDownNode(t *testing.T) {
 	e.Go("c", func(p *sim.Proc) {
 		_, err = f.Call(p, 0, 1, &wire.Drain{})
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if !errors.Is(err, ErrNodeDown) {
 		t.Fatalf("err=%v", err)
 	}
@@ -156,7 +156,7 @@ func TestDownNode(t *testing.T) {
 	e.Go("c2", func(p *sim.Proc) {
 		_, err = f.Call(p, 0, 1, &wire.Drain{})
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if err != nil {
 		t.Fatalf("restored node unreachable: %v", err)
 	}
@@ -180,7 +180,7 @@ func TestNestedCallFromHandler(t *testing.T) {
 	e.Go("c", func(p *sim.Proc) {
 		resp, _ = f.Call(p, 0, 1, &wire.Lookup{Ino: 1})
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if _, ok := resp.(*wire.Ack); !ok || wire.AckErr(resp, nil) != nil {
 		t.Fatalf("nested call failed: %#v", resp)
 	}
@@ -206,7 +206,7 @@ func TestTracedRPCSpans(t *testing.T) {
 				t.Error(err)
 			}
 		})
-		e.Run(0)
+		e.RunTest(t)
 		return tr.Spans()
 	}
 	cases := []struct {
@@ -252,7 +252,7 @@ func TestUnknownNode(t *testing.T) {
 	e.Go("c", func(p *sim.Proc) {
 		_, err = f.Call(p, 0, 99, &wire.Drain{})
 	})
-	e.Run(0)
+	e.RunTest(t)
 	if err == nil {
 		t.Fatal("call to unknown node succeeded")
 	}

@@ -36,7 +36,7 @@ func runTracedWorkload(t *testing.T, sample int) []Span {
 			fin()
 		})
 	}
-	env.Run(0)
+	env.RunTest(t)
 	env.Close()
 	return tr.Spans()
 }
@@ -122,7 +122,7 @@ func TestHopsSumToDuration(t *testing.T) {
 		}
 		fin()
 	})
-	env.Run(0)
+	env.RunTest(t)
 	env.Close()
 	tvs := GroupTraces(tr.Spans())
 	if len(tvs) != 1 {
@@ -167,7 +167,7 @@ func TestResumeLinksRemoteSpans(t *testing.T) {
 		rpcFin()
 		fin()
 	})
-	env.Run(0)
+	env.RunTest(t)
 	env.Close()
 	for _, s := range tr.Spans() {
 		if s.Name == "dev:read" {
@@ -201,7 +201,7 @@ func TestSamplerStops(t *testing.T) {
 		}
 	})
 	env.After(3500*time.Millisecond, func() { s.Stop() })
-	env.Run(0)
+	env.RunTest(t)
 	env.Close()
 	if ticks != 3 {
 		t.Fatalf("ticks %d, want 3 (1s, 2s, 3s then stopped at 3.5s)", ticks)

@@ -2,6 +2,7 @@ package rebalance
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -49,12 +50,51 @@ func TestThrottlePacesVirtualTime(t *testing.T) {
 		}
 		elapsed = p.Now()
 	})
-	env.Run(0)
+	env.RunTest(t)
 	env.Close()
 	// 10 MiB at 1 MiB/s: the first token rides the initial burst window, the
 	// rest pace out; allow 10% tolerance either way.
 	if elapsed < 8*time.Second || elapsed > 11*time.Second {
 		t.Fatalf("10 MiB at 1 MiB/s took %v", elapsed)
+	}
+}
+
+// TestThrottleRandomRates: at rates that do not divide a second into whole
+// nanoseconds, the computed wait truncates and can leave the bucket a hair
+// short, which must still end in progress, not in a 0 ns sleep that re-arms
+// at the same instant forever. Every take completes, and the takes together
+// last at least their bytes beyond the first second's burst at the rate.
+func TestThrottleRandomRates(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			rate := 100_000 + rng.Int63n(1_000_000_000)
+			env := sim.NewEnv()
+			th := NewThrottle(rate)
+			var total int64
+			done := 0
+			for w := 0; w < 3; w++ {
+				sizes := make([]int64, 20)
+				for i := range sizes {
+					sizes[i] = 1 + rng.Int63n(rate/4)
+					total += sizes[i]
+				}
+				env.Go("taker", func(p *sim.Proc) {
+					for _, n := range sizes {
+						th.Take(p, n)
+					}
+					done++
+				})
+			}
+			end := env.RunTest(t)
+			env.Close()
+			if done != 3 {
+				t.Fatalf("%d of 3 takers finished", done)
+			}
+			if min := time.Duration(float64(total-rate) / float64(rate) * float64(time.Second)); end < min {
+				t.Fatalf("%d bytes at %d B/s took %v, want at least %v", total, rate, end, min)
+			}
+		})
 	}
 }
 
@@ -66,7 +106,7 @@ func TestThrottleUnlimited(t *testing.T) {
 		th.Take(p, 1<<30)
 		elapsed = p.Now()
 	})
-	env.Run(0)
+	env.RunTest(t)
 	env.Close()
 	if elapsed != 0 {
 		t.Fatalf("unthrottled Take slept %v", elapsed)
@@ -121,7 +161,7 @@ func TestRunAggregatesAndBoundsConcurrency(t *testing.T) {
 	env.Go("run", func(p *sim.Proc) {
 		rep, err = Run(env, p, planN(8, 3), Config{}, fm)
 	})
-	env.Run(0)
+	env.RunTest(t)
 	env.Close()
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +187,7 @@ func TestRunPropagatesMoverError(t *testing.T) {
 	env.Go("run", func(p *sim.Proc) {
 		_, err = Run(env, p, planN(6, 1), Config{}, fm)
 	})
-	env.Run(0)
+	env.RunTest(t)
 	env.Close()
 	if err == nil {
 		t.Fatal("mover error swallowed")

@@ -42,6 +42,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"iter"
 	"runtime/debug"
@@ -350,6 +351,55 @@ func (e *Env) Run(limit time.Duration) time.Duration {
 		e.ProcessNextEvent()
 	}
 	return e.now
+}
+
+// Bound limits one RunBounded call: at most Events events, none of them due
+// after the sim time Deadline.
+type Bound struct {
+	Events   int
+	Deadline time.Duration
+}
+
+// SmallBound is the budget of a small run, a test's or an example's: far
+// above what any test in this module needs (the largest takes about 130 000
+// events, the longest ten seconds of sim time), and small enough that a
+// livelock fails in seconds instead of running into the test binary's
+// timeout.
+var SmallBound = Bound{Events: 10_000_000, Deadline: time.Minute}
+
+// ErrBudget is the error RunBounded wraps when its bound runs out.
+var ErrBudget = errors.New("sim: run budget exhausted")
+
+// RunBounded runs events until the queue is empty, in exactly Run(0)'s
+// order. When b.Events events have run and more are pending, or the next
+// event is due after b.Deadline, it stops instead, leaving the rest queued,
+// and returns an error wrapping ErrBudget that names the sim time and the
+// live procs. A livelock (a proc that re-arms itself at the same instant)
+// or a loop that never quiesces then fails where it is, not at a timeout;
+// the caller adds what else identifies the run, such as its seed.
+func (e *Env) RunBounded(b Bound) (time.Duration, error) {
+	for n := 0; e.HasPendingEvents(); n++ {
+		if n == b.Events || e.PeekNextEventTime() > b.Deadline {
+			return e.now, fmt.Errorf("%w after %d events (deadline %v): sim time %v, next event at %v, %d live procs",
+				ErrBudget, n, b.Deadline, e.now, e.PeekNextEventTime(), e.nprocs)
+		}
+		e.ProcessNextEvent()
+	}
+	return e.now, nil
+}
+
+// RunTest is a test's run: RunBounded under SmallBound, failing t with its
+// error if the bound runs out first. It returns the sim time at the end.
+func (e *Env) RunTest(t interface {
+	Helper()
+	Fatal(...any)
+}) time.Duration {
+	t.Helper()
+	end, err := e.RunBounded(SmallBound)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return end
 }
 
 // LiveProcs returns the number of unfinished processes.

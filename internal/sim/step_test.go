@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 )
@@ -164,4 +167,65 @@ func TestQueuePutAfterCloseDrops(t *testing.T) {
 	if e.DroppedPuts() != 2 {
 		t.Fatal("env counter changed by unrelated queue")
 	}
+}
+
+func TestRunBoundedMatchesRun(t *testing.T) {
+	build := func() (*Env, *[]int) {
+		e := NewEnv()
+		var order []int
+		for i := 0; i < 5; i++ {
+			e.Go("p", func(p *Proc) {
+				p.Sleep(time.Duration(5-i) * time.Millisecond)
+				order = append(order, i)
+			})
+		}
+		return e, &order
+	}
+	er, ordRun := build()
+	endRun := er.Run(0)
+	eb, ordBounded := build()
+	endBounded, err := eb.RunBounded(Bound{Events: 10, Deadline: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if endBounded != endRun || fmt.Sprint(*ordBounded) != fmt.Sprint(*ordRun) {
+		t.Fatalf("bounded run ended at %v with %v, Run at %v with %v", endBounded, *ordBounded, endRun, *ordRun)
+	}
+}
+
+// TestRunBoundedStopsLivelock: a proc that re-arms itself at the same
+// instant forever exhausts the event budget instead of hanging, and the
+// error names the sim time and the live procs.
+func TestRunBoundedStopsLivelock(t *testing.T) {
+	e := NewEnv()
+	e.Go("spin", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		for {
+			p.Sleep(0)
+		}
+	})
+	end, err := e.RunBounded(Bound{Events: 1000, Deadline: time.Hour})
+	if !errors.Is(err, ErrBudget) {
+		t.Fatalf("err = %v, want ErrBudget", err)
+	}
+	if end != time.Millisecond || !strings.Contains(err.Error(), "sim time 1ms") || !strings.Contains(err.Error(), "1 live procs") {
+		t.Fatalf("end %v, err %q: want the stop at 1ms with 1 live proc named", end, err)
+	}
+	e.Close()
+}
+
+// TestRunBoundedStopsAtDeadline: an event due after the deadline stops the
+// run before it, and stays queued.
+func TestRunBoundedStopsAtDeadline(t *testing.T) {
+	e := NewEnv()
+	e.Go("poll", func(p *Proc) {
+		for {
+			p.Sleep(time.Second)
+		}
+	})
+	end, err := e.RunBounded(Bound{Events: 1 << 20, Deadline: 10 * time.Second})
+	if !errors.Is(err, ErrBudget) || end != 10*time.Second || !e.HasPendingEvents() {
+		t.Fatalf("end %v, err %v, pending %v: want a stop at 10s with the next event queued", end, err, e.HasPendingEvents())
+	}
+	e.Close()
 }

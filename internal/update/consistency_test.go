@@ -130,7 +130,7 @@ func runWorkload(t *testing.T, cfg cluster.Config, seed int64, ops int) {
 		}
 		done = true
 	})
-	c.Env.Run(0)
+	c.Env.RunTest(t)
 	if !done && !t.Failed() {
 		t.Fatal("workload deadlocked")
 	}

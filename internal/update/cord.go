@@ -192,12 +192,45 @@ func (e *cord) Drain(p *sim.Proc) error {
 	return nil
 }
 
-// Settle is Drain: the collector buffer holds deltas for other parity
-// holders, so the raw stripe is only consistent once it distributes.
-func (e *cord) Settle(p *sim.Proc, _ wire.NodeID) error { return e.Drain(p) }
+// Settle is Drain for failed == 0: the collector buffer holds deltas for
+// other parity holders, so the raw stripe is only consistent once it
+// distributes. A failed node's settle waits for every unit holding a delta
+// of its stripes to distribute, sealing the active one when it holds such a
+// delta and nothing else is sealed or recycling. It does not share Drain's
+// poll until the buffer is empty, which never ends while appends to other
+// stripes go on.
+func (e *cord) Settle(p *sim.Proc, failed wire.NodeID) error {
+	if failed == 0 {
+		return e.Drain(p)
+	}
+	for e.NeedsSettle(failed) {
+		if !e.recycling && !e.pool.PendingSealed() {
+			if u := e.pool.Active(); u != nil && e.unitOn(u, failed) {
+				e.recycleUnit(p, e.pool.SealActive(p.Now()))
+				continue
+			}
+		}
+		// A sealed unit is recycling or about to be (its appender recycles
+		// it once its persist returns), and every recycle broadcasts.
+		e.cond.Wait(p)
+	}
+	return nil
+}
 
-// NeedsSettle reports whether the collector buffer still holds deltas.
-func (e *cord) NeedsSettle(wire.NodeID) bool { return e.Dirty() }
+// NeedsSettle reports whether the collector buffer still holds deltas (of a
+// failed node's stripes, when one is given).
+func (e *cord) NeedsSettle(failed wire.NodeID) bool {
+	if failed == 0 {
+		return e.Dirty()
+	}
+	return e.poolOn(e.pool, failed)
+}
+
+// NeedsSettleRange reports whether the collector buffer still holds a delta
+// of s overlapping [off, end).
+func (e *cord) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
+	return e.poolTouches(e.pool, s, off, end)
+}
 
 // Dirty reports whether the collector buffer still holds deltas.
 func (e *cord) Dirty() bool { return e.pool.Pending() }

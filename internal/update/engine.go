@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tsue/internal/blockstore"
+	"tsue/internal/logpool"
 	"tsue/internal/obs"
 	"tsue/internal/rs"
 	"tsue/internal/sim"
@@ -77,21 +78,35 @@ type Engine interface {
 	// full round is clean, since recycling forwards work downstream.
 	Drain(p *sim.Proc) error
 	// Settle brings the raw block stores this engine touches back to stripe
-	// consistency with the minimum merging: any log whose effects are
-	// partially applied (delta/parity pipelines, lazy parity logs) must
-	// merge, but pure-overlay state that recovery can replay from replicas —
-	// TSUE's active DataLog units — may be kept, EXCEPT state touching the
-	// failed node's stripes: reconstruction reads those stripes' raw shards
-	// during the degraded window, so any retained overlay item for them
-	// would race the rebuild when its unit later seals and recycles
-	// (failed == 0 means no node is down and pure overlay may stay). For
-	// every in-place scheme Settle is simply Drain; the gap between the two
+	// consistency with the minimum merging. With failed == 0 it covers every
+	// stripe: any log whose effects are partially applied (delta/parity
+	// pipelines, lazy parity logs) must merge, while pure-overlay state that
+	// recovery can replay from replicas — TSUE's active DataLog units — may
+	// stay; for every in-place scheme that is Drain. The caller fences
+	// appends (the update gate) while it runs.
+	//
+	// With failed != 0 it covers exactly the state that touches a stripe
+	// whose placement includes the failed node, overlay included:
+	// reconstruction reads those stripes' raw shards during the degraded
+	// window, so a retained item would race the rebuild when it later
+	// applies. State of other stripes stays, and appends to other stripes
+	// may go on while Settle runs — once the degraded routes are published
+	// no update reaches a degraded stripe's engines, so the covered state
+	// can only shrink and Settle returns. The gap between Settle and Drain
 	// is TSUE's §4.2 log-reliability advantage during recovery.
 	Settle(p *sim.Proc, failed wire.NodeID) error
-	// NeedsSettle reports whether Settle still has work to do under the
-	// same liveness view (the cluster-wide settle barrier repeats per-OSD
-	// settles until a full round is clean, like DrainAll).
+	// NeedsSettle reports whether Settle(failed) still has work to do,
+	// including merges another proc has taken but not yet applied (the
+	// cluster-wide settle barrier repeats per-OSD settles until a full
+	// round is clean, like DrainAll).
 	NeedsSettle(failed wire.NodeID) bool
+	// NeedsSettleRange narrows NeedsSettle(failed), for a failed node of
+	// stripe s, to bytes [off, end) of s's blocks: whether this engine still
+	// holds, or is merging, state for s that overlaps the range. RS coding
+	// works column by column, so once no live engine reports the range, the
+	// raw shards of a degraded stripe are final there and reconstructing
+	// that range of a lost block cannot race the settle.
+	NeedsSettleRange(s wire.StripeID, off, end int64) bool
 	// Dirty reports whether the engine still holds unrecycled state.
 	Dirty() bool
 	// MemBytes is the engine's current log memory footprint.
@@ -237,6 +252,73 @@ func (b *base) unlockBlock(blk wire.BlockID) { b.locks[blk].Release() }
 // parityBlock returns the BlockID of parity j of the stripe.
 func (b *base) parityBlock(s wire.StripeID, j int) wire.BlockID {
 	return wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(b.h.Code().K + j)}
+}
+
+// placedOn reports whether stripe s has a block on node: the stripes a
+// failed node's settle covers.
+func (b *base) placedOn(s wire.StripeID, node wire.NodeID) bool {
+	return slices.Contains(b.h.Placement(s), node)
+}
+
+// unitOn reports whether a log unit holds a record of a stripe with a
+// block on node.
+func (b *base) unitOn(u *logpool.Unit, node wire.NodeID) bool {
+	for _, blk := range u.Blocks() {
+		if b.placedOn(blk.StripeID(), node) {
+			return true
+		}
+	}
+	return false
+}
+
+// poolOn reports whether a unit of the pool not yet recycled holds a
+// record of a stripe with a block on node.
+func (b *base) poolOn(p *logpool.Pool, node wire.NodeID) bool {
+	for _, u := range p.Units() {
+		if u.State != logpool.Recycled && b.unitOn(u, node) {
+			return true
+		}
+	}
+	return false
+}
+
+// stripeBlocks returns the K+M block IDs of stripe s, data first.
+func (b *base) stripeBlocks(s wire.StripeID) []wire.BlockID {
+	c := b.h.Code()
+	blks := make([]wire.BlockID, c.K+c.M)
+	for i := range blks {
+		blks[i] = wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(i)}
+	}
+	return blks
+}
+
+// poolTouches reports whether a unit of the pool not yet recycled holds a
+// record of stripe s overlapping [off, end).
+func (b *base) poolTouches(p *logpool.Pool, s wire.StripeID, off, end int64) bool {
+	blks := b.stripeBlocks(s)
+	for _, u := range p.Units() {
+		if u.State == logpool.Recycled {
+			continue
+		}
+		for _, blk := range blks {
+			if bl := u.Lookup(blk); bl != nil && bl.Touches(off, end) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// anyOn reports whether any block keyed in m belongs to a stripe with a
+// block on node.
+func anyOn[V any](b *base, m map[wire.BlockID]V, node wire.NodeID) bool {
+	for blk := range m {
+		//lint:allow maporder(placedOn is a pure lookup; an existence test has the same answer in any order)
+		if b.placedOn(blk.StripeID(), node) {
+			return true
+		}
+	}
+	return false
 }
 
 // readModifyWrite performs the in-place data-block update shared by FO, PL,

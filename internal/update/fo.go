@@ -75,6 +75,9 @@ func (e *fo) Settle(*sim.Proc, wire.NodeID) error { return nil }
 // NeedsSettle always reports false.
 func (e *fo) NeedsSettle(wire.NodeID) bool { return false }
 
+// NeedsSettleRange always reports false.
+func (e *fo) NeedsSettleRange(wire.StripeID, int64, int64) bool { return false }
+
 // Dirty always reports false: there is nothing to recycle.
 func (e *fo) Dirty() bool { return false }
 

@@ -27,6 +27,11 @@ type parix struct {
 	// the latest speculative value for each updated range.
 	orig   map[wire.BlockID]*logpool.BlockLog
 	latest map[wire.BlockID]*logpool.BlockLog
+	// folding counts, per data block, the recycles that took its latest
+	// records and have not folded them in yet; cond is broadcast as each
+	// block's fold finishes.
+	folding map[wire.BlockID]int
+	cond    *sim.Cond
 	// parityFor maps a data block to the parity index this OSD holds for it.
 	parityFor map[wire.BlockID]uint16
 	readPos   int64
@@ -43,6 +48,8 @@ func newParix(h Host, o Options) *parix {
 		sent:      make(map[wire.BlockID]*logpool.BlockLog),
 		orig:      make(map[wire.BlockID]*logpool.BlockLog),
 		latest:    make(map[wire.BlockID]*logpool.BlockLog),
+		folding:   make(map[wire.BlockID]int),
+		cond:      sim.NewCond(h.Env()),
 		parityFor: make(map[wire.BlockID]uint16),
 	}
 }
@@ -174,11 +181,22 @@ func (e *parix) recycleAll(p *sim.Proc) {
 	// the next recycle round instead of being dropped.
 	work := e.latest
 	e.latest = make(map[wire.BlockID]*logpool.BlockLog)
+	e.fold(p, work)
+	e.log.Reset()
+	e.mem = e.memBytes()
+}
+
+// fold folds taken speculative records into their parity blocks, block by
+// block in block order, advancing each orig baseline as it goes.
+func (e *parix) fold(p *sim.Proc, work map[wire.BlockID]*logpool.BlockLog) {
 	blks := make([]wire.BlockID, 0, len(work))
 	for b := range work {
 		blks = append(blks, b)
 	}
 	sortBlocks(blks)
+	for _, blk := range blks {
+		e.folding[blk]++
+	}
 	for _, blk := range blks {
 		lat := work[blk]
 		og := e.orig[blk]
@@ -212,9 +230,11 @@ func (e *parix) recycleAll(p *sim.Proc) {
 			// Advance the baseline: orig := latest for this range.
 			og.Insert(ext.Off, ext.Data, logpool.Overwrite)
 		}
+		if e.folding[blk]--; e.folding[blk] == 0 {
+			delete(e.folding, blk)
+		}
+		e.cond.Broadcast()
 	}
-	e.log.Reset()
-	e.mem = e.memBytes()
 }
 
 // Drain folds every pending speculative record into its parity block.
@@ -223,13 +243,54 @@ func (e *parix) Drain(p *sim.Proc) error {
 	return nil
 }
 
-// Settle is Drain: speculative logs must fold before raw stripes are
-// consistent (and folding advances the orig baselines, keeping them valid
-// against the settled parity).
-func (e *parix) Settle(p *sim.Proc, _ wire.NodeID) error { return e.Drain(p) }
+// Settle is Drain for failed == 0: speculative logs must fold before raw
+// stripes are consistent (and folding advances the orig baselines, keeping
+// them valid against the settled parity). A failed node's settle folds only
+// the records of its stripes, then waits out a recycle that took some.
+func (e *parix) Settle(p *sim.Proc, failed wire.NodeID) error {
+	if failed == 0 {
+		return e.Drain(p)
+	}
+	for {
+		work := make(map[wire.BlockID]*logpool.BlockLog)
+		for blk, lat := range e.latest {
+			//lint:allow maporder(moving entries between maps by a pure predicate gives the same maps in any order; fold sorts them)
+			if e.placedOn(blk.StripeID(), failed) {
+				work[blk] = lat
+				delete(e.latest, blk)
+			}
+		}
+		e.fold(p, work)
+		e.mem = e.memBytes()
+		if !e.NeedsSettle(failed) {
+			return nil
+		}
+		e.cond.Wait(p)
+	}
+}
 
-// NeedsSettle reports whether unfolded speculative records remain.
-func (e *parix) NeedsSettle(wire.NodeID) bool { return e.Dirty() }
+// NeedsSettle reports whether unfolded speculative records remain (of a
+// failed node's stripes, when one is given, counting a running fold).
+func (e *parix) NeedsSettle(failed wire.NodeID) bool {
+	if failed == 0 {
+		return e.Dirty()
+	}
+	return anyOn(&e.base, e.latest, failed) || anyOn(&e.base, e.folding, failed)
+}
+
+// NeedsSettleRange reports whether a block of s has an unfolded
+// speculative record overlapping [off, end), or a fold of it running.
+func (e *parix) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
+	for _, blk := range e.stripeBlocks(s) {
+		if e.folding[blk] > 0 {
+			return true
+		}
+		if lat := e.latest[blk]; lat != nil && lat.Touches(off, end) {
+			return true
+		}
+	}
+	return false
+}
 
 // Dirty reports whether unfolded speculative records remain.
 func (e *parix) Dirty() bool { return len(e.latest) > 0 }

@@ -20,7 +20,11 @@ type pl struct {
 
 	log *device.Log
 	// records per parity block, in arrival order (PL does not merge).
-	records  map[wire.BlockID][]plRec
+	records map[wire.BlockID][]plRec
+	// applying counts, per parity block, the recycles that took its records
+	// and have not folded them in yet; cond is broadcast as each finishes.
+	applying map[wire.BlockID]int
+	cond     *sim.Cond
 	logBytes int64
 	peak     int64
 	draining bool
@@ -38,10 +42,12 @@ type plRec struct {
 
 func newPL(h Host, o Options) *pl {
 	return &pl{
-		base:    newBase(h),
-		o:       o,
-		log:     h.Store().Device().NewLog("pl-log", 2*o.RecycleThreshold),
-		records: make(map[wire.BlockID][]plRec),
+		base:     newBase(h),
+		o:        o,
+		log:      h.Store().Device().NewLog("pl-log", 2*o.RecycleThreshold),
+		records:  make(map[wire.BlockID][]plRec),
+		applying: make(map[wire.BlockID]int),
+		cond:     sim.NewCond(h.Env()),
 	}
 }
 
@@ -94,22 +100,35 @@ func (e *pl) recycleAll(p *sim.Proc) {
 	}
 	sortBlocks(blks)
 	for _, blk := range blks {
-		recs := e.records[blk]
-		delete(e.records, blk)
-		// PL keeps no merging index: every record costs a random read of
-		// the on-disk log plus an individual parity RMW — the recycle
-		// inefficiency the paper attributes to PL (§2.2).
-		for _, r := range recs {
-			e.log.Read(p, r.pos, int64(len(r.delta))+24)
-			e.logBytes -= int64(len(r.delta))
-			if err := e.applyParityDelta(p, blk, r.off, r.delta); err != nil {
-				// Parity blocks always exist for preloaded stripes; surface
-				// loudly in tests.
-				panic("pl: recycle: " + err.Error())
-			}
-		}
+		e.recycleBlock(p, blk)
 	}
 	e.log.Reset()
+}
+
+// recycleBlock merges one parity block's pending deltas into it. PL keeps
+// no merging index: every record costs a random read of the on-disk log
+// plus an individual parity RMW — the recycle inefficiency the paper
+// attributes to PL (§2.2).
+func (e *pl) recycleBlock(p *sim.Proc, blk wire.BlockID) {
+	recs := e.records[blk]
+	if len(recs) == 0 {
+		return
+	}
+	delete(e.records, blk)
+	e.applying[blk]++
+	for _, r := range recs {
+		e.log.Read(p, r.pos, int64(len(r.delta))+24)
+		e.logBytes -= int64(len(r.delta))
+		if err := e.applyParityDelta(p, blk, r.off, r.delta); err != nil {
+			// Parity blocks always exist for preloaded stripes; surface
+			// loudly in tests.
+			panic("pl: recycle: " + err.Error())
+		}
+	}
+	if e.applying[blk]--; e.applying[blk] == 0 {
+		delete(e.applying, blk)
+	}
+	e.cond.Broadcast()
 }
 
 // Drain merges every pending parity delta into its parity block.
@@ -118,12 +137,64 @@ func (e *pl) Drain(p *sim.Proc) error {
 	return nil
 }
 
-// Settle is Drain: PL's lazy parity log must merge before the raw stripe is
-// consistent, which is exactly the recovery debt the paper charges it with.
-func (e *pl) Settle(p *sim.Proc, _ wire.NodeID) error { return e.Drain(p) }
+// Settle is Drain for failed == 0: PL's lazy parity log must merge before
+// the raw stripe is consistent, which is exactly the recovery debt the
+// paper charges it with. A failed node's settle merges only the parity
+// blocks of its stripes, then waits out a recycle that took some of them.
+func (e *pl) Settle(p *sim.Proc, failed wire.NodeID) error {
+	if failed == 0 {
+		return e.Drain(p)
+	}
+	for {
+		for _, blk := range e.pendingOn(failed) {
+			e.recycleBlock(p, blk)
+		}
+		if !e.NeedsSettle(failed) {
+			return nil
+		}
+		e.cond.Wait(p)
+	}
+}
 
-// NeedsSettle reports whether unmerged parity deltas remain.
-func (e *pl) NeedsSettle(wire.NodeID) bool { return e.Dirty() }
+// NeedsSettle reports whether unmerged parity deltas remain (of a failed
+// node's stripes, when one is given).
+func (e *pl) NeedsSettle(failed wire.NodeID) bool {
+	if failed == 0 {
+		return e.Dirty()
+	}
+	return anyOn(&e.base, e.records, failed) || anyOn(&e.base, e.applying, failed)
+}
+
+// NeedsSettleRange reports whether a parity block of s has an unmerged
+// delta overlapping [off, end), or a recycle that took its records (of any
+// range) still running.
+func (e *pl) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
+	for _, blk := range e.stripeBlocks(s) {
+		if e.applying[blk] > 0 {
+			return true
+		}
+		for _, r := range e.records[blk] {
+			if r.off < end && off < r.off+int64(len(r.delta)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// pendingOn returns, in block order, the parity blocks with unmerged deltas
+// whose stripe has a block on node.
+func (e *pl) pendingOn(node wire.NodeID) []wire.BlockID {
+	var blks []wire.BlockID
+	for blk := range e.records {
+		//lint:allow maporder(the keys are sorted below)
+		if e.placedOn(blk.StripeID(), node) {
+			blks = append(blks, blk)
+		}
+	}
+	sortBlocks(blks)
+	return blks
+}
 
 // Dirty reports whether unmerged parity deltas remain.
 func (e *pl) Dirty() bool { return len(e.records) > 0 }

@@ -164,12 +164,71 @@ func (e *plr) Drain(p *sim.Proc) error {
 	return nil
 }
 
-// Settle is Drain: reserved-space logs must merge before raw stripes are
-// consistent.
-func (e *plr) Settle(p *sim.Proc, _ wire.NodeID) error { return e.Drain(p) }
+// Settle is Drain for failed == 0: reserved-space logs must merge before
+// raw stripes are consistent. A failed node's settle merges only the
+// reserves of its stripes' parity blocks, each after any recycle already
+// running on it.
+func (e *plr) Settle(p *sim.Proc, failed wire.NodeID) error {
+	if failed == 0 {
+		return e.Drain(p)
+	}
+	for _, b := range e.reservesOn(failed) {
+		lg := e.logs[b]
+		for lg.recycling {
+			e.cond.Wait(p)
+		}
+		e.recycleBlock(p, b, lg)
+	}
+	return nil
+}
 
-// NeedsSettle reports whether any reserve still holds unmerged deltas.
-func (e *plr) NeedsSettle(wire.NodeID) bool { return e.Dirty() }
+// NeedsSettle reports whether any reserve still holds unmerged deltas (of a
+// failed node's stripes, when one is given, counting a running recycle).
+func (e *plr) NeedsSettle(failed wire.NodeID) bool {
+	if failed == 0 {
+		return e.Dirty()
+	}
+	for _, b := range e.reservesOn(failed) {
+		if lg := e.logs[b]; len(lg.recs) > 0 || lg.recycling {
+			return true
+		}
+	}
+	return false
+}
+
+// NeedsSettleRange reports whether a reserve of s holds an unmerged delta
+// overlapping [off, end), or is being recycled.
+func (e *plr) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
+	for _, blk := range e.stripeBlocks(s) {
+		lg := e.logs[blk]
+		if lg == nil {
+			continue
+		}
+		if lg.recycling {
+			return true
+		}
+		for _, r := range lg.recs {
+			if r.off < end && off < r.off+int64(len(r.delta)) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// reservesOn returns, in block order, the parity blocks with a reserve
+// whose stripe has a block on node.
+func (e *plr) reservesOn(node wire.NodeID) []wire.BlockID {
+	var blks []wire.BlockID
+	for b := range e.logs {
+		//lint:allow maporder(the keys are sorted below)
+		if e.placedOn(b.StripeID(), node) {
+			blks = append(blks, b)
+		}
+	}
+	sortBlocks(blks)
+	return blks
+}
 
 // Dirty reports whether any reserve still holds unmerged deltas.
 func (e *plr) Dirty() bool {

@@ -767,13 +767,6 @@ func (t *tsue) Drain(p *sim.Proc) error {
 // TSUE's structural advantage at recovery time: the merge debt a failure
 // must pay is bounded by the in-flight recycle window, not the log volume.
 //
-// The exception is items for the failed node's stripes: their raw shards
-// are reconstruction's input and must stay frozen through the degraded
-// window, but a retained item would apply whenever its unit later seals
-// under foreground appends — an RMW racing the rebuild. Settle therefore
-// force-seals (and drains through) every active DataLog unit holding an
-// item for a degraded stripe; unrelated active units stay as overlay.
-//
 // A DeltaLog or ParityLog pool's active unit is force-sealed only while the
 // pool has no sealed unit queued or recycling. Deltas forwarded during a
 // running recycle gather in the active unit and go as one unit once the
@@ -781,25 +774,29 @@ func (t *tsue) Drain(p *sim.Proc) error {
 // small units, each recycled in a pass of its own, and stall appenders at
 // MaxUnits.
 //
-// Settle is a barrier: the caller must fence appends (the recovery gate)
-// while it runs.
+// With failed == 0 Settle is a barrier: the caller must fence appends (the
+// update gate) while it runs, or it may never see the pipeline empty.
+//
+// With failed != 0 it covers only units that hold a record of a stripe
+// placed on the failed node: their raw shards are reconstruction's input
+// and must stay frozen through the degraded window. Such a unit counts in
+// every layer, and an active one is force-sealed: in the DataLog always
+// (a retained item would apply whenever its unit later seals, an RMW
+// racing the rebuild), in the DeltaLog and ParityLog only while its pool
+// is idle, as above. Units of other stripes stay, and appends to them may
+// go on while Settle runs: no new record joins a covered stripe once the
+// degraded routes are published, so the covered units only drain.
 func (t *tsue) Settle(p *sim.Proc, failed wire.NodeID) error {
 	for {
-		if failed != 0 {
-			for i, pool := range t.data.pools {
-				if u := pool.Active(); u != nil && t.unitTouchesStripesOf(u, failed) {
-					if su := pool.SealActive(p.Now()); su != nil {
-						t.data.queues[i].Put(su)
-					}
-				}
-			}
-		}
-		for _, l := range []*tsueLayer{t.delta, t.parity} {
-			if l == nil {
+		for _, l := range []*tsueLayer{t.data, t.delta, t.parity} {
+			if l == nil || (l == t.data && failed == 0) {
 				continue
 			}
 			for i, pool := range l.pools {
-				if pool.PendingSealed() {
+				if l != t.data && pool.PendingSealed() {
+					continue
+				}
+				if u := pool.Active(); u == nil || (failed != 0 && !t.unitOn(u, failed)) {
 					continue
 				}
 				if u := pool.SealActive(p.Now()); u != nil {
@@ -814,41 +811,50 @@ func (t *tsue) Settle(p *sim.Proc, failed wire.NodeID) error {
 	}
 }
 
-// unitTouchesStripesOf reports whether any of the unit's blocks belongs to
-// a stripe whose placement includes the given (failed) node — the stripes
-// recovery will read raw and therefore must not be mutated by a later
-// recycle of this unit.
-func (t *tsue) unitTouchesStripesOf(u *logpool.Unit, node wire.NodeID) bool {
-	for _, blk := range u.Blocks() {
-		for _, id := range t.h.Placement(blk.StripeID()) {
-			if id == node {
-				return true
+// NeedsSettle reports whether partially-applied pipeline state remains.
+// With failed == 0 that is a sealed DataLog unit (its RMW may have started)
+// or anything in the DeltaLog and ParityLog; active DataLog units do not
+// count, they are replayable overlay. With failed != 0 it is any unit not
+// yet recycled, in any layer, that holds a record of the failed node's
+// stripes.
+func (t *tsue) NeedsSettle(failed wire.NodeID) bool {
+	if failed != 0 {
+		for _, l := range []*tsueLayer{t.data, t.delta, t.parity} {
+			if l == nil {
+				continue
+			}
+			for _, pool := range l.pools {
+				if t.poolOn(pool, failed) {
+					return true
+				}
 			}
 		}
+		return false
 	}
-	return false
-}
-
-// NeedsSettle reports whether partially-applied pipeline state remains:
-// sealed DataLog units (their RMW may have started), anything in the
-// delta/parity layers, or — under a failure — active DataLog units
-// touching the failed node's stripes. Other active DataLog units do not
-// count: they are replayable overlay.
-func (t *tsue) NeedsSettle(failed wire.NodeID) bool {
 	if t.data.pendingSealed() {
 		return true
-	}
-	if failed != 0 {
-		for _, pool := range t.data.pools {
-			if u := pool.Active(); u != nil && t.unitTouchesStripesOf(u, failed) {
-				return true
-			}
-		}
 	}
 	if t.delta != nil && t.delta.pending() {
 		return true
 	}
 	return t.parity.pending()
+}
+
+// NeedsSettleRange reports whether a unit not yet recycled, in any layer,
+// holds a record of s overlapping [off, end). A recycling unit counts until
+// its forwards have returned, so nothing it sends downstream is missed.
+func (t *tsue) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
+	for _, l := range []*tsueLayer{t.data, t.delta, t.parity} {
+		if l == nil {
+			continue
+		}
+		for _, pool := range l.pools {
+			if t.poolTouches(pool, s, off, end) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // ReplayInto merges one recovered record (surrogate-journal or

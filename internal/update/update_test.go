@@ -62,7 +62,7 @@ func applyUpdate(eng Engine, p *sim.Proc, blk wire.BlockID, off int64, data []by
 func runProc(t *testing.T, h *fakeHost, fn func(p *sim.Proc)) {
 	t.Helper()
 	h.env.Go("t", func(p *sim.Proc) { fn(p) })
-	h.env.Run(0)
+	h.env.RunTest(t)
 	h.env.Close()
 }
 
@@ -247,7 +247,7 @@ func TestTsueFrontEndSequentialOnly(t *testing.T) {
 			got = append(got, len(it.Data))
 		}
 	})
-	hh.env.Run(0)
+	hh.env.RunTest(t)
 	hh.env.Close()
 	st := hh.store.Device().Stats()
 	if st.SeqWriteOps != int64(len(sizes)-1) || st.RandWriteOps != 1 {
