@@ -366,24 +366,25 @@ func (c *Cluster) NewClient() *Client {
 // clean everywhere; recycling forwards work to peers, so one round is not
 // enough (DataLog→DeltaLog→ParityLog spans up to three nodes).
 func (c *Cluster) DrainAll(p *sim.Proc, via *Client) error {
-	return c.barrier(p, via, "drain", &wire.Drain{}, update.Engine.Dirty)
+	return c.barrier(p, via, "drain", &wire.Drain{}, update.All)
 }
 
 // barrier sends req to every live OSD in parallel, in rounds, until a round
-// starts with busy false on every one of them; at most 12 rounds. A node
-// that dies mid-round is no longer the barrier's problem: its state is
-// recovery's now.
-func (c *Cluster) barrier(p *sim.Proc, via *Client, name string, req wire.Msg, busy func(update.Engine) bool) error {
+// starts with nothing pending in scope sc on any of them; at most 12
+// rounds. req makes each OSD merge sc. A node that dies mid-round is no
+// longer the barrier's problem: its state is recovery's now.
+func (c *Cluster) barrier(p *sim.Proc, via *Client, name string, req wire.Msg, sc update.Scope) error {
+	var pending []wire.NodeID
 	for round := 0; round < 12; round++ {
 		var live []*OSD
-		dirty := false
+		pending = pending[:0]
 		for _, osd := range c.OSDs {
 			if c.Fabric.Down(osd.id) {
 				continue
 			}
 			live = append(live, osd)
-			if busy(osd.engine) {
-				dirty = true
+			if osd.engine.Pending(sc) {
+				pending = append(pending, osd.id)
 			}
 		}
 		if err := sim.Parallel(p, name, len(live), func(hp *sim.Proc, i int) error {
@@ -395,11 +396,11 @@ func (c *Cluster) barrier(p *sim.Proc, via *Client, name string, req wire.Msg, b
 		}); err != nil {
 			return err
 		}
-		if !dirty {
+		if len(pending) == 0 {
 			return nil
 		}
 	}
-	return fmt.Errorf("cluster: %s did not converge", name)
+	return fmt.Errorf("cluster: %s did not converge: scope %+v, at %v, OSDs %v still pending at the last round", name, sc, p.Now(), pending)
 }
 
 // Scrub verifies every stripe: parity must equal the re-encoded data. It

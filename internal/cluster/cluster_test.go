@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"math/rand"
+	"regexp"
 	"testing"
 	"time"
 
@@ -248,6 +249,42 @@ func TestReadYourWritesBeforeDrain(t *testing.T) {
 		}
 		if !bytes.Equal(got, content) {
 			t.Fatal("whole-file read mismatch before drain")
+		}
+	})
+}
+
+// TestBarrierNamesWhyItDidNotConverge: a DrainAll run while a client keeps
+// updating never starts a round clean, and its error names the scope, the
+// sim time and the OSDs still pending at the last round, enough to replay
+// the run.
+func TestBarrierNamesWhyItDidNotConverge(t *testing.T) {
+	run(t, testConfig("pl"), func(p *sim.Proc, c *Cluster, cl *Client) {
+		content := make([]byte, 2*c.StripeWidth())
+		ino, _ := cl.Create(p, "f", int64(len(content)))
+		if err := cl.WriteFile(p, ino, content); err != nil {
+			t.Fatal(err)
+		}
+		drained := false
+		for i := 0; i < 4; i++ {
+			rng := rand.New(rand.NewSource(int64(i)))
+			c.Env.Go("updater", func(up *sim.Proc) {
+				for !drained {
+					if err := cl.Update(up, ino, int64(rng.Intn(len(content)-512)), make([]byte, 512)); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			})
+		}
+		p.Sleep(time.Millisecond)
+		err := c.DrainAll(p, c.NewClient())
+		drained = true
+		if err == nil {
+			t.Fatal("DrainAll converged under a steady update stream")
+		}
+		want := regexp.MustCompile(`^cluster: drain did not converge: scope \{Node:0 Overlay:true .*\}, at [0-9.]+m?s, OSDs \[[0-9]+( [0-9]+)*\] still pending at the last round$`)
+		if !want.MatchString(err.Error()) {
+			t.Errorf("error %q does not name the scope, sim time and pending OSDs", err)
 		}
 	})
 }

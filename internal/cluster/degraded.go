@@ -747,7 +747,7 @@ func (c *Cluster) settleFenced(st *degradedState, s wire.StripeID, off, end int6
 		return false
 	}
 	for _, osd := range c.OSDs {
-		if !c.Fabric.Down(osd.id) && osd.engine.NeedsSettleRange(s, off, end) {
+		if !c.Fabric.Down(osd.id) && osd.engine.Pending(update.Bytes(s, off, end)) {
 			return true
 		}
 	}
@@ -755,16 +755,15 @@ func (c *Cluster) settleFenced(st *degradedState, s wire.StripeID, off, end int6
 }
 
 // SettleAll brings every live OSD's raw stores to stripe consistency with
-// minimal merging (engine Settle), repeating rounds until a full round
-// reports nothing left to settle — the consistency barrier recovery runs
-// before reconstruction starts. The failed node scopes the barrier: with
-// failed != 0 it covers only the state touching the failed node's stripes,
-// overlay included (their raw shards feed reconstruction), and converges
-// while updates to other stripes flow; with failed == 0 it covers every
-// stripe except pure overlay and needs the update gate closed.
+// minimal merging, repeating rounds until a full round starts with nothing
+// left to settle: the consistency barrier recovery runs before
+// reconstruction starts. Its scope is update.Failed(failed): with failed !=
+// 0 it covers only the state touching the failed node's stripes, overlay
+// included (their raw shards feed reconstruction), and converges while
+// updates to other stripes flow; with failed == 0 it covers every stripe
+// except pure overlay and needs the update gate closed.
 func (c *Cluster) SettleAll(p *sim.Proc, via *Client, failed wire.NodeID) error {
-	return c.barrier(p, via, "settle", &wire.Settle{Failed: failed},
-		func(e update.Engine) bool { return e.NeedsSettle(failed) })
+	return c.barrier(p, via, "settle", &wire.Settle{Failed: failed}, update.Failed(failed))
 }
 
 // resetStripeState clears engine-side cross-update baselines (PARIX's

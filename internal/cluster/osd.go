@@ -152,12 +152,12 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		}
 		return wire.OK
 	case *wire.Drain:
-		if err := o.engine.Drain(p); err != nil {
+		if err := o.engine.Merge(p, update.All); err != nil {
 			return &wire.Ack{Err: err}
 		}
 		return wire.OK
 	case *wire.Settle:
-		if err := o.engine.Settle(p, v.Failed); err != nil {
+		if err := o.engine.Merge(p, update.Failed(v.Failed)); err != nil {
 			return &wire.Ack{Err: err}
 		}
 		return wire.OK

@@ -190,8 +190,8 @@ func TestCorruptMovedPayloadRejectedBeforeAdoption(t *testing.T) {
 				if c.CorruptionsDetected() != before+1 {
 					t.Errorf("detections went %d -> %d, want +1", before, c.CorruptionsDetected())
 				}
-				if holder.engine.Dirty() || holder.engine.MemBytes() != 0 {
-					t.Errorf("rejected payload reached the engine's log (dirty=%v, mem=%d)", holder.engine.Dirty(), holder.engine.MemBytes())
+				if holder.engine.Pending(update.All) || holder.engine.MemBytes() != 0 {
+					t.Errorf("rejected payload reached the engine's log (dirty=%v, mem=%d)", holder.engine.Pending(update.All), holder.engine.MemBytes())
 				}
 			})
 		})

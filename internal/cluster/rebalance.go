@@ -295,7 +295,9 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 	// drain" half of the cutover); TSUE retains its replayable overlay,
 	// except that of a node dead mid-transition: its stripes' raw shards
 	// feed the finish policy's reconstructions and must flush like
-	// recovery's, so a second barrier scoped to it follows.
+	// recovery's, so a second barrier scoped to it follows. One barrier over
+	// the union of both scopes would need a second node or overlay field in
+	// update.Scope that only this caller uses.
 	if err := c.SettleAll(p, pm.via, 0); err != nil {
 		return err
 	}

@@ -172,40 +172,35 @@ func (e *cord) recycleUnit(p *sim.Proc, u *logpool.Unit) {
 	}
 }
 
-// Drain recycles the collector buffer to quiescence.
-func (e *cord) Drain(p *sim.Proc) error {
-	for e.recycling {
-		e.cond.Wait(p)
-	}
-	if u := e.pool.SealActive(p.Now()); u != nil {
-		e.recycleUnit(p, u)
-	}
-	// A sealed-but-unrecycled unit can exist if a concurrent append sealed
-	// it moments ago; the inline recycle above covers the common case, and
-	// Pending() re-checks.
-	for e.pool.Pending() {
-		p.Sleep(time.Millisecond)
+// Merge distributes the collector buffer's deltas in scope sc: the buffer
+// holds deltas for other parity holders, so the raw stripe is only
+// consistent once it distributes. Over every stripe it recycles the buffer
+// to quiescence. A narrower scope waits for every unit holding a delta in
+// it to distribute, sealing the active one when it holds such a delta and
+// nothing else is sealed or recycling; it does not poll until the buffer is
+// empty, which never ends while appends to other stripes go on.
+func (e *cord) Merge(p *sim.Proc, sc Scope) error {
+	if sc.every() {
+		for e.recycling {
+			e.cond.Wait(p)
+		}
 		if u := e.pool.SealActive(p.Now()); u != nil {
 			e.recycleUnit(p, u)
 		}
+		// A sealed-but-unrecycled unit can exist if a concurrent append
+		// sealed it moments ago; the inline recycle above covers the common
+		// case, and Pending() re-checks.
+		for e.pool.Pending() {
+			p.Sleep(time.Millisecond)
+			if u := e.pool.SealActive(p.Now()); u != nil {
+				e.recycleUnit(p, u)
+			}
+		}
+		return nil
 	}
-	return nil
-}
-
-// Settle is Drain for failed == 0: the collector buffer holds deltas for
-// other parity holders, so the raw stripe is only consistent once it
-// distributes. A failed node's settle waits for every unit holding a delta
-// of its stripes to distribute, sealing the active one when it holds such a
-// delta and nothing else is sealed or recycling. It does not share Drain's
-// poll until the buffer is empty, which never ends while appends to other
-// stripes go on.
-func (e *cord) Settle(p *sim.Proc, failed wire.NodeID) error {
-	if failed == 0 {
-		return e.Drain(p)
-	}
-	for e.NeedsSettle(failed) {
+	for e.Pending(sc) {
 		if !e.recycling && !e.pool.PendingSealed() {
-			if u := e.pool.Active(); u != nil && e.unitOn(u, failed) {
+			if u := e.pool.Active(); u != nil && e.unitIn(u, sc) {
 				e.recycleUnit(p, e.pool.SealActive(p.Now()))
 				continue
 			}
@@ -217,23 +212,9 @@ func (e *cord) Settle(p *sim.Proc, failed wire.NodeID) error {
 	return nil
 }
 
-// NeedsSettle reports whether the collector buffer still holds deltas (of a
-// failed node's stripes, when one is given).
-func (e *cord) NeedsSettle(failed wire.NodeID) bool {
-	if failed == 0 {
-		return e.Dirty()
-	}
-	return e.poolOn(e.pool, failed)
-}
-
-// NeedsSettleRange reports whether the collector buffer still holds a delta
-// of s overlapping [off, end).
-func (e *cord) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
-	return e.poolTouches(e.pool, s, off, end)
-}
-
-// Dirty reports whether the collector buffer still holds deltas.
-func (e *cord) Dirty() bool { return e.pool.Pending() }
+// Pending reports whether the collector buffer still holds a delta in
+// scope sc.
+func (e *cord) Pending(sc Scope) bool { return e.poolIn(e.pool, sc, true) }
 
 // MemBytes returns the collector buffer's memory footprint.
 func (e *cord) MemBytes() int64 { return e.pool.Stats().MemBytes }

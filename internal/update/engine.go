@@ -73,46 +73,71 @@ type Engine interface {
 	// Read returns [off, off+size) of a block with the scheme's read-path
 	// semantics (TSUE consults its log read cache).
 	Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, error)
-	// Drain flushes all local log state to quiescence (recovery precondition
-	// and scrub barrier). Cluster-wide drains repeat per-OSD drains until a
-	// full round is clean, since recycling forwards work downstream.
-	Drain(p *sim.Proc) error
-	// Settle brings the raw block stores this engine touches back to stripe
-	// consistency with the minimum merging. With failed == 0 it covers every
-	// stripe: any log whose effects are partially applied (delta/parity
-	// pipelines, lazy parity logs) must merge, while pure-overlay state that
-	// recovery can replay from replicas — TSUE's active DataLog units — may
-	// stay; for every in-place scheme that is Drain. The caller fences
-	// appends (the update gate) while it runs.
-	//
-	// With failed != 0 it covers exactly the state that touches a stripe
-	// whose placement includes the failed node, overlay included:
-	// reconstruction reads those stripes' raw shards during the degraded
-	// window, so a retained item would race the rebuild when it later
-	// applies. State of other stripes stays, and appends to other stripes
-	// may go on while Settle runs — once the degraded routes are published
-	// no update reaches a degraded stripe's engines, so the covered state
-	// can only shrink and Settle returns. The gap between Settle and Drain
-	// is TSUE's §4.2 log-reliability advantage during recovery.
-	Settle(p *sim.Proc, failed wire.NodeID) error
-	// NeedsSettle reports whether Settle(failed) still has work to do,
-	// including merges another proc has taken but not yet applied (the
-	// cluster-wide settle barrier repeats per-OSD settles until a full
-	// round is clean, like DrainAll).
-	NeedsSettle(failed wire.NodeID) bool
-	// NeedsSettleRange narrows NeedsSettle(failed), for a failed node of
-	// stripe s, to bytes [off, end) of s's blocks: whether this engine still
-	// holds, or is merging, state for s that overlaps the range. RS coding
-	// works column by column, so once no live engine reports the range, the
-	// raw shards of a degraded stripe are final there and reconstructing
-	// that range of a lost block cannot race the settle.
-	NeedsSettleRange(s wire.StripeID, off, end int64) bool
-	// Dirty reports whether the engine still holds unrecycled state.
-	Dirty() bool
+	// Merge pays the merge debt in scope sc: it merges the state sc covers
+	// into the raw block stores, so the stripes it touches are consistent
+	// again, and returns once Pending(sc) is false. State outside sc stays.
+	// A scope over every stripe (no node, no byte range) needs the caller
+	// to fence appends (the update gate) while it runs, or it may never see
+	// the covered state empty. A failed node's scope converges with appends
+	// to other stripes flowing: once the degraded routes are published no
+	// update reaches a degraded stripe's engines, so the covered state can
+	// only shrink. The cluster-wide barrier repeats per-OSD merges until a
+	// round starts clean everywhere, since recycling forwards work to peers.
+	Merge(p *sim.Proc, sc Scope) error
+	// Pending reports whether this engine still holds state in scope sc, or
+	// is merging state it took from there (a recycle or fold another proc
+	// runs counts until it has applied).
+	Pending(sc Scope) bool
 	// MemBytes is the engine's current log memory footprint.
 	MemBytes() int64
 	// PeakMemBytes is the high-water mark of MemBytes.
 	PeakMemBytes() int64
+}
+
+// Scope selects the merge debt Merge pays and Pending reports. The zero
+// value covers every stripe except pure overlay.
+type Scope struct {
+	// Node, when not 0, keeps only the stripes with a block on that node.
+	Node wire.NodeID
+	// Overlay counts pure overlay: records that have touched neither a data
+	// block nor any parity and are replicated, so recovery can rebuild the
+	// raw stripe and replay them (§4.2). Only TSUE's active DataLog units
+	// are pure overlay.
+	Overlay bool
+	// S and [Off, End), when End > Off, keep only the state of stripe S that
+	// overlaps those bytes of its blocks.
+	S        wire.StripeID
+	Off, End int64
+}
+
+// All covers every stripe, overlay included: merging it empties every log
+// (the drain before a scrub and after a recovery cutover).
+var All = Scope{Overlay: true}
+
+// Failed is the scope of the settle barrier for failed node f. Failed(0)
+// covers every stripe except pure overlay: the least merging that leaves
+// every raw stripe consistent (a placement cutover). Failed(f) for f != 0
+// covers f's stripes, overlay included: reconstruction reads their raw
+// shards during the degraded window, so a retained record would race the
+// rebuild when it later applied. The gap between Failed(f) and All is
+// TSUE's log-reliability advantage at recovery time.
+func Failed(f wire.NodeID) Scope { return Scope{Node: f, Overlay: f != 0} }
+
+// Bytes covers bytes [off, end) of stripe s's blocks, overlay included. RS
+// coding works column by column, so once no live engine has the range
+// pending, the raw shards of a degraded stripe are final there and
+// reconstructing that range of a lost block cannot race the settle.
+func Bytes(s wire.StripeID, off, end int64) Scope {
+	return Scope{Overlay: true, S: s, Off: off, End: end}
+}
+
+// every reports whether sc covers every stripe: no node, no byte range.
+func (sc Scope) every() bool { return sc.Node == 0 && sc.End <= sc.Off }
+
+// touches reports whether bl holds bytes in sc's byte range; any record
+// does when sc has none.
+func (sc Scope) touches(bl *logpool.BlockLog) bool {
+	return sc.End <= sc.Off || bl.Touches(sc.Off, sc.End)
 }
 
 // Options configures engines; zero values are replaced by defaults.
@@ -254,71 +279,75 @@ func (b *base) parityBlock(s wire.StripeID, j int) wire.BlockID {
 	return wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(b.h.Code().K + j)}
 }
 
-// placedOn reports whether stripe s has a block on node: the stripes a
-// failed node's settle covers.
-func (b *base) placedOn(s wire.StripeID, node wire.NodeID) bool {
-	return slices.Contains(b.h.Placement(s), node)
+// in reports whether scope sc covers stripe s (its byte range aside).
+func (b *base) in(sc Scope, s wire.StripeID) bool {
+	if sc.End > sc.Off && s != sc.S {
+		return false
+	}
+	return sc.Node == 0 || slices.Contains(b.h.Placement(s), sc.Node)
 }
 
-// unitOn reports whether a log unit holds a record of a stripe with a
-// block on node.
-func (b *base) unitOn(u *logpool.Unit, node wire.NodeID) bool {
-	for _, blk := range u.Blocks() {
-		if b.placedOn(blk.StripeID(), node) {
+// anyIn reports whether an entry of m, keyed by block, is in scope sc:
+// its stripe is covered and held reports state in sc's byte range.
+func anyIn[V any](b *base, sc Scope, m map[wire.BlockID]V, held func(V) bool) bool {
+	for blk, v := range m {
+		//lint:allow maporder(in and held are pure lookups; an existence test has the same answer in any order)
+		if b.in(sc, blk.StripeID()) && held(v) {
 			return true
 		}
 	}
 	return false
 }
 
-// poolOn reports whether a unit of the pool not yet recycled holds a
-// record of a stripe with a block on node.
-func (b *base) poolOn(p *logpool.Pool, node wire.NodeID) bool {
-	for _, u := range p.Units() {
-		if u.State != logpool.Recycled && b.unitOn(u, node) {
-			return true
+// always is the held predicate of map entries whose presence is the state:
+// an in-flight merge, or a reserve whose merge also waits one out.
+func always[V any](V) bool { return true }
+
+// keysIn returns, in block order, the keys of m that anyIn would find.
+func keysIn[V any](b *base, sc Scope, m map[wire.BlockID]V, held func(V) bool) []wire.BlockID {
+	var blks []wire.BlockID
+	for blk, v := range m {
+		//lint:allow maporder(the keys are sorted below)
+		if b.in(sc, blk.StripeID()) && held(v) {
+			blks = append(blks, blk)
 		}
 	}
-	return false
-}
-
-// stripeBlocks returns the K+M block IDs of stripe s, data first.
-func (b *base) stripeBlocks(s wire.StripeID) []wire.BlockID {
-	c := b.h.Code()
-	blks := make([]wire.BlockID, c.K+c.M)
-	for i := range blks {
-		blks[i] = wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(i)}
-	}
+	sortBlocks(blks)
 	return blks
 }
 
-// poolTouches reports whether a unit of the pool not yet recycled holds a
-// record of stripe s overlapping [off, end).
-func (b *base) poolTouches(p *logpool.Pool, s wire.StripeID, off, end int64) bool {
-	blks := b.stripeBlocks(s)
-	for _, u := range p.Units() {
-		if u.State == logpool.Recycled {
-			continue
-		}
-		for _, blk := range blks {
-			if bl := u.Lookup(blk); bl != nil && bl.Touches(off, end) {
-				return true
-			}
+// poolIn reports whether a unit of the pool not yet recycled holds a
+// record in scope sc; the active (unsealed) unit counts only when active
+// is set.
+func (b *base) poolIn(pool *logpool.Pool, sc Scope, active bool) bool {
+	for _, u := range pool.Units() {
+		if u.State != logpool.Recycled && (active || u.State != logpool.Empty) && b.unitIn(u, sc) {
+			return true
 		}
 	}
 	return false
 }
 
-// anyOn reports whether any block keyed in m belongs to a stripe with a
-// block on node.
-func anyOn[V any](b *base, m map[wire.BlockID]V, node wire.NodeID) bool {
-	for blk := range m {
-		//lint:allow maporder(placedOn is a pure lookup; an existence test has the same answer in any order)
-		if b.placedOn(blk.StripeID(), node) {
-			return true
+// unitIn reports whether log unit u holds a record in scope sc. A byte
+// range looks up only its stripe's blocks.
+func (b *base) unitIn(u *logpool.Unit, sc Scope) bool {
+	switch {
+	case sc.End > sc.Off:
+		if !b.in(sc, sc.S) {
+			return false
 		}
+		c := b.h.Code()
+		for i := 0; i < c.K+c.M; i++ {
+			bl := u.Lookup(wire.BlockID{Ino: sc.S.Ino, Stripe: sc.S.Stripe, Index: uint16(i)})
+			if bl != nil && sc.touches(bl) {
+				return true
+			}
+		}
+		return false
+	case sc.Node == 0:
+		return u.Appended > 0
 	}
-	return false
+	return slices.ContainsFunc(u.Blocks(), func(blk wire.BlockID) bool { return b.in(sc, blk.StripeID()) })
 }
 
 // readModifyWrite performs the in-place data-block update shared by FO, PL,

@@ -66,20 +66,12 @@ func (e *fo) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool) 
 	return errAck(e.applyParityDelta(p, pd.Blk, pd.Off, pd.Data)), true
 }
 
-// Drain is a no-op: FO keeps no logs.
-func (e *fo) Drain(*sim.Proc) error { return nil }
+// Merge is a no-op: FO keeps no logs, so its stores are always
+// stripe-consistent.
+func (e *fo) Merge(*sim.Proc, Scope) error { return nil }
 
-// Settle is a no-op: FO's stores are always stripe-consistent.
-func (e *fo) Settle(*sim.Proc, wire.NodeID) error { return nil }
-
-// NeedsSettle always reports false.
-func (e *fo) NeedsSettle(wire.NodeID) bool { return false }
-
-// NeedsSettleRange always reports false.
-func (e *fo) NeedsSettleRange(wire.StripeID, int64, int64) bool { return false }
-
-// Dirty always reports false: there is nothing to recycle.
-func (e *fo) Dirty() bool { return false }
+// Pending always reports false.
+func (e *fo) Pending(Scope) bool { return false }
 
 // MemBytes is always zero: FO holds no log memory.
 func (e *fo) MemBytes() int64 { return 0 }

@@ -237,63 +237,36 @@ func (e *parix) fold(p *sim.Proc, work map[wire.BlockID]*logpool.BlockLog) {
 	}
 }
 
-// Drain folds every pending speculative record into its parity block.
-func (e *parix) Drain(p *sim.Proc) error {
-	e.recycleAll(p)
-	return nil
-}
-
-// Settle is Drain for failed == 0: speculative logs must fold before raw
-// stripes are consistent (and folding advances the orig baselines, keeping
-// them valid against the settled parity). A failed node's settle folds only
-// the records of its stripes, then waits out a recycle that took some.
-func (e *parix) Settle(p *sim.Proc, failed wire.NodeID) error {
-	if failed == 0 {
-		return e.Drain(p)
+// Merge folds the speculative records in scope sc into their parity
+// blocks: speculative logs must fold before raw stripes are consistent (and
+// folding advances the orig baselines, keeping them valid against the
+// merged parity). Over every stripe it recycles the whole log; a narrower
+// scope folds only its records, then waits out a recycle that took some.
+func (e *parix) Merge(p *sim.Proc, sc Scope) error {
+	if sc.every() {
+		e.recycleAll(p)
+		return nil
 	}
 	for {
 		work := make(map[wire.BlockID]*logpool.BlockLog)
-		for blk, lat := range e.latest {
-			//lint:allow maporder(moving entries between maps by a pure predicate gives the same maps in any order; fold sorts them)
-			if e.placedOn(blk.StripeID(), failed) {
-				work[blk] = lat
-				delete(e.latest, blk)
-			}
+		for _, blk := range keysIn(&e.base, sc, e.latest, sc.touches) {
+			work[blk] = e.latest[blk]
+			delete(e.latest, blk)
 		}
 		e.fold(p, work)
 		e.mem = e.memBytes()
-		if !e.NeedsSettle(failed) {
+		if !e.Pending(sc) {
 			return nil
 		}
 		e.cond.Wait(p)
 	}
 }
 
-// NeedsSettle reports whether unfolded speculative records remain (of a
-// failed node's stripes, when one is given, counting a running fold).
-func (e *parix) NeedsSettle(failed wire.NodeID) bool {
-	if failed == 0 {
-		return e.Dirty()
-	}
-	return anyOn(&e.base, e.latest, failed) || anyOn(&e.base, e.folding, failed)
+// Pending reports whether a block in scope sc has an unfolded speculative
+// record in it, or a fold of it running.
+func (e *parix) Pending(sc Scope) bool {
+	return anyIn(&e.base, sc, e.latest, sc.touches) || anyIn(&e.base, sc, e.folding, always[int])
 }
-
-// NeedsSettleRange reports whether a block of s has an unfolded
-// speculative record overlapping [off, end), or a fold of it running.
-func (e *parix) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
-	for _, blk := range e.stripeBlocks(s) {
-		if e.folding[blk] > 0 {
-			return true
-		}
-		if lat := e.latest[blk]; lat != nil && lat.Touches(off, end) {
-			return true
-		}
-	}
-	return false
-}
-
-// Dirty reports whether unfolded speculative records remain.
-func (e *parix) Dirty() bool { return len(e.latest) > 0 }
 
 // MemBytes returns the in-memory speculative-log footprint.
 func (e *parix) MemBytes() int64 { return e.mem }

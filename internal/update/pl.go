@@ -2,6 +2,7 @@ package update
 
 import (
 	"fmt"
+	"slices"
 
 	"tsue/internal/device"
 	"tsue/internal/sim"
@@ -38,6 +39,14 @@ type plRec struct {
 	// pos is the record's location in the on-disk log (recycle reads it
 	// back with random I/O — PL's recycle inefficiency, §2.2).
 	pos int64
+}
+
+// anyRec reports whether a record of recs holds bytes in sc's byte range;
+// any record does when sc has none.
+func (sc Scope) anyRec(recs []plRec) bool {
+	return slices.ContainsFunc(recs, func(r plRec) bool {
+		return sc.End <= sc.Off || (r.off < sc.End && sc.Off < r.off+int64(len(r.delta)))
+	})
 }
 
 func newPL(h Host, o Options) *pl {
@@ -131,73 +140,32 @@ func (e *pl) recycleBlock(p *sim.Proc, blk wire.BlockID) {
 	e.cond.Broadcast()
 }
 
-// Drain merges every pending parity delta into its parity block.
-func (e *pl) Drain(p *sim.Proc) error {
-	e.recycleAll(p)
-	return nil
-}
-
-// Settle is Drain for failed == 0: PL's lazy parity log must merge before
-// the raw stripe is consistent, which is exactly the recovery debt the
-// paper charges it with. A failed node's settle merges only the parity
-// blocks of its stripes, then waits out a recycle that took some of them.
-func (e *pl) Settle(p *sim.Proc, failed wire.NodeID) error {
-	if failed == 0 {
-		return e.Drain(p)
+// Merge merges the parity deltas in scope sc into their parity blocks.
+// Over every stripe it recycles the whole log, which is exactly the
+// recovery debt the paper charges PL with. A narrower scope recycles only
+// the parity blocks holding a delta in it, then waits out a recycle that
+// took some of them.
+func (e *pl) Merge(p *sim.Proc, sc Scope) error {
+	if sc.every() {
+		e.recycleAll(p)
+		return nil
 	}
 	for {
-		for _, blk := range e.pendingOn(failed) {
+		for _, blk := range keysIn(&e.base, sc, e.records, sc.anyRec) {
 			e.recycleBlock(p, blk)
 		}
-		if !e.NeedsSettle(failed) {
+		if !e.Pending(sc) {
 			return nil
 		}
 		e.cond.Wait(p)
 	}
 }
 
-// NeedsSettle reports whether unmerged parity deltas remain (of a failed
-// node's stripes, when one is given).
-func (e *pl) NeedsSettle(failed wire.NodeID) bool {
-	if failed == 0 {
-		return e.Dirty()
-	}
-	return anyOn(&e.base, e.records, failed) || anyOn(&e.base, e.applying, failed)
+// Pending reports whether a parity block in scope sc has an unmerged delta
+// in it, or a recycle that took its records (of any range) still running.
+func (e *pl) Pending(sc Scope) bool {
+	return anyIn(&e.base, sc, e.records, sc.anyRec) || anyIn(&e.base, sc, e.applying, always[int])
 }
-
-// NeedsSettleRange reports whether a parity block of s has an unmerged
-// delta overlapping [off, end), or a recycle that took its records (of any
-// range) still running.
-func (e *pl) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
-	for _, blk := range e.stripeBlocks(s) {
-		if e.applying[blk] > 0 {
-			return true
-		}
-		for _, r := range e.records[blk] {
-			if r.off < end && off < r.off+int64(len(r.delta)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// pendingOn returns, in block order, the parity blocks with unmerged deltas
-// whose stripe has a block on node.
-func (e *pl) pendingOn(node wire.NodeID) []wire.BlockID {
-	var blks []wire.BlockID
-	for blk := range e.records {
-		//lint:allow maporder(the keys are sorted below)
-		if e.placedOn(blk.StripeID(), node) {
-			blks = append(blks, blk)
-		}
-	}
-	sortBlocks(blks)
-	return blks
-}
-
-// Dirty reports whether unmerged parity deltas remain.
-func (e *pl) Dirty() bool { return len(e.records) > 0 }
 
 // MemBytes returns the in-memory parity-log footprint.
 func (e *pl) MemBytes() int64 { return e.logBytes }

@@ -151,28 +151,11 @@ func (e *plr) recycleBlock(p *sim.Proc, pblk wire.BlockID, lg *plrLog) {
 	}
 }
 
-// Drain merges every parity block's reserve into the parity block.
-func (e *plr) Drain(p *sim.Proc) error {
-	blks := make([]wire.BlockID, 0, len(e.logs))
-	for b := range e.logs {
-		blks = append(blks, b)
-	}
-	sortBlocks(blks)
-	for _, b := range blks {
-		e.recycleBlock(p, b, e.logs[b])
-	}
-	return nil
-}
-
-// Settle is Drain for failed == 0: reserved-space logs must merge before
-// raw stripes are consistent. A failed node's settle merges only the
-// reserves of its stripes' parity blocks, each after any recycle already
-// running on it.
-func (e *plr) Settle(p *sim.Proc, failed wire.NodeID) error {
-	if failed == 0 {
-		return e.Drain(p)
-	}
-	for _, b := range e.reservesOn(failed) {
+// Merge merges the reserves of the parity blocks in scope sc into them,
+// each after any recycle already running on it: reserved-space logs must
+// merge before raw stripes are consistent.
+func (e *plr) Merge(p *sim.Proc, sc Scope) error {
+	for _, b := range keysIn(&e.base, sc, e.logs, always[*plrLog]) {
 		lg := e.logs[b]
 		for lg.recycling {
 			e.cond.Wait(p)
@@ -182,62 +165,10 @@ func (e *plr) Settle(p *sim.Proc, failed wire.NodeID) error {
 	return nil
 }
 
-// NeedsSettle reports whether any reserve still holds unmerged deltas (of a
-// failed node's stripes, when one is given, counting a running recycle).
-func (e *plr) NeedsSettle(failed wire.NodeID) bool {
-	if failed == 0 {
-		return e.Dirty()
-	}
-	for _, b := range e.reservesOn(failed) {
-		if lg := e.logs[b]; len(lg.recs) > 0 || lg.recycling {
-			return true
-		}
-	}
-	return false
-}
-
-// NeedsSettleRange reports whether a reserve of s holds an unmerged delta
-// overlapping [off, end), or is being recycled.
-func (e *plr) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
-	for _, blk := range e.stripeBlocks(s) {
-		lg := e.logs[blk]
-		if lg == nil {
-			continue
-		}
-		if lg.recycling {
-			return true
-		}
-		for _, r := range lg.recs {
-			if r.off < end && off < r.off+int64(len(r.delta)) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// reservesOn returns, in block order, the parity blocks with a reserve
-// whose stripe has a block on node.
-func (e *plr) reservesOn(node wire.NodeID) []wire.BlockID {
-	var blks []wire.BlockID
-	for b := range e.logs {
-		//lint:allow maporder(the keys are sorted below)
-		if e.placedOn(b.StripeID(), node) {
-			blks = append(blks, b)
-		}
-	}
-	sortBlocks(blks)
-	return blks
-}
-
-// Dirty reports whether any reserve still holds unmerged deltas.
-func (e *plr) Dirty() bool {
-	for _, lg := range e.logs {
-		if len(lg.recs) > 0 {
-			return true
-		}
-	}
-	return false
+// Pending reports whether a reserve in scope sc holds an unmerged delta in
+// it, or is being recycled.
+func (e *plr) Pending(sc Scope) bool {
+	return anyIn(&e.base, sc, e.logs, func(lg *plrLog) bool { return lg.recycling || sc.anyRec(lg.recs) })
 }
 
 // MemBytes returns the in-memory reserve footprint.

@@ -1,6 +1,8 @@
 package update
 
 import (
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -58,9 +60,10 @@ func newScopeEngine(t *testing.T, name string, o Options) (scopeHost, Engine) {
 	return h, eng
 }
 
-func putParity(t *testing.T, h scopeHost, p *sim.Proc) {
+// putStripes stores the data and parity blocks of stripes 0..3.
+func putStripes(t *testing.T, h scopeHost, p *sim.Proc) {
 	for s := uint32(0); s < 4; s++ {
-		for i := h.code.K; i < h.code.K+h.code.M; i++ {
+		for i := 0; i < h.code.K+h.code.M; i++ {
 			if err := h.store.Put(p, wire.BlockID{Ino: 1, Stripe: s, Index: uint16(i)}, make([]byte, 4096)); err != nil {
 				t.Fatal(err)
 			}
@@ -75,59 +78,133 @@ func handle(t *testing.T, eng Engine, p *sim.Proc, m wire.Msg) {
 	}
 }
 
-// scopeSpans are byte ranges around scopeRecord's [512, 1024) of stripe 1,
-// with whether NeedsSettleRange must report them while it is pending.
-var scopeSpans = []struct {
-	stripe   uint32
-	off, end int64
-	want     bool
-}{{1, 512, 1024, true}, {1, 1000, 1001, true}, {1, 0, 4096, true},
-	{1, 0, 512, false}, {1, 1024, 4096, false}, {3, 512, 1024, false}}
+// pendingScopes are the scopes the table asks about: All, both kinds of
+// Failed, then byte ranges around scopeRecord's [512, 1024) of stripe 1.
+var pendingScopes = [9]Scope{
+	All, Failed(0), Failed(scopeFailed),
+	Bytes(wire.StripeID{Ino: 1, Stripe: 1}, 512, 1024),
+	Bytes(wire.StripeID{Ino: 1, Stripe: 1}, 1000, 1001),
+	Bytes(wire.StripeID{Ino: 1, Stripe: 1}, 0, 4096),
+	Bytes(wire.StripeID{Ino: 1, Stripe: 1}, 0, 512),
+	Bytes(wire.StripeID{Ino: 1, Stripe: 1}, 1024, 4096),
+	Bytes(wire.StripeID{Ino: 1, Stripe: 3}, 512, 1024),
+}
 
-// TestNeedsSettleScopedToFailedStripes: in every engine, state pending only
-// on stripes without the failed node leaves NeedsSettle(failed) false while
-// NeedsSettle(0) is true; one record on a failed-node stripe makes
-// NeedsSettle(failed) true, and NeedsSettleRange true for the ranges
-// overlapping it only, until Settle(failed) has merged it.
+// pendingTable: each row builds a state in a fresh engine of each of its
+// engines and gives what Pending answers under pendingScopes, in order.
+// Only TSUE's active DataLog unit is pure overlay, so the All and
+// Failed(0) columns differ only in the rows that leave one. CoRD merges a
+// failed node's scope by whole units of its one buffer, which here also
+// carry the other stripes' deltas.
+var pendingTable = []struct {
+	engines string
+	state   string
+	records []uint32 // stripes given one scopeRecord each, in order
+	update  bool     // a client update of stripe 1's block 1 at [512, 1024)
+	merge   bool     // then Merge(Failed(scopeFailed))
+	want    [9]bool
+}{
+	{engines: "fo pl plr parix cord tsue", state: "nothing pending"},
+	{engines: "pl plr parix cord tsue", state: "other stripes", records: []uint32{0, 2},
+		want: [9]bool{true, true}},
+	{engines: "pl plr parix cord tsue", state: "a failed-node stripe", records: []uint32{0, 2, 1},
+		want: [9]bool{true, true, true, true, true, true}},
+	{engines: "pl plr parix tsue", state: "failed node's scope merged", records: []uint32{0, 2, 1}, merge: true,
+		want: [9]bool{true, true}},
+	{engines: "cord", state: "failed node's scope merged", records: []uint32{0, 2, 1}, merge: true},
+	{engines: "tsue", state: "overlay", update: true,
+		want: [9]bool{true, false, true, true, true, true}},
+	{engines: "tsue", state: "overlay merged", update: true, merge: true},
+}
+
+// TestNeedsSettleScopedToFailedStripes runs pendingTable: state pending
+// only on stripes without the failed node counts under All and Failed(0)
+// but not under Failed(failed); a record on a failed-node stripe counts
+// under Failed(failed) and under the byte ranges overlapping it only, until
+// Merge(Failed(failed)) has merged it; pure overlay counts under All and
+// its failed node's scope, never under Failed(0).
 func TestNeedsSettleScopedToFailedStripes(t *testing.T) {
 	for _, name := range Names() {
 		t.Run(name, func(t *testing.T) {
-			h, eng := newScopeEngine(t, name, scopeOptions)
+			for _, row := range pendingTable {
+				if !slices.Contains(strings.Fields(row.engines), name) {
+					continue
+				}
+				h, eng := newScopeEngine(t, name, scopeOptions)
+				runProc(t, h.fakeHost, func(p *sim.Proc) {
+					putStripes(t, h, p)
+					for _, s := range row.records {
+						handle(t, eng, p, scopeRecord(name, s))
+					}
+					if row.update {
+						if err := applyUpdate(eng, p, wire.BlockID{Ino: 1, Stripe: 1, Index: 1}, 512, make([]byte, 512)); err != nil {
+							t.Error(err)
+						}
+					}
+					if row.merge {
+						if err := eng.Merge(p, Failed(scopeFailed)); err != nil {
+							t.Error(err)
+						}
+					}
+					for i, sc := range pendingScopes {
+						if got := eng.Pending(sc); got != row.want[i] {
+							t.Errorf("%s: Pending(%+v) = %v, want %v", row.state, sc, got, row.want[i])
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// TestPendingCountsInFlightMerges: a PL threshold recycle and a PARIX fold
+// take a block's records out of the log before they apply them. While one
+// is in flight the log holds nothing, yet Pending stays true under All, the
+// failed node's scope and the record's byte range until the merge lands.
+func TestPendingCountsInFlightMerges(t *testing.T) {
+	o := scopeOptions
+	o.RecycleThreshold = 512 // one scopeRecord crosses it
+	inFlight := map[string]func(Engine) bool{
+		"pl":    func(e Engine) bool { pl := e.(*pl); return len(pl.records) == 0 && len(pl.applying) > 0 },
+		"parix": func(e Engine) bool { px := e.(*parix); return len(px.latest) == 0 && len(px.folding) > 0 },
+	}
+	scopes := []Scope{All, Failed(scopeFailed), Bytes(wire.StripeID{Ino: 1, Stripe: 1}, 512, 1024)}
+	for _, name := range []string{"pl", "parix"} {
+		t.Run(name, func(t *testing.T) {
+			h, eng := newScopeEngine(t, name, o)
 			runProc(t, h.fakeHost, func(p *sim.Proc) {
-				putParity(t, h, p)
-				if scopeRecord(name, 0) == nil {
-					if eng.NeedsSettle(0) || eng.NeedsSettle(scopeFailed) || eng.NeedsSettleRange(wire.StripeID{Ino: 1}, 0, 4096) {
-						t.Error("FO reports settle work")
+				putStripes(t, h, p)
+				landed, held := false, 0
+				h.env.Go("appender", func(ap *sim.Proc) {
+					handle(t, eng, ap, scopeRecord(name, 1))
+					landed = true
+				})
+				for !landed {
+					p.Sleep(time.Microsecond)
+					if !inFlight[name](eng) {
+						continue
 					}
-					return
-				}
-				handle(t, eng, p, scopeRecord(name, 0))
-				handle(t, eng, p, scopeRecord(name, 2))
-				if eng.NeedsSettle(scopeFailed) || !eng.NeedsSettle(0) {
-					t.Errorf("state on other stripes only: NeedsSettle(failed)=%v NeedsSettle(0)=%v, want false, true",
-						eng.NeedsSettle(scopeFailed), eng.NeedsSettle(0))
-				}
-				handle(t, eng, p, scopeRecord(name, 1))
-				if !eng.NeedsSettle(scopeFailed) {
-					t.Error("a record on a failed-node stripe leaves NeedsSettle(failed) false")
-				}
-				for _, sp := range scopeSpans {
-					if got := eng.NeedsSettleRange(wire.StripeID{Ino: 1, Stripe: sp.stripe}, sp.off, sp.end); got != sp.want {
-						t.Errorf("NeedsSettleRange(stripe %d, [%d, %d)) = %v, want %v", sp.stripe, sp.off, sp.end, got, sp.want)
+					held++
+					for _, sc := range scopes {
+						if !eng.Pending(sc) {
+							t.Errorf("at %v, with a merge in flight: Pending(%+v) = false", p.Now(), sc)
+						}
 					}
 				}
-				if err := eng.Settle(p, scopeFailed); err != nil {
-					t.Error(err)
+				if held == 0 {
+					t.Error("never saw the merge in flight")
 				}
-				if eng.NeedsSettle(scopeFailed) || eng.NeedsSettleRange(wire.StripeID{Ino: 1, Stripe: 1}, 0, 4096) {
-					t.Error("NeedsSettle(failed) or NeedsSettleRange still true after Settle(failed)")
+				for _, sc := range scopes {
+					if eng.Pending(sc) {
+						t.Errorf("after the merge landed: Pending(%+v) = true", sc)
+					}
 				}
 			})
 		})
 	}
 }
 
-// TestSettleConvergesUnderAppends: in every engine, Settle(failed) returns
+// TestSettleConvergesUnderAppends: in every engine, Merge(Failed(failed)) returns
 // while another proc keeps appending to stripes without the failed node,
 // so the recovery barrier can run with client updates flowing. The appends
 // come back to back, and CoRD's buffer seals at every record, so some unit
@@ -142,7 +219,7 @@ func TestSettleConvergesUnderAppends(t *testing.T) {
 			h, eng := newScopeEngine(t, name, o)
 			appending, settled := false, false
 			runProc(t, h.fakeHost, func(p *sim.Proc) {
-				putParity(t, h, p)
+				putStripes(t, h, p)
 				if m := scopeRecord(name, 1); m != nil {
 					handle(t, eng, p, m)
 				}
@@ -158,19 +235,19 @@ func TestSettleConvergesUnderAppends(t *testing.T) {
 					appending = false
 				})
 				p.Sleep(time.Millisecond)
-				if err := eng.Settle(p, scopeFailed); err != nil {
+				if err := eng.Merge(p, Failed(scopeFailed)); err != nil {
 					t.Error(err)
 				}
 				if !appending {
-					t.Errorf("Settle(failed) returned only after the appends to other stripes stopped, at %v", p.Now())
+					t.Errorf("Merge(Failed(failed)) returned only after the appends to other stripes stopped, at %v", p.Now())
 				}
-				if eng.NeedsSettle(scopeFailed) {
-					t.Error("NeedsSettle(failed) still true after Settle(failed)")
+				if eng.Pending(Failed(scopeFailed)) {
+					t.Error("Pending(Failed(failed)) still true after Merge(Failed(failed))")
 				}
 				settled = true
 			})
 			if !settled && !t.Failed() {
-				t.Fatal("Settle(failed) never returned")
+				t.Fatal("Merge(Failed(failed)) never returned")
 			}
 		})
 	}

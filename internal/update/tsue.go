@@ -138,24 +138,6 @@ func (l *tsueLayer) peakBytes() int64 {
 	return n
 }
 
-func (l *tsueLayer) pending() bool {
-	for _, p := range l.pools {
-		if p.Pending() {
-			return true
-		}
-	}
-	return false
-}
-
-func (l *tsueLayer) pendingSealed() bool {
-	for _, p := range l.pools {
-		if p.PendingSealed() {
-			return true
-		}
-	}
-	return false
-}
-
 func hashBlk(b wire.BlockID) uint64 {
 	h := b.Ino*0x9e3779b97f4a7c15 + uint64(b.Stripe)*0x85ebca6b + uint64(b.Index)*0xc2b2ae35
 	h ^= h >> 33
@@ -450,9 +432,9 @@ func (t *tsue) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool
 // ExtractBlockLog removes and returns the block's unrecycled DataLog
 // overlay records so they can follow the block to its new home (the
 // log-follows-block half of a PG cutover). The caller must hold the update
-// fence and have run Settle first, so blk's only unrecycled records live in
-// the active unit of its data pool; the merged extents are read back from
-// the log zone and returned in offset order (absolute writes of
+// fence and have merged Failed(0) first, so blk's only unrecycled records
+// live in the active unit of its data pool; the merged extents are read
+// back from the log zone and returned in offset order (absolute writes of
 // non-overlapping ranges — replay order among them is immaterial).
 func (t *tsue) ExtractBlockLog(p *sim.Proc, blk wire.BlockID) []wire.ReplicaItem {
 	poolIdx := t.data.poolFor(hashBlk(blk))
@@ -732,71 +714,35 @@ func (t *tsue) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, err
 	return buf, nil
 }
 
-// Drain seals all active units and waits until every layer is quiescent.
-// The cluster layer repeats drains across OSDs until a full round is clean,
-// which flushes cross-node pipeline stages.
-func (t *tsue) Drain(p *sim.Proc) error {
-	layers := []*tsueLayer{t.data, t.delta, t.parity}
-	for {
-		busy := false
-		for _, l := range layers {
-			if l == nil {
-				continue
-			}
-			for i, pool := range l.pools {
-				if u := pool.SealActive(p.Now()); u != nil {
-					l.queues[i].Put(u)
-				}
-			}
-			if l.pending() {
-				busy = true
-			}
-		}
-		if !busy {
-			return nil
-		}
-		t.idle.Wait(p)
-	}
-}
-
-// Settle drains the downstream pipeline — sealed DataLog units mid-recycle,
-// the DeltaLog and the ParityLog — but keeps active (unsealed) DataLog
-// units in place. Those are pure overlay: their extents have touched
-// neither the data block nor any parity, and every item is replicated, so
-// recovery can reconstruct the raw stripe and replay them (§4.2). This is
-// TSUE's structural advantage at recovery time: the merge debt a failure
-// must pay is bounded by the in-flight recycle window, not the log volume.
+// Merge seals the active units that hold a record in scope sc and waits
+// until no unit in scope is left unrecycled, in any layer. Without Overlay
+// the DataLog's active units stay in place: they are pure overlay, whose
+// extents have touched neither the data block nor any parity, and every
+// item is replicated, so recovery can reconstruct the raw stripe and replay
+// them (§4.2). This is TSUE's structural advantage at recovery time: the
+// merge debt a failure must pay is bounded by the in-flight recycle window,
+// not the log volume. With Overlay, as in a failed node's scope, they are
+// sealed too: a retained item would apply whenever its unit later seals, an
+// RMW racing the rebuild.
 //
 // A DeltaLog or ParityLog pool's active unit is force-sealed only while the
-// pool has no sealed unit queued or recycling. Deltas forwarded during a
-// running recycle gather in the active unit and go as one unit once the
-// recycler idles. Sealing a busy pool would cut the pipeline into many
-// small units, each recycled in a pass of its own, and stall appenders at
-// MaxUnits.
-//
-// With failed == 0 Settle is a barrier: the caller must fence appends (the
-// update gate) while it runs, or it may never see the pipeline empty.
-//
-// With failed != 0 it covers only units that hold a record of a stripe
-// placed on the failed node: their raw shards are reconstruction's input
-// and must stay frozen through the degraded window. Such a unit counts in
-// every layer, and an active one is force-sealed: in the DataLog always
-// (a retained item would apply whenever its unit later seals, an RMW
-// racing the rebuild), in the DeltaLog and ParityLog only while its pool
-// is idle, as above. Units of other stripes stay, and appends to them may
-// go on while Settle runs: no new record joins a covered stripe once the
-// degraded routes are published, so the covered units only drain.
-func (t *tsue) Settle(p *sim.Proc, failed wire.NodeID) error {
+// pool has no sealed unit queued or recycling, except under All, which
+// empties every layer at once. Deltas forwarded during a running recycle
+// gather in the active unit and go as one unit once the recycler idles.
+// Sealing a busy pool would cut the pipeline into many small units, each
+// recycled in a pass of its own, and stall appenders at MaxUnits.
+func (t *tsue) Merge(p *sim.Proc, sc Scope) error {
+	all := sc.Overlay && sc.every()
 	for {
 		for _, l := range []*tsueLayer{t.data, t.delta, t.parity} {
-			if l == nil || (l == t.data && failed == 0) {
+			if l == nil || (l == t.data && !sc.Overlay) {
 				continue
 			}
 			for i, pool := range l.pools {
-				if l != t.data && pool.PendingSealed() {
+				if l != t.data && !all && pool.PendingSealed() {
 					continue
 				}
-				if u := pool.Active(); u == nil || (failed != 0 && !t.unitOn(u, failed)) {
+				if u := pool.Active(); u == nil || !t.unitIn(u, sc) {
 					continue
 				}
 				if u := pool.SealActive(p.Now()); u != nil {
@@ -804,52 +750,24 @@ func (t *tsue) Settle(p *sim.Proc, failed wire.NodeID) error {
 				}
 			}
 		}
-		if !t.NeedsSettle(failed) {
+		if !t.Pending(sc) {
 			return nil
 		}
 		t.idle.Wait(p)
 	}
 }
 
-// NeedsSettle reports whether partially-applied pipeline state remains.
-// With failed == 0 that is a sealed DataLog unit (its RMW may have started)
-// or anything in the DeltaLog and ParityLog; active DataLog units do not
-// count, they are replayable overlay. With failed != 0 it is any unit not
-// yet recycled, in any layer, that holds a record of the failed node's
-// stripes.
-func (t *tsue) NeedsSettle(failed wire.NodeID) bool {
-	if failed != 0 {
-		for _, l := range []*tsueLayer{t.data, t.delta, t.parity} {
-			if l == nil {
-				continue
-			}
-			for _, pool := range l.pools {
-				if t.poolOn(pool, failed) {
-					return true
-				}
-			}
-		}
-		return false
-	}
-	if t.data.pendingSealed() {
-		return true
-	}
-	if t.delta != nil && t.delta.pending() {
-		return true
-	}
-	return t.parity.pending()
-}
-
-// NeedsSettleRange reports whether a unit not yet recycled, in any layer,
-// holds a record of s overlapping [off, end). A recycling unit counts until
-// its forwards have returned, so nothing it sends downstream is missed.
-func (t *tsue) NeedsSettleRange(s wire.StripeID, off, end int64) bool {
+// Pending reports whether a unit not yet recycled, in any layer, holds a
+// record in scope sc; the DataLog's active units count only with Overlay.
+// A recycling unit counts until its forwards have returned, so nothing it
+// sends downstream is missed.
+func (t *tsue) Pending(sc Scope) bool {
 	for _, l := range []*tsueLayer{t.data, t.delta, t.parity} {
 		if l == nil {
 			continue
 		}
 		for _, pool := range l.pools {
-			if t.poolTouches(pool, s, off, end) {
+			if t.poolIn(pool, sc, sc.Overlay || l != t.data) {
 				return true
 			}
 		}
@@ -868,16 +786,6 @@ func (t *tsue) ReplayInto(p *sim.Proc, blk wire.BlockID, off int64, data []byte,
 }
 
 var _ Replayer = (*tsue)(nil)
-
-// Dirty reports whether any layer holds unrecycled state.
-func (t *tsue) Dirty() bool {
-	for _, l := range []*tsueLayer{t.data, t.delta, t.parity} {
-		if l != nil && l.pending() {
-			return true
-		}
-	}
-	return false
-}
 
 // MemBytes sums the three layers' current log memory.
 func (t *tsue) MemBytes() int64 {

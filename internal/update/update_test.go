@@ -285,7 +285,7 @@ func TestTsueReplicaNamesItsUnit(t *testing.T) {
 			})
 		}
 		wg.Wait(p)
-		if err := eng.Drain(p); err != nil {
+		if err := eng.Merge(p, All); err != nil {
 			t.Error(err)
 		}
 	})
@@ -413,7 +413,7 @@ func TestTsueParityFanout(t *testing.T) {
 							return
 						}
 					}
-					if err := eng.Drain(p); err != nil {
+					if err := eng.Merge(p, All); err != nil {
 						t.Error(err)
 					}
 				})
@@ -567,7 +567,7 @@ func TestTsueDataRecyclePipeline(t *testing.T) {
 				}
 				h.sends = nil
 				base = h.store.Device().Stats().ReadOps
-				if err := eng.Drain(p); err != nil {
+				if err := eng.Merge(p, All); err != nil {
 					t.Error(err)
 				}
 			})
@@ -744,7 +744,7 @@ func TestTsueParityRecycleConcurrent(t *testing.T) {
 				}
 			}
 		}
-		if err := eng.Drain(p); err != nil {
+		if err := eng.Merge(p, All); err != nil {
 			t.Error(err)
 		}
 	})
@@ -773,7 +773,7 @@ func TestTsueParityRecycleConcurrent(t *testing.T) {
 	}
 }
 
-// TestTsueSettleSealsIdlePoolsOnly: Settle force-seals a ParityLog pool's
+// TestTsueSettleSealsIdlePoolsOnly: Merge(Failed(0)) force-seals a ParityLog pool's
 // active unit only while the pool has no sealed unit queued or recycling.
 // The recycler is busy on a full unit when Settle starts, and upstream
 // parity deltas keep arriving during its pass, as they do from other nodes'
@@ -869,12 +869,12 @@ func TestTsueSettleSealsIdlePoolsOnly(t *testing.T) {
 			}
 			feed.Done()
 		})
-		if err := eng.Settle(p, 0); err != nil {
+		if err := eng.Merge(p, Failed(0)); err != nil {
 			t.Error(err)
 		}
 		feed.Wait(p)
-		for eng.NeedsSettle(0) {
-			if err := eng.Settle(p, 0); err != nil {
+		for eng.Pending(Failed(0)) {
+			if err := eng.Merge(p, Failed(0)); err != nil {
 				t.Error(err)
 			}
 		}
@@ -905,11 +905,11 @@ func TestTsueSettleSealsIdlePoolsOnly(t *testing.T) {
 func TestFOHasNoLogState(t *testing.T) {
 	h := newFakeHost(t)
 	eng, _ := New("fo", h, Options{})
-	if eng.Dirty() || eng.MemBytes() != 0 || eng.PeakMemBytes() != 0 {
+	if eng.Pending(All) || eng.MemBytes() != 0 || eng.PeakMemBytes() != 0 {
 		t.Fatal("FO reports log state")
 	}
 	runProc(t, h, func(p *sim.Proc) {
-		if err := eng.Drain(p); err != nil {
+		if err := eng.Merge(p, All); err != nil {
 			t.Error(err)
 		}
 	})

@@ -388,7 +388,8 @@ type UnitDone struct {
 
 func (*UnitDone) PayloadSize() int { return 14 }
 
-// Drain asks an OSD to flush all update-engine logs to quiescence.
+// Drain asks an OSD to flush all update-engine logs to quiescence (its
+// engine merges scope update.All).
 type Drain struct{}
 
 func (*Drain) PayloadSize() int { return 0 }
@@ -662,12 +663,14 @@ type PGAbort struct {
 func (*PGAbort) PayloadSize() int { return 4 + 8 }
 
 // Settle asks an OSD to bring its raw block stores to stripe consistency
-// with minimal merging: every engine drains the log state whose effects are
-// already partially applied (delta/parity pipelines, lazy parity logs), but
-// replayable pure-overlay state — TSUE's active DataLog units, which are
-// replicated and replayed at recovery — is kept (§4.2), except state
-// touching the stripes of the Failed node (0 = none): those raw shards
-// feed reconstruction and must stay frozen through the degraded window.
+// with minimal merging: its engine merges scope update.Failed(Failed). With
+// Failed 0 that is every stripe's state whose effects are already partially
+// applied (delta/parity pipelines, lazy parity logs), while replayable
+// pure-overlay state — TSUE's active DataLog units, which are replicated
+// and replayed at recovery — is kept (§4.2). Otherwise it is all state,
+// overlay included, of the stripes with a block on the Failed node: those
+// raw shards feed reconstruction and must stay frozen through the degraded
+// window.
 type Settle struct {
 	Failed NodeID
 }
