@@ -18,9 +18,12 @@ lint:
 	$(GO) vet -vettool=bin/simvet ./...
 	$(GO) test ./internal/lint/simvet/
 
+# fuzz runs every fuzz target in the repo for FUZZTIME each.
+FUZZTIME ?= 10s
 fuzz:
-	$(GO) test -fuzz=FuzzInsertMatchesReference -fuzztime=10s ./internal/logpool
-	$(GO) test -fuzz=FuzzUnmarshalRoundTrip -fuzztime=10s ./internal/wire
+	$(GO) test -fuzz=FuzzInsertMatchesReference -fuzztime=$(FUZZTIME) ./internal/logpool
+	$(GO) test -fuzz=FuzzUnmarshalRoundTrip -fuzztime=$(FUZZTIME) ./internal/wire
+	$(GO) test -fuzz=FuzzMulXorSlice -fuzztime=$(FUZZTIME) ./internal/gf256
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...

@@ -1,72 +1,35 @@
 package cluster
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // ErrOverload is the retryable sentinel for an op the MDS admission policy
-// bounced: the cluster is past its configured rate or queue-depth budget
-// and the submitter should back off and retry (or count the rejection).
-// Unlike the terminal sentinels (ErrClusterDegraded, ErrSurrogateLost) it
-// promises nothing is wrong with the op itself — resubmitting later
-// succeeds once load drains. The MDS sends it as the AdmitOp Ack's Err.
+// bounced: the cluster is past its configured queue-depth budget and the
+// submitter should back off and retry (or count the rejection). Unlike the
+// terminal sentinels (ErrClusterDegraded, ErrSurrogateLost) it promises
+// nothing is wrong with the op itself — resubmitting later succeeds once
+// load drains. The MDS sends it as the AdmitOp Ack's Err.
 var ErrOverload = errors.New("cluster: admission rejected, overloaded")
 
 // AdmissionPolicy decides, per foreground client op, whether the MDS admits
-// it. now is the virtual time of the decision and inflight the number of
-// admitted ops not yet completed (the MDS-side queue depth). Policies run
-// in simulation context — single-threaded, no locking needed — and must be
-// deterministic in (call order, now, inflight).
+// it. inflight is the number of admitted ops not yet completed (the
+// MDS-side queue depth). Policies run in simulation context — single-
+// threaded, no locking needed — and must be deterministic in (call order,
+// inflight).
 type AdmissionPolicy interface {
-	Admit(now time.Duration, inflight int) bool
+	Admit(inflight int) bool
 }
 
-// TokenBucket is the standard AdmissionPolicy: ops are admitted at Rate
-// tokens/second with bursts up to Burst, and — independently — bounced
-// whenever more than MaxInflight admitted ops are still in flight
-// (queue-depth backpressure, the signal that survives even when the rate
-// estimate is wrong). The zero value of either knob disables that check.
+// TokenBucket is the standard AdmissionPolicy: queue-depth backpressure
+// that bounces an op whenever MaxInflight admitted ops are still in flight.
+// The zero value admits everything. The name is kept because the benchmark
+// (bench/tsueperf) constructs it.
 type TokenBucket struct {
-	Rate        float64 // sustained admissions per second (0 = unlimited)
-	Burst       float64 // bucket capacity in tokens (0 = Rate for a 1s burst)
-	MaxInflight int     // admitted-but-uncompleted cap (0 = unlimited)
-
-	tokens float64
-	last   time.Duration
-	primed bool
+	MaxInflight int // admitted-but-uncompleted cap (0 = unlimited)
 }
 
-// Admit refills the bucket for the elapsed virtual time and spends one
-// token, rejecting when the bucket is dry or the in-flight cap is hit.
-func (tb *TokenBucket) Admit(now time.Duration, inflight int) bool {
-	if tb.MaxInflight > 0 && inflight >= tb.MaxInflight {
-		return false
-	}
-	if tb.Rate <= 0 {
-		return true
-	}
-	burst := tb.Burst
-	if burst <= 0 {
-		burst = tb.Rate
-	}
-	if !tb.primed {
-		// A fresh bucket starts full so cold-start ops are not rejected
-		// before any time has elapsed.
-		tb.tokens = burst
-		tb.last = now
-		tb.primed = true
-	}
-	tb.tokens += tb.Rate * (now - tb.last).Seconds()
-	tb.last = now
-	if tb.tokens > burst {
-		tb.tokens = burst
-	}
-	if tb.tokens < 1 {
-		return false
-	}
-	tb.tokens--
-	return true
+// Admit rejects when the in-flight cap is hit.
+func (tb *TokenBucket) Admit(inflight int) bool {
+	return tb.MaxInflight <= 0 || inflight < tb.MaxInflight
 }
 
 // AdmissionStats is the cluster-wide admission counter snapshot.

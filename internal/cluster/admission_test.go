@@ -8,43 +8,15 @@ import (
 	"tsue/internal/sim"
 )
 
-func TestTokenBucketRate(t *testing.T) {
-	tb := &TokenBucket{Rate: 10, Burst: 2} // 10/s, burst of 2
-	now := time.Duration(0)
-	// Cold start: the bucket is full, so Burst ops pass immediately.
-	if !tb.Admit(now, 0) || !tb.Admit(now, 0) {
-		t.Fatal("burst not admitted at cold start")
-	}
-	if tb.Admit(now, 0) {
-		t.Fatal("third instant op admitted past burst")
-	}
-	// One token refills every 100ms.
-	now += 100 * time.Millisecond
-	if !tb.Admit(now, 0) {
-		t.Fatal("refilled token not admitted")
-	}
-	if tb.Admit(now, 0) {
-		t.Fatal("second op admitted on one refilled token")
-	}
-	// A long idle period refills only up to Burst.
-	now += time.Minute
-	if !tb.Admit(now, 0) || !tb.Admit(now, 0) {
-		t.Fatal("burst not admitted after idle")
-	}
-	if tb.Admit(now, 0) {
-		t.Fatal("idle refill exceeded burst")
-	}
-}
-
 func TestTokenBucketQueueDepth(t *testing.T) {
-	tb := &TokenBucket{MaxInflight: 3} // no rate limit, depth only
-	if !tb.Admit(0, 2) {
+	tb := &TokenBucket{MaxInflight: 3}
+	if !tb.Admit(2) {
 		t.Fatal("op under depth cap rejected")
 	}
-	if tb.Admit(0, 3) {
+	if tb.Admit(3) {
 		t.Fatal("op at depth cap admitted")
 	}
-	if tb.Admit(0, 100) {
+	if tb.Admit(100) {
 		t.Fatal("op far past depth cap admitted")
 	}
 }
@@ -52,19 +24,20 @@ func TestTokenBucketQueueDepth(t *testing.T) {
 func TestTokenBucketUnlimited(t *testing.T) {
 	tb := &TokenBucket{}
 	for i := 0; i < 100; i++ {
-		if !tb.Admit(0, i) {
+		if !tb.Admit(i) {
 			t.Fatal("unconfigured bucket rejected an op")
 		}
 	}
 }
 
-// TestAdmissionBounce drives real client ops against an MDS whose policy
-// rejects everything past a tiny burst: rejections must surface as
-// ErrOverload (errors.Is-able, no route-retry burn), be counted, and a
-// backoff-retry loop must eventually land every op.
+// TestAdmissionBounce drives real client ops, all issued at the same
+// instant, against an MDS whose policy admits one op in flight at a time:
+// rejections must surface as ErrOverload (errors.Is-able, no route-retry
+// burn), be counted, and a backoff-retry loop must eventually land every
+// op.
 func TestAdmissionBounce(t *testing.T) {
 	cfg := testConfig("fo")
-	cfg.Admission = &TokenBucket{Rate: 200, Burst: 1}
+	cfg.Admission = &TokenBucket{MaxInflight: 1}
 	run(t, cfg, func(p *sim.Proc, c *Cluster, cl *Client) {
 		ino, err := cl.Create(p, "f", c.StripeWidth())
 		if err != nil {
@@ -75,22 +48,29 @@ func TestAdmissionBounce(t *testing.T) {
 		}
 		var rejected int64
 		const ops = 24
+		wg := sim.NewWaitGroup(c.Env)
+		wg.Add(ops)
 		for i := 0; i < ops; i++ {
-			for {
-				err := cl.Update(p, ino, int64(i)*64, []byte{byte(i)})
-				if err == nil {
-					break
+			c.Env.Go("op", func(p *sim.Proc) {
+				defer wg.Done()
+				for {
+					err := cl.Update(p, ino, int64(i)*64, []byte{byte(i)})
+					if err == nil {
+						return
+					}
+					if !errors.Is(err, ErrOverload) {
+						t.Errorf("op %d: non-overload error %v", i, err)
+						return
+					}
+					rejected++
+					p.Sleep(5 * time.Millisecond) // back off, then retry
 				}
-				if !errors.Is(err, ErrOverload) {
-					t.Fatalf("op %d: non-overload error %v", i, err)
-				}
-				rejected++
-				p.Sleep(5 * time.Millisecond) // back off, then retry
-			}
+			})
 		}
+		wg.Wait(p)
 		st := c.AdmissionStats()
 		if rejected == 0 {
-			t.Fatal("burst=1 at 24 back-to-back ops never bounced")
+			t.Fatal("24 simultaneous ops under MaxInflight=1 never bounced")
 		}
 		if st.Rejected != rejected {
 			t.Fatalf("MDS counted %d rejections, submitter saw %d", st.Rejected, rejected)

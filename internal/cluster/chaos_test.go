@@ -136,7 +136,7 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 		switch scen {
 		case chaosStraggler:
 			// A mild straggler on a non-victim node: ops just get slower.
-			if err := c.Fabric.SetNodeShape(partNode, netsim.LinkShape{Latency: netsim.Fixed(200 * time.Microsecond)}); err != nil {
+			if err := c.Fabric.SetNodeLatency(partNode, netsim.Fixed(200*time.Microsecond)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -171,7 +171,7 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 		// degraded window; flap windows are already past).
 		switch scen {
 		case chaosStraggler:
-			c.Fabric.SetNodeShape(partNode, netsim.LinkShape{})
+			c.Fabric.SetNodeLatency(partNode, nil)
 		case chaosPartition:
 			p.Sleep(5 * time.Millisecond) // outlast the heal timer
 		case chaosFlap:
@@ -225,7 +225,7 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 				if first == 0 || first == st.surr[c.PG(s)] {
 					continue
 				}
-				if err := c.Fabric.SetNodeShape(first, netsim.LinkShape{Latency: netsim.Fixed(stragglerLat)}); err != nil {
+				if err := c.Fabric.SetNodeLatency(first, netsim.Fixed(stragglerLat)); err != nil {
 					t.Error(err)
 					return
 				}
@@ -254,7 +254,7 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 			}
 			// The straggler slows every random op that touches it; heal it
 			// before the bulk of the degraded workload and the rebuild.
-			c.Fabric.SetNodeShape(partNode, netsim.LinkShape{})
+			c.Fabric.SetNodeLatency(partNode, nil)
 		}
 		r.ops(p, "degraded", 40)
 		if t.Failed() {

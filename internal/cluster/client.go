@@ -136,22 +136,15 @@ func (cl *Client) admit(p *sim.Proc) (release func(), err error) {
 	}
 }
 
-// startOp opens the root span of one foreground client op (when sampled)
-// and records the op's end-to-end latency into the registry's per-kind
-// histogram. The root's client stage wins whatever no deeper span covers:
-// gate waits, retry pauses, overload backoff.
+// startOp opens the root span of one foreground client op (when sampled).
+// The root's client stage wins whatever no deeper span covers: gate waits,
+// retry pauses, overload backoff.
 func (cl *Client) startOp(p *sim.Proc, s wire.StripeID, normal, degraded obs.OpKind) func() {
 	op := normal
 	if _, _, dg := cl.c.degradedRoute(s); dg {
 		op = degraded
 	}
-	fin := cl.c.Obs.Tracer.StartOp(p, op, cl.id, "op:"+op.String())
-	hist := cl.c.Obs.Reg.Histogram("op_lat_" + op.String())
-	start := p.Now()
-	return func() {
-		hist.Record(p.Now() - start)
-		fin()
-	}
+	return cl.c.Obs.Tracer.StartOp(p, op, cl.id, "op:"+op.String())
 }
 
 // updateBlock routes one block-local update, retrying through route

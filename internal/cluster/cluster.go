@@ -131,7 +131,7 @@ type Cluster struct {
 	// MDS admission accounting (see admission.go): admitted/rejected op
 	// counts (registry counters "admission_admitted"/"admission_rejected")
 	// and the admitted-but-uncompleted depth the queue-depth backpressure
-	// check reads (mirrored as the "admission_inflight" gauge).
+	// check reads.
 	admitted         *obs.Counter
 	rejected         *obs.Counter
 	admittedInFlight int
@@ -200,16 +200,13 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.cutMu = env.NewResource("cutover-mu", 1)
 	// The observability plane precedes every node so constructors can cache
-	// registry counters; gauges are lazy thin reads of state owned elsewhere.
+	// registry counters.
 	c.Obs = obs.New(env, cfg.TraceSample)
 	c.admitted = c.Obs.Reg.Counter("admission_admitted")
 	c.rejected = c.Obs.Reg.Counter("admission_rejected")
 	c.corruptions = c.Obs.Reg.Counter("corruptions_detected")
 	c.hedgeFired = c.Obs.Reg.Counter("hedge_fired")
 	c.hedgeWins = c.Obs.Reg.Counter("hedge_wins")
-	c.Obs.Reg.GaugeFunc("admission_inflight", func() float64 { return float64(c.admittedInFlight) })
-	c.Obs.Reg.GaugeFunc("sim_dropped_puts", func() float64 { return float64(env.DroppedPuts()) })
-	c.Obs.Reg.GaugeFunc("net_corruptions_injected", func() float64 { return float64(c.Fabric.CorruptionsInjected()) })
 	c.Fabric.SetTracer(c.Obs.Tracer)
 	c.MDS = newMDS(c, pmap)
 	c.Fabric.AddNode(mdsID, c.MDS.handle)

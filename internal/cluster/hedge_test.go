@@ -114,7 +114,7 @@ func TestHedgedReadStragglerFiresAndWins(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		if err := c.Fabric.SetNodeShape(h.straggler, netsim.LinkShape{Latency: netsim.Fixed(stragglerLat)}); err != nil {
+		if err := c.Fabric.SetNodeLatency(h.straggler, netsim.Fixed(stragglerLat)); err != nil {
 			t.Fatal(err)
 		}
 		const reads = 3
@@ -199,7 +199,7 @@ func TestHedgeDisabledWaitsOutStraggler(t *testing.T) {
 		if t.Failed() {
 			return
 		}
-		if err := c.Fabric.SetNodeShape(h.straggler, netsim.LinkShape{Latency: netsim.Fixed(stragglerLat)}); err != nil {
+		if err := c.Fabric.SetNodeLatency(h.straggler, netsim.Fixed(stragglerLat)); err != nil {
 			t.Fatal(err)
 		}
 		start := p.Now()

@@ -206,7 +206,7 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 		return wire.OK
 	case *wire.AdmitOp:
 		pol := m.c.Cfg.Admission
-		if pol == nil || pol.Admit(p.Now(), m.c.admittedInFlight) {
+		if pol == nil || pol.Admit(m.c.admittedInFlight) {
 			m.c.admitted.Inc()
 			m.c.admittedInFlight++
 			return wire.OK

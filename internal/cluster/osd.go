@@ -77,8 +77,8 @@ func (o *OSD) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, error) 
 	return o.c.Fabric.Call(p, o.id, to, req)
 }
 
-// Tracer exposes the cluster's trace plane (update.TraceHost): background
-// engine work — TSUE recycle passes — starts its own root spans here.
+// Tracer exposes the cluster's trace plane: background engine work — TSUE
+// recycle passes — starts its own root spans here.
 func (o *OSD) Tracer() *obs.Tracer { return o.c.Obs.Tracer }
 
 // Engine exposes the OSD's update engine (harness and tests).

@@ -171,13 +171,6 @@ func RunOpenLoop(cfg RunConfig, ol OpenLoopConfig) (*OpenLoopResult, error) {
 	res.Admission = c.AdmissionStats()
 	res.Spans = append([]obs.Span(nil), c.Obs.Tracer.Spans()...)
 	res.Metrics = c.Obs.Reg.Snapshot()
-	// Histograms are not part of Snapshot (they are distributions, not
-	// scalars); flatten the aggregates the experiments read.
-	for _, name := range c.Obs.Reg.HistogramNames() {
-		h := c.Obs.Reg.Histogram(name)
-		res.Metrics[name+"_count"] = float64(h.Count())
-		res.Metrics[name+"_sum_ns"] = float64(h.Sum())
-	}
 	return res, nil
 }
 

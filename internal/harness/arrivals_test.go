@@ -163,11 +163,11 @@ func TestOpenLoopArrivalsIndependentOfCompletion(t *testing.T) {
 }
 
 // TestOpenLoopAdmissionAccounting runs the open loop against a tight
-// token bucket: rejections must be counted identically on both sides and
+// in-flight cap: rejections must be counted identically on both sides and
 // every bounced op must be retried to success (zero lost).
 func TestOpenLoopAdmissionAccounting(t *testing.T) {
 	cfg := openLoopTestConfig()
-	cfg.Admission = &cluster.TokenBucket{Rate: 2000, Burst: 4}
+	cfg.Admission = &cluster.TokenBucket{MaxInflight: 4}
 	res, err := RunOpenLoop(cfg, OpenLoopConfig{
 		Arrivals: NewPoissonArrivals(20000, 100, cfg.Seed),
 	})

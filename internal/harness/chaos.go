@@ -120,13 +120,13 @@ func RunChaos(cfg RunConfig, scenario string) (*ChaosResult, error) {
 				return fmt.Errorf("begin degraded (%s): %w", scenario, err)
 			}
 			if scenario == ChaosStraggler {
-				if err := fab.SetNodeShape(straggler, netsim.LinkShape{Latency: chaosStragglerDist()}); err != nil {
+				if err := fab.SetNodeLatency(straggler, chaosStragglerDist()); err != nil {
 					return err
 				}
 			}
 			p.Sleep(10 * time.Millisecond)
 			if scenario == ChaosStraggler {
-				if err := fab.SetNodeShape(straggler, netsim.LinkShape{}); err != nil {
+				if err := fab.SetNodeLatency(straggler, nil); err != nil {
 					return err
 				}
 			}

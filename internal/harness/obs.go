@@ -41,23 +41,19 @@ var obsFractions = []float64{0.4, 0.8}
 // obsNICPeriod is the virtual-time period of the NIC load sampler.
 const obsNICPeriod = 500 * time.Microsecond
 
-// nicSampler returns the periodic NIC poll: per node, the tx/rx busy-time
-// gained since the previous tick (utilization = mean gain / period) and
-// the instantaneous queue depths, all recorded into the cluster's
-// registry histograms. Queue depths are unitless counts stored in
-// duration histograms (one "nanosecond" per queued message).
+// nicSampler returns the periodic NIC poll: per node, the tx busy time
+// gained since the previous tick, summed into the registry counter
+// nic_tx_busy_ns, with nic_tx_samples counting one per node per tick — so
+// utilization is busy time over samples x period.
 func nicSampler() func(c *cluster.Cluster, now time.Duration) {
 	prevTx := make(map[wire.NodeID]time.Duration)
-	prevRx := make(map[wire.NodeID]time.Duration)
 	return func(c *cluster.Cluster, now time.Duration) {
-		reg := c.Obs.Reg
+		busy, samples := c.Obs.Reg.Counter("nic_tx_busy_ns"), c.Obs.Reg.Counter("nic_tx_samples")
 		for _, id := range c.Fabric.NodeIDs() {
-			tx, rx, txq, rxq := c.Fabric.NICLoad(id)
-			reg.Histogram("nic_tx_busy_per_tick").Record(tx - prevTx[id])
-			reg.Histogram("nic_rx_busy_per_tick").Record(rx - prevRx[id])
-			reg.Histogram("nic_txq").Record(time.Duration(txq))
-			reg.Histogram("nic_rxq").Record(time.Duration(rxq))
-			prevTx[id], prevRx[id] = tx, rx
+			tx, _, _, _ := c.Fabric.NICLoad(id)
+			busy.Add(uint64(tx - prevTx[id]))
+			samples.Inc()
+			prevTx[id] = tx
 		}
 	}
 }
@@ -182,15 +178,15 @@ func analyzeUpdates(spans []obs.Span) obsPoint {
 	return pt
 }
 
-// nicTxUtil reduces the sampler's per-tick busy-time histogram to a mean
-// tx-link utilization percentage: total busy time gained across all ticks
-// and nodes, over the virtual time those ticks spanned.
+// nicTxUtil reduces nicSampler's counters to a mean tx-link utilization
+// percentage: total busy time gained across all ticks and nodes, over the
+// virtual time those ticks spanned.
 func nicTxUtil(res *OpenLoopResult) float64 {
-	n := res.Metrics["nic_tx_busy_per_tick_count"]
+	n := res.Metrics["nic_tx_samples"]
 	if n == 0 {
 		return 0
 	}
-	return 100 * res.Metrics["nic_tx_busy_per_tick_sum_ns"] / (n * float64(obsNICPeriod))
+	return 100 * res.Metrics["nic_tx_busy_ns"] / (n * float64(obsNICPeriod))
 }
 
 // Obs runs the observability experiment: per-engine, per-load-point stage

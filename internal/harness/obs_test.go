@@ -1,40 +1,14 @@
 package harness
 
 import (
-	"math/rand"
 	"testing"
 	"time"
 
+	"tsue/internal/cluster"
 	"tsue/internal/obs"
 	"tsue/internal/trace"
+	"tsue/internal/wire"
 )
-
-// TestHistogramAgreesWithLatencyDist pins the two percentile
-// implementations to each other: an obs histogram's quantile must bracket
-// the exact nearest-rank value LatencyDist computes on the same samples —
-// equal below the exact-bucket threshold, and within one log-bucket's
-// relative width (1/32) above it. Shared small-n cases are where
-// nearest-rank conventions usually diverge.
-func TestHistogramAgreesWithLatencyDist(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 10, 1000} {
-		rng := rand.New(rand.NewSource(int64(n)))
-		samples := make([]time.Duration, n)
-		var h obs.Histogram
-		for i := range samples {
-			samples[i] = time.Duration(rng.Int63n(int64(50 * time.Millisecond)))
-			h.Record(samples[i])
-		}
-		dist := NewLatencyDist(samples)
-		for _, p := range []float64{0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1.0} {
-			exact := dist.P(p)
-			got := h.P(p)
-			if got < exact || got > exact+exact/32 {
-				t.Errorf("n=%d p=%v: histogram %v outside [%v, %v]",
-					n, p, got, exact, exact+exact/32)
-			}
-		}
-	}
-}
 
 // TestTracingZeroPerturbation is the obs plane's core contract: turning
 // tracing on (even at sample=1) must not move virtual time at all. Span
@@ -73,7 +47,7 @@ func TestTracingZeroPerturbation(t *testing.T) {
 // TestOpenLoopCarriesSpans checks the open-loop plumbing the obs
 // experiment rides: a traced run returns its spans (assembling into
 // update/read traces whose stage sums equal end-to-end exactly) and the
-// flattened registry aggregates, while an untraced run returns none.
+// registry counters, while an untraced run returns none.
 func TestOpenLoopCarriesSpans(t *testing.T) {
 	cfg := DefaultRunConfig()
 	cfg.Ops = 200
@@ -104,7 +78,7 @@ func TestOpenLoopCarriesSpans(t *testing.T) {
 			t.Fatalf("trace %d: stage sum %v != end-to-end %v", tvs[i].Trace, sum, tvs[i].Duration())
 		}
 	}
-	if res.Metrics["nic_tx_busy_per_tick_count"] == 0 {
+	if res.Metrics["nic_tx_samples"] == 0 {
 		t.Error("NIC sampler recorded no ticks")
 	}
 
@@ -117,5 +91,36 @@ func TestOpenLoopCarriesSpans(t *testing.T) {
 	}
 	if len(res2.Spans) != 0 {
 		t.Fatalf("untraced run recorded %d spans", len(res2.Spans))
+	}
+}
+
+// TestNICTxUtilMatchesFabric pins nicTxUtil's value: over one short load
+// point, it must equal the tx busy time the fabric's NICLoad reports gained
+// across the sampler's ticks, computed here directly, over ticks x nodes x
+// period.
+func TestNICTxUtilMatchesFabric(t *testing.T) {
+	inner := nicSampler()
+	prev := make(map[wire.NodeID]time.Duration)
+	var busy time.Duration
+	var samples int
+	sample := func(c *cluster.Cluster, now time.Duration) {
+		inner(c, now)
+		for _, id := range c.Fabric.NodeIDs() {
+			tx, _, _, _ := c.Fabric.NICLoad(id)
+			busy += tx - prev[id]
+			prev[id] = tx
+			samples++
+		}
+	}
+	res, err := offerLoad(openLoopTestConfig(), 4000, 200, sample)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if busy == 0 || samples == 0 {
+		t.Fatalf("sampler saw %v tx busy over %d samples", busy, samples)
+	}
+	want := 100 * float64(busy) / (float64(samples) * float64(obsNICPeriod))
+	if got := nicTxUtil(res); got != want {
+		t.Fatalf("nicTxUtil = %v, want %v (%v tx busy over %d samples)", got, want, busy, samples)
 	}
 }

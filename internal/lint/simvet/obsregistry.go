@@ -32,7 +32,7 @@ func runObsregistry(p *Pass) {
 		}
 		for _, imp := range f.Imports {
 			if strings.Trim(imp.Path.Value, `"`) == "sync/atomic" {
-				p.Reportf(imp.Pos(), "sync/atomic outside internal/obs: counters belong on the obs registry (obs.Counter/obs.Gauge), which is already single-threaded under the sim kernel")
+				p.Reportf(imp.Pos(), "sync/atomic outside internal/obs: counters belong on the obs registry (obs.Counter), which is already single-threaded under the sim kernel")
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {

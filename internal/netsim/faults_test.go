@@ -3,7 +3,6 @@ package netsim
 import (
 	"bytes"
 	"errors"
-	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -32,11 +31,8 @@ func TestUnknownNodeAccessors(t *testing.T) {
 	if st := f.NodeStats(99); st != (Stats{}) {
 		t.Fatalf("NodeStats(unknown) = %+v", st)
 	}
-	if err := f.SetLink(1, 99, LinkShape{}); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("SetLink unknown: err=%v", err)
-	}
-	if err := f.SetNodeShape(99, LinkShape{}); !errors.Is(err, ErrUnknownNode) {
-		t.Fatalf("SetNodeShape unknown: err=%v", err)
+	if err := f.SetNodeLatency(99, nil); !errors.Is(err, ErrUnknownNode) {
+		t.Fatalf("SetNodeLatency unknown: err=%v", err)
 	}
 	if err := f.Partition(99, 1, true); !errors.Is(err, ErrUnknownNode) {
 		t.Fatalf("Partition unknown: err=%v", err)
@@ -53,77 +49,43 @@ func TestUnknownNodeAccessors(t *testing.T) {
 	}
 }
 
-// Satellite: table-driven resolution order for link overrides —
-// link-specific > node-specific (sender before receiver for latency, NIC
-// owner for bandwidth) > fabric default — including the zero-value edge
-// cases (Bandwidth 0 / Latency nil inherit; Fixed(0) and +Inf are explicit).
+// Satellite: table-driven resolution order for latency overrides — sender
+// before receiver, then the fabric default — including the zero-value edge
+// cases (a nil Dist inherits; Fixed(0) is explicit).
 func TestLinkShapeResolution(t *testing.T) {
 	base := Params{Bandwidth: 1e6, BaseLat: 100 * time.Microsecond}
 	type tc struct {
 		name    string
-		src     LinkShape // node shape of node 0 (sender)
-		dst     LinkShape // node shape of node 1 (receiver)
-		link    *LinkShape
+		src     Dist // latency override of node 0 (sender)
+		dst     Dist // latency override of node 1 (receiver)
 		wantLat time.Duration
-		wantSrc float64 // bandwidth charged at node 0's NIC for 0->1
-		wantDst float64 // bandwidth charged at node 1's NIC for 0->1
 	}
 	cases := []tc{
 		{
 			name:    "all default",
-			wantLat: base.BaseLat, wantSrc: base.Bandwidth, wantDst: base.Bandwidth,
+			wantLat: base.BaseLat,
 		},
 		{
-			name: "sender node shape",
-			src:  LinkShape{Bandwidth: 5e5, Latency: Fixed(time.Millisecond)},
-			// Sender's latency applies to the hop; only the sender's NIC leg
-			// slows down — the receiver's NIC is healthy.
-			wantLat: time.Millisecond, wantSrc: 5e5, wantDst: base.Bandwidth,
+			name:    "sender node shape",
+			src:     Fixed(time.Millisecond),
+			wantLat: time.Millisecond,
 		},
 		{
 			name:    "receiver node shape",
-			dst:     LinkShape{Bandwidth: 2e5, Latency: Fixed(2 * time.Millisecond)},
-			wantLat: 2 * time.Millisecond, wantSrc: base.Bandwidth, wantDst: 2e5,
+			dst:     Fixed(2 * time.Millisecond),
+			wantLat: 2 * time.Millisecond,
 		},
 		{
 			name:    "sender latency beats receiver latency",
-			src:     LinkShape{Latency: Fixed(3 * time.Millisecond)},
-			dst:     LinkShape{Latency: Fixed(7 * time.Millisecond)},
-			wantLat: 3 * time.Millisecond, wantSrc: base.Bandwidth, wantDst: base.Bandwidth,
-		},
-		{
-			name:    "link override beats node shapes",
-			src:     LinkShape{Bandwidth: 5e5, Latency: Fixed(time.Millisecond)},
-			dst:     LinkShape{Bandwidth: 2e5, Latency: Fixed(2 * time.Millisecond)},
-			link:    &LinkShape{Bandwidth: 4e6, Latency: Fixed(10 * time.Microsecond)},
-			wantLat: 10 * time.Microsecond, wantSrc: 4e6, wantDst: 4e6,
-		},
-		{
-			name: "link zero bandwidth inherits node then default",
-			src:  LinkShape{Bandwidth: 5e5},
-			link: &LinkShape{Latency: Fixed(time.Millisecond)},
-			// Link sets only latency; bandwidth falls through to the NIC
-			// owner's node shape (sender leg) or the default (receiver leg).
-			wantLat: time.Millisecond, wantSrc: 5e5, wantDst: base.Bandwidth,
-		},
-		{
-			name: "link nil latency inherits node then default",
-			dst:  LinkShape{Latency: Fixed(4 * time.Millisecond)},
-			link: &LinkShape{Bandwidth: 9e6},
-			// Link sets only bandwidth; latency falls through to the
-			// receiver's node shape (sender has none).
-			wantLat: 4 * time.Millisecond, wantSrc: 9e6, wantDst: 9e6,
+			src:     Fixed(3 * time.Millisecond),
+			dst:     Fixed(7 * time.Millisecond),
+			wantLat: 3 * time.Millisecond,
 		},
 		{
 			name:    "explicit zero latency",
-			src:     LinkShape{Latency: Fixed(5 * time.Millisecond)},
-			link:    &LinkShape{Latency: Fixed(0)},
-			wantLat: 0, wantSrc: base.Bandwidth, wantDst: base.Bandwidth,
-		},
-		{
-			name:    "infinite bandwidth is explicit, not inherit",
-			link:    &LinkShape{Bandwidth: math.Inf(1)},
-			wantLat: base.BaseLat, wantSrc: math.Inf(1), wantDst: math.Inf(1),
+			src:     Fixed(0),
+			dst:     Fixed(5 * time.Millisecond),
+			wantLat: 0,
 		},
 	}
 	for _, c := range cases {
@@ -132,26 +94,14 @@ func TestLinkShapeResolution(t *testing.T) {
 			f := New(e, base)
 			f.AddNode(0, nil)
 			f.AddNode(1, echoHandler)
-			if err := f.SetNodeShape(0, c.src); err != nil {
+			if err := f.SetNodeLatency(0, c.src); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.SetNodeShape(1, c.dst); err != nil {
+			if err := f.SetNodeLatency(1, c.dst); err != nil {
 				t.Fatal(err)
 			}
-			if c.link != nil {
-				if err := f.SetLink(0, 1, *c.link); err != nil {
-					t.Fatal(err)
-				}
-			}
-			src, dst := f.nodes[0], f.nodes[1]
-			if got := f.latency(src, dst); got != c.wantLat {
+			if got := f.latency(f.nodes[0], f.nodes[1]); got != c.wantLat {
 				t.Errorf("latency(0->1) = %v, want %v", got, c.wantLat)
-			}
-			if got := f.bandwidth(src, dst, src); got != c.wantSrc {
-				t.Errorf("bandwidth(0->1 at 0) = %v, want %v", got, c.wantSrc)
-			}
-			if got := f.bandwidth(src, dst, dst); got != c.wantDst {
-				t.Errorf("bandwidth(0->1 at 1) = %v, want %v", got, c.wantDst)
 			}
 		})
 	}
@@ -162,7 +112,7 @@ func TestStragglerNodeSlowsRoundTrip(t *testing.T) {
 	f := New(e, Ethernet25G())
 	f.AddNode(0, nil)
 	f.AddNode(1, echoHandler)
-	if err := f.SetNodeShape(1, LinkShape{Latency: Fixed(5 * time.Millisecond)}); err != nil {
+	if err := f.SetNodeLatency(1, Fixed(5*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
 	var rtt time.Duration
@@ -179,8 +129,8 @@ func TestStragglerNodeSlowsRoundTrip(t *testing.T) {
 	if rtt < 10*time.Millisecond {
 		t.Fatalf("straggler RTT %v < 10ms", rtt)
 	}
-	// Clearing the shape restores the fast path.
-	if err := f.SetNodeShape(1, LinkShape{}); err != nil {
+	// Clearing the override restores the fast path.
+	if err := f.SetNodeLatency(1, nil); err != nil {
 		t.Fatal(err)
 	}
 	e.Go("c2", func(p *sim.Proc) {

@@ -5,11 +5,11 @@
 // InfiniBand (§5.1, §5.4); both are expressible as Params.
 //
 // Beyond the clean fabric, netsim is a fault-injection surface for the
-// grey-failure space the SSD-array studies (Koh et al.) document: per-link
-// and per-node latency/bandwidth overrides with pluggable distributions
-// (straggler NICs), asymmetric one-way partitions, scripted down/up flapping
-// on the sim clock, and payload-corruption hooks that flip bytes in flight
-// so end-to-end checksums can be exercised.
+// grey-failure space the SSD-array studies (Koh et al.) document: per-node
+// latency overrides with pluggable distributions (straggler NICs),
+// asymmetric one-way partitions, scripted down/up flapping on the sim
+// clock, and payload-corruption hooks that flip bytes in flight so
+// end-to-end checksums can be exercised.
 package netsim
 
 import (
@@ -78,7 +78,7 @@ type Dist interface {
 // Fixed is a degenerate distribution: every sample is the same duration.
 // It never consumes randomness, so fabrics using only Fixed latencies stay
 // bit-deterministic regardless of call interleaving. Fixed(0) is a valid
-// explicit zero-latency link (only a nil Dist means "inherit").
+// explicit zero-latency node (only a nil Dist means "inherit").
 type Fixed time.Duration
 
 // Sample returns the fixed duration; r is unused.
@@ -102,15 +102,6 @@ func (l Lognormal) Sample(r *rand.Rand) time.Duration {
 	return d
 }
 
-// LinkShape overrides the fabric-default bandwidth and/or latency for a
-// link or node. Zero values inherit: Bandwidth 0 means "use the next level
-// down" (use math.Inf(1) for an infinitely fast link), Latency nil likewise
-// (use Fixed(0) for a true zero-latency link).
-type LinkShape struct {
-	Bandwidth float64 // bytes/sec; 0 = inherit, +Inf = instantaneous
-	Latency   Dist    // nil = inherit
-}
-
 // Stats holds traffic counters.
 //
 //lint:allow obsregistry(pre-registry snapshot struct of the fabric traffic API; per-node and total counters feed the harness volume columns)
@@ -126,7 +117,7 @@ type node struct {
 	tx, rx  *sim.Resource
 	handler Handler
 	down    bool
-	shape   LinkShape
+	lat     Dist // nil = inherit
 	stats   Stats
 }
 
@@ -137,7 +128,6 @@ type Fabric struct {
 	env       *sim.Env
 	params    Params
 	nodes     map[wire.NodeID]*node
-	links     map[linkKey]LinkShape
 	parts     map[linkKey]bool
 	corrupt   Corruptor
 	corrupted int64
@@ -153,7 +143,6 @@ func New(e *sim.Env, p Params) *Fabric {
 		env:    e,
 		params: p,
 		nodes:  make(map[wire.NodeID]*node),
-		links:  make(map[linkKey]LinkShape),
 		parts:  make(map[linkKey]bool),
 		rng:    rand.New(rand.NewSource(1)),
 	}
@@ -200,30 +189,16 @@ func (f *Fabric) Down(id wire.NodeID) bool {
 	return ok && n.down
 }
 
-// SetLink overrides the shape of the directed link from -> to (request and
-// response directions are independent links). A zero LinkShape restores
-// full inheritance.
-func (f *Fabric) SetLink(from, to wire.NodeID, s LinkShape) error {
-	if _, ok := f.nodes[from]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, from)
-	}
-	if _, ok := f.nodes[to]; !ok {
-		return fmt.Errorf("%w: %d", ErrUnknownNode, to)
-	}
-	f.links[linkKey{from, to}] = s
-	return nil
-}
-
-// SetNodeShape overrides the shape of every link touching a node (a limping
-// NIC): its bandwidth applies to the node's own NIC legs and its latency to
-// hops the node sends (and, when the sender has no shape, hops it
-// receives). Link-specific overrides still win.
-func (f *Fabric) SetNodeShape(id wire.NodeID, s LinkShape) error {
+// SetNodeLatency overrides the one-way latency of every hop touching a node
+// (a limping NIC): it applies to hops the node sends and, when the sender
+// has no override, to hops it receives. A nil d restores the fabric
+// default.
+func (f *Fabric) SetNodeLatency(id wire.NodeID, d Dist) error {
 	n, ok := f.nodes[id]
 	if !ok {
 		return fmt.Errorf("%w: %d", ErrUnknownNode, id)
 	}
-	n.shape = s
+	n.lat = d
 	return nil
 }
 
@@ -290,40 +265,21 @@ func (f *Fabric) SetCorruptor(c Corruptor) { f.corrupt = c }
 func (f *Fabric) CorruptionsInjected() int64 { return f.corrupted }
 
 // latency resolves the one-way latency of a from -> to hop and samples it:
-// link-specific override first, then the sender's node shape, then the
-// receiver's, then the fabric default.
+// the sender's override first, then the receiver's, then the fabric
+// default.
 func (f *Fabric) latency(from, to *node) time.Duration {
-	if s, ok := f.links[linkKey{from.id, to.id}]; ok && s.Latency != nil {
-		return s.Latency.Sample(f.rng)
+	if from.lat != nil {
+		return from.lat.Sample(f.rng)
 	}
-	if from.shape.Latency != nil {
-		return from.shape.Latency.Sample(f.rng)
-	}
-	if to.shape.Latency != nil {
-		return to.shape.Latency.Sample(f.rng)
+	if to.lat != nil {
+		return to.lat.Sample(f.rng)
 	}
 	return f.params.BaseLat
 }
 
-// bandwidth resolves the bytes/sec charged at node nic's NIC for a transfer
-// in the from -> to direction: link-specific override first, then the NIC
-// owner's node shape, then the fabric default.
-func (f *Fabric) bandwidth(from, to, nic *node) float64 {
-	if s, ok := f.links[linkKey{from.id, to.id}]; ok && s.Bandwidth != 0 {
-		return s.Bandwidth
-	}
-	if nic.shape.Bandwidth != 0 {
-		return nic.shape.Bandwidth
-	}
-	return f.params.Bandwidth
-}
-
-func (f *Fabric) xfer(p *sim.Proc, r *sim.Resource, size int64, bw float64) {
-	var d time.Duration
-	if !math.IsInf(bw, 1) {
-		d = time.Duration(float64(size) / bw * float64(time.Second))
-	}
-	r.Use(p, d)
+// xfer holds NIC leg r for size bytes at the fabric bandwidth.
+func (f *Fabric) xfer(p *sim.Proc, r *sim.Resource, size int64) {
+	r.Use(p, time.Duration(float64(size)/f.params.Bandwidth*float64(time.Second)))
 }
 
 type callResult struct {
@@ -364,7 +320,7 @@ func (f *Fabric) Call(p *sim.Proc, from, to wire.NodeID, req wire.Msg) (wire.Msg
 		return f.dispatch(p, src, dst, req, true)
 	}
 	reqSize := wire.SizeOf(req)
-	f.xfer(p, src.tx, reqSize, f.bandwidth(src, dst, src))
+	f.xfer(p, src.tx, reqSize)
 	src.stats.BytesSent += reqSize
 	src.stats.MsgsSent++
 	f.total.BytesSent += reqSize
@@ -428,7 +384,7 @@ func (f *Fabric) dispatch(p *sim.Proc, src, dst *node, req wire.Msg, local bool)
 	respQ := sim.NewQueue[callResult](f.env)
 	f.env.Go("rpc", func(hp *sim.Proc) {
 		if !local {
-			f.xfer(hp, dst.rx, wire.SizeOf(req), f.bandwidth(src, dst, dst))
+			f.xfer(hp, dst.rx, wire.SizeOf(req))
 		}
 		if dst.down {
 			respQ.Put(callResult{err: ErrNodeDown})
@@ -458,7 +414,7 @@ func (f *Fabric) dispatch(p *sim.Proc, src, dst *node, req wire.Msg, local bool)
 				}
 			}
 			respSize := wire.SizeOf(resp)
-			f.xfer(hp, dst.tx, respSize, f.bandwidth(dst, src, dst))
+			f.xfer(hp, dst.tx, respSize)
 			dst.stats.BytesSent += respSize
 			dst.stats.MsgsSent++
 			src.stats.BytesRecv += respSize

@@ -1,6 +1,5 @@
-// Package obs is the sim-time observability plane: a unified metrics
-// registry (counters, gauges, mergeable log-bucketed histograms) and a
-// deterministic distributed tracer.
+// Package obs is the sim-time observability plane: a registry of monotone
+// counters and a deterministic distributed tracer.
 //
 // Traces are built from spans stamped off the simulated clock, with span
 // and trace ids drawn from monotone counters and sampling decided by an op

@@ -1,30 +1,19 @@
 package obs
 
-import (
-	"sort"
-	"time"
-)
-
-// Registry is a name-keyed metrics store: monotone counters, lazily-read
-// gauges, and log-bucketed histograms. Get-or-create lookups are map hits;
-// hot paths cache the returned pointer once and pay a bare field increment
-// per event, which is what makes migrating per-op stats here free.
+// Registry is a name-keyed store of monotone counters. Get-or-create
+// lookups are map hits; hot paths cache the returned pointer once and pay a
+// bare field increment per event, which is what makes migrating per-op
+// stats here free.
 //
 // Everything runs under the sim kernel's one-runnable-goroutine discipline,
 // so the registry needs no locking and no atomics.
 type Registry struct {
 	counters map[string]*Counter
-	gauges   map[string]func() float64
-	hists    map[string]*Histogram
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]func() float64),
-		hists:    make(map[string]*Histogram),
-	}
+	return &Registry{counters: make(map[string]*Counter)}
 }
 
 // Counter is a monotone event counter.
@@ -50,70 +39,11 @@ func (r *Registry) Counter(name string) *Counter {
 	return c
 }
 
-// GaugeFunc registers a gauge read lazily at snapshot time — the thin-read
-// bridge for state owned elsewhere (in-flight depths, sim drop counters,
-// fabric corruption counts). Re-registering a name replaces the reader.
-func (r *Registry) GaugeFunc(name string, fn func() float64) {
-	r.gauges[name] = fn
-}
-
-// Histogram returns the histogram registered under name, creating it empty
-// on first use.
-func (r *Registry) Histogram(name string) *Histogram {
-	h, ok := r.hists[name]
-	if !ok {
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
-}
-
-// Observe records v into the named histogram (get-or-create convenience).
-func (r *Registry) Observe(name string, v time.Duration) {
-	r.Histogram(name).Record(v)
-}
-
-// Snapshot evaluates every counter and gauge into one name -> value map.
-// Gauges are user callbacks, so they run in sorted-name order: a stateful
-// gauge evaluated in map order would make snapshots seed-unstable.
+// Snapshot evaluates every counter into one name -> value map.
 func (r *Registry) Snapshot() map[string]float64 {
-	out := make(map[string]float64, len(r.counters)+len(r.gauges))
+	out := make(map[string]float64, len(r.counters))
 	for name, c := range r.counters {
 		out[name] = float64(c.v)
 	}
-	names := make([]string, 0, len(r.gauges))
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		out[name] = r.gauges[name]()
-	}
 	return out
-}
-
-// HistogramNames returns the registered histogram names in sorted order.
-func (r *Registry) HistogramNames() []string {
-	names := make([]string, 0, len(r.hists))
-	for name := range r.hists {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Names returns the registered counter and gauge names in sorted order —
-// the deterministic iteration order for dumps.
-func (r *Registry) Names() []string {
-	names := make([]string, 0, len(r.counters)+len(r.gauges))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	for name := range r.gauges {
-		if _, dup := r.counters[name]; !dup {
-			names = append(names, name)
-		}
-	}
-	sort.Strings(names)
-	return names
 }

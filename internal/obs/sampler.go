@@ -7,10 +7,10 @@ import (
 )
 
 // Sampler drives a collection callback at a fixed virtual-time period,
-// turning instantaneous state (NIC queue lengths, resource busy time) into
-// periodic gauges and histograms. Each tick is an ordinary env event, so
-// it runs in timestamp order with everything else whether the env is
-// driven by Env.Run or stepped with ProcessNextEvent.
+// turning cumulative state (resource busy time) into per-period registry
+// counts. Each tick is an ordinary env event, so it runs in timestamp order
+// with everything else whether the env is driven by Env.Run or stepped with
+// ProcessNextEvent.
 //
 // A sampler keeps the event queue nonempty by design, so it MUST be
 // Stop()ed before the final drain (an unbounded Env.Run would otherwise

@@ -75,12 +75,12 @@ func BuildPlan(from, to uint64, moves []placement.Move, boundBlocks float64) *Pl
 }
 
 // Throttle is a token bucket over virtual time shared by every in-flight PG
-// migration: Take blocks the calling process until n bytes of budget have
-// accrued at the configured rate.
+// migration: Take blocks the calling process until n bytes of budget (at
+// most one burst) have accrued at the configured rate.
 type Throttle struct {
 	rate  float64 // bytes/sec; <= 0 means unthrottled
 	burst float64
-	avail float64
+	avail float64 // negative after a take larger than the burst
 	last  time.Duration
 }
 
@@ -93,11 +93,14 @@ func NewThrottle(rateBps int64) *Throttle {
 
 // Take consumes n bytes of budget, sleeping in virtual time as needed.
 // Concurrent takers are served as the scheduler wakes them; fairness across
-// PGs is not guaranteed, only the aggregate rate.
+// PGs is not guaranteed, only the aggregate rate. A take larger than the
+// burst waits for a full bucket and leaves the budget in debt, so the next
+// take pays the excess.
 func (t *Throttle) Take(p *sim.Proc, n int64) {
 	if t == nil || t.rate <= 0 || n <= 0 {
 		return
 	}
+	want := min(float64(n), t.burst)
 	for {
 		now := p.Now()
 		t.avail += t.rate * (now - t.last).Seconds()
@@ -105,14 +108,14 @@ func (t *Throttle) Take(p *sim.Proc, n int64) {
 		if t.avail > t.burst {
 			t.avail = t.burst
 		}
-		if t.avail >= float64(n) {
+		if t.avail >= want {
 			t.avail -= float64(n)
 			return
 		}
-		need := (float64(n) - t.avail) / t.rate
+		need := (want - t.avail) / t.rate
 		d := time.Duration(need * float64(time.Second))
 		if d <= 0 {
-			// Float rounding can leave avail a hair under n, truncating the
+			// Float rounding can leave avail a hair under want, truncating the
 			// computed wait to zero — a 0ns sleep re-wakes at the same
 			// virtual instant with nothing accrued, freezing the clock.
 			// Guarantee progress.

@@ -98,6 +98,34 @@ func TestThrottleRandomRates(t *testing.T) {
 	}
 }
 
+// TestThrottleTakeAboveBurst: a take larger than the bucket (one second of
+// budget) must still return, and must leave the budget in debt so the next
+// take is paced by the excess: two takes of 4 s worth at 1 MiB/s finish at
+// 1 s (one full bucket) and 5 s (four more seconds of accrual).
+func TestThrottleTakeAboveBurst(t *testing.T) {
+	const rate = 1 << 20
+	env := sim.NewEnv()
+	th := NewThrottle(rate)
+	var ends []time.Duration
+	env.Go("taker", func(p *sim.Proc) {
+		for i := 0; i < 2; i++ {
+			th.Take(p, 4*rate)
+			ends = append(ends, p.Now())
+		}
+	})
+	env.RunTest(t)
+	env.Close()
+	if len(ends) != 2 {
+		t.Fatalf("%d of 2 takes returned", len(ends))
+	}
+	if ends[0] != time.Second {
+		t.Fatalf("first take returned at %v, want 1s", ends[0])
+	}
+	if gap := ends[1] - ends[0]; gap < 4*time.Second {
+		t.Fatalf("second take returned %v after the first, want at least 4s", gap)
+	}
+}
+
 func TestThrottleUnlimited(t *testing.T) {
 	env := sim.NewEnv()
 	th := NewThrottle(0)

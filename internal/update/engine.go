@@ -38,22 +38,10 @@ type Host interface {
 	Alive(id wire.NodeID) bool
 	// Call performs an RPC to a peer OSD.
 	Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, error)
-}
-
-// TraceHost is optionally implemented by hosts that expose the cluster's
-// trace plane; background engine work (TSUE recycle passes) starts its own
-// root spans on it. Hosts without it (unit-test fakes) stay untraced.
-type TraceHost interface {
+	// Tracer is the cluster's trace plane; background engine work (TSUE
+	// recycle passes) starts its own root spans on it. A nil tracer is a
+	// valid disabled one (every obs entry point no-ops on it).
 	Tracer() *obs.Tracer
-}
-
-// tracerOf returns h's tracer when it has one; a nil tracer is a valid
-// disabled tracer (every obs entry point no-ops on it).
-func tracerOf(h Host) *obs.Tracer {
-	if th, ok := h.(TraceHost); ok {
-		return th.Tracer()
-	}
-	return nil
 }
 
 // Engine is one update scheme running on one OSD.

@@ -183,7 +183,7 @@ func (*tsue) Name() string { return "tsue" }
 // read-modify-write, while an idle pool still recycles unit-by-unit with no
 // added latency. Units of one pool always recycle in seal order.
 func (t *tsue) startRecyclers(l *tsueLayer, fn func(p *sim.Proc, poolIdx int, units []*logpool.Unit)) {
-	tracer := tracerOf(t.h)
+	tracer := t.h.Tracer()
 	for i := range l.pools {
 		i := i
 		t.h.Env().Go(fmt.Sprintf("tsue-recycle-%s-%d@%d", l.name, i, t.h.NodeID()), func(p *sim.Proc) {

@@ -13,6 +13,7 @@ import (
 	"tsue/internal/blockstore"
 	"tsue/internal/device"
 	"tsue/internal/logpool"
+	"tsue/internal/obs"
 	"tsue/internal/rs"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
@@ -52,6 +53,7 @@ func (h *fakeHost) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, er
 	p.Sleep(10 * time.Microsecond)
 	return wire.OK, nil
 }
+func (h *fakeHost) Tracer() *obs.Tracer { return nil }
 
 // applyUpdate calls eng.Update the way OSD.handle does: with the sum of the
 // bytes it has just verified.

@@ -224,8 +224,8 @@ func (l *LookupResp) carried() error   { return l.Err }
 
 // AdmitOp asks the MDS for admission of one foreground client op before the
 // client performs it — the backpressure half of the open-loop load plane.
-// The MDS runs its configured admission policy (token-bucket rate plus
-// queue-depth limits) and answers with an Ack: a nil Err admits the op, an
+// The MDS runs its configured admission policy (a queue-depth limit) and
+// answers with an Ack: a nil Err admits the op, an
 // overload Err bounces it back to the submitter as a retryable rejection.
 type AdmitOp struct {
 	Span SpanCtx
