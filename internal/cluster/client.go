@@ -269,18 +269,11 @@ func (cl *Client) readBlock(p *sim.Proc, blk wire.BlockID, boff, n int64) ([]byt
 			resp, err = cl.c.Fabric.Call(p, cl.id, osds[blk.Index],
 				&wire.ReadBlock{Blk: blk, Off: boff, Size: int32(n), Epoch: epoch})
 		}
-		if err = wire.AckErr(resp, err); err == nil {
-			rr, ok := resp.(*wire.ReadResp)
-			if !ok {
-				return nil, fmt.Errorf("read %v: unexpected response %T", blk, resp)
-			}
-			// End-to-end verification: the response payload survived the
-			// wire. A mismatch is retryable like any transient fault.
-			if err = wire.VerifySum(rr.Data, rr.Sum); err == nil {
-				return rr.Data, nil
-			}
-			cl.c.noteCorruption()
-			err = fmt.Errorf("read %v: %w", blk, err)
+		// End-to-end verification: the response payload survived the wire.
+		// A mismatch is retryable like any transient fault.
+		data, err := cl.c.readData(resp, err)
+		if err == nil {
+			return data, nil
 		}
 		if !cl.retry(p, blk, attempt, err) {
 			return nil, fmt.Errorf("read %v: %w", blk, err)

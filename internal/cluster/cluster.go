@@ -443,6 +443,25 @@ func (c *Cluster) Scrub() (int, error) {
 // noteCorruption records one detected checksum failure (any verify point).
 func (c *Cluster) noteCorruption() { c.corruptions.Inc() }
 
+// readData is the outcome of a ReadBlock or DegradedRead call: the verified
+// payload of its ReadResp, or the transport error, the carried Err, an
+// unexpected response type or ErrChecksum (counted as a detection). The
+// caller wraps the error with its own context.
+func (c *Cluster) readData(resp wire.Msg, err error) ([]byte, error) {
+	if err = wire.AckErr(resp, err); err != nil {
+		return nil, err
+	}
+	rr, ok := resp.(*wire.ReadResp)
+	if !ok {
+		return nil, fmt.Errorf("unexpected response %T", resp)
+	}
+	if err := wire.Verify(rr); err != nil {
+		c.noteCorruption()
+		return nil, err
+	}
+	return rr.Data, nil
+}
+
 // CorruptionsDetected returns how many checksum-verification failures the
 // cluster has surfaced — compared against Fabric.CorruptionsInjected to
 // prove injected corruption never escapes detection.

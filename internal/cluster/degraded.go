@@ -486,12 +486,6 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 	if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
 		return &wire.Ack{Err: errDegradedGone}
 	}
-	// Verify before the append: a corrupted record would be overlaid on
-	// degraded reads and replayed at cutover.
-	if err := wire.VerifySum(v.Data, v.Sum); err != nil {
-		o.c.noteCorruption()
-		return &wire.Ack{Err: fmt.Errorf("degraded update %v: %w", v.Blk, err)}
-	}
 	o.c.surrOpsInFlight++
 	defer o.c.surrOpDone()
 	j := o.journalFor(v.Failed)
@@ -585,17 +579,10 @@ func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 			Blk: v.Blk, Off: v.Off, Size: v.Size,
 			Epoch: o.c.MDS.authEpochOf(v.Blk.StripeID()),
 		})
+		// A transport error goes back as is; the home's answer is wrapped.
 		if err == nil {
-			rr, ok := resp.(*wire.ReadResp)
-			if rerr := wire.AckErr(resp, nil); rerr != nil {
-				err = fmt.Errorf("degraded read fwd %v: %w", v.Blk, rerr)
-			} else if !ok {
-				err = fmt.Errorf("degraded read fwd %v: unexpected response %T", v.Blk, resp)
-			} else if verr := wire.VerifySum(rr.Data, rr.Sum); verr != nil {
-				o.c.noteCorruption()
-				err = fmt.Errorf("degraded read fwd %v: %w", v.Blk, verr)
-			} else {
-				buf = rr.Data
+			if buf, err = o.c.readData(resp, nil); err != nil {
+				err = fmt.Errorf("degraded read fwd %v: %w", v.Blk, err)
 			}
 		}
 	}

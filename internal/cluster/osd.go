@@ -102,14 +102,18 @@ func (o *OSD) JournalBytes() int64 {
 // ---- RPC dispatch ----
 
 func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+	// Every payload is verified here, before any side effect: a corrupted
+	// block must never become the stored copy, a corrupted delta applied
+	// to data or parity would tear the stripe undetectably, a corrupted
+	// replay record would bake wrong bytes into a rebuilt block, and a
+	// corrupted journal copy acked into the quorum could later read-repair
+	// garbage over good records. The engines never see unverified bytes.
+	if err := wire.Verify(m); err != nil {
+		o.c.noteCorruption()
+		return &wire.Ack{Err: fmt.Errorf("osd %d: %s: %w", o.id, wire.Name(m), err)}
+	}
 	switch v := m.(type) {
 	case *wire.PutBlock:
-		// Verify before the store write: a payload corrupted on the wire
-		// must never become the stored copy.
-		if err := wire.VerifySum(v.Data, v.Sum); err != nil {
-			o.c.noteCorruption()
-			return &wire.Ack{Err: fmt.Errorf("put %v: %w", v.Blk, err)}
-		}
 		if err := o.store.Put(p, v.Blk, v.Data); err != nil {
 			return &wire.Ack{Err: err}
 		}
@@ -141,12 +145,6 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		if !o.c.epochOK(v.Blk, v.Epoch) {
 			return &wire.Ack{Err: errStaleEpoch}
 		}
-		// Verify before any engine side effect: a corrupted delta applied to
-		// data or parity would tear the stripe undetectably.
-		if err := wire.VerifySum(v.Data, v.Sum); err != nil {
-			o.c.noteCorruption()
-			return &wire.Ack{Err: fmt.Errorf("update %v: %w", v.Blk, err)}
-		}
 		if err := o.engine.Update(p, v.Blk, v.Off, v.Data, v.Sum); err != nil {
 			return &wire.Ack{Err: err}
 		}
@@ -167,12 +165,6 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		}
 		return wire.OK
 	case *wire.ReplayUpdate:
-		// A corrupted replay record applied during recovery would bake wrong
-		// bytes into the rebuilt block — verify before touching the engine.
-		if err := wire.VerifySum(v.Data, v.Sum); err != nil {
-			o.c.noteCorruption()
-			return &wire.Ack{Err: fmt.Errorf("replay %v: %w", v.Blk, err)}
-		}
 		if err := update.Replay(p, o.engine, v.Blk, v.Off, v.Data, v.Sum); err != nil {
 			return &wire.Ack{Err: err}
 		}
@@ -186,12 +178,7 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		// the surrogate's quorum set: persist, keep the sequenced item keyed
 		// by its surrogate so a promotion can read-repair across holders,
 		// and ack — the surrogate acks the client only after every reachable
-		// holder has done this. Verified first: a corrupted copy acked into
-		// the quorum could later read-repair garbage over good records.
-		if err := wire.VerifySum(v.Data, v.Sum); err != nil {
-			o.c.noteCorruption()
-			return &wire.JournalAck{Seq: v.Seq, Err: err}
-		}
+		// holder has done this.
 		j := o.journalFor(v.Failed)
 		if j.repl == nil {
 			j.repl = make(map[wire.NodeID][]wire.JournalItem)
@@ -210,16 +197,6 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 	case *wire.MigrateLog:
 		return o.handleMigrateLog(p, v)
 	default:
-		// Engine-internal messages (delta/log fan-outs) carry their own
-		// payload checksums via wire.SummedPayload; verify centrally before
-		// any engine side effect so a wire-corrupted delta never reaches a
-		// log or parity block.
-		if sp, ok := m.(wire.SummedPayload); ok {
-			if err := sp.VerifyPayload(); err != nil {
-				o.c.noteCorruption()
-				return &wire.Ack{Err: fmt.Errorf("osd %d: %s: %w", o.id, wire.Name(m), err)}
-			}
-		}
 		if resp, handled := o.engine.Handle(p, from, m); handled {
 			return resp
 		}
@@ -242,21 +219,13 @@ func (o *OSD) handleMigrateBlock(p *sim.Proc, v *wire.MigrateBlock) wire.Msg {
 		}
 		return wire.OK
 	}
-	resp, err := o.Call(p, v.From, &wire.ReadBlock{
+	data, err := o.c.readData(o.Call(p, v.From, &wire.ReadBlock{
 		Blk: v.Blk, Off: 0, Size: int32(o.c.Cfg.BlockSize), Raw: true,
-	})
-	if err = wire.AckErr(resp, err); err != nil {
+	}))
+	if err != nil {
 		return &wire.Ack{Err: fmt.Errorf("migrate pull %v from %d: %w", v.Blk, v.From, err)}
 	}
-	rr, ok := resp.(*wire.ReadResp)
-	if !ok {
-		return &wire.Ack{Err: fmt.Errorf("migrate pull %v from %d: unexpected response %T", v.Blk, v.From, resp)}
-	}
-	if err := wire.VerifySum(rr.Data, rr.Sum); err != nil {
-		o.c.noteCorruption()
-		return &wire.Ack{Err: fmt.Errorf("migrate pull %v from %d: %w", v.Blk, v.From, err)}
-	}
-	if err := o.store.Put(p, v.Blk, rr.Data); err != nil {
+	if err := o.store.Put(p, v.Blk, data); err != nil {
 		return &wire.Ack{Err: err}
 	}
 	return wire.OK
@@ -323,22 +292,14 @@ func (o *OSD) readSurvivingShards(p *sim.Proc, blk wire.BlockID, off, size int64
 	if err := sim.Parallel(p, "recover-read", len(sources), func(hp *sim.Proc, i int) error {
 		idx := sources[i]
 		sblk := wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(idx)}
-		resp, err := o.Call(hp, osds[idx], &wire.ReadBlock{Blk: sblk, Off: off, Size: int32(size), Raw: true})
-		if err = wire.AckErr(resp, err); err != nil {
-			return fmt.Errorf("recover read %v: %w", sblk, err)
-		}
-		rr, ok := resp.(*wire.ReadResp)
-		if !ok {
-			return fmt.Errorf("recover read %v: unexpected response %T", sblk, resp)
-		}
 		// A corrupt shard fed into rs.Reconstruct would silently rebuild
 		// wrong bytes — the one place wire rot is most dangerous.
-		if err := wire.VerifySum(rr.Data, rr.Sum); err != nil {
-			o.c.noteCorruption()
+		data, err := o.c.readData(o.Call(hp, osds[idx], &wire.ReadBlock{Blk: sblk, Off: off, Size: int32(size), Raw: true}))
+		if err != nil {
 			return fmt.Errorf("recover read %v: %w", sblk, err)
 		}
-		o.c.OSDByID(osds[idx]).recSrcReadBytes += int64(len(rr.Data))
-		shards[idx] = rr.Data
+		o.c.OSDByID(osds[idx]).recSrcReadBytes += int64(len(data))
+		shards[idx] = data
 		return nil
 	}); err != nil {
 		return nil, err

@@ -10,6 +10,9 @@ package cluster
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"slices"
+	"strings"
 	"testing"
 
 	"tsue/internal/netsim"
@@ -163,39 +166,101 @@ func ownershipCluster(t *testing.T, engine string, body func(p *sim.Proc, c *Clu
 	}
 }
 
-// TestCorruptMovedPayloadRejectedBeforeAdoption: verify-before-adopt. A
-// moved payload is only ever adopted after OSD.handle has verified it, so a
-// corruptor's clone of a ParityDelta or a parity-delta DeltaAppend is turned
-// away with ErrChecksum and the engine's log never sees the buffer.
+// TestCorruptMovedPayloadRejectedBeforeAdoption: verify-before-adopt, for
+// every request that carries a Sum. OSD.handle verifies each payload before
+// any side effect, so a flipped copy of any of them — moved payloads (a
+// ParityDelta, a parity-delta DeltaAppend) and copied ones alike — is
+// answered with ErrChecksum, counted as exactly one detection, and leaves
+// every OSD's stored bytes and versions, engine debt and memory, device and
+// degraded journals as they were. A degraded window is open, so the
+// DegradedUpdate reaches a real surrogate.
 func TestCorruptMovedPayloadRejectedBeforeAdoption(t *testing.T) {
-	for _, engine := range []string{"tsue", "pl", "plr"} {
+	for _, engine := range update.Names() {
 		engine := engine
 		t.Run(engine, func(t *testing.T) {
 			ownershipCluster(t, engine, func(p *sim.Proc, c *Cluster, cl *Client, ino uint64, _ []byte) {
 				s := wire.StripeID{Ino: ino}
-				holder := c.OSDByID(c.Placement(s)[c.Cfg.K]) // first parity holder
-				good := bytes.Repeat([]byte{0x5A}, 512)
-				bad := append([]byte(nil), good...)
-				bad[len(bad)/2] ^= 0xff
-				var m wire.Msg
-				if engine == "tsue" {
-					m = &wire.ParityDelta{Blk: wire.BlockID{Ino: ino, Index: uint16(c.Cfg.K)}, Off: 64, Data: bad, Sum: wire.Checksum(good)}
-				} else {
-					m = &wire.DeltaAppend{Blk: wire.BlockID{Ino: ino}, Off: 64, Data: bad, Kind: wire.KindParityDelta, Sum: wire.Checksum(good)}
+				osds := c.Placement(s)
+				k := c.Cfg.K
+				failed := osds[len(osds)-1] // the stripe's last parity holder
+				if err := c.BeginDegraded(p, failed, cl); err != nil {
+					t.Fatal(err)
 				}
-				before := c.CorruptionsDetected()
-				if resp := holder.handle(p, cl.ID(), m); !errors.Is(wire.AckErr(resp, nil), wire.ErrChecksum) {
-					t.Errorf("corrupt %T answered %v, want a response carrying ErrChecksum", m, resp)
+				_, surrogate, ok := c.degradedRoute(s)
+				if !ok {
+					t.Fatalf("stripe %v is not degraded after node %d failed", s, failed)
 				}
-				if c.CorruptionsDetected() != before+1 {
-					t.Errorf("detections went %d -> %d, want +1", before, c.CorruptionsDetected())
+				data := wire.BlockID{Ino: ino}                     // data block 0
+				parity := wire.BlockID{Ino: ino, Index: uint16(k)} // first parity block
+				kind := wire.KindParityDelta
+				if engine == "tsue" || engine == "cord" {
+					kind = wire.KindDataDelta
 				}
-				if holder.engine.Pending(update.All) || holder.engine.MemBytes() != 0 {
-					t.Errorf("rejected payload reached the engine's log (dirty=%v, mem=%d)", holder.engine.Pending(update.All), holder.engine.MemBytes())
+				good := bytes.Repeat([]byte{0x5A}, int(c.Cfg.BlockSize)) // a PutBlock carries a whole block
+				sum := wire.Checksum(good)
+				rows := []struct {
+					to wire.NodeID
+					m  wire.Msg
+				}{
+					{osds[0], &wire.PutBlock{Blk: data, Data: good, Sum: sum}},
+					{osds[0], &wire.Update{Blk: data, Data: good, Epoch: c.MDS.authEpochOf(s), Sum: sum}},
+					{osds[0], &wire.ReplayUpdate{Blk: data, Data: good, Sum: sum}},
+					{surrogate, &wire.DegradedUpdate{Failed: failed, Blk: data, Data: good, Sum: sum}},
+					{osds[1], &wire.JournalReplica{Failed: failed, Surrogate: surrogate, Seq: 1, Blk: data, Data: good, Sum: sum}},
+					{osds[k], &wire.DeltaAppend{Blk: data, Data: good, Kind: kind, Sum: sum}},
+					{osds[k], &wire.ParixAppend{Blk: data, New: good, Sum: sum}},
+					{osds[k], &wire.ParityDelta{Blk: parity, Data: good, Sum: sum}},
+					{osds[1], &wire.LogReplica{SrcNode: osds[0], Blk: data, Data: good, Sum: sum}},
+				}
+				for _, r := range rows {
+					bad := append([]byte(nil), good...)
+					bad[len(bad)/2] ^= 0xff
+					m := wire.WithPayload(r.m, bad)
+					before, detected := clusterState(c), c.CorruptionsDetected()
+					if resp := c.OSDByID(r.to).handle(p, cl.ID(), m); !errors.Is(wire.AckErr(resp, nil), wire.ErrChecksum) {
+						t.Errorf("corrupt %s answered %v, want a response carrying ErrChecksum", wire.Name(m), resp)
+					}
+					if got := c.CorruptionsDetected(); got != detected+1 {
+						t.Errorf("corrupt %s: detections went %d -> %d, want +1", wire.Name(m), detected, got)
+					}
+					if after := clusterState(c); after != before {
+						t.Errorf("corrupt %s left a side effect:\nbefore %s\nafter  %s", wire.Name(m), before, after)
+					}
 				}
 			})
 		})
 	}
+}
+
+// clusterState renders everything a rejected message must leave untouched
+// on the live OSDs: each stored block's version and bytes, the engine's
+// merge debt and log memory, the device counters and the degraded journals.
+func clusterState(c *Cluster) string {
+	var b strings.Builder
+	for _, o := range c.OSDs {
+		if c.Fabric.Down(o.id) {
+			continue
+		}
+		fmt.Fprintf(&b, "osd %d: pending %v mem %d dev %+v\n", o.id, o.engine.Pending(update.All), o.engine.MemBytes(), o.dev.Stats())
+		for _, blk := range o.store.Blocks() {
+			data, _ := o.store.Peek(blk)
+			fmt.Fprintf(&b, "  %v v%d %08x\n", blk, o.store.Version(blk), wire.Checksum(data))
+		}
+		var failed []wire.NodeID
+		for f := range o.journals {
+			failed = append(failed, f)
+		}
+		slices.Sort(failed)
+		for _, f := range failed {
+			j := o.journals[f]
+			repl := 0
+			for _, items := range j.repl {
+				repl += len(items)
+			}
+			fmt.Fprintf(&b, "  journal %d: seq %d primary %d blocks %d repl %d\n", f, j.nextSeq, j.primary, len(j.order), repl)
+		}
+	}
+	return b.String()
 }
 
 // TestClientReadBuffers pins Client.Read's side of the rule: a read inside

@@ -248,10 +248,11 @@ func (f *Fabric) ScheduleFlap(id wire.NodeID, start, downFor, period time.Durati
 }
 
 // SetTracer attaches the observability plane's tracer: every Call whose
-// request is wire.Spanned and whose calling proc runs under a live trace
-// gets a wire-stage span covering the full round trip, the message is
-// stamped with the child context, and the receiving handler runs under a
-// resumed handler span — cross-node tracing with no per-call-site plumbing.
+// request carries a wire.SpanCtx (wire.Span) and whose calling proc runs
+// under a live trace gets a wire-stage span covering the full round trip,
+// the message is stamped with the child context, and the receiving handler
+// runs under a resumed handler span — cross-node tracing with no
+// per-call-site plumbing.
 // Tracing records spans only; it never schedules events, consumes
 // randomness, or changes message sizes, so fabric timing is identical with
 // it on or off.
@@ -350,16 +351,16 @@ func (f *Fabric) rpcSpan(p *sim.Proc, req wire.Msg, to wire.NodeID) func() {
 	if !f.tracer.Enabled() {
 		return nil
 	}
-	sp, ok := req.(wire.Spanned)
-	if !ok {
+	sc := wire.Span(req)
+	if sc == nil {
 		return nil
 	}
 	a, on := obs.FromProc(p)
 	if !on {
 		return nil
 	}
-	child, fin := a.Child(obs.RPCStage(req), "rpc:"+wire.Name(req), to)
-	*sp.SpanRef() = child.Ctx()
+	child, fin := a.Child(obs.MsgStage(req, obs.StageNetwork), "rpc:"+wire.Name(req), to)
+	*sc = child.Ctx()
 	return fin
 }
 
@@ -369,12 +370,12 @@ func (f *Fabric) handlerSpan(hp *sim.Proc, req wire.Msg, at wire.NodeID) func() 
 	if !f.tracer.Enabled() {
 		return nil
 	}
-	sp, ok := req.(wire.Spanned)
-	if !ok || sp.SpanRef().Trace == 0 {
+	sc := wire.Span(req)
+	if sc == nil || sc.Trace == 0 {
 		return nil
 	}
-	stage := obs.HandlerStage(req)
-	h := obs.Resume(f.tracer, *sp.SpanRef(), stage)
+	stage := obs.MsgStage(req, obs.StageService)
+	h := obs.Resume(f.tracer, *sc, stage)
 	hc, fin := h.Child(stage, "handle:"+wire.Name(req), at)
 	hp.SetSpan(hc)
 	return fin

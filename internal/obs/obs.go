@@ -102,29 +102,18 @@ func (s Stage) String() string {
 	return "stage?"
 }
 
-// RPCStage classifies a traced RPC's wire span by message type: admission
-// and journal-replication round trips are charged to their own stages, all
-// other traffic to the network stage.
-func RPCStage(m wire.Msg) Stage {
+// MsgStage classifies a traced RPC's span by message type: admission and
+// journal-replication round trips are charged to their own stages, all
+// other traffic to def — the network stage for the caller's wire span, the
+// service stage for the receiver's handler span.
+func MsgStage(m wire.Msg, def Stage) Stage {
 	switch m.(type) {
 	case *wire.AdmitOp:
 		return StageAdmission
 	case *wire.JournalReplica:
 		return StageJournal
 	default:
-		return StageNetwork
-	}
-}
-
-// HandlerStage classifies a traced RPC's receiver-side handler span.
-func HandlerStage(m wire.Msg) Stage {
-	switch m.(type) {
-	case *wire.AdmitOp:
-		return StageAdmission
-	case *wire.JournalReplica:
-		return StageJournal
-	default:
-		return StageService
+		return def
 	}
 }
 

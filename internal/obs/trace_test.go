@@ -157,10 +157,10 @@ func TestResumeLinksRemoteSpans(t *testing.T) {
 	env.Go("client", func(p *sim.Proc) {
 		fin := tr.StartOp(p, OpRead, 1, "op:read")
 		a, _ := FromProc(p)
-		rpc, rpcFin := a.Child(RPCStage(&wire.ReadBlock{}), "rpc:ReadBlock", 2)
+		rpc, rpcFin := a.Child(MsgStage(&wire.ReadBlock{}, StageNetwork), "rpc:ReadBlock", 2)
 		ctx := rpc.Ctx()
 		// "Remote side": resume from the wire context.
-		h := Resume(tr, ctx, HandlerStage(&wire.ReadBlock{}))
+		h := Resume(tr, ctx, MsgStage(&wire.ReadBlock{}, StageService))
 		_, hFin := h.Child(StageDevice, "dev:read", 2)
 		p.Sleep(time.Millisecond)
 		hFin()
@@ -185,7 +185,8 @@ func TestResumeLinksRemoteSpans(t *testing.T) {
 		t.Fatalf("device %v, want 1ms", bd[StageDevice])
 	}
 	// Admission/journal RPCs classify away from the generic network stage.
-	if RPCStage(&wire.AdmitOp{}) != StageAdmission || HandlerStage(&wire.JournalReplica{}) != StageJournal {
+	if MsgStage(&wire.AdmitOp{}, StageNetwork) != StageAdmission || MsgStage(&wire.JournalReplica{}, StageService) != StageJournal ||
+		MsgStage(&wire.ReadBlock{}, StageService) != StageService {
 		t.Fatal("RPC stage classification broken")
 	}
 }

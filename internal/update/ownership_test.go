@@ -2,6 +2,7 @@ package update
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
 
@@ -132,7 +133,7 @@ func TestCopiedPayloadsAreCopiedByTheirKeeper(t *testing.T) {
 		px := eng.(*parix)
 		nw, orig := payload(), payload()
 		runProc(t, h, func(p *sim.Proc) {
-			eng.Handle(p, 2, &wire.ParixAppend{Blk: blk, Off: 0, New: nw, Orig: orig, Sum: wire.ChecksumPair(nw, orig)})
+			eng.Handle(p, 2, &wire.ParixAppend{Blk: blk, Off: 0, New: nw, Orig: orig, Sum: wire.Checksum(slices.Concat(nw, orig))})
 			if held(px.latest[blk], nw) || held(px.orig[blk], orig) {
 				t.Error("parity-side log kept a ParixAppend buffer")
 			}
@@ -158,7 +159,7 @@ func TestParixForwardsTheVerifiedSum(t *testing.T) {
 		t.Fatalf("first write sent %d messages, want 2 orig + 2 new", len(h.calls))
 	}
 	for i, m := range h.calls {
-		if err := m.(*wire.ParixAppend).VerifyPayload(); err != nil {
+		if err := wire.Verify(m); err != nil {
 			t.Errorf("message %d does not verify: %v", i, err)
 		}
 	}

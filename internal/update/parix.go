@@ -98,7 +98,7 @@ func (e *parix) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, su
 	// speculative round so the parity log never holds new data whose
 	// baseline is still in flight.
 	if orig != nil {
-		origSum := wire.ChecksumPair(nil, orig)
+		origSum := wire.Checksum(orig)
 		if err := e.fanout(p, m, func(hp *sim.Proc, j int) error {
 			req := &wire.ParixAppend{Blk: blk, ParityIdx: uint16(j), Off: off, New: nil, Orig: orig, Sum: origSum}
 			return e.callAck(hp, osds[k+j], req)
@@ -106,8 +106,8 @@ func (e *parix) Update(p *sim.Proc, blk wire.BlockID, off int64, data []byte, su
 			return err
 		}
 	}
-	// Speculative phase: ship only the new data. With Orig empty the pair
-	// sum is the sum of New alone — the one the caller verified.
+	// Speculative phase: ship only the new data. With Orig empty the
+	// message's sum is the sum of New alone — the one the caller verified.
 	return e.fanout(p, m, func(hp *sim.Proc, j int) error {
 		req := &wire.ParixAppend{Blk: blk, ParityIdx: uint16(j), Off: off, New: data, Sum: sum}
 		return e.callAck(hp, osds[k+j], req)

@@ -1,14 +1,17 @@
 // Package wire defines the ECFS RPC message set and its wire-size model.
 //
 // The simulated fabric (internal/netsim) passes message values directly and
-// charges SizeOf(m) — headerSize + PayloadSize — to the network model; no
-// message is ever encoded to bytes. A message's type is its Go type: there is
-// no type tag, and Name(m) is the name spans and error texts use.
-// PayloadSize is the modelled length of a compact layout (fixed-width
-// integers and bools, length-prefixed slices, strings and error texts), and
-// the size table in wire_test.go pins it per message type, since every size
-// feeds simulated network time. A message is kept in step in two places: its
-// struct with its PayloadSize method, and its size-table row.
+// charges SizeOf(m) — a 40-byte header plus the modelled payload — to the
+// network model; no message is ever encoded to bytes. A message's type is
+// its Go type: there is no type tag, and Name(m) is the name spans and error
+// texts use. A message is a struct and nothing else: its layout (layout.go)
+// is derived from its fields in declaration order, by one rule —
+// fixed-width integers and bools at their width (so a BlockID is 14 bytes,
+// a SpanCtx 17); []byte and record slices behind a 4-byte length; strings,
+// error texts and []NodeID behind a 2-byte length. Size, trace context
+// (Span), carried error (AckErr) and checksum (Verify) all come from that
+// layout, and the size table in wire_test.go pins it per message type,
+// since every size feeds simulated network time.
 package wire
 
 import (
@@ -31,38 +34,6 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // messages (CRC-32C). Checksum(nil) == 0, so empty payloads verify against
 // a zero Sum.
 func Checksum(data []byte) uint32 { return crc32.Checksum(data, crcTable) }
-
-// VerifySum checks data against a carried Sum.
-func VerifySum(data []byte, sum uint32) error {
-	if Checksum(data) != sum {
-		return ErrChecksum
-	}
-	return nil
-}
-
-// ChecksumPair digests two payload slices under one CRC (a then b), for
-// messages that carry two byte fields (ParixAppend's New and Orig): one Sum
-// covers both, and a flip in either fails verification.
-func ChecksumPair(a, b []byte) uint32 {
-	return crc32.Update(crc32.Checksum(a, crcTable), crcTable, b)
-}
-
-// VerifySumPair checks a two-slice payload against a carried Sum.
-func VerifySumPair(a, b []byte, sum uint32) error {
-	if ChecksumPair(a, b) != sum {
-		return ErrChecksum
-	}
-	return nil
-}
-
-// SummedPayload is implemented by the engine-internal payload messages. The
-// OSD dispatch verifies it once, centrally, before any engine side effect —
-// the engines themselves never see unverified bytes.
-type SummedPayload interface {
-	Msg
-	// VerifyPayload re-checksums the payload against the carried Sum.
-	VerifyPayload() error
-}
 
 // NodeID identifies a cluster node (MDS or OSD or client).
 type NodeID int32
@@ -99,15 +70,9 @@ func (b BlockID) StripeID() StripeID { return StripeID{Ino: b.Ino, Stripe: b.Str
 // charged on the simulated wire on top of the payload.
 const headerSize = 40
 
-// Msg is implemented by every RPC message (always a pointer to its struct).
-type Msg interface {
-	// PayloadSize is the modelled payload length in bytes, charged to the
-	// network model on top of the header.
-	PayloadSize() int
-}
-
-// SizeOf returns the total on-wire size of a message.
-func SizeOf(m Msg) int64 { return int64(headerSize + m.PayloadSize()) }
+// Msg is an RPC message: always a pointer to one of this package's message
+// structs.
+type Msg any
 
 // Name returns a message's type name ("Update", "AdmitOp"): the name span
 // names and error texts carry.
@@ -120,65 +85,25 @@ func Name(m Msg) string { return reflect.TypeOf(m).Elem().Name() }
 // originating op, the id of the network span this message travels under,
 // and the op kind. A zero Trace means "untraced": the tracer leaves the
 // other fields zero and receivers ignore them. The context always counts
-// spanSize bytes, so a message has the same size traced or not — and
-// simulated network timing is identical whether tracing is on or off.
+// its 17 bytes, so a message has the same size traced or not — and
+// simulated network timing is identical whether tracing is on or off. The
+// fabric stamps it on traced sends and the receiving handler resumes it
+// (see Span), which is what links a trace across nodes.
 type SpanCtx struct {
 	Trace uint64
 	Span  uint64
 	Op    uint8
 }
 
-// spanSize is the modelled size of a SpanCtx.
-const spanSize = 8 + 8 + 1
-
-// Spanned is implemented by the messages that carry a SpanCtx: the netsim
-// fabric stamps the context on traced sends and the receiving handler
-// resumes it, which is what links a trace across nodes.
-type Spanned interface {
-	Msg
-	// SpanRef exposes the carried context for stamping and resumption.
-	SpanRef() *SpanCtx
-}
-
 // ---- generic ----
-
-// errLen is the modelled length of a response's Err: its text, sent as a
-// length-prefixed string (0 bytes for nil).
-func errLen(err error) int {
-	if err == nil {
-		return 0
-	}
-	return len(err.Error())
-}
-
-// erring is implemented by the responses that carry an Err.
-type erring interface{ carried() error }
 
 // Ack is the generic response; Err is nil on success.
 type Ack struct {
 	Err error
 }
 
-func (a *Ack) PayloadSize() int { return 2 + errLen(a.Err) }
-func (a *Ack) carried() error   { return a.Err }
-
 // OK is a shared success ack (never mutated).
 var OK = &Ack{}
-
-// AckErr is the error outcome of an RPC: the transport error if there is
-// one, else the Err the response carries, else nil (a response type without
-// an Err is a success). The fabric hands the handler's error value itself
-// to the caller, so a sentinel wrapped with %w on one node still satisfies
-// errors.Is on the other.
-func AckErr(resp Msg, err error) error {
-	if err != nil {
-		return err
-	}
-	if r, ok := resp.(erring); ok {
-		return r.carried()
-	}
-	return nil
-}
 
 // ---- metadata ----
 
@@ -188,24 +113,17 @@ type CreateFile struct {
 	Stripes uint32
 }
 
-func (c *CreateFile) PayloadSize() int { return 2 + len(c.Name) + 4 }
-
 // CreateResp returns the assigned inode.
 type CreateResp struct {
 	Ino uint64
 	Err error
 }
 
-func (c *CreateResp) PayloadSize() int { return 8 + 2 + errLen(c.Err) }
-func (c *CreateResp) carried() error   { return c.Err }
-
 // Lookup asks the MDS for the OSDs of a stripe.
 type Lookup struct {
 	Ino    uint64
 	Stripe uint32
 }
-
-func (*Lookup) PayloadSize() int { return 12 }
 
 // LookupResp carries the K+M block locations of a stripe plus the PG the
 // MDS resolved them through — the PG-aware address clients cache and cite in telemetry.
@@ -219,9 +137,6 @@ type LookupResp struct {
 	Err   error
 }
 
-func (l *LookupResp) PayloadSize() int { return 2 + 4*len(l.OSDs) + 4 + 8 + 2 + errLen(l.Err) }
-func (l *LookupResp) carried() error   { return l.Err }
-
 // AdmitOp asks the MDS for admission of one foreground client op before the
 // client performs it — the backpressure half of the open-loop load plane.
 // The MDS runs its configured admission policy (a queue-depth limit) and
@@ -230,9 +145,6 @@ func (l *LookupResp) carried() error   { return l.Err }
 type AdmitOp struct {
 	Span SpanCtx
 }
-
-func (*AdmitOp) PayloadSize() int    { return spanSize }
-func (a *AdmitOp) SpanRef() *SpanCtx { return &a.Span }
 
 // ---- block I/O ----
 
@@ -244,9 +156,6 @@ type PutBlock struct {
 	Sum  uint32
 	Span SpanCtx
 }
-
-func (p *PutBlock) PayloadSize() int  { return 14 + 4 + len(p.Data) + 4 + spanSize }
-func (p *PutBlock) SpanRef() *SpanCtx { return &p.Span }
 
 // ReadBlock reads [Off, Off+Size) of a block. Raw bypasses the update
 // engine's log overlays and returns the on-store bytes — used by recovery
@@ -264,9 +173,6 @@ type ReadBlock struct {
 	Span  SpanCtx
 }
 
-func (*ReadBlock) PayloadSize() int    { return 14 + 13 + 8 + spanSize }
-func (b *ReadBlock) SpanRef() *SpanCtx { return &b.Span }
-
 // ReadResp returns block data. Sum is the CRC-32C of Data, computed by the
 // responder; consumers verify before trusting the bytes. It carries no
 // SpanCtx: a response travels inside the requester's rpc span (netsim links
@@ -277,9 +183,6 @@ type ReadResp struct {
 	Err  error
 	Sum  uint32
 }
-
-func (r *ReadResp) PayloadSize() int { return 4 + len(r.Data) + 2 + errLen(r.Err) + 4 }
-func (r *ReadResp) carried() error   { return r.Err }
 
 // Update is a client update to the OSD hosting a data block. Epoch is the
 // placement epoch the client resolved the route under (see ReadBlock).
@@ -293,9 +196,6 @@ type Update struct {
 	Sum   uint32
 	Span  SpanCtx
 }
-
-func (u *Update) PayloadSize() int  { return 14 + 8 + 4 + len(u.Data) + 8 + 4 + spanSize }
-func (u *Update) SpanRef() *SpanCtx { return &u.Span }
 
 // ---- engine-internal forwarding ----
 
@@ -326,10 +226,6 @@ type DeltaAppend struct {
 	Span      SpanCtx
 }
 
-func (d *DeltaAppend) PayloadSize() int     { return 14 + 2 + 8 + 4 + len(d.Data) + 2 + 4 + spanSize }
-func (d *DeltaAppend) SpanRef() *SpanCtx    { return &d.Span }
-func (d *DeltaAppend) VerifyPayload() error { return VerifySum(d.Data, d.Sum) }
-
 // ParixAppend carries a PARIX speculative record: the new data and, on the
 // first overwrite of a location, the original data.
 type ParixAppend struct {
@@ -338,15 +234,9 @@ type ParixAppend struct {
 	Off       int64
 	New       []byte
 	Orig      []byte // nil except on first overwrite
-	Sum       uint32 // ChecksumPair(New, Orig), verified before any engine side effect
+	Sum       uint32 // CRC-32C of New then Orig, verified before any engine side effect
 	Span      SpanCtx
 }
-
-func (p *ParixAppend) PayloadSize() int {
-	return 14 + 2 + 8 + 4 + len(p.New) + 4 + len(p.Orig) + 4 + spanSize
-}
-func (p *ParixAppend) SpanRef() *SpanCtx    { return &p.Span }
-func (p *ParixAppend) VerifyPayload() error { return VerifySumPair(p.New, p.Orig, p.Sum) }
 
 // ParityDelta carries a ready-to-XOR parity delta for the given parity
 // block (TSUE DeltaLog recycle output, CoRD collector output).
@@ -357,10 +247,6 @@ type ParityDelta struct {
 	Sum  uint32 // CRC-32C of Data, verified before any engine side effect
 	Span SpanCtx
 }
-
-func (p *ParityDelta) PayloadSize() int     { return 14 + 8 + 4 + len(p.Data) + 4 + spanSize }
-func (p *ParityDelta) SpanRef() *SpanCtx    { return &p.Span }
-func (p *ParityDelta) VerifyPayload() error { return VerifySum(p.Data, p.Sum) }
 
 // LogReplica replicates one DataLog append to the replica holder.
 type LogReplica struct {
@@ -374,10 +260,6 @@ type LogReplica struct {
 	Span    SpanCtx
 }
 
-func (l *LogReplica) PayloadSize() int     { return 4 + 2 + 8 + 14 + 8 + 4 + len(l.Data) + 4 + spanSize }
-func (l *LogReplica) SpanRef() *SpanCtx    { return &l.Span }
-func (l *LogReplica) VerifyPayload() error { return VerifySum(l.Data, l.Sum) }
-
 // UnitDone tells the replica holder that a replicated unit was recycled and
 // its copy can be dropped.
 type UnitDone struct {
@@ -386,13 +268,9 @@ type UnitDone struct {
 	UnitSeq uint64
 }
 
-func (*UnitDone) PayloadSize() int { return 14 }
-
 // Drain asks an OSD to flush all update-engine logs to quiescence (its
 // engine merges scope update.All).
 type Drain struct{}
-
-func (*Drain) PayloadSize() int { return 0 }
 
 // RecoverBlock asks an OSD to reconstruct and store one lost block, reading
 // the surviving blocks of the stripe from its peers. Reencode marks a lost
@@ -405,9 +283,6 @@ type RecoverBlock struct {
 	Reencode bool
 	Span     SpanCtx
 }
-
-func (*RecoverBlock) PayloadSize() int     { return 14 + 1 + spanSize }
-func (rb *RecoverBlock) SpanRef() *SpanCtx { return &rb.Span }
 
 // ReplicaItem is one unrecycled DataLog record replicated for reliability.
 type ReplicaItem struct {
@@ -422,19 +297,9 @@ type ReplicaFetch struct {
 	Node NodeID
 }
 
-func (*ReplicaFetch) PayloadSize() int { return 4 }
-
 // ReplicaResp returns the surviving log items, in original append order.
 type ReplicaResp struct {
 	Items []ReplicaItem
-}
-
-func (r *ReplicaResp) PayloadSize() int {
-	n := 4
-	for _, it := range r.Items {
-		n += 14 + 8 + 4 + len(it.Data)
-	}
-	return n
 }
 
 // ---- degraded mode ----
@@ -452,9 +317,6 @@ type DegradedUpdate struct {
 	Span   SpanCtx
 }
 
-func (d *DegradedUpdate) PayloadSize() int  { return 4 + 14 + 8 + 4 + len(d.Data) + 4 + spanSize }
-func (d *DegradedUpdate) SpanRef() *SpanCtx { return &d.Span }
-
 // DegradedRead asks the surrogate OSD for [Off, Off+Size) of a block in a
 // degraded stripe. Lost blocks are reconstructed on the fly from surviving
 // shards; live blocks are read from their home OSD; either way the
@@ -466,9 +328,6 @@ type DegradedRead struct {
 	Size   int32
 	Span   SpanCtx
 }
-
-func (*DegradedRead) PayloadSize() int    { return 4 + 14 + 8 + 4 + spanSize }
-func (d *DegradedRead) SpanRef() *SpanCtx { return &d.Span }
 
 // JournalReplica copies one surrogate-journal record to a member of the
 // surrogate's fixed quorum holder set (durability of the degraded-update
@@ -489,11 +348,6 @@ type JournalReplica struct {
 	Span      SpanCtx
 }
 
-func (j *JournalReplica) PayloadSize() int {
-	return 4 + 4 + 8 + 14 + 8 + 4 + len(j.Data) + 4 + spanSize
-}
-func (j *JournalReplica) SpanRef() *SpanCtx { return &j.Span }
-
 // JournalAck acknowledges a JournalReplica append: the holder has the
 // record durably (persisted to its journal zone). Seq echoes the append
 // sequence so the surrogate can match acks to appends.
@@ -501,9 +355,6 @@ type JournalAck struct {
 	Seq uint64
 	Err error
 }
-
-func (j *JournalAck) PayloadSize() int { return 8 + 2 + errLen(j.Err) }
-func (j *JournalAck) carried() error   { return j.Err }
 
 // JournalFetch retrieves surrogate-journal state for the given failed node.
 // Two modes share the message:
@@ -521,8 +372,6 @@ type JournalFetch struct {
 	FromSeq   uint64
 }
 
-func (*JournalFetch) PayloadSize() int { return 4 + 4 + 8 }
-
 // JournalItem is one sequenced surrogate-journal record held by a quorum
 // holder (the replicated counterpart of a journal append).
 type JournalItem struct {
@@ -539,15 +388,6 @@ type JournalFetchResp struct {
 	Err   error
 }
 
-func (j *JournalFetchResp) PayloadSize() int {
-	n := 4
-	for _, it := range j.Items {
-		n += 8 + 14 + 8 + 4 + len(it.Data)
-	}
-	return n + 2 + errLen(j.Err)
-}
-func (j *JournalFetchResp) carried() error { return j.Err }
-
 // ReplayUpdate carries one recovered log/journal record to the (possibly
 // remapped) home OSD, which merges it through the engine's replay hook
 // (update.Replay) rather than the foreground update path.
@@ -558,10 +398,6 @@ type ReplayUpdate struct {
 	Sum  uint32 // CRC-32C of Data, verified before the replay hook runs
 	Span SpanCtx
 }
-
-func (r *ReplayUpdate) PayloadSize() int     { return 14 + 8 + 4 + len(r.Data) + 4 + spanSize }
-func (r *ReplayUpdate) SpanRef() *SpanCtx    { return &r.Span }
-func (r *ReplayUpdate) VerifyPayload() error { return VerifySum(r.Data, r.Sum) }
 
 // ---- placement epochs / rebalance ----
 
@@ -586,16 +422,11 @@ type EpochUpdate struct {
 	OSD  NodeID
 }
 
-func (*EpochUpdate) PayloadSize() int { return 1 + 4 }
-
 // EpochResp returns the (staged or committed) epoch number.
 type EpochResp struct {
 	Epoch uint64
 	Err   error
 }
-
-func (e *EpochResp) PayloadSize() int { return 8 + 2 + errLen(e.Err) }
-func (e *EpochResp) carried() error   { return e.Err }
 
 // MigrateBlock asks a block's NEW home to pull the raw block from its old
 // home From and store it locally — the bulk-copy step of a PG migration.
@@ -611,8 +442,6 @@ type MigrateBlock struct {
 	Reencode    bool
 }
 
-func (*MigrateBlock) PayloadSize() int { return 14 + 4 + 2 }
-
 // PGCutover tells the MDS that one placement group's blocks (and logs) are
 // in place at their new-epoch homes: the MDS atomically flips the PG's
 // authoritative epoch, after which stale-epoch clients are bounced to
@@ -621,8 +450,6 @@ type PGCutover struct {
 	PG    uint32
 	Epoch uint64
 }
-
-func (*PGCutover) PayloadSize() int { return 4 + 8 }
 
 // MigrateLog asks a migrating block's OLD home to extract the replayable
 // pure-overlay log records it still holds for the block (TSUE's active
@@ -635,8 +462,6 @@ type MigrateLog struct {
 	Blk BlockID
 }
 
-func (*MigrateLog) PayloadSize() int { return 14 }
-
 // ReplicaRetire tells a replica holder to drop every replicated, unrecycled
 // DataLog item it keeps on behalf of Node for block Blk — sent after
 // MigrateLog extracted those records, so a later failure of Node cannot
@@ -645,8 +470,6 @@ type ReplicaRetire struct {
 	Node NodeID
 	Blk  BlockID
 }
-
-func (*ReplicaRetire) PayloadSize() int { return 4 + 14 }
 
 // PGAbort tells the MDS that one placement group's migration was rolled
 // back to the prior epoch: partially copied blocks at the staged-epoch
@@ -660,8 +483,6 @@ type PGAbort struct {
 	Epoch uint64
 }
 
-func (*PGAbort) PayloadSize() int { return 4 + 8 }
-
 // Settle asks an OSD to bring its raw block stores to stripe consistency
 // with minimal merging: its engine merges scope update.Failed(Failed). With
 // Failed 0 that is every stripe's state whose effects are already partially
@@ -674,5 +495,3 @@ func (*PGAbort) PayloadSize() int { return 4 + 8 }
 type Settle struct {
 	Failed NodeID
 }
-
-func (*Settle) PayloadSize() int { return 4 }

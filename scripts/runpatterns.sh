@@ -7,6 +7,11 @@
 # by `go test -list` in that line's packages. The bench step's -run '^$'
 # is skipped. Patterns are expected to be plain alternations.
 #
+# It also checks the Makefile's `go test -fuzz=<name>` lines: a -fuzz name
+# that matches no fuzz target prints a warning and exits 0, so a renamed
+# target would silently stop being fuzzed. Each name must match exactly one
+# Fuzz function in its line's package.
+#
 # usage: scripts/runpatterns.sh [workflow-file]   (default .github/workflows/ci.yml)
 set -euo pipefail
 
@@ -29,4 +34,14 @@ while IFS= read -r line; do
 		fi
 	done
 done < <(grep -E "go test .*-run '" "$wf")
+while IFS= read -r line; do
+	name=$(sed -E 's/.*-fuzz=([^ ]*).*/\1/' <<<"$line")
+	pkg=$(grep -oE '\./[^ ]*' <<<"$line")
+	out=$(go test -list '^Fuzz' "$pkg")
+	n=$(grep -E '^Fuzz' <<<"$out" | grep -cE -- "$name" || true)
+	if [ "$n" != 1 ]; then
+		echo "runpatterns: -fuzz=$name matches $n fuzz targets in $pkg, want exactly 1" >&2
+		status=1
+	fi
+done < <(grep -E -- " test .*-fuzz=" Makefile)
 exit $status
