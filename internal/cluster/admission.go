@@ -33,22 +33,19 @@ func (tb *TokenBucket) Admit(inflight int) bool {
 }
 
 // AdmissionStats is the cluster-wide admission counter snapshot.
-//
-//lint:allow obsregistry(pre-registry snapshot struct returned by the admission API; its counters are mirrored onto the registry)
 type AdmissionStats struct {
 	Admitted int64 // ops admitted by the policy
 	Rejected int64 // ops bounced with ErrOverload
 	Inflight int   // admitted ops not yet completed
 }
 
-// AdmissionStats snapshots the MDS admission counters (thin reads of the
-// obs registry's admission_admitted/admission_rejected counters). Every
-// rejected op surfaces to its submitter as ErrOverload — the harness asserts
-// rejected equals the retries-plus-reported count, so no op is silently lost.
+// AdmissionStats snapshots the MDS admission counters. Every rejected op
+// surfaces to its submitter as ErrOverload — the harness asserts rejected
+// equals the retries-plus-reported count, so no op is silently lost.
 func (c *Cluster) AdmissionStats() AdmissionStats {
 	return AdmissionStats{
-		Admitted: int64(c.admitted.Value()),
-		Rejected: int64(c.rejected.Value()),
+		Admitted: c.admitted,
+		Rejected: c.rejected,
 		Inflight: c.admittedInFlight,
 	}
 }

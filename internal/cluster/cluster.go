@@ -54,7 +54,7 @@ type Config struct {
 	// encoded on the wire (traced or not), timestamps come from the sim
 	// clock, and ids from monotone counters, so traces are deterministic
 	// per seed and a traced run times out identically to an untraced one.
-	// 0 disables tracing; the metrics registry is always on.
+	// 0 disables tracing.
 	TraceSample int
 }
 
@@ -87,8 +87,7 @@ type Cluster struct {
 	Code   *rs.Code
 	MDS    *MDS
 	OSDs   []*OSD
-	// Obs is the cluster's observability plane: the metrics registry every
-	// cluster counter lives in, and the tracer (enabled by
+	// Obs is the cluster's observability plane: the tracer (enabled by
 	// Config.TraceSample) the fabric and device layers stamp spans on.
 	Obs *obs.Obs
 
@@ -123,24 +122,22 @@ type Cluster struct {
 
 	// corruptions counts checksum-verification failures surfaced anywhere
 	// in the cluster (OSD ingress, shard fan-in, client read verification,
-	// at-rest scrub); registry counter "corruptions_detected". The chaos
-	// grid asserts this equals the fabric's injected-corruption count:
-	// nothing corrupt escapes silently.
-	corruptions *obs.Counter
+	// at-rest scrub). The chaos grid asserts this equals the fabric's
+	// injected-corruption count: nothing corrupt escapes silently.
+	corruptions int64
 
 	// MDS admission accounting (see admission.go): admitted/rejected op
-	// counts (registry counters "admission_admitted"/"admission_rejected")
-	// and the admitted-but-uncompleted depth the queue-depth backpressure
-	// check reads.
-	admitted         *obs.Counter
-	rejected         *obs.Counter
+	// counts and the admitted-but-uncompleted depth the queue-depth
+	// backpressure check reads.
+	admitted         int64
+	rejected         int64
 	admittedInFlight int
 
 	// hedgeFired counts hedged degraded-read reconstructions launched after
 	// the primary missed Config.HedgeDelay; hedgeWins those whose result
-	// won the race. Registry counters "hedge_fired"/"hedge_wins".
-	hedgeFired *obs.Counter
-	hedgeWins  *obs.Counter
+	// won the race.
+	hedgeFired int64
+	hedgeWins  int64
 }
 
 type fileMeta struct {
@@ -199,14 +196,9 @@ func New(cfg Config) (*Cluster, error) {
 		nextClient: wire.NodeID(cfg.OSDs + 1),
 	}
 	c.cutMu = env.NewResource("cutover-mu", 1)
-	// The observability plane precedes every node so constructors can cache
-	// registry counters.
+	// The observability plane precedes every node so constructors can
+	// reach the tracer.
 	c.Obs = obs.New(env, cfg.TraceSample)
-	c.admitted = c.Obs.Reg.Counter("admission_admitted")
-	c.rejected = c.Obs.Reg.Counter("admission_rejected")
-	c.corruptions = c.Obs.Reg.Counter("corruptions_detected")
-	c.hedgeFired = c.Obs.Reg.Counter("hedge_fired")
-	c.hedgeWins = c.Obs.Reg.Counter("hedge_wins")
 	c.Fabric.SetTracer(c.Obs.Tracer)
 	c.MDS = newMDS(c, pmap)
 	c.Fabric.AddNode(mdsID, c.MDS.handle)
@@ -441,7 +433,7 @@ func (c *Cluster) Scrub() (int, error) {
 }
 
 // noteCorruption records one detected checksum failure (any verify point).
-func (c *Cluster) noteCorruption() { c.corruptions.Inc() }
+func (c *Cluster) noteCorruption() { c.corruptions++ }
 
 // readData is the outcome of a ReadBlock or DegradedRead call: the verified
 // payload of its ReadResp, or the transport error, the carried Err, an
@@ -465,13 +457,13 @@ func (c *Cluster) readData(resp wire.Msg, err error) ([]byte, error) {
 // CorruptionsDetected returns how many checksum-verification failures the
 // cluster has surfaced — compared against Fabric.CorruptionsInjected to
 // prove injected corruption never escapes detection.
-func (c *Cluster) CorruptionsDetected() int64 { return int64(c.corruptions.Value()) }
+func (c *Cluster) CorruptionsDetected() int64 { return c.corruptions }
 
 // HedgeStats reads the hedged degraded-read counters: fired is how many
 // hedge reconstructions launched (primary missed the HedgeDelay deadline),
 // wins how many of those produced the winning result.
 func (c *Cluster) HedgeStats() (fired, wins int64) {
-	return int64(c.hedgeFired.Value()), int64(c.hedgeWins.Value())
+	return c.hedgeFired, c.hedgeWins
 }
 
 // ScrubRepair is the repairing scrub run after a chaos window heals: it

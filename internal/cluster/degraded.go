@@ -647,7 +647,7 @@ func (o *OSD) reconstructRangeHedged(p *sim.Proc, blk wire.BlockID, off, size in
 			return
 		}
 		fired = true
-		o.c.hedgeFired.Inc()
+		o.c.hedgeFired++
 		buf, err := o.reconstructRange(hp, blk, off, size, true)
 		results.Put(hedgeResult{buf: buf, err: err, hedge: true})
 	})
@@ -656,7 +656,7 @@ func (o *OSD) reconstructRangeHedged(p *sim.Proc, blk wire.BlockID, off, size in
 	if first.err == nil {
 		done = true
 		if first.hedge {
-			o.c.hedgeWins.Inc()
+			o.c.hedgeWins++
 		}
 		return first.buf, nil
 	}
@@ -668,7 +668,7 @@ func (o *OSD) reconstructRangeHedged(p *sim.Proc, blk wire.BlockID, off, size in
 		done = true
 		if second.err == nil {
 			if second.hedge {
-				o.c.hedgeWins.Inc()
+				o.c.hedgeWins++
 			}
 			return second.buf, nil
 		}

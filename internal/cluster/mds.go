@@ -207,11 +207,11 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 	case *wire.AdmitOp:
 		pol := m.c.Cfg.Admission
 		if pol == nil || pol.Admit(m.c.admittedInFlight) {
-			m.c.admitted.Inc()
+			m.c.admitted++
 			m.c.admittedInFlight++
 			return wire.OK
 		}
-		m.c.rejected.Inc()
+		m.c.rejected++
 		return &wire.Ack{Err: ErrOverload}
 	}
 	return &wire.Ack{Err: fmt.Errorf("mds: unhandled message %s", wire.Name(msg))}

@@ -90,8 +90,6 @@ func HDDParams() Params {
 }
 
 // Stats is a snapshot of device counters.
-//
-//lint:allow obsregistry(pre-registry snapshot struct of the device API; harness tables consume it directly)
 type Stats struct {
 	ReadOps, WriteOps         int64
 	ReadBytes, WriteBytes     int64

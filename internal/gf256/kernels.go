@@ -2,7 +2,6 @@ package gf256
 
 import (
 	"encoding/binary"
-	//lint:allow obsregistry(lazy one-time table initialization below the sim layer; not a metrics counter)
 	"sync/atomic"
 )
 

@@ -86,13 +86,11 @@ type OpenLoopConfig struct {
 	// Zipf, when non-nil, overrides the trace generator's offsets with
 	// Zipf-skewed slot picks (slot size = the profile's Align, or 4 KiB).
 	Zipf *ZipfPicker
-	// Sample, when non-nil, runs every SamplePeriod of virtual time for the
+	// Sample, when non-nil, runs every obsNICPeriod of virtual time for the
 	// duration of the replay — the obs experiment's hook for polling NIC
-	// queue depths and link busy time into the cluster's metrics registry.
-	// The sampler is stopped before the final drain (an armed sampler keeps
-	// the event queue nonempty forever).
-	Sample       func(c *cluster.Cluster, now time.Duration)
-	SamplePeriod time.Duration // default 1ms when Sample is set
+	// link busy time. The sampler is stopped before the final drain (an
+	// armed sampler keeps the event queue nonempty forever).
+	Sample func(c *cluster.Cluster, now time.Duration)
 }
 
 const (
@@ -124,9 +122,8 @@ type OpenLoopResult struct {
 	// Admission mirrors the MDS-side counters at run end.
 	Admission cluster.AdmissionStats
 	// Spans is a copy of every trace span the run recorded (empty unless
-	// cfg.TraceSample > 0); Metrics is the registry snapshot at run end.
-	Spans   []obs.Span
-	Metrics map[string]float64
+	// cfg.TraceSample > 0).
+	Spans []obs.Span
 }
 
 // RunOpenLoop builds the cluster from cfg, preloads the file set, and
@@ -149,11 +146,7 @@ func RunOpenLoop(cfg RunConfig, ol OpenLoopConfig) (*OpenLoopResult, error) {
 	res := &OpenLoopResult{}
 	var smp *obs.Sampler
 	if ol.Sample != nil {
-		period := ol.SamplePeriod
-		if period <= 0 {
-			period = time.Millisecond
-		}
-		smp = obs.StartSampler(c.Env, period, func(now time.Duration) { ol.Sample(c, now) })
+		smp = obs.StartSampler(c.Env, obsNICPeriod, func(now time.Duration) { ol.Sample(c, now) })
 	}
 	err = s.run(func(p *sim.Proc) error {
 		err := s.openLoop(p, ol, res)
@@ -170,7 +163,6 @@ func RunOpenLoop(cfg RunConfig, ol OpenLoopConfig) (*OpenLoopResult, error) {
 	}
 	res.Admission = c.AdmissionStats()
 	res.Spans = append([]obs.Span(nil), c.Obs.Tracer.Spans()...)
-	res.Metrics = c.Obs.Reg.Snapshot()
 	return res, nil
 }
 

@@ -41,21 +41,35 @@ var obsFractions = []float64{0.4, 0.8}
 // obsNICPeriod is the virtual-time period of the NIC load sampler.
 const obsNICPeriod = 500 * time.Microsecond
 
-// nicSampler returns the periodic NIC poll: per node, the tx busy time
-// gained since the previous tick, summed into the registry counter
-// nic_tx_busy_ns, with nic_tx_samples counting one per node per tick — so
-// utilization is busy time over samples x period.
-func nicSampler() func(c *cluster.Cluster, now time.Duration) {
-	prevTx := make(map[wire.NodeID]time.Duration)
-	return func(c *cluster.Cluster, now time.Duration) {
-		busy, samples := c.Obs.Reg.Counter("nic_tx_busy_ns"), c.Obs.Reg.Counter("nic_tx_samples")
-		for _, id := range c.Fabric.NodeIDs() {
-			tx, _, _, _ := c.Fabric.NICLoad(id)
-			busy.Add(uint64(tx - prevTx[id]))
-			samples.Inc()
-			prevTx[id] = tx
-		}
+// nicLoad is one load point's periodic NIC poll: per node, the tx busy time
+// gained since the previous tick, summed into busy, with samples counting
+// one per node per tick — so utilization is busy time over samples x period.
+type nicLoad struct {
+	prevTx  map[wire.NodeID]time.Duration
+	busy    time.Duration
+	samples int
+}
+
+// sample is the OpenLoopConfig.Sample hook.
+func (l *nicLoad) sample(c *cluster.Cluster, _ time.Duration) {
+	if l.prevTx == nil {
+		l.prevTx = make(map[wire.NodeID]time.Duration)
 	}
+	for _, id := range c.Fabric.NodeIDs() {
+		tx, _, _, _ := c.Fabric.NICLoad(id)
+		l.busy += tx - l.prevTx[id]
+		l.prevTx[id] = tx
+		l.samples++
+	}
+}
+
+// util is the mean tx-link utilization percentage: total busy time gained
+// across all ticks and nodes, over the virtual time those ticks spanned.
+func (l *nicLoad) util() float64 {
+	if l.samples == 0 {
+		return 0
+	}
+	return 100 * float64(l.busy) / (float64(l.samples) * float64(obsNICPeriod))
 }
 
 // obsPoint is the derived view of one engine x load point.
@@ -178,17 +192,6 @@ func analyzeUpdates(spans []obs.Span) obsPoint {
 	return pt
 }
 
-// nicTxUtil reduces nicSampler's counters to a mean tx-link utilization
-// percentage: total busy time gained across all ticks and nodes, over the
-// virtual time those ticks spanned.
-func nicTxUtil(res *OpenLoopResult) float64 {
-	n := res.Metrics["nic_tx_samples"]
-	if n == 0 {
-		return 0
-	}
-	return 100 * res.Metrics["nic_tx_busy_ns"] / (n * float64(obsNICPeriod))
-}
-
 // Obs runs the observability experiment: per-engine, per-load-point stage
 // breakdown of update latency, p99 critical-path signatures, NIC
 // utilization from the periodic sampler, and a same-seed trace-determinism
@@ -206,7 +209,8 @@ func Obs(w io.Writer, s Scale) error {
 		}
 		cfg.TraceSample = 1
 		for _, frac := range obsFractions {
-			res, err := offerLoad(cfg, calibIOPS*frac, cfg.Ops, nicSampler())
+			var nic nicLoad
+			res, err := offerLoad(cfg, calibIOPS*frac, cfg.Ops, nic.sample)
 			if err != nil {
 				return fmt.Errorf("obs %s %.2fx: %w", eng, frac, err)
 			}
@@ -219,7 +223,7 @@ func Obs(w io.Writer, s Scale) error {
 				sig = fmt.Sprintf("%s x%d", pt.sigs[0].Sig, pt.sigs[0].N)
 			}
 			at := fmt.Sprintf("%.2fx", frac)
-			nicTx := nicTxUtil(res)
+			nicTx := nic.util()
 			cells := []cell{
 				{"traces", "%d", pt.traces},
 				{"e2e_ms", "%.2f", ms(pt.e2e)},

@@ -46,8 +46,8 @@ func TestTracingZeroPerturbation(t *testing.T) {
 
 // TestOpenLoopCarriesSpans checks the open-loop plumbing the obs
 // experiment rides: a traced run returns its spans (assembling into
-// update/read traces whose stage sums equal end-to-end exactly) and the
-// registry counters, while an untraced run returns none.
+// update/read traces whose stage sums equal end-to-end exactly) and drives
+// the NIC sampler, while an untraced run returns no spans.
 func TestOpenLoopCarriesSpans(t *testing.T) {
 	cfg := DefaultRunConfig()
 	cfg.Ops = 200
@@ -55,9 +55,10 @@ func TestOpenLoopCarriesSpans(t *testing.T) {
 	cfg.FileBytes = 8 << 20
 	cfg.Trace = trace.AliCloud(cfg.FileBytes)
 	cfg.TraceSample = 1
+	var nic nicLoad
 	res, err := RunOpenLoop(cfg, OpenLoopConfig{
 		Arrivals: NewPoissonArrivals(500, 200, cfg.Seed),
-		Sample:   nicSampler(),
+		Sample:   nic.sample,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -78,7 +79,7 @@ func TestOpenLoopCarriesSpans(t *testing.T) {
 			t.Fatalf("trace %d: stage sum %v != end-to-end %v", tvs[i].Trace, sum, tvs[i].Duration())
 		}
 	}
-	if res.Metrics["nic_tx_samples"] == 0 {
+	if nic.samples == 0 {
 		t.Error("NIC sampler recorded no ticks")
 	}
 
@@ -94,17 +95,17 @@ func TestOpenLoopCarriesSpans(t *testing.T) {
 	}
 }
 
-// TestNICTxUtilMatchesFabric pins nicTxUtil's value: over one short load
+// TestNICTxUtilMatchesFabric pins nicLoad.util's value: over one short load
 // point, it must equal the tx busy time the fabric's NICLoad reports gained
 // across the sampler's ticks, computed here directly, over ticks x nodes x
 // period.
 func TestNICTxUtilMatchesFabric(t *testing.T) {
-	inner := nicSampler()
+	var nic nicLoad
 	prev := make(map[wire.NodeID]time.Duration)
 	var busy time.Duration
 	var samples int
 	sample := func(c *cluster.Cluster, now time.Duration) {
-		inner(c, now)
+		nic.sample(c, now)
 		for _, id := range c.Fabric.NodeIDs() {
 			tx, _, _, _ := c.Fabric.NICLoad(id)
 			busy += tx - prev[id]
@@ -112,15 +113,14 @@ func TestNICTxUtilMatchesFabric(t *testing.T) {
 			samples++
 		}
 	}
-	res, err := offerLoad(openLoopTestConfig(), 4000, 200, sample)
-	if err != nil {
+	if _, err := offerLoad(openLoopTestConfig(), 4000, 200, sample); err != nil {
 		t.Fatal(err)
 	}
 	if busy == 0 || samples == 0 {
 		t.Fatalf("sampler saw %v tx busy over %d samples", busy, samples)
 	}
 	want := 100 * float64(busy) / (float64(samples) * float64(obsNICPeriod))
-	if got := nicTxUtil(res); got != want {
-		t.Fatalf("nicTxUtil = %v, want %v (%v tx busy over %d samples)", got, want, busy, samples)
+	if got := nic.util(); got != want {
+		t.Fatalf("nicLoad.util = %v, want %v (%v tx busy over %d samples)", got, want, busy, samples)
 	}
 }

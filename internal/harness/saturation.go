@@ -50,10 +50,9 @@ func (s Scale) calibrate(exp, eng string) (RunConfig, float64, error) {
 func offerLoad(cfg RunConfig, offered float64, ops int, sample func(*cluster.Cluster, time.Duration)) (*OpenLoopResult, error) {
 	cfg.Admission = &cluster.TokenBucket{MaxInflight: 4 * cfg.Clients}
 	return RunOpenLoop(cfg, OpenLoopConfig{
-		Arrivals:     NewPoissonArrivals(offered, ops, cfg.Seed),
-		Zipf:         NewZipfPicker(uint64(cfg.FileBytes/(4<<10)), 1.1, 1, cfg.Seed+1),
-		Sample:       sample,
-		SamplePeriod: obsNICPeriod,
+		Arrivals: NewPoissonArrivals(offered, ops, cfg.Seed),
+		Zipf:     NewZipfPicker(uint64(cfg.FileBytes/(4<<10)), 1.1, 1, cfg.Seed+1),
+		Sample:   sample,
 	})
 }
 

@@ -24,16 +24,14 @@ type fixtureSpec struct {
 	analyzer *Analyzer
 	dir      string // package directory under testdata/src
 	path     string // unit import path the analyzer scopes on
-	typed    bool   // typecheck the fixture (required for NeedsTypes rules)
 }
 
 func fixtureSpecs() []fixtureSpec {
 	return []fixtureSpec{
-		{WalltimeAnalyzer, "walltime", "tsue/internal/harness", true},
-		{NogoroutineAnalyzer, "nogoroutine", "tsue/internal/sim", false},
-		{MaporderAnalyzer, "maporder", "tsue/internal/cluster", true},
-		{SentinelerrAnalyzer, "sentinelerr", "tsue/internal/cluster", false},
-		{ObsregistryAnalyzer, "obsregistry", "tsue/internal/device", false},
+		{WalltimeAnalyzer, "walltime", "tsue/internal/harness"},
+		{NogoroutineAnalyzer, "nogoroutine", "tsue/internal/sim"},
+		{MaporderAnalyzer, "maporder", "tsue/internal/cluster"},
+		{SentinelerrAnalyzer, "sentinelerr", "tsue/internal/cluster"},
 	}
 }
 
@@ -57,8 +55,8 @@ type wantKey struct {
 	idx  int
 }
 
-// loadFixture parses (and for typed specs typechecks) the fixture package
-// and collects its want annotations.
+// loadFixture parses and typechecks the fixture package and collects its
+// want annotations.
 func loadFixture(t *testing.T, spec fixtureSpec) (*Unit, map[wantKey]*regexp.Regexp) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", spec.dir)
@@ -93,24 +91,20 @@ func loadFixture(t *testing.T, spec fixtureSpec) (*Unit, map[wantKey]*regexp.Reg
 			}
 		}
 	}
-	u := &Unit{Path: spec.path, Fset: fset, Files: files}
-	if spec.typed {
-		conf := types.Config{
-			Importer: importer.ForCompiler(fset, "source", nil),
-			Error:    func(error) {}, // fixtures need not fully typecheck
-		}
-		info := &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Implicits:  make(map[ast.Node]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Scopes:     make(map[ast.Node]*types.Scope),
-		}
-		pkg, _ := conf.Check(spec.path, fset, files, info)
-		u.Pkg, u.Info = pkg, info
+	conf := types.Config{
+		Importer: importer.ForCompiler(fset, "source", nil),
+		Error:    func(error) {}, // fixtures need not fully typecheck
 	}
-	return u, wants
+	info := &types.Info{
+		Types:      make(map[ast.Expr]types.TypeAndValue),
+		Defs:       make(map[*ast.Ident]types.Object),
+		Uses:       make(map[*ast.Ident]types.Object),
+		Implicits:  make(map[ast.Node]types.Object),
+		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Scopes:     make(map[ast.Node]*types.Scope),
+	}
+	pkg, _ := conf.Check(spec.path, fset, files, info)
+	return &Unit{Path: spec.path, Fset: fset, Files: files, Pkg: pkg, Info: info}, wants
 }
 
 // checkDiagnostics matches findings against expectations in both directions.
@@ -133,17 +127,6 @@ func checkDiagnostics(t *testing.T, diags []Diagnostic, wants map[wantKey]*regex
 		if !fired[key] {
 			t.Errorf("%s:%d: want %q did not fire", key.file, key.line, re)
 		}
-	}
-}
-
-// TestNeedsTypesSkippedWhenUntyped pins the degraded mode CheckModule and
-// TestStatsGuard rely on: an untyped unit must skip NeedsTypes analyzers
-// silently instead of crashing on a nil Info.
-func TestNeedsTypesSkippedWhenUntyped(t *testing.T) {
-	spec := fixtureSpec{MaporderAnalyzer, "maporder", "tsue/internal/cluster", false}
-	u, _ := loadFixture(t, spec)
-	if diags := Run(u, []*Analyzer{MaporderAnalyzer}); len(diags) != 0 {
-		t.Fatalf("untyped unit produced diagnostics from a NeedsTypes analyzer: %v", diags)
 	}
 }
 

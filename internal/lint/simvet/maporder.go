@@ -23,8 +23,7 @@ var MaporderAnalyzer = &Analyzer{
 	Doc: "flag map iteration with order-dependent effects (sends, calls, " +
 		"appends, overwrites, float accumulation) in kernel-owned packages " +
 		"unless the keys are sorted first",
-	NeedsTypes: true,
-	Run:        runMaporder,
+	Run: runMaporder,
 }
 
 func runMaporder(p *Pass) {

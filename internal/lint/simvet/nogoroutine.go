@@ -30,7 +30,7 @@ func runNogoroutine(p *Pass) {
 		for _, imp := range f.Imports {
 			switch path := strings.Trim(imp.Path.Value, `"`); path {
 			case "sync", "sync/atomic":
-				p.Reportf(imp.Pos(), "import %s in kernel package: the sim kernel is single-runnable; use sim.WaitGroup/sim.Cond, and put counters on the obs registry", path)
+				p.Reportf(imp.Pos(), "import %s in kernel package: the sim kernel is single-runnable; use sim.WaitGroup/sim.Cond, and keep counters as plain fields", path)
 			case "iter":
 				p.Reportf(imp.Pos(), "import iter in kernel package: an iter.Pull coroutine is a second scheduler beside the sim kernel, whose switches no event orders; spawn sim processes with sim.Env.Go")
 			}

@@ -1,11 +1,11 @@
 // Package simvet is the repository's invariant linter: a small
-// go/analysis-style framework plus five purpose-built analyzers that
+// go/analysis-style framework plus four purpose-built analyzers that
 // machine-check the invariants the whole reproduction stands on — sim-time
-// determinism (no wall clock, no free-running goroutines or coroutines, no
-// order-dependent map iteration in kernel-owned packages), sentinel-error
-// discipline (errors.Is, not == or text), and the obs-registry ownership
-// rule. The wire-protocol conventions (every payload-bearing message traced
-// and checksummed) are tests in internal/wire, not analyzers.
+// determinism (no wall clock, no free-running goroutines, atomics or
+// coroutines, no order-dependent map iteration in kernel-owned packages) and
+// sentinel-error discipline (errors.Is, not == or text). The wire-protocol
+// conventions (every payload-bearing message traced and checksummed) are
+// tests in internal/wire, not analyzers.
 //
 // The framework is self-contained (no golang.org/x/tools dependency): the
 // container this repo builds in has no module cache, so cmd/simvet speaks
@@ -40,11 +40,7 @@ import (
 type Analyzer struct {
 	Name string
 	Doc  string
-	// NeedsTypes marks rules that cannot run without type information
-	// (Pass.Info). Syntactic rules also run in degraded contexts such as
-	// the TestStatsGuard module walk.
-	NeedsTypes bool
-	Run        func(*Pass)
+	Run  func(*Pass)
 }
 
 // Analyzers returns the full simvet suite in stable order.
@@ -54,23 +50,20 @@ func Analyzers() []*Analyzer {
 		NogoroutineAnalyzer,
 		MaporderAnalyzer,
 		SentinelerrAnalyzer,
-		ObsregistryAnalyzer,
 	}
 }
 
-// A Unit is one package-sized batch of files to analyze — what `go vet`
-// hands the vettool per package (test files included), or what the fixture
-// loader and module walker construct.
+// A Unit is one typechecked package-sized batch of files to analyze — what
+// `go vet` hands the vettool per package (test files included), or what the
+// fixture loader constructs.
 type Unit struct {
 	// Path is the unit's import path with any test-variant decoration
 	// already stripped (see NormalizePath); analyzers scope on it.
 	Path  string
 	Fset  *token.FileSet
 	Files []*ast.File
-	// Pkg and Info are nil when the unit was not typechecked; analyzers
-	// with NeedsTypes are skipped then.
-	Pkg  *types.Package
-	Info *types.Info
+	Pkg   *types.Package
+	Info  *types.Info
 }
 
 // A Diagnostic is one finding that survived the allow-comment filter.
@@ -111,14 +104,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 }
 
 // Run applies the analyzers to the unit and returns the findings sorted by
-// position. Analyzers needing types are skipped when the unit has none.
+// position.
 func Run(u *Unit, analyzers []*Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	allows := buildAllowIndex(u.Fset, u.Files, &diags)
 	for _, a := range analyzers {
-		if a.NeedsTypes && u.Info == nil {
-			continue
-		}
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     u.Fset,
@@ -279,9 +269,9 @@ func fileImports(f *ast.File) map[string]string {
 }
 
 // isPkgIdent reports whether ident names the package imported as path in
-// this file's import table. With type info the identifier must resolve to a
-// package name (so local shadowing never misfires); without it the import
-// table alone decides.
+// this file's import table. An identifier the typechecker resolved must
+// resolve to a package name (so local shadowing never misfires); for an
+// unresolved one (a unit with type errors) the import table alone decides.
 func (p *Pass) isPkgIdent(imps map[string]string, ident *ast.Ident, path ...string) bool {
 	got, ok := imps[ident.Name]
 	if !ok {
@@ -297,11 +287,9 @@ func (p *Pass) isPkgIdent(imps map[string]string, ident *ast.Ident, path ...stri
 	if !match {
 		return false
 	}
-	if p.Info != nil {
-		if obj, ok := p.Info.Uses[ident]; ok {
-			_, isPkg := obj.(*types.PkgName)
-			return isPkg
-		}
+	if obj, ok := p.Info.Uses[ident]; ok {
+		_, isPkg := obj.(*types.PkgName)
+		return isPkg
 	}
 	return true
 }

@@ -4,8 +4,9 @@
 package nogoroutine
 
 import (
-	"iter" // want "import iter in kernel package"
-	"sync" // want "import sync in kernel package"
+	"iter"        // want "import iter in kernel package"
+	"sync"        // want "import sync in kernel package"
+	"sync/atomic" // want "import sync/atomic in kernel package"
 )
 
 type env struct{}

@@ -81,11 +81,9 @@ func runWalltime(p *Pass) {
 // isTypeRef reports whether sel names a type (e.g. *rand.Rand in a field
 // declaration) rather than a function or variable of the package.
 func (p *Pass) isTypeRef(sel *ast.SelectorExpr) bool {
-	if p.Info != nil {
-		if obj, ok := p.Info.Uses[sel.Sel]; ok {
-			_, isType := obj.(*types.TypeName)
-			return isType
-		}
+	if obj, ok := p.Info.Uses[sel.Sel]; ok {
+		_, isType := obj.(*types.TypeName)
+		return isType
 	}
 	return randTypes[sel.Sel.Name]
 }

@@ -164,8 +164,6 @@ func (u *Unit) wipe(seq uint64) {
 }
 
 // Stats aggregates pool counters.
-//
-//lint:allow obsregistry(pre-registry snapshot struct of the logpool API; engine residency tables consume it directly)
 type Stats struct {
 	Appends      int64 // raw append operations
 	AppendBytes  int64

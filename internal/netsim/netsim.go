@@ -103,8 +103,6 @@ func (l Lognormal) Sample(r *rand.Rand) time.Duration {
 }
 
 // Stats holds traffic counters.
-//
-//lint:allow obsregistry(pre-registry snapshot struct of the fabric traffic API; per-node and total counters feed the harness volume columns)
 type Stats struct {
 	BytesSent int64
 	BytesRecv int64

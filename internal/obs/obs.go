@@ -1,5 +1,6 @@
-// Package obs is the sim-time observability plane: a registry of monotone
-// counters and a deterministic distributed tracer.
+// Package obs is the sim-time observability plane: a deterministic
+// distributed tracer and a virtual-time sampler. Counters live in the
+// typed stats structs of the layers that own them.
 //
 // Traces are built from spans stamped off the simulated clock, with span
 // and trace ids drawn from monotone counters and sampling decided by an op
@@ -117,17 +118,15 @@ func MsgStage(m wire.Msg, def Stage) Stage {
 	}
 }
 
-// Obs bundles one simulator's observability plane: the metrics registry and
-// the tracer. Both are always usable; a trace sample of 0 leaves the tracer
-// disabled (StartOp and span helpers become no-ops) without changing any
-// simulated behavior.
+// Obs bundles one simulator's observability plane: the tracer. It is
+// always usable; a trace sample of 0 leaves the tracer disabled (StartOp and
+// span helpers become no-ops) without changing any simulated behavior.
 type Obs struct {
-	Reg    *Registry
 	Tracer *Tracer
 }
 
 // New builds the plane for env. traceSample <= 0 disables tracing;
 // traceSample == n traces every n-th sampled op.
 func New(env *sim.Env, traceSample int) *Obs {
-	return &Obs{Reg: NewRegistry(), Tracer: NewTracer(env, traceSample)}
+	return &Obs{Tracer: NewTracer(env, traceSample)}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Sampler drives a collection callback at a fixed virtual-time period,
-// turning cumulative state (resource busy time) into per-period registry
-// counts. Each tick is an ordinary env event, so it runs in timestamp order
+// turning cumulative state (resource busy time) into per-period samples the
+// callback's owner keeps. Each tick is an ordinary env event, so it runs in timestamp order
 // with everything else whether the env is driven by Env.Run or stepped with
 // ProcessNextEvent.
 //

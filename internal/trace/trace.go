@@ -255,8 +255,6 @@ func (g *Generator) pickSize() int32 {
 
 // Stats summarizes an op stream (used to validate generators against the
 // published trace statistics).
-//
-//lint:allow obsregistry(derived summary of a generated op stream, not a runtime metrics source)
 type Stats struct {
 	Ops          int
 	Writes       int

@@ -444,8 +444,6 @@ func mulDelta(c *rs.Code, parity, dataIdx int, delta []byte) []byte {
 }
 
 // LayerStats aggregates residency timing for one TSUE log layer (Table 2).
-//
-//lint:allow obsregistry(pre-registry residency snapshot keyed per layer; Table 2 reproduction consumes it directly)
 type LayerStats struct {
 	AppendN     int64
 	AppendTime  time.Duration
