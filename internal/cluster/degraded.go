@@ -430,18 +430,16 @@ func (j *journal) records() int {
 
 // steal empties the index and returns its merged extents as replay records,
 // blocks in order of first appearance and each block's extents in offset
-// order, with the bytes appended since the last steal. The extents are the
-// caller's: nothing can insert into a log once it is unlinked.
-func (j *journal) steal() (items []wire.ReplicaItem, appended int64) {
+// order. The extents are the caller's: nothing can insert into a log once
+// it is unlinked.
+func (j *journal) steal() (items []wire.ReplicaItem) {
 	for _, blk := range j.order {
-		b := j.blocks[blk]
-		appended += b.RawBytes
-		for _, e := range b.Extents() {
+		for _, e := range j.blocks[blk].Extents() {
 			items = append(items, wire.ReplicaItem{Blk: blk, Off: e.Off, Data: e.Data})
 		}
 	}
 	j.blocks, j.order = nil, nil
-	return items, appended
+	return items
 }
 
 // journalRecords returns the journal's record count for the cutover's
@@ -681,11 +679,14 @@ func (o *OSD) reconstructRangeHedged(p *sim.Proc, blk wire.BlockID, off, size in
 // handleJournalFetch serves both journal-retrieval modes. With Surrogate
 // set it is the non-destructive read-repair fetch: return the sequenced
 // durability copies held for that surrogate with Seq > FromSeq, leaving
-// them in place (promotion unions several holders' ranges). Otherwise it
-// steals this OSD's own journal for the failed node: every block's merged
-// extents are returned, blocks in order of first appearance, and
-// forgotten. The device read still covers every appended byte, since the
-// on-disk journal holds the records as they arrived. The recovery cutover
+// them in place (promotion unions several holders' ranges). Those copies
+// serve no read and have no index, so they come off the device log.
+// Otherwise it steals this OSD's own journal for the failed node: every
+// block's merged extents are returned, blocks in order of first
+// appearance, and forgotten. A log whose memory index serves reads hands
+// its extents over from that index, so the steal reads nothing off the
+// device: degraded reads already overlay the same extents from memory, and
+// the on-disk journal is only their durability copy. The recovery cutover
 // runs the steal under the closed gate, so nothing can land behind it.
 func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 	if v.Surrogate != 0 {
@@ -710,9 +711,7 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 	if !ok || j.records() == 0 {
 		return &wire.ReplicaResp{}
 	}
-	items, appended := j.steal()
-	j.log.Read(p, 0, appended)
-	return &wire.ReplicaResp{Items: items}
+	return &wire.ReplicaResp{Items: j.steal()}
 }
 
 // settlePoll is how often a degraded read fenced by settleFenced looks

@@ -83,8 +83,10 @@ type RecoveryReport struct {
 	ReplayTime time.Duration
 	Fence2Wait time.Duration
 	// JournalFetchTime and JournalReplayTime split the cutover's critical
-	// path: the surrogate journal whose replay finished last, fetched (the
-	// steal's device read and transfer) and then replayed.
+	// path: the surrogate journal whose replay finished last, fetched and
+	// then replayed. The fetch is the steal's round trip and transfer; the
+	// steal takes the merged extents from the journal's memory index and
+	// reads nothing off the surrogate's device.
 	JournalFetchTime  time.Duration
 	JournalReplayTime time.Duration
 	// GatedTime is how long client updates were fenced in total — the

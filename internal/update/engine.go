@@ -499,14 +499,15 @@ func Replay(p *sim.Proc, eng Engine, blk wire.BlockID, off int64, data []byte, s
 // records must follow a block to its new home when placement changes —
 // TSUE's active DataLog units, which are neither applied to the raw block
 // nor propagated to parity yet. ExtractBlockLog removes and returns blk's
-// overlay records (merged extents, offset order); the migration engine
-// replays them at the block's new home through the Replay hook and retires
-// their reliability replicas cluster-wide (wire.ReplicaRetire), so a later
-// failure of the old home cannot resurrect pre-migration state. The caller
-// must hold the cluster's update fence and have settled the engine first
-// (no sealed units may still reference blk). In-place schemes don't
-// implement the interface: for them settling IS draining, and a drained
-// block has no log to follow it.
+// overlay records (merged extents, offset order) from the log's memory
+// index, which already serves reads, so it charges no device read. The
+// migration engine replays them at the block's new home through the Replay
+// hook and retires their reliability replicas cluster-wide
+// (wire.ReplicaRetire), so a later failure of the old home cannot
+// resurrect pre-migration state. The caller must hold the cluster's update
+// fence and have settled the engine first (no sealed units may still
+// reference blk). In-place schemes don't implement the interface: for them
+// settling IS draining, and a drained block has no log to follow it.
 type LogMigrator interface {
 	ExtractBlockLog(p *sim.Proc, blk wire.BlockID) []wire.ReplicaItem
 }

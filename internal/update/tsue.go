@@ -370,6 +370,8 @@ func (t *tsue) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool
 		t.replicas[key] = keep
 		return wire.OK, true
 	case *wire.ReplicaFetch:
+		// The replicas are durability copies that serve no read and have no
+		// memory index, so the fetch reads them off the replica log.
 		var out []wire.ReplicaItem
 		var total int64
 		// Deterministic order: ascending pool, then original append order.
@@ -433,22 +435,20 @@ func (t *tsue) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool
 // overlay records so they can follow the block to its new home (the
 // log-follows-block half of a PG cutover). The caller must hold the update
 // fence and have merged Failed(0) first, so blk's only unrecycled records
-// live in the active unit of its data pool; the merged extents are read
-// back from the log zone and returned in offset order (absolute writes of
-// non-overlapping ranges — replay order among them is immaterial).
+// live in the active unit of its data pool; the merged extents are returned
+// in offset order (absolute writes of non-overlapping ranges — replay order
+// among them is immaterial). They come from the DataLog's memory index,
+// which already serves Read and the recycle, so nothing is read off the log
+// zone.
 func (t *tsue) ExtractBlockLog(p *sim.Proc, blk wire.BlockID) []wire.ReplicaItem {
-	poolIdx := t.data.poolFor(hashBlk(blk))
-	exts := t.data.pools[poolIdx].ExtractActive(blk)
+	exts := t.data.pools[t.data.poolFor(hashBlk(blk))].ExtractActive(blk)
 	if len(exts) == 0 {
 		return nil
 	}
 	out := make([]wire.ReplicaItem, 0, len(exts))
-	var total int64
 	for _, e := range exts {
 		out = append(out, wire.ReplicaItem{Blk: blk, Off: e.Off, Data: e.Data})
-		total += int64(len(e.Data))
 	}
-	t.data.logs[poolIdx].Read(p, 0, total)
 	return out
 }
 

@@ -349,6 +349,58 @@ func TestTsueReadCacheServesFromLog(t *testing.T) {
 	})
 }
 
+// TestTsueExtractBlockLogServesFromIndex: a migrating block's DataLog
+// records leave from the DataLog's memory index, which also serves Read, so
+// the extraction charges no device read. The extents come back merged, and
+// once extracted the log no longer covers the block.
+func TestTsueExtractBlockLogServesFromIndex(t *testing.T) {
+	h := newFakeHost(t)
+	eng, _ := New("tsue", h, Options{Pools: 1, DataLocality: true})
+	blk := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
+	runProc(t, h, func(p *sim.Proc) {
+		h.store.Put(p, blk, make([]byte, 4096))
+		for _, u := range []struct {
+			off  int64
+			data []byte
+		}{{200, []byte{1, 2, 3}}, {202, []byte{9, 8}}, {1000, []byte{5}}} {
+			if err := applyUpdate(eng, p, blk, u.off, u.data); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		before := h.store.Device().Stats()
+		items := eng.(LogMigrator).ExtractBlockLog(p, blk)
+		after := h.store.Device().Stats()
+		if after.ReadOps != before.ReadOps || after.ReadBytes != before.ReadBytes {
+			t.Errorf("extraction read the device: %d ops / %d bytes, want none",
+				after.ReadOps-before.ReadOps, after.ReadBytes-before.ReadBytes)
+		}
+		want := []wire.ReplicaItem{
+			{Blk: blk, Off: 200, Data: []byte{1, 2, 9, 8}},
+			{Blk: blk, Off: 1000, Data: []byte{5}},
+		}
+		if fmt.Sprint(items) != fmt.Sprint(want) {
+			t.Errorf("extracted %v, want %v", items, want)
+		}
+		if again := eng.(LogMigrator).ExtractBlockLog(p, blk); len(again) != 0 {
+			t.Errorf("second extraction returned %v, want nothing", again)
+		}
+		// The records left with the block: a read of the range now falls
+		// through to the raw block on the device.
+		got, err := eng.Read(p, blk, 200, 4)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, make([]byte, 4)) {
+			t.Errorf("read after extraction %v, want the raw block's zeros", got)
+		}
+		if h.store.Device().Stats().ReadOps == after.ReadOps {
+			t.Error("read after extraction did not reach the device")
+		}
+	})
+}
+
 // paritySend is one ParityDelta as it left the host.
 type paritySend struct {
 	to  wire.NodeID

@@ -360,8 +360,9 @@ type JournalAck struct {
 // Two modes share the message:
 //
 //   - Surrogate == 0: steal the receiver's own (primary) journal — it
-//     returns all journaled items as a ReplicaResp in append order and
-//     forgets them. Recovery's cutover loop calls this until empty.
+//     returns each block's merged extents from the journal's memory index
+//     as a ReplicaResp, blocks in order of first appearance, and forgets
+//     them. Recovery's cutover loop calls this until empty.
 //   - Surrogate != 0: non-destructive read-repair fetch — the receiver
 //     returns the quorum-replicated records it holds on behalf of that
 //     surrogate with Seq > FromSeq, as a JournalFetchResp. Promotion after
