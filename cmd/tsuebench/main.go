@@ -13,8 +13,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"tsue/internal/harness"
@@ -25,10 +23,6 @@ func main() {
 	scale := flag.String("scale", "quick", "quick | full")
 	ops := flag.Int("ops", 0, "override total ops per run")
 	fileMB := flag.Int64("filemb", 0, "override working-set size (MiB)")
-	pgs := flag.String("pgs", "", "override the placement experiment's PG-count sweep (comma-separated, e.g. 2,16,128)")
-	files := flag.Int("files", 0, "override the placement experiment's file count")
-	addOSD := flag.Int("addosd", 0, "override how many OSDs the rebalance experiment adds online")
-	rebalanceRate := flag.Int64("rebalance-rate", -1, "rebalance copy throttle in MB/s (0 = unthrottled)")
 	traceEvery := flag.Int("obs", 0, "trace every n-th op end-to-end (0 = off; zero-perturbation — results unchanged)")
 	jsonOut := flag.Bool("json", false, "also write machine-readable results to BENCH_<exp>.json")
 	list := flag.Bool("list", false, "list experiments and exit")
@@ -66,27 +60,6 @@ func main() {
 	}
 	if *fileMB > 0 {
 		s.FileMB = *fileMB
-	}
-	if *pgs != "" {
-		var counts []int
-		for _, f := range strings.Split(*pgs, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(f))
-			if err != nil || n < 1 {
-				fmt.Fprintf(os.Stderr, "tsuebench: bad -pgs entry %q\n", f)
-				os.Exit(2)
-			}
-			counts = append(counts, n)
-		}
-		s.PGCounts = counts
-	}
-	if *files > 0 {
-		s.Files = *files
-	}
-	if *addOSD > 0 {
-		s.AddOSDs = *addOSD
-	}
-	if *rebalanceRate >= 0 {
-		s.RebalanceRateBps = *rebalanceRate << 20
 	}
 	if *traceEvery > 0 {
 		s.TraceSample = *traceEvery

@@ -106,9 +106,6 @@ func New(dev *device.Disk, blockSize int64) *Store {
 	}
 }
 
-// BlockSize returns the configured block size.
-func (s *Store) BlockSize() int64 { return s.blockSize }
-
 // Device returns the underlying disk (engines add their own log zones).
 func (s *Store) Device() *device.Disk { return s.dev }
 

@@ -26,10 +26,6 @@ func testConfig(engine string) Config {
 		MaxUnits:         4,
 		Pools:            2,
 		Copies:           2,
-		UseDeltaLog:      true,
-		DataLocality:     true,
-		ParityLocality:   true,
-		UseLogPool:       true,
 		RecycleThreshold: 64 << 10,
 		PLRReserve:       8 << 10,
 		CordBufferSize:   32 << 10,

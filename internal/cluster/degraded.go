@@ -94,9 +94,14 @@ type degradedState struct {
 	holders map[wire.NodeID][]wire.NodeID
 	// ackSeq is, per surrogate, the highest append sequence whose quorum
 	// replication was fully acked. Promotion after a surrogate death must
-	// recover every seq in 1..ackSeq; a gap means more than m holders died
-	// and the journal is genuinely unrecoverable (ErrSurrogateLost).
+	// recover every acked seq in 1..ackSeq; losing one means more than m
+	// holders died and the journal is genuinely unrecoverable
+	// (ErrSurrogateLost).
 	ackSeq map[wire.NodeID]uint64
+	// unacked is, per surrogate, every append seq whose quorum round
+	// failed. The client was told and retried under a later seq, so a
+	// failed seq may be on no holder although ackSeq is past it.
+	unacked map[wire.NodeID][]uint64
 	// settling is set while the window's settle barrier runs with the gate
 	// open (openDegraded): a degraded read of a lost block, which
 	// reconstructs from the stripe's raw shards, waits until no live engine
@@ -254,6 +259,7 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 		lost:    make(map[wire.BlockID]bool),
 		holders: make(map[wire.NodeID][]wire.NodeID),
 		ackSeq:  make(map[wire.NodeID]uint64),
+		unacked: make(map[wire.NodeID][]uint64),
 	}
 	dead := func(id wire.NodeID) bool { return c.Fabric.Down(id) }
 	pmap := c.MDS.PlacementMap()
@@ -495,11 +501,12 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 	o.journalPersist(p, j, int64(len(v.Data)))
 	// Quorum-replicate the record to the fixed holder set before acking:
 	// the update is durable against any m concurrent deaths only once every
-	// reachable holder has persisted it. A holder that is already down
-	// narrows the redundancy window (node-down is monotone within a run, so
-	// every live holder still has the full acked prefix); any other failure
-	// fails the ack — the client retries and the duplicate append is
-	// harmless (same bytes at the same offset for both overlay and replay).
+	// reachable holder has persisted it. A holder that is down is skipped:
+	// it narrows the redundancy window, and promotion's union across the
+	// holders covers an append it missed. Any other failure fails the ack
+	// and marks the seq unacked — the client retries under a new seq and
+	// the duplicate append is harmless (same bytes at the same offset for
+	// both overlay and replay).
 	holders := st.holders[o.id]
 	var live []wire.NodeID
 	for _, h := range holders {
@@ -508,7 +515,7 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 		}
 	}
 	var acked int
-	if err := sim.Parallel(p, "journal-repl", len(live), func(hp *sim.Proc, i int) error {
+	err := sim.Parallel(p, "journal-repl", len(live), func(hp *sim.Proc, i int) error {
 		h := live[i]
 		resp, err := o.Call(hp, h, &wire.JournalReplica{
 			Failed: v.Failed, Surrogate: o.id, Seq: seq,
@@ -524,13 +531,15 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 		o.jrSentBytes += int64(len(v.Data))
 		acked++
 		return nil
-	}); err != nil {
-		return &wire.Ack{Err: err}
-	}
-	if acked == 0 && len(holders) > 0 {
+	})
+	if err == nil && acked == 0 && len(holders) > 0 {
 		// Every holder died mid-window: acking now would leave the record
 		// with zero durable copies beyond this surrogate.
-		return &wire.Ack{Err: errors.New("cluster: degraded journal quorum unreachable")}
+		err = errors.New("cluster: degraded journal quorum unreachable")
+	}
+	if err != nil {
+		st.unacked[o.id] = append(st.unacked[o.id], seq)
+		return &wire.Ack{Err: err}
 	}
 	if st.ackSeq[o.id] < seq {
 		st.ackSeq[o.id] = seq
@@ -678,9 +687,10 @@ func (o *OSD) reconstructRangeHedged(p *sim.Proc, blk wire.BlockID, off, size in
 
 // handleJournalFetch serves both journal-retrieval modes. With Surrogate
 // set it is the non-destructive read-repair fetch: return the sequenced
-// durability copies held for that surrogate with Seq > FromSeq, leaving
-// them in place (promotion unions several holders' ranges). Those copies
-// serve no read and have no index, so they come off the device log.
+// durability copies held for that surrogate with Seq > FromSeq, in arrival
+// order, leaving them in place (promotion unions several holders' sets by
+// seq). Those copies serve no read and have no index, so they come off the
+// device log.
 // Otherwise it steals this OSD's own journal for the failed node: every
 // block's merged extents are returned, blocks in order of first
 // appearance, and forgotten. A log whose memory index serves reads hands

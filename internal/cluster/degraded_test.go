@@ -34,10 +34,6 @@ func degradedConfig(engine string) Config {
 		MaxUnits:         4,
 		Pools:            2,
 		Copies:           2,
-		UseDeltaLog:      true,
-		DataLocality:     true,
-		ParityLocality:   true,
-		UseLogPool:       true,
 		RecycleBatch:     2,
 		RecycleThreshold: 48 << 10,
 		PLRReserve:       8 << 10,
@@ -313,7 +309,7 @@ func TestKillUpdateRecoverLogReplay(t *testing.T) {
 // path (stripeRepair) to verify byte-for-byte.
 func TestKillUpdateRecoverNoDeltaLog(t *testing.T) {
 	rep := runKillUpdateRecover(t, "tsue", RecoverInterleaved, 4093, 400, 150,
-		func(cfg *Config) { cfg.EngineOpts.UseDeltaLog = false })
+		func(cfg *Config) { cfg.EngineOpts.NoDeltaLog = true })
 	if t.Failed() || rep == nil {
 		return
 	}

@@ -14,8 +14,8 @@ package cluster
 //   - mid-degraded-window, it detects the surrogate role and read-repairs
 //     the journal from the dead surrogate's fixed quorum holder set: the
 //     sequenced appends are unioned across every reachable holder
-//     (newest-wins by seq; each acked append is on every holder that was
-//     reachable when it was acked, so the union is gap-free), spliced
+//     (by seq; each acked append is on every holder that was reachable
+//     when it was acked, so the union holds every acked seq), spliced
 //     behind a re-fetched seed share onto the new surrogate, and
 //     re-replicated under the new surrogate's own holder set — no acked
 //     update is lost through any m concurrent deaths and no client op
@@ -25,6 +25,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -114,17 +115,18 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 
 // promoteSurrogate re-homes the degraded-update journal a dead surrogate
 // kept for st.failed by read-repairing across the victim's fixed quorum
-// holder set. The sequenced post-seed appends are fetched from every
-// reachable holder (non-destructive JournalFetch ranges) and unioned by
-// seq — every acked append reached every then-reachable holder, and
-// node-down is monotone within a run, so any surviving holder carries the
-// full acked prefix and the union covers 1..ackSeq; a gap means more than
-// m holders died (ErrSurrogateLost). The promoted journal is rebuilt in
-// original order — the re-fetched seed share (ReplicaFetch is
-// non-destructive), the re-spliced transition orphans, then the recovered
-// appends in seq order — on the first live holder, and the recovered
-// appends are re-replicated under the NEW surrogate's holder set with
-// fresh seqs, restoring the quorum so a chained surrogate death is
+// holder set. Every reachable holder's sequenced post-seed appends are
+// fetched (non-destructive JournalFetch) and unioned by seq. Every acked
+// append reached every then-reachable holder, so the union holds every
+// acked seq, even when a holder was down for some appends (a flap). A seq
+// in 1..ackSeq missing from the union is lost unless its quorum round
+// failed (st.unacked: the client retried it under a later seq); a lost one
+// means more than m holders died (ErrSurrogateLost). The promoted journal
+// is rebuilt in original order — the re-fetched seed share (ReplicaFetch
+// is non-destructive), the re-spliced transition orphans, then every
+// recovered append in seq order — on the first live holder, and the
+// recovered appends are re-replicated under the NEW surrogate's holder set
+// with fresh seqs, restoring the quorum so a chained surrogate death is
 // equally survivable. Route re-pointing is atomic with the splice, so a
 // degraded op admitted after promotion always sees the full journal.
 func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.NodeID, via *Client, rep *KillReport) error {
@@ -165,7 +167,7 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	for _, h := range reachable {
 		resp, err := c.Fabric.Call(p, via.id, h, &wire.JournalFetch{Failed: st.failed, Surrogate: victim})
 		if errors.Is(err, netsim.ErrNodeDown) {
-			continue // died under us: monotone narrowing, peers cover it
+			continue // died under us: the other holders cover it
 		}
 		if err = wire.AckErr(resp, err); err != nil {
 			return fmt.Errorf("journal repair fetch @%d: %w", h, err)
@@ -180,19 +182,19 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 			}
 		}
 	}
-	// Every acked append must have survived on some holder.
-	recovered := make([]wire.JournalItem, 0, len(bySeq))
-	for seq := uint64(1); ; seq++ {
-		it, ok := bySeq[seq]
-		if !ok {
-			if seq <= ackSeq {
-				return fmt.Errorf("cluster: surrogate %d journal for node %d lost acked append seq %d/%d: %w",
-					victim, st.failed, seq, ackSeq, ErrSurrogateLost)
-			}
-			break
+	// Every acked append must have survived on some holder; a seq whose
+	// quorum round failed was retried under a later one and may be on none.
+	for seq := uint64(1); seq <= ackSeq; seq++ {
+		if _, ok := bySeq[seq]; !ok && !slices.Contains(st.unacked[victim], seq) {
+			return fmt.Errorf("cluster: surrogate %d journal for node %d lost acked append seq %d/%d: %w",
+				victim, st.failed, seq, ackSeq, ErrSurrogateLost)
 		}
+	}
+	recovered := make([]wire.JournalItem, 0, len(bySeq))
+	for _, it := range bySeq {
 		recovered = append(recovered, it)
 	}
+	sort.Slice(recovered, func(a, b int) bool { return recovered[a].Seq < recovered[b].Seq })
 	cand := reachable[0]
 	seeds, err := c.fetchReplicaItems(p, st.failed, via)
 	if err != nil {
@@ -245,6 +247,7 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	}
 	delete(st.holders, victim)
 	delete(st.ackSeq, victim)
+	delete(st.unacked, victim)
 	if _, ok := st.holders[cand]; !ok {
 		st.holders[cand] = c.journalHolders(cand, st.failed)
 	}

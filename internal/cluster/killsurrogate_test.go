@@ -357,3 +357,131 @@ func TestKillSurrogateAllHoldersLost(t *testing.T) {
 		t.Fatal("deadlock")
 	}
 }
+
+// TestKillSurrogateAfterFailedQuorumRound: a degraded update whose quorum
+// round fails is retried by the client under a new seq, so the failed seq
+// may be on no holder while a later seq is acked. That hole is not a lost
+// acked append: killing the surrogate (two deaths on RS(4,2)) must promote
+// the journal, and the retried bytes must survive promotion and both
+// recoveries byte-exact.
+func TestKillSurrogateAfterFailedQuorumRound(t *testing.T) {
+	cfg := degradedConfig("tsue")
+	c := MustNew(cfg)
+	defer c.Env.Close()
+	cl := c.NewClient()
+	admin := c.NewClient()
+	done := false
+	c.Env.Go("t", func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(79))
+		fileSize := 4 * c.StripeWidth()
+		content := make([]byte, fileSize)
+		rng.Read(content)
+		ino, err := cl.Create(p, "f", fileSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := cl.WriteFile(p, ino, content); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		failed := wire.NodeID(3)
+		if err := c.BeginDegraded(p, failed, admin); err != nil {
+			t.Errorf("begin degraded: %v", err)
+			return
+		}
+		var blk wire.BlockID
+		found := false
+		for b := range c.degraded[failed].lost {
+			if int(b.Index) < c.Cfg.K && (!found || b.Stripe < blk.Stripe) {
+				blk, found = b, true
+			}
+		}
+		if !found {
+			t.Error("no lost data block")
+			return
+		}
+		off := int64(blk.Stripe)*c.StripeWidth() + int64(blk.Index)*c.Cfg.BlockSize + 512
+		update := func(fill byte) bool {
+			buf := bytes.Repeat([]byte{fill}, 1024)
+			if err := cl.Update(p, ino, off, buf); err != nil {
+				t.Errorf("degraded update: %v", err)
+				return false
+			}
+			copy(content[off:], buf)
+			return true
+		}
+		if !update(0xa1) {
+			return
+		}
+		_, surr, _ := c.degradedRoute(blk.StripeID())
+		// Both holders reject the next append's replica copy, so its quorum
+		// round fails; the client's retry appends under the following seq
+		// and acks.
+		target := c.OSDByID(surr).journalFor(failed).nextSeq + 1
+		flipped := 0
+		c.Fabric.SetCorruptor(func(_, _ wire.NodeID, m wire.Msg) (wire.Msg, bool) {
+			jr, ok := m.(*wire.JournalReplica)
+			if !ok || jr.Seq != target {
+				return nil, false
+			}
+			flipped++
+			cp := bytes.Clone(jr.Data)
+			cp[0] ^= 0xff
+			return wire.WithPayload(m, cp), true
+		})
+		if !update(0xb2) {
+			return
+		}
+		c.Fabric.SetCorruptor(nil)
+		if flipped != len(c.JournalHoldersOf(failed, surr)) {
+			t.Errorf("flipped %d replica copies, want one per holder", flipped)
+			return
+		}
+		if _, err := c.Kill(p, surr, admin); err != nil {
+			t.Errorf("kill surrogate %d after a failed quorum round: %v", surr, err)
+			return
+		}
+		readBack := func(what string, lo, n int64) bool {
+			got, err := cl.Read(p, ino, lo, n)
+			if err != nil {
+				t.Errorf("read %s: %v", what, err)
+				return false
+			}
+			if !bytes.Equal(got, content[lo:lo+n]) {
+				t.Errorf("content mismatch %s", what)
+				return false
+			}
+			return true
+		}
+		if !readBack("after promotion", off, 1024) {
+			return
+		}
+		for _, id := range []wire.NodeID{surr, failed} {
+			if _, err := c.Recover(p, id, 2, RecoverInterleaved, admin); err != nil {
+				t.Errorf("recover %d: %v", id, err)
+				return
+			}
+		}
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Scrub(); err != nil {
+			t.Errorf("scrub: %v", err)
+			return
+		}
+		if !readBack("after recovery", 0, fileSize) {
+			return
+		}
+		done = true
+	})
+	c.Env.RunTest(t)
+	if !done && !t.Failed() {
+		t.Fatal("deadlock")
+	}
+}

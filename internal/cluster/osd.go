@@ -81,9 +81,6 @@ func (o *OSD) Call(p *sim.Proc, to wire.NodeID, req wire.Msg) (wire.Msg, error) 
 // recycle passes — starts its own root spans here.
 func (o *OSD) Tracer() *obs.Tracer { return o.c.Obs.Tracer }
 
-// Engine exposes the OSD's update engine (harness and tests).
-func (o *OSD) Engine() update.Engine { return o.engine }
-
 // Device exposes the OSD's disk (harness and tests).
 func (o *OSD) Device() *device.Disk { return o.dev }
 
@@ -165,7 +162,7 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		}
 		return wire.OK
 	case *wire.ReplayUpdate:
-		if err := update.Replay(p, o.engine, v.Blk, v.Off, v.Data, v.Sum); err != nil {
+		if err := o.engine.Update(p, v.Blk, v.Off, v.Data, v.Sum); err != nil {
 			return &wire.Ack{Err: err}
 		}
 		return wire.OK

@@ -16,7 +16,7 @@ package cluster
 //     records of the moving blocks from their old homes
 //     (wire.MigrateLog).
 //  3. Flip the PG at the MDS (wire.PGCutover) and replay the extracted
-//     records into the new homes through the engines' replay hook — the
+//     records into the new homes through the engines' Update — the
 //     log follows the block. Old copies, stale recovery remaps and
 //     per-stripe engine baselines are retired, the fence opens, and
 //     stale-epoch clients bounce once to re-resolve.

@@ -23,7 +23,7 @@ const (
 	// which for lazy-log schemes merges every parity record of those
 	// stripes while TSUE keeps its replayable DataLog elsewhere — then
 	// reconstructs and replays the failed node's replicated unrecycled
-	// DataLog through the engines' replay hook (§4.2 log reliability).
+	// DataLog through the home engines' Update (§4.2 log reliability).
 	RecoverLogReplay
 	// RecoverInterleaved keeps foreground I/O flowing while the node
 	// rebuilds: a brief gate publishes the degraded routes, a settle barrier
@@ -405,7 +405,7 @@ func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
 	case "cord":
 		return int(blk.Index) == c.Cfg.K
 	case "tsue":
-		if c.Cfg.EngineOpts.UseDeltaLog {
+		if !c.Cfg.EngineOpts.NoDeltaLog {
 			return int(blk.Index) == c.Cfg.K
 		}
 		return int(blk.Index) < c.Cfg.K
@@ -415,7 +415,7 @@ func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
 
 // cutover replays the surrogate journals — the failed node's replicated
 // unrecycled DataLog items followed by every update journaled while the
-// node was degraded — through the engines' replay hook at the (remapped)
+// node was degraded — through the engines' Update at the (remapped)
 // home OSDs, then atomically retires the degraded route. Each journal is
 // indexed per block like the DataLog, so the steal returns every block's
 // merged extents and each byte range is fetched and replayed once. With

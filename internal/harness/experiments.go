@@ -218,17 +218,17 @@ type fig7Step struct {
 func fig7Steps() []fig7Step {
 	return []fig7Step{
 		{"baseline", func(o *update.Options) {
-			o.UseDeltaLog = false
-			o.DataLocality = false
-			o.ParityLocality = false
-			o.UseLogPool = false
+			o.NoDeltaLog = true
+			o.NoDataLocality = true
+			o.NoParityLocality = true
+			o.NoLogPool = true
 			o.Pools = 1
 		}},
-		{"O1 +data locality", func(o *update.Options) { o.DataLocality = true }},
-		{"O2 +parity locality", func(o *update.Options) { o.ParityLocality = true }},
-		{"O3 +log pool", func(o *update.Options) { o.UseLogPool = true }},
+		{"O1 +data locality", func(o *update.Options) { o.NoDataLocality = false }},
+		{"O2 +parity locality", func(o *update.Options) { o.NoParityLocality = false }},
+		{"O3 +log pool", func(o *update.Options) { o.NoLogPool = false }},
 		{"O4 +4 pools", func(o *update.Options) { o.Pools = 4 }},
-		{"O5 +delta log", func(o *update.Options) { o.UseDeltaLog = true }},
+		{"O5 +delta log", func(o *update.Options) { o.NoDeltaLog = false }},
 	}
 }
 
@@ -340,7 +340,7 @@ func hddRun(s Scale, vol, eng string, unitSize int64) RunConfig {
 	// so recycling is amortized as at paper scale, while Fig. 8b (recovery
 	// after updates stop) uses small units so the log residual at stop is
 	// proportionally as small as after the paper's 3-minute runs.
-	cfg.Opts.UseDeltaLog = false
+	cfg.Opts.NoDeltaLog = true
 	cfg.Opts.Copies = 3
 	cfg.Opts.UnitSize = unitSize
 	cfg.Opts.CordBufferSize = unitSize

@@ -137,12 +137,18 @@ func Placement(w io.Writer, s Scale) error {
 		for _, v := range r.JournalBytes {
 			jTotal += v
 		}
-		fmt.Fprintf(t, "%d\t%d\t%d\t%.2f\t%.2f\t%d\t%d\t%.1f\t%.2f\t%.1f\t%.0f%%\n",
-			pgs, r.Report.Blocks, r.FanOut(), src.cv, src.maxRatio,
-			len(r.Targets), len(r.JournalBytes),
-			float64(jTotal)/1024, jrn.cv,
-			ms(r.Report.TotalTime),
-			r.DipPct)
+		t.row(map[string]string{"pgs": fmt.Sprint(pgs)}, fmt.Sprint(pgs), []cell{
+			{"lost_blocks", "%d", r.Report.Blocks},
+			{"fanout", "%d", r.FanOut()},
+			{"src_cv", "%.2f", src.cv},
+			{"src_max_mean", "%.2f", src.maxRatio},
+			{"targets", "%d", len(r.Targets)},
+			{"surrogates", "%d", len(r.JournalBytes)},
+			{"journal_kb", "%.1f", float64(jTotal) / 1024},
+			{"journal_cv", "%.2f", jrn.cv},
+			{"recover_ms", "%.1f", ms(r.Report.TotalTime)},
+			{"dip_pct", "%.0f%%", r.DipPct},
+		})
 		fmt.Fprintf(t, "\tsrc KB/OSD (desc)\t%s\n", histogram(r.SourceBytes))
 	}
 	return t.Flush()

@@ -1,6 +1,6 @@
-// Package trace models block-level I/O traces: the record type, a parser
-// for the MSR Cambridge CSV format, and synthetic generators calibrated to
-// the statistics the TSUE paper reports for its three workloads (§2.1):
+// Package trace models block-level I/O traces: the record type and
+// synthetic generators calibrated to the statistics the TSUE paper reports
+// for its three workloads (§2.1):
 //
 //	Ali-Cloud: 75% of requests are updates; 46% of updates are 4 KiB and
 //	           60% are ≤16 KiB.
@@ -16,12 +16,8 @@
 package trace
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
-	"strconv"
-	"strings"
 )
 
 // OpKind is a request type.
@@ -189,9 +185,6 @@ func MustGenerator(p Profile, seed int64) *Generator {
 	return g
 }
 
-// Profile returns the generator's profile.
-func (g *Generator) Profile() Profile { return g.p }
-
 // Next returns the next op.
 func (g *Generator) Next() Op {
 	p := g.p
@@ -297,65 +290,4 @@ func ComputeStats(ops []Op, workingSet int64) Stats {
 		st.TouchedFrac = float64(st.TouchedBytes) / float64(workingSet)
 	}
 	return st
-}
-
-// ParseMSR reads the MSR Cambridge CSV format:
-//
-//	Timestamp,Hostname,DiskNumber,Type,Offset,Size,ResponseTime
-//
-// Offsets/sizes are bytes; Type is "Read" or "Write". Lines that do not
-// parse return an error with their line number.
-func ParseMSR(r io.Reader) ([]Op, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var ops []Op
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		f := strings.Split(text, ",")
-		if len(f) < 6 {
-			return nil, fmt.Errorf("trace: msr line %d: %d fields", line, len(f))
-		}
-		var kind OpKind
-		switch strings.ToLower(strings.TrimSpace(f[3])) {
-		case "read":
-			kind = Read
-		case "write":
-			kind = Write
-		default:
-			return nil, fmt.Errorf("trace: msr line %d: bad type %q", line, f[3])
-		}
-		off, err := strconv.ParseInt(strings.TrimSpace(f[4]), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("trace: msr line %d: offset: %v", line, err)
-		}
-		size, err := strconv.ParseInt(strings.TrimSpace(f[5]), 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("trace: msr line %d: size: %v", line, err)
-		}
-		ops = append(ops, Op{Kind: kind, Off: off, Size: int32(size)})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	return ops, nil
-}
-
-// WriteMSR emits ops in the MSR CSV format (tracegen tool output).
-func WriteMSR(w io.Writer, host string, ops []Op) error {
-	bw := bufio.NewWriter(w)
-	for i, op := range ops {
-		kind := "Read"
-		if op.Kind == Write {
-			kind = "Write"
-		}
-		if _, err := fmt.Fprintf(bw, "%d,%s,0,%s,%d,%d,0\n", i, host, kind, op.Off, op.Size); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

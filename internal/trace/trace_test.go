@@ -1,10 +1,6 @@
 package trace
 
-import (
-	"bytes"
-	"strings"
-	"testing"
-)
+import "testing"
 
 const ws = 256 << 20
 
@@ -136,51 +132,6 @@ func TestInvalidProfiles(t *testing.T) {
 	for _, p := range bad {
 		if _, err := NewGenerator(p, 1); err == nil {
 			t.Fatalf("profile %s accepted", p.Name)
-		}
-	}
-}
-
-func TestParseMSRRoundTrip(t *testing.T) {
-	ops := MustGenerator(AliCloud(ws), 11).Gen(500)
-	var buf bytes.Buffer
-	if err := WriteMSR(&buf, "vol0", ops); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ParseMSR(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(ops) {
-		t.Fatalf("parsed %d ops, wrote %d", len(got), len(ops))
-	}
-	for i := range ops {
-		if got[i] != ops[i] {
-			t.Fatalf("op %d mismatch: %+v vs %+v", i, got[i], ops[i])
-		}
-	}
-}
-
-func TestParseMSRSkipsCommentsAndBlank(t *testing.T) {
-	in := "# header\n\n1,h,0,Read,4096,512,0\n"
-	ops, err := ParseMSR(strings.NewReader(in))
-	if err != nil || len(ops) != 1 {
-		t.Fatalf("ops=%v err=%v", ops, err)
-	}
-	if ops[0].Kind != Read || ops[0].Off != 4096 || ops[0].Size != 512 {
-		t.Fatalf("parsed %+v", ops[0])
-	}
-}
-
-func TestParseMSRErrors(t *testing.T) {
-	cases := []string{
-		"1,h,0,Erase,0,512,0",
-		"1,h,0,Read,notanum,512,0",
-		"1,h,0,Read,0,notanum,0",
-		"too,few,fields",
-	}
-	for _, in := range cases {
-		if _, err := ParseMSR(strings.NewReader(in)); err == nil {
-			t.Fatalf("accepted %q", in)
 		}
 	}
 }

@@ -32,10 +32,6 @@ func consistencyConfig(engine string, batch int) cluster.Config {
 		MaxUnits:         4,
 		Pools:            2,
 		Copies:           2,
-		UseDeltaLog:      true,
-		DataLocality:     true,
-		ParityLocality:   true,
-		UseLogPool:       true,
 		RecycleBatch:     batch,
 		RecycleThreshold: 48 << 10,
 		PLRReserve:       8 << 10,
@@ -164,10 +160,10 @@ func TestTsueRecycleBatchSizes(t *testing.T) {
 // recycle paths differ structurally.
 func TestTsueBatchedAblations(t *testing.T) {
 	mods := map[string]func(*update.Options){
-		"no-data-locality":   func(o *update.Options) { o.DataLocality = false },
-		"no-parity-locality": func(o *update.Options) { o.ParityLocality = false },
-		"no-delta-log":       func(o *update.Options) { o.UseDeltaLog = false },
-		"exclusive-log":      func(o *update.Options) { o.UseLogPool = false },
+		"no-data-locality":   func(o *update.Options) { o.NoDataLocality = true },
+		"no-parity-locality": func(o *update.Options) { o.NoParityLocality = true },
+		"no-delta-log":       func(o *update.Options) { o.NoDeltaLog = true },
+		"exclusive-log":      func(o *update.Options) { o.NoLogPool = true },
 	}
 	for name, mod := range mods {
 		name, mod := name, mod

@@ -128,7 +128,8 @@ func (sc Scope) touches(bl *logpool.BlockLog) bool {
 	return sc.End <= sc.Off || bl.Touches(sc.Off, sc.End)
 }
 
-// Options configures engines; zero values are replaced by defaults.
+// Options configures engines; zero values are replaced by defaults, so
+// Options{} is the paper's engine and the TSUE ablations are opt-outs.
 type Options struct {
 	// UnitSize is the TSUE/CoRD log unit size (paper: 16 MiB).
 	UnitSize int64
@@ -140,16 +141,16 @@ type Options struct {
 	// Copies is the DataLog replication factor including the primary
 	// (paper: 2 on SSD, 3 on HDD).
 	Copies int
-	// UseDeltaLog enables TSUE's middle log layer (O5; disabled on HDD §5.4).
-	UseDeltaLog bool
-	// DataLocality / ParityLocality enable two-level-index merging in the
-	// DataLog / ParityLog (O1 / O2).
-	DataLocality   bool
-	ParityLocality bool
-	// UseLogPool enables the FIFO log pool (O3). When false, each log
-	// structure degrades to a single exclusive log: appends stall while a
-	// recycle is in progress.
-	UseLogPool bool
+	// NoDeltaLog drops TSUE's middle log layer (O5; disabled on HDD §5.4).
+	NoDeltaLog bool
+	// NoDataLocality / NoParityLocality turn off two-level-index merging in
+	// the DataLog / ParityLog (O1 / O2).
+	NoDataLocality   bool
+	NoParityLocality bool
+	// NoLogPool turns off the FIFO log pool (O3): each log structure
+	// degrades to a single exclusive log, and appends stall while a recycle
+	// is in progress.
+	NoLogPool bool
 	// RecycleBatch is the maximum number of sealed log units one TSUE
 	// per-pool recycler drains in a single pass. Units of one batch merge
 	// their extents before the read-modify-write, so updates repeated
@@ -172,10 +173,6 @@ func DefaultOptions() Options {
 		MaxUnits:         4,
 		Pools:            4,
 		Copies:           2,
-		UseDeltaLog:      true,
-		DataLocality:     true,
-		ParityLocality:   true,
-		UseLogPool:       true,
 		RecycleBatch:     4,
 		RecycleThreshold: 8 << 20,
 		PLRReserve:       64 << 10,
@@ -474,25 +471,6 @@ func meanDur(sum time.Duration, n int64) time.Duration {
 // ResidencyReporter is implemented by TSUE for Table 2.
 type ResidencyReporter interface {
 	Residency() map[string]LayerStats
-}
-
-// Replayer is implemented by engines with a dedicated entry point for
-// recovery-replayed records (surrogate-journal and DataLog-replica items).
-// TSUE merges replays through its normal two-stage path — DataLog append,
-// replication, asynchronous recycle — while tracking them as recovery
-// traffic. Engines without the hook take replays through Update.
-type Replayer interface {
-	ReplayInto(p *sim.Proc, blk wire.BlockID, off int64, data []byte, sum uint32) error
-}
-
-// Replay routes one recovered record into eng: through its ReplayInto hook
-// when implemented, otherwise through the ordinary update path (correct for
-// every in-place scheme, where replaying IS updating).
-func Replay(p *sim.Proc, eng Engine, blk wire.BlockID, off int64, data []byte, sum uint32) error {
-	if r, ok := eng.(Replayer); ok {
-		return r.ReplayInto(p, blk, off, data, sum)
-	}
-	return eng.Update(p, blk, off, data, sum)
 }
 
 // LogMigrator is implemented by engines whose replayable pure-overlay log

@@ -89,7 +89,7 @@ func TestCopiedPayloadsAreCopiedByTheirKeeper(t *testing.T) {
 
 	t.Run("tsue", func(t *testing.T) {
 		h := newFakeHost(t)
-		eng, _ := New("tsue", h, Options{Pools: 1, UseDeltaLog: true})
+		eng, _ := New("tsue", h, Options{Pools: 1})
 		ts := eng.(*tsue)
 		client, replica, delta := payload(), payload(), payload()
 		runProc(t, h, func(p *sim.Proc) {

@@ -62,11 +62,6 @@ type tsue struct {
 	replog   *device.Log
 	replicas map[replicaKey][]replicaItem
 
-	// Recovery replays merged through ReplayInto (reported as the "replay"
-	// residency layer).
-	replayN     int64
-	replayBytes int64
-
 	idle *sim.Cond // broadcast after every unit recycle (drain support)
 }
 
@@ -98,10 +93,10 @@ func newTsueLayer(h Host, name string, mode logpool.MergeMode, o Options, pools 
 	l := &tsueLayer{
 		name:      name,
 		cond:      sim.NewCond(h.Env()),
-		exclusive: !o.UseLogPool,
+		exclusive: o.NoLogPool,
 	}
 	maxUnits := o.MaxUnits
-	if !o.UseLogPool {
+	if o.NoLogPool {
 		// Single exclusive log: a second unit only exists so appends have
 		// somewhere to land once the recycle finishes.
 		maxUnits = 2
@@ -158,11 +153,11 @@ func newTsue(h Host, o Options) *tsue {
 		replicas: make(map[replicaKey][]replicaItem),
 		idle:     sim.NewCond(h.Env()),
 	}
-	t.data = newTsueLayer(h, "data", logpool.Overwrite, o, o.Pools, !o.DataLocality)
-	if o.UseDeltaLog {
+	t.data = newTsueLayer(h, "data", logpool.Overwrite, o, o.Pools, o.NoDataLocality)
+	if !o.NoDeltaLog {
 		t.delta = newTsueLayer(h, "delta", logpool.XOR, o, o.Pools, false)
 	}
-	t.parity = newTsueLayer(h, "parity", logpool.XOR, o, o.Pools, !o.ParityLocality)
+	t.parity = newTsueLayer(h, "parity", logpool.XOR, o, o.Pools, o.NoParityLocality)
 	// One recycler process per pool per layer (the paper's recycle thread
 	// pool; units of one pool recycle in order, pools in parallel).
 	t.startRecyclers(t.data, t.recycleDataUnits)
@@ -775,18 +770,6 @@ func (t *tsue) Pending(sc Scope) bool {
 	return false
 }
 
-// ReplayInto merges one recovered record (surrogate-journal or
-// DataLog-replica item) through the normal two-stage path: DataLog append
-// plus replication, then the asynchronous three-layer recycle. Replays are
-// tracked as the "replay" residency layer.
-func (t *tsue) ReplayInto(p *sim.Proc, blk wire.BlockID, off int64, data []byte, sum uint32) error {
-	t.replayN++
-	t.replayBytes += int64(len(data))
-	return t.Update(p, blk, off, data, sum)
-}
-
-var _ Replayer = (*tsue)(nil)
-
 // MemBytes sums the three layers' current log memory.
 func (t *tsue) MemBytes() int64 {
 	n := t.data.memBytes() + t.parity.memBytes()
@@ -805,9 +788,7 @@ func (t *tsue) PeakMemBytes() int64 {
 	return n
 }
 
-// Residency reports per-layer timing for the paper's Table 2, plus a
-// synthetic "replay" layer counting records merged through ReplayInto
-// (AppendN = records, RecycleN = bytes).
+// Residency reports per-layer timing for the paper's Table 2.
 func (t *tsue) Residency() map[string]LayerStats {
 	out := map[string]LayerStats{
 		"data":   t.data.stats,
@@ -815,9 +796,6 @@ func (t *tsue) Residency() map[string]LayerStats {
 	}
 	if t.delta != nil {
 		out["delta"] = t.delta.stats
-	}
-	if t.replayN > 0 {
-		out["replay"] = LayerStats{AppendN: t.replayN, RecycleN: t.replayBytes}
 	}
 	return out
 }

@@ -355,7 +355,7 @@ func TestTsueReadCacheServesFromLog(t *testing.T) {
 // once extracted the log no longer covers the block.
 func TestTsueExtractBlockLogServesFromIndex(t *testing.T) {
 	h := newFakeHost(t)
-	eng, _ := New("tsue", h, Options{Pools: 1, DataLocality: true})
+	eng, _ := New("tsue", h, Options{Pools: 1})
 	blk := wire.BlockID{Ino: 1, Stripe: 0, Index: 0}
 	runProc(t, h, func(p *sim.Proc) {
 		h.store.Put(p, blk, make([]byte, 4096))
@@ -441,7 +441,7 @@ func TestTsueParityFanout(t *testing.T) {
 				h.code = rs.MustNew(4, 3, rs.Vandermonde)
 				o := DefaultOptions()
 				o.Pools = 1
-				o.UseDeltaLog = deltaLog
+				o.NoDeltaLog = !deltaLog
 				eng, err := New("tsue", h, o)
 				if err != nil {
 					t.Fatal(err)
@@ -839,7 +839,7 @@ func TestTsueSettleSealsIdlePoolsOnly(t *testing.T) {
 	h := newFakeHost(t)
 	const bs = 64 << 10
 	h.store = blockstore.New(h.store.Device(), bs)
-	eng, err := New("tsue", h, Options{Pools: 1, UnitSize: 8 << 10, MaxUnits: 8, RecycleBatch: 1, Copies: 1, UseLogPool: true})
+	eng, err := New("tsue", h, Options{Pools: 1, UnitSize: 8 << 10, MaxUnits: 8, RecycleBatch: 1, Copies: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -366,7 +366,8 @@ type JournalAck struct {
 //   - Surrogate != 0: non-destructive read-repair fetch — the receiver
 //     returns the quorum-replicated records it holds on behalf of that
 //     surrogate with Seq > FromSeq, as a JournalFetchResp. Promotion after
-//     a surrogate death unions these ranges across all reachable holders.
+//     a surrogate death fetches every holder's whole set (FromSeq 0) and
+//     unions the sets by Seq across all reachable holders.
 type JournalFetch struct {
 	Failed    NodeID
 	Surrogate NodeID
@@ -382,21 +383,22 @@ type JournalItem struct {
 	Data []byte
 }
 
-// JournalFetchResp returns a holder's retained journal range for one
-// (failed, surrogate) pair, in ascending Seq order.
+// JournalFetchResp returns a holder's retained journal records for one
+// (failed, surrogate) pair, in arrival order: a record's Seq is assigned
+// before its replication round, so concurrent rounds can land out of Seq
+// order.
 type JournalFetchResp struct {
 	Items []JournalItem
 	Err   error
 }
 
 // ReplayUpdate carries one recovered log/journal record to the (possibly
-// remapped) home OSD, which merges it through the engine's replay hook
-// (update.Replay) rather than the foreground update path.
+// remapped) home OSD, which merges it through its engine's Update.
 type ReplayUpdate struct {
 	Blk  BlockID
 	Off  int64
 	Data []byte
-	Sum  uint32 // CRC-32C of Data, verified before the replay hook runs
+	Sum  uint32 // CRC-32C of Data, verified before the engine's Update runs
 	Span SpanCtx
 }
 
