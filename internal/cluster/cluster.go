@@ -109,13 +109,16 @@ type Cluster struct {
 	transHook func(TransEvent)
 
 	// degraded routes per failed node (see degraded.go); gateClosed fences
-	// client updates and degraded reads during recovery consistency windows;
+	// client updates and degraded reads during recovery consistency windows
+	// (closed since gateClosedAt; gated sums the earlier closures);
 	// updatesInFlight counts normal-path updates past the gate and
 	// surrOpsInFlight counts surrogate-side degraded ops past it
 	// (fenceUpdates waits for both to land before a barrier runs, so no
 	// client op can straddle a settle or a journal cutover).
 	degraded        map[wire.NodeID]*degradedState
 	gateClosed      bool
+	gateClosedAt    time.Duration
+	gated           time.Duration
 	gateCond        *sim.Cond
 	updatesInFlight int
 	surrOpsInFlight int
@@ -611,11 +614,11 @@ func (c *Cluster) JournalHoldersOf(failed, surrogate wire.NodeID) []wire.NodeID 
 // the node comes off the fabric, degraded routes publish under a brief
 // fence, and the settle barrier restores raw stripe consistency while
 // foreground I/O already flows degraded (updates journal on the
-// surrogates; openDegraded) — until a later Recover(failed) rebuilds and
-// cuts over. Recover detects the pre-opened window and skips
-// re-registration. Multi-death tests and harness scenarios use this to
-// inject surrogate/holder deaths at controlled points between the failure
-// and its recovery.
+// surrogates) — the window interleaved recovery opens (openWindow) — until
+// a later Recover(failed) rebuilds and cuts over. Recover detects the
+// pre-opened window and skips re-registration. Multi-death tests and
+// harness scenarios use this to inject surrogate/holder deaths at
+// controlled points between the failure and its recovery.
 func (c *Cluster) BeginDegraded(p *sim.Proc, failed wire.NodeID, via *Client) error {
 	if t := c.MDS.trans; t != nil {
 		return fmt.Errorf("cluster: cannot open degraded window for node %d while epoch %d is staged: %w",
@@ -625,7 +628,9 @@ func (c *Cluster) BeginDegraded(p *sim.Proc, failed wire.NodeID, via *Client) er
 		return fmt.Errorf("cluster: node %d already degraded", failed)
 	}
 	c.Fabric.SetDown(failed, true)
-	return c.openDegraded(p, failed, via, &RecoveryReport{})
+	err := c.openWindow(p, failed, via, &RecoveryReport{}, true)
+	c.openGate()
+	return err
 }
 
 // JournalBytesPerOSD returns surrogate-journal bytes appended per OSD

@@ -103,7 +103,7 @@ type degradedState struct {
 	// failed seq may be on no holder although ackSeq is past it.
 	unacked map[wire.NodeID][]uint64
 	// settling is set while the window's settle barrier runs with the gate
-	// open (openDegraded): a degraded read of a lost block, which
+	// open (openWindow): a degraded read of a lost block, which
 	// reconstructs from the stripe's raw shards, waits until no live engine
 	// holds state for its byte range (settleFenced).
 	settling bool
@@ -123,9 +123,18 @@ type degradedState struct {
 // foreground workload sees a latency dip, not errors — the IOPS shape the
 // degraded experiment measures. An interleaved window's settle runs with
 // the gate open and fences only degraded reads of lost blocks whose range
-// the settle has yet to merge (degradedState.settling, settleFenced).
+// the settle has yet to merge (degradedState.settling, settleFenced). The
+// gate keeps its own clock: gatedTime is the total time it has been
+// closed, and a recovery's GatedTime or a PG cutover's stall is the
+// difference of two readings.
 
-func (c *Cluster) closeGate() { c.gateClosed = true }
+// closeGate closes the gate. Closing a closed gate leaves its clock running
+// from the first close.
+func (c *Cluster) closeGate() {
+	if !c.gateClosed {
+		c.gateClosed, c.gateClosedAt = true, c.Env.Now()
+	}
+}
 
 // fenceUpdates closes the gate and waits until every client op that had
 // already passed it has completed: normal-path updates (fully propagated
@@ -133,12 +142,14 @@ func (c *Cluster) closeGate() { c.gateClosed = true }
 // ops. A consistency barrier that runs after this cannot race a
 // half-propagated update, and a journal cutover cannot steal the journal
 // out from under a degraded read that would then overlay nothing (the
-// stale-read race the stress suite pins).
-func (c *Cluster) fenceUpdates(p *sim.Proc) {
+// stale-read race the stress suite pins). It returns how long it waited.
+func (c *Cluster) fenceUpdates(p *sim.Proc) time.Duration {
+	start := p.Now()
 	c.closeGate()
 	for c.updatesInFlight > 0 || c.surrOpsInFlight > 0 {
 		c.gateCond.Wait(p)
 	}
+	return p.Now() - start
 }
 
 // surrOpDone retires one surrogate-side degraded op begun with
@@ -151,9 +162,24 @@ func (c *Cluster) surrOpDone() {
 	}
 }
 
+// openGate opens a closed gate, adding the closure to its clock, and wakes
+// the ops waiting at it. Opening an open gate does nothing.
 func (c *Cluster) openGate() {
+	if !c.gateClosed {
+		return
+	}
 	c.gateClosed = false
+	c.gated += c.Env.Now() - c.gateClosedAt
 	c.gateCond.Broadcast()
+}
+
+// gatedTime returns how long the gate has been closed in total, a closure
+// still running included.
+func (c *Cluster) gatedTime() time.Duration {
+	if c.gateClosed {
+		return c.gated + c.Env.Now() - c.gateClosedAt
+	}
+	return c.gated
 }
 
 func (c *Cluster) waitGate(p *sim.Proc) {

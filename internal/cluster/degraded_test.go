@@ -202,6 +202,18 @@ func runKillRecover(t *testing.T, r killRecoverRun) *RecoveryReport {
 	if rep.Blocks == 0 {
 		t.Fatal("victim hosted no blocks?")
 	}
+	// Every gated number is what the gate measured: the barrier is its three
+	// phases, and client updates were fenced for exactly the fences.
+	if want := rep.Fence1Wait + rep.RegisterTime + rep.SettleTime; rep.DrainTime != want {
+		t.Errorf("DrainTime %v, want Fence1Wait+RegisterTime+SettleTime = %v", rep.DrainTime, want)
+	}
+	gated := rep.TotalTime
+	if r.mode == RecoverInterleaved {
+		gated = rep.Fence1Wait + rep.RegisterTime + rep.Fence2Wait + rep.ReplayTime
+	}
+	if rep.GatedTime != gated {
+		t.Errorf("%s GatedTime %v, want %v", r.mode, rep.GatedTime, gated)
+	}
 	return rep
 }
 

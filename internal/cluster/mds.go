@@ -75,23 +75,28 @@ func (s PGStage) String() string {
 // transition tracks one staged epoch mid-migration. Indexed by staged-epoch
 // PG id (the cutover unit).
 type transition struct {
-	next    uint64
-	cutover map[int]bool
+	next uint64
 	// fencing marks PGs whose cutover fence is active: client reads of
 	// their blocks bounce (retryable) instead of observing the window where
 	// overlay logs have been extracted but not yet replayed at the new
 	// homes.
 	fencing map[int]bool
 	// stage is each migrating PG's state-machine position (PGs without
-	// moves never appear: they flip for free at commit).
+	// moves never appear: they flip for free at commit). A PG has cut over
+	// once it is replaying or committed (cutOver); an aborted PG keeps
+	// resolving under the committed epoch and its moves become physical
+	// remaps at commit.
 	stage map[int]PGStage
-	// aborted marks PGs resolved by rollback: they keep resolving under the
-	// committed epoch and their moves become physical remaps at commit.
-	aborted map[int]bool
 	// dead is the OSD (0 = none) whose mid-transition death the migration
 	// driver must resolve; set by Cluster.MarkDead, observed by the mover
 	// at every stage boundary.
 	dead wire.NodeID
+}
+
+// cutOver reports whether the PG has flipped to the staged epoch.
+func (t *transition) cutOver(pg int) bool {
+	s := t.stage[pg]
+	return s == StageReplaying || s == StageCommitted
 }
 
 func newMDS(c *Cluster, place *placement.Map) *MDS {
@@ -125,7 +130,7 @@ func (m *MDS) view() uint64 {
 // authEpochOf returns the authoritative epoch of the stripe's PG: the
 // staged epoch once the PG has cut over, the committed epoch before.
 func (m *MDS) authEpochOf(s wire.StripeID) uint64 {
-	if t := m.trans; t != nil && t.cutover[m.epochs.At(t.next).PGOf(s)] {
+	if t := m.trans; t != nil && t.cutOver(m.epochs.At(t.next).PGOf(s)) {
 		return t.next
 	}
 	return m.committed
@@ -184,10 +189,9 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 		if t == nil || v.Epoch != t.next {
 			return &wire.Ack{Err: fmt.Errorf("mds: cutover for epoch %d outside transition", v.Epoch)}
 		}
-		if t.aborted[int(v.PG)] {
+		if t.stage[int(v.PG)] == StageAborted {
 			return &wire.Ack{Err: fmt.Errorf("mds: pg %d already aborted", v.PG)}
 		}
-		t.cutover[int(v.PG)] = true
 		t.stage[int(v.PG)] = StageReplaying
 		return wire.OK
 	case *wire.PGAbort:
@@ -195,13 +199,12 @@ func (m *MDS) handle(p *sim.Proc, from wire.NodeID, msg wire.Msg) wire.Msg {
 		if t == nil || v.Epoch != t.next {
 			return &wire.Ack{Err: fmt.Errorf("mds: abort for epoch %d outside transition", v.Epoch)}
 		}
-		if t.cutover[int(v.PG)] {
+		if t.cutOver(int(v.PG)) {
 			// Past the flip the staged map is authoritative for the PG;
 			// rolling back would strand replayed state. The mover's policy
 			// never aborts here (it finishes instead).
 			return &wire.Ack{Err: fmt.Errorf("mds: pg %d already cut over, cannot abort", v.PG)}
 		}
-		t.aborted[int(v.PG)] = true
 		t.stage[int(v.PG)] = StageAborted
 		return wire.OK
 	case *wire.AdmitOp:
@@ -239,10 +242,8 @@ func (m *MDS) handleEpochUpdate(v *wire.EpochUpdate) wire.Msg {
 		}
 		m.trans = &transition{
 			next:    next,
-			cutover: make(map[int]bool),
 			fencing: make(map[int]bool),
 			stage:   make(map[int]PGStage),
-			aborted: make(map[int]bool),
 		}
 		return &wire.EpochResp{Epoch: next}
 	}

@@ -266,7 +266,7 @@ func (pm *pgMover) MigratePG(p *sim.Proc, pg rebalance.PGMoves, th *rebalance.Th
 	// Phase 2+3: fenced cutover, serialized across concurrent migrations.
 	c.cutMu.Acquire(p)
 	defer c.cutMu.Release()
-	stallStart := p.Now()
+	gated := c.gatedTime()
 	c.fenceUpdates(p)
 	t := c.MDS.trans
 	t.fencing[pg.PG] = true
@@ -275,7 +275,7 @@ func (pm *pgMover) MigratePG(p *sim.Proc, pg rebalance.PGMoves, th *rebalance.Th
 	err := pm.cutoverLocked(p, pg, vers, &res)
 	t.fencing[pg.PG] = false
 	c.openGate()
-	res.Stall = p.Now() - stallStart
+	res.Stall = c.gatedTime() - gated
 	if err == nil && res.Outcome != rebalance.OutcomeAborted {
 		c.MDS.setPGStage(pg.PG, StageCommitted)
 		c.fireTransEvent(pg, StageCommitted, 0)

@@ -53,8 +53,6 @@ func (m RecoverMode) String() string {
 
 // RecoveryReport summarizes one recovery run.
 type RecoveryReport struct {
-	// Mode is the protocol the run used.
-	Mode RecoverMode
 	// Blocks and Bytes count the reconstructed blocks.
 	Blocks int
 	Bytes  int64
@@ -68,8 +66,8 @@ type RecoveryReport struct {
 	// recovery reopens the gate after RegisterTime, and its SettleTime is
 	// how long degraded reads of lost blocks could be fenced: one whose byte
 	// range the settle has yet to merge waits until it has. A pre-opened
-	// degraded window already did the last two, and interleaved recovery
-	// then skips fence 1 altogether.
+	// degraded window already did the last two; log-replay then only
+	// fences, and interleaved recovery skips fence 1 altogether.
 	DrainTime    time.Duration
 	Fence1Wait   time.Duration
 	RegisterTime time.Duration
@@ -89,9 +87,11 @@ type RecoveryReport struct {
 	// reads nothing off the surrogate's device.
 	JournalFetchTime  time.Duration
 	JournalReplayTime time.Duration
-	// GatedTime is how long client updates were fenced in total — the
-	// foreground outage the degraded experiment measures. For interleaved
-	// recovery it is Fence1Wait + RegisterTime + the second fence
+	// GatedTime is how long the update gate was closed during the run, as
+	// the gate's own clock measured it — the foreground outage the degraded
+	// experiment measures. Drain-first and log-replay hold the gate from
+	// fence 1 to the end, so it equals TotalTime; interleaved recovery holds
+	// it for Fence1Wait + RegisterTime and then for the second fence
 	// (Fence2Wait + ReplayTime); the settle and the rebuild run ungated.
 	GatedTime time.Duration
 	// ReplayedRecords counts the journal records the cutover took (the
@@ -106,15 +106,10 @@ type RecoveryReport struct {
 	// journal, and MaxJournalExtents what its index merged them into.
 	MaxJournalRecords int
 	MaxJournalExtents int
-	// ReencodedStripes counts stripes whose parity set was repaired by
-	// re-encoding (lost first-parity with a cross-parity delta buffer).
-	ReencodedStripes int
 	// TotalTime is failure-to-healthy wall (virtual) time; BandwidthBps is
 	// reconstruction volume over it.
 	TotalTime    time.Duration
 	BandwidthBps float64
-	// RemappedBlocks counts placement overrides installed.
-	RemappedBlocks int
 	// TargetBlocks counts rebuilt blocks per destination OSD — with PG
 	// placement the targets are the per-PG stable replacements, so the
 	// write side of recovery spreads across the cluster.
@@ -131,6 +126,23 @@ type RecoveryReport struct {
 // placement remapped, and — for modes that replay — the failed node's
 // unrecycled updates and any degraded-mode journal merged back through the
 // engines, so a subsequent drain + scrub is byte-exact.
+//
+// The three protocols run one sequence of steps; the mode only chooses
+// which steps run:
+//
+//  1. the node comes off the fabric (drain-first: after its drain);
+//  2. fence 1 and the pre-rebuild barrier: drain-first fences, drains every
+//     log and then takes the node off the fabric; a replaying mode with no
+//     open window opens one (openWindow; interleaved reopens the gate
+//     before its settle); log-replay on a pre-opened window only fences,
+//     and interleaved on one skips the step;
+//  3. the rebuild, re-encoding torn stripes unless the cluster was drained;
+//  4. fence 2, in interleaved only (log-replay is still fenced);
+//  5. the journal cutover, a no-op without a degraded window;
+//  6. log-replay charges the replayed updates' merge debt to recovery with
+//     a full drain, per the paper's accounting.
+//
+// The gate is open when Recover returns, on error too.
 func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode RecoverMode, via *Client) (*RecoveryReport, error) {
 	if t := c.MDS.trans; t != nil {
 		// Failure handling and an in-flight rebalance are mutually exclusive
@@ -141,6 +153,9 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		return nil, fmt.Errorf("cluster: cannot recover node %d while epoch %d is staged: %w",
 			failed, t.next, ErrTransitionInProgress)
 	}
+	if mode < RecoverDrainFirst || mode > RecoverInterleaved {
+		return nil, fmt.Errorf("cluster: unknown recover mode %d", mode)
+	}
 	if parallel < 1 {
 		parallel = 1
 	}
@@ -148,104 +163,59 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	// surrogate promotion path) — routes are published and the settle
 	// barrier ran, so the replaying modes skip straight to the rebuild.
 	pre := c.degraded[failed] != nil
-	if pre && mode == RecoverDrainFirst {
+	drain := mode == RecoverDrainFirst
+	if pre && drain {
 		return nil, fmt.Errorf("cluster: node %d has an open degraded window; drain-first recovery would drop its journal", failed)
 	}
-	rep := &RecoveryReport{Mode: mode, TargetBlocks: make(map[wire.NodeID]int)}
-	start := p.Now()
+	rep := &RecoveryReport{TargetBlocks: make(map[wire.NodeID]int)}
+	start, gated := p.Now(), c.gatedTime()
 	c.resetRecoverySources()
 
-	switch mode {
-	case RecoverDrainFirst:
-		// Terminate updates (waiting out in-flight ones), merge all logs,
-		// then fail and rebuild.
-		gateStart := p.Now()
-		c.fenceUpdates(p)
-		rep.Fence1Wait = p.Now() - gateStart
-		err := c.DrainAll(p, via)
-		rep.SettleTime = p.Now() - gateStart - rep.Fence1Wait
-		rep.DrainTime = p.Now() - gateStart
-		if err == nil {
-			c.Fabric.SetDown(failed, true)
-			var lost []wire.BlockID
-			if lost, err = c.rebuild(p, failed, parallel, via, rep, false); err == nil {
-				c.resetStripeState(lost)
-			}
-		}
-		c.openGate()
-		rep.GatedTime = p.Now() - gateStart
-		if err != nil {
-			return nil, err
-		}
-
-	case RecoverLogReplay:
-		// The degraded route is published only after the gate has closed:
-		// were it published against an open gate, a degraded read could
-		// slip through and reconstruct from raw shards the settle barrier
-		// has not yet made stripe-consistent. Registering before the settle
-		// (but under the gate) lets client ops to the dead node's stripes
-		// block at the gate instead of burning their bounded node-down
-		// retry budget for the whole barrier.
+	// The degraded routes are published only under the closed gate
+	// (openWindow): were they published against an open gate, a degraded
+	// read could slip through and reconstruct from raw shards the settle
+	// barrier has not yet made stripe-consistent. Log-replay registers
+	// before its settle, still gated, so client ops to the dead node's
+	// stripes block at the gate instead of burning their bounded node-down
+	// retry budget for the whole barrier.
+	if !drain {
 		c.Fabric.SetDown(failed, true)
-		gateStart := p.Now()
-		c.fenceUpdates(p)
-		rep.Fence1Wait = p.Now() - gateStart
-		var err error
-		if !pre {
-			err = c.registerAndSettle(p, failed, via, rep)
-		}
-		rep.DrainTime = p.Now() - gateStart
-		if err == nil {
-			var lost []wire.BlockID
-			if lost, err = c.rebuild(p, failed, parallel, via, rep, true); err == nil {
-				c.resetStripeState(lost)
-				if err = c.cutover(p, failed, via, rep); err == nil {
-					// Charge the replayed updates' merge debt to recovery,
-					// per the paper's accounting.
-					err = c.DrainAll(p, via)
-				}
-			}
-		}
-		c.openGate()
-		rep.GatedTime = p.Now() - gateStart
-		if err != nil {
-			return nil, err
-		}
-
-	case RecoverInterleaved:
-		c.Fabric.SetDown(failed, true)
-		// First fence: publish the degraded routes, then settle with client
-		// updates flowing (openDegraded). A pre-opened window already did
-		// both — the degraded stripes' raw shards have been frozen since —
-		// so the fence is skipped entirely.
-		if !pre {
-			if err := c.openDegraded(p, failed, via, rep); err != nil {
-				return nil, err
-			}
-		}
-		lost, err := c.rebuild(p, failed, parallel, via, rep, true)
-		if err != nil {
-			return nil, err
-		}
-		c.resetStripeState(lost)
-		// Second fence: wait out in-flight surrogate ops (a degraded read
-		// that already passed the gate must finish its journal overlay
-		// before the steal), replay the journal, and cut clients back over
-		// to the rebuilt placement.
-		gateStart := p.Now()
-		c.fenceUpdates(p)
-		rep.Fence2Wait = p.Now() - gateStart
-		err = c.cutover(p, failed, via, rep)
-		c.openGate()
-		rep.GatedTime += p.Now() - gateStart
-		if err != nil {
-			return nil, err
-		}
-
-	default:
-		return nil, fmt.Errorf("cluster: unknown recover mode %d", mode)
 	}
-
+	var err error
+	switch {
+	case drain:
+		rep.Fence1Wait = c.fenceUpdates(p)
+		settle := p.Now()
+		if err = c.DrainAll(p, via); err == nil {
+			c.Fabric.SetDown(failed, true)
+		}
+		rep.SettleTime = p.Now() - settle
+	case !pre:
+		err = c.openWindow(p, failed, via, rep, mode == RecoverInterleaved)
+	case mode == RecoverLogReplay:
+		rep.Fence1Wait = c.fenceUpdates(p)
+	}
+	rep.DrainTime = rep.Fence1Wait + rep.RegisterTime + rep.SettleTime
+	if err == nil {
+		var lost []wire.BlockID
+		if lost, err = c.rebuild(p, failed, parallel, via, rep, !drain); err == nil {
+			c.resetStripeState(lost)
+			if mode == RecoverInterleaved {
+				// Wait out in-flight surrogate ops: a degraded read that
+				// already passed the gate must finish its journal overlay
+				// before the steal.
+				rep.Fence2Wait = c.fenceUpdates(p)
+			}
+			if err = c.cutover(p, failed, via, rep); err == nil && mode == RecoverLogReplay {
+				err = c.DrainAll(p, via)
+			}
+		}
+	}
+	c.openGate()
+	rep.GatedTime = c.gatedTime() - gated
+	if err != nil {
+		return nil, err
+	}
 	rep.SourceReadBytes = c.recoverySources()
 	rep.TotalTime = p.Now() - start
 	if rep.TotalTime > 0 {
@@ -254,54 +224,36 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	return rep, nil
 }
 
-// registerAndSettle is log-replay's first barrier after the fence: publish
-// the degraded routes, then settle the failed node's stripes (the rest of
-// the merge debt waits for the DrainAll after the cutover), timing each
-// phase into rep.
-func (c *Cluster) registerAndSettle(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
+// openWindow opens a degraded window for a node already off the fabric. It
+// closes the gate, waits out the client ops already past it, publishes the
+// degraded routes (registerDegraded) and runs the settle barrier for the
+// failed node's stripes, timing each phase into rep. With open set it
+// reopens the gate before the settle, so the barrier runs while updates
+// flow; otherwise the gate stays closed for the caller (log-replay keeps
+// it through the rebuild and the cutover). The open settle is safe because
+// from the registration on no update reaches a degraded stripe's engines:
+// the client routes it to the surrogate, which journals it. So the barrier
+// only has to hold back what reads a degraded stripe's raw shards: a
+// degraded read of a lost block, which reconstructs its range from them,
+// waits while any live engine still holds state for that range
+// (settleFenced). Degraded reads of surviving blocks and all normal reads
+// go ahead. On a registration error the gate is left as it is.
+func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport, open bool) error {
+	rep.Fence1Wait = c.fenceUpdates(p)
 	start := p.Now()
-	_, err := c.registerDegraded(p, failed, via)
+	st, err := c.registerDegraded(p, failed, via)
 	rep.RegisterTime = p.Now() - start
 	if err != nil {
 		return err
 	}
+	if open {
+		st.settling = true
+		c.openGate()
+	}
 	start = p.Now()
 	err = c.SettleAll(p, via, failed)
-	rep.SettleTime = p.Now() - start
-	return err
-}
-
-// openDegraded opens a degraded window for a node already off the fabric,
-// with client updates gated only while the routes change. It closes the
-// gate, waits out the client ops already past it, publishes the degraded
-// routes (registerDegraded) and reopens the gate; then it runs the settle
-// barrier for the failed node's stripes while updates flow. That is safe
-// because from the registration on no update reaches a degraded stripe's
-// engines: the client routes it to the surrogate, which journals it. So
-// the barrier only has to hold back what reads a degraded stripe's raw
-// shards: a degraded read of a lost block, which reconstructs its range
-// from them, waits while any live engine still holds state for that range
-// (settleFenced). Degraded reads of surviving blocks and all normal reads
-// go ahead. The rebuild starts after openDegraded returns.
-func (c *Cluster) openDegraded(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
-	gateStart := p.Now()
-	c.fenceUpdates(p)
-	rep.Fence1Wait = p.Now() - gateStart
-	st, err := c.registerDegraded(p, failed, via)
-	rep.RegisterTime = p.Now() - gateStart - rep.Fence1Wait
-	if err != nil {
-		c.openGate()
-		return err
-	}
-	st.settling = true
-	c.openGate()
-	rep.GatedTime = p.Now() - gateStart
-	start := p.Now()
-	err = c.SettleAll(p, via, failed)
 	st.settling = false
-	c.gateCond.Broadcast()
 	rep.SettleTime = p.Now() - start
-	rep.DrainTime = p.Now() - gateStart
 	return err
 }
 
@@ -350,22 +302,14 @@ func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Cl
 		}
 		targets[i] = target
 		c.remap[blk] = target
-		rep.RemappedBlocks++
 		rep.TargetBlocks[target]++
 	}
 	rebuildStart := p.Now()
 	sem := c.Env.NewResource("recover-sem", parallel)
-	reencode := make([]bool, len(lost))
-	for i, blk := range lost {
-		reencode[i] = repair && c.stripeRepair(blk)
-		if reencode[i] {
-			rep.ReencodedStripes++
-		}
-	}
 	if err := sim.Parallel(p, "recover", len(lost), func(hp *sim.Proc, i int) error {
 		sem.Acquire(hp)
 		defer sem.Release()
-		req := &wire.RecoverBlock{Blk: lost[i], Reencode: reencode[i]}
+		req := &wire.RecoverBlock{Blk: lost[i], Reencode: repair && c.stripeRepair(lost[i])}
 		if err := wire.AckErr(c.Fabric.Call(hp, via.id, targets[i], req)); err != nil {
 			return fmt.Errorf("recover %v: %w", lost[i], err)
 		}
@@ -469,10 +413,18 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 			// Blocks in parallel, each block's extents one at a time in
 			// offset order. A block's extents do not overlap, so their order
 			// cannot change the result; replaying them serially keeps
-			// same-block concurrency out of the engines' replay path.
-			blocks := groupByBlock(rr.Items)
-			err = sim.Parallel(sp, "replay", len(blocks), func(hp *sim.Proc, i int) error {
-				for _, it := range blocks[i] {
+			// same-block concurrency out of the engines' replay path. The
+			// steal returns each block's extents as one contiguous run, which
+			// starts at runs[i] and ends where the next one starts.
+			var runs []int
+			for i, it := range rr.Items {
+				if i == 0 || it.Blk != rr.Items[i-1].Blk {
+					runs = append(runs, i)
+				}
+			}
+			runs = append(runs, len(rr.Items))
+			err = sim.Parallel(sp, "replay", len(runs)-1, func(hp *sim.Proc, i int) error {
+				for _, it := range rr.Items[runs[i]:runs[i+1]] {
 					osds := c.Placement(it.Blk.StripeID())
 					req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
 					if err := wire.AckErr(c.Fabric.Call(hp, via.id, osds[it.Blk.Index], req)); err != nil {
@@ -503,23 +455,6 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 	}
 	rep.ReplayTime = p.Now() - replayStart
 	return nil
-}
-
-// groupByBlock splits replay records into one list per block, blocks in
-// order of first appearance and each list in the order given.
-func groupByBlock(items []wire.ReplicaItem) [][]wire.ReplicaItem {
-	idx := make(map[wire.BlockID]int)
-	var out [][]wire.ReplicaItem
-	for _, it := range items {
-		i, ok := idx[it.Blk]
-		if !ok {
-			i = len(out)
-			idx[it.Blk] = i
-			out = append(out, nil)
-		}
-		out[i] = append(out[i], it)
-	}
-	return out
 }
 
 // fetchReplicaItems collects the failed node's replicated, unrecycled

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"tsue/internal/sim"
+	"tsue/internal/update"
 	"tsue/internal/wire"
 )
 
@@ -652,5 +653,74 @@ func TestRecoverRacesDrainAll(t *testing.T) {
 	}
 	if !drained || !recovered || !verified {
 		t.Fatalf("deadlock: drained=%v recovered=%v verified=%v", drained, recovered, verified)
+	}
+}
+
+// TestRecoverPreOpenedWindow covers the recovery branches a window opened
+// ahead of time by BeginDegraded takes: drain-first must refuse it and
+// leave it registered (draining would drop its journal), and log-replay
+// must fence, rebuild and cut over without registering or settling again,
+// replaying the updates journaled in the window byte-exact.
+func TestRecoverPreOpenedWindow(t *testing.T) {
+	for _, engine := range update.Names() {
+		t.Run(engine, func(t *testing.T) {
+			run(t, degradedConfig(engine), func(p *sim.Proc, c *Cluster, cl *Client) {
+				rng := rand.New(rand.NewSource(53))
+				content := make([]byte, 6*c.StripeWidth())
+				rng.Read(content)
+				ino, _ := cl.Create(p, "f", int64(len(content)))
+				if err := cl.WriteFile(p, ino, content); err != nil {
+					t.Fatal(err)
+				}
+				updates := func(n int) {
+					for i := 0; i < n; i++ {
+						off := int64(rng.Intn(len(content) - 4096))
+						buf := make([]byte, 1+rng.Intn(4096))
+						rng.Read(buf)
+						if err := cl.Update(p, ino, off, buf); err != nil {
+							t.Fatal(err)
+						}
+						copy(content[off:], buf)
+					}
+				}
+				updates(60)
+				victim := wire.NodeID(3)
+				if err := c.BeginDegraded(p, victim, cl); err != nil {
+					t.Fatal(err)
+				}
+				updates(60)
+				if _, err := c.Recover(p, victim, 2, RecoverDrainFirst, cl); err == nil || !strings.Contains(err.Error(), "open degraded window") {
+					t.Fatalf("drain-first on an open window: err %v, want its refusal", err)
+				}
+				if c.degraded[victim] == nil || c.gateClosed {
+					t.Fatalf("refused drain-first left registered=%v gate closed=%v, want the window registered and the gate open",
+						c.degraded[victim] != nil, c.gateClosed)
+				}
+				rep, err := c.Recover(p, victim, 2, RecoverLogReplay, cl)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if rep.Blocks == 0 || rep.ReplayedItems == 0 {
+					t.Fatalf("log-replay of the open window rebuilt %d blocks and replayed %d items, want both > 0", rep.Blocks, rep.ReplayedItems)
+				}
+				if c.degraded[victim] != nil {
+					t.Fatal("window still registered after log-replay recovery")
+				}
+				if err := c.DrainAll(p, cl); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := c.Scrub(); err != nil {
+					t.Fatalf("scrub: %v", err)
+				}
+				got, err := cl.Read(p, ino, 0, int64(len(content)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, content) {
+					t.Fatal("content after log-replay recovery of the open window differs from the last writes")
+				}
+				t.Logf("rebuilt %d blocks, replayed %d items", rep.Blocks, rep.ReplayedItems)
+			})
+		})
 	}
 }

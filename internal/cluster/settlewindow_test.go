@@ -175,14 +175,10 @@ func runSettleWindow(t *testing.T, engine string) {
 			}
 			return err
 		})
+		// Nothing signals the settle's end; poll for it like a fenced read
+		// does, and take its exact end from the report.
 		for st.settling {
-			c.gateCond.Wait(p)
-		}
-		end := p.Now()
-		for _, pr := range probes[:4] {
-			if !pr.done || pr.doneAt >= end {
-				t.Errorf("%s: done=%v at %v, want done inside the settle [%v, %v)", pr.name, pr.done, pr.doneAt, start, end)
-			}
+			p.Sleep(settlePoll)
 		}
 		blk := wire.BlockID{Ino: ino, Stripe: uint32(lostStripe), Index: uint16(updIdx)}
 		if j := c.OSDByID(st.surr[c.PG(blk.StripeID())]).journals[victim]; j == nil || j.blocks[blk] == nil {
@@ -190,6 +186,15 @@ func runSettleWindow(t *testing.T, engine string) {
 		}
 		for rep == nil && !t.Failed() {
 			p.Sleep(100 * time.Microsecond)
+		}
+		if t.Failed() {
+			return
+		}
+		end := start + rep.SettleTime
+		for _, pr := range probes[:4] {
+			if !pr.done || pr.doneAt >= end {
+				t.Errorf("%s: done=%v at %v, want done inside the settle [%v, %v)", pr.name, pr.done, pr.doneAt, start, end)
+			}
 		}
 		if pr := probes[4]; !pr.done && !t.Failed() {
 			t.Errorf("%s never returned", pr.name)

@@ -126,6 +126,9 @@ func RunPlacement(cfg RunConfig) (*PlacementResult, error) {
 func Placement(w io.Writer, s Scale) error {
 	t := s.table(w, "placement", fmt.Sprintf("== Placement: recovery fan-out and surrogate spread vs PG count (tsue, SSD, Ali-Cloud, RS(6,4), %d files) ==", s.Files),
 		"pgs\tlost blks\tfanout\tsrc CV\tsrc max/mean\ttargets\tsurrogates\tjournal(KB)\tjournal CV\trecover(ms)\tdip")
+	// The histograms follow as a table of their own: as rows of the main
+	// table they would set its second column's width.
+	hist := []string{"pgs\tsrc KB/OSD (desc)"}
 	for _, pgs := range s.PGCounts {
 		r, err := RunPlacement(s.multiFileConfig("tsue", 16, pgs))
 		if err != nil {
@@ -149,7 +152,13 @@ func Placement(w io.Writer, s Scale) error {
 			{"recover_ms", "%.1f", ms(r.Report.TotalTime)},
 			{"dip_pct", "%.0f%%", r.DipPct},
 		})
-		fmt.Fprintf(t, "\tsrc KB/OSD (desc)\t%s\n", histogram(r.SourceBytes))
+		hist = append(hist, fmt.Sprintf("%d\t%s", pgs, histogram(r.SourceBytes)))
+	}
+	if err := t.Flush(); err != nil {
+		return err
+	}
+	for _, line := range hist {
+		fmt.Fprintln(t, line)
 	}
 	return t.Flush()
 }
