@@ -604,10 +604,10 @@ func (c *Cluster) SurrogatesOf(failed wire.NodeID) []wire.NodeID {
 // a failed node's degraded window (tests, harness kill targeting).
 func (c *Cluster) JournalHoldersOf(failed, surrogate wire.NodeID) []wire.NodeID {
 	st := c.degraded[failed]
-	if st == nil {
+	if st == nil || st.quorum[surrogate] == nil {
 		return nil
 	}
-	return append([]wire.NodeID(nil), st.holders[surrogate]...)
+	return append([]wire.NodeID(nil), st.quorum[surrogate].holders...)
 }
 
 // BeginDegraded opens a degraded window for a node without rebuilding it:

@@ -53,6 +53,10 @@ var (
 	// have been extracted from the old home but not yet replayed at the new
 	// one. The client waits out the fence and retries.
 	errMigrating = errors.New("cluster: pg cutover in progress")
+	// errQuorumUnreachable fails a degraded update whose quorum round
+	// reached none of the surrogate's holders (every holder died
+	// mid-window). It is not retryable: the journal's death budget is spent.
+	errQuorumUnreachable = errors.New("cluster: degraded journal quorum unreachable")
 )
 
 // retryableRouteErr reports whether a client op failed only because its
@@ -85,23 +89,8 @@ type degradedState struct {
 	stripes map[wire.StripeID]bool
 	// lost is every block the failed node hosted (one per degraded stripe).
 	lost map[wire.BlockID]bool
-	// holders is the fixed quorum holder set per surrogate: the first
-	// min(M, live-1) live OSDs after the surrogate in ring order (skipping
-	// the failed node), chosen deterministically at registration. Every
-	// journal append replicates to all reachable members before it is
-	// acked, so any m concurrent deaths leave at least one holder with
-	// every acked record (Cluster.promoteSurrogate unions them).
-	holders map[wire.NodeID][]wire.NodeID
-	// ackSeq is, per surrogate, the highest append sequence whose quorum
-	// replication was fully acked. Promotion after a surrogate death must
-	// recover every acked seq in 1..ackSeq; losing one means more than m
-	// holders died and the journal is genuinely unrecoverable
-	// (ErrSurrogateLost).
-	ackSeq map[wire.NodeID]uint64
-	// unacked is, per surrogate, every append seq whose quorum round
-	// failed. The client was told and retried under a later seq, so a
-	// failed seq may be on no holder although ackSeq is past it.
-	unacked map[wire.NodeID][]uint64
+	// quorum is each surrogate's journal quorum (see quorum).
+	quorum map[wire.NodeID]*quorum
 	// settling is set while the window's settle barrier runs with the gate
 	// open (openWindow): a degraded read of a lost block, which
 	// reconstructs from the stripe's raw shards, waits until no live engine
@@ -112,6 +101,19 @@ type degradedState struct {
 	// in the DataLog replicas (retired at extraction) nor in JournalReplica
 	// retention, so a surrogate promotion must re-splice them from here.
 	orphans []wire.ReplicaItem
+}
+
+// quorum is one surrogate's journal quorum. holders is its fixed holder
+// set, chosen when the surrogate takes its PGs (newQuorum). Every journal
+// append replicates to all reachable holders before it is acked, so any m
+// concurrent deaths leave at least one holder with every acked record
+// (Cluster.promoteSurrogate unions them). acked is the set of append seqs
+// whose client was told the record is durable: promotion after the
+// surrogate's death must find each of them on some holder, or more than m
+// nodes died and the journal is unrecoverable (ErrSurrogateLost).
+type quorum struct {
+	holders []wire.NodeID
+	acked   map[uint64]bool
 }
 
 // ---- update gate ----
@@ -227,49 +229,40 @@ func (c *Cluster) nextLive(after, exclude wire.NodeID) wire.NodeID {
 	return after
 }
 
-// journalHolders returns the fixed quorum holder set for a (failed,
-// surrogate) pair: the first min(M, live-1) live OSDs strictly after the
-// surrogate in ring order, skipping the failed node and the surrogate
-// itself. Deterministic given the live set, so tests and promotion can
-// recompute it; M holders plus the surrogate give the journal the same
-// m-death budget as the erasure code itself.
-func (c *Cluster) journalHolders(surrogate, failed wire.NodeID) []wire.NodeID {
+// newQuorum fixes the journal quorum of a (failed, surrogate) pair against
+// the live set now: its holders are the first min(M, live-1) live OSDs
+// strictly after the surrogate in ring order, skipping the failed node and
+// the surrogate itself. M holders plus the surrogate give the journal the
+// same m-death budget as the erasure code itself.
+func (c *Cluster) newQuorum(surrogate, failed wire.NodeID) *quorum {
 	live := 0
 	for _, osd := range c.OSDs {
 		if !c.Fabric.Down(osd.id) {
 			live++
 		}
 	}
-	q := c.Cfg.M
-	if q > live-1 {
-		q = live - 1
-	}
-	if q <= 0 {
-		return nil
-	}
+	q := &quorum{acked: make(map[uint64]bool)}
 	n := len(c.OSDs)
 	start := int(surrogate) - 1
-	var out []wire.NodeID
-	for step := 1; step <= n && len(out) < q; step++ {
+	for step := 1; step <= n && len(q.holders) < min(c.Cfg.M, live-1); step++ {
 		id := c.OSDs[(start+step)%n].id
 		if id == surrogate || id == failed || c.Fabric.Down(id) {
 			continue
 		}
-		out = append(out, id)
+		q.holders = append(q.holders, id)
 	}
-	return out
+	return q
 }
 
 // registerDegraded publishes degraded routing for a failed node: it assigns
 // a surrogate per degraded placement group (the placement map's stable
 // replacement for the failed node's slot — which is also where the PG's
 // lost blocks will rebuild, so the journal lands next to its replay
-// targets), seeds each surrogate's journal with its PGs' share of the
-// failed node's replicated unrecycled DataLog items (so degraded reads see
-// pre-failure updates and the cutover replays them), and records the
-// degraded stripe and lost block sets. The registration plus in-memory
-// seeding happen atomically with respect to client routing, so no journaled
-// update can land ahead of an older seed.
+// targets), fixes each surrogate's journal quorum, seeds the journals
+// (seedJournals) so degraded reads see pre-failure updates and the cutover
+// replays them, and records the degraded stripe and lost block sets. The
+// registration plus in-memory seeding happen atomically with respect to
+// client routing, so no journaled update can land ahead of an older seed.
 func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client) (*degradedState, error) {
 	if _, dup := c.degraded[failed]; dup {
 		return nil, fmt.Errorf("cluster: node %d already degraded", failed)
@@ -283,22 +276,13 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 		surr:    make(map[int]wire.NodeID),
 		stripes: make(map[wire.StripeID]bool),
 		lost:    make(map[wire.BlockID]bool),
-		holders: make(map[wire.NodeID][]wire.NodeID),
-		ackSeq:  make(map[wire.NodeID]uint64),
-		unacked: make(map[wire.NodeID][]uint64),
+		quorum:  make(map[wire.NodeID]*quorum),
 	}
 	dead := func(id wire.NodeID) bool { return c.Fabric.Down(id) }
 	pmap := c.MDS.PlacementMap()
-	seen := make(map[wire.NodeID]bool)
-	// store.Blocks is sorted, so surrogate discovery order — and with it
+	// lostBlocks is sorted, so surrogate discovery order — and with it
 	// st.surrogates and the cutover's drain order — is deterministic.
-	for _, blk := range c.OSDByID(failed).store.Blocks() {
-		if c.Placement(blk.StripeID())[blk.Index] != failed {
-			// A stale leftover (e.g. the block migrated away under a
-			// finish-resolved transition): placement is the authority for
-			// what is lost, not the dead store's contents.
-			continue
-		}
+	for _, blk := range c.lostBlocks(failed) {
 		s := blk.StripeID()
 		st.stripes[s] = true
 		st.lost[blk] = true
@@ -321,46 +305,70 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 			return nil, fmt.Errorf("cluster: surrogate %d for node %d pg %d not live", sur, failed, pg)
 		}
 		st.surr[pg] = sur
-		if !seen[sur] {
-			seen[sur] = true
+		if st.quorum[sur] == nil {
+			st.quorum[sur] = c.newQuorum(sur, failed)
 			st.surrogates = append(st.surrogates, sur)
 		}
 	}
-	// Fix each surrogate's quorum holder set now, against the live set at
-	// registration: appends ack only once durable on every reachable member.
-	for _, sur := range st.surrogates {
-		st.holders[sur] = c.journalHolders(sur, failed)
-	}
 	c.degraded[failed] = st
-	// Overlay records orphaned by a finish-resolved transition (their
-	// replay target was this node) ride along as extra seeds: degraded
-	// reads overlay them and the cutover replays them at the rebuilt
-	// homes. They follow the replica seeds, preserving append order per
-	// block (an orphan's block never also has replica seeds — extraction
-	// retired those). A copy stays on the state for surrogate promotion.
 	st.orphans = c.takeOrphans(failed)
-	items = append(items, st.orphans...)
-	// Partition the replica seeds by PG surrogate. A seed whose stripe is
-	// not degraded (its block migrated away before the death, so the node
-	// no longer hosted it) replayed at the new home already — skip it.
-	perSurr := make(map[wire.NodeID]int64)
-	for _, it := range items {
-		if !st.stripes[it.Blk.StripeID()] {
-			continue
-		}
-		sur := st.surr[pmap.PGOf(it.Blk.StripeID())]
-		c.OSDByID(sur).journalFor(failed).add(it.Blk, it.Off, it.Data)
-		perSurr[sur] += int64(len(it.Data))
-	}
+	seeded := c.seedJournals(st, items, nil)
 	// Charge the journal persists after the fact; the seeds already have
 	// replicas on their original holders, so they are not re-replicated.
 	for _, sur := range st.surrogates {
-		if n := perSurr[sur]; n > 0 {
+		if n := seeded[sur]; n > 0 {
 			osd := c.OSDByID(sur)
 			osd.journalPersist(p, osd.journalFor(failed), n)
 		}
 	}
 	return st, nil
+}
+
+// lostBlocks returns every block the current placement (remaps included)
+// puts on a node, in BlockID order. Placement, not the dead node's store, is
+// the authority for what a death loses: a block the map places elsewhere —
+// e.g. one a finish-resolved transition migrated away — is not this
+// failure's to journal for or rebuild.
+func (c *Cluster) lostBlocks(failed wire.NodeID) []wire.BlockID {
+	var lost []wire.BlockID
+	for _, s := range c.MDS.allStripes() {
+		for i, id := range c.Placement(s) {
+			if id == failed {
+				lost = append(lost, wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(i)})
+			}
+		}
+	}
+	return lost
+}
+
+// seedJournals adds a window's seed records to the journals of the
+// surrogates now serving their PGs, without yielding, and returns the bytes
+// added per surrogate. The failed node's replicated unrecycled DataLog
+// items come first, then the records orphaned by a finish-resolved
+// transition (their replay target was the failed node), which preserves
+// append order per block: an orphan's block never also has replica seeds,
+// extraction retired those. Only degraded stripes are seeded — an item of a
+// block that migrated off the failed node before its death was replayed at
+// the new home already, and replaying it again would overwrite newer
+// writes — and, with pgs set, only those PGs (a promotion re-seeds the dead
+// surrogate's share). Seeds are seq-less: they are recoverable elsewhere,
+// so they need no quorum.
+func (c *Cluster) seedJournals(st *degradedState, seeds []wire.ReplicaItem, pgs map[int]bool) map[wire.NodeID]int64 {
+	pmap := c.MDS.PlacementMap()
+	seeded := make(map[wire.NodeID]int64)
+	for _, items := range [][]wire.ReplicaItem{seeds, st.orphans} {
+		for _, it := range items {
+			s := it.Blk.StripeID()
+			pg := pmap.PGOf(s)
+			if !st.stripes[s] || pgs != nil && !pgs[pg] {
+				continue
+			}
+			sur := st.surr[pg]
+			c.OSDByID(sur).journalFor(st.failed).add(it.Blk, it.Off, it.Data)
+			seeded[sur] += int64(len(it.Data))
+		}
+	}
+	return seeded
 }
 
 func (c *Cluster) unregisterDegraded(failed wire.NodeID) {
@@ -504,38 +512,29 @@ func (o *OSD) journalPersistReplica(p *sim.Proc, j *journal, n int64) {
 	fin()
 }
 
-// handleDegradedUpdate journals one client update for a degraded stripe.
-// The memory append happens atomically with the registration re-check and
-// the in-flight registration (no blocking in between), so the cutover's
-// steal loop can never miss it; the device persist and the replication
-// round trip are charged afterwards, covered by the in-flight count so a
-// recovery fence waits them out.
-func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg {
-	o.c.waitGate(p)
-	st := o.c.degraded[v.Failed]
-	if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
-		return &wire.Ack{Err: errDegradedGone}
-	}
-	o.c.surrOpsInFlight++
-	defer o.c.surrOpDone()
-	j := o.journalFor(v.Failed)
-	// The append and its sequence number are assigned atomically (no yield),
-	// so index order and seq order agree.
-	j.add(v.Blk, v.Off, v.Data)
+// append adds one record to the journal's index and numbers it in this
+// surrogate's append sequence, with no yield, so index order and seq order
+// agree.
+func (j *journal) append(blk wire.BlockID, off int64, data []byte) uint64 {
+	j.add(blk, off, data)
 	j.nextSeq++
-	seq := j.nextSeq
-	o.journalPersist(p, j, int64(len(v.Data)))
-	// Quorum-replicate the record to the fixed holder set before acking:
-	// the update is durable against any m concurrent deaths only once every
-	// reachable holder has persisted it. A holder that is down is skipped:
-	// it narrows the redundancy window, and promotion's union across the
-	// holders covers an append it missed. Any other failure fails the ack
-	// and marks the seq unacked — the client retries under a new seq and
-	// the duplicate append is harmless (same bytes at the same offset for
-	// both overlay and replay).
-	holders := st.holders[o.id]
+	return j.nextSeq
+}
+
+// commit makes an appended record durable for its surrogate, this OSD: it
+// persists the record to the local journal and replicates it to every
+// reachable holder of q in one parallel round. A holder that is down is
+// skipped: it narrows the redundancy window, and promotion's union across
+// the holders covers an append it missed. Any other holder failure fails
+// the commit, and so does a round that reached no holder at all
+// (errQuorumUnreachable): acking then would leave the surrogate with the
+// only copy. A surrogate that died during its round fails the commit with
+// errDegradedGone: its calls fail as node-down whatever the holders' state,
+// and its journal is being promoted elsewhere, so the client retries there.
+func (o *OSD) commit(p *sim.Proc, failed wire.NodeID, q *quorum, it wire.JournalItem, sum uint32) error {
+	o.journalPersist(p, o.journalFor(failed), int64(len(it.Data)))
 	var live []wire.NodeID
-	for _, h := range holders {
+	for _, h := range q.holders {
 		if !o.c.Fabric.Down(h) {
 			live = append(live, h)
 		}
@@ -544,8 +543,8 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 	err := sim.Parallel(p, "journal-repl", len(live), func(hp *sim.Proc, i int) error {
 		h := live[i]
 		resp, err := o.Call(hp, h, &wire.JournalReplica{
-			Failed: v.Failed, Surrogate: o.id, Seq: seq,
-			Blk: v.Blk, Off: v.Off, Data: v.Data, Sum: v.Sum,
+			Failed: failed, Surrogate: o.id, Seq: it.Seq,
+			Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: sum,
 		})
 		if errors.Is(err, netsim.ErrNodeDown) {
 			return nil
@@ -554,22 +553,44 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 			return fmt.Errorf("journal replica @%d: %w", h, err)
 		}
 		o.jrSentMsgs++
-		o.jrSentBytes += int64(len(v.Data))
+		o.jrSentBytes += int64(len(it.Data))
 		acked++
 		return nil
 	})
-	if err == nil && acked == 0 && len(holders) > 0 {
-		// Every holder died mid-window: acking now would leave the record
-		// with zero durable copies beyond this surrogate.
-		err = errors.New("cluster: degraded journal quorum unreachable")
+	switch {
+	case o.c.Fabric.Down(o.id):
+		return errDegradedGone
+	case err != nil:
+		return err
+	case acked == 0 && len(q.holders) > 0:
+		return errQuorumUnreachable
 	}
-	if err != nil {
-		st.unacked[o.id] = append(st.unacked[o.id], seq)
+	return nil
+}
+
+// handleDegradedUpdate journals one client update for a degraded stripe.
+// The append happens atomically with the registration re-check and the
+// in-flight registration (no blocking in between), so the cutover's steal
+// loop can never miss it; the commit is charged afterwards, covered by the
+// in-flight count so a recovery fence waits it out. The seq enters the
+// surrogate's acked set only when the commit succeeds. A failed commit
+// fails the ack: the client retries under a new seq, and the duplicate
+// append is harmless (same bytes at the same offset for both overlay and
+// replay).
+func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg {
+	o.c.waitGate(p)
+	st := o.c.degraded[v.Failed]
+	if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
+		return &wire.Ack{Err: errDegradedGone}
+	}
+	o.c.surrOpsInFlight++
+	defer o.c.surrOpDone()
+	q := st.quorum[o.id]
+	it := wire.JournalItem{Seq: o.journalFor(v.Failed).append(v.Blk, v.Off, v.Data), Blk: v.Blk, Off: v.Off, Data: v.Data}
+	if err := o.commit(p, v.Failed, q, it, v.Sum); err != nil {
 		return &wire.Ack{Err: err}
 	}
-	if st.ackSeq[o.id] < seq {
-		st.ackSeq[o.id] = seq
-	}
+	q.acked[it.Seq] = true
 	return wire.OK
 }
 

@@ -117,18 +117,19 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 // kept for st.failed by read-repairing across the victim's fixed quorum
 // holder set. Every reachable holder's sequenced post-seed appends are
 // fetched (non-destructive JournalFetch) and unioned by seq. Every acked
-// append reached every then-reachable holder, so the union holds every
-// acked seq, even when a holder was down for some appends (a flap). A seq
-// in 1..ackSeq missing from the union is lost unless its quorum round
-// failed (st.unacked: the client retried it under a later seq); a lost one
-// means more than m holders died (ErrSurrogateLost). The promoted journal
-// is rebuilt in original order — the re-fetched seed share (ReplicaFetch
-// is non-destructive), the re-spliced transition orphans, then every
-// recovered append in seq order — on the first live holder, and the
-// recovered appends are re-replicated under the NEW surrogate's holder set
-// with fresh seqs, restoring the quorum so a chained surrogate death is
-// equally survivable. Route re-pointing is atomic with the splice, so a
-// degraded op admitted after promotion always sees the full journal.
+// append reached every then-reachable holder, so the union holds every seq
+// in the victim's acked set, even when a holder was down for some appends
+// (a flap); an acked seq missing from it means more than m holders died
+// (ErrSurrogateLost). The promoted journal is rebuilt in original order on
+// the first live holder — the re-fetched seed share (ReplicaFetch is
+// non-destructive) and the transition orphans (seedJournals), then every
+// recovered append in seq order, renumbered into the new surrogate's own
+// append sequence. In the same instant the victim's PGs route to the new
+// surrogate and the recovered seqs enter its acked set (their clients were
+// acked in the old window), so a degraded op admitted after promotion
+// always sees the full journal. Each recovered append is then committed
+// under the new surrogate's quorum like a client append, restoring the
+// m-death budget so a chained surrogate death is equally survivable.
 func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.NodeID, via *Client, rep *KillReport) error {
 	pgs := make(map[int]bool)
 	for pg, sur := range st.surr {
@@ -139,17 +140,17 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	if len(pgs) == 0 {
 		return nil
 	}
+	vq := st.quorum[victim]
 	var reachable []wire.NodeID
-	for _, h := range st.holders[victim] {
+	for _, h := range vq.holders {
 		if !c.Fabric.Down(h) {
 			reachable = append(reachable, h)
 		}
 	}
-	ackSeq := st.ackSeq[victim]
 	if len(reachable) == 0 {
-		if ackSeq > 0 {
+		if len(vq.acked) > 0 {
 			return fmt.Errorf("cluster: surrogate %d for node %d died and all %d quorum holders are unreachable: %w",
-				victim, st.failed, len(st.holders[victim]), ErrSurrogateLost)
+				victim, st.failed, len(vq.holders), ErrSurrogateLost)
 		}
 		// Nothing was ever acked through the quorum; any live successor can
 		// host the re-fetched seeds.
@@ -182,117 +183,54 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 			}
 		}
 	}
-	// Every acked append must have survived on some holder; a seq whose
-	// quorum round failed was retried under a later one and may be on none.
-	for seq := uint64(1); seq <= ackSeq; seq++ {
-		if _, ok := bySeq[seq]; !ok && !slices.Contains(st.unacked[victim], seq) {
-			return fmt.Errorf("cluster: surrogate %d journal for node %d lost acked append seq %d/%d: %w",
-				victim, st.failed, seq, ackSeq, ErrSurrogateLost)
+	missing := 0
+	for seq := range vq.acked {
+		if _, ok := bySeq[seq]; !ok {
+			missing++
 		}
+	}
+	if missing > 0 {
+		return fmt.Errorf("cluster: surrogate %d journal for node %d lost %d of %d acked appends: %w",
+			victim, st.failed, missing, len(vq.acked), ErrSurrogateLost)
 	}
 	recovered := make([]wire.JournalItem, 0, len(bySeq))
 	for _, it := range bySeq {
 		recovered = append(recovered, it)
 	}
 	sort.Slice(recovered, func(a, b int) bool { return recovered[a].Seq < recovered[b].Seq })
-	cand := reachable[0]
 	seeds, err := c.fetchReplicaItems(p, st.failed, via)
 	if err != nil {
 		return err
 	}
-	pmap := c.MDS.PlacementMap()
+	// The splice: nothing below yields until the persist.
+	cand := reachable[0]
+	for pg := range pgs {
+		st.surr[pg] = cand
+	}
+	st.surrogates = slices.DeleteFunc(st.surrogates, func(s wire.NodeID) bool { return s == victim })
+	delete(st.quorum, victim)
+	q := st.quorum[cand]
+	if q == nil {
+		q = c.newQuorum(cand, st.failed)
+		st.quorum[cand] = q
+		st.surrogates = append(st.surrogates, cand)
+	}
 	osd := c.OSDByID(cand)
 	j := osd.journalFor(st.failed)
-	var seeded int64
-	for _, it := range seeds {
-		// Same filters registerDegraded applied: the victim's PGs only, and
-		// degraded stripes only — a finish-resolved transition can leave
-		// un-retired replica items for blocks that migrated off the failed
-		// node, and replaying those at the new homes would overwrite newer
-		// foreground writes.
-		if !pgs[pmap.PGOf(it.Blk.StripeID())] || !st.stripes[it.Blk.StripeID()] {
-			continue
-		}
-		j.add(it.Blk, it.Off, it.Data)
-		seeded += int64(len(it.Data))
-	}
-	// Transition-orphaned records the victim's journal was seeded with live
-	// nowhere else (replicas retired at extraction, never re-replicated);
-	// re-splice them from the degraded state, in their original
-	// post-replica-seed position.
-	for _, it := range st.orphans {
-		if !pgs[pmap.PGOf(it.Blk.StripeID())] {
-			continue
-		}
-		j.add(it.Blk, it.Off, it.Data)
-		seeded += int64(len(it.Data))
-	}
-	// Splice the recovered appends behind the seeds in original seq order,
-	// renumbering them into the new surrogate's own append sequence.
-	newSeqs := make([]uint64, len(recovered))
-	for i, it := range recovered {
-		j.add(it.Blk, it.Off, it.Data)
-		j.nextSeq++
-		newSeqs[i] = j.nextSeq
-		seeded += int64(len(it.Data))
+	seeded := c.seedJournals(st, seeds, pgs)[cand]
+	for i := range recovered {
+		recovered[i].Seq = j.append(recovered[i].Blk, recovered[i].Off, recovered[i].Data)
+		q.acked[recovered[i].Seq] = true
 	}
 	if seeded > 0 {
 		osd.journalPersist(p, j, seeded)
 	}
+	for _, it := range recovered {
+		if err := osd.commit(p, st.failed, q, it, wire.Checksum(it.Data)); err != nil {
+			return fmt.Errorf("journal re-replicate seq %d: %w", it.Seq, err)
+		}
+	}
 	rep.RepairedItems += len(recovered)
-	// Re-point the degraded routes — same instant as the splice (no yield
-	// since the fetch), so no op can observe a half-promoted journal.
-	for pg := range pgs {
-		st.surr[pg] = cand
-	}
-	delete(st.holders, victim)
-	delete(st.ackSeq, victim)
-	delete(st.unacked, victim)
-	if _, ok := st.holders[cand]; !ok {
-		st.holders[cand] = c.journalHolders(cand, st.failed)
-	}
-	// Re-replicate the recovered appends under the new surrogate's holder
-	// set: the journal's m-death budget must hold again after the repair,
-	// not just until the next death.
-	for i, it := range recovered {
-		acked := false
-		for _, h := range st.holders[cand] {
-			if c.Fabric.Down(h) {
-				continue
-			}
-			resp, err := osd.Call(p, h, &wire.JournalReplica{
-				Failed: st.failed, Surrogate: cand, Seq: newSeqs[i],
-				Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data),
-			})
-			if errors.Is(err, netsim.ErrNodeDown) {
-				continue
-			}
-			if err := wire.AckErr(resp, err); err != nil {
-				return fmt.Errorf("journal re-replicate @%d: %w", h, err)
-			}
-			osd.jrSentMsgs++
-			osd.jrSentBytes += int64(len(it.Data))
-			acked = true
-		}
-		if acked && st.ackSeq[cand] < newSeqs[i] {
-			st.ackSeq[cand] = newSeqs[i]
-		}
-	}
-	surrs := st.surrogates[:0]
-	seen := false
-	for _, sur := range st.surrogates {
-		if sur == victim {
-			continue
-		}
-		if sur == cand {
-			seen = true
-		}
-		surrs = append(surrs, sur)
-	}
-	if !seen {
-		surrs = append(surrs, cand)
-	}
-	st.surrogates = surrs
 	rep.PromotedJournals++
 	return nil
 }

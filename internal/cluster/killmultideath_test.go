@@ -11,9 +11,9 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"tsue/internal/sim"
@@ -218,7 +218,7 @@ func TestMultiDeathStrandingReproFixed(t *testing.T) {
 // TestDegradedUpdateQuorumUnreachable pins the no-zero-copy-acks rule:
 // when every quorum holder is unreachable a degraded update must FAIL
 // rather than ack with the surrogate holding the only copy, and the
-// surrogate's acked-sequence watermark must not advance past the failure.
+// failed append's seq must not enter the surrogate's acked set.
 func TestDegradedUpdateQuorumUnreachable(t *testing.T) {
 	cfg := degradedConfig("tsue")
 	c := MustNew(cfg)
@@ -274,21 +274,21 @@ func TestDegradedUpdateQuorumUnreachable(t *testing.T) {
 			t.Errorf("degraded update with live quorum: %v", err)
 			return
 		}
-		seqBefore := st.ackSeq[surr]
-		if seqBefore == 0 {
-			t.Error("acked degraded update did not advance the quorum watermark")
+		ackedBefore := len(st.quorum[surr].acked)
+		if ackedBefore == 0 {
+			t.Error("acked degraded update did not enter the acked set")
 			return
 		}
 		for _, h := range c.JournalHoldersOf(failed, surr) {
 			c.Fabric.SetDown(h, true)
 		}
 		err = cl.Update(p, ino, base+1024, buf)
-		if err == nil || !strings.Contains(err.Error(), "quorum unreachable") {
+		if !errors.Is(err, errQuorumUnreachable) {
 			t.Errorf("update with no reachable holder: got %v, want quorum-unreachable failure", err)
 			return
 		}
-		if st.ackSeq[surr] != seqBefore {
-			t.Errorf("ackSeq moved %d→%d across a failed append", seqBefore, st.ackSeq[surr])
+		if n := len(st.quorum[surr].acked); n != ackedBefore {
+			t.Errorf("acked set grew %d→%d across a failed append", ackedBefore, n)
 			return
 		}
 		done = true

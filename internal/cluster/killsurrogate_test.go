@@ -10,9 +10,11 @@ package cluster
 import (
 	"bytes"
 	"errors"
-
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
 	"tsue/internal/sim"
 	"tsue/internal/wire"
@@ -476,6 +478,217 @@ func TestKillSurrogateAfterFailedQuorumRound(t *testing.T) {
 			return
 		}
 		if !readBack("after recovery", 0, fileSize) {
+			return
+		}
+		done = true
+	})
+	c.Env.RunTest(t)
+	if !done && !t.Failed() {
+		t.Fatal("deadlock")
+	}
+}
+
+// TestKillSurrogateMidAppend: the surrogate of a lost block dies while one
+// client update to that block is inside its append (the persist or the
+// quorum round), at every delay of a sweep. Two deaths on RS(4,2) are
+// inside the death budget, so the update must ack — a surrogate that died
+// during its round answers with a retryable bounce and the client retries
+// onto the promoted surrogate — and every byte must read back after both
+// nodes recover.
+func TestKillSurrogateMidAppend(t *testing.T) {
+	var bad []string
+	n := 0
+	for d := time.Duration(0); d <= 400*time.Microsecond; d += 5 * time.Microsecond {
+		n++
+		if err := killSurrogateMidAppend(t, d); err != nil {
+			bad = append(bad, fmt.Sprintf("kill after %v: %v", d, err))
+		}
+	}
+	if len(bad) > 0 {
+		t.Errorf("%d of %d delays failed:\n%s", len(bad), n, strings.Join(bad, "\n"))
+	}
+}
+
+// killSurrogateMidAppend runs one delay of TestKillSurrogateMidAppend.
+func killSurrogateMidAppend(t *testing.T, delay time.Duration) error {
+	c := MustNew(degradedConfig("tsue"))
+	defer c.Env.Close()
+	cl := c.NewClient()
+	admin := c.NewClient()
+	err := errors.New("deadlock")
+	c.Env.Go("t", func(p *sim.Proc) {
+		err = func() error {
+			rng := rand.New(rand.NewSource(83))
+			fileSize := 4 * c.StripeWidth()
+			content := make([]byte, fileSize)
+			rng.Read(content)
+			ino, err := cl.Create(p, "f", fileSize)
+			if err != nil {
+				return err
+			}
+			if err := cl.WriteFile(p, ino, content); err != nil {
+				return err
+			}
+			if err := c.DrainAll(p, admin); err != nil {
+				return err
+			}
+			failed := wire.NodeID(3)
+			c.Fabric.SetDown(failed, true)
+			st, err := c.registerDegraded(p, failed, admin)
+			if err != nil {
+				return err
+			}
+			var blk wire.BlockID
+			found := false
+			for b := range st.lost {
+				if int(b.Index) < c.Cfg.K && (!found || b.Compare(blk) < 0) {
+					blk, found = b, true
+				}
+			}
+			if !found {
+				return errors.New("no lost data block")
+			}
+			surr := st.surr[c.PG(blk.StripeID())]
+			killed := sim.NewQueue[error](c.Env)
+			c.Env.Go("killer", func(kp *sim.Proc) {
+				kp.Sleep(delay)
+				krep, err := c.Kill(kp, surr, admin)
+				if err == nil && krep.PromotedJournals != 1 {
+					err = fmt.Errorf("promoted %d journals, want 1", krep.PromotedJournals)
+				}
+				killed.Put(err)
+			})
+			off := int64(blk.Stripe)*c.StripeWidth() + int64(blk.Index)*c.Cfg.BlockSize + 1024
+			buf := make([]byte, 4<<10)
+			rng.Read(buf)
+			uerr := cl.Update(p, ino, off, buf)
+			if kerr, _ := killed.Get(p); kerr != nil {
+				return fmt.Errorf("kill surrogate %d: %w", surr, kerr)
+			}
+			if uerr != nil {
+				return fmt.Errorf("update: %w", uerr)
+			}
+			copy(content[off:], buf)
+			if got, err := cl.Read(p, ino, off, int64(len(buf))); err != nil || !bytes.Equal(got, buf) {
+				return fmt.Errorf("read-back after promotion: err %v, match %v", err, bytes.Equal(got, buf))
+			}
+			for _, id := range []wire.NodeID{surr, failed} {
+				if _, err := c.Recover(p, id, 2, RecoverInterleaved, admin); err != nil {
+					return fmt.Errorf("recover %d: %w", id, err)
+				}
+			}
+			if err := c.DrainAll(p, admin); err != nil {
+				return err
+			}
+			if _, err := c.Scrub(); err != nil {
+				return fmt.Errorf("scrub: %w", err)
+			}
+			if got, err := cl.Read(p, ino, 0, fileSize); err != nil || !bytes.Equal(got, content) {
+				return fmt.Errorf("read-back after recovery: err %v, match %v", err, bytes.Equal(got, content))
+			}
+			return nil
+		}()
+	})
+	c.Env.RunTest(t)
+	return err
+}
+
+// TestKillSurrogateChained: promotion restores the journal's quorum, so
+// the promoted surrogate's own death is survivable too. On RS(3,3) the
+// failed node, the busiest surrogate and then the surrogate its PGs were
+// promoted to die in turn, with acked appends before, between and after
+// the deaths; every acked byte must survive both promotions and the three
+// recoveries.
+func TestKillSurrogateChained(t *testing.T) {
+	c := MustNew(multiDeathConfig("tsue"))
+	defer c.Env.Close()
+	cl := c.NewClient()
+	admin := c.NewClient()
+	done := false
+	c.Env.Go("t", func(p *sim.Proc) {
+		rng := rand.New(rand.NewSource(89))
+		fileSize := 3 * c.StripeWidth()
+		content := make([]byte, fileSize)
+		rng.Read(content)
+		ino, err := cl.Create(p, "f", fileSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if err := cl.WriteFile(p, ino, content); err != nil {
+			t.Error(err)
+			return
+		}
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		failed := wire.NodeID(3)
+		if err := c.BeginDegraded(p, failed, admin); err != nil {
+			t.Errorf("begin degraded: %v", err)
+			return
+		}
+		st := c.degraded[failed]
+		// kill takes a surrogate down and returns where one of its PGs was
+		// promoted to.
+		kill := func(surr wire.NodeID) wire.NodeID {
+			pg := -1
+			for g, s := range st.surr {
+				if s == surr && (pg < 0 || g < pg) {
+					pg = g
+				}
+			}
+			krep, err := c.Kill(p, surr, admin)
+			if err != nil {
+				t.Errorf("kill surrogate %d: %v", surr, err)
+				return 0
+			}
+			if krep.PromotedJournals != 1 {
+				t.Errorf("kill surrogate %d promoted %d journals, want 1", surr, krep.PromotedJournals)
+				return 0
+			}
+			return st.surr[pg]
+		}
+		if !degradedStripeOps(t, p, c, cl, st, ino, content, rng, 20) {
+			return
+		}
+		first := busiestSurrogate(c, st)
+		if first == 0 {
+			t.Error("no surrogate holds journal items")
+			return
+		}
+		second := kill(first)
+		if second == 0 || !degradedStripeOps(t, p, c, cl, st, ino, content, rng, 20) {
+			return
+		}
+		if c.OSDByID(second).journalRecords(failed) == 0 {
+			t.Errorf("promoted surrogate %d holds no journal records", second)
+			return
+		}
+		if kill(second) == 0 || !degradedStripeOps(t, p, c, cl, st, ino, content, rng, 20) {
+			return
+		}
+		for _, id := range []wire.NodeID{first, second, failed} {
+			if _, err := c.Recover(p, id, 2, RecoverInterleaved, admin); err != nil {
+				t.Errorf("recover %d: %v", id, err)
+				return
+			}
+		}
+		if err := c.DrainAll(p, admin); err != nil {
+			t.Error(err)
+			return
+		}
+		if _, err := c.Scrub(); err != nil {
+			t.Errorf("scrub: %v", err)
+			return
+		}
+		got, err := cl.Read(p, ino, 0, fileSize)
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		if !bytes.Equal(got, content) {
+			t.Error("content mismatch after a chained surrogate death")
 			return
 		}
 		done = true

@@ -257,8 +257,8 @@ func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *
 	return err
 }
 
-// rebuild reconstructs every block the failed node hosted onto surviving
-// OSDs, `parallel` blocks at a time, remapping placement as it goes. Each
+// rebuild reconstructs every block placement puts on the failed node
+// (lostBlocks) onto surviving OSDs, `parallel` blocks at a time, remapping placement as it goes. Each
 // block's target is its PG's stable replacement for the failed slot
 // (placement.Replacement), so a single death moves only the dead node's
 // PGs and the rebuild writes spread exactly as the CRUSH-like map dictates
@@ -269,18 +269,7 @@ func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *
 // recovery passes false, since a fully drained, gated cluster cannot hold
 // a torn stripe.
 func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Client, rep *RecoveryReport, repair bool) ([]wire.BlockID, error) {
-	failedOSD := c.OSDByID(failed)
-	// Placement, not the dead store, is the authority for what is lost: a
-	// block the current map (plus remaps) places elsewhere — e.g. one a
-	// finish-resolved transition migrated away — is not this failure's to
-	// rebuild.
-	var lost []wire.BlockID
-	for _, blk := range failedOSD.store.Blocks() {
-		if c.Placement(blk.StripeID())[blk.Index] == failed {
-			lost = append(lost, blk)
-		}
-	}
-
+	lost := c.lostBlocks(failed)
 	if rep.TargetBlocks == nil {
 		rep.TargetBlocks = make(map[wire.NodeID]int)
 	}

@@ -518,7 +518,7 @@ func TestCutoverStealsJournalFromIndex(t *testing.T) {
 		// A read-repair fetch returns a holder's durability copies, which
 		// only the device log holds.
 		sur := st.surrogates[0]
-		holder := st.holders[sur][0]
+		holder := c.JournalHoldersOf(victim, sur)[0]
 		before := c.OSDByID(holder).dev.Stats()
 		resp, err := c.Fabric.Call(p, admin.id, holder, &wire.JournalFetch{Failed: victim, Surrogate: sur})
 		if err != nil {
