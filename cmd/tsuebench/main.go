@@ -23,7 +23,6 @@ func main() {
 	scale := flag.String("scale", "quick", "quick | full")
 	ops := flag.Int("ops", 0, "override total ops per run")
 	fileMB := flag.Int64("filemb", 0, "override working-set size (MiB)")
-	traceEvery := flag.Int("obs", 0, "trace every n-th op end-to-end (0 = off; zero-perturbation — results unchanged)")
 	jsonOut := flag.Bool("json", false, "also write machine-readable results to BENCH_<exp>.json")
 	list := flag.Bool("list", false, "list experiments and exit")
 	flag.Parse()
@@ -60,9 +59,6 @@ func main() {
 	}
 	if *fileMB > 0 {
 		s.FileMB = *fileMB
-	}
-	if *traceEvery > 0 {
-		s.TraceSample = *traceEvery
 	}
 	if *jsonOut {
 		s.Sink = &harness.Sink{}

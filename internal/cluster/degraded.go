@@ -104,7 +104,7 @@ type degradedState struct {
 }
 
 // quorum is one surrogate's journal quorum. holders is its fixed holder
-// set, chosen when the surrogate takes its PGs (newQuorum). Every journal
+// set, chosen when the surrogate takes its first PG (assign). Every journal
 // append replicates to all reachable holders before it is acked, so any m
 // concurrent deaths leave at least one holder with every acked record
 // (Cluster.promoteSurrogate unions them). acked is the set of append seqs
@@ -213,56 +213,54 @@ func (st *degradedState) servesDegraded(c *Cluster, id wire.NodeID, blk wire.Blo
 	return st.surr[c.PG(blk.StripeID())] == id
 }
 
-// nextLive returns the first live OSD strictly after `after` in ring order,
-// skipping `exclude`; it returns `after` itself only if no other candidate
-// is alive.
-func (c *Cluster) nextLive(after, exclude wire.NodeID) wire.NodeID {
-	n := len(c.OSDs)
-	start := int(after) - 1
-	for step := 1; step <= n; step++ {
-		id := c.OSDs[(start+step)%n].id
-		if id == exclude || c.Fabric.Down(id) {
-			continue
+// ringAfter returns the first n live OSDs after from in ring order,
+// skipping from itself and skip; fewer when fewer are live.
+func (c *Cluster) ringAfter(from, skip wire.NodeID, n int) []wire.NodeID {
+	var out []wire.NodeID
+	for step := 1; step < len(c.OSDs) && len(out) < n; step++ {
+		id := c.OSDs[(int(from)-1+step)%len(c.OSDs)].id
+		if id != skip && !c.Fabric.Down(id) {
+			out = append(out, id)
 		}
-		return id
 	}
-	return after
+	return out
 }
 
-// newQuorum fixes the journal quorum of a (failed, surrogate) pair against
-// the live set now: its holders are the first min(M, live-1) live OSDs
-// strictly after the surrogate in ring order, skipping the failed node and
-// the surrogate itself. M holders plus the surrogate give the journal the
-// same m-death budget as the erasure code itself.
-func (c *Cluster) newQuorum(surrogate, failed wire.NodeID) *quorum {
-	live := 0
-	for _, osd := range c.OSDs {
-		if !c.Fabric.Down(osd.id) {
-			live++
+// assign routes pg to surrogate sur under st. A surrogate taking its first
+// PG gets its journal quorum fixed against the live set now: the first M
+// live OSDs after it in ring order, skipping the failed node. M holders
+// plus the surrogate give the journal the same m-death budget as the
+// erasure code itself.
+func (c *Cluster) assign(st *degradedState, pg int, sur wire.NodeID) {
+	st.surr[pg] = sur
+	if st.quorum[sur] == nil {
+		st.quorum[sur] = &quorum{holders: c.ringAfter(sur, st.failed, c.Cfg.M), acked: make(map[uint64]bool)}
+		st.surrogates = append(st.surrogates, sur)
+	}
+}
+
+// persistSeeds charges each surrogate's journal persist for the seed bytes
+// seedJournals added to it. The seeds already have replicas elsewhere, so
+// they are not re-replicated.
+func (c *Cluster) persistSeeds(p *sim.Proc, st *degradedState, seeded map[wire.NodeID]int64) {
+	for _, sur := range st.surrogates {
+		if n := seeded[sur]; n > 0 {
+			osd := c.OSDByID(sur)
+			osd.journalPersist(p, osd.journalFor(st.failed), n)
 		}
 	}
-	q := &quorum{acked: make(map[uint64]bool)}
-	n := len(c.OSDs)
-	start := int(surrogate) - 1
-	for step := 1; step <= n && len(q.holders) < min(c.Cfg.M, live-1); step++ {
-		id := c.OSDs[(start+step)%n].id
-		if id == surrogate || id == failed || c.Fabric.Down(id) {
-			continue
-		}
-		q.holders = append(q.holders, id)
-	}
-	return q
 }
 
 // registerDegraded publishes degraded routing for a failed node: it assigns
 // a surrogate per degraded placement group (the placement map's stable
 // replacement for the failed node's slot — which is also where the PG's
 // lost blocks will rebuild, so the journal lands next to its replay
-// targets), fixes each surrogate's journal quorum, seeds the journals
-// (seedJournals) so degraded reads see pre-failure updates and the cutover
-// replays them, and records the degraded stripe and lost block sets. The
-// registration plus in-memory seeding happen atomically with respect to
-// client routing, so no journaled update can land ahead of an older seed.
+// targets), fixes each surrogate's journal quorum (assign), seeds the
+// journals (seedJournals) so degraded reads see pre-failure updates and the
+// cutover replays them, and records the degraded stripe and lost block
+// sets. The registration plus in-memory seeding happen atomically with
+// respect to client routing, so no journaled update can land ahead of an
+// older seed.
 func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client) (*degradedState, error) {
 	if _, dup := c.degraded[failed]; dup {
 		return nil, fmt.Errorf("cluster: node %d already degraded", failed)
@@ -304,23 +302,11 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 		if sur == failed || c.Fabric.Down(sur) {
 			return nil, fmt.Errorf("cluster: surrogate %d for node %d pg %d not live", sur, failed, pg)
 		}
-		st.surr[pg] = sur
-		if st.quorum[sur] == nil {
-			st.quorum[sur] = c.newQuorum(sur, failed)
-			st.surrogates = append(st.surrogates, sur)
-		}
+		c.assign(st, pg, sur)
 	}
 	c.degraded[failed] = st
 	st.orphans = c.takeOrphans(failed)
-	seeded := c.seedJournals(st, items, nil)
-	// Charge the journal persists after the fact; the seeds already have
-	// replicas on their original holders, so they are not re-replicated.
-	for _, sur := range st.surrogates {
-		if n := seeded[sur]; n > 0 {
-			osd := c.OSDByID(sur)
-			osd.journalPersist(p, osd.journalFor(failed), n)
-		}
-	}
+	c.persistSeeds(p, st, c.seedJournals(st, items, nil))
 	return st, nil
 }
 

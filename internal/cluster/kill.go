@@ -9,25 +9,26 @@ package cluster
 //
 //   - mid-transition, it publishes the death to the migration driver
 //     (MarkDead) and waits until every in-flight PG has resolved to abort
-//     or finish and the epoch has committed, so a subsequent Recover runs
-//     under one settled map;
+//     or finish and the MDS has committed the epoch (the commit wakes it),
+//     so a subsequent Recover runs under one settled map;
 //   - mid-degraded-window, it detects the surrogate role and read-repairs
 //     the journal from the dead surrogate's fixed quorum holder set: the
-//     sequenced appends are unioned across every reachable holder
-//     (by seq; each acked append is on every holder that was reachable
-//     when it was acked, so the union holds every acked seq), spliced
-//     behind a re-fetched seed share onto the new surrogate, and
-//     re-replicated under the new surrogate's own holder set — no acked
-//     update is lost through any m concurrent deaths and no client op
-//     hangs. Only when every holder is unreachable too (> m deaths) is the
-//     journal unrecoverable and Kill fails fast with ErrSurrogateLost.
+//     sequenced appends are unioned across every live holder (by seq; each
+//     acked append is on every holder that was reachable when it was
+//     acked, so the union holds every acked seq), spliced behind a
+//     re-fetched seed share onto the dead surrogate's first live ring
+//     successor — named only after the last fetch, so a node that died
+//     during the repair is never chosen — and re-replicated under the new
+//     surrogate's own holder set: no acked update is lost through any m
+//     concurrent deaths and no client op hangs. Only when every holder is
+//     unreachable too (> m deaths) is the journal unrecoverable and Kill
+//     fails fast with ErrSurrogateLost.
 
 import (
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"time"
 
 	"tsue/internal/netsim"
 	"tsue/internal/sim"
@@ -74,17 +75,13 @@ type KillReport struct {
 	RepairedItems int
 }
 
-// resolveWait bounds how long Kill waits (virtual time) for the migration
-// driver to resolve an in-flight transition. Generous: resolution is
-// bounded by the remaining fenced work, not by the bulk-copy throttle.
-const resolveWait = 5 * time.Minute
-
 // Kill takes an OSD off the fabric and resolves every control-plane state
 // the death lands in: an in-flight placement transition resolves per PG
 // (abort or finish) and commits, and any degraded-update journal the node
-// held as surrogate is promoted onto its replica holder. It must be called
-// from a process other than the one driving an Expand. After Kill
-// returns, Recover(failed) proceeds normally under the settled epoch.
+// held as surrogate is promoted onto its first live ring successor. It
+// must be called from a process other than the one driving an Expand.
+// After Kill returns, Recover(failed) proceeds normally under the settled
+// epoch.
 func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillReport, error) {
 	if c.Fabric.Down(failed) {
 		return nil, fmt.Errorf("cluster: Kill: node %d is already down", failed)
@@ -101,12 +98,8 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 	}
 	if inTrans {
 		rep.TransitionResolved = true
-		deadline := p.Now() + resolveWait
 		for c.MDS.trans != nil {
-			if p.Now() > deadline {
-				return rep, fmt.Errorf("cluster: Kill: transition did not resolve within %v", resolveWait)
-			}
-			p.Sleep(200 * time.Microsecond)
+			c.MDS.committedCond.Wait(p)
 		}
 		rep.SettledEpoch = c.MDS.committed
 	}
@@ -115,21 +108,24 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 
 // promoteSurrogate re-homes the degraded-update journal a dead surrogate
 // kept for st.failed by read-repairing across the victim's fixed quorum
-// holder set. Every reachable holder's sequenced post-seed appends are
-// fetched (non-destructive JournalFetch) and unioned by seq. Every acked
-// append reached every then-reachable holder, so the union holds every seq
-// in the victim's acked set, even when a holder was down for some appends
-// (a flap); an acked seq missing from it means more than m holders died
-// (ErrSurrogateLost). The promoted journal is rebuilt in original order on
-// the first live holder — the re-fetched seed share (ReplicaFetch is
-// non-destructive) and the transition orphans (seedJournals), then every
-// recovered append in seq order, renumbered into the new surrogate's own
-// append sequence. In the same instant the victim's PGs route to the new
-// surrogate and the recovered seqs enter its acked set (their clients were
-// acked in the old window), so a degraded op admitted after promotion
-// always sees the full journal. Each recovered append is then committed
-// under the new surrogate's quorum like a client append, restoring the
-// m-death budget so a chained surrogate death is equally survivable.
+// holder set. Every live holder's sequenced post-seed appends are fetched
+// (non-destructive JournalFetch) and unioned by seq. Every acked append
+// reached every then-reachable holder, so the union holds every seq in the
+// victim's acked set, even when a holder was down for some appends (a
+// flap); an acked seq missing from it means more than m holders died
+// (ErrSurrogateLost). After the last fetch (the seed share), with no yield
+// until the routes flip, the new surrogate is named: the victim's first
+// live ring successor, which is its first holder whenever that holder
+// still lives. The promoted journal is rebuilt there in original order —
+// the re-fetched seed share (ReplicaFetch is non-destructive) and the
+// transition orphans (seedJournals), then every recovered append in seq
+// order, renumbered into the new surrogate's own append sequence. In the
+// same instant the victim's PGs route to the new surrogate (assign) and
+// the recovered seqs enter its acked set (their clients were acked in the
+// old window), so a degraded op admitted after promotion always sees the
+// full journal. Each recovered append is then committed under the new
+// surrogate's quorum like a client append, restoring the m-death budget so
+// a chained surrogate death is equally survivable.
 func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.NodeID, via *Client, rep *KillReport) error {
 	pgs := make(map[int]bool)
 	for pg, sur := range st.surr {
@@ -141,31 +137,14 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 		return nil
 	}
 	vq := st.quorum[victim]
-	var reachable []wire.NodeID
-	for _, h := range vq.holders {
-		if !c.Fabric.Down(h) {
-			reachable = append(reachable, h)
-		}
-	}
-	if len(reachable) == 0 {
-		if len(vq.acked) > 0 {
-			return fmt.Errorf("cluster: surrogate %d for node %d died and all %d quorum holders are unreachable: %w",
-				victim, st.failed, len(vq.holders), ErrSurrogateLost)
-		}
-		// Nothing was ever acked through the quorum; any live successor can
-		// host the re-fetched seeds.
-		if cand := c.nextLive(victim, st.failed); cand != victim {
-			reachable = []wire.NodeID{cand}
-		} else {
-			return fmt.Errorf("cluster: surrogate %d for node %d died with no live successor: %w",
-				victim, st.failed, ErrSurrogateLost)
-		}
-	}
-	// Union the replicated appends across all reachable holders, dedup by
-	// seq (a seq names exactly one record; later fetches of the same seq are
+	// Union the replicated appends across every live holder, dedup by seq
+	// (a seq names exactly one record; later fetches of the same seq are
 	// identical copies).
 	bySeq := make(map[uint64]wire.JournalItem)
-	for _, h := range reachable {
+	for _, h := range vq.holders {
+		if c.Fabric.Down(h) {
+			continue
+		}
 		resp, err := c.Fabric.Call(p, via.id, h, &wire.JournalFetch{Failed: st.failed, Surrogate: victim})
 		if errors.Is(err, netsim.ErrNodeDown) {
 			continue // died under us: the other holders cover it
@@ -202,29 +181,29 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	if err != nil {
 		return err
 	}
-	// The splice: nothing below yields until the persist.
-	cand := reachable[0]
-	for pg := range pgs {
-		st.surr[pg] = cand
+	// The splice: the target is named after the last fetch, and nothing
+	// below yields until the seed persist.
+	next := c.ringAfter(victim, st.failed, 1)
+	if len(next) == 0 {
+		return fmt.Errorf("cluster: surrogate %d for node %d died with no live successor: %w",
+			victim, st.failed, ErrSurrogateLost)
 	}
+	cand := next[0]
 	st.surrogates = slices.DeleteFunc(st.surrogates, func(s wire.NodeID) bool { return s == victim })
 	delete(st.quorum, victim)
-	q := st.quorum[cand]
-	if q == nil {
-		q = c.newQuorum(cand, st.failed)
-		st.quorum[cand] = q
-		st.surrogates = append(st.surrogates, cand)
+	for pg := range pgs {
+		//lint:allow maporder(every PG goes to the same surrogate, so the routes, its one quorum and its one place in st.surrogates come out the same in any order)
+		c.assign(st, pg, cand)
 	}
+	q := st.quorum[cand]
 	osd := c.OSDByID(cand)
 	j := osd.journalFor(st.failed)
-	seeded := c.seedJournals(st, seeds, pgs)[cand]
+	seeded := c.seedJournals(st, seeds, pgs)
 	for i := range recovered {
 		recovered[i].Seq = j.append(recovered[i].Blk, recovered[i].Off, recovered[i].Data)
 		q.acked[recovered[i].Seq] = true
 	}
-	if seeded > 0 {
-		osd.journalPersist(p, j, seeded)
-	}
+	c.persistSeeds(p, st, seeded)
 	for _, it := range recovered {
 		if err := osd.commit(p, st.failed, q, it, wire.Checksum(it.Data)); err != nil {
 			return fmt.Errorf("journal re-replicate seq %d: %w", it.Seq, err)

@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"tsue/internal/sim"
+	"tsue/internal/update"
 	"tsue/internal/wire"
 )
 
@@ -697,4 +698,101 @@ func TestKillSurrogateChained(t *testing.T) {
 	if !done && !t.Failed() {
 		t.Fatal("deadlock")
 	}
+}
+
+// TestKillSurrogateHolderDiesDuringRepair: the first holder T of a dead
+// surrogate S's journal dies right after it served S's repair fetch, so
+// the node promotion would have moved the journal to is gone before the
+// splice. Three deaths on RS(3,3) are inside the death budget: promotion
+// must take the first live successor as the new surrogate, and every
+// acked byte must survive all three recoveries, for every engine.
+func TestKillSurrogateHolderDiesDuringRepair(t *testing.T) {
+	for _, engine := range update.Names() {
+		t.Run(engine, func(t *testing.T) {
+			if err := killHolderDuringRepair(t, engine); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+}
+
+// killHolderDuringRepair runs one engine of
+// TestKillSurrogateHolderDiesDuringRepair.
+func killHolderDuringRepair(t *testing.T, engine string) error {
+	c := MustNew(multiDeathConfig(engine))
+	defer c.Env.Close()
+	cl := c.NewClient()
+	admin := c.NewClient()
+	err := errors.New("deadlock")
+	c.Env.Go("t", func(p *sim.Proc) {
+		err = func() error {
+			rng := rand.New(rand.NewSource(89))
+			fileSize := 3 * c.StripeWidth()
+			content := make([]byte, fileSize)
+			rng.Read(content)
+			ino, err := cl.Create(p, "f", fileSize)
+			if err != nil {
+				return err
+			}
+			if err := cl.WriteFile(p, ino, content); err != nil {
+				return err
+			}
+			if err := c.DrainAll(p, admin); err != nil {
+				return err
+			}
+			failed := wire.NodeID(3)
+			if err := c.BeginDegraded(p, failed, admin); err != nil {
+				return fmt.Errorf("begin degraded: %w", err)
+			}
+			st := c.degraded[failed]
+			if !degradedStripeOps(t, p, c, cl, st, ino, content, rng, 20) {
+				return errors.New("degraded ops before the deaths")
+			}
+			surr := busiestSurrogate(c, st)
+			if surr == 0 {
+				return errors.New("no surrogate holds journal items")
+			}
+			holder := c.JournalHoldersOf(failed, surr)[0]
+			h := c.OSDByID(holder).handle
+			if err := c.Fabric.SetHandler(holder, func(hp *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+				resp := h(hp, from, m)
+				if jf, ok := m.(*wire.JournalFetch); ok && jf.Surrogate == surr {
+					c.MarkDead(holder)
+				}
+				return resp
+			}); err != nil {
+				return err
+			}
+			krep, err := c.Kill(p, surr, admin)
+			if err != nil {
+				return fmt.Errorf("kill surrogate %d: %w", surr, err)
+			}
+			if krep.PromotedJournals != 1 {
+				return fmt.Errorf("kill surrogate %d promoted %d journals, want 1", surr, krep.PromotedJournals)
+			}
+			if !c.Fabric.Down(holder) {
+				return fmt.Errorf("holder %d served no repair fetch", holder)
+			}
+			if !degradedStripeOps(t, p, c, cl, st, ino, content, rng, 20) {
+				return errors.New("degraded ops after the deaths")
+			}
+			for _, id := range []wire.NodeID{holder, surr, failed} {
+				if _, err := c.Recover(p, id, 2, RecoverInterleaved, admin); err != nil {
+					return fmt.Errorf("recover %d: %w", id, err)
+				}
+			}
+			if err := c.DrainAll(p, admin); err != nil {
+				return err
+			}
+			if _, err := c.Scrub(); err != nil {
+				return fmt.Errorf("scrub: %w", err)
+			}
+			if got, err := cl.Read(p, ino, 0, fileSize); err != nil || !bytes.Equal(got, content) {
+				return fmt.Errorf("read-back after recovery: err %v, match %v", err, bytes.Equal(got, content))
+			}
+			return nil
+		}()
+	})
+	c.Env.RunTest(t)
+	return err
 }

@@ -27,6 +27,10 @@ type MDS struct {
 	nextIno uint64
 	byName  map[string]uint64
 	files   map[uint64]*fileMeta
+
+	// committedCond is broadcast when a transition commits (Kill waits on
+	// it for the transition a death landed in).
+	committedCond *sim.Cond
 }
 
 // PGStage enumerates one migrating PG's position in a placement
@@ -101,11 +105,12 @@ func (t *transition) cutOver(pg int) bool {
 
 func newMDS(c *Cluster, place *placement.Map) *MDS {
 	return &MDS{
-		c:       c,
-		epochs:  placement.NewEpochs(place),
-		nextIno: 1,
-		byName:  make(map[string]uint64),
-		files:   make(map[uint64]*fileMeta),
+		c:             c,
+		epochs:        placement.NewEpochs(place),
+		committedCond: sim.NewCond(c.Env),
+		nextIno:       1,
+		byName:        make(map[string]uint64),
+		files:         make(map[uint64]*fileMeta),
 	}
 }
 
@@ -231,6 +236,7 @@ func (m *MDS) handleEpochUpdate(v *wire.EpochUpdate) wire.Msg {
 		}
 		m.committed = m.trans.next
 		m.trans = nil
+		m.committedCond.Broadcast()
 		return &wire.EpochResp{Epoch: m.committed}
 	case wire.EpochStageAddOSD:
 		if m.trans != nil {

@@ -27,12 +27,6 @@ type Scale struct {
 	// (0 = unthrottled).
 	AddOSDs          int
 	RebalanceRateBps int64
-	// TraceSample, when > 0, turns on end-to-end tracing for every run the
-	// experiments launch (RunConfig.TraceSample): every n-th foreground op
-	// is traced. Tracing is zero-perturbation — span context rides every
-	// wire message whether sampled or not — so measured results are
-	// unchanged. The obs experiment forces 1 regardless.
-	TraceSample int
 	// Sink, when non-nil, collects machine-readable metrics alongside the
 	// human tables (tsuebench -json writes them to BENCH_*.json).
 	Sink *Sink
@@ -91,7 +85,6 @@ func (s Scale) config(eng, tr string, clients int) RunConfig {
 	cfg.Clients = clients
 	cfg.Ops = s.Ops
 	cfg.FileBytes = s.FileMB << 20
-	cfg.TraceSample = s.TraceSample
 	return cfg
 }
 
