@@ -303,11 +303,16 @@ func (c *Cluster) epochOK(blk wire.BlockID, epoch uint64) bool {
 }
 
 // migrationFenced reports whether the block's (staged-epoch) PG is inside
-// a cutover fence right now — the window where its overlay logs are being
-// extracted and replayed at the new homes, which reads must wait out.
+// a cutover fence right now — its stage is fenced or replaying, the window
+// where its overlay logs are being extracted and replayed at the new
+// homes, which reads must wait out.
 func (c *Cluster) migrationFenced(blk wire.BlockID) bool {
 	t := c.MDS.trans
-	return t != nil && t.fencing[c.MDS.epochs.At(t.next).PGOf(blk.StripeID())]
+	if t == nil {
+		return false
+	}
+	s := t.stage[c.MDS.epochs.At(t.next).PGOf(blk.StripeID())]
+	return s == StageFenced || s == StageReplaying
 }
 
 // PG returns the placement group a stripe hashes to under the committed

@@ -7,10 +7,11 @@ package cluster
 // a degraded window (the journal — and with it acked client updates — was
 // simply gone). Kill closes both:
 //
-//   - mid-transition, it publishes the death to the migration driver
-//     (MarkDead) and waits until every in-flight PG has resolved to abort
-//     or finish and the MDS has committed the epoch (the commit wakes it),
-//     so a subsequent Recover runs under one settled map;
+//   - mid-transition, it takes the node off the fabric (MarkDead), where
+//     the migration driver reads every death, and waits until every
+//     in-flight PG has resolved to abort or finish and the MDS has
+//     committed the epoch (the commit wakes it), so a subsequent Recover
+//     runs under one settled map;
 //   - mid-degraded-window, it detects the surrogate role and read-repairs
 //     the journal from the dead surrogate's fixed quorum holder set: the
 //     sequenced appends are unioned across every live holder (by seq; each

@@ -13,9 +13,9 @@ import (
 // MDS is the metadata server: file namespace, the placement authority (it
 // owns the epoch chain of CRUSH-like placement maps that clients and OSDs
 // resolve stripe homes through), and recovery orchestration (§4). During an
-// online rebalance the MDS also owns the transition state: which
-// staged-epoch PGs have cut over to their new homes, and which are inside a
-// cutover fence right now.
+// online rebalance the MDS also owns the transition state: each
+// staged-epoch PG's stage, which says whether it has cut over to its new
+// homes and whether it is inside a cutover fence right now.
 type MDS struct {
 	c      *Cluster
 	epochs *placement.Epochs
@@ -48,7 +48,8 @@ const (
 	// the update gate is closed and reads of the PG bounce.
 	StageFenced
 	// StageReplaying: the MDS has flipped the PG to the staged epoch and
-	// extracted overlay records are replaying into the new homes.
+	// extracted overlay records are replaying into the new homes; reads of
+	// the PG still bounce.
 	StageReplaying
 	// StageCommitted: the PG is fully cut over (terminal).
 	StageCommitted
@@ -80,21 +81,13 @@ func (s PGStage) String() string {
 // PG id (the cutover unit).
 type transition struct {
 	next uint64
-	// fencing marks PGs whose cutover fence is active: client reads of
-	// their blocks bounce (retryable) instead of observing the window where
-	// overlay logs have been extracted but not yet replayed at the new
-	// homes.
-	fencing map[int]bool
 	// stage is each migrating PG's state-machine position (PGs without
 	// moves never appear: they flip for free at commit). A PG has cut over
-	// once it is replaying or committed (cutOver); an aborted PG keeps
-	// resolving under the committed epoch and its moves become physical
-	// remaps at commit.
+	// once it is replaying or committed (cutOver), and is inside its cutover
+	// fence while fenced or replaying (Cluster.migrationFenced); an aborted
+	// PG keeps resolving under the committed epoch and its moves become
+	// physical remaps at commit.
 	stage map[int]PGStage
-	// dead is the OSD (0 = none) whose mid-transition death the migration
-	// driver must resolve; set by Cluster.MarkDead, observed by the mover
-	// at every stage boundary.
-	dead wire.NodeID
 }
 
 // cutOver reports whether the PG has flipped to the staged epoch.
@@ -246,11 +239,7 @@ func (m *MDS) handleEpochUpdate(v *wire.EpochUpdate) wire.Msg {
 		if err != nil {
 			return &wire.EpochResp{Err: err}
 		}
-		m.trans = &transition{
-			next:    next,
-			fencing: make(map[int]bool),
-			stage:   make(map[int]PGStage),
-		}
+		m.trans = &transition{next: next, stage: make(map[int]PGStage)}
 		return &wire.EpochResp{Epoch: next}
 	}
 	return &wire.EpochResp{Err: fmt.Errorf("mds: unknown epoch op %d", v.Kind)}

@@ -23,15 +23,17 @@ package cluster
 //
 // Each migrating PG walks an explicit state machine the MDS owns
 // (staged → copying → fenced → replaying → committed), and an OSD death
-// mid-transition (Cluster.Kill / MarkDead) is a first-class event: every
-// in-flight PG resolves to ABORT (roll back to the prior epoch — retire
-// partial copies, restore extracted overlay to the old homes, re-open
-// foreground I/O against them) or FINISH (complete the remaining copies
-// from surviving stripe peers by reconstruction, then cut over) against
-// the liveness view, per the policy in MigratePG. After resolution the
-// staged epoch still commits — aborted PGs' moves become physical remaps,
-// exactly like recovery's placement overrides — and Recover then proceeds
-// normally under the settled epoch.
+// mid-transition (Cluster.Kill / MarkDead) is a first-class event. The
+// mover reads deaths from the fabric, the one liveness view, and resolves
+// every in-flight PG to ABORT (roll back to the prior epoch — retire
+// partial copies, re-open foreground I/O against the old homes) or FINISH
+// (complete the remaining copies from surviving stripe peers by
+// reconstruction, then cut over), per the policy in MigratePG. Overlay
+// extraction is the point of no return: nothing leaves an old home before
+// the PG's last abort check. After resolution the staged epoch still
+// commits — aborted PGs' moves become physical remaps, exactly like
+// recovery's placement overrides — and Recover then proceeds normally
+// under the settled epoch.
 //
 // Recovery and an ongoing rebalance remain mutually exclusive entry
 // points: Expand refuses while any node is degraded and Recover refuses
@@ -41,6 +43,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"tsue/internal/netsim"
 	"tsue/internal/placement"
@@ -55,10 +58,10 @@ import (
 // Foreground I/O keeps flowing except inside each PG's brief cutover
 // fence. It returns the migration report and the new OSD's node ID.
 //
-// Failure contract: an OSD death mid-migration (published via Kill or
-// MarkDead) is resolved per PG — abort or finish — and Expand still
-// returns a committed epoch plus the per-PG outcomes in the report. Only
-// unexpected protocol errors remain fatal to the run.
+// Failure contract: an OSD death mid-migration (Kill or MarkDead take
+// the node off the fabric) is resolved per PG — abort or finish — and
+// Expand still returns a committed epoch plus the per-PG outcomes in the
+// report. Only unexpected protocol errors remain fatal to the run.
 func (c *Cluster) Expand(p *sim.Proc, via *Client, rcfg rebalance.Config) (*rebalance.Report, wire.NodeID, error) {
 	if len(c.degraded) > 0 {
 		return nil, 0, fmt.Errorf("cluster: cannot expand: %w", ErrClusterDegraded)
@@ -174,40 +177,19 @@ func (c *Cluster) fireTransEvent(pg rebalance.PGMoves, stage PGStage, copied int
 	}
 }
 
-// transDead returns the OSD whose death the in-flight transition must
-// resolve (0 = none).
-func (c *Cluster) transDead() wire.NodeID {
-	if t := c.MDS.trans; t != nil {
-		return t.dead
-	}
-	return 0
-}
+// MarkDead takes an OSD off the fabric. A placement transition in flight
+// reads the death from there and resolves every in-flight PG (abort or
+// finish) against it. Non-blocking — safe to call from instrumentation
+// hooks inside the migration driver itself; Kill is the blocking entry
+// point that also waits the resolution out.
+func (c *Cluster) MarkDead(failed wire.NodeID) { c.Fabric.SetDown(failed, true) }
 
-// MarkDead takes an OSD off the fabric and, when a placement transition is
-// in flight, publishes the death to the migration driver, which resolves
-// every in-flight PG (abort or finish) against the new liveness view.
-// Non-blocking — safe to call from instrumentation hooks inside the driver
-// itself; Kill is the blocking entry point that also waits the resolution
-// out.
-func (c *Cluster) MarkDead(failed wire.NodeID) {
-	c.Fabric.SetDown(failed, true)
-	if t := c.MDS.trans; t != nil {
-		t.dead = failed
-	}
-}
-
-// pgRole classifies the dead node's relationship to one PG's moves.
-func pgRole(pg rebalance.PGMoves, dead wire.NodeID) (src, dst bool) {
-	if dead == 0 {
-		return false, false
-	}
+// pgRole reports whether any of one PG's moves has a dead source or a dead
+// destination.
+func (c *Cluster) pgRole(pg rebalance.PGMoves) (src, dst bool) {
 	for _, mv := range pg.Moves {
-		if mv.From == dead {
-			src = true
-		}
-		if mv.To == dead {
-			dst = true
-		}
+		src = src || c.Fabric.Down(mv.From)
+		dst = dst || c.Fabric.Down(mv.To)
 	}
 	return src, dst
 }
@@ -219,19 +201,20 @@ type pgMover struct {
 }
 
 // MigratePG migrates one PG's moving blocks end to end (see the package
-// comment for the phase protocol), resolving a mid-flight OSD death to an
-// abort or a finish:
+// comment for the phase protocol), resolving mid-flight OSD deaths, read
+// from the fabric, to an abort or a finish:
 //
-//   - pre-fence (staged / copying), dead node is a source or destination
-//     of this PG: ABORT — the copy is early, rolling back is cheap;
-//   - inside the fence, destination dead before the MDS flip: ABORT with
-//     extracted overlay restored to the (live) old homes;
+//   - pre-fence (staged / copying), a source or destination of this PG is
+//     dead: ABORT — the copy is early, rolling back is cheap;
+//   - inside the fence, a destination is dead at the check just before
+//     overlay extraction: ABORT — nothing has left the old homes yet;
 //   - inside the fence otherwise: FINISH — copies whose source died
 //     complete by K-shard reconstruction (with the recovery repair's
 //     re-encode when the dead source may have torn the stripe), their
 //     unrecycled overlay replays from its reliability replicas;
-//   - after the flip (replaying): FINISH — overlay aimed at a dead new
-//     home is stashed for the failure's degraded-journal machinery.
+//   - a destination dying from extraction on: FINISH — overlay aimed at
+//     the dead new home is stashed for the failure's degraded-journal
+//     machinery.
 //
 // A dead bystander never aborts a PG: its migration completes normally.
 func (pm *pgMover) MigratePG(p *sim.Proc, pg rebalance.PGMoves, th *rebalance.Throttle) (rebalance.PGResult, error) {
@@ -246,15 +229,17 @@ func (pm *pgMover) MigratePG(p *sim.Proc, pg rebalance.PGMoves, th *rebalance.Th
 	// the fenced catch-up.
 	vers := make([]uint64, len(pg.Moves))
 	for i, mv := range pg.Moves {
-		if src, dst := pgRole(pg, c.transDead()); src || dst {
-			return pm.abortPG(p, pg, nil, &res)
+		if src, dst := c.pgRole(pg); src || dst {
+			err := pm.abort(p, pg, &res)
+			return res, err
 		}
 		th.Take(p, blockSize)
 		vers[i] = c.OSDByID(mv.From).store.Version(mv.Blk)
 		if err := pm.copyBlock(p, mv); err != nil {
-			if errors.Is(err, netsim.ErrNodeDown) && (c.Fabric.Down(mv.From) || c.Fabric.Down(mv.To)) {
+			if src, dst := c.pgRole(pg); errors.Is(err, netsim.ErrNodeDown) && (src || dst) {
 				// The copy's endpoint died under us: early abort.
-				return pm.abortPG(p, pg, nil, &res)
+				err := pm.abort(p, pg, &res)
+				return res, err
 			}
 			return res, err
 		}
@@ -268,12 +253,9 @@ func (pm *pgMover) MigratePG(p *sim.Proc, pg rebalance.PGMoves, th *rebalance.Th
 	defer c.cutMu.Release()
 	gated := c.gatedTime()
 	c.fenceUpdates(p)
-	t := c.MDS.trans
-	t.fencing[pg.PG] = true
 	c.MDS.setPGStage(pg.PG, StageFenced)
 	c.fireTransEvent(pg, StageFenced, 0)
 	err := pm.cutoverLocked(p, pg, vers, &res)
-	t.fencing[pg.PG] = false
 	c.openGate()
 	res.Stall = c.gatedTime() - gated
 	if err == nil && res.Outcome != rebalance.OutcomeAborted {
@@ -293,35 +275,28 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 	// Settle: bring raw shards to stripe consistency with minimal merging.
 	// In-place engines drain their whole debt here (the "in-place schemes
 	// drain" half of the cutover); TSUE retains its replayable overlay,
-	// except that of a node dead mid-transition: its stripes' raw shards
-	// feed the finish policy's reconstructions and must flush like
-	// recovery's, so a second barrier scoped to it follows. One barrier over
-	// the union of both scopes would need a second node or overlay field in
-	// update.Scope that only this caller uses.
+	// except that of a dead node: its stripes' raw shards feed the finish
+	// policy's reconstructions and must flush like recovery's, so a barrier
+	// scoped to each dead OSD follows. One barrier over the union of the
+	// scopes would need a node set or overlay field in update.Scope that
+	// only this caller uses.
 	if err := c.SettleAll(p, pm.via, 0); err != nil {
 		return err
 	}
-	dead := c.transDead()
-	if dead != 0 {
-		if err := c.SettleAll(p, pm.via, dead); err != nil {
-			return err
+	for _, osd := range c.OSDs {
+		if c.Fabric.Down(osd.id) {
+			if err := c.SettleAll(p, pm.via, osd.id); err != nil {
+				return err
+			}
 		}
-		dead = c.transDead()
-	}
-	if _, dst := pgRole(pg, dead); dst {
-		// The PG's new home died before the flip: roll back.
-		return pm.abortLocked(p, pg, nil, res)
-	}
-	srcDead, _ := pgRole(pg, dead)
-	if srcDead {
-		res.Outcome = rebalance.OutcomeFinished
 	}
 	// Finish-policy reconstructions and version-checked catch-up re-copies
 	// run as rounds until quiescent: both yield on RPCs, so a source can
 	// die between (or during) passes — invalidating an earlier skip — and
 	// a re-encode repair writes live parities in place, possibly dirtying
 	// another move's already-checked source. One round handles the common
-	// case; the loop closes the races.
+	// case; the loop closes the races. A move whose destination is dead is
+	// skipped: the PG aborts at the check before extraction.
 	//
 	//   - dead source: the copy completes from K surviving stripe peers,
 	//     re-encoding the parity set when the death may have torn it
@@ -334,7 +309,7 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 	for round := 0; ; round++ {
 		changed := false
 		for i, mv := range pg.Moves {
-			if !c.Fabric.Down(mv.From) || settled[i] {
+			if !c.Fabric.Down(mv.From) || settled[i] || c.Fabric.Down(mv.To) {
 				continue
 			}
 			reenc := c.stripeRepair(mv.Blk)
@@ -343,6 +318,9 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 				continue
 			}
 			if err := pm.reconstructBlock(p, mv, reenc); err != nil {
+				if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(mv.To) {
+					continue
+				}
 				return err
 			}
 			settled[i] = true
@@ -352,7 +330,7 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 			res.Outcome = rebalance.OutcomeFinished
 		}
 		for i, mv := range pg.Moves {
-			if c.Fabric.Down(mv.From) {
+			if c.Fabric.Down(mv.From) || c.Fabric.Down(mv.To) {
 				continue // dead-source pass owns it (this round or the next)
 			}
 			cur := c.OSDByID(mv.From).store.Version(mv.Blk)
@@ -360,6 +338,9 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 				continue
 			}
 			if err := pm.copyBlock(p, mv); err != nil {
+				if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(mv.To) {
+					continue
+				}
 				if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(mv.From) {
 					changed = true // died mid-copy; next round reconstructs
 					continue
@@ -377,6 +358,12 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 		if round >= 8 {
 			return fmt.Errorf("pg %d catch-up did not converge", pg.PG)
 		}
+	}
+	// The point of no return: a new home that died before this check rolls
+	// the PG back; nothing has left the old homes yet, so there is nothing
+	// to restore. From here on a dead new home finishes the PG instead.
+	if _, dst := c.pgRole(pg); dst {
+		return pm.abort(p, pg, res)
 	}
 	// Extract the moving blocks' replayable overlay records from their old
 	// homes (empty for in-place engines). Reads of this PG are fenced, so
@@ -396,15 +383,14 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 		}
 		items[i] = got
 	}
-	// Re-check the liveness view at the point of no return.
-	dead = c.transDead()
-	if srcNow, dstNow := pgRole(pg, dead); dstNow {
-		// New home died during the fence, before the flip: roll back,
-		// restoring whatever overlay was already extracted.
-		return pm.abortLocked(p, pg, items, res)
-	} else if srcNow {
-		res.Outcome = rebalance.OutcomeFinished
-		srcDead = true
+	// A source dead by now gave up no overlay above: each one's replicated
+	// overlay replays below, once per dead source.
+	var deadSrcs []wire.NodeID
+	for _, mv := range pg.Moves {
+		if c.Fabric.Down(mv.From) && !slices.Contains(deadSrcs, mv.From) {
+			deadSrcs = append(deadSrcs, mv.From)
+			res.Outcome = rebalance.OutcomeFinished
+		}
 	}
 	// Flip the PG: from here the new homes are authoritative, so the
 	// replays below route (and their engines' later recycles resolve)
@@ -414,25 +400,12 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 	}
 	c.fireTransEvent(pg, StageReplaying, 0)
 	for i, mv := range pg.Moves {
-		for _, it := range items[i] {
-			if err := pm.replay(p, mv.To, it); err != nil {
-				if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(mv.To) {
-					// The new home died after the flip: the record cannot
-					// land now, but it must not be lost — stash it for the
-					// degraded-journal machinery (registerDegraded seeds it
-					// into the surrogate journal, cutover replays it).
-					c.stashOrphans(mv.To, items[i])
-					res.Outcome = rebalance.OutcomeFinished
-					break
-				}
-				return err
-			}
-			res.ReplayedItems++
-			res.ReplayedBytes += int64(len(it.Data))
+		if err := pm.land(p, mv.To, items[i], res); err != nil {
+			return err
 		}
 	}
-	if srcDead {
-		// The dead source's unrecycled overlay for the moving blocks never
+	for _, dead := range deadSrcs {
+		// A dead source's unrecycled overlay for the moving blocks never
 		// reached the extraction above; replay it from its reliability
 		// replicas now, so reads at the new homes are exact the moment the
 		// fence opens instead of waiting for the failure's recovery.
@@ -458,47 +431,20 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 	return nil
 }
 
-// abortPG rolls one PG's migration back before its fence: partial copies
-// at the staged-epoch destinations are retired (they were never reachable
-// by clients) and the MDS records the abort, so the PG keeps resolving
-// under the committed epoch and its moves become physical remaps at
-// commit. The restored items parameter is nil pre-fence.
-func (pm *pgMover) abortPG(p *sim.Proc, pg rebalance.PGMoves, items [][]wire.ReplicaItem, res *rebalance.PGResult) (rebalance.PGResult, error) {
-	err := pm.abortLocked(p, pg, items, res)
-	return *res, err
-}
-
-// abortLocked is the shared abort path (pre-fence callers simply hold no
-// fence): restore any extracted overlay to its (live) old home, retire the
-// destination copies, and record the abort at the MDS.
-func (pm *pgMover) abortLocked(p *sim.Proc, pg rebalance.PGMoves, items [][]wire.ReplicaItem, res *rebalance.PGResult) error {
-	c := pm.c
-	for i, mv := range pg.Moves {
-		if items == nil || len(items[i]) == 0 {
-			continue
-		}
-		if c.Fabric.Down(mv.From) {
-			// Unreachable by policy: extraction only succeeds against live
-			// homes and a dead source forces finish, not abort. Stash
-			// rather than lose, should the policy ever change.
-			c.stashOrphans(mv.From, items[i])
-			continue
-		}
-		for _, it := range items[i] {
-			if err := pm.replay(p, mv.From, it); err != nil {
-				return fmt.Errorf("abort pg %d: restore %v: %w", pg.PG, it.Blk, err)
-			}
-			res.RestoredItems++
-		}
-	}
+// abort rolls one PG's migration back before its overlay extraction:
+// partial copies at the staged-epoch destinations are retired and the MDS
+// records the abort, so the PG keeps resolving under the committed epoch
+// and its moves become physical remaps at commit.
+func (pm *pgMover) abort(p *sim.Proc, pg rebalance.PGMoves, res *rebalance.PGResult) error {
 	for _, mv := range pg.Moves {
 		// Direct store surgery: a live destination's partial copy is
 		// unreachable garbage, a dead one's must not resurface as a "lost
 		// block" when that node is later recovered.
-		c.OSDByID(mv.To).store.Delete(mv.Blk)
+		pm.c.OSDByID(mv.To).store.Delete(mv.Blk)
 	}
-	if err := pm.pgAbort(p, pg.PG); err != nil {
-		return err
+	req := &wire.PGAbort{PG: uint32(pg.PG), Epoch: pm.c.MDS.trans.next}
+	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, mdsID, req)); err != nil {
+		return fmt.Errorf("pg %d abort: %w", pg.PG, err)
 	}
 	res.Outcome = rebalance.OutcomeAborted
 	return nil
@@ -521,19 +467,38 @@ func (pm *pgMover) replayDeadSourceOverlay(p *sim.Proc, pg rebalance.PGMoves, de
 		}
 	}
 	for _, it := range items {
-		to, ok := dest[it.Blk]
-		if !ok {
-			continue
+		if to, ok := dest[it.Blk]; ok {
+			if err := pm.land(p, to, []wire.ReplicaItem{it}, res); err != nil {
+				return err
+			}
 		}
+	}
+	return nil
+}
+
+// land replays overlay records at their new home in order. Past the point
+// of no return a dead new home finishes the PG instead: the records must
+// not be lost, so they are stashed for the degraded-journal machinery
+// (registerDegraded seeds them into the surrogate journal, the recovery
+// cutover replays them; one that did land replays again, idempotently).
+func (pm *pgMover) land(p *sim.Proc, to wire.NodeID, items []wire.ReplicaItem, res *rebalance.PGResult) error {
+	c := pm.c
+	for _, it := range items {
 		if c.Fabric.Down(to) {
-			c.stashOrphans(to, []wire.ReplicaItem{it})
-			continue
+			break
 		}
 		if err := pm.replay(p, to, it); err != nil {
-			return fmt.Errorf("dead-source overlay %v: %w", it.Blk, err)
+			if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(to) {
+				break
+			}
+			return err
 		}
 		res.ReplayedItems++
 		res.ReplayedBytes += int64(len(it.Data))
+	}
+	if c.Fabric.Down(to) {
+		c.stashOrphans(to, items)
+		res.Outcome = rebalance.OutcomeFinished
 	}
 	return nil
 }
@@ -582,14 +547,6 @@ func (pm *pgMover) cutover(p *sim.Proc, pg int) error {
 	req := &wire.PGCutover{PG: uint32(pg), Epoch: pm.c.MDS.trans.next}
 	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, mdsID, req)); err != nil {
 		return fmt.Errorf("pg %d cutover: %w", pg, err)
-	}
-	return nil
-}
-
-func (pm *pgMover) pgAbort(p *sim.Proc, pg int) error {
-	req := &wire.PGAbort{PG: uint32(pg), Epoch: pm.c.MDS.trans.next}
-	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, mdsID, req)); err != nil {
-		return fmt.Errorf("pg %d abort: %w", pg, err)
 	}
 	return nil
 }

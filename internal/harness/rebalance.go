@@ -148,7 +148,7 @@ func RebalanceKill(w io.Writer, s Scale) error {
 	// "rec items/KB" are the recovery cutover's journal replays (seeds +
 	// degraded updates + any transition-orphaned records).
 	t := s.table(w, "rebalance-kill", fmt.Sprintf("== Rebalance × failure: kill a copy source mid-expansion (+1 OSD, SSD, Ali-Cloud, RS(6,4), %d files) ==", s.Files),
-		"engine\tpgs\taborted\tfinished\treconstructed\taborted MB\tmoved MB\trestored\trec items\trebuilt blks\trec KB\trecovery(ms)")
+		"engine\tpgs\taborted\tfinished\treconstructed\taborted MB\tmoved MB\trec items\trebuilt blks\trec KB\trecovery(ms)")
 	for _, eng := range update.Names() {
 		rcfg := rebalance.Config{RateBps: s.RebalanceRateBps}
 		r, err := RunRebalanceKill(s.multiFileConfig(eng, 8, 64), rcfg)
@@ -163,7 +163,6 @@ func RebalanceKill(w io.Writer, s Scale) error {
 			{"reconstructed_blocks", "%d", rep.ReconstructedBlocks},
 			{"aborted_bytes", "", rep.AbortedBytes}, {"", "%.1f", float64(rep.AbortedBytes) / (1 << 20)},
 			{"moved_bytes", "", rep.MovedBytes}, {"", "%.1f", float64(rep.MovedBytes) / (1 << 20)},
-			{"", "%d", restoredItems(rep)},
 			{"", "%d", r.Recovery.ReplayedItems}, {"", "%d", r.Recovery.Blocks},
 			{"", "%d", int(r.Recovery.ReplayedBytes >> 10)},
 			{"recovery_ms", "%.1f", ms(r.Recovery.TotalTime)},
@@ -174,15 +173,6 @@ func RebalanceKill(w io.Writer, s Scale) error {
 		})
 	}
 	return t.Flush()
-}
-
-// restoredItems sums abort-path restores across a report's PG outcomes.
-func restoredItems(rep *rebalance.Report) int {
-	n := 0
-	for _, res := range rep.Outcomes {
-		n += res.RestoredItems
-	}
-	return n
 }
 
 // Rebalance runs the online-expansion experiment across all six engines:

@@ -138,9 +138,9 @@ const (
 	// from surviving stripe peers, orphaned overlay stashed for the
 	// failure's recovery.
 	OutcomeFinished
-	// OutcomeAborted: the PG rolled back to the prior epoch — partial
-	// copies retired, extracted overlay restored, foreground I/O re-opened
-	// against the old homes.
+	// OutcomeAborted: the PG rolled back to the prior epoch before its
+	// overlay extraction — partial copies retired, foreground I/O
+	// re-opened against the old homes.
 	OutcomeAborted
 )
 
@@ -168,9 +168,6 @@ type PGResult struct {
 	// reconstruction at the new home because the old home died mid-flight
 	// (failure-resolution "finish" policy).
 	Reconstructed int
-	// RestoredItems counts extracted overlay records replayed back into
-	// their old homes by an abort.
-	RestoredItems int
 	// ReplayedItems / ReplayedBytes count pure-overlay log records that
 	// followed blocks to their new homes (wire.MigrateLog → ReplayUpdate).
 	ReplayedItems int

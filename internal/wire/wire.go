@@ -475,9 +475,9 @@ type ReplicaRetire struct {
 }
 
 // PGAbort tells the MDS that one placement group's migration was rolled
-// back to the prior epoch: partially copied blocks at the staged-epoch
-// destinations were retired and any extracted overlay was restored to the
-// old homes, so the PG must keep resolving under the committed map. At
+// back to the prior epoch before any of its overlay was extracted:
+// partially copied blocks at the staged-epoch destinations were retired,
+// so the PG must keep resolving under the committed map. At
 // commit time the abort becomes a physical remap (block stays at its old
 // home) rather than a map change, mirroring how recovery overrides
 // placement. It must name the in-flight staged epoch.
