@@ -95,30 +95,60 @@ const (
 	routeRetryDelay = time.Millisecond
 )
 
-// Update applies a partial write at a file offset through the update path,
-// splitting on block boundaries. Updates wait out the recovery gate, and
-// updates to a degraded stripe route to the surrogate's journal instead of
-// the home OSD, so client writes keep completing while a node is down.
+// Update applies a partial write at a file offset through the update path.
+// It is one client op: one root span and one admission round trip, then the
+// write is split on block boundaries and the block pieces are applied in
+// order, one at a time (a parallel fan-out would only deepen the DeltaLog
+// stalls of a closed loop). A rejected admission returns ErrOverload with
+// no block touched. Updates wait out the recovery gate, and updates to a
+// degraded stripe route to the surrogate's journal instead of the home OSD,
+// so client writes keep completing while a node is down.
 func (cl *Client) Update(p *sim.Proc, ino uint64, off int64, data []byte) error {
-	for len(data) > 0 {
-		blk, boff := cl.c.Locate(ino, off)
-		n := cl.c.Cfg.BlockSize - boff
-		if n > int64(len(data)) {
-			n = int64(len(data))
-		}
-		if err := cl.updateBlock(p, blk, boff, data[:n]); err != nil {
+	ps := cl.split(ino, off, int64(len(data)))
+	if len(ps) == 0 {
+		return nil
+	}
+	finOp := cl.startOp(p, ps, obs.OpUpdate, obs.OpDegradedUpdate)
+	defer finOp()
+	release, err := cl.admit(p)
+	if err != nil {
+		return fmt.Errorf("update %v: %w", ps[0].blk, err)
+	}
+	defer release()
+	for _, pc := range ps {
+		if err := cl.updateBlock(p, pc.blk, pc.boff, data[pc.at:pc.at+pc.n]); err != nil {
 			return err
 		}
-		off += n
-		data = data[n:]
 	}
 	return nil
 }
 
-// admit asks the MDS for admission of one foreground op when an admission
-// policy is configured (one metadata round trip). On admission it returns
-// a release closure the caller must invoke when the op completes, so the
-// MDS's queue-depth view drains. On rejection it returns ErrOverload
+// piece is the block-local part of a client op: bytes [at, at+n) of the
+// op's buffer are bytes [boff, boff+n) of blk.
+type piece struct {
+	blk   wire.BlockID
+	boff  int64
+	at, n int64
+}
+
+// split cuts the file range [off, off+size) of ino at block boundaries, in
+// file order.
+func (cl *Client) split(ino uint64, off, size int64) []piece {
+	var ps []piece
+	for at := int64(0); at < size; {
+		blk, boff := cl.c.Locate(ino, off+at)
+		n := min(cl.c.Cfg.BlockSize-boff, size-at)
+		ps = append(ps, piece{blk: blk, boff: boff, at: at, n: n})
+		at += n
+	}
+	return ps
+}
+
+// admit asks the MDS for admission of one foreground client op (a whole
+// Read or Update, however many blocks it spans) when an admission policy is
+// configured: one metadata round trip. On admission it returns a release
+// closure the caller must invoke when the op completes, so the MDS's
+// queue-depth view drains. On rejection it returns ErrOverload
 // (wrapped, errors.Is-able) WITHOUT consuming the caller's route-retry
 // budget: overload is the submitter's signal to back off, not a routing
 // transient the client should spin on.
@@ -136,28 +166,26 @@ func (cl *Client) admit(p *sim.Proc) (release func(), err error) {
 	}
 }
 
-// startOp opens the root span of one foreground client op (when sampled).
-// The root's client stage wins whatever no deeper span covers: gate waits,
-// retry pauses, overload backoff.
-func (cl *Client) startOp(p *sim.Proc, s wire.StripeID, normal, degraded obs.OpKind) func() {
+// startOp opens the root span of one foreground client op (when sampled);
+// the op is degraded when any of its pieces is on a degraded stripe. The
+// root's client stage wins whatever no deeper span covers: admission, gate
+// waits, retry pauses, overload backoff.
+func (cl *Client) startOp(p *sim.Proc, ps []piece, normal, degraded obs.OpKind) func() {
 	op := normal
-	if _, _, dg := cl.c.degradedRoute(s); dg {
-		op = degraded
+	for _, pc := range ps {
+		if _, _, dg := cl.c.degradedRoute(pc.blk.StripeID()); dg {
+			op = degraded
+			break
+		}
 	}
 	return cl.c.Obs.Tracer.StartOp(p, op, cl.id, "op:"+op.String())
 }
 
-// updateBlock routes one block-local update, retrying through route
-// transitions (failure detection, degraded registration, recovery cutover,
-// rebalance cutover).
+// updateBlock routes one piece of an admitted Update, retrying through
+// route transitions (failure detection, degraded registration, recovery
+// cutover, rebalance cutover). The op's root span and admission slot belong
+// to Update.
 func (cl *Client) updateBlock(p *sim.Proc, blk wire.BlockID, boff int64, data []byte) error {
-	finOp := cl.startOp(p, blk.StripeID(), obs.OpUpdate, obs.OpDegradedUpdate)
-	defer finOp()
-	release, aerr := cl.admit(p)
-	if aerr != nil {
-		return fmt.Errorf("update %v: %w", blk, aerr)
-	}
-	defer release()
 	sum := wire.Checksum(data)
 	for attempt := 0; ; attempt++ {
 		cl.c.waitGate(p)
@@ -209,45 +237,49 @@ func (cl *Client) retry(p *sim.Proc, blk wire.BlockID, attempt int, err error) b
 	return true
 }
 
-// Read returns [off, off+size) of the file, assembling across blocks.
-// Reads of degraded stripes route to the surrogate, which reconstructs lost
-// ranges on the fly and overlays journaled updates (read-your-writes even
-// while the home OSD is down). The result is the caller's: a read that
-// stays inside one block returns the verified response payload itself — a
-// ReadResp's buffer is built for that one message and moved to its receiver
-// — and only a read that crosses blocks allocates, once, at exact size.
+// Read returns [off, off+size) of the file. It is one client op: one root
+// span and one admission round trip, then the range is split on block
+// boundaries and every block piece is read at once, each in its own proc,
+// into one exact-size buffer at disjoint offsets. If a piece fails, Read
+// returns nil and that piece's error (the first in completion order) once
+// every piece has finished. Reads of degraded stripes route to the
+// surrogate, which reconstructs lost ranges on the fly and overlays
+// journaled updates (read-your-writes even while the home OSD is down). The
+// result is the caller's: a read that stays inside one block returns the
+// verified response payload itself — a ReadResp's buffer is built for that
+// one message and moved to its receiver — and only a read that crosses
+// blocks allocates.
 func (cl *Client) Read(p *sim.Proc, ino uint64, off, size int64) ([]byte, error) {
-	if blk, boff := cl.c.Locate(ino, off); size > 0 && size <= cl.c.Cfg.BlockSize-boff {
-		return cl.readBlock(p, blk, boff, size)
+	ps := cl.split(ino, off, size)
+	if len(ps) == 0 {
+		return []byte{}, nil
 	}
-	out := make([]byte, 0, size)
-	for size > 0 {
-		blk, boff := cl.c.Locate(ino, off)
-		n := cl.c.Cfg.BlockSize - boff
-		if n > size {
-			n = size
-		}
-		buf, err := cl.readBlock(p, blk, boff, n)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, buf...)
-		off += n
-		size -= n
+	finOp := cl.startOp(p, ps, obs.OpRead, obs.OpDegradedRead)
+	defer finOp()
+	release, err := cl.admit(p)
+	if err != nil {
+		return nil, fmt.Errorf("read %v: %w", ps[0].blk, err)
+	}
+	defer release()
+	if len(ps) == 1 {
+		return cl.readBlock(p, ps[0].blk, ps[0].boff, ps[0].n)
+	}
+	out := make([]byte, size)
+	if err := sim.Parallel(p, "read", len(ps), func(hp *sim.Proc, i int) error {
+		pc := ps[i]
+		buf, err := cl.readBlock(hp, pc.blk, pc.boff, pc.n)
+		copy(out[pc.at:pc.at+pc.n], buf)
+		return err
+	}); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
-// readBlock routes one block-local read, retrying through route
-// transitions like updateBlock.
+// readBlock reads one piece of an admitted Read, retrying through route
+// transitions like updateBlock. The op's root span and admission slot
+// belong to Read.
 func (cl *Client) readBlock(p *sim.Proc, blk wire.BlockID, boff, n int64) ([]byte, error) {
-	finOp := cl.startOp(p, blk.StripeID(), obs.OpRead, obs.OpDegradedRead)
-	defer finOp()
-	release, aerr := cl.admit(p)
-	if aerr != nil {
-		return nil, fmt.Errorf("read %v: %w", blk, aerr)
-	}
-	defer release()
 	for attempt := 0; ; attempt++ {
 		var resp wire.Msg
 		var err error

@@ -46,8 +46,9 @@ type RunConfig struct {
 	// straggler scenarios set it; everything else leaves it off.
 	Hedge time.Duration
 	// Admission, when non-nil, installs MDS admission control
-	// (cluster.Config.Admission): every client block op first asks the MDS
-	// for a slot and overload bounces surface as cluster.ErrOverload. The
+	// (cluster.Config.Admission): every client op (one Read or Update,
+	// however many blocks it spans) first asks the MDS for one slot, and
+	// overload bounces surface as cluster.ErrOverload. The
 	// saturation experiment sets it; closed-loop replays leave it nil
 	// (zero overhead — no admission round trip at all).
 	Admission cluster.AdmissionPolicy
