@@ -153,6 +153,12 @@ type fileMeta struct {
 // simulation requires it constant across runs.
 const placementSeed = 0x75e5
 
+// tieSalt is the sim tie salt every new cluster's environment starts with
+// (sim.Env.SetTieSalt). It is 0, the kernel's scheduling order, except in
+// this package's tests run with -tiesalt, which explore other same-instant
+// orders of the same seeded runs.
+var tieSalt uint64
+
 // New builds a cluster in a fresh simulation environment.
 func New(cfg Config) (*Cluster, error) {
 	if cfg.OSDs < 1 {
@@ -186,6 +192,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	env := sim.NewEnv()
+	env.SetTieSalt(tieSalt)
 	c := &Cluster{
 		Env:        env,
 		Fabric:     netsim.New(env, cfg.NetParams),

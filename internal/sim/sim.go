@@ -19,7 +19,8 @@
 // event order.
 //
 // The scheduler is whoever calls Run or ProcessNextEvent. It pops events in
-// (time, sequence) order; an event either runs a callback in scheduler
+// time order, same-instant ties in the order SetTieSalt describes (by default
+// the order they were scheduled in); an event either runs a callback in scheduler
 // context (At, After) or resumes one process, which then runs on the
 // scheduler's own thread until it blocks again or its body returns. A switch
 // is a direct coroutine hand-off (iter.Pull): no Go scheduler run queue, no
@@ -62,6 +63,7 @@ type Env struct {
 	idle        []*carrier // coroutines whose body returned, awaiting the next Go
 	nprocs      int        // unfinished procs (len of the first..last list)
 	droppedPuts int        // values discarded by Queue.Put after Close, env-wide
+	salt        uint64     // tie salt (SetTieSalt); 0 keeps scheduling order
 }
 
 // NewEnv returns an empty environment at time zero.
@@ -70,11 +72,23 @@ func NewEnv() *Env { return &Env{} }
 // Now returns the current virtual time.
 func (e *Env) Now() time.Duration { return e.now }
 
+// SetTieSalt chooses how events due at the same instant are ordered. The
+// events scheduled for an instant t before the clock reached t form one
+// batch; salt 0, the default, runs the batch in the order it was scheduled,
+// and any other salt in a permutation derived from the salt. An event
+// scheduled for the current instant (a Yield, a Go, a wake-up with no delay)
+// runs after every event already queued for that instant, in scheduling
+// order, at every salt: that is Yield's contract. The salt explores legal
+// interleavings of one seeded run; no model behaviour reads it. Events
+// already queued keep their place, so set it before Run.
+func (e *Env) SetTieSalt(salt uint64) { e.salt = salt }
+
 // event is one entry of the queue: at time t, resume p if it is set, else
 // call fn in scheduler context. Carrying the proc itself keeps Sleep, Put,
 // Release and Go free of a closure per event.
 type event struct {
 	t   time.Duration
+	k   uint64 // tie key (tieKey), below 2⁶³ for an event scheduled ahead of its instant
 	seq uint64
 	p   *Proc
 	fn  func()
@@ -84,12 +98,35 @@ func (a *event) before(b *event) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
+	if a.k != b.k {
+		return a.k < b.k
+	}
 	return a.seq < b.seq
 }
 
-// eventHeap is a binary min-heap on (t, seq). seq is unique, so the order is
-// total and the pop sequence is a function of the pushed set alone — it
-// cannot differ from any other correct priority queue's.
+// sameInstant marks the tie key of an event scheduled for the current
+// instant: it sorts after every key tieKey returns.
+const sameInstant = 1 << 63
+
+// tieKey is the tie key of the seq-th event, scheduled ahead of its instant,
+// under salt: seq itself at salt 0, else the SplitMix64 finalizer of seq
+// offset by the salt, cut to 63 bits. A collision falls through to seq.
+func tieKey(salt, seq uint64) uint64 {
+	if salt == 0 {
+		return seq
+	}
+	x := seq + salt*0x9e3779b97f4a7c15
+	x = (x ^ x>>30) * 0xbf58476d1ce4e5b9
+	x = (x ^ x>>27) * 0x94d049bb133111eb
+	return (x ^ x>>31) &^ sameInstant
+}
+
+// eventHeap is a binary min-heap on (t, k, seq). seq is unique, so the order
+// is total and the pop sequence is a function of the pushed set alone — it
+// cannot differ from any other correct priority queue's. At salt 0 the key
+// orders like (t, seq): every event scheduled ahead of an instant was
+// scheduled before every event scheduled at it, so both key rules keep
+// scheduling order.
 type eventHeap []event
 
 func (h *eventHeap) push(ev event) {
@@ -139,7 +176,11 @@ func (h *eventHeap) pop() event {
 
 func (e *Env) schedule(t time.Duration, p *Proc, fn func()) {
 	e.seq++
-	e.events.push(event{t: t, seq: e.seq, p: p, fn: fn})
+	k := sameInstant | e.seq
+	if t > e.now {
+		k = tieKey(e.salt, e.seq)
+	}
+	e.events.push(event{t: t, k: k, seq: e.seq, p: p, fn: fn})
 }
 
 // At schedules fn to run in scheduler context at absolute virtual time t

@@ -31,6 +31,7 @@ type fakeHost struct {
 func newFakeHost(t *testing.T) *fakeHost {
 	t.Helper()
 	env := sim.NewEnv()
+	env.SetTieSalt(*tieSalt)
 	d := device.New(env, "d", device.SSD, device.SSDParams())
 	return &fakeHost{
 		env:   env,
