@@ -186,7 +186,7 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		o.journalPersistReplica(p, j, int64(len(v.Data)))
 		o.jrHeldMsgs++
 		o.jrHeldBytes += int64(len(v.Data))
-		return &wire.JournalAck{Seq: v.Seq}
+		return wire.OK
 	case *wire.JournalFetch:
 		return o.handleJournalFetch(p, v)
 	case *wire.MigrateBlock:

@@ -333,10 +333,10 @@ type DegradedRead struct {
 // surrogate's fixed quorum holder set (durability of the degraded-update
 // journal). Surrogate names the appending surrogate and Seq is its
 // per-surrogate monotone append sequence (1, 2, ...), so a promotion can
-// union holder copies by (Blk, Off, Seq) newest-wins. Answered with a
-// JournalAck. Sum is the CRC-32C of Data, verified by the holder before it
-// acknowledges durability — a corrupted replica must not count toward the
-// quorum.
+// union holder copies by (Blk, Off, Seq) newest-wins. Answered with OK
+// once the holder has the record durably (persisted to its journal zone).
+// Sum is the CRC-32C of Data, verified by the holder before it acknowledges
+// durability — a corrupted replica must not count toward the quorum.
 type JournalReplica struct {
 	Failed    NodeID
 	Surrogate NodeID
@@ -346,14 +346,6 @@ type JournalReplica struct {
 	Data      []byte
 	Sum       uint32
 	Span      SpanCtx
-}
-
-// JournalAck acknowledges a JournalReplica append: the holder has the
-// record durably (persisted to its journal zone). Seq echoes the append
-// sequence so the surrogate can match acks to appends.
-type JournalAck struct {
-	Seq uint64
-	Err error
 }
 
 // JournalFetch retrieves surrogate-journal state for the given failed node.

@@ -55,7 +55,6 @@ var sizeRows = func() []sizeRow {
 		{&MigrateLog{}, 14},                                                  // 14
 		{&ReplicaRetire{}, 18},                                               // 4+14
 		{&PGAbort{}, 12},                                                     // 4+8
-		{&JournalAck{Err: e("zone full")}, 19},                               // 8+2+9
 		{&JournalFetchResp{Items: []JournalItem{{Data: b(2)}, {Data: b(1)}}, Err: e("partial")}, 84}, // 4+(8+14+8+4+2)+(8+14+8+4+1)+2+7
 		{&AdmitOp{}, 17}, // 17
 	}
@@ -370,7 +369,6 @@ func TestAckErr(t *testing.T) {
 		{&LookupResp{OSDs: []NodeID{1}}, &LookupResp{Err: carried}},
 		{&ReadResp{Data: []byte("x")}, &ReadResp{Err: carried}},
 		{&EpochResp{Epoch: 2}, &EpochResp{Err: carried}},
-		{&JournalAck{Seq: 3}, &JournalAck{Seq: 3, Err: carried}},
 		{&JournalFetchResp{}, &JournalFetchResp{Err: carried}},
 	}
 	covered := make(map[string]bool)
