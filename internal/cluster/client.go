@@ -168,8 +168,8 @@ func (cl *Client) admit(p *sim.Proc) (release func(), err error) {
 
 // startOp opens the root span of one foreground client op (when sampled);
 // the op is degraded when any of its pieces is on a degraded stripe. The
-// root's client stage wins whatever no deeper span covers: admission, gate
-// waits, retry pauses, overload backoff.
+// root's client stage wins whatever no deeper span covers: retry pauses and
+// overload backoff. A wait at a fence is a fence-stage span.
 func (cl *Client) startOp(p *sim.Proc, ps []piece, normal, degraded obs.OpKind) func() {
 	op := normal
 	for _, pc := range ps {
@@ -188,7 +188,7 @@ func (cl *Client) startOp(p *sim.Proc, ps []piece, normal, degraded obs.OpKind) 
 func (cl *Client) updateBlock(p *sim.Proc, blk wire.BlockID, boff int64, data []byte) error {
 	sum := wire.Checksum(data)
 	for attempt := 0; ; attempt++ {
-		cl.c.waitGate(p)
+		cl.c.waitGate(p, cl.id, "fence:gate")
 		var resp wire.Msg
 		var err error
 		if failed, surrogate, ok := cl.c.degradedRoute(blk.StripeID()); ok {
@@ -287,7 +287,7 @@ func (cl *Client) readBlock(p *sim.Proc, blk wire.BlockID, boff, n int64) ([]byt
 			// Degraded reads wait out recovery's consistency fences; normal
 			// reads are gated only by a rebalance cutover fence on their
 			// own PG (below).
-			cl.c.waitGate(p)
+			cl.c.waitGate(p, cl.id, "fence:gate")
 			resp, err = cl.c.Fabric.Call(p, cl.id, surrogate,
 				&wire.DegradedRead{Failed: failed, Blk: blk, Off: boff, Size: int32(n)})
 		} else {
@@ -295,7 +295,7 @@ func (cl *Client) readBlock(p *sim.Proc, blk wire.BlockID, boff, n int64) ([]byt
 			// overlay logs left the old home but have not landed at the
 			// new one; the fence is short (settle + catch-up + replay).
 			if cl.c.migrationFenced(blk) {
-				cl.c.waitGate(p)
+				cl.c.waitGate(p, cl.id, "fence:migration")
 			}
 			osds, epoch := cl.c.ResolveView(blk.StripeID(), cl.view)
 			resp, err = cl.c.Fabric.Call(p, cl.id, osds[blk.Index],

@@ -184,10 +184,17 @@ func (c *Cluster) gatedTime() time.Duration {
 	return c.gated
 }
 
-func (c *Cluster) waitGate(p *sim.Proc) {
+// waitGate blocks p while the gate is closed. A wait that blocks is a span
+// named name on node, in the fence stage.
+func (c *Cluster) waitGate(p *sim.Proc, node wire.NodeID, name string) {
+	if !c.gateClosed {
+		return
+	}
+	fin := obs.SpanOn(p, obs.StageFence, name, node)
 	for c.gateClosed {
 		c.gateCond.Wait(p)
 	}
+	fin()
 }
 
 // ---- routing ----
@@ -564,7 +571,7 @@ func (o *OSD) commit(p *sim.Proc, failed wire.NodeID, q *quorum, it wire.Journal
 // append is harmless (same bytes at the same offset for both overlay and
 // replay).
 func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg {
-	o.c.waitGate(p)
+	o.c.waitGate(p, o.id, "fence:gate")
 	st := o.c.degraded[v.Failed]
 	if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
 		return &wire.Ack{Err: errDegradedGone}
@@ -592,11 +599,12 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 // would silently miss journaled updates.
 func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 	var st *degradedState
+	var fenced func() // the fence:settle span, open once the settle blocks the read
 	for {
-		o.c.waitGate(p)
+		o.c.waitGate(p, o.id, "fence:gate")
 		st = o.c.degraded[v.Failed]
 		if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
-			return &wire.ReadResp{Err: errDegradedGone}
+			break
 		}
 		// A lost block reconstructs from raw shards the settle barrier may
 		// still be merging into; a surviving block reads its home through
@@ -604,7 +612,16 @@ func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 		if !st.lost[v.Blk] || !o.c.settleFenced(st, v.Blk.StripeID(), v.Off, v.Off+int64(v.Size)) {
 			break
 		}
+		if fenced == nil {
+			fenced = obs.SpanOn(p, obs.StageFence, "fence:settle", o.id)
+		}
 		p.Sleep(settlePoll)
+	}
+	if fenced != nil {
+		fenced()
+	}
+	if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
+		return &wire.ReadResp{Err: errDegradedGone}
 	}
 	o.c.surrOpsInFlight++
 	defer o.c.surrOpDone()

@@ -65,8 +65,8 @@ type Stage uint8
 
 const (
 	// StageClient is submitter-side residual time: the root span's own
-	// stage, winning whatever no deeper span covers (gate waits, retry
-	// pauses, overload backoff between admission attempts).
+	// stage, winning whatever no deeper span covers (retry pauses, overload
+	// backoff between admission attempts).
 	StageClient Stage = iota
 	// StageAdmission is time spent obtaining admission from the MDS
 	// (the AdmitOp round trip, including its network cost).
@@ -87,13 +87,18 @@ const (
 	StageCodec
 	// StageDevice is time charged by the disk model.
 	StageDevice
+	// StageFence is time an op spent blocked at a consistency fence: the
+	// recovery update gate (fence:gate), a rebalance PG cutover
+	// (fence:migration) or a degraded window's settle barrier
+	// (fence:settle). A fence opens its span only when it blocks.
+	StageFence
 
 	// NStages bounds the enum.
 	NStages
 )
 
 var stageNames = [NStages]string{
-	"client", "admission", "network", "service", "journal", "codec", "device",
+	"client", "admission", "network", "service", "journal", "codec", "device", "fence",
 }
 
 func (s Stage) String() string {
