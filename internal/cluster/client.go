@@ -284,10 +284,9 @@ func (cl *Client) readBlock(p *sim.Proc, blk wire.BlockID, boff, n int64) ([]byt
 		var resp wire.Msg
 		var err error
 		if failed, surrogate, ok := cl.c.degradedRoute(blk.StripeID()); ok {
-			// Degraded reads wait out recovery's consistency fences; normal
+			// The surrogate fences a degraded read where it must; normal
 			// reads are gated only by a rebalance cutover fence on their
 			// own PG (below).
-			cl.c.waitGate(p, cl.id, "fence:gate")
 			resp, err = cl.c.Fabric.Call(p, cl.id, surrogate,
 				&wire.DegradedRead{Failed: failed, Blk: blk, Off: boff, Size: int32(n)})
 		} else {

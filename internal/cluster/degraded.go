@@ -91,8 +91,8 @@ type degradedState struct {
 	lost map[wire.BlockID]bool
 	// quorum is each surrogate's journal quorum (see quorum).
 	quorum map[wire.NodeID]*quorum
-	// settling is set while the window's settle barrier runs with the gate
-	// open (openWindow): a degraded read of a lost block, which
+	// settling is set from the registration until the window's settle
+	// barrier ends (openWindow): a degraded read of a lost block, which
 	// reconstructs from the stripe's raw shards, waits until no live engine
 	// holds state for its byte range (settleFenced).
 	settling bool
@@ -267,8 +267,12 @@ func (c *Cluster) persistSeeds(p *sim.Proc, st *degradedState, seeded map[wire.N
 // cutover replays them, and records the degraded stripe and lost block
 // sets. The registration plus in-memory seeding happen atomically with
 // respect to client routing, so no journaled update can land ahead of an
-// older seed.
-func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client) (*degradedState, error) {
+// older seed. With settle set the caller runs the window's settle barrier
+// next, and the window is settling from the instant its routes publish: a
+// degraded read does not wait at the gate, so a lost-block read that
+// arrives before the barrier starts is fenced per byte range already
+// (settleFenced).
+func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client, settle bool) (*degradedState, error) {
 	if _, dup := c.degraded[failed]; dup {
 		return nil, fmt.Errorf("cluster: node %d already degraded", failed)
 	}
@@ -277,11 +281,12 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 		return nil, err
 	}
 	st := &degradedState{
-		failed:  failed,
-		surr:    make(map[int]wire.NodeID),
-		stripes: make(map[wire.StripeID]bool),
-		lost:    make(map[wire.BlockID]bool),
-		quorum:  make(map[wire.NodeID]*quorum),
+		failed:   failed,
+		surr:     make(map[int]wire.NodeID),
+		stripes:  make(map[wire.StripeID]bool),
+		lost:     make(map[wire.BlockID]bool),
+		quorum:   make(map[wire.NodeID]*quorum),
+		settling: settle,
 	}
 	dead := func(id wire.NodeID) bool { return c.Fabric.Down(id) }
 	pmap := c.MDS.PlacementMap()
@@ -591,18 +596,22 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 // lost blocks are reconstructed on the fly from K surviving shards, live
 // blocks are read (with engine semantics) from their home; the journal then
 // overlays newest-wins, which keeps degraded reads read-your-writes. A read
-// of a lost block first waits until the window's settle barrier has merged
-// its range (settleFenced). The whole
-// read counts as in flight so a recovery fence (the journal cutover)
-// cannot begin between the gate check and the overlay —
+// does not wait for the window's registration: a surviving block needs no
+// seed, and a read of a lost block waits until the window's settle barrier
+// has merged its range (settleFenced). Outside the settle a read still
+// waits at a closed gate, and the whole read counts as in flight, so the
+// journal cutover cannot begin between the gate check and the overlay —
 // without that, a cutover could steal the journal mid-read and the overlay
 // would silently miss journaled updates.
 func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 	var st *degradedState
 	var fenced func() // the fence:settle span, open once the settle blocks the read
 	for {
-		o.c.waitGate(p, o.id, "fence:gate")
 		st = o.c.degraded[v.Failed]
+		if st != nil && !st.settling {
+			o.c.waitGate(p, o.id, "fence:gate")
+			st = o.c.degraded[v.Failed]
+		}
 		if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
 			break
 		}
