@@ -109,12 +109,12 @@ type Cluster struct {
 	transHook func(TransEvent)
 
 	// degraded routes per failed node (see degraded.go); gateClosed fences
-	// client updates and degraded reads during recovery consistency windows
-	// (closed since gateClosedAt; gated sums the earlier closures);
-	// updatesInFlight counts normal-path updates past the gate and
-	// surrOpsInFlight counts surrogate-side degraded ops past it
-	// (fenceUpdates waits for both to land before a barrier runs, so no
-	// client op can straddle a settle or a journal cutover).
+	// client updates during recovery consistency windows (closed since
+	// gateClosedAt; gated sums the earlier closures); updatesInFlight
+	// counts normal-path updates past the gate and surrOpsInFlight counts
+	// surrogate-side degraded updates past it (fenceUpdates waits for both
+	// to land before a barrier runs, so no client update can straddle a
+	// settle or a journal cutover).
 	degraded        map[wire.NodeID]*degradedState
 	gateClosed      bool
 	gateClosedAt    time.Duration

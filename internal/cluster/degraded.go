@@ -89,6 +89,11 @@ type degradedState struct {
 	stripes map[wire.StripeID]bool
 	// lost is every block the failed node hosted (one per degraded stripe).
 	lost map[wire.BlockID]bool
+	// rebuilt is every lost block whose rebuild has been acked (rebuild).
+	// From then on its degraded reads go to its new home, never to a
+	// reconstruction: the cutover's replay may be changing the stripe's
+	// raw shards.
+	rebuilt map[wire.BlockID]bool
 	// quorum is each surrogate's journal quorum (see quorum).
 	quorum map[wire.NodeID]*quorum
 	// settling is set from the registration until the window's settle
@@ -118,17 +123,18 @@ type quorum struct {
 
 // ---- update gate ----
 
-// The gate fences client updates (and degraded reads) during recovery's
-// consistency windows: the route registration (for drain-first and
-// log-replay, the whole drain or settle barrier and the rebuild too) and
-// the journal cutover. Gated requests block rather than fail, so the
-// foreground workload sees a latency dip, not errors — the IOPS shape the
-// degraded experiment measures. An interleaved window's settle runs with
-// the gate open and fences only degraded reads of lost blocks whose range
-// the settle has yet to merge (degradedState.settling, settleFenced). The
-// gate keeps its own clock: gatedTime is the total time it has been
-// closed, and a recovery's GatedTime or a PG cutover's stall is the
-// difference of two readings.
+// The gate fences client updates during recovery's consistency windows: the
+// route registration (for drain-first and log-replay, the whole drain or
+// settle barrier and the rebuild too) and the journal cutover. Gated
+// requests block rather than fail, so the foreground workload sees a
+// latency dip, not errors — the IOPS shape the degraded experiment
+// measures. Degraded reads never wait at the gate: a window's settle fences
+// only degraded reads of lost blocks whose range the settle has yet to
+// merge (degradedState.settling, settleFenced), and the cutover fences no
+// read (handleDegradedRead). A normal read waits at the gate only inside a
+// rebalance cutover fence on its own PG. The gate keeps its own clock:
+// gatedTime is the total time it has been closed, and a recovery's
+// GatedTime or a PG cutover's stall is the difference of two readings.
 
 // closeGate closes the gate. Closing a closed gate leaves its clock running
 // from the first close.
@@ -138,13 +144,14 @@ func (c *Cluster) closeGate() {
 	}
 }
 
-// fenceUpdates closes the gate and waits until every client op that had
+// fenceUpdates closes the gate and waits until every client update that had
 // already passed it has completed: normal-path updates (fully propagated
 // through their engine's synchronous phase) AND surrogate-side degraded
-// ops. A consistency barrier that runs after this cannot race a
-// half-propagated update, and a journal cutover cannot steal the journal
-// out from under a degraded read that would then overlay nothing (the
-// stale-read race the stress suite pins). It returns how long it waited.
+// updates (appended and committed to their journal). A consistency barrier
+// that runs after this cannot race a half-propagated update, and a journal
+// cutover copies a journal no update will still append to. Reads are not
+// waited for: the cutover keeps a journal readable until its replay is
+// acked (handleDegradedRead). It returns how long it waited.
 func (c *Cluster) fenceUpdates(p *sim.Proc) time.Duration {
 	start := p.Now()
 	c.closeGate()
@@ -154,7 +161,7 @@ func (c *Cluster) fenceUpdates(p *sim.Proc) time.Duration {
 	return p.Now() - start
 }
 
-// surrOpDone retires one surrogate-side degraded op begun with
+// surrOpDone retires one surrogate-side degraded update begun with
 // surrOpsInFlight++ (which must happen atomically with the post-waitGate
 // route re-check, i.e. with no yield in between).
 func (c *Cluster) surrOpDone() {
@@ -285,6 +292,7 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client,
 		surr:     make(map[int]wire.NodeID),
 		stripes:  make(map[wire.StripeID]bool),
 		lost:     make(map[wire.BlockID]bool),
+		rebuilt:  make(map[wire.BlockID]bool),
 		quorum:   make(map[wire.NodeID]*quorum),
 		settling: settle,
 	}
@@ -369,12 +377,17 @@ func (c *Cluster) seedJournals(st *degradedState, seeds []wire.ReplicaItem, pgs 
 	return seeded
 }
 
+// unregisterDegraded retires a window's routes and drops its journals'
+// indexes and quorum retention, with no yield: from here on the stripes'
+// reads and updates take the normal path. A degraded read still in flight
+// keeps the log of its block it took before it forwarded.
 func (c *Cluster) unregisterDegraded(failed wire.NodeID) {
 	delete(c.degraded, failed)
-	// The surrogate journals' quorum retention was promotion insurance for
-	// this window only.
 	for _, osd := range c.OSDs {
 		if j, ok := osd.journals[failed]; ok {
+			j.blocks, j.order, j.fetched = nil, nil, 0
+			// The quorum retention was promotion insurance for this window
+			// only.
 			j.repl = nil
 		}
 	}
@@ -403,8 +416,10 @@ func (c *Cluster) takeOrphans(target wire.NodeID) []wire.ReplicaItem {
 // Overwrite-mode logpool.BlockLog per block, so repeated and adjacent
 // records of a block merge into non-overlapping extents as they arrive, and
 // the blocks in order of first appearance. Degraded reads overlay it and the
-// cutover steals it whole, replaying each block's merged extents once. It
-// is persisted to a circular device log and quorum-replicated to the
+// cutover copies it whole, replaying each block's merged extents once; the
+// index stays until the window's route retires (unregisterDegraded), so a
+// read overlays it throughout the replay. fetched is the record count of
+// the index when the cutover last copied it. It is persisted to a circular device log and quorum-replicated to the
 // surrogate's fixed holder set, record by record. The log takes both
 // primary appends and durability copies held for other surrogates; primary
 // counts only the former, so the placement experiment's surrogate-load
@@ -420,6 +435,7 @@ type journal struct {
 	nextSeq uint64
 	blocks  map[wire.BlockID]*logpool.BlockLog
 	order   []wire.BlockID
+	fetched int
 	repl    map[wire.NodeID][]wire.JournalItem
 }
 
@@ -456,8 +472,7 @@ func (j *journal) add(blk wire.BlockID, off int64, data []byte) {
 	b.Insert(off, data, logpool.Overwrite)
 }
 
-// records returns how many records the index took since the last steal
-// (before the merge).
+// records returns how many records the index took (before the merge).
 func (j *journal) records() int {
 	n := 0
 	for _, blk := range j.order {
@@ -466,28 +481,29 @@ func (j *journal) records() int {
 	return n
 }
 
-// steal empties the index and returns its merged extents as replay records,
-// blocks in order of first appearance and each block's extents in offset
-// order. The extents are the caller's: nothing can insert into a log once
-// it is unlinked.
-func (j *journal) steal() (items []wire.ReplicaItem) {
+// extents returns the index's merged extents as replay records, blocks in
+// order of first appearance and each block's extents in offset order. The
+// index keeps them and the records share its buffers, which is safe while
+// the gate is closed: no record is added to the index then, so no insert
+// can merge into a buffer the replay is sending.
+func (j *journal) extents() (items []wire.ReplicaItem) {
 	for _, blk := range j.order {
 		for _, e := range j.blocks[blk].Extents() {
 			items = append(items, wire.ReplicaItem{Blk: blk, Off: e.Off, Data: e.Data})
 		}
 	}
-	j.blocks, j.order = nil, nil
 	return items
 }
 
-// journalRecords returns the journal's record count for the cutover's
-// atomic empty-check (control plane, no simulated cost).
+// journalRecords returns how many records the journal took since the
+// cutover last copied it, for the cutover's atomic done-check (control
+// plane, no simulated cost).
 func (o *OSD) journalRecords(failed wire.NodeID) int {
 	j, ok := o.journals[failed]
 	if !ok {
 		return 0
 	}
-	return j.records()
+	return j.records() - j.fetched
 }
 
 // journalPersist charges one sequential append of n payload bytes to the
@@ -568,7 +584,7 @@ func (o *OSD) commit(p *sim.Proc, failed wire.NodeID, q *quorum, it wire.Journal
 
 // handleDegradedUpdate journals one client update for a degraded stripe.
 // The append happens atomically with the registration re-check and the
-// in-flight registration (no blocking in between), so the cutover's steal
+// in-flight registration (no blocking in between), so the cutover's copy
 // loop can never miss it; the commit is charged afterwards, covered by the
 // in-flight count so a recovery fence waits it out. The seq enters the
 // surrogate's acked set only when the commit succeeds. A failed commit
@@ -592,39 +608,29 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 	return wire.OK
 }
 
-// handleDegradedRead serves [Off, Off+Size) of a degraded-stripe block:
-// lost blocks are reconstructed on the fly from K surviving shards, live
-// blocks are read (with engine semantics) from their home; the journal then
-// overlays newest-wins, which keeps degraded reads read-your-writes. A read
-// does not wait for the window's registration: a surviving block needs no
-// seed, and a read of a lost block waits until the window's settle barrier
-// has merged its range (settleFenced). Outside the settle a read still
-// waits at a closed gate, and the whole read counts as in flight, so the
-// journal cutover cannot begin between the gate check and the overlay —
-// without that, a cutover could steal the journal mid-read and the overlay
-// would silently miss journaled updates.
+// handleDegradedRead serves [Off, Off+Size) of a degraded-stripe block: it
+// reads the block's bytes (readDegraded), then overlays the block's merged
+// journal extents newest-wins, which keeps degraded reads read-your-writes.
+// It waits for neither the window's registration nor its cutover. A
+// surviving block needs no journal seed, and a read of a lost block waits
+// only until the window's settle barrier has merged its range
+// (settleFenced). During the cutover every read goes to a home engine
+// that may hold any prefix of the replay, and overlaying the whole journal
+// on it gives the final bytes, because a journal extent is an overwrite and
+// no update is newer than the journal while the gate is closed. The
+// block's journal log is taken before the read yields: the cutover retires
+// the route and drops the index once every extent is replayed, and a read
+// whose home was read before the last replay landed must still overlay.
 func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
-	var st *degradedState
+	st := o.c.degraded[v.Failed]
 	var fenced func() // the fence:settle span, open once the settle blocks the read
-	for {
-		st = o.c.degraded[v.Failed]
-		if st != nil && !st.settling {
-			o.c.waitGate(p, o.id, "fence:gate")
-			st = o.c.degraded[v.Failed]
-		}
-		if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
-			break
-		}
-		// A lost block reconstructs from raw shards the settle barrier may
-		// still be merging into; a surviving block reads its home through
-		// the engine and need not wait.
-		if !st.lost[v.Blk] || !o.c.settleFenced(st, v.Blk.StripeID(), v.Off, v.Off+int64(v.Size)) {
-			break
-		}
+	for st != nil && st.servesDegraded(o.c, o.id, v.Blk) && st.lost[v.Blk] &&
+		o.c.settleFenced(st, v.Blk.StripeID(), v.Off, v.Off+int64(v.Size)) {
 		if fenced == nil {
 			fenced = obs.SpanOn(p, obs.StageFence, "fence:settle", o.id)
 		}
 		p.Sleep(settlePoll)
+		st = o.c.degraded[v.Failed]
 	}
 	if fenced != nil {
 		fenced()
@@ -632,37 +638,45 @@ func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 	if st == nil || !st.servesDegraded(o.c, o.id, v.Blk) {
 		return &wire.ReadResp{Err: errDegradedGone}
 	}
-	o.c.surrOpsInFlight++
-	defer o.c.surrOpDone()
-	var buf []byte
-	var err error
-	if st.lost[v.Blk] {
-		buf, err = o.reconstructRangeHedged(p, v.Blk, v.Off, int64(v.Size))
-	} else {
-		var resp wire.Msg
-		home := o.c.Placement(v.Blk.StripeID())[v.Blk.Index]
-		resp, err = o.Call(p, home, &wire.ReadBlock{
-			Blk: v.Blk, Off: v.Off, Size: v.Size,
-			Epoch: o.c.MDS.authEpochOf(v.Blk.StripeID()),
-		})
-		// A transport error goes back as is; the home's answer is wrapped.
-		if err == nil {
-			if buf, err = o.c.readData(resp, nil); err != nil {
-				err = fmt.Errorf("degraded read fwd %v: %w", v.Blk, err)
-			}
-		}
-	}
+	jlog := o.journalFor(v.Failed).blocks[v.Blk]
+	buf, err := o.readDegraded(p, st, v)
 	if err != nil {
 		return &wire.ReadResp{Err: err}
 	}
-	// Overlay the block's merged journal extents, which already hold the
-	// newest write of every byte. The gate excludes cutover, so the journal
-	// cannot be stolen mid-read.
-	if b := o.journalFor(v.Failed).blocks[v.Blk]; b != nil {
-		b.Overlay(v.Off, buf)
+	if jlog != nil {
+		jlog.Overlay(v.Off, buf)
 	}
 	// The checksum covers the post-overlay bytes the client will consume.
 	return &wire.ReadResp{Data: buf, Sum: wire.Checksum(buf)}
+}
+
+// readDegraded reads the bytes a degraded read overlays its journal on. A
+// lost block whose rebuild has not been acked is reconstructed from the
+// raw shards the settle made consistent; if its rebuild is acked by the
+// time the reconstruction returns, the cutover may have begun replaying
+// into those shards, so the reconstruction is dropped. Every other read,
+// of a surviving block or a rebuilt one, forwards to the block's home and
+// reads it through the engine.
+func (o *OSD) readDegraded(p *sim.Proc, st *degradedState, v *wire.DegradedRead) ([]byte, error) {
+	if st.lost[v.Blk] && !st.rebuilt[v.Blk] {
+		buf, err := o.reconstructRangeHedged(p, v.Blk, v.Off, int64(v.Size))
+		if err != nil || !st.rebuilt[v.Blk] {
+			return buf, err
+		}
+	}
+	home := o.c.Placement(v.Blk.StripeID())[v.Blk.Index]
+	resp, err := o.Call(p, home, &wire.ReadBlock{
+		Blk: v.Blk, Off: v.Off, Size: v.Size,
+		Epoch: o.c.MDS.authEpochOf(v.Blk.StripeID()),
+	})
+	if err != nil {
+		return nil, err // a transport error goes back as is
+	}
+	buf, err := o.c.readData(resp, nil)
+	if err != nil {
+		return nil, fmt.Errorf("degraded read fwd %v: %w", v.Blk, err)
+	}
+	return buf, nil
 }
 
 // reconstructRange rebuilds [off, off+size) of a lost block from the same
@@ -750,13 +764,14 @@ func (o *OSD) reconstructRangeHedged(p *sim.Proc, blk wire.BlockID, off, size in
 // order, leaving them in place (promotion unions several holders' sets by
 // seq). Those copies serve no read and have no index, so they come off the
 // device log.
-// Otherwise it steals this OSD's own journal for the failed node: every
+// Otherwise it copies this OSD's own journal for the failed node: every
 // block's merged extents are returned, blocks in order of first
-// appearance, and forgotten. A log whose memory index serves reads hands
-// its extents over from that index, so the steal reads nothing off the
-// device: degraded reads already overlay the same extents from memory, and
-// the on-disk journal is only their durability copy. The recovery cutover
-// runs the steal under the closed gate, so nothing can land behind it.
+// appearance, and the index keeps them, so degraded reads overlay them
+// until the route retires. A journal with no record since its last copy
+// returns nothing. A log whose memory index serves reads hands its extents
+// over from that index, so the copy reads nothing off the device: the
+// on-disk journal is only their durability copy. The recovery cutover
+// copies under the closed gate, so nothing can land behind it.
 func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 	if v.Surrogate != 0 {
 		resp := &wire.JournalFetchResp{}
@@ -777,10 +792,11 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 		return resp
 	}
 	j, ok := o.journals[v.Failed]
-	if !ok || j.records() == 0 {
+	if !ok || j.records() == j.fetched {
 		return &wire.ReplicaResp{}
 	}
-	return &wire.ReplicaResp{Items: j.steal()}
+	j.fetched = j.records()
+	return &wire.ReplicaResp{Items: j.extents()}
 }
 
 // settlePoll is how often a degraded read fenced by settleFenced looks

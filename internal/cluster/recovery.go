@@ -33,8 +33,8 @@ const (
 	// while degraded-stripe I/O routes through the surrogate (reads
 	// reconstruct on the fly, updates journal) and non-degraded I/O runs the
 	// normal path — contending with recovery traffic on the same simulated
-	// NICs. A second gate covers the journal cutover, which replays every
-	// surrogate's journal at once.
+	// NICs. A second gate holds updates through the journal cutover, which
+	// replays every surrogate's journal at once; reads pass it.
 	RecoverInterleaved
 )
 
@@ -82,8 +82,8 @@ type RecoveryReport struct {
 	Fence2Wait time.Duration
 	// JournalFetchTime and JournalReplayTime split the cutover's critical
 	// path: the surrogate journal whose replay finished last, fetched and
-	// then replayed. The fetch is the steal's round trip and transfer; the
-	// steal takes the merged extents from the journal's memory index and
+	// then replayed. The fetch is the copy's round trip and transfer; the
+	// copy takes the merged extents from the journal's memory index and
 	// reads nothing off the surrogate's device.
 	JournalFetchTime  time.Duration
 	JournalReplayTime time.Duration
@@ -94,7 +94,7 @@ type RecoveryReport struct {
 	// it for Fence1Wait + RegisterTime and then for the second fence
 	// (Fence2Wait + ReplayTime); the settle and the rebuild run ungated.
 	GatedTime time.Duration
-	// ReplayedRecords counts the journal records the cutover took (the
+	// ReplayedRecords counts the journal records the cutover copied (the
 	// failed node's DataLog replicas plus the degraded updates journaled
 	// during recovery); each journal's index merged them per block, and
 	// ReplayedItems / ReplayedBytes count the extents and bytes replayed
@@ -172,10 +172,10 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	c.resetRecoverySources()
 
 	// The degraded routes are published only under the closed gate
-	// (openWindow): were they published against an open gate, a degraded
-	// read could slip through and reconstruct from raw shards the settle
-	// barrier has not yet made stripe-consistent. Log-replay registers
-	// before its settle, still gated, so client ops to the dead node's
+	// (openWindow), which holds updates back while the journals are seeded;
+	// a degraded read passes it, and one of a lost block is fenced by the
+	// settle from the instant the routes publish. Log-replay registers
+	// before its settle, still gated, so client updates to the dead node's
 	// stripes block at the gate instead of burning their bounded node-down
 	// retry budget for the whole barrier.
 	if !drain {
@@ -201,9 +201,8 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		if lost, err = c.rebuild(p, failed, parallel, via, rep, !drain); err == nil {
 			c.resetStripeState(lost)
 			if mode == RecoverInterleaved {
-				// Wait out in-flight surrogate ops: a degraded read that
-				// already passed the gate must finish its journal overlay
-				// before the steal.
+				// Wait out in-flight degraded updates: their records must be
+				// committed before the cutover copies the journals.
 				rep.Fence2Wait = c.fenceUpdates(p)
 			}
 			if err = c.cutover(p, failed, via, rep); err == nil && mode == RecoverLogReplay {
@@ -257,7 +256,9 @@ func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *
 }
 
 // rebuild reconstructs every block placement puts on the failed node
-// (lostBlocks) onto surviving OSDs, `parallel` blocks at a time, remapping placement as it goes. Each
+// (lostBlocks) onto surviving OSDs, `parallel` blocks at a time, remapping
+// placement as it goes, and marks each acked block rebuilt in the failed
+// node's degraded window, if one is open. Each
 // block's target is its PG's stable replacement for the failed slot
 // (placement.Replacement), so a single death moves only the dead node's
 // PGs and the rebuild writes spread exactly as the CRUSH-like map dictates
@@ -300,6 +301,9 @@ func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Cl
 		req := &wire.RecoverBlock{Blk: lost[i], Reencode: repair && c.stripeRepair(lost[i])}
 		if err := wire.AckErr(c.Fabric.Call(hp, via.id, targets[i], req)); err != nil {
 			return fmt.Errorf("recover %v: %w", lost[i], err)
+		}
+		if st := c.degraded[failed]; st != nil {
+			st.rebuilt[lost[i]] = true
 		}
 		return nil
 	}); err != nil {
@@ -348,9 +352,12 @@ func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
 // cutover replays the surrogate journals — the failed node's replicated
 // unrecycled DataLog items followed by every update journaled while the
 // node was degraded — through the engines' Update at the (remapped)
-// home OSDs, then atomically retires the degraded route. Each journal is
-// indexed per block like the DataLog, so the steal returns every block's
-// merged extents and each byte range is fetched and replayed once. With
+// home OSDs, then atomically retires the degraded route and drops the
+// journal indexes (unregisterDegraded). Each journal is indexed per block
+// like the DataLog, so the copy returns every block's merged extents and
+// each byte range is fetched and replayed once. The surrogate keeps its
+// index until every extent is replayed and acked, so degraded reads keep
+// overlaying it through the replay and need no fence. With
 // per-PG surrogates there is one journal per surrogate OSD, and every
 // surrogate's journal is fetched and replayed at once. That is safe because
 // a block's records all live on its PG's surrogate (a promotion moves a
@@ -359,8 +366,9 @@ func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
 // replay in order while distinct blocks replay in parallel: the engines
 // already take concurrent updates to different blocks of a stripe from
 // clients. It must run under the closed gate (after a fence, so no degraded
-// op is mid-flight) so the journals cannot grow behind the steal and
-// degraded reads cannot observe mid-replay stripes.
+// update is mid-flight) so the journals cannot grow behind the copy. Should
+// one grow anyway, the next round copies and replays that whole journal
+// again, which leaves the same bytes: its extents are overwrites.
 func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
 	st := c.degraded[failed]
 	if st == nil {
@@ -368,8 +376,9 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 	}
 	replayStart := p.Now()
 	for {
-		// Atomic with the steals below: with the gate closed nothing can
-		// append, so journals found empty stay empty until we unregister.
+		// Atomic with the retirement below: with the gate closed nothing
+		// can append, so journals found fully copied stay so until we
+		// unregister.
 		var busy []wire.NodeID
 		var records []int
 		for _, sur := range st.surrogates {
@@ -402,7 +411,7 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 			// offset order. A block's extents do not overlap, so their order
 			// cannot change the result; replaying them serially keeps
 			// same-block concurrency out of the engines' replay path. The
-			// steal returns each block's extents as one contiguous run, which
+			// copy returns each block's extents as one contiguous run, which
 			// starts at runs[i] and ends where the next one starts.
 			var runs []int
 			for i, it := range rr.Items {

@@ -424,23 +424,25 @@ func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
 	}
 }
 
-// TestCutoverStealsJournalFromIndex: the cutover takes each surrogate's
-// journal from its memory index, so the steal charges no device read. A
-// degraded window journals overlapping updates to one lost block on each of
-// several surrogates. Every steal must leave its surrogate's device read
-// counters unchanged and still return that journal's merged extents; the
-// cutover then replays them, so the cluster scrubs clean and every byte
-// reads back as last written. A read-repair fetch of a holder's durability
-// copies, which have no index, still reads the holder's device.
-func TestCutoverStealsJournalFromIndex(t *testing.T) {
+// TestCutoverCopiesJournalFromIndex: the cutover copies each surrogate's
+// journal from its memory index, so the copy charges no device read, and
+// the index keeps the extents for degraded reads until the route retires.
+// A degraded window journals overlapping updates to one lost block on each
+// of several surrogates. Every copy must leave its surrogate's device read
+// counters unchanged, return that journal's merged extents and leave them
+// in the index; the cutover then replays them, so the cluster scrubs clean
+// and every byte reads back as last written. A read-repair fetch of a
+// holder's durability copies, which have no index, still reads the
+// holder's device.
+func TestCutoverCopiesJournalFromIndex(t *testing.T) {
 	c := MustNew(degradedConfig("tsue"))
 	defer c.Env.Close()
-	type steal struct {
+	type fetch struct {
 		sur                wire.NodeID
-		items              int
+		items, kept        int
 		readOps, readBytes int64
 	}
-	var steals []steal
+	var fetches []fetch
 	for _, o := range c.OSDs {
 		h := o.handle
 		if err := c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
@@ -455,7 +457,7 @@ func TestCutoverStealsJournalFromIndex(t *testing.T) {
 			if rr, ok := resp.(*wire.ReplicaResp); ok {
 				items = len(rr.Items)
 			}
-			steals = append(steals, steal{o.id, items, after.ReadOps - before.ReadOps, after.ReadBytes - before.ReadBytes})
+			fetches = append(fetches, fetch{o.id, items, journalExtents(c, o.id, jf.Failed), after.ReadOps - before.ReadOps, after.ReadBytes - before.ReadBytes})
 			return resp
 		}); err != nil {
 			t.Fatal(err)
@@ -561,20 +563,20 @@ func TestCutoverStealsJournalFromIndex(t *testing.T) {
 		}
 		return
 	}
-	stolen := 0
-	for _, s := range steals {
-		if s.readOps != 0 || s.readBytes != 0 {
-			t.Errorf("steal on surrogate %d read %d ops / %d bytes off its device, want none", s.sur, s.readOps, s.readBytes)
+	copied := 0
+	for _, f := range fetches {
+		if f.readOps != 0 || f.readBytes != 0 {
+			t.Errorf("copy on surrogate %d read %d ops / %d bytes off its device, want none", f.sur, f.readOps, f.readBytes)
 		}
-		if s.items != extents[s.sur] {
-			t.Errorf("steal on surrogate %d returned %d items, its journal held %d extents", s.sur, s.items, extents[s.sur])
+		if f.items != extents[f.sur] || f.kept != extents[f.sur] {
+			t.Errorf("copy on surrogate %d returned %d items and left %d, its journal held %d extents", f.sur, f.items, f.kept, extents[f.sur])
 		}
-		if s.items > 0 {
-			stolen++
+		if f.items > 0 {
+			copied++
 		}
 	}
-	if stolen < 2 {
-		t.Errorf("%d steals returned extents, want one per journaling surrogate (at least 2)", stolen)
+	if copied < 2 {
+		t.Errorf("%d copies returned extents, want one per journaling surrogate (at least 2)", copied)
 	}
 }
 

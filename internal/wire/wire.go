@@ -351,10 +351,12 @@ type JournalReplica struct {
 // JournalFetch retrieves surrogate-journal state for the given failed node.
 // Two modes share the message:
 //
-//   - Surrogate == 0: steal the receiver's own (primary) journal — it
+//   - Surrogate == 0: copy the receiver's own (primary) journal — it
 //     returns each block's merged extents from the journal's memory index
-//     as a ReplicaResp, blocks in order of first appearance, and forgets
-//     them. Recovery's cutover loop calls this until empty.
+//     as a ReplicaResp, blocks in order of first appearance, and keeps
+//     them: degraded reads overlay them until the route retires. A journal
+//     with no record since its last copy returns none. Recovery's cutover
+//     loop calls this until every journal returns none.
 //   - Surrogate != 0: non-destructive read-repair fetch — the receiver
 //     returns the quorum-replicated records it holds on behalf of that
 //     surrogate with Seq > FromSeq, as a JournalFetchResp. Promotion after
