@@ -5,7 +5,7 @@ package harness
 // Each engine is calibrated closed-loop, then driven open-loop at two
 // offered-load points (below and near the knee) with every op traced.
 // The assembled traces break each update's end-to-end time into
-// client/admission/network/service/journal/codec/device stages — the sums
+// client/admission/network/service/journal/codec/device/fence stages — the sums
 // reproduce the end-to-end duration exactly, which the stage_sum_ratio
 // metric asserts — and the dominant-hop signatures of the p99 tail name
 // the critical path a profiler would point at. A per-hop line names the
