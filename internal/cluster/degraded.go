@@ -419,8 +419,9 @@ func (c *Cluster) takeOrphans(target wire.NodeID) []wire.ReplicaItem {
 // cutover copies it whole, replaying each block's merged extents once; the
 // index stays until the window's route retires (unregisterDegraded), so a
 // read overlays it throughout the replay. fetched is the record count of
-// the index when the cutover last copied it. It is persisted to a circular device log and quorum-replicated to the
-// surrogate's fixed holder set, record by record. The log takes both
+// the index when the cutover last copied it. The journal is persisted to a
+// circular device log and quorum-replicated to the surrogate's fixed holder
+// set, record by record. The log takes both
 // primary appends and durability copies held for other surrogates; primary
 // counts only the former, so the placement experiment's surrogate-load
 // accounting sees only primary journal work, not holder copies. nextSeq

@@ -224,8 +224,8 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 }
 
 // openWindow opens a degraded window for a node already off the fabric. It
-// closes the gate, waits out the client ops already past it, publishes the
-// degraded routes (registerDegraded) and runs the settle barrier for the
+// closes the gate, waits out the client updates already past it, publishes
+// the degraded routes (registerDegraded) and runs the settle barrier for the
 // failed node's stripes, timing each phase into rep. With open set it
 // reopens the gate before the settle, so the barrier runs while updates
 // flow; otherwise the gate stays closed for the caller (log-replay keeps
@@ -235,8 +235,9 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 // only has to hold back what reads a degraded stripe's raw shards: a
 // degraded read of a lost block, which reconstructs its range from them,
 // waits while any live engine still holds state for that range
-// (settleFenced). Degraded reads of surviving blocks and all normal reads
-// go ahead. On a registration error the gate is left as it is.
+// (settleFenced), from the instant the routes publish whether or not the
+// gate is open. Degraded reads of surviving blocks and all normal reads go
+// ahead. On a registration error the gate is left as it is.
 func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport, open bool) error {
 	rep.Fence1Wait = c.fenceUpdates(p)
 	start := p.Now()
