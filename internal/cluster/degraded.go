@@ -274,12 +274,11 @@ func (c *Cluster) persistSeeds(p *sim.Proc, st *degradedState, seeded map[wire.N
 // cutover replays them, and records the degraded stripe and lost block
 // sets. The registration plus in-memory seeding happen atomically with
 // respect to client routing, so no journaled update can land ahead of an
-// older seed. With settle set the caller runs the window's settle barrier
-// next, and the window is settling from the instant its routes publish: a
-// degraded read does not wait at the gate, so a lost-block read that
-// arrives before the barrier starts is fenced per byte range already
-// (settleFenced).
-func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client, settle bool) (*degradedState, error) {
+// older seed. The window is settling from the instant its routes publish,
+// until the caller's settle barrier ends: a degraded read does not wait at
+// the gate, so a lost-block read that arrives before the barrier starts is
+// fenced per byte range already (settleFenced).
+func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client) (*degradedState, error) {
 	if _, dup := c.degraded[failed]; dup {
 		return nil, fmt.Errorf("cluster: node %d already degraded", failed)
 	}
@@ -294,7 +293,7 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client,
 		lost:     make(map[wire.BlockID]bool),
 		rebuilt:  make(map[wire.BlockID]bool),
 		quorum:   make(map[wire.NodeID]*quorum),
-		settling: settle,
+		settling: true,
 	}
 	dead := func(id wire.NodeID) bool { return c.Fabric.Down(id) }
 	pmap := c.MDS.PlacementMap()

@@ -359,7 +359,7 @@ func TestDegradedReadLostBlock(t *testing.T) {
 		}
 		victim := wire.NodeID(3)
 		c.Fabric.SetDown(victim, true)
-		if _, err := c.registerDegraded(p, victim, admin, false); err != nil {
+		if _, err := c.registerDegraded(p, victim, admin); err != nil {
 			t.Error(err)
 			return
 		}

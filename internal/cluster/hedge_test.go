@@ -55,7 +55,7 @@ func hedgeSetup(t *testing.T, p *sim.Proc, c *Cluster, cl, admin *Client) *hedge
 	}
 	victim := wire.NodeID(3)
 	c.Fabric.SetDown(victim, true)
-	st, err := c.registerDegraded(p, victim, admin, false)
+	st, err := c.registerDegraded(p, victim, admin)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -602,7 +602,7 @@ func TestSentinelErrorsNotRetryable(t *testing.T) {
 		}
 		victim := c.Placement(wire.StripeID{Ino: ino, Stripe: 0})[0]
 		c.Fabric.SetDown(victim, true)
-		if _, err := c.registerDegraded(p, victim, cl, false); err != nil {
+		if _, err := c.registerDegraded(p, victim, cl); err != nil {
 			t.Fatal(err)
 		}
 		_, _, err = c.Expand(p, cl, rebalance.Config{})
@@ -710,7 +710,7 @@ func TestRouteBouncesCrossHops(t *testing.T) {
 		// Two hops: the surrogate forwards a live block's degraded read to
 		// its home, which bounces it from inside the fence.
 		c.Fabric.SetDown(peer, true)
-		st, err := c.registerDegraded(p, peer, cl, false)
+		st, err := c.registerDegraded(p, peer, cl)
 		if err != nil {
 			t.Fatal(err)
 		}

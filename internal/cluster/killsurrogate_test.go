@@ -102,7 +102,7 @@ func TestKillSurrogatePromotesJournal(t *testing.T) {
 		}
 		victim := wire.NodeID(3)
 		c.Fabric.SetDown(victim, true)
-		st, err := c.registerDegraded(p, victim, admin, false)
+		st, err := c.registerDegraded(p, victim, admin)
 		if err != nil {
 			t.Error(err)
 			return
@@ -242,7 +242,7 @@ func TestKillSurrogateHolderQuorumSurvives(t *testing.T) {
 		}
 		victim := wire.NodeID(3)
 		c.Fabric.SetDown(victim, true)
-		st, err := c.registerDegraded(p, victim, admin, false)
+		st, err := c.registerDegraded(p, victim, admin)
 		if err != nil {
 			t.Error(err)
 			return
@@ -330,7 +330,7 @@ func TestKillSurrogateAllHoldersLost(t *testing.T) {
 		}
 		victim := wire.NodeID(3)
 		c.Fabric.SetDown(victim, true)
-		st, err := c.registerDegraded(p, victim, admin, false)
+		st, err := c.registerDegraded(p, victim, admin)
 		if err != nil {
 			t.Error(err)
 			return
@@ -535,7 +535,7 @@ func killSurrogateMidAppend(t *testing.T, delay time.Duration) error {
 			}
 			failed := wire.NodeID(3)
 			c.Fabric.SetDown(failed, true)
-			st, err := c.registerDegraded(p, failed, admin, false)
+			st, err := c.registerDegraded(p, failed, admin)
 			if err != nil {
 				return err
 			}

@@ -230,7 +230,7 @@ func TestExpandRecoveryMutualExclusion(t *testing.T) {
 		// Degraded window open -> Expand refused.
 		victim := c.Placement(wire.StripeID{Ino: ino, Stripe: 0})[0]
 		c.Fabric.SetDown(victim, true)
-		if _, err := c.registerDegraded(p, victim, cl, false); err != nil {
+		if _, err := c.registerDegraded(p, victim, cl); err != nil {
 			t.Fatal(err)
 		}
 		if _, _, err := c.Expand(p, cl, rebalance.Config{}); err == nil {

@@ -241,7 +241,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport, open bool) error {
 	rep.Fence1Wait = c.fenceUpdates(p)
 	start := p.Now()
-	st, err := c.registerDegraded(p, failed, via, true)
+	st, err := c.registerDegraded(p, failed, via)
 	rep.RegisterTime = p.Now() - start
 	if err != nil {
 		return err
