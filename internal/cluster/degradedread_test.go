@@ -42,7 +42,7 @@ func TestDegradedReadsAcrossRecovery(t *testing.T) {
 	}
 }
 
-// readTarget is one probed block range: block-local [0, probeSize).
+// probeSize is the length of every probe read, from a block's first byte.
 const probeSize = 8 << 10
 
 func runDegradedReads(t *testing.T, engine string, salt uint64) {
@@ -60,7 +60,6 @@ func runDegradedReads(t *testing.T, engine string, salt uint64) {
 
 	// The lost data blocks in file order, L first, and D beside L.
 	var lost []wire.BlockID
-	var d wire.BlockID
 	for s := uint32(0); s < stripes; s++ {
 		osds := c.Placement(wire.StripeID{Ino: 1, Stripe: s})
 		for i := 0; i < c.Cfg.K; i++ {
@@ -73,7 +72,7 @@ func runDegradedReads(t *testing.T, engine string, salt uint64) {
 		t.Fatalf("node %d hosts %d data blocks of the file, want at least 2", victim, len(lost))
 	}
 	l := lost[0]
-	d = wire.BlockID{Ino: 1, Stripe: l.Stripe, Index: (l.Index + 1) % uint16(c.Cfg.K)}
+	d := wire.BlockID{Ino: 1, Stripe: l.Stripe, Index: (l.Index + 1) % uint16(c.Cfg.K)}
 	fileOff := func(b wire.BlockID) int64 { return int64(b.Stripe)*sw + int64(b.Index)*bs }
 
 	var (
