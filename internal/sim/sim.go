@@ -19,13 +19,14 @@
 // event order.
 //
 // The scheduler is whoever calls Run or ProcessNextEvent. It pops events in
-// time order, same-instant ties in the order SetTieSalt describes (by default
-// the order they were scheduled in); an event either runs a callback in scheduler
-// context (At, After) or resumes one process, which then runs on the
-// scheduler's own thread until it blocks again or its body returns. A switch
-// is a direct coroutine hand-off (iter.Pull): no Go scheduler run queue, no
-// channel and no second thread is involved, and exactly one of scheduler and
-// processes executes at any instant, so simulated code needs no locking.
+// time order, same-instant ties in the order SetTieSalt describes (by
+// default the order they were scheduled in); an event either runs a callback
+// in scheduler context (At, After) or resumes one process, which then runs
+// on the scheduler's own thread until it blocks again or its body returns. A
+// switch is a direct coroutine hand-off (iter.Pull): no Go scheduler run
+// queue, no channel and no second thread is involved, and exactly one of
+// scheduler and processes executes at any instant, so simulated code needs
+// no locking.
 //
 // A panic in a process body surfaces, wrapped with the process name and its
 // stack, as a panic in the caller of Run / ProcessNextEvent — the caller may
