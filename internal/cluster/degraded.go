@@ -149,7 +149,7 @@ func (c *Cluster) closeGate() {
 // through their engine's synchronous phase) AND surrogate-side degraded
 // updates (appended and committed to their journal). A consistency barrier
 // that runs after this cannot race a half-propagated update, and a journal
-// cutover copies a journal no update will still append to. Reads are not
+// cutover replays a journal no update will still append to. Reads are not
 // waited for: the cutover keeps a journal readable until its replay is
 // acked (handleDegradedRead). It returns how long it waited.
 func (c *Cluster) fenceUpdates(p *sim.Proc) time.Duration {
@@ -414,11 +414,12 @@ func (c *Cluster) takeOrphans(target wire.NodeID) []wire.ReplicaItem {
 // memory it is the DataLog's two-level index (paper §3.3): one
 // Overwrite-mode logpool.BlockLog per block, so repeated and adjacent
 // records of a block merge into non-overlapping extents as they arrive, and
-// the blocks in order of first appearance. Degraded reads overlay it and the
-// cutover copies it whole, replaying each block's merged extents once; the
-// index stays until the window's route retires (unregisterDegraded), so a
-// read overlays it throughout the replay. fetched is the record count of
-// the index when the cutover last copied it. The journal is persisted to a
+// the blocks in order of first appearance. Degraded reads overlay it, and at
+// the cutover the surrogate replays it whole from memory to the blocks'
+// homes, each block's merged extents once (handleJournalReplay); the index
+// stays until the window's route retires (unregisterDegraded), so a read
+// overlays it throughout the replay. fetched is the record count of the
+// index when its surrogate last replayed it. The journal is persisted to a
 // circular device log and quorum-replicated to the surrogate's fixed holder
 // set, record by record. The log takes both
 // primary appends and durability copies held for other surrogates; primary
@@ -481,22 +482,23 @@ func (j *journal) records() int {
 	return n
 }
 
-// extents returns the index's merged extents as replay records, blocks in
-// order of first appearance and each block's extents in offset order. The
-// index keeps them and the records share its buffers, which is safe while
-// the gate is closed: no record is added to the index then, so no insert
-// can merge into a buffer the replay is sending.
-func (j *journal) extents() (items []wire.ReplicaItem) {
-	for _, blk := range j.order {
+// extents returns the index's merged extents as replay records, one run
+// per block: blocks in order of first appearance and each block's extents
+// in offset order. The index keeps them and the records share its buffers,
+// which is safe while the gate is closed: no record is added to the index
+// then, so no insert can merge into a buffer the replay is sending.
+func (j *journal) extents() [][]wire.ReplicaItem {
+	blocks := make([][]wire.ReplicaItem, len(j.order))
+	for i, blk := range j.order {
 		for _, e := range j.blocks[blk].Extents() {
-			items = append(items, wire.ReplicaItem{Blk: blk, Off: e.Off, Data: e.Data})
+			blocks[i] = append(blocks[i], wire.ReplicaItem{Blk: blk, Off: e.Off, Data: e.Data})
 		}
 	}
-	return items
+	return blocks
 }
 
-// journalRecords returns how many records the journal took since the
-// cutover last copied it, for the cutover's atomic done-check (control
+// journalRecords returns how many records the journal took since its
+// surrogate last replayed it, for the cutover's atomic done-check (control
 // plane, no simulated cost).
 func (o *OSD) journalRecords(failed wire.NodeID) int {
 	j, ok := o.journals[failed]
@@ -758,45 +760,65 @@ func (o *OSD) reconstructRangeHedged(p *sim.Proc, blk wire.BlockID, off, size in
 	return nil, first.err
 }
 
-// handleJournalFetch serves both journal-retrieval modes. With Surrogate
-// set it is the non-destructive read-repair fetch: return the sequenced
-// durability copies held for that surrogate with Seq > FromSeq, in arrival
-// order, leaving them in place (promotion unions several holders' sets by
-// seq). Those copies serve no read and have no index, so they come off the
-// device log.
-// Otherwise it copies this OSD's own journal for the failed node: every
-// block's merged extents are returned, blocks in order of first
-// appearance, and the index keeps them, so degraded reads overlay them
-// until the route retires. A journal with no record since its last copy
-// returns nothing. A log whose memory index serves reads hands its extents
-// over from that index, so the copy reads nothing off the device: the
-// on-disk journal is only their durability copy. The recovery cutover
-// copies under the closed gate, so nothing can land behind it.
+// handleJournalFetch serves the read-repair fetch: it returns the
+// sequenced durability copies held for v.Surrogate with Seq > FromSeq, in
+// arrival order, leaving them in place (promotion unions several holders'
+// sets by seq). Those copies serve no read and have no index, so they come
+// off the device log.
 func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
-	if v.Surrogate != 0 {
-		resp := &wire.JournalFetchResp{}
-		j, ok := o.journals[v.Failed]
-		if !ok {
-			return resp
-		}
-		var total int64
-		for _, it := range j.repl[v.Surrogate] {
-			if it.Seq > v.FromSeq {
-				resp.Items = append(resp.Items, it)
-				total += int64(len(it.Data))
-			}
-		}
-		if total > 0 {
-			j.log.Read(p, 0, total)
-		}
+	resp := &wire.JournalFetchResp{}
+	j, ok := o.journals[v.Failed]
+	if !ok {
 		return resp
 	}
+	var total int64
+	for _, it := range j.repl[v.Surrogate] {
+		if it.Seq > v.FromSeq {
+			resp.Items = append(resp.Items, it)
+			total += int64(len(it.Data))
+		}
+	}
+	if total > 0 {
+		j.log.Read(p, 0, total)
+	}
+	return resp
+}
+
+// handleJournalReplay replays this OSD's own journal for the failed node:
+// every block's merged extents go from the journal's memory index to the
+// block's current home as ReplayUpdates, and the answer counts them once
+// every one is acked. A log whose memory index serves reads hands its
+// extents over from that index, so the replay reads nothing off the device
+// (the on-disk journal is only their durability copy), and a block rebuilt
+// on this OSD replays over loopback. Blocks replay in parallel, each
+// block's extents one at a time in offset order: a block's extents do not
+// overlap, so their order cannot change the result, and replaying them
+// serially keeps same-block concurrency out of the engines' replay path.
+// The index keeps the extents, so degraded reads overlay them until the
+// route retires, and a journal with no record since its last replay
+// replays nothing. The recovery cutover sends this under the closed gate,
+// so nothing lands behind it.
+func (o *OSD) handleJournalReplay(p *sim.Proc, v *wire.JournalReplay) wire.Msg {
+	resp := &wire.JournalReplayResp{}
 	j, ok := o.journals[v.Failed]
 	if !ok || j.records() == j.fetched {
-		return &wire.ReplicaResp{}
+		return resp
 	}
 	j.fetched = j.records()
-	return &wire.ReplicaResp{Items: j.extents()}
+	blocks := j.extents()
+	resp.Err = sim.Parallel(p, "replay", len(blocks), func(hp *sim.Proc, i int) error {
+		for _, it := range blocks[i] {
+			home := o.c.Placement(it.Blk.StripeID())[it.Blk.Index]
+			req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
+			if err := wire.AckErr(o.Call(hp, home, req)); err != nil {
+				return fmt.Errorf("replay %v @%d: %w", it.Blk, home, err)
+			}
+			resp.Extents++
+			resp.Bytes += int64(len(it.Data))
+		}
+		return nil
+	})
+	return resp
 }
 
 // settlePoll is how often a degraded read fenced by settleFenced looks

@@ -22,7 +22,8 @@ import (
 // the node is recovered (interleaved). Nothing is written while reads are
 // in flight, so every read must equal the reference. At each step — a
 // registration replica fetch, a settle, a block's rebuild request and its
-// answer, a journal copy, a replay and its answer — three reads are issued:
+// answer, a surrogate's journal replay request, a replay and its answer —
+// three reads are issued:
 // D, a lost data block not yet rebuilt (while there is one) and a rebuilt
 // one, L first. Two interleavings are forced with handler hooks: D's first
 // replay and L's are held at the home until a read of that block has been
@@ -144,12 +145,8 @@ func runDegradedReads(t *testing.T, engine string, salt uint64) {
 				resp := h(p, from, m)
 				probe("rebuilt")
 				return resp
-			case *wire.JournalFetch:
-				resp := h(p, from, m)
-				if v.Surrogate == 0 {
-					probe("journal copied")
-				}
-				return resp
+			case *wire.JournalReplay:
+				probe("journal replay")
 			case *wire.ReplayUpdate:
 				if armed && (v.Blk == d || v.Blk == l) && held[v.Blk] == 0 {
 					held[v.Blk] = 1
@@ -257,7 +254,7 @@ func runDegradedReads(t *testing.T, engine string, salt uint64) {
 		}
 		return
 	}
-	for _, s := range []string{"registration fetch", "settle", "rebuild", "rebuilt", "journal copied", "replay held", "replay", "replayed"} {
+	for _, s := range []string{"registration fetch", "settle", "rebuild", "rebuilt", "journal replay", "replay held", "replay", "replayed"} {
 		if steps[s] == 0 {
 			t.Errorf("no reads issued at step %q", s)
 		}

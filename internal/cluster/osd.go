@@ -189,6 +189,8 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		return wire.OK
 	case *wire.JournalFetch:
 		return o.handleJournalFetch(p, v)
+	case *wire.JournalReplay:
+		return o.handleJournalReplay(p, v)
 	case *wire.MigrateBlock:
 		return o.handleMigrateBlock(p, v)
 	case *wire.MigrateLog:

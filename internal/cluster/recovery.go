@@ -33,8 +33,9 @@ const (
 	// while degraded-stripe I/O routes through the surrogate (reads
 	// reconstruct on the fly, updates journal) and non-degraded I/O runs the
 	// normal path — contending with recovery traffic on the same simulated
-	// NICs. A second gate holds updates through the journal cutover, which
-	// replays every surrogate's journal at once; reads pass it.
+	// NICs. A second gate holds updates through the journal cutover, in
+	// which every surrogate replays its own journal to the blocks' homes at
+	// once; reads pass it.
 	RecoverInterleaved
 )
 
@@ -80,12 +81,11 @@ type RecoveryReport struct {
 	// under the first gate and waits for nothing.
 	ReplayTime time.Duration
 	Fence2Wait time.Duration
-	// JournalFetchTime and JournalReplayTime split the cutover's critical
-	// path: the surrogate journal whose replay finished last, fetched and
-	// then replayed. The fetch is the copy's round trip and transfer; the
-	// copy takes the merged extents from the journal's memory index and
-	// reads nothing off the surrogate's device.
-	JournalFetchTime  time.Duration
+	// JournalReplayTime is the cutover's critical path: the request time of
+	// the surrogate whose journal replay finished last. Each surrogate
+	// replays its own journal from the journal's memory index, so no journal
+	// byte crosses the admin client's NIC and nothing is read off the
+	// surrogate's device.
 	JournalReplayTime time.Duration
 	// GatedTime is how long the update gate was closed during the run, as
 	// the gate's own clock measured it — the foreground outage the degraded
@@ -94,7 +94,7 @@ type RecoveryReport struct {
 	// it for Fence1Wait + RegisterTime and then for the second fence
 	// (Fence2Wait + ReplayTime); the settle and the rebuild run ungated.
 	GatedTime time.Duration
-	// ReplayedRecords counts the journal records the cutover copied (the
+	// ReplayedRecords counts the journal records the cutover replayed (the
 	// failed node's DataLog replicas plus the degraded updates journaled
 	// during recovery); each journal's index merged them per block, and
 	// ReplayedItems / ReplayedBytes count the extents and bytes replayed
@@ -202,7 +202,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 			c.resetStripeState(lost)
 			if mode == RecoverInterleaved {
 				// Wait out in-flight degraded updates: their records must be
-				// committed before the cutover copies the journals.
+				// committed before the cutover replays the journals.
 				rep.Fence2Wait = c.fenceUpdates(p)
 			}
 			if err = c.cutover(p, failed, via, rep); err == nil && mode == RecoverLogReplay {
@@ -352,24 +352,25 @@ func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
 
 // cutover replays the surrogate journals — the failed node's replicated
 // unrecycled DataLog items followed by every update journaled while the
-// node was degraded — through the engines' Update at the (remapped)
-// home OSDs, then atomically retires the degraded route and drops the
-// journal indexes (unregisterDegraded). Each journal is indexed per block
-// like the DataLog, so the copy returns every block's merged extents and
-// each byte range is fetched and replayed once. The surrogate keeps its
-// index until every extent is replayed and acked, so degraded reads keep
-// overlaying it through the replay and need no fence. With
-// per-PG surrogates there is one journal per surrogate OSD, and every
-// surrogate's journal is fetched and replayed at once. That is safe because
-// a block's records all live on its PG's surrogate (a promotion moves a
-// dead surrogate's PGs, with their records, to one new surrogate), so no
-// two journals share a block. Inside one journal each block's extents
-// replay in order while distinct blocks replay in parallel: the engines
-// already take concurrent updates to different blocks of a stripe from
-// clients. It must run under the closed gate (after a fence, so no degraded
-// update is mid-flight) so the journals cannot grow behind the copy. Should
-// one grow anyway, the next round copies and replays that whole journal
-// again, which leaves the same bytes: its extents are overwrites.
+// node was degraded — through the engines' Update at the (remapped) home
+// OSDs, then atomically retires the degraded route and drops the journal
+// indexes (unregisterDegraded). It sends each surrogate with unreplayed
+// records one JournalReplay, and the surrogate replays its own journal
+// (handleJournalReplay): each journal is indexed per block like the
+// DataLog, so every block's merged extents go out once, straight from the
+// index to the block's home, and a lost block rebuilt on its own surrogate
+// (the usual case: the surrogate is its PG's replacement) replays over
+// loopback. The admin client sends and receives only the requests and
+// their counts. The surrogate keeps its index until the route retires, so
+// degraded reads keep overlaying it through the replay and need no fence.
+// With per-PG surrogates there is one journal per surrogate OSD, and every
+// surrogate replays at once. That is safe because a block's records all
+// live on its PG's surrogate (a promotion moves a dead surrogate's PGs,
+// with their records, to one new surrogate), so no two journals share a
+// block. It must run under the closed gate (after a fence, so no degraded
+// update is mid-flight) so the journals cannot grow behind the replay.
+// Should one grow anyway, the next round replays that whole journal again,
+// which leaves the same bytes: its extents are overwrites.
 func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
 	st := c.degraded[failed]
 	if st == nil {
@@ -378,7 +379,7 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 	replayStart := p.Now()
 	for {
 		// Atomic with the retirement below: with the gate closed nothing
-		// can append, so journals found fully copied stay so until we
+		// can append, so journals found fully replayed stay so until we
 		// unregister.
 		var busy []wire.NodeID
 		var records []int
@@ -393,48 +394,22 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 			break
 		}
 		roundStart := p.Now()
-		fetched := make([]time.Duration, len(busy))
 		replayed := make([]time.Duration, len(busy))
 		extents := make([]int, len(busy))
 		if err := sim.Parallel(p, "replay-journal", len(busy), func(sp *sim.Proc, j int) error {
-			sur := busy[j]
-			resp, err := c.Fabric.Call(sp, via.id, sur, &wire.JournalFetch{Failed: failed})
-			if err != nil {
-				return fmt.Errorf("journal fetch @%d: %w", sur, err)
+			resp, err := c.Fabric.Call(sp, via.id, busy[j], &wire.JournalReplay{Failed: failed})
+			if err = wire.AckErr(resp, err); err != nil {
+				return fmt.Errorf("journal replay @%d: %w", busy[j], err)
 			}
-			rr, ok := resp.(*wire.ReplicaResp)
+			rr, ok := resp.(*wire.JournalReplayResp)
 			if !ok {
-				return fmt.Errorf("journal fetch @%d: unexpected response %T", sur, resp)
+				return fmt.Errorf("journal replay @%d: unexpected response %T", busy[j], resp)
 			}
-			fetched[j] = sp.Now()
-			extents[j] = len(rr.Items)
-			// Blocks in parallel, each block's extents one at a time in
-			// offset order. A block's extents do not overlap, so their order
-			// cannot change the result; replaying them serially keeps
-			// same-block concurrency out of the engines' replay path. The
-			// copy returns each block's extents as one contiguous run, which
-			// starts at runs[i] and ends where the next one starts.
-			var runs []int
-			for i, it := range rr.Items {
-				if i == 0 || it.Blk != rr.Items[i-1].Blk {
-					runs = append(runs, i)
-				}
-			}
-			runs = append(runs, len(rr.Items))
-			err = sim.Parallel(sp, "replay", len(runs)-1, func(hp *sim.Proc, i int) error {
-				for _, it := range rr.Items[runs[i]:runs[i+1]] {
-					osds := c.Placement(it.Blk.StripeID())
-					req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
-					if err := wire.AckErr(c.Fabric.Call(hp, via.id, osds[it.Blk.Index], req)); err != nil {
-						return fmt.Errorf("replay %v @%d: %w", it.Blk, osds[it.Blk.Index], err)
-					}
-					rep.ReplayedItems++
-					rep.ReplayedBytes += int64(len(it.Data))
-				}
-				return nil
-			})
 			replayed[j] = sp.Now()
-			return err
+			extents[j] = int(rr.Extents)
+			rep.ReplayedItems += int(rr.Extents)
+			rep.ReplayedBytes += rr.Bytes
+			return nil
 		}); err != nil {
 			return err
 		}
@@ -448,8 +423,7 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 				last = j
 			}
 		}
-		rep.JournalFetchTime += fetched[last] - roundStart
-		rep.JournalReplayTime += replayed[last] - fetched[last]
+		rep.JournalReplayTime += replayed[last] - roundStart
 	}
 	rep.ReplayTime = p.Now() - replayStart
 	return nil

@@ -6,6 +6,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -424,48 +425,81 @@ func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
 	}
 }
 
-// TestCutoverCopiesJournalFromIndex: the cutover copies each surrogate's
-// journal from its memory index, so the copy charges no device read, and
-// the index keeps the extents for degraded reads until the route retires.
-// A degraded window journals overlapping updates to one lost block on each
-// of several surrogates. Every copy must leave its surrogate's device read
-// counters unchanged, return that journal's merged extents and leave them
-// in the index; the cutover then replays them, so the cluster scrubs clean
-// and every byte reads back as last written. A read-repair fetch of a
+// TestCutoverReplaysJournalOnSurrogate: at the cutover each surrogate
+// replays its own journal from its memory index, and the recovery's admin
+// client only asks for it. A degraded window journals overlapping updates to
+// one lost data block on each of several surrogates. Every ReplayUpdate
+// must come from the surrogate of its block, which sends each extent of its
+// index exactly once, over loopback when the block was rebuilt on that
+// surrogate; the index and the route stay whole until every replay is
+// acked; no surrogate reads its device while it replays; and the admin
+// client's NIC carries only header-sized messages: its byte counters grow by
+// the sizes of payload-free requests and responses. The cluster then scrubs
+// clean and every byte reads back as last written. A read-repair fetch of a
 // holder's durability copies, which have no index, still reads the
 // holder's device.
-func TestCutoverCopiesJournalFromIndex(t *testing.T) {
+func TestCutoverReplaysJournalOnSurrogate(t *testing.T) {
 	c := MustNew(degradedConfig("tsue"))
 	defer c.Env.Close()
-	type fetch struct {
-		sur                wire.NodeID
-		items, kept        int
-		readOps, readBytes int64
+	cl := c.NewClient()
+	admin := c.NewClient()
+	victim := wire.NodeID(3)
+	type extent struct {
+		sur, to wire.NodeID
+		blk     wire.BlockID
+		off     int64
+		n       int
 	}
-	var fetches []fetch
+	var (
+		st       *degradedState
+		want     = make(map[extent]int) // the indexes' extents, to 0
+		sent     = make(map[extent]int)
+		extents  = make(map[wire.NodeID]int)
+		armed    bool
+		adminMsg []wire.Msg // what the admin sent and received while armed
+		requests int        // JournalReplay requests
+		bad      []string
+	)
 	for _, o := range c.OSDs {
 		h := o.handle
 		if err := c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
-			jf, ok := m.(*wire.JournalFetch)
-			if !ok || jf.Surrogate != 0 {
+			switch v := m.(type) {
+			case *wire.JournalReplay:
+				requests++
+				before := o.dev.Stats()
+				resp := h(p, from, m)
+				if after := o.dev.Stats(); after.ReadOps != before.ReadOps || after.ReadBytes != before.ReadBytes {
+					bad = append(bad, fmt.Sprintf("replay on surrogate %d read %d ops / %d bytes off its device",
+						o.id, after.ReadOps-before.ReadOps, after.ReadBytes-before.ReadBytes))
+				}
+				if from == admin.id {
+					adminMsg = append(adminMsg, m, resp)
+				}
+				return resp
+			case *wire.ReplayUpdate:
+				if c.degraded[victim] != st {
+					bad = append(bad, fmt.Sprintf("replay of %v after the route retired", v.Blk))
+				}
+				for sur, n := range extents {
+					if got := journalExtents(c, sur, victim); got != n {
+						bad = append(bad, fmt.Sprintf("surrogate %d's index held %d extents during the replay, want %d", sur, got, n))
+					}
+				}
+				sent[extent{from, o.id, v.Blk, v.Off, len(v.Data)}]++
+			}
+			if !armed || from != admin.id {
 				return h(p, from, m)
 			}
-			before := o.dev.Stats()
 			resp := h(p, from, m)
-			after := o.dev.Stats()
-			items := 0
-			if rr, ok := resp.(*wire.ReplicaResp); ok {
-				items = len(rr.Items)
+			if _, ok := m.(*wire.JournalReplay); !ok {
+				adminMsg = append(adminMsg, m, resp)
 			}
-			fetches = append(fetches, fetch{o.id, items, journalExtents(c, o.id, jf.Failed), after.ReadOps - before.ReadOps, after.ReadBytes - before.ReadBytes})
 			return resp
 		}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	cl := c.NewClient()
-	admin := c.NewClient()
-	extents := make(map[wire.NodeID]int)
+	var adminGrew int64
 	done := false
 	c.Env.Go("test", func(p *sim.Proc) {
 		rng := rand.New(rand.NewSource(71))
@@ -486,12 +520,11 @@ func TestCutoverCopiesJournalFromIndex(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		victim := wire.NodeID(3)
 		if err := c.BeginDegraded(p, victim, admin); err != nil {
 			t.Error(err)
 			return
 		}
-		st := c.degraded[victim]
+		st = c.degraded[victim]
 		picked := make(map[wire.NodeID]bool)
 		for _, blk := range c.OSDByID(victim).store.Blocks() {
 			sur := st.surr[c.PG(blk.StripeID())]
@@ -516,6 +549,11 @@ func TestCutoverCopiesJournalFromIndex(t *testing.T) {
 		}
 		for _, sur := range st.surrogates {
 			extents[sur] = journalExtents(c, sur, victim)
+			for _, run := range c.OSDByID(sur).journalFor(victim).extents() {
+				for _, it := range run {
+					want[extent{sur: sur, blk: it.Blk, off: it.Off, n: len(it.Data)}] = 1
+				}
+			}
 		}
 		// A read-repair fetch returns a holder's durability copies, which
 		// only the device log holds.
@@ -534,9 +572,20 @@ func TestCutoverCopiesJournalFromIndex(t *testing.T) {
 		if got := c.OSDByID(holder).dev.Stats().ReadBytes - before.ReadBytes; held == 0 || got < held {
 			t.Errorf("read-repair fetch of %d held bytes read %d bytes off holder %d's device", held, got, holder)
 		}
-		if _, err := c.Recover(p, victim, 4, RecoverInterleaved, admin); err != nil {
+		nic := c.Fabric.NodeStats(admin.id)
+		armed = true
+		_, err = c.Recover(p, victim, 4, RecoverInterleaved, admin)
+		armed = false
+		after := c.Fabric.NodeStats(admin.id)
+		adminGrew = after.BytesSent + after.BytesRecv - nic.BytesSent - nic.BytesRecv
+		if err != nil {
 			t.Error(err)
 			return
+		}
+		for _, sur := range st.surrogates {
+			if n := journalExtents(c, sur, victim); n != 0 {
+				t.Errorf("surrogate %d's index kept %d extents after the route retired", sur, n)
+			}
 		}
 		if err := c.DrainAll(p, admin); err != nil {
 			t.Error(err)
@@ -557,26 +606,55 @@ func TestCutoverCopiesJournalFromIndex(t *testing.T) {
 		done = true
 	})
 	c.Env.RunTest(t)
+	for _, b := range bad {
+		t.Error(b)
+	}
 	if !done {
 		if !t.Failed() {
 			t.Fatal("deadlock")
 		}
 		return
 	}
-	copied := 0
-	for _, f := range fetches {
-		if f.readOps != 0 || f.readBytes != 0 {
-			t.Errorf("copy on surrogate %d read %d ops / %d bytes off its device, want none", f.sur, f.readOps, f.readBytes)
+	loopback := 0
+	for e, n := range sent {
+		home := c.Placement(e.blk.StripeID())[e.blk.Index]
+		if e.to != home {
+			t.Errorf("extent %v+%d replayed at %d, its home is %d", e.blk, e.off, e.to, home)
 		}
-		if f.items != extents[f.sur] || f.kept != extents[f.sur] {
-			t.Errorf("copy on surrogate %d returned %d items and left %d, its journal held %d extents", f.sur, f.items, f.kept, extents[f.sur])
+		if e.to == e.sur {
+			loopback += n
+		} else if st.lost[e.blk] && st.surr[c.PG(e.blk.StripeID())] == home {
+			t.Errorf("extent %v+%d of a block rebuilt on its surrogate %d came from %d", e.blk, e.off, home, e.sur)
 		}
-		if f.items > 0 {
-			copied++
+		e.to = 0
+		want[e] -= n
+	}
+	for e, n := range want {
+		if n != 0 {
+			t.Errorf("surrogate %d replayed extent %v+%d (%d bytes) %d times, want once", e.sur, e.blk, e.off, e.n, 1-n)
 		}
 	}
-	if copied < 2 {
-		t.Errorf("%d copies returned extents, want one per journaling surrogate (at least 2)", copied)
+	if loopback == 0 {
+		t.Error("no extent replayed over loopback, want every extent of a block rebuilt on its surrogate")
+	}
+	if requests < 2 {
+		t.Errorf("%d JournalReplay requests, want one per journaling surrogate (at least 2)", requests)
+	}
+	var sizes, journal int64
+	for _, m := range adminMsg {
+		sizes += wire.SizeOf(m)
+		if n := len(wire.Payload(m)); n != 0 {
+			t.Errorf("the admin client's %s carried a %d-byte payload", wire.Name(m), n)
+		}
+	}
+	for e := range want {
+		journal += int64(e.n)
+	}
+	if adminGrew != sizes {
+		t.Errorf("the admin client's NIC moved %d bytes during the recovery, its %d messages %d", adminGrew, len(adminMsg), sizes)
+	}
+	if adminGrew >= journal {
+		t.Errorf("the admin client's NIC moved %d bytes, the journals held %d", adminGrew, journal)
 	}
 }
 

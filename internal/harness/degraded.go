@@ -146,7 +146,7 @@ type phaseRow struct {
 // degradedPhases prints the recovery phases of every degraded run: fence 1
 // (its wait for in-flight ops and registerDegraded), the settle (SettleAll;
 // drain-first: DrainAll), the rebuild, and fence 2 (its wait, then the
-// cutover's critical journal fetched and replayed), with the journal
+// replay of the cutover's critical journal by its surrogate), with the journal
 // records replayed against their merged extents, in total and for the
 // largest journal. Drain-first and log-replay hold the gate through the
 // settle; interleaved recovery reopens it before the settle and fences
@@ -154,7 +154,7 @@ type phaseRow struct {
 // byte range.
 func degradedPhases(w io.Writer, s Scale, rows []phaseRow) error {
 	t := s.table(w, "degraded", "== Degraded: recovery phases (ms); journal records vs merged extents replayed ==",
-		"trace\tengine\tmode\tfence1 wait\tregister\tsettle\trebuild\tfence2 wait\tfetch\treplay\trecords\textents\tmax journal")
+		"trace\tengine\tmode\tfence1 wait\tregister\tsettle\trebuild\tfence2 wait\treplay\trecords\textents\tmax journal")
 	for _, r := range rows {
 		rep := r.rep
 		t.row(r.labels, r.lead, []cell{
@@ -163,7 +163,6 @@ func degradedPhases(w io.Writer, s Scale, rows []phaseRow) error {
 			{"settle_ms", "%.2f", ms(rep.SettleTime)},
 			{"", "%.2f", ms(rep.RebuildTime)},
 			{"fence2_wait_ms", "%.2f", ms(rep.Fence2Wait)},
-			{"journal_fetch_ms", "%.2f", ms(rep.JournalFetchTime)},
 			{"journal_replay_ms", "%.2f", ms(rep.JournalReplayTime)},
 			{"replayed_records", "%d", rep.ReplayedRecords},
 			{"replayed_extents", "%d", rep.ReplayedItems},

@@ -348,24 +348,35 @@ type JournalReplica struct {
 	Span      SpanCtx
 }
 
-// JournalFetch retrieves surrogate-journal state for the given failed node.
-// Two modes share the message:
-//
-//   - Surrogate == 0: copy the receiver's own (primary) journal — it
-//     returns each block's merged extents from the journal's memory index
-//     as a ReplicaResp, blocks in order of first appearance, and keeps
-//     them: degraded reads overlay them until the route retires. A journal
-//     with no record since its last copy returns none. Recovery's cutover
-//     loop calls this until every journal returns none.
-//   - Surrogate != 0: non-destructive read-repair fetch — the receiver
-//     returns the quorum-replicated records it holds on behalf of that
-//     surrogate with Seq > FromSeq, as a JournalFetchResp. Promotion after
-//     a surrogate death fetches every holder's whole set (FromSeq 0) and
-//     unions the sets by Seq across all reachable holders.
+// JournalFetch is the read-repair fetch of a dead surrogate's journal: the
+// receiver, a member of Surrogate's quorum holder set, returns the
+// replicated records it holds on behalf of that surrogate for the failed
+// node with Seq > FromSeq, as a JournalFetchResp, and keeps them. Promotion
+// after a surrogate death fetches every reachable holder's whole set
+// (FromSeq 0) and unions the sets by Seq.
 type JournalFetch struct {
 	Failed    NodeID
 	Surrogate NodeID
 	FromSeq   uint64
+}
+
+// JournalReplay asks a surrogate to replay its own journal for the failed
+// node: every block's merged extents, taken from the journal's memory index,
+// go to the block's current home as ReplayUpdates, blocks in parallel and
+// each block's extents one at a time in offset order. The index keeps them,
+// so degraded reads overlay them until the route retires. A journal with no
+// record since its last replay replays nothing. Answered with a
+// JournalReplayResp once every extent is acked.
+type JournalReplay struct {
+	Failed NodeID
+}
+
+// JournalReplayResp counts the extents a JournalReplay replayed and their
+// bytes; Err is the first replay that failed.
+type JournalReplayResp struct {
+	Extents uint32
+	Bytes   int64
+	Err     error
 }
 
 // JournalItem is one sequenced surrogate-journal record held by a quorum

@@ -46,6 +46,8 @@ var sizeRows = func() []sizeRow {
 		{&DegradedRead{}, 47},                                                // 4+14+8+4+17
 		{&JournalReplica{Data: b(1)}, 64},                                    // 4+4+8+14+8+4+1+4+17
 		{&JournalFetch{}, 16},                                                // 4+4+8
+		{&JournalReplay{}, 4},                                                // 4
+		{&JournalReplayResp{Err: e("down")}, 18},                             // 4+8+2+4
 		{&ReplayUpdate{Data: b(3)}, 50},                                      // 14+8+4+3+4+17
 		{&Settle{}, 4},                                                       // 4
 		{&EpochUpdate{}, 5},                                                  // 1+4
@@ -370,6 +372,7 @@ func TestAckErr(t *testing.T) {
 		{&ReadResp{Data: []byte("x")}, &ReadResp{Err: carried}},
 		{&EpochResp{Epoch: 2}, &EpochResp{Err: carried}},
 		{&JournalFetchResp{}, &JournalFetchResp{Err: carried}},
+		{&JournalReplayResp{Extents: 3, Bytes: 96}, &JournalReplayResp{Err: carried}},
 	}
 	covered := make(map[string]bool)
 	for _, r := range rows {
