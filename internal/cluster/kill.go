@@ -93,8 +93,12 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 	// Mutual exclusion means at most one of these two branches has work:
 	// degraded state cannot exist while a transition is staged.
 	for _, f := range c.degradedNodes() {
-		if err := c.promoteSurrogate(p, c.degraded[f], failed, via, rep); err != nil {
-			return rep, err
+		// A promotion yields, and a window the cutover retires meanwhile is
+		// gone from c.degraded.
+		if st := c.degraded[f]; st != nil {
+			if err := c.promoteSurrogate(p, st, failed, via, rep); err != nil {
+				return rep, err
+			}
 		}
 	}
 	if inTrans {
@@ -126,7 +130,9 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 // old window), so a degraded op admitted after promotion always sees the
 // full journal. Each recovered append is then committed under the new
 // surrogate's quorum like a client append, restoring the m-death budget so
-// a chained surrogate death is equally survivable.
+// a chained surrogate death is equally survivable. A window the recovery
+// cutover retires while the fetches yield is left alone: the cutover
+// retires a route only after every extent of it was replayed and acked.
 func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.NodeID, via *Client, rep *KillReport) error {
 	pgs := make(map[int]bool)
 	for pg, sur := range st.surr {
@@ -163,6 +169,12 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 			}
 		}
 	}
+	// The fetches yield, and the cutover may retire the window meanwhile. It
+	// retires the route only after every extent was replayed and acked, so
+	// a retired window has nothing left to promote.
+	if c.degraded[st.failed] != st {
+		return nil
+	}
 	missing := 0
 	for seq := range vq.acked {
 		if _, ok := bySeq[seq]; !ok {
@@ -179,7 +191,7 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	}
 	sort.Slice(recovered, func(a, b int) bool { return recovered[a].Seq < recovered[b].Seq })
 	seeds, err := c.fetchReplicaItems(p, st.failed, via)
-	if err != nil {
+	if err != nil || c.degraded[st.failed] != st {
 		return err
 	}
 	// The splice: the target is named after the last fetch, and nothing

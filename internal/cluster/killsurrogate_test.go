@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"tsue/internal/netsim"
 	"tsue/internal/sim"
 	"tsue/internal/update"
 	"tsue/internal/wire"
@@ -795,4 +796,179 @@ func killHolderDuringRepair(t *testing.T, engine string) error {
 	})
 	c.Env.RunTest(t)
 	return err
+}
+
+// killDuringCutover runs a degraded window of engine under tie salt salt:
+// a 6-stripe file written whole, BeginDegraded(3) and 60 degraded updates.
+// hook(c, at, surr, h, kill) then wraps every OSD's handler h, where at is
+// the OSD, surr the busiest surrogate and kill starts a Kill of surr in its
+// own proc (once), and the node is recovered (interleaved). check gets the recovery's error, the
+// Kill's report and error, and the busiest surrogate's acked record count.
+// A Kill that was never started is an error.
+func killDuringCutover(t *testing.T, engine string, salt uint64,
+	hook func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func()) netsim.Handler,
+	check func(rerr error, krep *KillReport, kerr error, acked int) error) error {
+	c := MustNew(degradedConfig(engine))
+	defer c.Env.Close()
+	c.Env.SetTieSalt(salt)
+	cl, admin, killer := c.NewClient(), c.NewClient(), c.NewClient()
+	err := errors.New("deadlock")
+	c.Env.Go("t", func(p *sim.Proc) {
+		err = func() error {
+			rng := rand.New(rand.NewSource(61))
+			fileSize := 6 * c.StripeWidth()
+			content := make([]byte, fileSize)
+			rng.Read(content)
+			ino, err := cl.Create(p, "f", fileSize)
+			if err != nil {
+				return err
+			}
+			if err := cl.WriteFile(p, ino, content); err != nil {
+				return err
+			}
+			failed := wire.NodeID(3)
+			if err := c.BeginDegraded(p, failed, admin); err != nil {
+				return fmt.Errorf("begin degraded: %w", err)
+			}
+			st := c.degraded[failed]
+			if !degradedStripeOps(t, p, c, cl, st, ino, content, rng, 60) {
+				return errors.New("degraded ops before the death")
+			}
+			surr := busiestSurrogate(c, st)
+			if surr == 0 {
+				return errors.New("no surrogate holds journal items")
+			}
+			acked := len(st.quorum[surr].acked)
+			var (
+				krep           *KillReport
+				kerr           error
+				started, ended bool
+			)
+			kill := func() {
+				if started {
+					return
+				}
+				started = true
+				c.Env.Go("killer", func(kp *sim.Proc) {
+					krep, kerr = c.Kill(kp, surr, killer)
+					ended = true
+				})
+			}
+			for _, o := range c.OSDs {
+				if err := c.Fabric.SetHandler(o.id, hook(c, o.id, surr, o.handle, kill)); err != nil {
+					return err
+				}
+			}
+			_, rerr := c.Recover(p, failed, 2, RecoverInterleaved, admin)
+			if !started {
+				return fmt.Errorf("surrogate %d was never killed (recover: %v)", surr, rerr)
+			}
+			for !ended {
+				p.Sleep(50 * time.Microsecond)
+			}
+			if err := check(rerr, krep, kerr, acked); err != nil {
+				return err
+			}
+			if rerr != nil {
+				return nil
+			}
+			if _, err := c.Recover(p, surr, 2, RecoverInterleaved, admin); err != nil {
+				return fmt.Errorf("recover surrogate %d: %w", surr, err)
+			}
+			if err := c.DrainAll(p, admin); err != nil {
+				return err
+			}
+			if _, err := c.Scrub(); err != nil {
+				return fmt.Errorf("scrub: %w", err)
+			}
+			if got, err := cl.Read(p, ino, 0, fileSize); err != nil || !bytes.Equal(got, content) {
+				return fmt.Errorf("read-back after recovery: err %v, match %v", err, bytes.Equal(got, content))
+			}
+			return nil
+		}()
+	})
+	c.Env.RunTest(t)
+	return err
+}
+
+// TestKillSurrogateDuringOwnReplay: the busiest surrogate dies during its
+// own journal replay, when its first ReplayUpdate reaches the block's home.
+// The window is still open (the cutover retires the route only once every
+// replay is acked) and every holder keeps its quorum copies until then, so
+// Kill promotes the journal with every acked record repaired. The
+// recovery then fails with the dead surrogate's node-down error; nothing
+// hangs. Every engine runs at salt 0 and under eight tie salts.
+func TestKillSurrogateDuringOwnReplay(t *testing.T) {
+	hook := func(_ *Cluster, _, surr wire.NodeID, h netsim.Handler, kill func()) netsim.Handler {
+		return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+			if _, ok := m.(*wire.ReplayUpdate); ok && from == surr {
+				kill()
+			}
+			return h(p, from, m)
+		}
+	}
+	check := func(rerr error, krep *KillReport, kerr error, acked int) error {
+		switch {
+		case kerr != nil:
+			return fmt.Errorf("kill: %w", kerr)
+		case krep.PromotedJournals != 1 || krep.RepairedItems != acked:
+			return fmt.Errorf("kill promoted %d journals with %d records repaired, want 1 with %d", krep.PromotedJournals, krep.RepairedItems, acked)
+		case !errors.Is(rerr, netsim.ErrNodeDown):
+			return fmt.Errorf("recover: %v, want a node-down error", rerr)
+		}
+		return nil
+	}
+	for _, engine := range update.Names() {
+		for salt := uint64(0); salt <= 8; salt++ {
+			t.Run(fmt.Sprintf("%s/salt%d", engine, salt), func(t *testing.T) {
+				if err := killDuringCutover(t, engine, salt, hook, check); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
+
+// TestKillSurrogateRacesRetirement: the busiest surrogate dies right after
+// its journal replay was acked, and its holders answer the promotion's
+// repair fetches only once the cutover has retired the route and dropped
+// their quorum copies. A retired window has nothing left to promote, so
+// Kill must return without an ErrSurrogateLost and promote nothing; both
+// recoveries, a drain, a scrub and a byte-exact read-back follow.
+func TestKillSurrogateRacesRetirement(t *testing.T) {
+	hook := func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func()) netsim.Handler {
+		return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+			switch v := m.(type) {
+			case *wire.JournalReplay:
+				resp := h(p, from, m)
+				if at == surr {
+					kill()
+				}
+				return resp
+			case *wire.JournalFetch:
+				for c.degraded[v.Failed] != nil {
+					p.Sleep(5 * time.Microsecond)
+				}
+			}
+			return h(p, from, m)
+		}
+	}
+	check := func(rerr error, krep *KillReport, kerr error, _ int) error {
+		switch {
+		case kerr != nil:
+			return fmt.Errorf("kill: %w", kerr)
+		case krep.PromotedJournals != 0:
+			return fmt.Errorf("kill promoted %d journals of a retired window", krep.PromotedJournals)
+		case rerr != nil:
+			return fmt.Errorf("recover: %w", rerr)
+		}
+		return nil
+	}
+	for _, engine := range update.Names() {
+		t.Run(engine, func(t *testing.T) {
+			if err := killDuringCutover(t, engine, tieSalt, hook, check); err != nil {
+				t.Error(err)
+			}
+		})
+	}
 }
