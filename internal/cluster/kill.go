@@ -93,12 +93,8 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 	// Mutual exclusion means at most one of these two branches has work:
 	// degraded state cannot exist while a transition is staged.
 	for _, f := range c.degradedNodes() {
-		// A promotion yields, and a window the cutover retires meanwhile is
-		// gone from c.degraded.
-		if st := c.degraded[f]; st != nil {
-			if err := c.promoteSurrogate(p, st, failed, via, rep); err != nil {
-				return rep, err
-			}
+		if err := c.promoteSurrogate(p, c.degraded[f], failed, via, rep); err != nil {
+			return rep, err
 		}
 	}
 	if inTrans {

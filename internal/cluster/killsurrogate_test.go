@@ -802,9 +802,11 @@ func killHolderDuringRepair(t *testing.T, engine string) error {
 // a 6-stripe file written whole, BeginDegraded(3) and 60 degraded updates.
 // hook(c, at, surr, h, kill) then wraps every OSD's handler h, where at is
 // the OSD, surr the busiest surrogate and kill starts a Kill of surr in its
-// own proc (once), and the node is recovered (interleaved). check gets the recovery's error, the
-// Kill's report and error, and the busiest surrogate's acked record count.
-// A Kill that was never started is an error.
+// own proc (once), and the node is recovered (interleaved). check gets the
+// recovery's error, the Kill's report and error, and the busiest
+// surrogate's acked record count. A Kill that was never started is an
+// error. When the recovery succeeded, the surrogate is recovered too and
+// the cluster must drain, scrub and read back byte-exact.
 func killDuringCutover(t *testing.T, engine string, salt uint64,
 	hook func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func()) netsim.Handler,
 	check func(rerr error, krep *KillReport, kerr error, acked int) error) error {

@@ -457,7 +457,7 @@ func TestCutoverReplaysJournalOnSurrogate(t *testing.T) {
 		extents  = make(map[wire.NodeID]int)
 		armed    bool
 		adminMsg []wire.Msg // what the admin sent and received while armed
-		requests int        // JournalReplay requests
+		requests int        // JournalReplay requests, all from the admin
 		bad      []string
 	)
 	for _, o := range c.OSDs {
@@ -472,9 +472,7 @@ func TestCutoverReplaysJournalOnSurrogate(t *testing.T) {
 					bad = append(bad, fmt.Sprintf("replay on surrogate %d read %d ops / %d bytes off its device",
 						o.id, after.ReadOps-before.ReadOps, after.ReadBytes-before.ReadBytes))
 				}
-				if from == admin.id {
-					adminMsg = append(adminMsg, m, resp)
-				}
+				adminMsg = append(adminMsg, m, resp)
 				return resp
 			case *wire.ReplayUpdate:
 				if c.degraded[victim] != st {
@@ -487,11 +485,8 @@ func TestCutoverReplaysJournalOnSurrogate(t *testing.T) {
 				}
 				sent[extent{from, o.id, v.Blk, v.Off, len(v.Data)}]++
 			}
-			if !armed || from != admin.id {
-				return h(p, from, m)
-			}
 			resp := h(p, from, m)
-			if _, ok := m.(*wire.JournalReplay); !ok {
+			if armed && from == admin.id {
 				adminMsg = append(adminMsg, m, resp)
 			}
 			return resp
