@@ -254,15 +254,20 @@ func (c *Cluster) assign(st *degradedState, pg int, sur wire.NodeID) {
 }
 
 // persistSeeds charges each surrogate's journal persist for the seed bytes
-// seedJournals added to it. The seeds already have replicas elsewhere, so
-// they are not re-replicated.
+// seedJournals added to it, every surrogate's at once: each appends to its
+// own device. The seeds already have replicas elsewhere, so they are not
+// re-replicated.
 func (c *Cluster) persistSeeds(p *sim.Proc, st *degradedState, seeded map[wire.NodeID]int64) {
+	var surs []*OSD
 	for _, sur := range st.surrogates {
-		if n := seeded[sur]; n > 0 {
-			osd := c.OSDByID(sur)
-			osd.journalPersist(p, osd.journalFor(st.failed), n)
+		if seeded[sur] > 0 {
+			surs = append(surs, c.OSDByID(sur))
 		}
 	}
+	_ = sim.Parallel(p, "persist-seed", len(surs), func(hp *sim.Proc, i int) error {
+		surs[i].journalPersist(hp, surs[i].journalFor(st.failed), seeded[surs[i].id])
+		return nil
+	})
 }
 
 // registerDegraded publishes degraded routing for a failed node: it assigns

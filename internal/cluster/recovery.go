@@ -430,29 +430,41 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 }
 
 // fetchReplicaItems collects the failed node's replicated, unrecycled
-// DataLog items from every surviving holder. With Copies <= 2 each item
-// has exactly one replica, so holders' lists are disjoint and the union is
-// the complete stream (it can split across holders when an earlier failure
-// moved the ring successor); with Copies > 2 every holder has a full copy,
-// so the largest list is returned to avoid double-replaying duplicates.
+// DataLog items from every surviving holder. The fetches go out at once, one
+// proc per holder, and the answers are taken in c.OSDs order, not in the
+// order they arrive, so the result is the one a holder-by-holder walk would
+// give. With Copies <= 2 each item has exactly one replica, so holders'
+// lists are disjoint and the union is the complete stream (it can split
+// across holders when an earlier failure moved the ring successor); with
+// Copies > 2 every holder has a full copy, so the largest list is returned,
+// the first one in c.OSDs order on a tie, to avoid double-replaying
+// duplicates.
 func (c *Cluster) fetchReplicaItems(p *sim.Proc, failed wire.NodeID, via *Client) ([]wire.ReplicaItem, error) {
-	var all, best []wire.ReplicaItem
+	var holders []wire.NodeID
 	for _, osd := range c.OSDs {
-		if osd.id == failed || c.Fabric.Down(osd.id) {
-			continue
+		if osd.id != failed && !c.Fabric.Down(osd.id) {
+			holders = append(holders, osd.id)
 		}
-		resp, err := c.Fabric.Call(p, via.id, osd.id, &wire.ReplicaFetch{Node: failed})
+	}
+	lists := make([][]wire.ReplicaItem, len(holders))
+	if err := sim.Parallel(p, "replica-fetch", len(holders), func(hp *sim.Proc, i int) error {
+		resp, err := c.Fabric.Call(hp, via.id, holders[i], &wire.ReplicaFetch{Node: failed})
 		if err != nil {
-			return nil, err
+			return err
 		}
-		rr, ok := resp.(*wire.ReplicaResp)
-		if !ok {
-			// Engines without replica support answer with an "unhandled" Ack.
-			continue
+		// Engines without replica support answer with an "unhandled" Ack.
+		if rr, ok := resp.(*wire.ReplicaResp); ok {
+			lists[i] = rr.Items
 		}
-		all = append(all, rr.Items...)
-		if len(rr.Items) > len(best) {
-			best = rr.Items
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	var all, best []wire.ReplicaItem
+	for _, items := range lists {
+		all = append(all, items...)
+		if len(items) > len(best) {
+			best = items
 		}
 	}
 	if c.Cfg.EngineOpts.Copies > 2 {
