@@ -640,7 +640,11 @@ func (c *Cluster) BeginDegraded(p *sim.Proc, failed wire.NodeID, via *Client) er
 		return fmt.Errorf("cluster: node %d already degraded", failed)
 	}
 	c.Fabric.SetDown(failed, true)
-	err := c.openWindow(p, failed, via, &RecoveryReport{}, true)
+	rep := &RecoveryReport{}
+	st, err := c.openWindow(p, failed, via, rep, true)
+	if err == nil {
+		err = c.settleWindow(p, st, via, rep)
+	}
 	c.openGate()
 	return err
 }

@@ -97,10 +97,15 @@ type degradedState struct {
 	// quorum is each surrogate's journal quorum (see quorum).
 	quorum map[wire.NodeID]*quorum
 	// settling is set from the registration until the window's settle
-	// barrier ends (openWindow): a degraded read of a lost block, which
+	// barrier ends (settleWindow): a degraded read of a lost block, which
 	// reconstructs from the stripe's raw shards, waits until no live engine
-	// holds state for its byte range (settleFenced).
+	// holds state for its byte range (settleFenced), and a block's rebuild
+	// until none holds state of its stripe (waitSettled).
 	settling bool
+	// settleErr is the settle barrier's error, if it failed: a rebuild
+	// still waiting for its stripe gives up with it instead of
+	// reconstructing from shards the barrier may not have merged.
+	settleErr error
 	// orphans keeps the transition-orphaned records seeded into this
 	// window's journals (takeOrphans at registration). They exist neither
 	// in the DataLog replicas (retired at extraction) nor in JournalReplica
@@ -850,6 +855,17 @@ func (c *Cluster) settleFenced(st *degradedState, s wire.StripeID, off, end int6
 		}
 	}
 	return false
+}
+
+// waitSettled blocks p until stripe s of window st has settled: no live
+// engine holds state of any of its bytes (settleFenced over a whole block),
+// or the window's settle barrier has ended. It polls every settlePoll, as a
+// fenced degraded read does, and returns the barrier's error if it failed.
+func (c *Cluster) waitSettled(p *sim.Proc, st *degradedState, s wire.StripeID) error {
+	for c.settleFenced(st, s, 0, c.Cfg.BlockSize) {
+		p.Sleep(settlePoll)
+	}
+	return st.settleErr
 }
 
 // SettleAll brings every live OSD's raw stores to stripe consistency with

@@ -210,6 +210,12 @@ func runKillRecover(t *testing.T, r killRecoverRun) *RecoveryReport {
 	gated := rep.TotalTime
 	if r.mode == RecoverInterleaved {
 		gated = rep.Fence1Wait + rep.RegisterTime + rep.Fence2Wait + rep.ReplayTime
+		// The settle and the rebuild both start as the registration ends,
+		// and the second fence follows whichever ends last.
+		total := rep.Fence1Wait + rep.RegisterTime + max(rep.SettleTime, rep.RebuildTime) + rep.Fence2Wait + rep.ReplayTime
+		if rep.TotalTime != total {
+			t.Errorf("TotalTime %v, want Fence1Wait+RegisterTime+max(SettleTime, RebuildTime)+Fence2Wait+ReplayTime = %v", rep.TotalTime, total)
+		}
 	}
 	if rep.GatedTime != gated {
 		t.Errorf("%s GatedTime %v, want %v", r.mode, rep.GatedTime, gated)

@@ -181,7 +181,11 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	if !drain {
 		c.Fabric.SetDown(failed, true)
 	}
-	var err error
+	var (
+		err     error
+		lost    []wire.BlockID
+		rebuilt bool // the rebuild ran beside the settle
+	)
 	switch {
 	case drain:
 		rep.Fence1Wait = c.fenceUpdates(p)
@@ -190,24 +194,42 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 			c.Fabric.SetDown(failed, true)
 		}
 		rep.SettleTime = p.Now() - settle
+	case !pre && mode == RecoverInterleaved:
+		// The settle and the rebuild start together as the registration
+		// ends; each block's reconstruction waits for its own stripe to
+		// settle (rebuild), not for the whole barrier.
+		var st *degradedState
+		if st, err = c.openWindow(p, failed, via, rep, true); err == nil {
+			rebuilt = true
+			err = sim.Parallel(p, "recover-phase", 2, func(hp *sim.Proc, i int) (err error) {
+				if i == 0 {
+					return c.settleWindow(hp, st, via, rep)
+				}
+				lost, err = c.rebuild(hp, failed, parallel, via, rep, true)
+				return err
+			})
+		}
 	case !pre:
-		err = c.openWindow(p, failed, via, rep, mode == RecoverInterleaved)
+		var st *degradedState
+		if st, err = c.openWindow(p, failed, via, rep, false); err == nil {
+			err = c.settleWindow(p, st, via, rep)
+		}
 	case mode == RecoverLogReplay:
 		rep.Fence1Wait = c.fenceUpdates(p)
 	}
 	rep.DrainTime = rep.Fence1Wait + rep.RegisterTime + rep.SettleTime
+	if err == nil && !rebuilt {
+		lost, err = c.rebuild(p, failed, parallel, via, rep, !drain)
+	}
 	if err == nil {
-		var lost []wire.BlockID
-		if lost, err = c.rebuild(p, failed, parallel, via, rep, !drain); err == nil {
-			c.resetStripeState(lost)
-			if mode == RecoverInterleaved {
-				// Wait out in-flight degraded updates: their records must be
-				// committed before the cutover replays the journals.
-				rep.Fence2Wait = c.fenceUpdates(p)
-			}
-			if err = c.cutover(p, failed, via, rep); err == nil && mode == RecoverLogReplay {
-				err = c.DrainAll(p, via)
-			}
+		c.resetStripeState(lost)
+		if mode == RecoverInterleaved {
+			// Wait out in-flight degraded updates: their records must be
+			// committed before the cutover replays the journals.
+			rep.Fence2Wait = c.fenceUpdates(p)
+		}
+		if err = c.cutover(p, failed, via, rep); err == nil && mode == RecoverLogReplay {
+			err = c.DrainAll(p, via)
 		}
 	}
 	c.openGate()
@@ -224,51 +246,60 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 }
 
 // openWindow opens a degraded window for a node already off the fabric. It
-// closes the gate, waits out the client updates already past it, publishes
-// the degraded routes (registerDegraded) and runs the settle barrier for the
-// failed node's stripes, timing each phase into rep. With open set it
-// reopens the gate before the settle, so the barrier runs while updates
-// flow; otherwise the gate stays closed for the caller (log-replay keeps
-// it through the rebuild and the cutover). The open settle is safe because
-// from the registration on no update reaches a degraded stripe's engines:
-// the client routes it to the surrogate, which journals it. So the barrier
-// only has to hold back what reads a degraded stripe's raw shards: a
-// degraded read of a lost block, which reconstructs its range from them,
-// waits while any live engine still holds state for that range
-// (settleFenced), from the instant the routes publish whether or not the
-// gate is open. Degraded reads of surviving blocks and all normal reads go
-// ahead. On a registration error the gate is left as it is.
-func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport, open bool) error {
+// closes the gate, waits out the client updates already past it and
+// publishes the degraded routes (registerDegraded), timing both phases into
+// rep, and returns the window, which is settling: the caller runs its
+// settle barrier (settleWindow). With open set it reopens the gate at once,
+// so the barrier runs while updates flow; otherwise the gate stays closed
+// for the caller (log-replay keeps it through the settle, the rebuild and
+// the cutover). On a registration error the gate is left as it is.
+func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport, open bool) (*degradedState, error) {
 	rep.Fence1Wait = c.fenceUpdates(p)
 	start := p.Now()
 	st, err := c.registerDegraded(p, failed, via)
 	rep.RegisterTime = p.Now() - start
-	if err != nil {
-		return err
-	}
-	if open {
+	if err == nil && open {
 		c.openGate()
 	}
-	start = p.Now()
-	err = c.SettleAll(p, via, failed)
+	return st, err
+}
+
+// settleWindow runs the settle barrier for a window's stripes, timing it
+// into rep, and ends the window's settling; a failed barrier is kept in the
+// window for a rebuild still waiting on it. The settle may run with the
+// gate open because from the registration on no update reaches a degraded
+// stripe's engines: the client routes it to the surrogate, which journals
+// it. So the barrier only has to hold back what reads a degraded stripe's
+// raw shards, each until its own stripe has settled: a degraded read of a
+// lost block, which reconstructs its range from them, waits while any live
+// engine still holds state for that range (settleFenced), and so does a
+// block's rebuild for its whole stripe (waitSettled). Degraded reads of
+// surviving blocks and all normal reads go ahead.
+func (c *Cluster) settleWindow(p *sim.Proc, st *degradedState, via *Client, rep *RecoveryReport) error {
+	start := p.Now()
+	st.settleErr = c.SettleAll(p, via, st.failed)
 	st.settling = false
 	rep.SettleTime = p.Now() - start
-	return err
+	return st.settleErr
 }
 
 // rebuild reconstructs every block placement puts on the failed node
-// (lostBlocks) onto surviving OSDs, `parallel` blocks at a time, remapping
-// placement as it goes, and marks each acked block rebuilt in the failed
-// node's degraded window, if one is open. Each
+// (lostBlocks) onto surviving OSDs, `parallel` blocks at a time. Each
 // block's target is its PG's stable replacement for the failed slot
 // (placement.Replacement), so a single death moves only the dead node's
 // PGs and the rebuild writes spread exactly as the CRUSH-like map dictates
 // — excluding any OSD already hosting another block of the same stripe, so
-// a stripe never doubles up. It returns the lost block list. With repair
-// set, blocks whose plain reconstruction could bake a torn stripe in
-// (stripeRepair) get the full parity re-encode instead; drain-first
-// recovery passes false, since a fully drained, gated cluster cannot hold
-// a torn stripe.
+// a stripe never doubles up. A block whose failed node has a degraded
+// window waits, once it holds its slot, until its stripe has settled
+// (waitSettled): with interleaved recovery the window's settle barrier runs
+// beside the rebuild. Placement is remapped for a block when its rebuild is
+// acked, in the same step that marks it rebuilt in the window: remapped
+// earlier, the block's stripe would leave the settle barrier's scope,
+// which placement decides, before its shards were consistent. It returns
+// the lost block list. With repair set, blocks whose plain reconstruction
+// could bake a torn stripe in (stripeRepair) get the full parity re-encode
+// instead; drain-first recovery passes false, since a fully drained, gated
+// cluster cannot hold a torn stripe.
 func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Client, rep *RecoveryReport, repair bool) ([]wire.BlockID, error) {
 	lost := c.lostBlocks(failed)
 	if rep.TargetBlocks == nil {
@@ -291,19 +322,25 @@ func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Cl
 			return nil, fmt.Errorf("cluster: no recovery target for %v: %w", blk, err)
 		}
 		targets[i] = target
-		c.remap[blk] = target
 		rep.TargetBlocks[target]++
 	}
 	rebuildStart := p.Now()
+	st := c.degraded[failed]
 	sem := c.Env.NewResource("recover-sem", parallel)
 	if err := sim.Parallel(p, "recover", len(lost), func(hp *sim.Proc, i int) error {
 		sem.Acquire(hp)
 		defer sem.Release()
+		if st != nil {
+			if err := c.waitSettled(hp, st, lost[i].StripeID()); err != nil {
+				return fmt.Errorf("recover %v: %w", lost[i], err)
+			}
+		}
 		req := &wire.RecoverBlock{Blk: lost[i], Reencode: repair && c.stripeRepair(lost[i])}
 		if err := wire.AckErr(c.Fabric.Call(hp, via.id, targets[i], req)); err != nil {
 			return fmt.Errorf("recover %v: %w", lost[i], err)
 		}
-		if st := c.degraded[failed]; st != nil {
+		c.remap[lost[i]] = targets[i]
+		if st != nil {
 			st.rebuilt[lost[i]] = true
 		}
 		return nil
