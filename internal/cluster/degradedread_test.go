@@ -37,7 +37,25 @@ func TestDegradedReadsAcrossRecovery(t *testing.T) {
 	for _, engine := range update.Names() {
 		for salt := uint64(0); salt <= 8; salt++ {
 			t.Run(fmt.Sprintf("%s/salt%d", engine, salt), func(t *testing.T) {
-				runDegradedReads(t, engine, salt)
+				runDegradedReads(t, engine, salt, true)
+			})
+		}
+	}
+}
+
+// TestDegradedReadsAcrossOverlappedRecovery is TestDegradedReadsAcrossRecovery
+// without a pre-opened window: Recover registers the window itself, so its
+// settle runs beside the rebuild and the reads of the "settle" and
+// "rebuild" steps are in flight together. The writes that the other test
+// journals are acked before the death instead, so they are log state the
+// settle merges (with TSUE, DataLog replicas that seed the journals and
+// give the cutover steps their replays). At least one rebuild request must
+// arrive while the settle still runs.
+func TestDegradedReadsAcrossOverlappedRecovery(t *testing.T) {
+	for _, engine := range update.Names() {
+		for salt := uint64(0); salt <= 8; salt++ {
+			t.Run(fmt.Sprintf("%s/salt%d", engine, salt), func(t *testing.T) {
+				runDegradedReads(t, engine, salt, false)
 			})
 		}
 	}
@@ -46,7 +64,9 @@ func TestDegradedReadsAcrossRecovery(t *testing.T) {
 // probeSize is the length of every probe read, from a block's first byte.
 const probeSize = 8 << 10
 
-func runDegradedReads(t *testing.T, engine string, salt uint64) {
+// runDegradedReads runs one probe run; with pre set the window is opened
+// by BeginDegraded before Recover.
+func runDegradedReads(t *testing.T, engine string, salt uint64, pre bool) {
 	c := MustNew(degradedConfig(engine))
 	defer c.Env.Close()
 	c.Env.SetTieSalt(salt)
@@ -78,6 +98,7 @@ func runDegradedReads(t *testing.T, engine string, salt uint64) {
 
 	var (
 		armed     bool
+		overlap   int // rebuild requests that arrived while the settle ran
 		inflight  = sim.NewWaitGroup(c.Env)
 		steps     = make(map[string]int)
 		bad       []string
@@ -141,6 +162,9 @@ func runDegradedReads(t *testing.T, engine string, salt uint64) {
 			case *wire.Settle:
 				probe("settle")
 			case *wire.RecoverBlock:
+				if st := c.degraded[victim]; st != nil && st.settling {
+					overlap++
+				}
 				probe("rebuild")
 				resp := h(p, from, m)
 				probe("rebuilt")
@@ -200,15 +224,18 @@ func runDegradedReads(t *testing.T, engine string, salt uint64) {
 				return
 			}
 		}
-		armed = true
-		if err := c.BeginDegraded(p, victim, admin); err != nil {
-			t.Error(err)
-			return
+		if pre {
+			armed = true
+			if err := c.BeginDegraded(p, victim, admin); err != nil {
+				t.Error(err)
+				return
+			}
+			armed = false
+			inflight.Wait(p)
 		}
-		armed = false
-		inflight.Wait(p)
-		// Journaled: L's extents overlap each other, D's reach past L's,
-		// and every other lost data block gets one.
+		// Journaled in the open window (acked before the death without
+		// one): L's extents overlap each other, D's reach past L's, and
+		// every other lost data block gets one.
 		for _, w := range []struct {
 			b        wire.BlockID
 			off, len int64
@@ -254,12 +281,26 @@ func runDegradedReads(t *testing.T, engine string, salt uint64) {
 		}
 		return
 	}
-	for _, s := range []string{"registration fetch", "settle", "rebuild", "rebuilt", "journal replay", "replay held", "replay", "replayed"} {
+	want := []string{"registration fetch", "settle", "rebuild", "rebuilt"}
+	// Without a window open before Recover only TSUE journals anything:
+	// its DataLog replicas.
+	journaled := pre || engine == "tsue"
+	if journaled {
+		want = append(want, "journal replay", "replay held", "replay", "replayed")
+	}
+	for _, s := range want {
 		if steps[s] == 0 {
 			t.Errorf("no reads issued at step %q", s)
 		}
 	}
-	if !straddled[d] {
-		t.Errorf("no read of %v was answered after the route retired", d)
+	straddler := d
+	if !pre {
+		straddler = l // D journals nothing without a window: no replay of it is held
+	}
+	if journaled && !straddled[straddler] {
+		t.Errorf("no read of %v was answered after the route retired", straddler)
+	}
+	if !pre && overlap == 0 {
+		t.Error("no rebuild request arrived while the settle ran")
 	}
 }
