@@ -12,7 +12,12 @@
 #
 # When sim values differ, the diff is followed by a table of seed pairs the
 # work tree won, lost and tied per workload and sim_* metric — the count a
-# sim-clock gain claim quotes. Exit 1 on a sim difference or a regression.
+# sim-clock gain claim quotes — with a separation column: "yes" when every
+# work-tree seed beats every base seed (the two sets of runs do not
+# overlap), "=" when every seed ties, "no" otherwise. It holds where
+# `tsueperf -compare` reports "unresolved" for a metric whose spread passes
+# its bound, whether the sides are bit-identical or fully separated. Exit 1
+# on a sim difference or a regression.
 # One seed takes about three minutes on two cores; SEEDS="11 12 ... 20"
 # gives the ten-seed table a performance claim quotes. The raw results stay
 # in .bench_build/perfdiff.{base,head}.jsonl (one line per run, same order
@@ -68,11 +73,14 @@ sims() {
 }
 
 # pairs prints, for every workload and sim_* metric, how many seeds the work
-# tree won, lost and tied against the base. Which way is better comes from
-# the metric's "better" field in BENCHMARK.json; an equal value is a tie.
+# tree won, lost and tied against the base, and whether the two sides
+# separate (sep): "yes" when the work tree's worst seed beats the base's
+# best, "=" when every seed ties, "no" otherwise. Which way is better comes
+# from the metric's "better" field in BENCHMARK.json; an equal value is a
+# tie. Only seeds run on both sides count.
 pairs() {
 	echo "perfdiff: seed pairs won by the work tree against $base"
-	printf '%-14s %-26s %4s %5s %5s\n' workload metric won lost tied
+	printf '%-14s %-26s %4s %5s %5s %4s\n' workload metric won lost tied sep
 	awk '
 	FNR == 1 { f++ }
 	f == 1 && /"name":/ { gsub(/[",]/, "", $2); name = $2 }
@@ -83,16 +91,25 @@ pairs() {
 		k = w[4] " " m[2]
 		if (f == 2) { base[k " " seed] = v; next }
 		if (!((k " " seed) in base)) next
-		d = v - base[k " " seed]
+		a = base[k " " seed] + 0; v += 0
+		d = v - a
 		if (d == 0) tied[k]++
 		else if ((d > 0) == (better[m[2]] == "higher")) won[k]++
 		else lost[k]++
+		if (!(k in seen) || a < amin[k]) amin[k] = a
+		if (!(k in seen) || a > amax[k]) amax[k] = a
+		if (!(k in seen) || v < bmin[k]) bmin[k] = v
+		if (!(k in seen) || v > bmax[k]) bmax[k] = v
 		seen[k] = 1
 	}
 	END {
 		for (k in seen) {
 			split(k, p, " ")
-			printf "%-14s %-26s %4d %5d %5d\n", p[1], p[2], won[k], lost[k], tied[k]
+			sep = "no"
+			if (won[k] + lost[k] == 0) sep = "="
+			else if (better[p[2]] == "higher" && bmin[k] > amax[k]) sep = "yes"
+			else if (better[p[2]] != "higher" && bmax[k] < amin[k]) sep = "yes"
+			printf "%-14s %-26s %4d %5d %5d %4s\n", p[1], p[2], won[k], lost[k], tied[k], sep
 		}
 	}' "$root/BENCHMARK.json" <(sims "$a") <(sims "$b") | sort
 }
