@@ -93,12 +93,16 @@ func degradedModes() []cluster.RecoverMode {
 // pre-reconstruction barrier (RecoveryReport.DrainTime) and "gated" the
 // time client updates were fenced; for interleaved recovery the barrier's
 // settle runs ungated, so gated counts only the route registration and the
-// cutover. A second table splits each run's barrier and cutover into their
+// cutover, and the rebuild runs beside the settle: its time counts from the
+// registration's end, so barrier and rebuild overlap and their sum exceeds
+// the recovery time. "rd n" is the number of window reads the percentiles
+// come from: over about a hundred, p99 is one of the two slowest reads, not
+// a tail. A second table splits each run's barrier and cutover into their
 // phases and sets the journal records the cutover took against the extents
 // it replayed.
 func Degraded(w io.Writer, s Scale) error {
-	t := s.table(w, "degraded", "== Degraded: recovery under foreground load (SSD, RS(6,4)); window read latency p50/p95/p99 ==",
-		"trace\tengine\tmode\trecover(ms)\tbarrier(ms)\trebuild(ms)\treplay(ms)\tgated(ms)\treplayed(KB)\trebuild(MB/s)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd err")
+	t := s.table(w, "degraded", "== Degraded: recovery under foreground load (SSD, RS(6,4)); window read latency p50/p95/p99 over rd n reads; interleaved rebuild(ms) counts from the registration's end and overlaps the settle ==",
+		"trace\tengine\tmode\trecover(ms)\tbarrier(ms)\trebuild(ms)\treplay(ms)\tgated(ms)\treplayed(KB)\trebuild(MB/s)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd n\trd err")
 	var phases []phaseRow
 	for _, tr := range []string{"ali", "ten"} {
 		for _, eng := range update.Names() {
@@ -122,6 +126,7 @@ func Degraded(w io.Writer, s Scale) error {
 					{"read_p50_ms", "%.2f", ms(r.ReadP(0.50))},
 					{"read_p95_ms", "%.2f", ms(r.ReadP(0.95))},
 					{"read_p99_ms", "%.2f", ms(r.ReadP(0.99))},
+					{"read_n", "%d", len(r.ReadLats)},
 					{"read_errs", "%d", r.ReadErrs},
 					{"journal_quorum_sent_msgs", "", r.QuorumSentMsgs},
 					{"journal_quorum_sent_bytes", "", r.QuorumSentBytes},
@@ -149,9 +154,10 @@ type phaseRow struct {
 // replay of the cutover's critical journal by its surrogate), with the journal
 // records replayed against their merged extents, in total and for the
 // largest journal. Drain-first and log-replay hold the gate through the
-// settle; interleaved recovery reopens it before the settle and fences
-// only degraded reads of lost blocks, each until the settle has merged its
-// byte range.
+// settle; interleaved recovery reopens it before the settle, fences only
+// degraded reads of lost blocks, each until the settle has merged its byte
+// range, and rebuilds beside the settle, each block once its stripe has
+// settled.
 func degradedPhases(w io.Writer, s Scale, rows []phaseRow) error {
 	t := s.table(w, "degraded", "== Degraded: recovery phases (ms); journal records vs merged extents replayed ==",
 		"trace\tengine\tmode\tfence1 wait\tregister\tsettle\trebuild\tfence2 wait\treplay\trecords\textents\tmax journal")
