@@ -626,8 +626,9 @@ func (c *Cluster) JournalHoldersOf(failed, surrogate wire.NodeID) []wire.NodeID 
 // the node comes off the fabric, degraded routes publish under a brief
 // fence, and the settle barrier restores raw stripe consistency while
 // foreground I/O already flows degraded (updates journal on the
-// surrogates) — the window interleaved recovery opens (openWindow) — until
-// a later Recover(failed) rebuilds and cuts over. Recover detects the
+// surrogates) — the window interleaved recovery opens (openWindow,
+// settleWindow) — until a later Recover(failed) rebuilds and cuts over;
+// the settle here ends before BeginDegraded returns. Recover detects the
 // pre-opened window and skips re-registration. Multi-death tests and
 // harness scenarios use this to inject surrogate/holder deaths at
 // controlled points between the failure and its recovery.

@@ -26,11 +26,12 @@ const (
 	// DataLog through the home engines' Update (§4.2 log reliability).
 	RecoverLogReplay
 	// RecoverInterleaved keeps foreground I/O flowing while the node
-	// rebuilds: a brief gate publishes the degraded routes, a settle barrier
-	// scoped to the failed node's stripes then restores their raw stripe
+	// rebuilds: a brief gate publishes the degraded routes, then a settle
+	// barrier scoped to the failed node's stripes restores their raw stripe
 	// consistency with updates flowing (only a degraded read of a lost
-	// block's range it has yet to merge waits), and reconstruction proceeds `parallel` stripes at a time
-	// while degraded-stripe I/O routes through the surrogate (reads
+	// block's range it has yet to merge waits) while reconstruction
+	// proceeds `parallel` stripes at a time beside it, each stripe once it
+	// has settled. Degraded-stripe I/O routes through the surrogate (reads
 	// reconstruct on the fly, updates journal) and non-degraded I/O runs the
 	// normal path — contending with recovery traffic on the same simulated
 	// NICs. A second gate holds updates through the journal cutover, in
@@ -57,23 +58,30 @@ type RecoveryReport struct {
 	// Blocks and Bytes count the reconstructed blocks.
 	Blocks int
 	Bytes  int64
-	// DrainTime is the time spent in the pre-reconstruction log barrier: a
-	// full drain for drain-first, the settle barrier for log-replay and
-	// interleaved. It is the sum of the next three phases: Fence1Wait waits
-	// out the client ops already past the gate, RegisterTime publishes the
-	// degraded routes and seeds the journals (registerDegraded), and
-	// SettleTime runs SettleAll (drain-first: DrainAll). Drain-first and
-	// log-replay keep client updates gated through all of it; interleaved
-	// recovery reopens the gate after RegisterTime, and its SettleTime is
-	// how long degraded reads of lost blocks could be fenced: one whose byte
-	// range the settle has yet to merge waits until it has. A pre-opened
-	// degraded window already did the last two; log-replay then only
-	// fences, and interleaved recovery skips fence 1 altogether.
+	// DrainTime is the time spent in the log barrier: a full drain for
+	// drain-first, the settle barrier for log-replay and interleaved. It is
+	// the sum of the next three phases: Fence1Wait waits out the client ops
+	// already past the gate, RegisterTime publishes the degraded routes and
+	// seeds the journals (registerDegraded), and SettleTime runs SettleAll
+	// (drain-first: DrainAll). Drain-first and log-replay keep client
+	// updates gated through all of it and rebuild after it. Interleaved
+	// recovery reopens the gate after RegisterTime and rebuilds beside the
+	// settle, so its SettleTime overlaps RebuildTime; it is how long
+	// degraded reads of lost blocks, and rebuilds, could be fenced: one
+	// whose byte range (a rebuild: whose stripe) the settle has yet to merge
+	// waits until it has. A pre-opened degraded window already did the last
+	// two; log-replay then only fences, and interleaved recovery skips
+	// fence 1 altogether.
 	DrainTime    time.Duration
 	Fence1Wait   time.Duration
 	RegisterTime time.Duration
 	SettleTime   time.Duration
-	// RebuildTime covers the parallel block reconstruction phase.
+	// RebuildTime covers the parallel block reconstruction phase, from
+	// target selection to the last block's ack. Interleaved recovery
+	// without a pre-opened window starts it when the registration ends,
+	// together with the settle, so it includes each block's wait for its
+	// stripe to settle, and TotalTime is Fence1Wait + RegisterTime +
+	// max(SettleTime, RebuildTime) + Fence2Wait + ReplayTime.
 	RebuildTime time.Duration
 	// ReplayTime covers the journal cutover (replica + degraded-update
 	// replay through the engines). Interleaved recovery's second gate
@@ -131,12 +139,15 @@ type RecoveryReport struct {
 // which steps run:
 //
 //  1. the node comes off the fabric (drain-first: after its drain);
-//  2. fence 1 and the pre-rebuild barrier: drain-first fences, drains every
-//     log and then takes the node off the fabric; a replaying mode with no
-//     open window opens one (openWindow; interleaved reopens the gate
-//     before its settle); log-replay on a pre-opened window only fences,
-//     and interleaved on one skips the step;
-//  3. the rebuild, re-encoding torn stripes unless the cluster was drained;
+//  2. fence 1 and the barrier: drain-first fences, drains every log and
+//     then takes the node off the fabric; a replaying mode with no open
+//     window opens one (openWindow) and settles it (settleWindow), and
+//     interleaved reopens the gate before its settle; log-replay on a
+//     pre-opened window only fences, and interleaved on one skips the step;
+//  3. the rebuild, re-encoding torn stripes unless the cluster was drained.
+//     Interleaved recovery that opened its window in step 2 runs it beside
+//     step 2's settle, from the registration's end, and each block waits
+//     for its own stripe to settle; the other modes run it after step 2;
 //  4. fence 2, in interleaved only (log-replay is still fenced);
 //  5. the journal cutover, a no-op without a degraded window;
 //  6. log-replay charges the replayed updates' merge debt to recovery with

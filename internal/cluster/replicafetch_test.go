@@ -195,7 +195,6 @@ func TestReplicaFetchKeepsSeedOrder(t *testing.T) {
 			}
 			got, want = seededIndexes(c, st), make(map[wire.NodeID][][]wire.ReplicaItem)
 			for sur, j := range ref {
-				//lint:allow maporder(each surrogate's extents are compared on their own)
 				want[sur] = j.extents()
 			}
 		})
@@ -210,7 +209,6 @@ func TestReplicaFetchKeepsSeedOrder(t *testing.T) {
 			t.Error("no seeds reached a surrogate journal")
 		}
 		for sur, w := range want {
-			//lint:allow maporder(each surrogate's extents are compared on their own)
 			g := got[sur]
 			if len(g) != len(w) {
 				t.Errorf("surrogate %d: %d blocks in its index, want %d", sur, len(g), len(w))

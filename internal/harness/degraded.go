@@ -89,17 +89,17 @@ func degradedModes() []cluster.RecoverMode {
 // percentiles (p50/p95/p99 of reads issued inside the recovery window) —
 // the Fig. 8b comparison extended with the update/failure overlap the
 // paper's log-reliability argument is really about, completed with the
-// ROADMAP's trace-latency distribution item. "barrier" is the
-// pre-reconstruction barrier (RecoveryReport.DrainTime) and "gated" the
-// time client updates were fenced; for interleaved recovery the barrier's
-// settle runs ungated, so gated counts only the route registration and the
-// cutover, and the rebuild runs beside the settle: its time counts from the
-// registration's end, so barrier and rebuild overlap and their sum exceeds
-// the recovery time. "rd n" is the number of window reads the percentiles
-// come from: over about a hundred, p99 is one of the two slowest reads, not
-// a tail. A second table splits each run's barrier and cutover into their
-// phases and sets the journal records the cutover took against the extents
-// it replayed.
+// ROADMAP's trace-latency distribution item. "barrier" is the log barrier
+// (RecoveryReport.DrainTime) and "gated" the time client updates were
+// fenced; for interleaved recovery the barrier's settle runs ungated, so
+// gated counts only the route registration and the cutover, and the
+// rebuild runs beside the settle: its time counts from the registration's
+// end, so barrier and rebuild overlap and their sum exceeds the recovery
+// time. "rd n" is the number of window reads the percentiles come from:
+// over about a hundred, p99 is one of the two slowest reads, not a tail. A
+// second table splits each run's barrier and cutover into their phases and
+// sets the journal records the cutover took against the extents it
+// replayed.
 func Degraded(w io.Writer, s Scale) error {
 	t := s.table(w, "degraded", "== Degraded: recovery under foreground load (SSD, RS(6,4)); window read latency p50/p95/p99 over rd n reads; interleaved rebuild(ms) counts from the registration's end and overlaps the settle ==",
 		"trace\tengine\tmode\trecover(ms)\tbarrier(ms)\trebuild(ms)\treplay(ms)\tgated(ms)\treplayed(KB)\trebuild(MB/s)\tbase IOPS\tduring IOPS\tdip\trd p50(ms)\trd p95(ms)\trd p99(ms)\trd n\trd err")
