@@ -269,6 +269,7 @@ func (c *Cluster) persistSeeds(p *sim.Proc, st *degradedState, seeded map[wire.N
 			surs = append(surs, c.OSDByID(sur))
 		}
 	}
+	// A journal persist cannot fail, so neither can the fan-out.
 	_ = sim.Parallel(p, "persist-seed", len(surs), func(hp *sim.Proc, i int) error {
 		surs[i].journalPersist(hp, surs[i].journalFor(st.failed), seeded[surs[i].id])
 		return nil

@@ -31,7 +31,7 @@ func TestRebuildWaitsForItsStripe(t *testing.T) {
 						c.Env.SetTieSalt(salt)
 						for _, o := range c.OSDs {
 							h := o.handle
-							c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+							err := c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 								if v, ok := m.(*wire.RecoverBlock); ok {
 									requests++
 									s := v.Blk.StripeID()
@@ -46,6 +46,9 @@ func TestRebuildWaitsForItsStripe(t *testing.T) {
 								}
 								return h(p, from, m)
 							})
+							if err != nil {
+								t.Error(err)
+							}
 						}
 					},
 				})

@@ -114,10 +114,10 @@ func (r *replicaSplit) serialFetch(p *sim.Proc) (map[wire.NodeID][]wire.ReplicaI
 // hook holds holder's ReplicaFetch answers for d, records the order in
 // which the holders answer, and calls onSettle (if set) at the first
 // settle request, which follows the registration with no yield between.
-func (r *replicaSplit) hook(holder wire.NodeID, d time.Duration, answered *[]wire.NodeID, onSettle func()) {
+func (r *replicaSplit) hook(t *testing.T, holder wire.NodeID, d time.Duration, answered *[]wire.NodeID, onSettle func()) {
 	for _, o := range r.c.OSDs {
 		h, id := o.handle, o.id
-		r.c.Fabric.SetHandler(id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+		err := r.c.Fabric.SetHandler(id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 			switch m.(type) {
 			case *wire.Settle:
 				if onSettle != nil {
@@ -136,6 +136,9 @@ func (r *replicaSplit) hook(holder wire.NodeID, d time.Duration, answered *[]wir
 			}
 			return h(p, from, m)
 		})
+		if err != nil {
+			t.Error(err)
+		}
 	}
 }
 
@@ -178,7 +181,7 @@ func TestReplicaFetchKeepsSeedOrder(t *testing.T) {
 		// serial order seeds.
 		var got, want map[wire.NodeID][][]wire.ReplicaItem
 		var answered []wire.NodeID
-		r.hook(4, time.Millisecond, &answered, func() {
+		r.hook(t, 4, time.Millisecond, &answered, func() {
 			st := c.degraded[r.victim]
 			ref := make(map[wire.NodeID]*journal)
 			for _, holder := range order {
@@ -289,7 +292,7 @@ func TestReplicaFetchTieTakesFirstHolder(t *testing.T) {
 			return
 		}
 		var answered []wire.NodeID
-		r.hook(4, time.Millisecond, &answered, nil)
+		r.hook(t, 4, time.Millisecond, &answered, nil)
 		got, err := c.fetchReplicaItems(p, r.victim, r.admin)
 		if err != nil {
 			t.Error(err)
