@@ -193,9 +193,9 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		c.Fabric.SetDown(failed, true)
 	}
 	var (
-		err     error
-		lost    []wire.BlockID
-		rebuilt bool // the rebuild ran beside the settle
+		err        error
+		lost       []wire.BlockID
+		overlapped bool // the rebuild ran beside the settle
 	)
 	switch {
 	case drain:
@@ -211,7 +211,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		// settle (rebuild), not for the whole barrier.
 		var st *degradedState
 		if st, err = c.openWindow(p, failed, via, rep, true); err == nil {
-			rebuilt = true
+			overlapped = true
 			err = sim.Parallel(p, "recover-phase", 2, func(hp *sim.Proc, i int) (err error) {
 				if i == 0 {
 					return c.settleWindow(hp, st, via, rep)
@@ -229,7 +229,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		rep.Fence1Wait = c.fenceUpdates(p)
 	}
 	rep.DrainTime = rep.Fence1Wait + rep.RegisterTime + rep.SettleTime
-	if err == nil && !rebuilt {
+	if err == nil && !overlapped {
 		lost, err = c.rebuild(p, failed, parallel, via, rep, !drain)
 	}
 	if err == nil {

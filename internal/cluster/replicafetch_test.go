@@ -113,7 +113,8 @@ func (r *replicaSplit) serialFetch(p *sim.Proc) (map[wire.NodeID][]wire.ReplicaI
 
 // hook holds holder's ReplicaFetch answers for d, records the order in
 // which the holders answer, and calls onSettle (if set) at the first
-// settle request, which follows the registration with no yield between.
+// settle request: the registration has ended, and with no client writing
+// the journals hold only its seeds.
 func (r *replicaSplit) hook(t *testing.T, holder wire.NodeID, d time.Duration, answered *[]wire.NodeID, onSettle func()) {
 	for _, o := range r.c.OSDs {
 		h, id := o.handle, o.id
