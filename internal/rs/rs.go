@@ -17,6 +17,7 @@ package rs
 
 import (
 	"fmt"
+	"slices"
 
 	"tsue/internal/gf256"
 )
@@ -200,16 +201,38 @@ func (c *Code) MergeDataDeltas(parity int, dst []byte, blocks []int, deltas [][]
 // by its reconstructed content. Returns an error if more than M shards are
 // missing.
 func (c *Code) Reconstruct(shards [][]byte) error {
+	if len(shards) != c.K+c.M {
+		return fmt.Errorf("rs: Reconstruct got %d shards, want %d", len(shards), c.K+c.M)
+	}
+	var missing []int
+	for i, s := range shards {
+		if s == nil {
+			missing = append(missing, i)
+		}
+	}
+	return c.ReconstructSome(shards, missing)
+}
+
+// ReconstructSome rebuilds only the shards whose indexes are in want, from
+// K of the present ones; every other nil shard stays nil. A shard not in
+// want is present unless it is nil, and present shards must all share one
+// length. A wanted shard is an output: it is rebuilt in place when its
+// length already equals the present shards', and replaced by a new slice
+// otherwise. Returns an error if fewer than K shards are present.
+func (c *Code) ReconstructSome(shards [][]byte, want []int) error {
 	n := c.K + c.M
 	if len(shards) != n {
 		return fmt.Errorf("rs: Reconstruct got %d shards, want %d", len(shards), n)
 	}
+	for _, idx := range want {
+		if idx < 0 || idx >= n {
+			return fmt.Errorf("rs: wanted shard %d out of range [0,%d)", idx, n)
+		}
+	}
 	size := -1
 	present := make([]int, 0, n)
-	missing := make([]int, 0, c.M)
 	for i, s := range shards {
-		if s == nil {
-			missing = append(missing, i)
+		if s == nil || slices.Contains(want, i) {
 			continue
 		}
 		if size == -1 {
@@ -219,14 +242,11 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 		}
 		present = append(present, i)
 	}
-	if len(missing) == 0 {
+	if len(want) == 0 {
 		return nil
 	}
-	if len(missing) > c.M {
-		return fmt.Errorf("rs: %d shards missing, can repair at most %d", len(missing), c.M)
-	}
-	if size < 0 {
-		return fmt.Errorf("rs: all shards missing")
+	if len(present) < c.K {
+		return fmt.Errorf("rs: %d shards missing, can repair at most %d", n-len(present), c.M)
 	}
 	// Select K present shards; build the KxK system from their generator rows.
 	sel := present[:c.K]
@@ -239,21 +259,27 @@ func (c *Code) Reconstruct(shards [][]byte) error {
 		return err
 	}
 	// Decode matrix rows for the original data blocks: data = inv * selected.
-	// For each missing shard i, its generator row full[i] applied to the
+	// For each wanted shard i, its generator row full[i] applied to the
 	// decoded data gives the shard: rec_i = full[i] * inv * selected. sel
 	// holds only present shards, so each rebuilt shard can be stored as
 	// soon as it is complete.
-	for _, idx := range missing {
+	row := make([]byte, c.K)
+	for _, idx := range want {
 		// row = full[idx] (1 x K) * inv (K x K) -> 1 x K over selected shards.
-		row := make([]byte, c.K)
+		clear(row)
 		frow := c.full.Row(idx)
 		for j := 0; j < c.K; j++ {
 			if f := frow[j]; f != 0 {
 				gf256.MulXorSlice(f, row, inv.Row(j))
 			}
 		}
-		// The O(missing * K * size) shard rebuild dominates.
-		rec := make([]byte, size)
+		// The O(wanted * K * size) shard rebuild dominates.
+		rec := shards[idx]
+		if len(rec) == size {
+			clear(rec)
+		} else {
+			rec = make([]byte, size)
+		}
 		for j, srcIdx := range sel {
 			gf256.MulXorSlice(row[j], rec, shards[srcIdx])
 		}

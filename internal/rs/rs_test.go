@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -559,4 +560,144 @@ func TestDataDeltaMatchesLoop(t *testing.T) {
 		}
 	}()
 	DataDelta(make([]byte, 4), make([]byte, 4), make([]byte, 5))
+}
+
+// reconstructRef is Reconstruct as it stood before ReconstructSome: every
+// nil shard is rebuilt into a new slice. TestReconstructSomeMatchesReference
+// holds both entry points to it.
+func reconstructRef(c *Code, shards [][]byte) error {
+	n := c.K + c.M
+	var present, missing []int
+	for i, s := range shards {
+		if s == nil {
+			missing = append(missing, i)
+		} else {
+			present = append(present, i)
+		}
+	}
+	if len(missing) == 0 {
+		return nil
+	}
+	if len(missing) > c.M || len(present) < c.K || len(shards) != n {
+		return errors.New("rs: too many missing")
+	}
+	size := len(shards[present[0]])
+	sel := present[:c.K]
+	sys := NewMatrix(c.K, c.K)
+	for r, idx := range sel {
+		copy(sys.Row(r), c.full.Row(idx))
+	}
+	inv, err := sys.Invert()
+	if err != nil {
+		return err
+	}
+	for _, idx := range missing {
+		row := make([]byte, c.K)
+		frow := c.full.Row(idx)
+		for j := 0; j < c.K; j++ {
+			if f := frow[j]; f != 0 {
+				gf256.MulXorSlice(f, row, inv.Row(j))
+			}
+		}
+		rec := make([]byte, size)
+		for j, srcIdx := range sel {
+			gf256.MulXorSlice(row[j], rec, shards[srcIdx])
+		}
+		shards[idx] = rec
+	}
+	return nil
+}
+
+// TestReconstructSomeMatchesReference is a differential test over random
+// K, M, matrix kinds and erasure sets: Reconstruct matches reconstructRef
+// on every shard, and ReconstructSome over a random subset of the erasures
+// rebuilds exactly that subset, byte-equal to the reference, whether a
+// wanted output is nil or a dirty buffer of the right length rebuilt in
+// place, and leaves every other erased shard nil.
+func TestReconstructSomeMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(59))
+	for iter := 0; iter < 400; iter++ {
+		k, m := 1+rng.Intn(12), 1+rng.Intn(5)
+		kind := MatrixKind(rng.Intn(2))
+		c := MustNew(k, m, kind)
+		size := 1 + rng.Intn(300)
+		data := randShards(rng, k, size)
+		parity := makeParity(m, size)
+		if err := c.Encode(data, parity); err != nil {
+			t.Fatal(err)
+		}
+		orig := append(append([][]byte{}, data...), parity...)
+		erased := rng.Perm(k + m)[:rng.Intn(m+1)]
+		copyWith := func(nilled []int) [][]byte {
+			s := make([][]byte, k+m)
+			for i := range s {
+				s[i] = append([]byte(nil), orig[i]...)
+			}
+			for _, i := range nilled {
+				s[i] = nil
+			}
+			return s
+		}
+		ref, got := copyWith(erased), copyWith(erased)
+		if err := reconstructRef(c, ref); err != nil {
+			t.Fatalf("K=%d M=%d %v erased %v: reference: %v", k, m, kind, erased, err)
+		}
+		if err := c.Reconstruct(got); err != nil {
+			t.Fatalf("K=%d M=%d %v erased %v: %v", k, m, kind, erased, err)
+		}
+		for i := range got {
+			if !bytes.Equal(got[i], ref[i]) || !bytes.Equal(got[i], orig[i]) {
+				t.Fatalf("K=%d M=%d %v erased %v: Reconstruct shard %d differs", k, m, kind, erased, i)
+			}
+		}
+
+		var want []int
+		for _, i := range erased {
+			if rng.Intn(2) == 0 {
+				want = append(want, i)
+			}
+		}
+		some := copyWith(erased)
+		for _, i := range want {
+			if rng.Intn(2) == 0 {
+				some[i] = make([]byte, size)
+				rng.Read(some[i]) // a dirty output buffer, rebuilt in place
+			}
+		}
+		inPlace := make(map[int][]byte)
+		for _, i := range want {
+			inPlace[i] = some[i]
+		}
+		if err := c.ReconstructSome(some, want); err != nil {
+			t.Fatalf("K=%d M=%d %v want %v of %v: %v", k, m, kind, want, erased, err)
+		}
+		for _, i := range erased {
+			wanted := slices.Contains(want, i)
+			switch {
+			case wanted && !bytes.Equal(some[i], ref[i]):
+				t.Fatalf("K=%d M=%d %v want %v: shard %d differs from the reference", k, m, kind, want, i)
+			case wanted && inPlace[i] != nil && &some[i][0] != &inPlace[i][0]:
+				t.Fatalf("K=%d M=%d %v want %v: shard %d not rebuilt in place", k, m, kind, want, i)
+			case !wanted && some[i] != nil:
+				t.Fatalf("K=%d M=%d %v want %v: unwanted shard %d was filled", k, m, kind, want, i)
+			}
+		}
+	}
+}
+
+// TestReconstructSomeRejects covers the errors: too few present shards
+// (a wanted shard does not count as present) and a wanted index out of
+// range.
+func TestReconstructSomeRejects(t *testing.T) {
+	c := MustNew(4, 2, Vandermonde)
+	shards := make([][]byte, 6)
+	for i := 1; i < 6; i++ {
+		shards[i] = make([]byte, 8)
+	}
+	if err := c.ReconstructSome(shards, []int{0, 1, 2}); err == nil {
+		t.Fatal("three of six shards present, K=4: no error")
+	}
+	if err := c.ReconstructSome(shards, []int{6}); err == nil {
+		t.Fatal("wanted shard 6 of 6: no error")
+	}
 }
