@@ -129,6 +129,10 @@ type Cluster struct {
 	// injected-corruption count: nothing corrupt escapes silently.
 	corruptions int64
 
+	// rebuildStreams numbers the rebuild streams (OSD.streamShards), so each
+	// stream's RebuildReads name it.
+	rebuildStreams uint64
+
 	// MDS admission accounting (see admission.go): admitted/rejected op
 	// counts and the admitted-but-uncompleted depth the queue-depth
 	// backpressure check reads.

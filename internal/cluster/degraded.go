@@ -701,7 +701,7 @@ func (o *OSD) reconstructRange(p *sim.Proc, blk wire.BlockID, off, size int64, a
 	if err != nil {
 		return nil, err
 	}
-	if err := o.c.Code.Reconstruct(shards); err != nil {
+	if err := o.c.Code.ReconstructSome(shards, []int{int(blk.Index)}); err != nil {
 		return nil, err
 	}
 	return shards[blk.Index], nil

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 
 	"tsue/internal/blockstore"
@@ -36,16 +37,20 @@ type OSD struct {
 	jrSentBytes int64
 	jrHeldMsgs  int64
 	jrHeldBytes int64
+	// rebuildBufs holds this OSD's read-ahead as a rebuild source: one
+	// whole shard block per open rebuild stream (handleRebuildRead).
+	rebuildBufs map[uint64]*rebuildBuf
 }
 
 func newOSD(c *Cluster, id wire.NodeID) *OSD {
 	dev := device.New(c.Env, fmt.Sprintf("osd%d", id), c.Cfg.DeviceKind, c.Cfg.DeviceParams)
 	return &OSD{
-		c:        c,
-		id:       id,
-		dev:      dev,
-		store:    blockstore.New(dev, c.Cfg.BlockSize),
-		journals: make(map[wire.NodeID]*journal),
+		c:           c,
+		id:          id,
+		dev:         dev,
+		store:       blockstore.New(dev, c.Cfg.BlockSize),
+		journals:    make(map[wire.NodeID]*journal),
+		rebuildBufs: make(map[uint64]*rebuildBuf),
 	}
 }
 
@@ -138,6 +143,8 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 			return &wire.ReadResp{Err: err}
 		}
 		return &wire.ReadResp{Data: buf, Sum: wire.Checksum(buf)}
+	case *wire.RebuildRead:
+		return o.handleRebuildRead(p, v)
 	case *wire.Update:
 		if !o.c.epochOK(v.Blk, v.Epoch) {
 			return &wire.Ack{Err: errStaleEpoch}
@@ -258,12 +265,13 @@ func (o *OSD) handleMigrateLog(p *sim.Proc, v *wire.MigrateLog) wire.Msg {
 
 // readSurvivingShards reads [off, off+size) of K live shards of blk's
 // stripe (skipping blk itself) with parallel raw reads, returning the K+M
-// shard slice with the read shards filled in — the fan-in shared by block
-// reconstruction, stripe repair, and degraded reads. The primary survivor
-// set is the first K live shards in index order; with alt set the LAST K
-// live shards are chosen instead, so whenever more than K shards survive a
-// hedged read's two legs fan in over different sources and a straggler in
-// one set need not stall both.
+// shard slice with the read shards filled in — the fan-in of a degraded
+// read, which reconstructs a small range on the fly (the rebuild streams
+// its shards instead: streamShards). The primary survivor set is the first
+// K live shards in index order; with alt set the LAST K live shards are
+// chosen instead, so whenever more than K shards survive a hedged read's
+// two legs fan in over different sources and a straggler in one set need
+// not stall both.
 func (o *OSD) readSurvivingShards(p *sim.Proc, blk wire.BlockID, off, size int64, alt bool) ([][]byte, error) {
 	cfg := o.c.Cfg
 	s := blk.StripeID()
@@ -278,12 +286,7 @@ func (o *OSD) readSurvivingShards(p *sim.Proc, blk wire.BlockID, off, size int64
 			sources = append(sources, i)
 		}
 	} else {
-		for i := 0; i < cfg.K+cfg.M && len(sources) < cfg.K; i++ {
-			if uint16(i) == blk.Index || o.c.Fabric.Down(osds[i]) {
-				continue
-			}
-			sources = append(sources, i)
-		}
+		sources = o.liveSources(blk, osds)
 	}
 	if len(sources) < cfg.K {
 		return nil, fmt.Errorf("recover %v: only %d surviving shards", blk, len(sources))
@@ -306,23 +309,176 @@ func (o *OSD) readSurvivingShards(p *sim.Proc, blk wire.BlockID, off, size int64
 	return shards, nil
 }
 
+// liveSources returns the indexes of the first K live shards of blk's
+// stripe in index order, blk itself excluded; fewer when fewer survive.
+func (o *OSD) liveSources(blk wire.BlockID, osds []wire.NodeID) []int {
+	cfg := o.c.Cfg
+	sources := make([]int, 0, cfg.K)
+	for i := 0; i < cfg.K+cfg.M && len(sources) < cfg.K; i++ {
+		if uint16(i) == blk.Index || o.c.Fabric.Down(osds[i]) {
+			continue
+		}
+		sources = append(sources, i)
+	}
+	return sources
+}
+
+// A rebuild stream moves each source's shard in rebuildSlice-byte slices,
+// at most rebuildWindow slices of one block in flight. Each source still
+// reads its shard off the device once (handleRebuildRead); only the
+// network transfers are sliced, so a source's NIC sends foreground replies
+// between the slices instead of queueing them behind a whole shard.
+const (
+	rebuildSlice  = 64 << 10
+	rebuildWindow = 4
+)
+
+// rebuildBuf is a rebuild source's read-ahead for one stream: the whole
+// shard block, read and verified on the stream's first request, and the
+// bytes sent from it so far.
+type rebuildBuf struct {
+	loaded *sim.Cond // broadcast once data or err is set
+	done   bool
+	data   []byte
+	err    error
+	sent   int64
+}
+
+// handleRebuildRead answers one slice of a rebuild stream. The stream's
+// first request reads the whole shard block off the device and verifies
+// every granule, as ReadRange does; requests that arrive during that read
+// wait for it. Every slice is answered from the buffer, which is dropped
+// once every byte has been sent, or at once on a read error or a Size-0
+// request (the target ended the stream early).
+func (o *OSD) handleRebuildRead(p *sim.Proc, v *wire.RebuildRead) wire.Msg {
+	if v.Size == 0 {
+		delete(o.rebuildBufs, v.Stream)
+		return &wire.ReadResp{}
+	}
+	b := o.rebuildBufs[v.Stream]
+	if b == nil {
+		b = &rebuildBuf{loaded: sim.NewCond(o.c.Env)}
+		o.rebuildBufs[v.Stream] = b
+		b.data, b.err = o.store.ReadRange(p, v.Blk, 0, o.c.Cfg.BlockSize)
+		if errors.Is(b.err, wire.ErrChecksum) {
+			o.c.noteCorruption()
+		}
+		b.done = true
+		b.loaded.Broadcast()
+	}
+	for !b.done {
+		b.loaded.Wait(p)
+	}
+	if b.err != nil {
+		o.dropRebuildBuf(v.Stream, b)
+		return &wire.ReadResp{Err: b.err}
+	}
+	end := v.Off + int64(v.Size)
+	if v.Off < 0 || end > int64(len(b.data)) {
+		return &wire.ReadResp{Err: fmt.Errorf("osd %d: rebuild read [%d,%d) of %v outside its %d bytes", o.id, v.Off, end, v.Blk, len(b.data))}
+	}
+	data := b.data[v.Off:end]
+	if b.sent += int64(v.Size); b.sent >= int64(len(b.data)) {
+		o.dropRebuildBuf(v.Stream, b)
+	}
+	return &wire.ReadResp{Data: data, Sum: wire.Checksum(data)}
+}
+
+// dropRebuildBuf forgets stream's read-ahead if it is still b.
+func (o *OSD) dropRebuildBuf(stream uint64, b *rebuildBuf) {
+	if o.rebuildBufs[stream] == b {
+		delete(o.rebuildBufs, stream)
+	}
+}
+
+// streamShards is the rebuild fan-in for lost block blk. It takes the
+// stripe's first K live shards as sources (blk excluded) and asks each for
+// its shard slice by slice (RebuildRead), one stream per source, at most
+// rebuildWindow slices in flight. Slices start in offset order; once all K
+// pieces of a slice have landed, fn gets the slice's offset, its length
+// and the K+M shard slice with the sources' pieces filled in, which it may
+// fill further but whose pieces it must not write (they are the sources'
+// buffers). A failed read or fn error ends the rebuild: no new slice
+// starts, and every live source is told to drop its buffer.
+func (o *OSD) streamShards(p *sim.Proc, blk wire.BlockID, fn func(off, n int64, shards [][]byte) error) error {
+	cfg := o.c.Cfg
+	s := blk.StripeID()
+	osds := o.c.Placement(s)
+	sources := o.liveSources(blk, osds)
+	if len(sources) < cfg.K {
+		return fmt.Errorf("recover %v: only %d surviving shards", blk, len(sources))
+	}
+	shardOf := func(idx int) wire.BlockID {
+		return wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(idx)}
+	}
+	streams := make([]uint64, len(sources))
+	for i := range streams {
+		o.c.rebuildStreams++
+		streams[i] = o.c.rebuildStreams
+	}
+	size := cfg.BlockSize
+	var next int64
+	failed := false
+	err := sim.Parallel(p, "rebuild-window", int(min(rebuildWindow, (size+rebuildSlice-1)/rebuildSlice)), func(wp *sim.Proc, _ int) error {
+		for !failed && next < size {
+			off, n := next, min(rebuildSlice, size-next)
+			next += n
+			shards := make([][]byte, cfg.K+cfg.M)
+			err := sim.Parallel(wp, "recover-read", len(sources), func(hp *sim.Proc, i int) error {
+				idx := sources[i]
+				// A corrupt shard fed into the reconstruction would silently
+				// rebuild wrong bytes — the one place wire rot is most
+				// dangerous.
+				req := &wire.RebuildRead{Blk: shardOf(idx), Stream: streams[i], Off: off, Size: int32(n)}
+				data, err := o.c.readData(o.Call(hp, osds[idx], req))
+				if err != nil {
+					return fmt.Errorf("recover read %v: %w", req.Blk, err)
+				}
+				o.c.OSDByID(osds[idx]).recSrcReadBytes += int64(len(data))
+				shards[idx] = data
+				return nil
+			})
+			if err == nil {
+				err = fn(off, n, shards)
+			}
+			if err != nil {
+				failed = true
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		for i, idx := range sources {
+			if !o.c.Fabric.Down(osds[idx]) {
+				// Best effort: a source cut off now cannot be told, and its
+				// buffer is never read by another stream.
+				_, _ = o.Call(p, osds[idx], &wire.RebuildRead{Blk: shardOf(idx), Stream: streams[i]})
+			}
+		}
+	}
+	return err
+}
+
 // recoverBlock reconstructs one lost block from K surviving peers and stores
-// it locally. Peer reads run in parallel — reconstruction bandwidth is bound
-// by the K fan-in plus the local streaming write (Fig. 8b). When the
+// it locally. The peers' shards stream in slices (streamShards), and each
+// slice of the block is rebuilt as it lands — reconstruction bandwidth is
+// bound by the K fan-in plus the local streaming write (Fig. 8b). When the
 // request carries Reencode, the full-stripe parity repair runs instead.
 func (o *OSD) recoverBlock(p *sim.Proc, req *wire.RecoverBlock) error {
 	if req.Reencode {
 		return o.recoverStripeRepair(p, req.Blk)
 	}
 	blk := req.Blk
-	shards, err := o.readSurvivingShards(p, blk, 0, o.c.Cfg.BlockSize, false)
-	if err != nil {
+	out := make([]byte, o.c.Cfg.BlockSize)
+	want := []int{int(blk.Index)}
+	if err := o.streamShards(p, blk, func(off, n int64, shards [][]byte) error {
+		shards[blk.Index] = out[off : off+n]
+		return o.c.Code.ReconstructSome(shards, want)
+	}); err != nil {
 		return err
 	}
-	if err := o.c.Code.Reconstruct(shards); err != nil {
-		return err
-	}
-	return o.store.Put(p, blk, shards[blk.Index])
+	return o.store.Put(p, blk, out)
 }
 
 // recoverStripeRepair rebuilds a lost block AND re-encodes the stripe's
@@ -334,42 +490,57 @@ func (o *OSD) recoverBlock(p *sim.Proc, req *wire.RecoverBlock) error {
 // sequential path, PL/PLR/PARIX's fan-out), leaving live parities
 // disagreeing about its last update. Reconstructing the lost block from the
 // first K live shards and then re-encoding makes every surviving parity
-// agree with whatever update subset those K shards witnessed.
+// agree with whatever update subset those K shards witnessed. The shards
+// stream in as for recoverBlock; each slice rebuilds the data shards no
+// source sent and re-encodes the parity slices. Once the last slice is
+// done, the block is stored and every live parity is written.
 func (o *OSD) recoverStripeRepair(p *sim.Proc, blk wire.BlockID) error {
 	cfg := o.c.Cfg
 	s := blk.StripeID()
 	osds := o.c.Placement(s)
-	shards, err := o.readSurvivingShards(p, blk, 0, cfg.BlockSize, false)
-	if err != nil {
-		return err
+	// bufs holds the whole-block outputs: every data block no source sends
+	// (blk among them when it is a data block) and the M parities.
+	bufs := make([][]byte, cfg.K+cfg.M)
+	output := func(i int) []byte {
+		if bufs[i] == nil {
+			bufs[i] = make([]byte, cfg.BlockSize)
+		}
+		return bufs[i]
 	}
-	// Fills every missing shard, including blk and any unread parity.
-	if err := o.c.Code.Reconstruct(shards); err != nil {
-		return err
-	}
-	// Re-encode the parity set from the (now complete) data shards so all
-	// parities agree.
-	parity := make([][]byte, cfg.M)
-	for j := range parity {
-		parity[j] = make([]byte, cfg.BlockSize)
-	}
-	if err := o.c.Code.Encode(shards[:cfg.K], parity); err != nil {
-		return err
-	}
-	if int(blk.Index) < cfg.K {
-		if err := o.store.Put(p, blk, shards[blk.Index]); err != nil {
+	if err := o.streamShards(p, blk, func(off, n int64, shards [][]byte) error {
+		var want []int
+		for i := 0; i < cfg.K; i++ {
+			if shards[i] == nil {
+				shards[i] = output(i)[off : off+n]
+				want = append(want, i)
+			}
+		}
+		if err := o.c.Code.ReconstructSome(shards, want); err != nil {
 			return err
 		}
-	} else if err := o.store.Put(p, blk, parity[int(blk.Index)-cfg.K]); err != nil {
+		// Re-encode the parity slices from the (now complete) data slices
+		// so all parities agree.
+		parity := make([][]byte, cfg.M)
+		for j := range parity {
+			parity[j] = output(cfg.K + j)[off : off+n]
+		}
+		return o.c.Code.Encode(shards[:cfg.K], parity)
+	}); err != nil {
 		return err
 	}
-	for j := 0; j < cfg.M; j++ {
-		if cfg.K+j == int(blk.Index) || o.c.Fabric.Down(osds[cfg.K+j]) {
-			continue
+	var live []int
+	for j := cfg.K; j < cfg.K+cfg.M; j++ {
+		if j != int(blk.Index) && !o.c.Fabric.Down(osds[j]) {
+			live = append(live, j)
 		}
-		pblk := wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(cfg.K + j)}
-		req := &wire.PutBlock{Blk: pblk, Data: parity[j], Sum: wire.Checksum(parity[j])}
-		if err := wire.AckErr(o.Call(p, osds[cfg.K+j], req)); err != nil {
+	}
+	if err := o.store.Put(p, blk, bufs[blk.Index]); err != nil {
+		return err
+	}
+	for _, j := range live {
+		pblk := wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(j)}
+		req := &wire.PutBlock{Blk: pblk, Data: bufs[j], Sum: wire.Checksum(bufs[j])}
+		if err := wire.AckErr(o.Call(p, osds[j], req)); err != nil {
 			return fmt.Errorf("parity repair %v: %w", pblk, err)
 		}
 	}

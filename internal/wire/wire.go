@@ -184,6 +184,23 @@ type ReadResp struct {
 	Sum  uint32
 }
 
+// RebuildRead asks a rebuild source for the slice [Off, Off+Size) of its
+// raw shard Blk, one request of a rebuild stream: Stream names the
+// stream, unique per rebuilt block and attempt, so no stream is answered
+// from another's buffer. The source reads and verifies the whole shard
+// off its device on the stream's first request, answers every slice from
+// that buffer and drops it once every byte has been sent; a Size of 0
+// ends the stream early and drops the buffer. Like a raw ReadBlock it is
+// server-internal and exempt from routing checks. Answered with a
+// ReadResp.
+type RebuildRead struct {
+	Blk    BlockID
+	Stream uint64
+	Off    int64
+	Size   int32
+	Span   SpanCtx
+}
+
 // Update is a client update to the OSD hosting a data block. Epoch is the
 // placement epoch the client resolved the route under (see ReadBlock).
 // Sum is the CRC-32C of Data; the OSD verifies before any engine side

@@ -58,7 +58,8 @@ var sizeRows = func() []sizeRow {
 		{&ReplicaRetire{}, 18},                                               // 4+14
 		{&PGAbort{}, 12},                                                     // 4+8
 		{&JournalFetchResp{Items: []JournalItem{{Data: b(2)}, {Data: b(1)}}, Err: e("partial")}, 84}, // 4+(8+14+8+4+2)+(8+14+8+4+1)+2+7
-		{&AdmitOp{}, 17}, // 17
+		{&AdmitOp{}, 17},     // 17
+		{&RebuildRead{}, 51}, // 14+8+8+4+17
 	}
 }()
 
