@@ -493,7 +493,8 @@ func (o *OSD) recoverBlock(p *sim.Proc, req *wire.RecoverBlock) error {
 // agree with whatever update subset those K shards witnessed. The shards
 // stream in as for recoverBlock; each slice rebuilds the data shards no
 // source sent and re-encodes the parity slices. Once the last slice is
-// done, the block is stored and every live parity is written.
+// done, the local store and every live parity's PutBlock are written at
+// once.
 func (o *OSD) recoverStripeRepair(p *sim.Proc, blk wire.BlockID) error {
 	cfg := o.c.Cfg
 	s := blk.StripeID()
@@ -534,15 +535,16 @@ func (o *OSD) recoverStripeRepair(p *sim.Proc, blk wire.BlockID) error {
 			live = append(live, j)
 		}
 	}
-	if err := o.store.Put(p, blk, bufs[blk.Index]); err != nil {
-		return err
-	}
-	for _, j := range live {
+	return sim.Parallel(p, "stripe-repair-write", 1+len(live), func(hp *sim.Proc, i int) error {
+		if i == 0 {
+			return o.store.Put(hp, blk, bufs[blk.Index])
+		}
+		j := live[i-1]
 		pblk := wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(j)}
 		req := &wire.PutBlock{Blk: pblk, Data: bufs[j], Sum: wire.Checksum(bufs[j])}
-		if err := wire.AckErr(o.Call(p, osds[j], req)); err != nil {
+		if err := wire.AckErr(o.Call(hp, osds[j], req)); err != nil {
 			return fmt.Errorf("parity repair %v: %w", pblk, err)
 		}
-	}
-	return nil
+		return nil
+	})
 }
