@@ -348,8 +348,8 @@ type rebuildBuf struct {
 // first request reads the whole shard block off the device and verifies
 // every granule, as ReadRange does; requests that arrive during that read
 // wait for it. Every slice is answered from the buffer, which is dropped
-// once every byte has been sent, or at once on a read error or a Size-0
-// request (the target ended the stream early).
+// once every byte has been sent or when a Size-0 request ends the stream
+// early (the target's rebuild failed, perhaps on this read's error).
 func (o *OSD) handleRebuildRead(p *sim.Proc, v *wire.RebuildRead) wire.Msg {
 	if v.Size == 0 {
 		delete(o.rebuildBufs, v.Stream)
@@ -370,7 +370,8 @@ func (o *OSD) handleRebuildRead(p *sim.Proc, v *wire.RebuildRead) wire.Msg {
 		b.loaded.Wait(p)
 	}
 	if b.err != nil {
-		o.dropRebuildBuf(v.Stream, b)
+		// Kept until the target ends the stream, so a slice that arrives
+		// later fails the same way instead of reading the shard again.
 		return &wire.ReadResp{Err: b.err}
 	}
 	end := v.Off + int64(v.Size)
