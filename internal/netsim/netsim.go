@@ -288,7 +288,10 @@ type callResult struct {
 
 // Call performs a synchronous RPC from -> to. It charges the sender's TX and
 // the receiver's RX for the request, runs the handler in a fresh process on
-// the receiver, then charges the reverse path for the response. Loopback
+// the receiver, then charges the responder's TX for the response and one
+// latency back. The caller's RX is not charged for a response: many
+// responses converging on one caller (a rebuild target's K-way fan-in)
+// queue only at their responders' TX, never at the caller's NIC. Loopback
 // calls skip the NIC (and all fault injection) but still run the handler.
 func (f *Fabric) Call(p *sim.Proc, from, to wire.NodeID, req wire.Msg) (wire.Msg, error) {
 	src, ok := f.nodes[from]
