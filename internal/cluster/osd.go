@@ -380,16 +380,9 @@ func (o *OSD) handleRebuildRead(p *sim.Proc, v *wire.RebuildRead) wire.Msg {
 	}
 	data := b.data[v.Off:end]
 	if b.sent += int64(v.Size); b.sent >= int64(len(b.data)) {
-		o.dropRebuildBuf(v.Stream, b)
+		delete(o.rebuildBufs, v.Stream)
 	}
 	return &wire.ReadResp{Data: data, Sum: wire.Checksum(data)}
-}
-
-// dropRebuildBuf forgets stream's read-ahead if it is still b.
-func (o *OSD) dropRebuildBuf(stream uint64, b *rebuildBuf) {
-	if o.rebuildBufs[stream] == b {
-		delete(o.rebuildBufs, stream)
-	}
 }
 
 // streamShards is the rebuild fan-in for lost block blk. It takes the

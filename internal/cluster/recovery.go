@@ -145,6 +145,9 @@ type RecoveryReport struct {
 //     interleaved reopens the gate before its settle; log-replay on a
 //     pre-opened window only fences, and interleaved on one skips the step;
 //  3. the rebuild, re-encoding torn stripes unless the cluster was drained.
+//     Each block's target streams its K sources' shards in slices, each
+//     source reading its shard off its device once (OSD.streamShards),
+//     and a stripe repair writes its block and the live parities at once.
 //     Interleaved recovery that opened its window in step 2 runs it beside
 //     step 2's settle, from the registration's end, and each block waits
 //     for its own stripe to settle; the other modes run it after step 2;
