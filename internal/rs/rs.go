@@ -201,9 +201,6 @@ func (c *Code) MergeDataDeltas(parity int, dst []byte, blocks []int, deltas [][]
 // by its reconstructed content. Returns an error if more than M shards are
 // missing.
 func (c *Code) Reconstruct(shards [][]byte) error {
-	if len(shards) != c.K+c.M {
-		return fmt.Errorf("rs: Reconstruct got %d shards, want %d", len(shards), c.K+c.M)
-	}
 	var missing []int
 	for i, s := range shards {
 		if s == nil {

@@ -186,8 +186,8 @@ type ReadResp struct {
 
 // RebuildRead asks a rebuild source for the slice [Off, Off+Size) of its
 // raw shard Blk, one request of a rebuild stream: Stream names the
-// stream, unique per rebuilt block and attempt, so no stream is answered
-// from another's buffer. The source reads and verifies the whole shard
+// stream, unique per source, rebuilt block and attempt, so no stream is
+// answered from another's buffer. The source reads and verifies the whole shard
 // off its device on the stream's first request, answers every slice from
 // that buffer and drops it once every byte has been sent; a Size of 0
 // ends the stream early and drops the buffer. Like a raw ReadBlock it is
