@@ -98,8 +98,8 @@ type Cluster struct {
 	// remap overrides block placement after recovery moved a block (and
 	// pins an abort-resolved PG's blocks to their old homes at commit).
 	remap map[wire.BlockID]wire.NodeID
-	// orphans parks overlay records whose mid-transition replay target died
-	// before they landed; registerDegraded seeds them into the surrogate
+	// orphans parks replay records whose home died with no window open
+	// (land, rule 2); registerDegraded seeds them into the surrogate
 	// journals (see degraded.go).
 	orphans map[wire.NodeID][]wire.ReplicaItem
 	// cutMu serializes PG cutover fences across concurrent migrations.
@@ -108,7 +108,8 @@ type Cluster struct {
 	// (SetTransHook; fault-injection and tests).
 	transHook func(TransEvent)
 
-	// degraded routes per failed node (see degraded.go); gateClosed fences
+	// degraded routes per failed node (see degraded.go), windowsOpened
+	// counts the windows ever opened (degradedState.opened); gateClosed fences
 	// client updates during recovery consistency windows (closed since
 	// gateClosedAt; gated sums the earlier closures); updatesInFlight
 	// counts normal-path updates past the gate and surrOpsInFlight counts
@@ -116,6 +117,7 @@ type Cluster struct {
 	// to land before a barrier runs, so no client update can straddle a
 	// settle or a journal cutover).
 	degraded        map[wire.NodeID]*degradedState
+	windowsOpened   uint64
 	gateClosed      bool
 	gateClosedAt    time.Duration
 	gated           time.Duration

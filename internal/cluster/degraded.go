@@ -27,6 +27,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"tsue/internal/device"
@@ -106,11 +107,15 @@ type degradedState struct {
 	// still waiting for its stripe gives up with it instead of
 	// reconstructing from shards the barrier may not have merged.
 	settleErr error
-	// orphans keeps the transition-orphaned records seeded into this
-	// window's journals (takeOrphans at registration). They exist neither
-	// in the DataLog replicas (retired at extraction) nor in JournalReplica
-	// retention, so a surrogate promotion must re-splice them from here.
+	// orphans keeps the records seeded into this window's journals that no
+	// replica holds: the ones parked for the failed node before the window
+	// opened (takeOrphans at registration) and the ones another window's
+	// cutover handed over (land, rule 1). They exist neither in the DataLog
+	// replicas nor in JournalReplica retention, so a surrogate promotion
+	// must re-splice them from here.
 	orphans []wire.ReplicaItem
+	// opened numbers the windows in the order they opened (degradedNodes).
+	opened uint64
 }
 
 // quorum is one surrogate's journal quorum. holders is its fixed holder
@@ -214,8 +219,11 @@ func (c *Cluster) waitGate(p *sim.Proc, node wire.NodeID, name string) {
 // degradedRoute returns the surrogate serving stripe s if s is degraded:
 // the surrogate assigned to the stripe's placement group. With concurrent
 // deaths a stripe can be degraded under several windows at once, so the
-// windows are consulted in failed-node order — every client must resolve
-// the same route or same-seed runs diverge.
+// windows are consulted in the order they opened (degradedNodes): a stripe
+// stays with the window that first served it until that window retires,
+// so no later window's journal holds a record of it newer than the first
+// window's, and the first window's cutover can hand its records to the
+// next one (land, rule 1) on top of older ones only.
 func (c *Cluster) degradedRoute(s wire.StripeID) (failed, surrogate wire.NodeID, ok bool) {
 	for _, id := range c.degradedNodes() {
 		st := c.degraded[id]
@@ -334,9 +342,11 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 		}
 		c.assign(st, pg, sur)
 	}
+	c.windowsOpened++
+	st.opened = c.windowsOpened
 	c.degraded[failed] = st
 	st.orphans = c.takeOrphans(failed)
-	c.persistSeeds(p, st, c.seedJournals(st, items, nil))
+	c.persistSeeds(p, st, c.seedJournals(st, nil, items, st.orphans))
 	return st, nil
 }
 
@@ -357,22 +367,22 @@ func (c *Cluster) lostBlocks(failed wire.NodeID) []wire.BlockID {
 	return lost
 }
 
-// seedJournals adds a window's seed records to the journals of the
-// surrogates now serving their PGs, without yielding, and returns the bytes
-// added per surrogate. The failed node's replicated unrecycled DataLog
-// items come first, then the records orphaned by a finish-resolved
-// transition (their replay target was the failed node), which preserves
-// append order per block: an orphan's block never also has replica seeds,
-// extraction retired those. Only degraded stripes are seeded — an item of a
-// block that migrated off the failed node before its death was replayed at
-// the new home already, and replaying it again would overwrite newer
-// writes — and, with pgs set, only those PGs (a promotion re-seeds the dead
-// surrogate's share). Seeds are seq-less: they are recoverable elsewhere,
-// so they need no quorum.
-func (c *Cluster) seedJournals(st *degradedState, seeds []wire.ReplicaItem, pgs map[int]bool) map[wire.NodeID]int64 {
+// seedJournals adds seed records to the journals of the surrogates now
+// serving their PGs, list after list, without yielding, and returns the
+// bytes added per surrogate. A window's registration and a promotion pass
+// the failed node's replicated unrecycled DataLog items first, then the
+// window's orphans (parked for the failed node, or handed over by another
+// window's cutover), which preserves append order per block: an orphan is
+// newer than any replica seed of its block. Only degraded stripes are
+// seeded — an item of a block that migrated off the failed node before its
+// death was replayed at the new home already, and replaying it again would
+// overwrite newer writes — and, with pgs set, only those PGs (a promotion
+// re-seeds the dead surrogate's share). Seeds are seq-less: they are
+// recoverable elsewhere, so they need no quorum.
+func (c *Cluster) seedJournals(st *degradedState, pgs map[int]bool, lists ...[]wire.ReplicaItem) map[wire.NodeID]int64 {
 	pmap := c.MDS.PlacementMap()
 	seeded := make(map[wire.NodeID]int64)
-	for _, items := range [][]wire.ReplicaItem{seeds, st.orphans} {
+	for _, items := range lists {
 		for _, it := range items {
 			s := it.Blk.StripeID()
 			pg := pmap.PGOf(s)
@@ -403,13 +413,89 @@ func (c *Cluster) unregisterDegraded(failed wire.NodeID) {
 	}
 }
 
-// stashOrphans parks replayable overlay records whose replay target died
-// mid-transition. registerDegraded(target) later seeds them into the
-// surrogate journals, so degraded reads overlay them and the recovery
-// cutover replays them at the rebuilt homes — no acked update is lost to
-// the extract→replay gap.
-func (c *Cluster) stashOrphans(target wire.NodeID, items []wire.ReplicaItem) {
-	c.orphans[target] = append(c.orphans[target], items...)
+// ---- replay ----
+
+// land replays records from node from, in order, each at its block's home
+// through the engine's Update (wire.ReplayUpdate), and returns the records
+// and bytes that landed. Rebalance's cutover (overlay extracted from an old
+// home, or a dead source's replicated overlay) and a surrogate's journal
+// replay both come here. Each record takes the first rule that applies:
+//
+//  1. a down member of its stripe has an open degraded window: the record
+//     joins that window (stash);
+//  2. its home is down and has no window: it is parked for the home
+//     (stash);
+//  3. otherwise it replays at its home. A node-down answer, with the
+//     sender alive, means the home or another node died before or during
+//     the replay, and the engines see the death now: the record takes the
+//     rules again, as a client update retries (a repeat rewrites the same
+//     bytes), and a home that died takes rule 2. A live home whose engine
+//     fans out to a dead member of the stripe (PL, PLR and PARIX do not
+//     skip one) answers node-down on every attempt, once its first two
+//     have written every live member; its second such answer lands the
+//     record, and the dead member's shard is rebuilt from the live ones
+//     when it recovers.
+//
+// So a replay whose stripe lost a member survives the loss within the
+// erasure code's death budget instead of failing on the dead node. A
+// replay from a node that is down itself still fails.
+func (c *Cluster) land(p *sim.Proc, from wire.NodeID, items []wire.ReplicaItem) (int, int64, error) {
+	landed, bytes := 0, int64(0)
+next:
+	for _, it := range items {
+		var err error
+		for attempt := 0; ; attempt++ {
+			members := c.Placement(it.Blk.StripeID())
+			home := members[it.Blk.Index]
+			if c.stash(p, it, members) {
+				continue next
+			}
+			if err != nil && c.Fabric.Down(from) {
+				return landed, bytes, fmt.Errorf("replay %v @%d: %w", it.Blk, home, err)
+			}
+			req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
+			err = wire.AckErr(c.Fabric.Call(p, from, home, req))
+			switch {
+			case err == nil, attempt > 0 && errors.Is(err, netsim.ErrNodeDown) && !c.Fabric.Down(from) &&
+				slices.ContainsFunc(members, c.Fabric.Down):
+				landed++
+				bytes += int64(len(it.Data))
+				continue next
+			case !errors.Is(err, netsim.ErrNodeDown) || attempt >= routeRetries:
+				return landed, bytes, fmt.Errorf("replay %v @%d: %w", it.Blk, home, err)
+			}
+		}
+	}
+	return landed, bytes, nil
+}
+
+// stash keeps a record that cannot replay at its home now, and reports
+// whether it did (land's rules 1 and 2); members is the record's stripe's
+// placement. Under rule 1 the record joins the earliest-opened window
+// whose failed node is still a member of its stripe: it goes into the
+// journal of the stripe's surrogate there, its persist charged as a
+// seed's, and into the window's orphans, so a promotion re-splices it,
+// degraded reads overlay it and that window's cutover replays it. Windows
+// are taken in the order they opened, as degradedRoute takes them: a
+// stripe's updates go to the first window that opened on it, so whichever
+// window's cutover hands its records over, the target journal holds
+// nothing newer for the stripe. Under rule 2 the record is parked for its
+// dead home, and registerDegraded seeds it into the window the home opens
+// later, so no acked update is lost to a replay whose target died.
+func (c *Cluster) stash(p *sim.Proc, it wire.ReplicaItem, members []wire.NodeID) bool {
+	for _, f := range c.degradedNodes() {
+		if st := c.degraded[f]; slices.Contains(members, f) {
+			st.orphans = append(st.orphans, it)
+			c.persistSeeds(p, st, c.seedJournals(st, nil, []wire.ReplicaItem{it}))
+			return true
+		}
+	}
+	home := members[it.Blk.Index]
+	if !c.Fabric.Down(home) {
+		return false
+	}
+	c.orphans[home] = append(c.orphans[home], it)
+	return true
 }
 
 // takeOrphans removes and returns the records parked for a node.
@@ -796,19 +882,20 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 }
 
 // handleJournalReplay replays this OSD's own journal for the failed node:
-// every block's merged extents go from the journal's memory index to the
-// block's current home as ReplayUpdates, and the answer counts them once
-// every one is acked. A log whose memory index serves reads hands its
-// extents over from that index, so the replay reads nothing off the device
-// (the on-disk journal is only their durability copy), and a block rebuilt
-// on this OSD replays over loopback. Blocks replay in parallel, each
-// block's extents one at a time in offset order: a block's extents do not
-// overlap, so their order cannot change the result, and replaying them
-// serially keeps same-block concurrency out of the engines' replay path.
-// The index keeps the extents, so degraded reads overlay them until the
-// route retires, and a journal with no record since its last replay
-// replays nothing. The recovery cutover sends this under the closed gate,
-// so nothing lands behind it.
+// every block's merged extents go from the journal's memory index through
+// land, to the block's current home or, when a member of its stripe is
+// down, to where land's rules keep them, and the answer counts the extents
+// that landed once every one is acked or kept. A log whose memory index
+// serves reads hands its extents over from that index, so the replay reads
+// nothing off the device (the on-disk journal is only their durability
+// copy), and a block rebuilt on this OSD replays over loopback. Blocks
+// replay in parallel, each block's extents one at a time in offset order:
+// a block's extents do not overlap, so their order cannot change the
+// result, and replaying them serially keeps same-block concurrency out of
+// the engines' replay path. The index keeps the extents, so degraded reads
+// overlay them until the route retires, and a journal with no record since
+// its last replay replays nothing. The recovery cutover sends this under
+// the closed gate, so nothing lands behind it.
 func (o *OSD) handleJournalReplay(p *sim.Proc, v *wire.JournalReplay) wire.Msg {
 	resp := &wire.JournalReplayResp{}
 	j, ok := o.journals[v.Failed]
@@ -818,16 +905,10 @@ func (o *OSD) handleJournalReplay(p *sim.Proc, v *wire.JournalReplay) wire.Msg {
 	j.fetched = j.records()
 	blocks := j.extents()
 	resp.Err = sim.Parallel(p, "replay", len(blocks), func(hp *sim.Proc, i int) error {
-		for _, it := range blocks[i] {
-			home := o.c.Placement(it.Blk.StripeID())[it.Blk.Index]
-			req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
-			if err := wire.AckErr(o.Call(hp, home, req)); err != nil {
-				return fmt.Errorf("replay %v @%d: %w", it.Blk, home, err)
-			}
-			resp.Extents++
-			resp.Bytes += int64(len(it.Data))
-		}
-		return nil
+		n, b, err := o.c.land(hp, o.id, blocks[i])
+		resp.Extents += uint32(n)
+		resp.Bytes += b
+		return err
 	})
 	return resp
 }

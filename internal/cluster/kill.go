@@ -119,7 +119,7 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 // live ring successor, which is its first holder whenever that holder
 // still lives. The promoted journal is rebuilt there in original order —
 // the re-fetched seed share (ReplicaFetch is non-destructive) and the
-// transition orphans (seedJournals), then every recovered append in seq
+// window's orphans (seedJournals), then every recovered append in seq
 // order, renumbered into the new surrogate's own append sequence. In the
 // same instant the victim's PGs route to the new surrogate (assign) and
 // the recovered seqs enter its acked set (their clients were acked in the
@@ -207,7 +207,7 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	q := st.quorum[cand]
 	osd := c.OSDByID(cand)
 	j := osd.journalFor(st.failed)
-	seeded := c.seedJournals(st, seeds, pgs)
+	seeded := c.seedJournals(st, pgs, seeds, st.orphans)
 	for i := range recovered {
 		recovered[i].Seq = j.append(recovered[i].Blk, recovered[i].Off, recovered[i].Data)
 		q.acked[recovered[i].Seq] = true
@@ -224,12 +224,12 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 }
 
 // degradedNodes returns the failed nodes currently served in degraded
-// mode, in deterministic order.
+// mode, in the order their windows opened.
 func (c *Cluster) degradedNodes() []wire.NodeID {
 	out := make([]wire.NodeID, 0, len(c.degraded))
 	for f := range c.degraded {
 		out = append(out, f)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	sort.Slice(out, func(i, j int) bool { return c.degraded[out[i]].opened < c.degraded[out[j]].opened })
 	return out
 }

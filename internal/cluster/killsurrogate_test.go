@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -798,21 +799,34 @@ func killHolderDuringRepair(t *testing.T, engine string) error {
 	return err
 }
 
-// killDuringCutover runs a degraded window of engine under tie salt salt:
-// a 6-stripe file written whole, BeginDegraded(3) and 60 degraded updates.
-// hook(c, at, surr, h, kill) then wraps every OSD's handler h, where at is
-// the OSD, surr the busiest surrogate and kill starts a Kill of surr in its
-// own proc (once), and the node is recovered (interleaved). check gets the
-// recovery's error, the Kill's report and error, and the busiest
-// surrogate's acked record count. A Kill that was never started is an
-// error. When the recovery succeeded, the surrogate is recovered too and
-// the cluster must drain, scrub and read back byte-exact.
-func killDuringCutover(t *testing.T, engine string, salt uint64,
-	hook func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func()) netsim.Handler,
-	check func(rerr error, krep *KillReport, kerr error, acked int) error) error {
-	c := MustNew(degradedConfig(engine))
+// cutoverKill is one run of killDuringCutover.
+type cutoverKill struct {
+	engine string
+	salt   uint64
+	mode   RecoverMode
+	// whole spreads the degraded updates over the whole file; otherwise
+	// they fall on node 3's lost data blocks only (degradedStripeOps),
+	// whose journal records all replay at their surrogates.
+	whole bool
+	// hook wraps OSD at's handler h; surr is the busiest surrogate, and
+	// kill starts a Kill of its victim in its own proc (the first call
+	// only).
+	hook func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func(victim wire.NodeID)) netsim.Handler
+	// check gets the recovery's error, the Kill's report and error, and
+	// the busiest surrogate's acked record count.
+	check func(rerr error, krep *KillReport, kerr error, acked int) error
+}
+
+// killDuringCutover runs a degraded window of k.engine under tie salt
+// k.salt: a 6-stripe file written whole, BeginDegraded(3) and 60 degraded
+// updates. k.hook then wraps every OSD's handler, and node 3 is recovered
+// under k.mode. A Kill that was never started is an error. When the
+// recovery succeeded, the victim is recovered too and the cluster must
+// drain, scrub and read back byte-exact.
+func killDuringCutover(t *testing.T, k cutoverKill) error {
+	c := MustNew(degradedConfig(k.engine))
 	defer c.Env.Close()
-	c.Env.SetTieSalt(salt)
+	c.Env.SetTieSalt(k.salt)
 	cl, admin, killer := c.NewClient(), c.NewClient(), c.NewClient()
 	err := errors.New("deadlock")
 	c.Env.Go("t", func(p *sim.Proc) {
@@ -833,7 +847,13 @@ func killDuringCutover(t *testing.T, engine string, salt uint64,
 				return fmt.Errorf("begin degraded: %w", err)
 			}
 			st := c.degraded[failed]
-			if !degradedStripeOps(t, p, c, cl, st, ino, content, rng, 60) {
+			ok := false
+			if k.whole {
+				_, ok = fileOps(t, p, cl, ino, content, rng, 60)
+			} else {
+				ok = degradedStripeOps(t, p, c, cl, st, ino, content, rng, 60)
+			}
+			if !ok {
 				return errors.New("degraded ops before the death")
 			}
 			surr := busiestSurrogate(c, st)
@@ -842,40 +862,41 @@ func killDuringCutover(t *testing.T, engine string, salt uint64,
 			}
 			acked := len(st.quorum[surr].acked)
 			var (
-				krep           *KillReport
-				kerr           error
-				started, ended bool
+				krep   *KillReport
+				kerr   error
+				victim wire.NodeID
+				ended  bool
 			)
-			kill := func() {
-				if started {
+			kill := func(v wire.NodeID) {
+				if victim != 0 {
 					return
 				}
-				started = true
+				victim = v
 				c.Env.Go("killer", func(kp *sim.Proc) {
-					krep, kerr = c.Kill(kp, surr, killer)
+					krep, kerr = c.Kill(kp, v, killer)
 					ended = true
 				})
 			}
 			for _, o := range c.OSDs {
-				if err := c.Fabric.SetHandler(o.id, hook(c, o.id, surr, o.handle, kill)); err != nil {
+				if err := c.Fabric.SetHandler(o.id, k.hook(c, o.id, surr, o.handle, kill)); err != nil {
 					return err
 				}
 			}
-			_, rerr := c.Recover(p, failed, 2, RecoverInterleaved, admin)
-			if !started {
-				return fmt.Errorf("surrogate %d was never killed (recover: %v)", surr, rerr)
+			_, rerr := c.Recover(p, failed, 2, k.mode, admin)
+			if victim == 0 {
+				return fmt.Errorf("no node was killed (recover: %v)", rerr)
 			}
 			for !ended {
 				p.Sleep(50 * time.Microsecond)
 			}
-			if err := check(rerr, krep, kerr, acked); err != nil {
+			if err := k.check(rerr, krep, kerr, acked); err != nil {
 				return err
 			}
 			if rerr != nil {
 				return nil
 			}
-			if _, err := c.Recover(p, surr, 2, RecoverInterleaved, admin); err != nil {
-				return fmt.Errorf("recover surrogate %d: %w", surr, err)
+			if _, err := c.Recover(p, victim, 2, k.mode, admin); err != nil {
+				return fmt.Errorf("recover victim %d: %w", victim, err)
 			}
 			if err := c.DrainAll(p, admin); err != nil {
 				return err
@@ -897,14 +918,16 @@ func killDuringCutover(t *testing.T, engine string, salt uint64,
 // own journal replay, when its first ReplayUpdate reaches the block's home.
 // The window is still open (the cutover retires the route only once every
 // replay is acked) and every holder keeps its quorum copies until then, so
-// Kill promotes the journal with every acked record repaired. The
-// recovery then fails with the dead surrogate's node-down error; nothing
-// hangs. Every engine runs at salt 0 and under eight tie salts.
+// Kill promotes the journal with every acked record repaired. The records
+// the dead surrogate had yet to replay are parked for it (land, rule 2:
+// their homes are the surrogate itself, down with no window), so the
+// recovery succeeds, and recovering the surrogate replays them. Every
+// engine runs at salt 0 and under eight tie salts.
 func TestKillSurrogateDuringOwnReplay(t *testing.T) {
-	hook := func(_ *Cluster, _, surr wire.NodeID, h netsim.Handler, kill func()) netsim.Handler {
+	hook := func(_ *Cluster, _, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
 		return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 			if _, ok := m.(*wire.ReplayUpdate); ok && from == surr {
-				kill()
+				kill(surr)
 			}
 			return h(p, from, m)
 		}
@@ -915,18 +938,62 @@ func TestKillSurrogateDuringOwnReplay(t *testing.T) {
 			return fmt.Errorf("kill: %w", kerr)
 		case krep.PromotedJournals != 1 || krep.RepairedItems != acked:
 			return fmt.Errorf("kill promoted %d journals with %d records repaired, want 1 with %d", krep.PromotedJournals, krep.RepairedItems, acked)
-		case !errors.Is(rerr, netsim.ErrNodeDown):
-			return fmt.Errorf("recover: %v, want a node-down error", rerr)
+		case rerr != nil:
+			return fmt.Errorf("recover: %w", rerr)
 		}
 		return nil
 	}
 	for _, engine := range update.Names() {
 		for salt := uint64(0); salt <= 8; salt++ {
 			t.Run(fmt.Sprintf("%s/salt%d", engine, salt), func(t *testing.T) {
-				if err := killDuringCutover(t, engine, salt, hook, check); err != nil {
+				k := cutoverKill{engine: engine, salt: salt, mode: RecoverInterleaved, hook: hook, check: check}
+				if err := killDuringCutover(t, k); err != nil {
 					t.Error(err)
 				}
 			})
+		}
+	}
+}
+
+// TestKillReplayHome: the first replay home that is not one of the
+// window's surrogates dies when its first ReplayUpdate reaches it. The
+// updates fall over the whole file, so a journal holds records of blocks
+// that survived node 3. The records still to replay at the dead home are
+// parked for it (land, rule 2), the others replay at their live homes, and
+// recovering the dead home replays the parked ones. Six engines, both
+// replaying modes, salt 0 and eight tie salts.
+func TestKillReplayHome(t *testing.T) {
+	hook := func(c *Cluster, at, _ wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
+		return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+			if st := c.degraded[3]; st != nil && !slices.Contains(st.surrogates, at) {
+				if _, ok := m.(*wire.ReplayUpdate); ok {
+					kill(at)
+				}
+			}
+			return h(p, from, m)
+		}
+	}
+	check := func(rerr error, krep *KillReport, kerr error, _ int) error {
+		switch {
+		case kerr != nil:
+			return fmt.Errorf("kill: %w", kerr)
+		case krep.PromotedJournals != 0:
+			return fmt.Errorf("kill of a replay home promoted %d journals", krep.PromotedJournals)
+		case rerr != nil:
+			return fmt.Errorf("recover: %w", rerr)
+		}
+		return nil
+	}
+	for _, engine := range update.Names() {
+		for _, mode := range []RecoverMode{RecoverInterleaved, RecoverLogReplay} {
+			for salt := uint64(0); salt <= 8; salt++ {
+				t.Run(fmt.Sprintf("%s/%s/salt%d", engine, mode, salt), func(t *testing.T) {
+					k := cutoverKill{engine: engine, salt: salt, mode: mode, whole: true, hook: hook, check: check}
+					if err := killDuringCutover(t, k); err != nil {
+						t.Error(err)
+					}
+				})
+			}
 		}
 	}
 }
@@ -938,13 +1005,13 @@ func TestKillSurrogateDuringOwnReplay(t *testing.T) {
 // Kill must return without an ErrSurrogateLost and promote nothing; both
 // recoveries, a drain, a scrub and a byte-exact read-back follow.
 func TestKillSurrogateRacesRetirement(t *testing.T) {
-	hook := func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func()) netsim.Handler {
+	hook := func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
 		return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 			switch v := m.(type) {
 			case *wire.JournalReplay:
 				resp := h(p, from, m)
 				if at == surr {
-					kill()
+					kill(surr)
 				}
 				return resp
 			case *wire.JournalFetch:
@@ -968,7 +1035,8 @@ func TestKillSurrogateRacesRetirement(t *testing.T) {
 	}
 	for _, engine := range update.Names() {
 		t.Run(engine, func(t *testing.T) {
-			if err := killDuringCutover(t, engine, tieSalt, hook, check); err != nil {
+			k := cutoverKill{engine: engine, salt: tieSalt, mode: RecoverInterleaved, hook: hook, check: check}
+			if err := killDuringCutover(t, k); err != nil {
 				t.Error(err)
 			}
 		})

@@ -125,8 +125,13 @@ func (o *OSD) handle(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 		var err error
 		if v.Raw {
 			// Server-internal path (recovery fan-in, block migration):
-			// exempt from routing checks by design.
+			// exempt from routing checks by design. Rot found here travels
+			// as the response's carried Err, which no payload check sees,
+			// so it is counted here, as a rebuild stream's source does.
 			buf, err = o.store.ReadRange(p, v.Blk, v.Off, int64(v.Size))
+			if errors.Is(err, wire.ErrChecksum) {
+				o.c.noteCorruption()
+			}
 		} else {
 			// A read that raced into a cutover fence must not observe the
 			// extract-replay gap; one that raced past a finished cutover

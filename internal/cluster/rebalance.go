@@ -15,9 +15,11 @@ package cluster
 //     content changed since phase 1, then extract the pure-overlay log
 //     records of the moving blocks from their old homes
 //     (wire.MigrateLog).
-//  3. Flip the PG at the MDS (wire.PGCutover) and replay the extracted
-//     records into the new homes through the engines' Update — the
-//     log follows the block. Old copies, stale recovery remaps and
+//  3. Flip the PG at the MDS (wire.PGCutover), retire the moving blocks'
+//     stale recovery remaps, and replay the extracted records at the new
+//     homes through the engines' Update (Cluster.land, the one replay path
+//     recovery's journal cutover takes too) — the log follows the block. A
+//     record whose new home died is parked for it. Old copies and
 //     per-stripe engine baselines are retired, the fence opens, and
 //     stale-epoch clients bounce once to re-resolve.
 //
@@ -213,8 +215,8 @@ type pgMover struct {
 //     re-encode when the dead source may have torn the stripe), their
 //     unrecycled overlay replays from its reliability replicas;
 //   - a destination dying from extraction on: FINISH — overlay aimed at
-//     the dead new home is stashed for the failure's degraded-journal
-//     machinery.
+//     the dead new home is parked (Cluster.land) for the failure's
+//     degraded-journal machinery.
 //
 // A dead bystander never aborts a PG: its migration completes normally.
 func (pm *pgMover) MigratePG(p *sim.Proc, pg rebalance.PGMoves, th *rebalance.Throttle) (rebalance.PGResult, error) {
@@ -394,14 +396,25 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 	}
 	// Flip the PG: from here the new homes are authoritative, so the
 	// replays below route (and their engines' later recycles resolve)
-	// under the new map.
+	// under the new map. A moving block's recovery remap names its old
+	// home, so it goes first: from here Placement resolves the block to
+	// its new home, where land replays it.
 	if err := pm.cutover(p, pg.PG); err != nil {
 		return err
 	}
+	for _, mv := range pg.Moves {
+		delete(c.remap, mv.Blk)
+	}
 	c.fireTransEvent(pg, StageReplaying, 0)
 	for i, mv := range pg.Moves {
-		if err := pm.land(p, mv.To, items[i], res); err != nil {
+		n, b, err := c.land(p, pm.via.id, items[i])
+		res.ReplayedItems += n
+		res.ReplayedBytes += b
+		if err != nil {
 			return err
+		}
+		if c.Fabric.Down(mv.To) {
+			res.Outcome = rebalance.OutcomeFinished
 		}
 	}
 	for _, dead := range deadSrcs {
@@ -416,15 +429,14 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 			return err
 		}
 	}
-	// Retire the old copies, stale recovery remaps, and per-stripe engine
-	// baselines (PARIX's orig coverage) the move invalidated. Control-plane
-	// metadata; the FTL sees the dropped blocks as trimmed space. Deleting
-	// a dead old home's entry keeps recovery's lost-block enumeration
-	// honest: the block is not lost, it moved.
+	// Retire the old copies and per-stripe engine baselines (PARIX's orig
+	// coverage) the move invalidated. Control-plane metadata; the FTL sees
+	// the dropped blocks as trimmed space. Deleting a dead old home's entry
+	// keeps recovery's lost-block enumeration honest: the block is not
+	// lost, it moved.
 	blks := make([]wire.BlockID, 0, len(pg.Moves))
 	for _, mv := range pg.Moves {
 		c.OSDByID(mv.From).store.Delete(mv.Blk)
-		delete(c.remap, mv.Blk)
 		blks = append(blks, mv.Blk)
 	}
 	c.resetStripeState(blks)
@@ -460,47 +472,22 @@ func (pm *pgMover) replayDeadSourceOverlay(p *sim.Proc, pg rebalance.PGMoves, de
 	if err != nil {
 		return err
 	}
-	dest := make(map[wire.BlockID]wire.NodeID, len(pg.Moves))
+	moving := make(map[wire.BlockID]bool, len(pg.Moves))
 	for _, mv := range pg.Moves {
 		if mv.From == dead {
-			dest[mv.Blk] = mv.To
+			moving[mv.Blk] = true
 		}
 	}
+	var overlay []wire.ReplicaItem
 	for _, it := range items {
-		if to, ok := dest[it.Blk]; ok {
-			if err := pm.land(p, to, []wire.ReplicaItem{it}, res); err != nil {
-				return err
-			}
+		if moving[it.Blk] {
+			overlay = append(overlay, it)
 		}
 	}
-	return nil
-}
-
-// land replays overlay records at their new home in order. Past the point
-// of no return a dead new home finishes the PG instead: the records must
-// not be lost, so they are stashed for the degraded-journal machinery
-// (registerDegraded seeds them into the surrogate journal, the recovery
-// cutover replays them; one that did land replays again, idempotently).
-func (pm *pgMover) land(p *sim.Proc, to wire.NodeID, items []wire.ReplicaItem, res *rebalance.PGResult) error {
-	c := pm.c
-	for _, it := range items {
-		if c.Fabric.Down(to) {
-			break
-		}
-		if err := pm.replay(p, to, it); err != nil {
-			if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(to) {
-				break
-			}
-			return err
-		}
-		res.ReplayedItems++
-		res.ReplayedBytes += int64(len(it.Data))
-	}
-	if c.Fabric.Down(to) {
-		c.stashOrphans(to, items)
-		res.Outcome = rebalance.OutcomeFinished
-	}
-	return nil
+	n, b, err := c.land(p, pm.via.id, overlay)
+	res.ReplayedItems += n
+	res.ReplayedBytes += b
+	return err
 }
 
 func (pm *pgMover) copyBlock(p *sim.Proc, mv placement.Move) error {
@@ -533,14 +520,6 @@ func (pm *pgMover) extractLog(p *sim.Proc, mv placement.Move) ([]wire.ReplicaIte
 		return nil, fmt.Errorf("migrate log %v: unexpected response %T", mv.Blk, resp)
 	}
 	return rr.Items, nil
-}
-
-func (pm *pgMover) replay(p *sim.Proc, to wire.NodeID, it wire.ReplicaItem) error {
-	req := &wire.ReplayUpdate{Blk: it.Blk, Off: it.Off, Data: it.Data, Sum: wire.Checksum(it.Data)}
-	if err := wire.AckErr(pm.c.Fabric.Call(p, pm.via.id, to, req)); err != nil {
-		return fmt.Errorf("migrate replay %v: %w", it.Blk, err)
-	}
-	return nil
 }
 
 func (pm *pgMover) cutover(p *sim.Proc, pg int) error {

@@ -100,3 +100,46 @@ func TestAtRestRotDetectedAndRepaired(t *testing.T) {
 		})
 	}
 }
+
+// TestDegradedReadCountsSourceRot: a degraded read of a lost block whose
+// reconstruction reads a source shard with a rotted granule fails with the
+// checksum sentinel, and the rot is counted once, at the source that found
+// it, as a rebuild stream's source counts it. The read goes to the
+// surrogate once: a client would retry the checksum failure.
+func TestDegradedReadCountsSourceRot(t *testing.T) {
+	run(t, degradedConfig("tsue"), func(p *sim.Proc, c *Cluster, cl *Client) {
+		rng := rand.New(rand.NewSource(5))
+		fileSize := 6 * c.StripeWidth()
+		content := make([]byte, fileSize)
+		rng.Read(content)
+		ino, err := cl.Create(p, "f", fileSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.WriteFile(p, ino, content); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.DrainAll(p, cl); err != nil {
+			t.Fatal(err)
+		}
+		failed := wire.NodeID(3)
+		blk := c.lostBlocks(failed)[0]
+		osds := c.Placement(blk.StripeID())
+		src := wire.BlockID{Ino: ino, Stripe: blk.Stripe, Index: uint16(c.OSDs[0].liveSources(blk, osds)[0])}
+		if err := c.OSDByID(osds[src.Index]).Store().CorruptStored(src, 100); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.BeginDegraded(p, failed, cl); err != nil {
+			t.Fatal(err)
+		}
+		_, surrogate, _ := c.degradedRoute(blk.StripeID())
+		before := c.CorruptionsDetected()
+		_, err = c.readData(c.Fabric.Call(p, cl.id, surrogate, &wire.DegradedRead{Failed: failed, Blk: blk, Size: 64}))
+		if !errors.Is(err, wire.ErrChecksum) {
+			t.Fatalf("degraded read over a rotted source: err=%v, want a checksum error", err)
+		}
+		if det := c.CorruptionsDetected() - before; det != 1 {
+			t.Fatalf("degraded read over a rotted source: %d detections, want 1", det)
+		}
+	})
+}
