@@ -165,6 +165,9 @@ func New(e *sim.Env, name string, kind Kind, p Params) *Disk {
 // Name returns the device name.
 func (d *Disk) Name() string { return d.name }
 
+// Waits reports the disk's grants and queue wait for class c so far.
+func (d *Disk) Waits(c sim.Class) sim.Waits { return d.res.Waits(c) }
+
 // Kind returns the device family.
 func (d *Disk) Kind() Kind { return d.kind }
 

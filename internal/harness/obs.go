@@ -13,7 +13,9 @@ package harness
 // background recycle root (TSUE's op:recycle:<layer>); for TSUE a second
 // line counts, per log layer, the traces whose appends stalled there and
 // their mean exclusive stall time, which names the layer that backs up
-// first. A same-seed repeat
+// first. A resource line gives, per load point, the mean queue wait per
+// grant at the NIC legs and disks, for foreground and background waiters
+// apart (sim.Resource.Waits). A same-seed repeat
 // of one point byte-compares the canonical span encoding, pinning the
 // tracer's determinism claim in the bench artifact itself.
 
@@ -27,6 +29,7 @@ import (
 
 	"tsue/internal/cluster"
 	"tsue/internal/obs"
+	"tsue/internal/sim"
 	"tsue/internal/update"
 	"tsue/internal/wire"
 )
@@ -70,6 +73,65 @@ func (l *nicLoad) util() float64 {
 		return 0
 	}
 	return 100 * float64(l.busy) / (float64(l.samples) * float64(obsNICPeriod))
+}
+
+// waitKinds names the resource kinds waitLoad polls, in its index order.
+var waitKinds = [...]string{"nic-tx", "nic-rx", "disk"}
+
+// classWaits is one resource kind's grants and queue wait summed over the
+// cluster, per scheduling class.
+type classWaits [sim.NClasses]sim.Waits
+
+// waitLoad is one load point's periodic poll of resource queueing: every
+// node's NIC legs and every OSD's disk, per class, at the sampler's first
+// and latest tick, so their difference covers the replay. Polling the
+// counters schedules nothing.
+type waitLoad struct {
+	first, last [len(waitKinds)]classWaits
+	ticks       int
+}
+
+// sample is an OpenLoopConfig.Sample hook.
+func (l *waitLoad) sample(c *cluster.Cluster, _ time.Duration) {
+	var now [len(waitKinds)]classWaits
+	for _, id := range c.Fabric.NodeIDs() {
+		for cl := sim.Class(0); cl < sim.NClasses; cl++ {
+			tx, rx := c.Fabric.NICWaits(id, cl)
+			now[0][cl].Add(tx)
+			now[1][cl].Add(rx)
+		}
+	}
+	for _, o := range c.OSDs {
+		for cl := sim.Class(0); cl < sim.NClasses; cl++ {
+			now[2][cl].Add(o.Device().Waits(cl))
+		}
+	}
+	if l.ticks == 0 {
+		l.first = now
+	}
+	l.last = now
+	l.ticks++
+}
+
+// mean returns resource kind k's mean queue wait per grant to class cl
+// over the sampled window (0 without grants).
+func (l *waitLoad) mean(k int, cl sim.Class) time.Duration {
+	w := l.last[k][cl].Sub(l.first[k][cl])
+	if w.Grants == 0 {
+		return 0
+	}
+	return w.Queued / time.Duration(w.Grants)
+}
+
+// format prints each resource kind's mean wait per grant, foreground then
+// background.
+func (l *waitLoad) format() string {
+	parts := make([]string, len(waitKinds))
+	for k, name := range waitKinds {
+		parts[k] = fmt.Sprintf("%s %v / %v", name,
+			l.mean(k, sim.Foreground).Round(100*time.Nanosecond), l.mean(k, sim.Background).Round(100*time.Nanosecond))
+	}
+	return strings.Join(parts, ", ")
 }
 
 // obsPoint is the derived view of one engine x load point.
@@ -210,7 +272,11 @@ func Obs(w io.Writer, s Scale) error {
 		cfg.TraceSample = 1
 		for _, frac := range obsFractions {
 			var nic nicLoad
-			res, err := offerLoad(cfg, calibIOPS*frac, cfg.Ops, nic.sample)
+			var waits waitLoad
+			res, err := offerLoad(cfg, calibIOPS*frac, cfg.Ops, func(c *cluster.Cluster, now time.Duration) {
+				nic.sample(c, now)
+				waits.sample(c, now)
+			})
 			if err != nil {
 				return fmt.Errorf("obs %s %.2fx: %w", eng, frac, err)
 			}
@@ -241,7 +307,14 @@ func Obs(w io.Writer, s Scale) error {
 					"rank": fmt.Sprintf("%d", rank+1), "sig": sc.Sig}
 				s.Sink.Record("obs", "p99_sig_n", sl, float64(sc.N))
 			}
+			for k, name := range waitKinds {
+				for cl := sim.Class(0); cl < sim.NClasses; cl++ {
+					s.Sink.Record("obs", "wait_us", map[string]string{"engine": eng, "load": at,
+						"resource": name, "class": cl.String()}, float64(waits.mean(k, cl))/float64(time.Microsecond))
+				}
+			}
 			hops = append(hops, fmt.Sprintf("top hops %s %s: %s", eng, at, strings.Join(pt.hops, "; ")))
+			hops = append(hops, fmt.Sprintf("resource waits %s %s (mean queue wait per grant, fg / bg): %s", eng, at, waits.format()))
 			if eng == "tsue" {
 				hops = append(hops, fmt.Sprintf("log stalls %s %s (traces x mean stall): %s", eng, at, pt.stalls))
 			}

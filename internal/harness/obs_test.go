@@ -6,6 +6,7 @@ import (
 
 	"tsue/internal/cluster"
 	"tsue/internal/obs"
+	"tsue/internal/sim"
 	"tsue/internal/trace"
 	"tsue/internal/wire"
 )
@@ -122,5 +123,51 @@ func TestNICTxUtilMatchesFabric(t *testing.T) {
 	want := 100 * float64(busy) / (float64(samples) * float64(obsNICPeriod))
 	if got := nic.util(); got != want {
 		t.Fatalf("nicLoad.util = %v, want %v (%v tx busy over %d samples)", got, want, busy, samples)
+	}
+}
+
+// TestWaitLoadMatchesResources pins waitLoad's view of one short load
+// point: each resource kind's mean wait per grant is the queue wait the NIC
+// legs and disks report gained between the sampler's first and last tick,
+// computed here directly, over the grants gained. An engine without
+// background procs queues no background waiter.
+func TestWaitLoadMatchesResources(t *testing.T) {
+	var waits waitLoad
+	var first, last [len(waitKinds)]sim.Waits
+	ticks := 0
+	sample := func(c *cluster.Cluster, now time.Duration) {
+		waits.sample(c, now)
+		var cur [len(waitKinds)]sim.Waits
+		for _, id := range c.Fabric.NodeIDs() {
+			tx, rx := c.Fabric.NICWaits(id, sim.Foreground)
+			cur[0].Add(tx)
+			cur[1].Add(rx)
+		}
+		for _, o := range c.OSDs {
+			cur[2].Add(o.Device().Waits(sim.Foreground))
+		}
+		if ticks == 0 {
+			first = cur
+		}
+		last = cur
+		ticks++
+	}
+	if _, err := offerLoad(openLoopTestConfig(), 4000, 200, sample); err != nil {
+		t.Fatal(err)
+	}
+	if ticks < 2 {
+		t.Fatalf("sampler ticked %d times", ticks)
+	}
+	for k, name := range waitKinds {
+		w := last[k].Sub(first[k])
+		if w.Grants == 0 {
+			t.Fatalf("%s: no foreground grants over the load point", name)
+		}
+		if got, want := waits.mean(k, sim.Foreground), w.Queued/time.Duration(w.Grants); got != want {
+			t.Errorf("%s: foreground mean wait %v, want %v", name, got, want)
+		}
+		if bg := waits.last[k][sim.Background]; bg != (sim.Waits{}) {
+			t.Errorf("%s: background waits %+v under fo, want none", name, bg)
+		}
 	}
 }

@@ -382,9 +382,12 @@ func (f *Fabric) handlerSpan(hp *sim.Proc, req wire.Msg, at wire.NodeID) func() 
 	return fin
 }
 
+// dispatch runs the handler in a proc of the caller's class, so a
+// background caller's request and response queue as background work at the
+// receiver's NIC, its disk and the responder's TX.
 func (f *Fabric) dispatch(p *sim.Proc, src, dst *node, req wire.Msg, local bool) (wire.Msg, error) {
 	respQ := sim.NewQueue[callResult](f.env)
-	f.env.Go("rpc", func(hp *sim.Proc) {
+	rpc := f.env.Go("rpc", func(hp *sim.Proc) {
 		if !local {
 			f.xfer(hp, dst.rx, wire.SizeOf(req))
 		}
@@ -426,6 +429,7 @@ func (f *Fabric) dispatch(p *sim.Proc, src, dst *node, req wire.Msg, local bool)
 		}
 		respQ.Put(callResult{resp: resp})
 	})
+	rpc.SetClass(p.Class())
 	r, _ := respQ.Get(p)
 	if r.err != nil {
 		return nil, r.err
@@ -445,6 +449,16 @@ func (f *Fabric) NICLoad(id wire.NodeID) (txBusy, rxBusy time.Duration, txQueue,
 		return 0, 0, 0, 0
 	}
 	return n.tx.BusyTime, n.rx.BusyTime, n.tx.QueueLen(), n.rx.QueueLen()
+}
+
+// NICWaits reports one node's NIC grants and queue wait for class c so
+// far, per direction. Unknown nodes report zeros.
+func (f *Fabric) NICWaits(id wire.NodeID, c sim.Class) (tx, rx sim.Waits) {
+	n, ok := f.nodes[id]
+	if !ok {
+		return sim.Waits{}, sim.Waits{}
+	}
+	return n.tx.Waits(c), n.rx.Waits(c)
 }
 
 // NodeIDs returns the registered node ids in ascending order.

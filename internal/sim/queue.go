@@ -143,7 +143,8 @@ func (w *WaitGroup) Wait(p *Proc) {
 
 // Parallel spawns n processes named name, in index order, runs fn(hp, i) in
 // the i-th, and blocks p until all have returned. Each child starts with p's
-// span annotation, so a traced parent's RPCs stay in its trace. The result
+// span annotation, so a traced parent's RPCs stay in its trace, and with
+// p's class, so background work fans out as background work. The result
 // is the first non-nil error in completion order.
 func Parallel(p *Proc, name string, n int, fn func(hp *Proc, i int) error) error {
 	if n == 0 {
@@ -159,7 +160,7 @@ func Parallel(p *Proc, name string, n int, fn func(hp *Proc, i int) error) error
 			}
 			wg.Done()
 		})
-		c.span = p.span
+		c.span, c.class = p.span, p.class
 	}
 	wg.Wait(p)
 	return firstErr

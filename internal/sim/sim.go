@@ -205,6 +205,7 @@ type Proc struct {
 	co         *carrier    // the coroutine running the body; nil before start and after the end
 	prev, next *Proc       // Env's list of unfinished procs
 	span       any
+	class      Class
 }
 
 // Env returns the environment that owns p.
@@ -221,6 +222,35 @@ func (p *Proc) SetSpan(v any) { p.span = v }
 
 // Span returns the annotation set by SetSpan (nil if none).
 func (p *Proc) Span() any { return p.span }
+
+// Class is a proc's scheduling class at a Resource.
+type Class uint8
+
+const (
+	// Foreground is every proc's class unless it is set otherwise.
+	Foreground Class = iota
+	// Background waits at a Resource while any foreground waiter is
+	// queued there.
+	Background
+	// NClasses is the number of classes.
+	NClasses
+)
+
+// String returns "fg" or "bg".
+func (c Class) String() string {
+	if c == Background {
+		return "bg"
+	}
+	return "fg"
+}
+
+// SetClass sets the class p queues in at every Resource. Like the span, a
+// spawner may set it on a child Go has just returned; Parallel's children
+// take their parent's.
+func (p *Proc) SetClass(c Class) { p.class = c }
+
+// Class returns the class set by SetClass (Foreground if none).
+func (p *Proc) Class() Class { return p.class }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.env.now }
@@ -473,16 +503,38 @@ func (e *Env) Close() {
 }
 
 // Resource models a server with fixed capacity (e.g. a disk with internal
-// queue depth N, a NIC). Waiters are served FIFO.
+// queue depth N, a NIC). A freed slot goes to the oldest queued foreground
+// waiter, and to the oldest background waiter only when no foreground
+// waiter is queued. A slot that is free when asked for is taken at once, by
+// either class. With one class in play the grants are plain FIFO.
 type Resource struct {
 	env     *Env
 	name    string
 	cap     int
 	inUse   int
-	waiters []*Proc
+	waiters [NClasses][]*Proc
+	waits   [NClasses]Waits
 	// BusyTime accumulates capacity-seconds of usage via Use, for
 	// utilization reporting.
 	BusyTime time.Duration
+}
+
+// Waits counts one class's grants at a Resource and the time its waiters
+// spent queued for them.
+type Waits struct {
+	Grants int64         // slots granted
+	Queued time.Duration // total time from Acquire to grant
+}
+
+// Add accumulates o into w.
+func (w *Waits) Add(o Waits) {
+	w.Grants += o.Grants
+	w.Queued += o.Queued
+}
+
+// Sub returns w minus o: the grants and queueing between two reads.
+func (w Waits) Sub(o Waits) Waits {
+	return Waits{Grants: w.Grants - o.Grants, Queued: w.Queued - o.Queued}
 }
 
 // NewResource creates a resource with the given capacity (>= 1).
@@ -493,23 +545,35 @@ func (e *Env) NewResource(name string, capacity int) *Resource {
 	return &Resource{env: e, name: name, cap: capacity}
 }
 
-// Acquire obtains one capacity slot, blocking FIFO while the resource is full.
+// Acquire obtains one capacity slot, blocking while the resource is full
+// until Release hands p one in its class's turn.
 func (r *Resource) Acquire(p *Proc) {
+	c := p.class
+	w := &r.waits[c]
 	if r.inUse < r.cap {
 		r.inUse++
+		w.Grants++
 		return
 	}
-	r.waiters = append(r.waiters, p)
+	start := r.env.now
+	r.waiters[c] = append(r.waiters[c], p)
 	p.park()
 	// The releaser transferred its slot to us; inUse stays constant.
+	w.Grants++
+	w.Queued += r.env.now - start
 }
 
-// Release frees one slot, handing it to the oldest waiter if any.
+// Release frees one slot, handing it to the oldest foreground waiter, else
+// to the oldest background waiter, if any.
 func (r *Resource) Release() {
-	if len(r.waiters) > 0 {
-		w := r.waiters[0]
-		copy(r.waiters, r.waiters[1:])
-		r.waiters = r.waiters[:len(r.waiters)-1]
+	for c := range r.waiters {
+		q := r.waiters[c]
+		if len(q) == 0 {
+			continue
+		}
+		w := q[0]
+		copy(q, q[1:])
+		r.waiters[c] = q[:len(q)-1]
 		r.env.wakeAt(w, r.env.now)
 		return
 	}
@@ -525,4 +589,14 @@ func (r *Resource) Use(p *Proc, d time.Duration) {
 }
 
 // QueueLen returns the number of blocked waiters.
-func (r *Resource) QueueLen() int { return len(r.waiters) }
+func (r *Resource) QueueLen() int {
+	n := 0
+	for _, q := range r.waiters {
+		n += len(q)
+	}
+	return n
+}
+
+// Waits returns class c's grants and queueing so far. Counting them
+// schedules nothing.
+func (r *Resource) Waits(c Class) Waits { return r.waits[c] }

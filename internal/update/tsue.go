@@ -33,17 +33,20 @@ import (
 //	           (Equation (5)) and ship to each parity holder's ParityLog.
 //	ParityLog— merged parity deltas XOR into the parity block in place.
 //
-// Both sites that feed the ParityLogs send to a stripe's M parity holders
-// in parallel (stripes stay in order, and each holder gets its extents in
-// fold order): the holders are independent, and a serial walk over them
-// backs the DeltaLog up until its appenders stall. A DataLog pass
-// read-modify-writes its extents one after another in merge order, and each
-// extent's delta leaves in a proc of its own as soon as its RMW returns, to
-// the DeltaLog and its reliability copy at once; the forwards overlap each
-// other and the RMWs behind them. A ParityLog pass runs all its RMWs at
-// once. Neither needs an order: a pass's merged extents are disjoint, and
-// the DeltaLog and ParityLog merge by XOR. A stall in any layer's append is
-// a "log:stall" span.
+// The DeltaLog and ParityLog recyclers are background procs (sim.Background):
+// their NIC, disk and lock waits yield to every queued foreground waiter, so
+// their bursts stay off the update and read paths. The DataLog recycler
+// stays foreground, because client appends stall on the space it frees.
+//
+// A DeltaLog pass sends every folded extent of every stripe to its parity
+// holder at once, one ParityDelta each; the direct path sends one extent to
+// its M holders at once. A DataLog pass read-modify-writes its extents one
+// after another in merge order, and each extent's delta leaves in a proc of
+// its own as soon as its RMW returns, to the DeltaLog and its reliability
+// copy at once; the forwards overlap each other and the RMWs behind them. A
+// ParityLog pass runs all its RMWs at once. None needs an order: a pass's
+// merged extents are disjoint, and the DeltaLog and ParityLog merge by XOR.
+// A stall in any layer's append is a "log:stall" span.
 //
 // Every layer uses the FIFO log-pool structure with the two-level index, so
 // repeated and adjacent updates collapse before they cost device or network
@@ -159,12 +162,13 @@ func newTsue(h Host, o Options) *tsue {
 	}
 	t.parity = newTsueLayer(h, "parity", logpool.XOR, o, o.Pools, o.NoParityLocality)
 	// One recycler process per pool per layer (the paper's recycle thread
-	// pool; units of one pool recycle in order, pools in parallel).
-	t.startRecyclers(t.data, t.recycleDataUnits)
+	// pool; units of one pool recycle in order, pools in parallel). Client
+	// appends stall on the DataLog's space, so its recycle is foreground.
+	t.startRecyclers(t.data, t.recycleDataUnits, sim.Foreground)
 	if t.delta != nil {
-		t.startRecyclers(t.delta, t.recycleDeltaUnits)
+		t.startRecyclers(t.delta, t.recycleDeltaUnits, sim.Background)
 	}
-	t.startRecyclers(t.parity, t.recycleParityUnits)
+	t.startRecyclers(t.parity, t.recycleParityUnits, sim.Background)
 	return t
 }
 
@@ -176,12 +180,14 @@ func (*tsue) Name() string { return "tsue" }
 // Get plus whatever else is already waiting — so that under recycle
 // pressure the batch grows and extents merge across units before the single
 // read-modify-write, while an idle pool still recycles unit-by-unit with no
-// added latency. Units of one pool always recycle in seal order.
-func (t *tsue) startRecyclers(l *tsueLayer, fn func(p *sim.Proc, poolIdx int, units []*logpool.Unit)) {
+// added latency. Units of one pool always recycle in seal order. The
+// recyclers run in class c, and so does every proc and RPC handler their
+// passes spawn.
+func (t *tsue) startRecyclers(l *tsueLayer, fn func(p *sim.Proc, poolIdx int, units []*logpool.Unit), c sim.Class) {
 	tracer := t.h.Tracer()
 	for i := range l.pools {
 		i := i
-		t.h.Env().Go(fmt.Sprintf("tsue-recycle-%s-%d@%d", l.name, i, t.h.NodeID()), func(p *sim.Proc) {
+		r := t.h.Env().Go(fmt.Sprintf("tsue-recycle-%s-%d@%d", l.name, i, t.h.NodeID()), func(p *sim.Proc) {
 			for {
 				u, ok := l.queues[i].Get(p)
 				if !ok {
@@ -220,6 +226,7 @@ func (t *tsue) startRecyclers(l *tsueLayer, fn func(p *sim.Proc, poolIdx int, un
 				l.stats.RecycleTime += p.Now() - start
 			}
 		})
+		r.SetClass(c)
 	}
 }
 
@@ -510,8 +517,10 @@ rmw:
 				}
 				fwds.Done()
 			})
-			// The forwards belong to this pass's op:recycle trace.
+			// The forwards belong to this pass's op:recycle trace and
+			// class.
 			fwd.SetSpan(p.Span())
+			fwd.SetClass(p.Class())
 		}
 	}
 	fwds.Wait(p)
@@ -604,10 +613,12 @@ func (t *tsue) forwardParityDirect(p *sim.Proc, s wire.StripeID, blk wire.BlockI
 // recycleDeltaUnits folds a batch of DeltaLog units' data deltas into
 // per-parity staged deltas and ships them to the parity logs. Deltas XOR-
 // merge across units first, then each stripe's extents fold through the
-// codec's batched Equation (5) (rs.FoldDeltas) in one pass. A stripe's M
-// parity holders are independent, so their sends run in parallel; each
-// holder still receives its extents in fold order, and the next stripe
-// starts once every holder has acked this one.
+// codec's batched Equation (5) (rs.FoldDeltas) in one pass. Every folded
+// extent of the pass then leaves at once, one ParityDelta each, to all the
+// stripes' M parity holders: the holders are independent logs, and the
+// extents of one holder are disjoint and merge there by XOR. The recycler
+// is a background proc, so the burst queues behind foreground traffic at
+// every NIC and disk it crosses.
 func (t *tsue) recycleDeltaUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit) {
 	// Dead node: buffered deltas are lost with it; the re-encode repair
 	// rebuilds the parities they were destined for.
@@ -629,30 +640,40 @@ func (t *tsue) recycleDeltaUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit
 			t.delta.stats.RecycleN++
 		}
 	}
+	type send struct {
+		to  wire.NodeID
+		blk wire.BlockID
+		ext rs.Extent
+	}
+	var sends []send // stripe order, then holder, then fold order
 	for _, s := range stripes {
 		folded := c.FoldDeltas(perStripe[s])
 		osds := t.h.Placement(s)
-		err := t.fanout(p, c.M, func(hp *sim.Proc, j int) error {
-			// Deltas for a dead parity holder are dropped; recovery rebuilds
-			// that block by re-encoding the data.
-			if !t.h.Alive(osds[k+j]) {
-				return nil
-			}
+		for j := range folded {
 			pblk := t.parityBlock(s, j)
 			for _, ext := range folded[j] {
-				req := &wire.ParityDelta{Blk: pblk, Off: ext.Off, Data: ext.Data, Sum: wire.Checksum(ext.Data)}
-				if err := t.callAck(hp, osds[k+j], req); err != nil {
-					if !t.h.Alive(osds[k+j]) || !t.h.Alive(t.h.NodeID()) {
-						return nil // one end died mid-fold; recovery repairs
-					}
-					return err
-				}
+				sends = append(sends, send{to: osds[k+j], blk: pblk, ext: ext})
 			}
-			return nil
-		})
-		if err != nil {
-			panic("tsue: parity delta fwd: " + err.Error())
 		}
+	}
+	err := t.fanout(p, len(sends), func(hp *sim.Proc, i int) error {
+		sd := sends[i]
+		// Deltas for a dead parity holder are dropped; recovery rebuilds
+		// that block by re-encoding the data.
+		if !t.h.Alive(sd.to) {
+			return nil
+		}
+		req := &wire.ParityDelta{Blk: sd.blk, Off: sd.ext.Off, Data: sd.ext.Data, Sum: wire.Checksum(sd.ext.Data)}
+		if err := t.callAck(hp, sd.to, req); err != nil {
+			if !t.h.Alive(sd.to) || !t.h.Alive(t.h.NodeID()) {
+				return nil // one end died mid-fold; recovery repairs
+			}
+			return err
+		}
+		return nil
+	})
+	if err != nil {
+		panic("tsue: parity delta fwd: " + err.Error())
 	}
 }
 
