@@ -629,10 +629,11 @@ func (c *Cluster) JournalHoldersOf(failed, surrogate wire.NodeID) []wire.NodeID 
 }
 
 // BeginDegraded opens a degraded window for a node without rebuilding it:
-// the node comes off the fabric, degraded routes publish under a brief
-// fence, and the settle barrier restores raw stripe consistency while
-// foreground I/O already flows degraded (updates journal on the
-// surrogates) — the window interleaved recovery opens (openWindow,
+// the node dies through the death handler (die: it comes off the fabric,
+// and the journals of the windows it served are promoted), degraded routes
+// publish under a brief fence, and the settle barrier restores raw stripe
+// consistency while foreground I/O already flows degraded (updates journal
+// on the surrogates) — the window interleaved recovery opens (openWindow,
 // settleWindow) — until a later Recover(failed) rebuilds and cuts over;
 // the settle here ends before BeginDegraded returns. Recover detects the
 // pre-opened window and skips re-registration. Multi-death tests and
@@ -646,7 +647,9 @@ func (c *Cluster) BeginDegraded(p *sim.Proc, failed wire.NodeID, via *Client) er
 	if c.degraded[failed] != nil {
 		return fmt.Errorf("cluster: node %d already degraded", failed)
 	}
-	c.Fabric.SetDown(failed, true)
+	if err := c.die(p, failed, via, nil); err != nil {
+		return err
+	}
 	rep := &RecoveryReport{}
 	st, err := c.openWindow(p, failed, via, rep, true)
 	if err == nil {

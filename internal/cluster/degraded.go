@@ -107,6 +107,10 @@ type degradedState struct {
 	// still waiting for its stripe gives up with it instead of
 	// reconstructing from shards the barrier may not have merged.
 	settleErr error
+	// promoteErr is the error of a promotion of this window's journals
+	// that failed: a failed Recover of the window returns it, also when the
+	// death came from a hook that could not wait for it (MarkDead).
+	promoteErr error
 	// orphans keeps the records seeded into this window's journals that no
 	// replica holds: the ones parked for the failed node before the window
 	// opened (takeOrphans at registration) and the ones another window's
@@ -114,7 +118,7 @@ type degradedState struct {
 	// replicas nor in JournalReplica retention, so a surrogate promotion
 	// must re-splice them from here.
 	orphans []wire.ReplicaItem
-	// opened numbers the windows in the order they opened (degradedNodes).
+	// opened numbers the windows in the order they opened (windows).
 	opened uint64
 }
 
@@ -219,14 +223,13 @@ func (c *Cluster) waitGate(p *sim.Proc, node wire.NodeID, name string) {
 // degradedRoute returns the surrogate serving stripe s if s is degraded:
 // the surrogate assigned to the stripe's placement group. With concurrent
 // deaths a stripe can be degraded under several windows at once, so the
-// windows are consulted in the order they opened (degradedNodes): a stripe
-// stays with the window that first served it until that window retires,
-// so no later window's journal holds a record of it newer than the first
-// window's, and the first window's cutover can hand its records to the
-// next one (land, rule 1) on top of older ones only.
+// windows are consulted in the order they opened (Cluster.windows): a
+// stripe stays with the window that first served it until that window
+// retires, so no later window's journal holds a record of it newer than
+// the first window's, and the first window's cutover can hand its records
+// to the next one (land, rule 1) on top of older ones only.
 func (c *Cluster) degradedRoute(s wire.StripeID) (failed, surrogate wire.NodeID, ok bool) {
-	for _, id := range c.degradedNodes() {
-		st := c.degraded[id]
+	for _, st := range c.windows() {
 		if st.stripes[s] {
 			return st.failed, st.surr[c.PG(s)], true
 		}
@@ -483,8 +486,8 @@ next:
 // dead home, and registerDegraded seeds it into the window the home opens
 // later, so no acked update is lost to a replay whose target died.
 func (c *Cluster) stash(p *sim.Proc, it wire.ReplicaItem, members []wire.NodeID) bool {
-	for _, f := range c.degradedNodes() {
-		if st := c.degraded[f]; slices.Contains(members, f) {
+	for _, st := range c.windows() {
+		if slices.Contains(members, st.failed) {
 			st.orphans = append(st.orphans, it)
 			c.persistSeeds(p, st, c.seedJournals(st, nil, []wire.ReplicaItem{it}))
 			return true

@@ -1,31 +1,31 @@
 package cluster
 
-// Kill: the cluster's first-class OSD-death entry point. Tests and the
-// harness used to flip Fabric.SetDown directly, which left two windows
-// undefined: a death during an online rebalance (the migration wedged and
-// the cluster had to be discarded) and the death of a surrogate OSD inside
-// a degraded window (the journal — and with it acked client updates — was
-// simply gone). Kill closes both:
+// Deaths. Every way an OSD dies goes through one handler, die: Kill,
+// BeginDegraded and Recover run it inline, and a hook's MarkDead runs it
+// without blocking. The handler checks that the ID names an OSD, takes the
+// node off the fabric and promotes every degraded-update journal the node
+// kept as a surrogate:
 //
-//   - mid-transition, it takes the node off the fabric (MarkDead), where
-//     the migration driver reads every death, and waits until every
-//     in-flight PG has resolved to abort or finish and the MDS has
-//     committed the epoch (the commit wakes it), so a subsequent Recover
-//     runs under one settled map;
-//   - mid-degraded-window, it detects the surrogate role and read-repairs
-//     the journal from the dead surrogate's fixed quorum holder set: the
-//     sequenced appends are unioned across every live holder (by seq; each
-//     acked append is on every holder that was reachable when it was
-//     acked, so the union holds every acked seq), spliced behind a
-//     re-fetched seed share onto the dead surrogate's first live ring
-//     successor — named only after the last fetch, so a node that died
-//     during the repair is never chosen — and re-replicated under the new
-//     surrogate's own holder set: no acked update is lost through any m
-//     concurrent deaths and no client op hangs. Only when every holder is
-//     unreachable too (> m deaths) is the journal unrecoverable and Kill
-//     fails fast with ErrSurrogateLost.
+//   - the fabric is the one liveness view: a placement transition in
+//     flight reads the death from there and resolves every PG it touches
+//     (abort or finish), and Kill waits until the MDS has committed the
+//     epoch (the commit wakes it), so a subsequent Recover runs under one
+//     settled map;
+//   - a journal the dead node kept as surrogate is read-repaired from its
+//     fixed quorum holder set: the sequenced appends are unioned across
+//     every live holder (by seq; each acked append is on every holder that
+//     was reachable when it was acked, so the union holds every acked
+//     seq), spliced behind a re-fetched seed share onto the dead
+//     surrogate's first live ring successor — named only after the last
+//     fetch, so a node that died during the repair is never chosen — and
+//     re-replicated under the new surrogate's own holder set: no acked
+//     update is lost through any m concurrent deaths and no client op
+//     hangs. Only when every holder is unreachable too (> m deaths) is the
+//     journal unrecoverable, and the promotion fails with
+//     ErrSurrogateLost.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"slices"
@@ -76,26 +76,24 @@ type KillReport struct {
 	RepairedItems int
 }
 
-// Kill takes an OSD off the fabric and resolves every control-plane state
-// the death lands in: an in-flight placement transition resolves per PG
-// (abort or finish) and commits, and any degraded-update journal the node
-// held as surrogate is promoted onto its first live ring successor. It
-// must be called from a process other than the one driving an Expand.
-// After Kill returns, Recover(failed) proceeds normally under the settled
-// epoch.
+// Kill is the blocking death verb: it takes an OSD down through the death
+// handler (die), so every journal the node kept as surrogate is promoted
+// onto its first live ring successor, and then waits until an in-flight
+// placement transition has resolved per PG (abort or finish) and
+// committed. It opens no window: the node's own stripes are served by a
+// window only once BeginDegraded or Recover opens one. It must be called
+// from a process other than the one driving an Expand. After Kill returns,
+// Recover(failed) proceeds normally under the settled epoch.
 func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillReport, error) {
 	if c.Fabric.Down(failed) {
 		return nil, fmt.Errorf("cluster: Kill: node %d is already down", failed)
 	}
 	rep := &KillReport{}
 	inTrans := c.MDS.trans != nil
-	c.MarkDead(failed)
-	// Mutual exclusion means at most one of these two branches has work:
-	// degraded state cannot exist while a transition is staged.
-	for _, f := range c.degradedNodes() {
-		if err := c.promoteSurrogate(p, c.degraded[f], failed, via, rep); err != nil {
-			return rep, err
-		}
+	// Mutual exclusion means at most one of the promotion and the wait has
+	// work: degraded state cannot exist while a transition is staged.
+	if err := c.die(p, failed, via, rep); err != nil {
+		return rep, err
 	}
 	if inTrans {
 		rep.TransitionResolved = true
@@ -105,6 +103,74 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 		rep.SettledEpoch = c.MDS.committed
 	}
 	return rep, nil
+}
+
+// MarkDead is the death verb for hooks, which must not block (SetTransHook,
+// handler wrappers in tests): it takes an OSD down through the death
+// handler and returns at once. A placement transition in flight reads the
+// death from the fabric; the journals of the windows the node served are
+// promoted by a proc of its own, whose error the window's Recover returns.
+// Kill is the verb that also waits both out. An ID that names no OSD is a
+// bug in the hook, and panics.
+func (c *Cluster) MarkDead(failed wire.NodeID) {
+	if err := c.die(nil, failed, nil, nil); err != nil {
+		panic(err)
+	}
+}
+
+// die is the cluster's one death handler. It fails unless failed names an
+// OSD. A node already down is left as it is: its death was handled when it
+// went down, so a second call neither promotes again nor races the first
+// one's promotion. Otherwise the node comes off the fabric, and every
+// window it served as a surrogate, in the order the windows opened, has
+// the node's journal promoted (promoteSurrogate; rep may be nil). Each
+// window keeps its promotion's error for its Recover
+// (degradedState.promoteErr), and die returns the first one. With p nil
+// the caller must not block (MarkDead): the promotions then run in a proc
+// of their own, from a client of their own, started only when the node
+// served a window. A death with nothing to promote therefore adds no
+// event.
+func (c *Cluster) die(p *sim.Proc, failed wire.NodeID, via *Client, rep *KillReport) error {
+	if err := c.checkOSD(failed); err != nil {
+		return err
+	}
+	if c.Fabric.Down(failed) {
+		return nil
+	}
+	c.Fabric.SetDown(failed, true)
+	var served []*degradedState
+	for _, st := range c.windows() {
+		if len(st.pgsOf(failed)) > 0 {
+			served = append(served, st)
+		}
+	}
+	if rep == nil {
+		rep = &KillReport{}
+	}
+	promote := func(p *sim.Proc, via *Client) (first error) {
+		for _, st := range served {
+			if err := c.promoteSurrogate(p, st, failed, via, rep); err != nil {
+				st.promoteErr = cmp.Or(st.promoteErr, err)
+				first = cmp.Or(first, err)
+			}
+		}
+		return first
+	}
+	if p != nil {
+		return promote(p, via)
+	}
+	if len(served) > 0 {
+		c.Env.Go("promote", func(p *sim.Proc) { _ = promote(p, c.NewClient()) })
+	}
+	return nil
+}
+
+// checkOSD fails unless id names an OSD of the cluster.
+func (c *Cluster) checkOSD(id wire.NodeID) error {
+	if c.OSDByID(id) == nil {
+		return fmt.Errorf("cluster: node %d is not an OSD", id)
+	}
+	return nil
 }
 
 // promoteSurrogate re-homes the degraded-update journal a dead surrogate
@@ -127,16 +193,12 @@ func (c *Cluster) Kill(p *sim.Proc, failed wire.NodeID, via *Client) (*KillRepor
 // full journal. Each recovered append is then committed under the new
 // surrogate's quorum like a client append, restoring the m-death budget so
 // a chained surrogate death is equally survivable. A window the recovery
-// cutover retires while the fetches yield is left alone: the cutover
-// retires a route only after every extent of it was replayed and acked.
+// cutover retired before the promotion or while its fetches yield is left
+// alone: the cutover retires a route only after every extent of it was
+// replayed and acked.
 func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.NodeID, via *Client, rep *KillReport) error {
-	pgs := make(map[int]bool)
-	for pg, sur := range st.surr {
-		if sur == victim {
-			pgs[pg] = true
-		}
-	}
-	if len(pgs) == 0 {
+	pgs := st.pgsOf(victim)
+	if len(pgs) == 0 || c.degraded[st.failed] != st {
 		return nil
 	}
 	vq := st.quorum[victim]
@@ -223,13 +285,23 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	return nil
 }
 
-// degradedNodes returns the failed nodes currently served in degraded
-// mode, in the order their windows opened.
-func (c *Cluster) degradedNodes() []wire.NodeID {
-	out := make([]wire.NodeID, 0, len(c.degraded))
-	for f := range c.degraded {
-		out = append(out, f)
+// pgsOf returns the PGs of st that surrogate sur serves.
+func (st *degradedState) pgsOf(sur wire.NodeID) map[int]bool {
+	pgs := make(map[int]bool)
+	for pg, s := range st.surr {
+		if s == sur {
+			pgs[pg] = true
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return c.degraded[out[i]].opened < c.degraded[out[j]].opened })
+	return pgs
+}
+
+// windows returns the open degraded windows, in the order they opened.
+func (c *Cluster) windows() []*degradedState {
+	out := make([]*degradedState, 0, len(c.degraded))
+	for _, st := range c.degraded {
+		out = append(out, st)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].opened < out[j].opened })
 	return out
 }

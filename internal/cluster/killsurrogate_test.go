@@ -363,6 +363,47 @@ func TestKillSurrogateAllHoldersLost(t *testing.T) {
 	}
 }
 
+// TestMarkDeadSurrogateLostFailsRecover: a hook's MarkDead cannot return
+// a promotion's error, so when the surrogate it takes down has lost its
+// whole holder quorum, the window keeps the ErrSurrogateLost and the
+// window's Recover returns it, not the rebuild's failure that the same
+// deaths cause.
+func TestMarkDeadSurrogateLostFailsRecover(t *testing.T) {
+	run(t, degradedConfig("tsue"), func(p *sim.Proc, c *Cluster, cl *Client) {
+		rng := rand.New(rand.NewSource(73))
+		fileSize := 4 * c.StripeWidth()
+		content := make([]byte, fileSize)
+		rng.Read(content)
+		ino, err := cl.Create(p, "f", fileSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.WriteFile(p, ino, content); err != nil {
+			t.Fatal(err)
+		}
+		failed := wire.NodeID(3)
+		if err := c.BeginDegraded(p, failed, cl); err != nil {
+			t.Fatal(err)
+		}
+		st := c.degraded[failed]
+		if !degradedStripeOps(t, p, c, cl, st, ino, content, rng, 40) {
+			return
+		}
+		surr := busiestSurrogate(c, st)
+		if surr == 0 {
+			t.Fatal("no surrogate holds journal items")
+		}
+		for _, h := range c.JournalHoldersOf(failed, surr) {
+			c.Fabric.SetDown(h, true)
+		}
+		c.MarkDead(surr)
+		p.Sleep(time.Microsecond) // the promotion's proc runs
+		if _, err := c.Recover(p, failed, 2, RecoverInterleaved, cl); !errors.Is(err, ErrSurrogateLost) {
+			t.Errorf("recover after a lost promotion: got %v, want ErrSurrogateLost", err)
+		}
+	})
+}
+
 // TestKillSurrogateAfterFailedQuorumRound: a degraded update whose quorum
 // round fails is retried by the client under a new seq, so the failed seq
 // may be on no holder while a later seq is acked. That hole is not a lost
@@ -808,19 +849,29 @@ type cutoverKill struct {
 	// they fall on node 3's lost data blocks only (degradedStripeOps),
 	// whose journal records all replay at their surrogates.
 	whole bool
+	// settle runs the degraded updates inside BeginDegraded's settle
+	// barrier: the first Settle to reach an OSD holds until they are done,
+	// and then reaches the OSD through the hooks.
+	settle bool
+	// markDead makes kill a hook's death, MarkDead, which promotes in a
+	// proc of its own, instead of a Kill in a proc of the test's.
+	markDead bool
 	// hook wraps OSD at's handler h; surr is the busiest surrogate, and
-	// kill starts a Kill of its victim in its own proc (the first call
-	// only).
+	// kill takes its victim down (the first call only).
 	hook func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func(victim wire.NodeID)) netsim.Handler
 	// check gets the recovery's error, the Kill's report and error, and
-	// the busiest surrogate's acked record count.
+	// the busiest surrogate's acked record count. A MarkDead has no report:
+	// it is read off the window once node 3's recovery returns, counting a
+	// journal as promoted when the victim no longer serves the window and
+	// its records as repaired when its successor acked them, with the
+	// window's promoteErr as the error.
 	check func(rerr error, krep *KillReport, kerr error, acked int) error
 }
 
 // killDuringCutover runs a degraded window of k.engine under tie salt
 // k.salt: a 6-stripe file written whole, BeginDegraded(3) and 60 degraded
 // updates. k.hook then wraps every OSD's handler, and node 3 is recovered
-// under k.mode. A Kill that was never started is an error. When the
+// under k.mode. A victim that was never killed is an error. When the
 // recovery succeeded, the victim is recovered too and the cluster must
 // drain, scrub and read back byte-exact.
 func killDuringCutover(t *testing.T, k cutoverKill) error {
@@ -843,44 +894,90 @@ func killDuringCutover(t *testing.T, k cutoverKill) error {
 				return err
 			}
 			failed := wire.NodeID(3)
-			if err := c.BeginDegraded(p, failed, admin); err != nil {
-				return fmt.Errorf("begin degraded: %w", err)
-			}
-			st := c.degraded[failed]
-			ok := false
-			if k.whole {
-				_, ok = fileOps(t, p, cl, ino, content, rng, 60)
-			} else {
-				ok = degradedStripeOps(t, p, c, cl, st, ino, content, rng, 60)
-			}
-			if !ok {
-				return errors.New("degraded ops before the death")
-			}
-			surr := busiestSurrogate(c, st)
-			if surr == 0 {
-				return errors.New("no surrogate holds journal items")
-			}
-			acked := len(st.quorum[surr].acked)
 			var (
+				st     *degradedState
+				surr   wire.NodeID
+				acked  int
 				krep   *KillReport
 				kerr   error
 				victim wire.NodeID
 				ended  bool
+				// heir is the victim's first live ring successor, which
+				// a promotion moves its PGs to, and heirAcked its acked
+				// count at the death.
+				heir      wire.NodeID
+				heirAcked int
 			)
 			kill := func(v wire.NodeID) {
 				if victim != 0 {
 					return
 				}
 				victim = v
-				c.Env.Go("killer", func(kp *sim.Proc) {
-					krep, kerr = c.Kill(kp, v, killer)
-					ended = true
-				})
-			}
-			for _, o := range c.OSDs {
-				if err := c.Fabric.SetHandler(o.id, k.hook(c, o.id, surr, o.handle, kill)); err != nil {
-					return err
+				if !k.markDead {
+					c.Env.Go("killer", func(kp *sim.Proc) {
+						krep, kerr = c.Kill(kp, v, killer)
+						ended = true
+					})
+					return
 				}
+				c.MarkDead(v)
+				heir = c.ringAfter(v, failed, 1)[0]
+				if q := st.quorum[heir]; q != nil {
+					heirAcked = len(q.acked)
+				}
+				ended = true
+			}
+			// arm runs the degraded updates and then wraps every OSD's
+			// handler around the busiest surrogate.
+			arm := func(p *sim.Proc) error {
+				st = c.degraded[failed]
+				ok := false
+				if k.whole {
+					_, ok = fileOps(t, p, cl, ino, content, rng, 60)
+				} else {
+					ok = degradedStripeOps(t, p, c, cl, st, ino, content, rng, 60)
+				}
+				if !ok {
+					return errors.New("degraded ops before the death")
+				}
+				if surr = busiestSurrogate(c, st); surr == 0 {
+					return errors.New("no surrogate holds journal items")
+				}
+				acked = len(st.quorum[surr].acked)
+				for _, o := range c.OSDs {
+					if err := c.Fabric.SetHandler(o.id, k.hook(c, o.id, surr, o.handle, kill)); err != nil {
+						return err
+					}
+				}
+				return nil
+			}
+			armed, armErr := false, error(nil)
+			if k.settle {
+				for _, o := range c.OSDs {
+					if err := c.Fabric.SetHandler(o.id, func(hp *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+						if _, ok := m.(*wire.Settle); !ok || armed {
+							return o.handle(hp, from, m)
+						}
+						armed = true
+						if armErr = arm(hp); armErr != nil {
+							return o.handle(hp, from, m)
+						}
+						return k.hook(c, o.id, surr, o.handle, kill)(hp, from, m)
+					}); err != nil {
+						return err
+					}
+				}
+			}
+			if err := c.BeginDegraded(p, failed, admin); err != nil {
+				return fmt.Errorf("begin degraded: %w", err)
+			}
+			if !k.settle {
+				armErr = arm(p)
+			} else if !armed {
+				armErr = errors.New("no Settle reached an OSD")
+			}
+			if armErr != nil {
+				return armErr
 			}
 			_, rerr := c.Recover(p, failed, 2, k.mode, admin)
 			if victim == 0 {
@@ -888,6 +985,13 @@ func killDuringCutover(t *testing.T, k cutoverKill) error {
 			}
 			for !ended {
 				p.Sleep(50 * time.Microsecond)
+			}
+			if k.markDead {
+				krep, kerr = &KillReport{}, st.promoteErr
+				if !slices.Contains(st.surrogates, victim) {
+					krep.PromotedJournals = 1
+					krep.RepairedItems = len(st.quorum[heir].acked) - heirAcked
+				}
 			}
 			if err := k.check(rerr, krep, kerr, acked); err != nil {
 				return err
@@ -914,6 +1018,31 @@ func killDuringCutover(t *testing.T, k cutoverKill) error {
 	return err
 }
 
+// ownReplayHook kills the busiest surrogate when its first ReplayUpdate
+// reaches a home: it dies during its own journal replay.
+func ownReplayHook(_ *Cluster, _, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
+	return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+		if _, ok := m.(*wire.ReplayUpdate); ok && from == surr {
+			kill(surr)
+		}
+		return h(p, from, m)
+	}
+}
+
+// promotedWithAcked requires a recovery that succeeded and one promoted
+// journal with every acked record repaired.
+func promotedWithAcked(rerr error, krep *KillReport, kerr error, acked int) error {
+	switch {
+	case kerr != nil:
+		return fmt.Errorf("kill: %w", kerr)
+	case krep.PromotedJournals != 1 || krep.RepairedItems != acked:
+		return fmt.Errorf("kill promoted %d journals with %d records repaired, want 1 with %d", krep.PromotedJournals, krep.RepairedItems, acked)
+	case rerr != nil:
+		return fmt.Errorf("recover: %w", rerr)
+	}
+	return nil
+}
+
 // TestKillSurrogateDuringOwnReplay: the busiest surrogate dies during its
 // own journal replay, when its first ReplayUpdate reaches the block's home.
 // The window is still open (the cutover retires the route only once every
@@ -924,33 +1053,50 @@ func killDuringCutover(t *testing.T, k cutoverKill) error {
 // recovery succeeds, and recovering the surrogate replays them. Every
 // engine runs at salt 0 and under eight tie salts.
 func TestKillSurrogateDuringOwnReplay(t *testing.T) {
-	hook := func(_ *Cluster, _, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
+	for _, engine := range update.Names() {
+		for salt := uint64(0); salt <= 8; salt++ {
+			t.Run(fmt.Sprintf("%s/salt%d", engine, salt), func(t *testing.T) {
+				t.Parallel()
+				k := cutoverKill{engine: engine, salt: salt, mode: RecoverInterleaved, hook: ownReplayHook, check: promotedWithAcked}
+				if err := killDuringCutover(t, k); err != nil {
+					t.Error(err)
+				}
+			})
+		}
+	}
+}
+
+// TestMarkDeadSurrogatePromotes: a hook's MarkDead takes the busiest
+// surrogate down, once while BeginDegraded's settle barrier is open (the
+// degraded updates run inside it, so every one is acked by then) and once
+// on its first ReplayUpdate. MarkDead returns at once and promotes in a
+// proc of its own, and the journal must be promoted with every acked
+// record repaired, as a Kill promotes it; both recoveries, a drain, a
+// scrub and a byte-exact read-back follow. Six engines, salts 0–8.
+func TestMarkDeadSurrogatePromotes(t *testing.T) {
+	settleHook := func(_ *Cluster, _, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
 		return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
-			if _, ok := m.(*wire.ReplayUpdate); ok && from == surr {
+			if _, ok := m.(*wire.Settle); ok {
 				kill(surr)
 			}
 			return h(p, from, m)
 		}
 	}
-	check := func(rerr error, krep *KillReport, kerr error, acked int) error {
-		switch {
-		case kerr != nil:
-			return fmt.Errorf("kill: %w", kerr)
-		case krep.PromotedJournals != 1 || krep.RepairedItems != acked:
-			return fmt.Errorf("kill promoted %d journals with %d records repaired, want 1 with %d", krep.PromotedJournals, krep.RepairedItems, acked)
-		case rerr != nil:
-			return fmt.Errorf("recover: %w", rerr)
-		}
-		return nil
-	}
-	for _, engine := range update.Names() {
-		for salt := uint64(0); salt <= 8; salt++ {
-			t.Run(fmt.Sprintf("%s/salt%d", engine, salt), func(t *testing.T) {
-				k := cutoverKill{engine: engine, salt: salt, mode: RecoverInterleaved, hook: hook, check: check}
-				if err := killDuringCutover(t, k); err != nil {
-					t.Error(err)
-				}
-			})
+	for _, at := range []string{"settle", "replay"} {
+		for _, engine := range update.Names() {
+			for salt := uint64(0); salt <= 8; salt++ {
+				t.Run(fmt.Sprintf("%s/%s/salt%d", at, engine, salt), func(t *testing.T) {
+					t.Parallel()
+					k := cutoverKill{engine: engine, salt: salt, mode: RecoverInterleaved, markDead: true,
+						hook: ownReplayHook, check: promotedWithAcked}
+					if at == "settle" {
+						k.settle, k.hook = true, settleHook
+					}
+					if err := killDuringCutover(t, k); err != nil {
+						t.Error(err)
+					}
+				})
+			}
 		}
 	}
 }
@@ -988,6 +1134,7 @@ func TestKillReplayHome(t *testing.T) {
 		for _, mode := range []RecoverMode{RecoverInterleaved, RecoverLogReplay} {
 			for salt := uint64(0); salt <= 8; salt++ {
 				t.Run(fmt.Sprintf("%s/%s/salt%d", engine, mode, salt), func(t *testing.T) {
+					t.Parallel()
 					k := cutoverKill{engine: engine, salt: salt, mode: mode, whole: true, hook: hook, check: check}
 					if err := killDuringCutover(t, k); err != nil {
 						t.Error(err)
@@ -1035,6 +1182,7 @@ func TestKillSurrogateRacesRetirement(t *testing.T) {
 	}
 	for _, engine := range update.Names() {
 		t.Run(engine, func(t *testing.T) {
+			t.Parallel()
 			k := cutoverKill{engine: engine, salt: tieSalt, mode: RecoverInterleaved, hook: hook, check: check}
 			if err := killDuringCutover(t, k); err != nil {
 				t.Error(err)

@@ -168,9 +168,10 @@ type TransEvent struct {
 
 // SetTransHook installs an instrumentation hook invoked synchronously at
 // every stage boundary of every migrating PG (tests and fault injection:
-// the kill-at-stage grid marks an OSD dead from inside the migration
+// the kill-at-stage grid takes an OSD down from inside the migration
 // driver, which is what makes the grid deterministic). The hook must not
-// block; MarkDead is safe to call from it, Kill is not.
+// block, so its death verb is MarkDead, which runs the death handler
+// without waiting; Kill waits, and would wedge the driver.
 func (c *Cluster) SetTransHook(fn func(TransEvent)) { c.transHook = fn }
 
 func (c *Cluster) fireTransEvent(pg rebalance.PGMoves, stage PGStage, copied int) {
@@ -178,13 +179,6 @@ func (c *Cluster) fireTransEvent(pg rebalance.PGMoves, stage PGStage, copied int
 		c.transHook(TransEvent{PG: pg.PG, Stage: stage, Copied: copied, Moves: pg.Moves})
 	}
 }
-
-// MarkDead takes an OSD off the fabric. A placement transition in flight
-// reads the death from there and resolves every in-flight PG (abort or
-// finish) against it. Non-blocking — safe to call from instrumentation
-// hooks inside the migration driver itself; Kill is the blocking entry
-// point that also waits the resolution out.
-func (c *Cluster) MarkDead(failed wire.NodeID) { c.Fabric.SetDown(failed, true) }
 
 // pgRole reports whether any of one PG's moves has a dead source or a dead
 // destination.

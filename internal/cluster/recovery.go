@@ -138,7 +138,8 @@ type RecoveryReport struct {
 // The three protocols run one sequence of steps; the mode only chooses
 // which steps run:
 //
-//  1. the node comes off the fabric (drain-first: after its drain);
+//  1. the node dies through the death handler (die), which promotes the
+//     journals of the windows it served (drain-first: after its drain);
 //  2. fence 1 and the barrier: drain-first fences, drains every log and
 //     then takes the node off the fabric; a replaying mode with no open
 //     window opens one (openWindow) and settles it (settleWindow), and
@@ -170,12 +171,15 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	if mode < RecoverDrainFirst || mode > RecoverInterleaved {
 		return nil, fmt.Errorf("cluster: unknown recover mode %d", mode)
 	}
+	if err := c.checkOSD(failed); err != nil {
+		return nil, err
+	}
 	if parallel < 1 {
 		parallel = 1
 	}
-	// pre: the degraded window was already opened (BeginDegraded or a
-	// surrogate promotion path) — routes are published and the settle
-	// barrier ran, so the replaying modes skip straight to the rebuild.
+	// pre: the degraded window was already opened (BeginDegraded) — routes
+	// are published and the settle barrier ran, so the replaying modes skip
+	// straight to the rebuild.
 	pre := c.degraded[failed] != nil
 	drain := mode == RecoverDrainFirst
 	if pre && drain {
@@ -193,7 +197,9 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	// stripes block at the gate instead of burning their bounded node-down
 	// retry budget for the whole barrier.
 	if !drain {
-		c.Fabric.SetDown(failed, true)
+		if err := c.die(p, failed, via, nil); err != nil {
+			return nil, err
+		}
 	}
 	var (
 		err        error
@@ -205,7 +211,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 		rep.Fence1Wait = c.fenceUpdates(p)
 		settle := p.Now()
 		if err = c.DrainAll(p, via); err == nil {
-			c.Fabric.SetDown(failed, true)
+			err = c.die(p, failed, via, nil)
 		}
 		rep.SettleTime = p.Now() - settle
 	case !pre && mode == RecoverInterleaved:
@@ -249,6 +255,11 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	c.openGate()
 	rep.GatedTime = c.gatedTime() - gated
 	if err != nil {
+		// A failed promotion of the window's journals is the cause to
+		// report: a journal it could not re-home fails the cutover.
+		if st := c.degraded[failed]; st != nil && st.promoteErr != nil {
+			err = st.promoteErr
+		}
 		return nil, err
 	}
 	rep.SourceReadBytes = c.recoverySources()

@@ -113,9 +113,6 @@ func RunChaos(cfg RunConfig, scenario string) (*ChaosResult, error) {
 			// measured tail is the straggler's (and the hedge's), not each
 			// engine's rebuild-duration artifact.
 			straggler := mostLoaded(s.c, victim)
-			if err := fab.SetDown(victim, true); err != nil {
-				return err
-			}
 			if err := s.c.BeginDegraded(p, victim, s.admin); err != nil {
 				return fmt.Errorf("begin degraded (%s): %w", scenario, err)
 			}
