@@ -208,8 +208,8 @@ func runChaosCell(t *testing.T, engine string, scen chaosScenario) {
 			// (not the serving surrogate): its primary reconstruction leg
 			// stalls past HedgeDelay and the alternate-set hedge must win.
 			st := c.degraded[victim]
-			for _, blk := range c.OSDByID(victim).store.Blocks() {
-				if !st.lost[blk] || int(blk.Index) >= c.Cfg.K {
+			for _, blk := range c.lostBlocks(victim) {
+				if int(blk.Index) >= c.Cfg.K {
 					continue
 				}
 				s := blk.StripeID()

@@ -88,20 +88,13 @@ type degradedState struct {
 	surrogates []wire.NodeID
 	// stripes is every stripe whose placement includes the failed node.
 	stripes map[wire.StripeID]bool
-	// lost is every block the failed node hosted (one per degraded stripe).
-	lost map[wire.BlockID]bool
-	// rebuilt is every lost block whose rebuild has been acked (rebuild).
-	// From then on its degraded reads go to its new home, never to a
-	// reconstruction: the cutover's replay may be changing the stripe's
-	// raw shards.
-	rebuilt map[wire.BlockID]bool
 	// quorum is each surrogate's journal quorum (see quorum).
 	quorum map[wire.NodeID]*quorum
 	// settling is set from the registration until the window's settle
-	// barrier ends (settleWindow): a degraded read of a lost block, which
-	// reconstructs from the stripe's raw shards, waits until no live engine
-	// holds state for its byte range (settleFenced), and a block's rebuild
-	// until none holds state of its stripe (waitSettled).
+	// barrier ends (settleWindow): a degraded read of a block whose home is
+	// down, which reconstructs from the stripe's raw shards, waits until no
+	// live engine holds state for its byte range (readFenced), and a block's
+	// rebuild until none holds state of its stripe (waitSettled).
 	settling bool
 	// settleErr is the settle barrier's error, if it failed: a rebuild
 	// still waiting for its stripe gives up with it instead of
@@ -293,13 +286,13 @@ func (c *Cluster) persistSeeds(p *sim.Proc, st *degradedState, seeded map[wire.N
 // lost blocks will rebuild, so the journal lands next to its replay
 // targets), fixes each surrogate's journal quorum (assign), seeds the
 // journals (seedJournals) so degraded reads see pre-failure updates and the
-// cutover replays them, and records the degraded stripe and lost block
-// sets. The registration plus in-memory seeding happen atomically with
+// cutover replays them, and records the degraded stripe set. The
+// registration plus in-memory seeding happen atomically with
 // respect to client routing, so no journaled update can land ahead of an
 // older seed. The window is settling from the instant its routes publish,
 // until the caller's settle barrier ends: a degraded read does not wait at
 // the gate, so a lost-block read that arrives before the barrier starts is
-// fenced per byte range already (settleFenced).
+// fenced per byte range already (readFenced).
 func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client) (*degradedState, error) {
 	if _, dup := c.degraded[failed]; dup {
 		return nil, fmt.Errorf("cluster: node %d already degraded", failed)
@@ -312,8 +305,6 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 		failed:   failed,
 		surr:     make(map[int]wire.NodeID),
 		stripes:  make(map[wire.StripeID]bool),
-		lost:     make(map[wire.BlockID]bool),
-		rebuilt:  make(map[wire.BlockID]bool),
 		quorum:   make(map[wire.NodeID]*quorum),
 		settling: true,
 	}
@@ -324,7 +315,6 @@ func (c *Cluster) registerDegraded(p *sim.Proc, failed wire.NodeID, via *Client)
 	for _, blk := range c.lostBlocks(failed) {
 		s := blk.StripeID()
 		st.stripes[s] = true
-		st.lost[blk] = true
 		pg := pmap.PGOf(s)
 		if _, ok := st.surr[pg]; ok {
 			continue
@@ -714,9 +704,9 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 // reads the block's bytes (readDegraded), then overlays the block's merged
 // journal extents newest-wins, which keeps degraded reads read-your-writes.
 // It waits for neither the window's registration nor its cutover. A
-// surviving block needs no journal seed, and a read of a lost block waits
-// only until the window's settle barrier has merged its range
-// (settleFenced). During the cutover every read goes to a home engine
+// surviving block needs no journal seed, and a read of a block whose home
+// is down waits only until a settle barrier has merged its range
+// (readFenced). During the cutover every read goes to a home engine
 // that may hold any prefix of the replay, and overlaying the whole journal
 // on it gives the final bytes, because a journal extent is an overwrite and
 // no update is newer than the journal while the gate is closed. The
@@ -726,8 +716,8 @@ func (o *OSD) handleDegradedUpdate(p *sim.Proc, v *wire.DegradedUpdate) wire.Msg
 func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 	st := o.c.degraded[v.Failed]
 	var fenced func() // the fence:settle span, open once the settle blocks the read
-	for st != nil && st.servesDegraded(o.c, o.id, v.Blk) && st.lost[v.Blk] &&
-		o.c.settleFenced(st, v.Blk.StripeID(), v.Off, v.Off+int64(v.Size)) {
+	for st != nil && st.servesDegraded(o.c, o.id, v.Blk) &&
+		o.c.readFenced(st, v.Blk, v.Off, v.Off+int64(v.Size)) {
 		if fenced == nil {
 			fenced = obs.SpanOn(p, obs.StageFence, "fence:settle", o.id)
 		}
@@ -741,7 +731,7 @@ func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 		return &wire.ReadResp{Err: errDegradedGone}
 	}
 	jlog := o.journalFor(v.Failed).blocks[v.Blk]
-	buf, err := o.readDegraded(p, st, v)
+	buf, err := o.readDegraded(p, v)
 	if err != nil {
 		return &wire.ReadResp{Err: err}
 	}
@@ -752,24 +742,29 @@ func (o *OSD) handleDegradedRead(p *sim.Proc, v *wire.DegradedRead) wire.Msg {
 	return &wire.ReadResp{Data: buf, Sum: wire.Checksum(buf)}
 }
 
-// readDegraded reads the bytes a degraded read overlays its journal on. A
-// lost block whose rebuild has not been acked is reconstructed from the
-// raw shards the settle made consistent; if its rebuild is acked by the
-// time the reconstruction returns, the cutover may have begun replaying
-// into those shards, so the reconstruction is dropped. Every other read,
-// of a surviving block or a rebuilt one, forwards to the block's home and
-// reads it through the engine.
-func (o *OSD) readDegraded(p *sim.Proc, st *degradedState, v *wire.DegradedRead) ([]byte, error) {
-	if st.lost[v.Blk] && !st.rebuilt[v.Blk] {
+// readDegraded reads the bytes a degraded read overlays its journal on.
+// One rule holds whichever window routed the read: a block whose current
+// home (placement, remaps included) is down is reconstructed from the raw
+// shards the settle made consistent. That is a lost block whose rebuild
+// has not been acked, of this window or of another one whose dead node
+// the stripe also holds, or a rebuilt block whose new home died since. If
+// the home is live by the time the reconstruction returns, the block's
+// rebuild was acked meanwhile and the cutover may have begun replaying
+// into those shards, so the reconstruction is dropped. Every other read
+// forwards to the block's home and reads it through the engine.
+func (o *OSD) readDegraded(p *sim.Proc, v *wire.DegradedRead) ([]byte, error) {
+	s := v.Blk.StripeID()
+	homeDown := func() bool { return o.c.Fabric.Down(o.c.Placement(s)[v.Blk.Index]) }
+	if homeDown() {
 		buf, err := o.reconstructRangeHedged(p, v.Blk, v.Off, int64(v.Size))
-		if err != nil || !st.rebuilt[v.Blk] {
+		if err != nil || homeDown() {
 			return buf, err
 		}
 	}
-	home := o.c.Placement(v.Blk.StripeID())[v.Blk.Index]
+	home := o.c.Placement(s)[v.Blk.Index]
 	resp, err := o.Call(p, home, &wire.ReadBlock{
 		Blk: v.Blk, Off: v.Off, Size: v.Size,
-		Epoch: o.c.MDS.authEpochOf(v.Blk.StripeID()),
+		Epoch: o.c.MDS.authEpochOf(s),
 	})
 	if err != nil {
 		return nil, err // a transport error goes back as is
@@ -916,7 +911,7 @@ func (o *OSD) handleJournalReplay(p *sim.Proc, v *wire.JournalReplay) wire.Msg {
 	return resp
 }
 
-// settlePoll is how often a degraded read fenced by settleFenced looks
+// settlePoll is how often a degraded read fenced by readFenced looks
 // again. The merges it waits for finish in other procs on other OSDs, none
 // of which signals the surrogate; a fenced read leaves at most this long
 // after its range settles, and the few fenced reads of a window cost one
@@ -940,6 +935,23 @@ func (c *Cluster) settleFenced(st *degradedState, s wire.StripeID, off, end int6
 		}
 	}
 	return false
+}
+
+// readFenced reports whether a degraded read routed by window st must
+// still wait before it reconstructs [off, end) of blk: blk's home is down,
+// and the settle of the home's window or of st has that range of the
+// stripe left (settleFenced). A read whose home is live forwards to it and
+// is never fenced.
+func (c *Cluster) readFenced(st *degradedState, blk wire.BlockID, off, end int64) bool {
+	s := blk.StripeID()
+	home := c.Placement(s)[blk.Index]
+	if !c.Fabric.Down(home) {
+		return false
+	}
+	if w := c.degraded[home]; w != nil && w != st && c.settleFenced(w, s, off, end) {
+		return true
+	}
+	return c.settleFenced(st, s, off, end)
 }
 
 // waitSettled blocks p until stripe s of window st has settled: no live

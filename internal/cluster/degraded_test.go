@@ -402,7 +402,7 @@ func TestDegradedReadLostBlock(t *testing.T) {
 		}
 		// Finish the recovery by hand: rebuild, then cut over.
 		rep := &RecoveryReport{}
-		lost, err := c.rebuild(p, victim, 4, admin, rep, true)
+		lost, err := c.rebuild(p, victim, 4, admin, rep)
 		if err != nil {
 			t.Error(err)
 			return

@@ -125,15 +125,18 @@ func runDegradedReads(t *testing.T, engine string, salt uint64, pre bool) {
 		}
 		steps[step]++
 		targets := []wire.BlockID{d}
+		// A lost block is rebuilt once placement has moved it off the
+		// victim, and stays so after the window retires.
 		st := c.degraded[victim]
+		rebuilt := func(b wire.BlockID) bool { return c.Placement(b.StripeID())[b.Index] != victim }
 		for _, b := range lost {
-			if st == nil || !st.rebuilt[b] {
+			if st == nil || !rebuilt(b) {
 				targets = append(targets, b)
 				break
 			}
 		}
 		for _, b := range lost {
-			if st != nil && st.rebuilt[b] {
+			if st != nil && rebuilt(b) {
 				targets = append(targets, b)
 				break
 			}

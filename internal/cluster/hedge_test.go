@@ -64,8 +64,8 @@ func hedgeSetup(t *testing.T, p *sim.Proc, c *Cluster, cl, admin *Client) *hedge
 	// the PG's surrogate: slowing that host stalls the primary fan-in leg
 	// without slowing the surrogate (or the alternate leg, which skips the
 	// first survivor whenever more than K shards are live).
-	for _, blk := range c.OSDByID(victim).store.Blocks() {
-		if !st.lost[blk] || int(blk.Index) >= c.Cfg.K {
+	for _, blk := range c.lostBlocks(victim) {
+		if int(blk.Index) >= c.Cfg.K {
 			continue
 		}
 		s := blk.StripeID()

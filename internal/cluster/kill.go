@@ -57,6 +57,10 @@ var (
 	// the scheme's budget); updates journaled in the window may be lost and
 	// the run must be treated as failed.
 	ErrSurrogateLost = errors.New("cluster: surrogate journal unrecoverable")
+	// ErrStripeLost: a degraded read or a rebuild needs K shards of a
+	// stripe that has more than m dead members, beyond the code's budget;
+	// the stripe's lost blocks cannot be reconstructed.
+	ErrStripeLost = errors.New("cluster: stripe has more dead members than the code tolerates")
 )
 
 // KillReport describes what a Kill had to resolve beyond taking the node

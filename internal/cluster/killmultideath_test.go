@@ -253,7 +253,7 @@ func TestDegradedUpdateQuorumUnreachable(t *testing.T) {
 		// Lowest lost DATA block, for determinism.
 		var blk wire.BlockID
 		found := false
-		for b := range st.lost {
+		for _, b := range c.lostBlocks(st.failed) {
 			if int(b.Index) >= c.Cfg.K {
 				continue
 			}

@@ -31,7 +31,7 @@ func degradedStripeOps(t *testing.T, p *sim.Proc, c *Cluster, cl *Client, st *de
 	ino uint64, content []byte, rng *rand.Rand, count int) bool {
 	t.Helper()
 	var lost []wire.BlockID
-	for blk := range st.lost {
+	for _, blk := range c.lostBlocks(st.failed) {
 		if int(blk.Index) < c.Cfg.K {
 			lost = append(lost, blk)
 		}
@@ -148,7 +148,7 @@ func TestKillSurrogatePromotesJournal(t *testing.T) {
 		// Finish the victim's recovery by hand (its degraded window is
 		// still open); the promoted journal must replay.
 		rep := &RecoveryReport{}
-		lost, err := c.rebuild(p, victim, 4, admin, rep, true)
+		lost, err := c.rebuild(p, victim, 4, admin, rep)
 		if err != nil {
 			t.Error(err)
 			return
@@ -442,7 +442,7 @@ func TestKillSurrogateAfterFailedQuorumRound(t *testing.T) {
 		}
 		var blk wire.BlockID
 		found := false
-		for b := range c.degraded[failed].lost {
+		for _, b := range c.lostBlocks(failed) {
 			if int(b.Index) < c.Cfg.K && (!found || b.Stripe < blk.Stripe) {
 				blk, found = b, true
 			}
@@ -584,7 +584,7 @@ func killSurrogateMidAppend(t *testing.T, delay time.Duration) error {
 			}
 			var blk wire.BlockID
 			found := false
-			for b := range st.lost {
+			for _, b := range c.lostBlocks(st.failed) {
 				if int(b.Index) < c.Cfg.K && (!found || b.Compare(blk) < 0) {
 					blk, found = b, true
 				}

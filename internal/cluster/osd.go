@@ -294,7 +294,7 @@ func (o *OSD) readSurvivingShards(p *sim.Proc, blk wire.BlockID, off, size int64
 		sources = o.liveSources(blk, osds)
 	}
 	if len(sources) < cfg.K {
-		return nil, fmt.Errorf("recover %v: only %d surviving shards", blk, len(sources))
+		return nil, o.shortOfSources(blk, osds, len(sources))
 	}
 	if err := sim.Parallel(p, "recover-read", len(sources), func(hp *sim.Proc, i int) error {
 		idx := sources[i]
@@ -326,6 +326,24 @@ func (o *OSD) liveSources(blk wire.BlockID, osds []wire.NodeID) []int {
 		sources = append(sources, i)
 	}
 	return sources
+}
+
+// shortOfSources is the error of a reconstruction of blk that found only
+// n < K sources among its stripe's members osds. It wraps ErrStripeLost
+// only when more than M members are down, past the code's budget; with
+// fewer, the caller's own block is among the members it may not read (a
+// re-encode of a live parity), and the stripe is still recoverable.
+func (o *OSD) shortOfSources(blk wire.BlockID, osds []wire.NodeID, n int) error {
+	down := 0
+	for _, id := range osds {
+		if o.c.Fabric.Down(id) {
+			down++
+		}
+	}
+	if down > o.c.Cfg.M {
+		return fmt.Errorf("recover %v: %d of %d members down: %w", blk, down, len(osds), ErrStripeLost)
+	}
+	return fmt.Errorf("recover %v: only %d surviving shards", blk, n)
 }
 
 // A rebuild stream moves each source's shard in rebuildSlice-byte slices,
@@ -405,7 +423,7 @@ func (o *OSD) streamShards(p *sim.Proc, blk wire.BlockID, fn func(off, n int64, 
 	osds := o.c.Placement(s)
 	sources := o.liveSources(blk, osds)
 	if len(sources) < cfg.K {
-		return fmt.Errorf("recover %v: only %d surviving shards", blk, len(sources))
+		return o.shortOfSources(blk, osds, len(sources))
 	}
 	shardOf := func(idx int) wire.BlockID {
 		return wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(idx)}
@@ -480,14 +498,16 @@ func (o *OSD) recoverBlock(p *sim.Proc, req *wire.RecoverBlock) error {
 	return o.store.Put(p, blk, out)
 }
 
-// recoverStripeRepair rebuilds a lost block AND re-encodes the stripe's
-// whole parity set from its data blocks, overwriting the live parity
-// holders in place. It runs when a plain reconstruction could bake a torn
-// stripe in (cluster.stripeRepair): a dead first-parity node whose
-// cross-parity delta buffer (TSUE DeltaLog / CoRD collector) died with it,
-// or a dead data holder that may have died mid-parity-propagation (FO's
-// sequential path, PL/PLR/PARIX's fan-out), leaving live parities
-// disagreeing about its last update. Reconstructing the lost block from the
+// recoverStripeRepair rebuilds a block AND re-encodes the stripe's whole
+// parity set from its data blocks, overwriting the live parity holders in
+// place. A rebuild runs it when a plain reconstruction could bake a torn
+// stripe in (cluster.stripeRepair): a dead data holder that may have died
+// mid-parity-propagation (FO's sequential path, PL/PLR/PARIX's fan-out),
+// leaving live parities disagreeing about its last update, or, with no
+// window, a dead first-parity node whose cross-parity delta buffer (TSUE
+// DeltaLog / CoRD collector) died with it. A window's settle runs it for
+// the latter on a live parity's own holder, with blk that parity
+// (cluster.reencode). Reconstructing the lost block from the
 // first K live shards and then re-encoding makes every surviving parity
 // agree with whatever update subset those K shards witnessed. The shards
 // stream in as for recoverBlock; each slice rebuilds the data shards no

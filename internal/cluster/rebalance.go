@@ -308,7 +308,9 @@ func (pm *pgMover) cutoverLocked(p *sim.Proc, pg rebalance.PGMoves, vers []uint6
 			if !c.Fabric.Down(mv.From) || settled[i] || c.Fabric.Down(mv.To) {
 				continue
 			}
-			reenc := c.stripeRepair(mv.Blk)
+			// With no window to re-encode it, a stripe whose dead first
+			// parity held the other parities' deltas is repaired here too.
+			reenc := c.stripeRepair(mv.Blk) || c.collects() && int(mv.Blk.Index) == c.Cfg.K
 			if !reenc && c.OSDByID(mv.From).store.Version(mv.Blk) == vers[i] {
 				settled[i] = true
 				continue

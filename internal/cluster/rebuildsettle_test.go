@@ -16,8 +16,11 @@ import (
 // salts), a hook on every RecoverBlock checks at its arrival that no live
 // engine holds state of any byte of the block's stripe, and counts the
 // requests that arrive while the window is still settling: at least one
-// must, or the two phases did not overlap. runKillRecover ends with a
-// drain, a scrub and a byte-exact read-back, and checks the phase times.
+// must, or the two phases did not overlap. The settle check holds for a
+// RecoverBlock that re-encodes a stripe's live parities at the settle
+// (reencode) as well, but only the rebuilds, of blocks placed on the
+// victim, are counted. runKillRecover ends with a drain, a scrub and a
+// byte-exact read-back, and checks the phase times.
 func TestRebuildWaitsForItsStripe(t *testing.T) {
 	for _, engine := range update.Names() {
 		for salt := uint64(0); salt <= 8; salt++ {
@@ -33,14 +36,16 @@ func TestRebuildWaitsForItsStripe(t *testing.T) {
 							h := o.handle
 							err := c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 								if v, ok := m.(*wire.RecoverBlock); ok {
-									requests++
 									s := v.Blk.StripeID()
-									if st := c.degraded[3]; st != nil && st.settling {
-										overlapped++
+									if c.Placement(s)[v.Blk.Index] == 3 {
+										requests++
+										if st := c.degraded[3]; st != nil && st.settling {
+											overlapped++
+										}
 									}
 									for _, peer := range c.OSDs {
 										if !c.Fabric.Down(peer.id) && peer.engine.Pending(update.Bytes(s, 0, c.Cfg.BlockSize)) {
-											unsettled = append(unsettled, fmt.Sprintf("%v rebuilt at %v while node %d holds state of its stripe", v.Blk, p.Now(), peer.id))
+											unsettled = append(unsettled, fmt.Sprintf("%v recovered at %v while node %d holds state of its stripe", v.Blk, p.Now(), peer.id))
 										}
 									}
 								}

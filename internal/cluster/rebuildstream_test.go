@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"tsue/internal/sim"
@@ -20,7 +21,11 @@ var streamBlockSizes = []int64{256 << 10, 324 << 10}
 // rebuildWatch hooks every OSD's handler to follow the rebuild streams:
 // each RebuildRead's size, the slices of one rebuilt block outstanding at
 // its sources at once, the requests outstanding per stream, how often a
-// stream's source loads its buffer, and the bytes each stream sent.
+// stream's source loads its buffer, and the bytes each stream sent. It
+// also follows the RecoverBlock requests, each of which streams K shards:
+// a rebuild, of a block placement still puts on the victim at arrival, or
+// a re-encode of a stripe's live parities at a window's settle
+// (reencode), which names a live parity.
 type rebuildWatch struct {
 	t *testing.T
 	c *Cluster
@@ -33,19 +38,35 @@ type rebuildWatch struct {
 	loads     map[uint64]int
 	sent      map[uint64]int64
 	releases  int
+	// rebuilds counts the rebuild requests, and rebuilt holds the index of
+	// each stripe's rebuilt block; reencodes counts each stripe's
+	// re-encode requests.
+	rebuilds  int
+	rebuilt   map[wire.StripeID]int
+	reencodes map[wire.StripeID]int
 }
 
-func watchRebuild(t *testing.T, c *Cluster) *rebuildWatch {
+func watchRebuild(t *testing.T, c *Cluster, victim wire.NodeID) *rebuildWatch {
 	w := &rebuildWatch{
 		t: t, c: c,
 		inFlight:  make(map[[2]any]map[int64]int),
 		perStream: make(map[uint64]int),
 		loads:     make(map[uint64]int),
 		sent:      make(map[uint64]int64),
+		rebuilt:   make(map[wire.StripeID]int),
+		reencodes: make(map[wire.StripeID]int),
 	}
 	for _, o := range c.OSDs {
 		o, h := o, o.handle
 		if err := c.Fabric.SetHandler(o.id, func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+			if v, ok := m.(*wire.RecoverBlock); ok {
+				if s := v.Blk.StripeID(); c.Placement(s)[v.Blk.Index] == victim {
+					w.rebuilds++
+					w.rebuilt[s] = int(v.Blk.Index)
+				} else {
+					w.reencodes[s]++
+				}
+			}
 			v, ok := m.(*wire.RebuildRead)
 			if !ok {
 				return h(p, from, m)
@@ -89,12 +110,37 @@ func watchRebuild(t *testing.T, c *Cluster) *rebuildWatch {
 }
 
 // check holds a finished recovery of blocks rebuilt blocks to the stream
-// contract: K streams per block, each loading its source's buffer once and
-// sending exactly one block, none ended early, and no buffer left behind.
-func (w *rebuildWatch) check(blocks int) {
+// contract: one rebuild request per block, and, when a window settled the
+// stripes (settled), one re-encode per stripe whose rebuilt block is the
+// first parity of an engine that buffers the other parities' deltas there
+// (collects), and none otherwise; K streams per request, each loading its
+// source's buffer once and sending exactly one block, none ended early,
+// and no buffer left behind.
+func (w *rebuildWatch) check(blocks int, settled bool) {
 	t, c := w.t, w.c
-	if want := c.Cfg.K * blocks; len(w.loads) != want {
-		t.Errorf("%d rebuild streams for %d blocks, want %d", len(w.loads), blocks, want)
+	if w.rebuilds != blocks || len(w.rebuilt) != blocks {
+		t.Errorf("%d rebuild requests for %d stripes, want one for each of %d blocks", w.rebuilds, len(w.rebuilt), blocks)
+	}
+	want := make(map[wire.StripeID]bool)
+	if settled && c.collects() {
+		for s, idx := range w.rebuilt {
+			if idx == c.Cfg.K {
+				want[s] = true
+			}
+		}
+	}
+	reencodes := 0
+	for s, n := range w.reencodes {
+		reencodes += n
+		if !want[s] || n != 1 {
+			t.Errorf("%v: %d re-encode requests, want one if its rebuilt block is a collecting first parity (%v)", s, n, want[s])
+		}
+	}
+	if len(w.reencodes) != len(want) {
+		t.Errorf("%d stripes re-encoded, want %d", len(w.reencodes), len(want))
+	}
+	if want := c.Cfg.K * (w.rebuilds + reencodes); len(w.loads) != want {
+		t.Errorf("%d rebuild streams for %d rebuilds and %d re-encodes, want %d", len(w.loads), w.rebuilds, reencodes, want)
 	}
 	for s, n := range w.loads {
 		if n != 1 {
@@ -137,12 +183,12 @@ func TestRebuildStreams(t *testing.T) {
 						engine: engine, mode: mode, seed: 59, ops: 200, killAt: 80,
 						files: 1, stripesPer: 6, victim: 3,
 						mod: func(c *Config) { c.BlockSize = bs },
-						arm: func(c *Cluster) { w = watchRebuild(t, c) },
+						arm: func(c *Cluster) { w = watchRebuild(t, c, 3) },
 					})
 					if t.Failed() || rep == nil {
 						return
 					}
-					w.check(rep.Blocks)
+					w.check(rep.Blocks, mode != RecoverDrainFirst)
 					if w.maxSlices < 2 {
 						t.Errorf("at most %d slice of a block outstanding: the window never opened", w.maxSlices)
 					}
@@ -202,21 +248,26 @@ func TestRebuildStreamDeviceReads(t *testing.T) {
 }
 
 // TestStripeRepairWritesAtOnce: a stripe repair sends every live parity's
-// PutBlock before any is acked — for TSUE when the first parity (its
-// DeltaLog holder) is lost, and for FO when a data block is. With M = 3
-// that is two and three parity writes. A hook counts, per repaired stripe,
+// PutBlock before any is acked. A rebuild runs one when a data block is
+// lost, for FO and for TSUE without a DeltaLog (its data holders fan parity
+// deltas out); with M = 3 that is three parity writes. A window's settle
+// runs one when TSUE's DeltaLog holder, the first parity's node, is lost
+// (reencode): the second parity's holder re-encodes its own block and
+// writes the others, two with M = 4. A hook counts, per repaired stripe,
 // the parity PutBlocks from the repair's target and fails one that arrives
 // after another's handler returned; runKillRecover then scrubs every
 // stripe clean and reads every byte back.
 func TestStripeRepairWritesAtOnce(t *testing.T) {
 	for _, tc := range []struct {
-		engine string
-		lost   func(k, idx int) bool
+		name, engine string
+		mod          func(*Config)
+		lost         func(k, idx int) bool
 	}{
-		{"tsue", func(k, idx int) bool { return idx == k }},
-		{"fo", func(k, idx int) bool { return idx < k }},
+		{"tsue", "tsue", func(c *Config) { c.M, c.OSDs = 4, 10 }, func(k, idx int) bool { return idx == k }},
+		{"tsue-nodeltalog", "tsue", func(c *Config) { c.M, c.EngineOpts.NoDeltaLog = 3, true }, func(k, idx int) bool { return idx < k }},
+		{"fo", "fo", func(c *Config) { c.M = 3 }, func(k, idx int) bool { return idx < k }},
 	} {
-		t.Run(tc.engine, func(t *testing.T) {
+		t.Run(tc.name, func(t *testing.T) {
 			type repair struct {
 				target          wire.NodeID
 				arrived, acked  int
@@ -229,7 +280,7 @@ func TestStripeRepairWritesAtOnce(t *testing.T) {
 			rep := runKillRecover(t, killRecoverRun{
 				engine: tc.engine, mode: RecoverInterleaved, seed: 61, ops: 200, killAt: 80,
 				files: 1, stripesPer: 6, victim: 3,
-				mod: func(cfg *Config) { cfg.M = 3 },
+				mod: tc.mod,
 				arm: func(cl *Cluster) {
 					c = cl
 					for _, o := range c.OSDs {
@@ -246,7 +297,7 @@ func TestStripeRepairWritesAtOnce(t *testing.T) {
 										}
 									}
 									repairs[v.Blk.StripeID()] = &repair{target: o.id, wantParityPuts: want,
-										lostIndexOfKind: tc.lost(c.Cfg.K, int(v.Blk.Index))}
+										lostIndexOfKind: tc.lost(c.Cfg.K, slices.Index(osds, 3))}
 								}
 							case *wire.PutBlock:
 								r := repairs[v.Blk.StripeID()]

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"tsue/internal/sim"
@@ -145,7 +146,9 @@ type RecoveryReport struct {
 //     window opens one (openWindow) and settles it (settleWindow), and
 //     interleaved reopens the gate before its settle; log-replay on a
 //     pre-opened window only fences, and interleaved on one skips the step;
-//  3. the rebuild, re-encoding torn stripes unless the cluster was drained.
+//  3. the rebuild, re-encoding torn stripes unless the cluster was drained
+//     (the stripes whose first parity's node buffered the others' deltas
+//     are the window settle's to re-encode: reencode).
 //     Each block's target streams its K sources' shards in slices, each
 //     source reading its shard off its device once (OSD.streamShards),
 //     and a stripe repair writes its block and the live parities at once.
@@ -225,7 +228,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 				if i == 0 {
 					return c.settleWindow(hp, st, via, rep)
 				}
-				lost, err = c.rebuild(hp, failed, parallel, via, rep, true)
+				lost, err = c.rebuild(hp, failed, parallel, via, rep)
 				return err
 			})
 		}
@@ -239,7 +242,7 @@ func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode Re
 	}
 	rep.DrainTime = rep.Fence1Wait + rep.RegisterTime + rep.SettleTime
 	if err == nil && !overlapped {
-		lost, err = c.rebuild(p, failed, parallel, via, rep, !drain)
+		lost, err = c.rebuild(p, failed, parallel, via, rep)
 	}
 	if err == nil {
 		c.resetStripeState(lost)
@@ -289,23 +292,89 @@ func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *
 	return st, err
 }
 
-// settleWindow runs the settle barrier for a window's stripes, timing it
-// into rep, and ends the window's settling; a failed barrier is kept in the
-// window for a rebuild still waiting on it. The settle may run with the
+// settleWindow runs the settle barrier for a window's stripes, ends the
+// window's settling when the barrier ends, and keeps a failed barrier in
+// the window for a rebuild still waiting on it. Beside the barrier, each
+// stripe the failed node's buffered deltas tore is re-encoded once it has
+// settled (reencode). SettleTime covers both. The settle re-protects what
+// the failed node held for others: a TSUE node whose DataLog replicas it
+// held merges its whole DataLog (update.Failed), and the re-encodes mend
+// the parities its buffer held deltas for. The settle may run with the
 // gate open because from the registration on no update reaches a degraded
 // stripe's engines: the client routes it to the surrogate, which journals
 // it. So the barrier only has to hold back what reads a degraded stripe's
 // raw shards, each until its own stripe has settled: a degraded read of a
 // lost block, which reconstructs its range from them, waits while any live
-// engine still holds state for that range (settleFenced), and so does a
+// engine still holds state for that range (readFenced), and so does a
 // block's rebuild for its whole stripe (waitSettled). Degraded reads of
 // surviving blocks and all normal reads go ahead.
 func (c *Cluster) settleWindow(p *sim.Proc, st *degradedState, via *Client, rep *RecoveryReport) error {
 	start := p.Now()
-	st.settleErr = c.SettleAll(p, via, st.failed)
-	st.settling = false
+	// Listed before the barrier yields: a rebuild beside it remaps a block
+	// once it is acked, and lostBlocks would then miss the stripe.
+	collected := c.collectedOn(st.failed)
+	err := sim.Parallel(p, "settle", 1+len(collected), func(hp *sim.Proc, i int) error {
+		if i == 0 {
+			st.settleErr = c.SettleAll(hp, via, st.failed)
+			st.settling = false
+			return st.settleErr
+		}
+		if c.waitSettled(hp, st, collected[i-1].StripeID()) != nil {
+			return nil // the barrier reports its own error
+		}
+		return c.reencode(hp, collected[i-1], via)
+	})
 	rep.SettleTime = p.Now() - start
-	return st.settleErr
+	return err
+}
+
+// collectedOn returns the stripes whose first parity placement puts on
+// failed, under an engine that buffers the other parities' deltas there
+// (collects), as their first parity blocks; nil for any other engine.
+func (c *Cluster) collectedOn(failed wire.NodeID) []wire.BlockID {
+	if !c.collects() {
+		return nil
+	}
+	var blks []wire.BlockID
+	for _, blk := range c.lostBlocks(failed) {
+		if int(blk.Index) == c.Cfg.K {
+			blks = append(blks, blk)
+		}
+	}
+	return blks
+}
+
+// reencode re-protects a settled stripe that collectedOn listed for a
+// window's failed node, given as its first parity block: the deltas
+// buffered there for the other parities died with the node, so the live
+// parities miss them, and a second death in the stripe would reconstruct
+// from a torn parity. The stripe's live parities are re-encoded from its K
+// data shards: the first live parity's holder runs recoverStripeRepair's
+// encode for its own block (a RecoverBlock with Reencode) and writes the
+// other live parities, in the background class, so foreground reads and
+// updates go first at every NIC and disk. The failed node's block is
+// rebuilt plainly, from the data shards. A stripe with a dead data member
+// is left as it is: if that member died first, its window settled the
+// stripe while the buffer's node lived, and if it died since, the torn
+// parity cannot be mended from K shards.
+func (c *Cluster) reencode(p *sim.Proc, first wire.BlockID, via *Client) error {
+	s := first.StripeID()
+	osds := c.Placement(s)
+	if slices.ContainsFunc(osds[:c.Cfg.K], c.Fabric.Down) {
+		return nil
+	}
+	for j := c.Cfg.K + 1; j < len(osds); j++ {
+		if c.Fabric.Down(osds[j]) {
+			continue
+		}
+		p.SetClass(sim.Background)
+		req := &wire.RecoverBlock{Blk: wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(j)}, Reencode: true}
+		if err := wire.AckErr(c.Fabric.Call(p, via.id, osds[j], req)); err != nil {
+			return fmt.Errorf("re-encode %v: %w", s, err)
+		}
+		return nil
+	}
+	return nil
 }
 
 // rebuild reconstructs every block placement puts on the failed node
@@ -318,14 +387,15 @@ func (c *Cluster) settleWindow(p *sim.Proc, st *degradedState, via *Client, rep 
 // window waits, once it holds its slot, until its stripe has settled
 // (waitSettled): with interleaved recovery the window's settle barrier runs
 // beside the rebuild. Placement is remapped for a block when its rebuild is
-// acked, in the same step that marks it rebuilt in the window: remapped
-// earlier, the block's stripe would leave the settle barrier's scope,
-// which placement decides, before its shards were consistent. It returns
-// the lost block list. With repair set, blocks whose plain reconstruction
-// could bake a torn stripe in (stripeRepair) get the full parity re-encode
-// instead; drain-first recovery passes false, since a fully drained, gated
-// cluster cannot hold a torn stripe.
-func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Client, rep *RecoveryReport, repair bool) ([]wire.BlockID, error) {
+// acked: remapped earlier, the block's stripe would leave the settle
+// barrier's scope, which placement decides, before its shards were
+// consistent, and from the remap on its degraded reads forward to the new
+// home (readDegraded). It returns the lost block list. Under a window,
+// blocks whose plain reconstruction could bake a torn stripe in
+// (stripeRepair) get the full parity re-encode instead; drain-first
+// recovery has no window, and a fully drained, gated cluster cannot hold a
+// torn stripe.
+func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Client, rep *RecoveryReport) ([]wire.BlockID, error) {
 	lost := c.lostBlocks(failed)
 	if rep.TargetBlocks == nil {
 		rep.TargetBlocks = make(map[wire.NodeID]int)
@@ -360,14 +430,11 @@ func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Cl
 				return fmt.Errorf("recover %v: %w", lost[i], err)
 			}
 		}
-		req := &wire.RecoverBlock{Blk: lost[i], Reencode: repair && c.stripeRepair(lost[i])}
+		req := &wire.RecoverBlock{Blk: lost[i], Reencode: st != nil && c.stripeRepair(lost[i])}
 		if err := wire.AckErr(c.Fabric.Call(hp, via.id, targets[i], req)); err != nil {
 			return fmt.Errorf("recover %v: %w", lost[i], err)
 		}
 		c.remap[lost[i]] = targets[i]
-		if st != nil {
-			st.rebuilt[lost[i]] = true
-		}
 		return nil
 	}); err != nil {
 		return nil, err
@@ -380,36 +447,25 @@ func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Cl
 
 // stripeRepair reports whether rebuilding the lost block must re-encode the
 // stripe's whole parity set (recoverStripeRepair) instead of a plain
-// reconstruction. Two tear classes require it with M >= 2:
-//
-//   - the dead node hosted a data block under a scheme whose data holder
-//     propagates parity deltas itself (FO sequentially, PL/PLR/PARIX by
-//     fan-out): dying mid-propagation leaves live parities disagreeing
-//     about the final update;
-//   - the dead node hosted the first parity block under a scheme that
-//     buffers cross-parity deltas there (TSUE's DeltaLog, CoRD's
-//     collector): the buffered deltas for the other parities died with it.
-//
-// TSUE without a DeltaLog (the HDD config) fans parity deltas out from the
-// data holder at recycle time, so its data blocks fall in the first class;
-// with the DeltaLog the data holder sends one message to one node and
-// cannot tear, but the DeltaLog holder itself becomes the second class.
+// reconstruction: with M >= 2, when the dead node hosted a data block under
+// a scheme whose data holder propagates parity deltas itself (FO
+// sequentially, PL/PLR/PARIX by fan-out, TSUE without a DeltaLog at recycle
+// time), since dying mid-propagation leaves live parities disagreeing about
+// the final update. The other tear class, a dead first parity node whose
+// buffer held the other parities' deltas (collects), is a window's settle's
+// to re-encode (reencode), so the rebuild reconstructs that block plainly;
+// only a caller with no window, rebalance's dead source, adds it itself.
 func (c *Cluster) stripeRepair(blk wire.BlockID) bool {
-	if c.Cfg.M < 2 {
-		return false
-	}
-	switch c.Cfg.Engine {
-	case "fo", "pl", "plr", "parix":
-		return int(blk.Index) < c.Cfg.K
-	case "cord":
-		return int(blk.Index) == c.Cfg.K
-	case "tsue":
-		if !c.Cfg.EngineOpts.NoDeltaLog {
-			return int(blk.Index) == c.Cfg.K
-		}
-		return int(blk.Index) < c.Cfg.K
-	}
-	return false
+	return c.Cfg.M >= 2 && !c.collects() && int(blk.Index) < c.Cfg.K
+}
+
+// collects reports whether the engine buffers a stripe's cross-parity
+// deltas on the stripe's first parity node: CoRD's collector and TSUE's
+// DeltaLog, with M >= 2 so that there are other parities. Only the copy
+// there is stored; TSUE's reliability copy of a data delta is a device
+// charge on the second parity node.
+func (c *Cluster) collects() bool {
+	return c.Cfg.M >= 2 && (c.Cfg.Engine == "cord" || c.Cfg.Engine == "tsue" && !c.Cfg.EngineOpts.NoDeltaLog)
 }
 
 // cutover replays the surrogate journals — the failed node's replicated

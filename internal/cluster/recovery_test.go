@@ -320,12 +320,11 @@ func TestCutoverReplaysSurrogatesConcurrently(t *testing.T) {
 		// One lost data block per surrogate, in block order. Lost blocks are
 		// the only ranges still served once a second node is down.
 		var lost []wire.BlockID
-		for blk := range st.lost {
+		for _, blk := range c.lostBlocks(victim) {
 			if int(blk.Index) < c.Cfg.K {
 				lost = append(lost, blk)
 			}
 		}
-		slices.SortFunc(lost, func(a, b wire.BlockID) int { return int(a.Stripe) - int(b.Stripe) })
 		picked := make(map[wire.NodeID]bool)
 		for _, blk := range lost {
 			sur := st.surr[c.PG(blk.StripeID())]
@@ -452,6 +451,7 @@ func TestCutoverReplaysJournalOnSurrogate(t *testing.T) {
 	}
 	var (
 		st       *degradedState
+		lost     []wire.BlockID
 		want     = make(map[extent]int) // the indexes' extents, to 0
 		sent     = make(map[extent]int)
 		extents  = make(map[wire.NodeID]int)
@@ -520,10 +520,11 @@ func TestCutoverReplaysJournalOnSurrogate(t *testing.T) {
 			return
 		}
 		st = c.degraded[victim]
+		lost = c.lostBlocks(victim)
 		picked := make(map[wire.NodeID]bool)
-		for _, blk := range c.OSDByID(victim).store.Blocks() {
+		for _, blk := range lost {
 			sur := st.surr[c.PG(blk.StripeID())]
-			if !st.lost[blk] || int(blk.Index) >= c.Cfg.K || picked[sur] {
+			if int(blk.Index) >= c.Cfg.K || picked[sur] {
 				continue
 			}
 			picked[sur] = true
@@ -618,7 +619,7 @@ func TestCutoverReplaysJournalOnSurrogate(t *testing.T) {
 		}
 		if e.to == e.sur {
 			loopback += n
-		} else if st.lost[e.blk] && st.surr[c.PG(e.blk.StripeID())] == home {
+		} else if slices.Contains(lost, e.blk) && st.surr[c.PG(e.blk.StripeID())] == home {
 			t.Errorf("extent %v+%d of a block rebuilt on its surrogate %d came from %d", e.blk, e.off, home, e.sur)
 		}
 		e.to = 0

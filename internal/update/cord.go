@@ -106,8 +106,8 @@ func (e *cord) recycleUnit(p *sim.Proc, u *logpool.Unit) {
 		e.recycling = false
 		e.cond.Broadcast()
 	}()
-	// A dead collector's buffer is lost with it; recovery re-encodes the
-	// parity set of its stripes.
+	// A dead collector's buffer is lost with it; its window's settle
+	// re-encodes the live parities of its stripes.
 	if !e.h.Alive(e.h.NodeID()) {
 		return
 	}

@@ -107,8 +107,10 @@ var All = Scope{Overlay: true}
 // every raw stripe consistent (a placement cutover). Failed(f) for f != 0
 // covers f's stripes, overlay included: reconstruction reads their raw
 // shards during the degraded window, so a retained record would race the
-// rebuild when it later applied. The gap between Failed(f) and All is
-// TSUE's log-reliability advantage at recovery time.
+// rebuild when it later applied. TSUE's merge in Failed(f) also
+// re-protects the DataLog records whose replicas f held (tsue.Merge). The
+// gap between Failed(f) and All is TSUE's log-reliability advantage at
+// recovery time.
 func Failed(f wire.NodeID) Scope { return Scope{Node: f, Overlay: f != 0} }
 
 // Bytes covers bytes [off, end) of stripe s's blocks, overlay included. RS

@@ -26,8 +26,9 @@ import (
 // through the three-layer pipeline:
 //
 //	DataLog  — merged extents are RMW'd into the data block; the data deltas
-//	           forward to the DeltaLog on the first parity holder (copy to
-//	           the second), or, without a DeltaLog, straight to the M
+//	           forward to the DeltaLog on the first parity holder (and a
+//	           reliability copy to the second, a device charge only: no
+//	           bytes are kept), or, without a DeltaLog, straight to the M
 //	           ParityLogs.
 //	DeltaLog — deltas of one stripe fold into per-parity-block staged deltas
 //	           (Equation (5)) and ship to each parity holder's ParityLog.
@@ -61,7 +62,8 @@ type tsue struct {
 
 	// Replica store: unrecycled DataLog items held for peers, by source
 	// node and pool; dropped on UnitDone; replayed at recovery. The replica
-	// log persists them and the DeltaLog reliability copies held here.
+	// log persists them, and takes the charge of the DeltaLog reliability
+	// copies sent here, which keep no bytes.
 	replog   *device.Log
 	replicas map[replicaKey][]replicaItem
 
@@ -393,8 +395,10 @@ func (t *tsue) Handle(p *sim.Proc, from wire.NodeID, m wire.Msg) (wire.Msg, bool
 			return errAck(fmt.Errorf("tsue: unexpected delta kind %d", v.Kind)), true
 		}
 		if v.Replica {
-			// Reliability copy of the data delta (stored on the second
-			// parity holder's SSD only; never recycled, dropped implicitly).
+			// Reliability copy of the data delta: a device charge on the
+			// second parity holder's replica log. No bytes are kept, so
+			// nothing restores a dead DeltaLog from it; a window's settle
+			// re-encodes the stripes it buffered for instead.
 			t.appendReplog(p, int64(len(v.Data))+32)
 			return wire.OK, true
 		}
@@ -620,8 +624,8 @@ func (t *tsue) forwardParityDirect(p *sim.Proc, s wire.StripeID, blk wire.BlockI
 // is a background proc, so the burst queues behind foreground traffic at
 // every NIC and disk it crosses.
 func (t *tsue) recycleDeltaUnits(p *sim.Proc, poolIdx int, units []*logpool.Unit) {
-	// Dead node: buffered deltas are lost with it; the re-encode repair
-	// rebuilds the parities they were destined for.
+	// Dead node: buffered deltas are lost with it; the window's settle
+	// re-encodes the parities they were destined for.
 	if !t.h.Alive(t.h.NodeID()) {
 		return
 	}
@@ -747,18 +751,40 @@ func (t *tsue) Read(p *sim.Proc, blk wire.BlockID, off, size int64) ([]byte, err
 // gather in the active unit and go as one unit once the recycler idles.
 // Sealing a busy pool would cut the pipeline into many small units, each
 // recycled in a pass of its own, and stall appenders at MaxUnits.
+//
+// A failed node's scope also re-protects what that node held for this one.
+// When it held this node's DataLog replicas (heldReplicas), the records
+// replicated to it have one copy fewer, so every DataLog unit that exists
+// when the merge starts is sealed and recycled, whatever its stripes, and
+// the merge returns only once they all have: the records are then in the
+// data blocks and on their way to parity, where the erasure code protects
+// them. Records appended later replicate to live nodes and are not waited
+// for, so the merge converges while updates flow.
 func (t *tsue) Merge(p *sim.Proc, sc Scope) error {
 	all := sc.Overlay && sc.every()
+	// exposed bounds, per DataLog pool, the units that may hold records
+	// replicated to the failed node: those with a Seq up to it.
+	var exposed []uint64
+	if sc.Node != 0 && sc.Overlay && t.heldReplicas(sc.Node) {
+		for _, pool := range t.data.pools {
+			exposed = append(exposed, pool.Tail().Seq)
+		}
+	}
+	inExposed := func(l *tsueLayer, i int, u *logpool.Unit) bool {
+		return l == t.data && exposed != nil && u.Seq <= exposed[i] && u.Appended > 0 && u.State != logpool.Recycled
+	}
 	for {
+		left := false // an exposed unit is not recycled yet
 		for _, l := range []*tsueLayer{t.data, t.delta, t.parity} {
 			if l == nil || (l == t.data && !sc.Overlay) {
 				continue
 			}
 			for i, pool := range l.pools {
+				left = left || slices.ContainsFunc(pool.Units(), func(u *logpool.Unit) bool { return inExposed(l, i, u) })
 				if l != t.data && !all && pool.PendingSealed() {
 					continue
 				}
-				if u := pool.Active(); u == nil || !t.unitIn(u, sc) {
+				if u := pool.Active(); u == nil || !t.unitIn(u, sc) && !inExposed(l, i, u) {
 					continue
 				}
 				if u := pool.SealActive(p.Now()); u != nil {
@@ -766,11 +792,30 @@ func (t *tsue) Merge(p *sim.Proc, sc Scope) error {
 				}
 			}
 		}
-		if !t.Pending(sc) {
+		if !left && !t.Pending(sc) {
 			return nil
 		}
 		t.idle.Wait(p)
 	}
+}
+
+// heldReplicas reports whether node f holds, or held until it died, this
+// node's DataLog replicas: whether it is one of the Copies-1 first OSDs
+// after this one in ring order that are live or f itself (replicaTarget
+// skips the dead ones).
+func (t *tsue) heldReplicas(f wire.NodeID) bool {
+	peers := t.h.Peers()
+	self := slices.Index(peers, t.h.NodeID())
+	for step, n := 1, 0; step < len(peers) && n < t.o.Copies-1; step++ {
+		id := peers[(self+step)%len(peers)]
+		if id == f {
+			return true
+		}
+		if t.h.Alive(id) {
+			n++
+		}
+	}
+	return false
 }
 
 // Pending reports whether a unit not yet recycled, in any layer, holds a

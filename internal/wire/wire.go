@@ -230,8 +230,9 @@ const (
 
 // DeltaAppend forwards a delta for a data block's update toward a parity
 // holder. Blk is the *data* block; ParityIdx selects which parity block of
-// the stripe this is destined for (0..M-1). Replica marks the reliability
-// copy (stored, not recycled).
+// the stripe this is destined for (0..M-1). Replica marks TSUE's
+// reliability copy, which its receiver charges to its replica log and
+// does not keep.
 type DeltaAppend struct {
 	Blk       BlockID
 	ParityIdx uint16
@@ -289,12 +290,14 @@ type UnitDone struct {
 // engine merges scope update.All).
 type Drain struct{}
 
-// RecoverBlock asks an OSD to reconstruct and store one lost block, reading
-// the surviving blocks of the stripe from its peers. Reencode marks a lost
-// first-parity block whose engine buffered cross-parity deltas (TSUE's
-// DeltaLog, CoRD's collector) that died with the node: the target then
-// re-encodes ALL parity blocks of the stripe from the K data blocks and
-// repairs the stale live ones in place.
+// RecoverBlock asks an OSD to reconstruct and store one block, reading the
+// surviving blocks of the stripe from its peers. Reencode marks a block
+// whose plain reconstruction could bake a torn stripe in: the receiver
+// then re-encodes ALL parity blocks of the stripe from the K data blocks
+// and repairs the stale live ones in place. A window's settle sends one
+// with Reencode to a live parity's own holder, naming that parity, to
+// re-encode a stripe whose first parity's node died with the other
+// parities' buffered deltas (TSUE's DeltaLog, CoRD's collector).
 type RecoverBlock struct {
 	Blk      BlockID
 	Reencode bool
