@@ -96,9 +96,11 @@ type degradedState struct {
 	// live engine holds state for its byte range (readFenced), and a block's
 	// rebuild until none holds state of its stripe (waitSettled).
 	settling bool
-	// settleErr is the settle barrier's error, if it failed: a rebuild
-	// still waiting for its stripe gives up with it instead of
-	// reconstructing from shards the barrier may not have merged.
+	// settleErr is the settle barrier's error, if it failed, or the
+	// ErrLogLost of a node that died while the settle was re-protecting
+	// its logs (die, exposes): a rebuild still waiting for its stripe gives
+	// up with it instead of reconstructing from shards the barrier may not
+	// have merged.
 	settleErr error
 	// promoteErr is the error of a promotion of this window's journals
 	// that failed: a failed Recover of the window returns it, also when the
@@ -111,6 +113,11 @@ type degradedState struct {
 	// replicas nor in JournalReplica retention, so a surrogate promotion
 	// must re-splice them from here.
 	orphans []wire.ReplicaItem
+	// torn lists, while the settle runs, the first parity blocks of the
+	// stripes it has yet to re-encode (collectedOn, reencode): their live
+	// parities may miss deltas the failed node buffered, so the stripe's
+	// data shards are the only consistent copy until the re-encode ends.
+	torn []wire.BlockID
 	// opened numbers the windows in the order they opened (windows).
 	opened uint64
 }
@@ -126,6 +133,10 @@ type degradedState struct {
 type quorum struct {
 	holders []wire.NodeID
 	acked   map[uint64]bool
+	// seeded counts the seed bytes the surrogate's journal took
+	// (seedJournals): they have no quorum copy, so a promotion must find
+	// them all again among the replica holders and the window's orphans.
+	seeded int64
 }
 
 // ---- update gate ----
@@ -371,23 +382,32 @@ func (c *Cluster) lostBlocks(failed wire.NodeID) []wire.BlockID {
 // death was replayed at the new home already, and replaying it again would
 // overwrite newer writes — and, with pgs set, only those PGs (a promotion
 // re-seeds the dead surrogate's share). Seeds are seq-less: they are
-// recoverable elsewhere, so they need no quorum.
+// recoverable elsewhere, so they need no quorum, and each surrogate's
+// quorum counts the seed bytes it took (quorum.seeded), so a promotion can
+// tell when they are not.
 func (c *Cluster) seedJournals(st *degradedState, pgs map[int]bool, lists ...[]wire.ReplicaItem) map[wire.NodeID]int64 {
-	pmap := c.MDS.PlacementMap()
 	seeded := make(map[wire.NodeID]int64)
 	for _, items := range lists {
 		for _, it := range items {
-			s := it.Blk.StripeID()
-			pg := pmap.PGOf(s)
-			if !st.stripes[s] || pgs != nil && !pgs[pg] {
-				continue
+			if sur, ok := c.seedTarget(st, pgs, it); ok {
+				c.OSDByID(sur).journalFor(st.failed).add(it.Blk, it.Off, it.Data)
+				seeded[sur] += int64(len(it.Data))
+				st.quorum[sur].seeded += int64(len(it.Data))
 			}
-			sur := st.surr[pg]
-			c.OSDByID(sur).journalFor(st.failed).add(it.Blk, it.Off, it.Data)
-			seeded[sur] += int64(len(it.Data))
 		}
 	}
 	return seeded
+}
+
+// seedTarget returns the surrogate whose journal seedJournals seeds it
+// into, if any.
+func (c *Cluster) seedTarget(st *degradedState, pgs map[int]bool, it wire.ReplicaItem) (wire.NodeID, bool) {
+	s := it.Blk.StripeID()
+	pg := c.MDS.PlacementMap().PGOf(s)
+	if !st.stripes[s] || pgs != nil && !pgs[pg] {
+		return 0, false
+	}
+	return st.surr[pg], true
 }
 
 // unregisterDegraded retires a window's routes and drops its journals'
@@ -892,14 +912,17 @@ func (o *OSD) handleJournalFetch(p *sim.Proc, v *wire.JournalFetch) wire.Msg {
 // result, and replaying them serially keeps same-block concurrency out of
 // the engines' replay path. The index keeps the extents, so degraded reads
 // overlay them until the route retires, and a journal with no record since
-// its last replay replays nothing. The recovery cutover sends this under
-// the closed gate, so nothing lands behind it.
+// its last successful replay replays nothing: a failed one leaves the
+// journal unreplayed, so a promotion of its dead surrogate is waited for
+// (cutover) and another replay repeats it whole. The recovery cutover
+// sends this under the closed gate, so nothing lands behind it.
 func (o *OSD) handleJournalReplay(p *sim.Proc, v *wire.JournalReplay) wire.Msg {
 	resp := &wire.JournalReplayResp{}
 	j, ok := o.journals[v.Failed]
 	if !ok || j.records() == j.fetched {
 		return resp
 	}
+	prev := j.fetched
 	j.fetched = j.records()
 	blocks := j.extents()
 	resp.Err = sim.Parallel(p, "replay", len(blocks), func(hp *sim.Proc, i int) error {
@@ -908,6 +931,9 @@ func (o *OSD) handleJournalReplay(p *sim.Proc, v *wire.JournalReplay) wire.Msg {
 		resp.Bytes += b
 		return err
 	})
+	if resp.Err != nil {
+		j.fetched = prev
+	}
 	return resp
 }
 

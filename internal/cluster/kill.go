@@ -23,6 +23,12 @@ package cluster
 //     hangs. Only when every holder is unreachable too (> m deaths) is the
 //     journal unrecoverable, and the promotion fails with
 //     ErrSurrogateLost.
+//
+// A death can also take log state that only the dead node and a window's
+// failed node kept: state the window's settle had yet to re-protect, or a
+// surrogate's journal seeds whose only other copy was on the surrogate
+// itself. The window then fails with ErrLogLost instead of replaying
+// without it.
 
 import (
 	"cmp"
@@ -33,6 +39,7 @@ import (
 
 	"tsue/internal/netsim"
 	"tsue/internal/sim"
+	"tsue/internal/update"
 	"tsue/internal/wire"
 )
 
@@ -61,6 +68,17 @@ var (
 	// stripe that has more than m dead members, beyond the code's budget;
 	// the stripe's lost blocks cannot be reconstructed.
 	ErrStripeLost = errors.New("cluster: stripe has more dead members than the code tolerates")
+	// ErrLogLost: a node died holding log state that only it and a
+	// window's failed node kept. Either the window's settle was still
+	// re-protecting it (exposes): DataLog records whose last replica the
+	// failed node held, past the DataLog's Copies-1 budget, or deltas
+	// buffered for the other parities of a stripe with a data block on the
+	// failed node, past the buffer's budget of M deaths once the first
+	// window has settled. Or the node was a surrogate whose journal seeds
+	// no live replica holder still has (promoteSurrogate). The state is
+	// gone, and the window's settle or promotion, and so its Recover, fails
+	// with it.
+	ErrLogLost = errors.New("cluster: log records lost with every copy")
 )
 
 // KillReport describes what a Kill had to resolve beyond taking the node
@@ -129,7 +147,10 @@ func (c *Cluster) MarkDead(failed wire.NodeID) {
 // window it served as a surrogate, in the order the windows opened, has
 // the node's journal promoted (promoteSurrogate; rep may be nil). Each
 // window keeps its promotion's error for its Recover
-// (degradedState.promoteErr), and die returns the first one. With p nil
+// (degradedState.promoteErr), and die returns the first one. A window
+// whose settle was still re-protecting log state that only the node and
+// the window's failed node kept (exposes) gets ErrLogLost as its settle's
+// error, whichever verb the death came through. With p nil
 // the caller must not block (MarkDead): the promotions then run in a proc
 // of their own, from a client of their own, started only when the node
 // served a window. A death with nothing to promote therefore adds no
@@ -146,6 +167,10 @@ func (c *Cluster) die(p *sim.Proc, failed wire.NodeID, via *Client, rep *KillRep
 	for _, st := range c.windows() {
 		if len(st.pgsOf(failed)) > 0 {
 			served = append(served, st)
+		}
+		if c.exposes(failed, st) {
+			st.settleErr = cmp.Or(st.settleErr, fmt.Errorf("cluster: node %d died before the settle of node %d's window re-protected its logs: %w",
+				failed, st.failed, ErrLogLost))
 		}
 	}
 	if rep == nil {
@@ -169,6 +194,23 @@ func (c *Cluster) die(p *sim.Proc, failed wire.NodeID, via *Client, rep *KillRep
 	return nil
 }
 
+// exposes reports whether node n's death now loses log state that window
+// st's settle is still re-protecting: state only n and st's failed node
+// kept (update.Exposer), or a data shard of a stripe the settle has yet to
+// re-encode (degradedState.torn), whose parities may miss the deltas the
+// failed node buffered.
+func (c *Cluster) exposes(n wire.NodeID, st *degradedState) bool {
+	if !st.settling {
+		return false
+	}
+	if e, ok := c.OSDByID(n).engine.(update.Exposer); ok && e.Exposed(st.failed) {
+		return true
+	}
+	return slices.ContainsFunc(st.torn, func(first wire.BlockID) bool {
+		return slices.Contains(c.Placement(first.StripeID())[:c.Cfg.K], n)
+	})
+}
+
 // checkOSD fails unless id names an OSD of the cluster.
 func (c *Cluster) checkOSD(id wire.NodeID) error {
 	if c.OSDByID(id) == nil {
@@ -189,7 +231,10 @@ func (c *Cluster) checkOSD(id wire.NodeID) error {
 // live ring successor, which is its first holder whenever that holder
 // still lives. The promoted journal is rebuilt there in original order —
 // the re-fetched seed share (ReplicaFetch is non-destructive) and the
-// window's orphans (seedJournals), then every recovered append in seq
+// window's orphans (seedJournals), which must hold every seed byte the
+// victim held (quorum.seeded; a seed has no quorum copy, so a shortfall
+// means the victim was the last replica holder of the failed node's
+// records: ErrLogLost), then every recovered append in seq
 // order, renumbered into the new surrogate's own append sequence. In the
 // same instant the victim's PGs route to the new surrogate (assign) and
 // the recovered seqs enter its acked set (their clients were acked in the
@@ -255,6 +300,17 @@ func (c *Cluster) promoteSurrogate(p *sim.Proc, st *degradedState, victim wire.N
 	seeds, err := c.fetchReplicaItems(p, st.failed, via)
 	if err != nil || c.degraded[st.failed] != st {
 		return err
+	}
+	// The victim's seeds have no quorum copy: each must be found again.
+	var found int64
+	for _, it := range slices.Concat(seeds, st.orphans) {
+		if _, ok := c.seedTarget(st, pgs, it); ok {
+			found += int64(len(it.Data))
+		}
+	}
+	if found < vq.seeded {
+		return fmt.Errorf("cluster: surrogate %d for node %d died holding %d seed bytes no live replica holder has: %w",
+			victim, st.failed, vq.seeded-found, ErrLogLost)
 	}
 	// The splice: the target is named after the last fetch, and nothing
 	// below yields until the seed persist.

@@ -856,6 +856,14 @@ type cutoverKill struct {
 	// markDead makes kill a hook's death, MarkDead, which promotes in a
 	// proc of its own, instead of a Kill in a proc of the test's.
 	markDead bool
+	// own lets Recover open node 3's window itself: the updates run while
+	// node 3 lives, undrained, and the hooks wrap the handlers when the
+	// first Settle of Recover's barrier reaches an OSD. The busiest
+	// surrogate is then the one seeded with the most records, or the first
+	// one when no journal holds any.
+	own bool
+	// mod adjusts degradedConfig(engine) before the cluster is built.
+	mod func(*Config)
 	// hook wraps OSD at's handler h; surr is the busiest surrogate, and
 	// kill takes its victim down (the first call only).
 	hook func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func(victim wire.NodeID)) netsim.Handler
@@ -870,12 +878,17 @@ type cutoverKill struct {
 
 // killDuringCutover runs a degraded window of k.engine under tie salt
 // k.salt: a 6-stripe file written whole, BeginDegraded(3) and 60 degraded
-// updates. k.hook then wraps every OSD's handler, and node 3 is recovered
-// under k.mode. A victim that was never killed is an error. When the
-// recovery succeeded, the victim is recovered too and the cluster must
-// drain, scrub and read back byte-exact.
+// updates (with k.own, 60 updates and then Recover's own window). k.hook
+// then wraps every OSD's handler, and node 3 is recovered under k.mode. A
+// victim that was never killed is an error. When the recovery succeeded,
+// the victim is recovered too and the cluster must drain, scrub and read
+// back byte-exact.
 func killDuringCutover(t *testing.T, k cutoverKill) error {
-	c := MustNew(degradedConfig(k.engine))
+	cfg := degradedConfig(k.engine)
+	if k.mod != nil {
+		k.mod(&cfg)
+	}
+	c := MustNew(cfg)
 	defer c.Env.Close()
 	c.Env.SetTieSalt(k.salt)
 	cl, admin, killer := c.NewClient(), c.NewClient(), c.NewClient()
@@ -927,20 +940,25 @@ func killDuringCutover(t *testing.T, k cutoverKill) error {
 				}
 				ended = true
 			}
-			// arm runs the degraded updates and then wraps every OSD's
-			// handler around the busiest surrogate.
+			ops := func(p *sim.Proc) bool {
+				if k.whole {
+					_, ok := fileOps(t, p, cl, ino, content, rng, 60)
+					return ok
+				}
+				return degradedStripeOps(t, p, c, cl, &degradedState{failed: failed}, ino, content, rng, 60)
+			}
+			// arm runs the degraded updates, unless Recover opens the
+			// window, and then wraps every OSD's handler around the busiest
+			// surrogate.
 			arm := func(p *sim.Proc) error {
 				st = c.degraded[failed]
-				ok := false
-				if k.whole {
-					_, ok = fileOps(t, p, cl, ino, content, rng, 60)
-				} else {
-					ok = degradedStripeOps(t, p, c, cl, st, ino, content, rng, 60)
-				}
-				if !ok {
+				if !k.own && !ops(p) {
 					return errors.New("degraded ops before the death")
 				}
-				if surr = busiestSurrogate(c, st); surr == 0 {
+				if surr = busiestSurrogate(c, st); surr == 0 && k.own {
+					surr = st.surrogates[0]
+				}
+				if surr == 0 {
 					return errors.New("no surrogate holds journal items")
 				}
 				acked = len(st.quorum[surr].acked)
@@ -951,8 +969,11 @@ func killDuringCutover(t *testing.T, k cutoverKill) error {
 				}
 				return nil
 			}
+			if k.own && !ops(p) {
+				return errors.New("updates before the death")
+			}
 			armed, armErr := false, error(nil)
-			if k.settle {
+			if k.settle || k.own {
 				for _, o := range c.OSDs {
 					if err := c.Fabric.SetHandler(o.id, func(hp *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
 						if _, ok := m.(*wire.Settle); !ok || armed {
@@ -968,18 +989,26 @@ func killDuringCutover(t *testing.T, k cutoverKill) error {
 					}
 				}
 			}
-			if err := c.BeginDegraded(p, failed, admin); err != nil {
-				return fmt.Errorf("begin degraded: %w", err)
+			if !k.own {
+				if err := c.BeginDegraded(p, failed, admin); err != nil {
+					return fmt.Errorf("begin degraded: %w", err)
+				}
+				if !k.settle {
+					armErr = arm(p)
+				} else if !armed {
+					armErr = errors.New("no Settle reached an OSD")
+				}
+				if armErr != nil {
+					return armErr
+				}
 			}
-			if !k.settle {
-				armErr = arm(p)
-			} else if !armed {
+			_, rerr := c.Recover(p, failed, 2, k.mode, admin)
+			if k.own && !armed {
 				armErr = errors.New("no Settle reached an OSD")
 			}
 			if armErr != nil {
 				return armErr
 			}
-			_, rerr := c.Recover(p, failed, 2, k.mode, admin)
 			if victim == 0 {
 				return fmt.Errorf("no node was killed (recover: %v)", rerr)
 			}
@@ -1189,4 +1218,177 @@ func TestKillSurrogateRacesRetirement(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestDeathAtRecoverStep kills one node at a named step of Recover(3):
+// each step must decide its node again when it acts, so the rebuild
+// re-picks a dead target and re-streams from live sources, and the cutover
+// waits for a dead surrogate's promotion. Four roles die with node 3's
+// window opened beforehand:
+//   - target: a rebuild target, when its first rebuild RecoverBlock
+//     reaches it;
+//   - source: a rebuild source, when its first RebuildRead reaches it;
+//   - surrogate: the busiest surrogate, once the rebuild's last block is
+//     acked;
+//   - holder: that surrogate's first journal holder, at the same step.
+//
+// Every JournalFetch is answered 1 ms late, so a surrogate's promotion
+// outlasts the cutover's first round, which must wait for it.
+//
+// Two more die with Recover opening the window itself, after undrained
+// updates over the whole file:
+//   - ward: node 3's ring predecessor, whose DataLog replicas node 3 held,
+//     when the first Settle of node 3's window reaches it;
+//   - heir: node 3's ring successor, which holds node 3's DataLog replicas
+//     and is a surrogate, when the cutover's first JournalReplay arrives.
+//
+// Each takes state whose only other copy died with node 3, and its
+// recovery must fail with ErrLogLost: the ward's unrecycled DataLog
+// records under TSUE at Copies 2, with or without a DeltaLog, and under
+// CoRD and TSUE's DeltaLog its buffered deltas of node 3's stripes or its
+// data shards of the stripes whose buffer died with node 3; the heir's
+// journal seeds under TSUE at Copies 2. TSUE at Copies 3 without a
+// DeltaLog survives both. Every other run must recover node 3 and then the
+// victim, drain, scrub and read back byte-exact. Six engines (the ward:
+// FO, CoRD and TSUE; the heir: TSUE), salts 0–8, interleaved at even salts
+// and log-replay at odd ones.
+func TestDeathAtRecoverStep(t *testing.T) {
+	type hook = func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler
+	// rebuilding reports whether m rebuilds one of node 3's blocks (a
+	// re-encode names a live parity).
+	rebuilding := func(c *Cluster, _ wire.NodeID, m wire.Msg) bool {
+		v, ok := m.(*wire.RecoverBlock)
+		return ok && c.Placement(v.Blk.StripeID())[v.Blk.Index] == 3
+	}
+	// on kills the node a message of kind reaches, before it is handled.
+	on := func(kind func(c *Cluster, at wire.NodeID, m wire.Msg) bool) func() hook {
+		return func() hook {
+			return func(c *Cluster, at, _ wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
+				return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+					if kind(c, at, m) {
+						kill(at)
+					}
+					return h(p, from, m)
+				}
+			}
+		}
+	}
+	// lastAck kills victim once the rebuild's last block is acked.
+	lastAck := func(victim func(c *Cluster, surr wire.NodeID) wire.NodeID) func() hook {
+		return func() hook {
+			acks := 0
+			return func(c *Cluster, _, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
+				lost := len(c.lostBlocks(3))
+				return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+					rebuild := rebuilding(c, 0, m)
+					resp := h(p, from, m)
+					if rebuild && wire.AckErr(resp, nil) == nil {
+						if acks++; acks == lost {
+							kill(victim(c, surr))
+						}
+					}
+					return resp
+				}
+			}
+		}
+	}
+	roles := []struct {
+		name string
+		hook func() hook
+		own  bool
+	}{
+		{"target", on(rebuilding), false},
+		{"source", on(func(_ *Cluster, _ wire.NodeID, m wire.Msg) bool { _, ok := m.(*wire.RebuildRead); return ok }), false},
+		{"surrogate", lastAck(func(_ *Cluster, surr wire.NodeID) wire.NodeID { return surr }), false},
+		{"holder", lastAck(func(c *Cluster, surr wire.NodeID) wire.NodeID { return c.degraded[3].quorum[surr].holders[0] }), false},
+		{"ward", on(func(c *Cluster, at wire.NodeID, m wire.Msg) bool {
+			_, ok := m.(*wire.Settle)
+			return ok && at == ringStep(c, 3, -1)
+		}), true},
+		{"heir", func() hook {
+			killed := false
+			return func(c *Cluster, _, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
+				return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+					if _, ok := m.(*wire.JournalReplay); ok && !killed {
+						killed = true
+						kill(ringStep(c, 3, 1))
+					}
+					return h(p, from, m)
+				}
+			}
+		}, true},
+	}
+	// The own-window roles run TSUE also without a DeltaLog, so that only
+	// its DataLog's budget is at stake, at Copies 2 and 3. The ward's
+	// in-place engines keep no log off the stripe, and FO stands for them;
+	// the heir runs TSUE only, the one engine whose journals hold seeds.
+	variants := map[string]func(*Config){
+		"tsue-nodeltalog":         func(c *Config) { c.EngineOpts.NoDeltaLog = true },
+		"tsue-nodeltalog-copies3": func(c *Config) { c.EngineOpts.NoDeltaLog, c.EngineOpts.Copies = true, 3 },
+	}
+	// lost lists the cells whose death takes state whose only other copy
+	// died with node 3 (ErrLogLost): the ward's DataLog records or
+	// buffered deltas, and the heir's journal seeds, node 3's DataLog
+	// records of which it held the only replica.
+	lost := map[string]bool{
+		"ward/tsue": true, "ward/cord": true, "ward/tsue-nodeltalog": true,
+		"heir/tsue": true,
+	}
+	for _, role := range roles {
+		engines := update.Names()
+		switch role.name {
+		case "ward":
+			engines = []string{"fo", "cord", "tsue", "tsue-nodeltalog", "tsue-nodeltalog-copies3"}
+		case "heir":
+			engines = []string{"tsue", "tsue-nodeltalog-copies3"}
+		}
+		for _, engine := range engines {
+			for salt := uint64(0); salt <= 8; salt++ {
+				mode := RecoverInterleaved
+				if salt%2 == 1 {
+					mode = RecoverLogReplay
+				}
+				t.Run(fmt.Sprintf("%s/%s/salt%d", role.name, engine, salt), func(t *testing.T) {
+					t.Parallel()
+					lostLog := lost[role.name+"/"+engine]
+					check := func(rerr error, _ *KillReport, kerr error, _ int) error {
+						switch {
+						case kerr != nil && !(lostLog && errors.Is(kerr, ErrLogLost)):
+							return fmt.Errorf("kill: %w", kerr)
+						case lostLog && !errors.Is(rerr, ErrLogLost):
+							return fmt.Errorf("recover: %v, want ErrLogLost", rerr)
+						case !lostLog && rerr != nil:
+							return fmt.Errorf("recover: %w", rerr)
+						}
+						return nil
+					}
+					hook := role.hook()
+					slow := func(c *Cluster, at, surr wire.NodeID, h netsim.Handler, kill func(wire.NodeID)) netsim.Handler {
+						h = hook(c, at, surr, h, kill)
+						return func(p *sim.Proc, from wire.NodeID, m wire.Msg) wire.Msg {
+							if _, ok := m.(*wire.JournalFetch); ok {
+								p.Sleep(time.Millisecond)
+							}
+							return h(p, from, m)
+						}
+					}
+					k := cutoverKill{engine: engine, salt: salt, mode: mode, whole: role.own, own: role.own, hook: slow, check: check}
+					if mod := variants[engine]; mod != nil {
+						k.engine, k.mod = "tsue", mod
+					}
+					if err := killDuringCutover(t, k); err != nil {
+						t.Error(err)
+					}
+				})
+			}
+		}
+	}
+}
+
+// ringStep returns the OSD n steps from id in ring order (negative steps
+// go back): under TSUE, node id's DataLog replicas live on its ring
+// successor, and its ring predecessor's on id.
+func ringStep(c *Cluster, id wire.NodeID, n int) wire.NodeID {
+	ids := c.osdIDs()
+	return ids[((slices.Index(ids, id)+n)%len(ids)+len(ids))%len(ids)]
 }

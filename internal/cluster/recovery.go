@@ -1,10 +1,13 @@
 package cluster
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"time"
 
+	"tsue/internal/netsim"
 	"tsue/internal/sim"
 	"tsue/internal/wire"
 )
@@ -119,14 +122,16 @@ type RecoveryReport struct {
 	// reconstruction volume over it.
 	TotalTime    time.Duration
 	BandwidthBps float64
-	// TargetBlocks counts rebuilt blocks per destination OSD — with PG
-	// placement the targets are the per-PG stable replacements, so the
-	// write side of recovery spreads across the cluster.
+	// TargetBlocks counts rebuilt blocks per destination OSD, acked
+	// rebuilds only: a block whose target died is counted once, on the
+	// target that acked it. With PG placement the targets are the per-PG
+	// stable replacements, so the write side of recovery spreads across the
+	// cluster.
 	TargetBlocks map[wire.NodeID]int
 	// SourceReadBytes counts reconstruction bytes read per source OSD
 	// during the recovery window (rebuild fan-in plus degraded on-the-fly
 	// reconstruction) — the recovery fan-out the placement experiment
-	// reports.
+	// reports. It includes the bytes of rebuild attempts a death cut short.
 	SourceReadBytes map[wire.NodeID]int64
 }
 
@@ -159,6 +164,21 @@ type RecoveryReport struct {
 //  5. the journal cutover, a no-op without a degraded window;
 //  6. log-replay charges the replayed updates' merge debt to recovery with
 //     a full drain, per the paper's accounting.
+//
+// A further death during Recover is decided where it lands, by the rule
+// land states for a replayed record: a node-down answer while the caller
+// lives takes the step's decision again. The rebuild picks each block's
+// target when it sends and re-picks it, with live sources, after a
+// node-down (rebuild); a re-encode moves to the next live parity
+// (reencode); the cutover waits for a dead surrogate's promotion (cutover);
+// and the replay parks or re-routes the records of a dead home (land). A
+// death past a budget fails by name: a stripe with more than M dead
+// members fails its rebuild with ErrStripeLost, a journal whose holders all
+// died fails its promotion with ErrSurrogateLost, and a death that takes
+// log state only it and the failed node kept fails with ErrLogLost: the
+// window's settle when it died before the settle re-protected that state
+// (die, exposes), or its promotion when it was a surrogate whose seeds no
+// live replica holder still has (promoteSurrogate).
 //
 // The gate is open when Recover returns, on error too.
 func (c *Cluster) Recover(p *sim.Proc, failed wire.NodeID, parallel int, mode RecoverMode, via *Client) (*RecoveryReport, error) {
@@ -299,7 +319,10 @@ func (c *Cluster) openWindow(p *sim.Proc, failed wire.NodeID, via *Client, rep *
 // settled (reencode). SettleTime covers both. The settle re-protects what
 // the failed node held for others: a TSUE node whose DataLog replicas it
 // held merges its whole DataLog (update.Failed), and the re-encodes mend
-// the parities its buffer held deltas for. The settle may run with the
+// the parities its buffer held deltas for. Until then a death that takes
+// the only other copy of that state (a re-encoding stripe's data shard, or
+// a node's own state the barrier has yet to merge) fails the settle with
+// ErrLogLost (exposes). The settle may run with the
 // gate open because from the registration on no update reaches a degraded
 // stripe's engines: the client routes it to the surrogate, which journals
 // it. So the barrier only has to hold back what reads a degraded stripe's
@@ -313,12 +336,14 @@ func (c *Cluster) settleWindow(p *sim.Proc, st *degradedState, via *Client, rep 
 	// Listed before the barrier yields: a rebuild beside it remaps a block
 	// once it is acked, and lostBlocks would then miss the stripe.
 	collected := c.collectedOn(st.failed)
+	st.torn = slices.Clone(collected)
 	err := sim.Parallel(p, "settle", 1+len(collected), func(hp *sim.Proc, i int) error {
 		if i == 0 {
-			st.settleErr = c.SettleAll(hp, via, st.failed)
+			st.settleErr = cmp.Or(st.settleErr, c.SettleAll(hp, via, st.failed))
 			st.settling = false
 			return st.settleErr
 		}
+		defer func() { st.torn = slices.DeleteFunc(st.torn, func(b wire.BlockID) bool { return b == collected[i-1] }) }()
 		if c.waitSettled(hp, st, collected[i-1].StripeID()) != nil {
 			return nil // the barrier reports its own error
 		}
@@ -354,70 +379,59 @@ func (c *Cluster) collectedOn(failed wire.NodeID) []wire.BlockID {
 // other live parities, in the background class, so foreground reads and
 // updates go first at every NIC and disk. The failed node's block is
 // rebuilt plainly, from the data shards. A stripe with a dead data member
-// is left as it is: if that member died first, its window settled the
-// stripe while the buffer's node lived, and if it died since, the torn
-// parity cannot be mended from K shards.
+// is left as it is, checked before each attempt: if that member died
+// first, its window settled the stripe while the buffer's node lived, and
+// if it died since, also during a failed attempt, the torn parity cannot
+// be mended from K shards. A node-down answer otherwise means the parity's
+// holder died, and the next live parity takes the re-encode over.
 func (c *Cluster) reencode(p *sim.Proc, first wire.BlockID, via *Client) error {
 	s := first.StripeID()
-	osds := c.Placement(s)
-	if slices.ContainsFunc(osds[:c.Cfg.K], c.Fabric.Down) {
-		return nil
-	}
-	for j := c.Cfg.K + 1; j < len(osds); j++ {
-		if c.Fabric.Down(osds[j]) {
-			continue
+	p.SetClass(sim.Background)
+	var err error
+	for attempt := 0; ; attempt++ {
+		osds := c.Placement(s)
+		j := c.Cfg.K + 1 + slices.IndexFunc(osds[c.Cfg.K+1:], func(id wire.NodeID) bool { return !c.Fabric.Down(id) })
+		if j == c.Cfg.K || slices.ContainsFunc(osds[:c.Cfg.K], c.Fabric.Down) {
+			return nil
 		}
-		p.SetClass(sim.Background)
-		req := &wire.RecoverBlock{Blk: wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(j)}, Reencode: true}
-		if err := wire.AckErr(c.Fabric.Call(p, via.id, osds[j], req)); err != nil {
+		if err != nil && (!errors.Is(err, netsim.ErrNodeDown) || attempt >= routeRetries) {
 			return fmt.Errorf("re-encode %v: %w", s, err)
 		}
-		return nil
+		req := &wire.RecoverBlock{Blk: wire.BlockID{Ino: s.Ino, Stripe: s.Stripe, Index: uint16(j)}, Reencode: true}
+		if err = wire.AckErr(c.Fabric.Call(p, via.id, osds[j], req)); err == nil {
+			return nil
+		}
 	}
-	return nil
 }
 
 // rebuild reconstructs every block placement puts on the failed node
-// (lostBlocks) onto surviving OSDs, `parallel` blocks at a time. Each
-// block's target is its PG's stable replacement for the failed slot
-// (placement.Replacement), so a single death moves only the dead node's
-// PGs and the rebuild writes spread exactly as the CRUSH-like map dictates
-// — excluding any OSD already hosting another block of the same stripe, so
-// a stripe never doubles up. A block whose failed node has a degraded
-// window waits, once it holds its slot, until its stripe has settled
-// (waitSettled): with interleaved recovery the window's settle barrier runs
-// beside the rebuild. Placement is remapped for a block when its rebuild is
-// acked: remapped earlier, the block's stripe would leave the settle
-// barrier's scope, which placement decides, before its shards were
-// consistent, and from the remap on its degraded reads forward to the new
-// home (readDegraded). It returns the lost block list. Under a window,
-// blocks whose plain reconstruction could bake a torn stripe in
-// (stripeRepair) get the full parity re-encode instead; drain-first
-// recovery has no window, and a fully drained, gated cluster cannot hold a
-// torn stripe.
+// (lostBlocks) onto surviving OSDs, `parallel` blocks at a time, and returns
+// the lost block list. Each block's proc decides its target when it sends:
+// the PG's stable replacement for the failed slot under the current down set
+// (placement.Replacement), so a single death moves only the dead node's PGs
+// and the rebuild writes spread exactly as the CRUSH-like map dictates,
+// excluding any OSD already hosting another block of the stripe, so a stripe
+// never doubles up. A node-down answer means the target or one of the
+// sources its stream read died: the block takes the decision again, as
+// land's rule 3 retakes a record's, with a target picked under the new down
+// set and a stream that takes the stripe's live members as sources
+// (streamShards). A stripe past the code's budget ends in ErrStripeLost. A
+// block whose failed node has a degraded window waits, once it holds its
+// slot, until its stripe has settled (waitSettled): with interleaved
+// recovery the window's settle barrier runs beside the rebuild. Placement is
+// remapped for a block when its rebuild is acked, and only then does the
+// target count in TargetBlocks: remapped earlier, the block's stripe would
+// leave the settle barrier's scope, which placement decides, before its
+// shards were consistent, and from the remap on its degraded reads forward
+// to the new home (readDegraded). A block rebuilt onto a node that dies
+// later is that node's lost block from then on. Under a window, blocks whose
+// plain reconstruction could bake a torn stripe in (stripeRepair) get the
+// full parity re-encode instead; drain-first recovery has no window, and a
+// fully drained, gated cluster cannot hold a torn stripe.
 func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Client, rep *RecoveryReport) ([]wire.BlockID, error) {
 	lost := c.lostBlocks(failed)
 	if rep.TargetBlocks == nil {
 		rep.TargetBlocks = make(map[wire.NodeID]int)
-	}
-	dead := func(id wire.NodeID) bool { return c.Fabric.Down(id) }
-	targets := make([]wire.NodeID, len(lost))
-	for i, blk := range lost {
-		cur := c.Placement(blk.StripeID())
-		target, err := c.MDS.PlacementMap().Replacement(blk.StripeID(), int(blk.Index), dead,
-			func(id wire.NodeID) bool {
-				for j, m := range cur {
-					if j != int(blk.Index) && m == id {
-						return true
-					}
-				}
-				return false
-			})
-		if err != nil {
-			return nil, fmt.Errorf("cluster: no recovery target for %v: %w", blk, err)
-		}
-		targets[i] = target
-		rep.TargetBlocks[target]++
 	}
 	rebuildStart := p.Now()
 	st := c.degraded[failed]
@@ -425,17 +439,30 @@ func (c *Cluster) rebuild(p *sim.Proc, failed wire.NodeID, parallel int, via *Cl
 	if err := sim.Parallel(p, "recover", len(lost), func(hp *sim.Proc, i int) error {
 		sem.Acquire(hp)
 		defer sem.Release()
+		blk := lost[i]
 		if st != nil {
-			if err := c.waitSettled(hp, st, lost[i].StripeID()); err != nil {
-				return fmt.Errorf("recover %v: %w", lost[i], err)
+			if err := c.waitSettled(hp, st, blk.StripeID()); err != nil {
+				return fmt.Errorf("recover %v: %w", blk, err)
 			}
 		}
-		req := &wire.RecoverBlock{Blk: lost[i], Reencode: st != nil && c.stripeRepair(lost[i])}
-		if err := wire.AckErr(c.Fabric.Call(hp, via.id, targets[i], req)); err != nil {
-			return fmt.Errorf("recover %v: %w", lost[i], err)
+		req := &wire.RecoverBlock{Blk: blk, Reencode: st != nil && c.stripeRepair(blk)}
+		for attempt := 0; ; attempt++ {
+			cur := c.Placement(blk.StripeID())
+			target, err := c.MDS.PlacementMap().Replacement(blk.StripeID(), int(blk.Index), c.Fabric.Down,
+				func(id wire.NodeID) bool { j := slices.Index(cur, id); return j >= 0 && j != int(blk.Index) })
+			if err != nil {
+				return fmt.Errorf("cluster: no recovery target for %v: %w", blk, err)
+			}
+			err = wire.AckErr(c.Fabric.Call(hp, via.id, target, req))
+			if err == nil {
+				c.remap[blk] = target
+				rep.TargetBlocks[target]++
+				return nil
+			}
+			if !errors.Is(err, netsim.ErrNodeDown) || attempt >= routeRetries {
+				return fmt.Errorf("recover %v: %w", blk, err)
+			}
 		}
-		c.remap[lost[i]] = targets[i]
-		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -472,23 +499,32 @@ func (c *Cluster) collects() bool {
 // unrecycled DataLog items followed by every update journaled while the
 // node was degraded — through the engines' Update at the (remapped) home
 // OSDs, then atomically retires the degraded route and drops the journal
-// indexes (unregisterDegraded). It sends each surrogate with unreplayed
-// records one JournalReplay, and the surrogate replays its own journal
-// (handleJournalReplay): each journal is indexed per block like the
-// DataLog, so every block's merged extents go out once, straight from the
-// index to the block's home, and a lost block rebuilt on its own surrogate
-// (the usual case: the surrogate is its PG's replacement) replays over
-// loopback. The admin client sends and receives only the requests and
-// their counts. The surrogate keeps its index until the route retires, so
-// degraded reads keep overlaying it through the replay and need no fence.
-// With per-PG surrogates there is one journal per surrogate OSD, and every
-// surrogate replays at once. That is safe because a block's records all
-// live on its PG's surrogate (a promotion moves a dead surrogate's PGs,
-// with their records, to one new surrogate), so no two journals share a
-// block. It must run under the closed gate (after a fence, so no degraded
-// update is mid-flight) so the journals cannot grow behind the replay.
-// Should one grow anyway, the next round replays that whole journal again,
-// which leaves the same bytes: its extents are overwrites.
+// indexes (unregisterDegraded). It runs in rounds. Each round sends every
+// live surrogate with unreplayed records one JournalReplay, and the
+// surrogate replays its own journal (handleJournalReplay): each journal is
+// indexed per block like the DataLog, so every block's merged extents go
+// out once, straight from the index to the block's home, and a lost block
+// rebuilt on its own surrogate (the usual case: the surrogate is its PG's
+// replacement) replays over loopback. The admin client sends and receives
+// only the requests and their counts. The surrogate keeps its index until
+// the route retires, so degraded reads keep overlaying it through the
+// replay and need no fence. With per-PG surrogates there is one journal per
+// surrogate OSD, and every surrogate replays at once. That is safe because
+// a block's records all live on its PG's surrogate (a promotion moves a
+// dead surrogate's PGs, with their records, to one new surrogate), so no
+// two journals share a block. It must run under the closed gate (after a
+// fence, so no degraded update is mid-flight) so the journals cannot grow
+// behind the replay. Should one grow anyway, the next round replays that
+// whole journal again, which leaves the same bytes: its extents are
+// overwrites.
+//
+// A surrogate that dies takes land's node-down rule: its node-down answer
+// ends the round as incomplete, not failed, and its journal counts as
+// unreplayed again. While a dead surrogate that still holds unreplayed
+// records is listed, the next round waits for the death's promotion
+// (promoteSurrogate), which moves its PGs and their records to a live
+// surrogate; a failed promotion fails the cutover with its error. A dead
+// surrogate with nothing left to replay is not waited for.
 func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *RecoveryReport) error {
 	st := c.degraded[failed]
 	if st == nil {
@@ -501,15 +537,27 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 		// unregister.
 		var busy []wire.NodeID
 		var records []int
+		promoting := false // a dead surrogate holds unreplayed records
 		for _, sur := range st.surrogates {
 			if n := c.OSDByID(sur).journalRecords(failed); n > 0 {
+				if c.Fabric.Down(sur) {
+					promoting = true
+					continue
+				}
 				busy = append(busy, sur)
 				records = append(records, n)
 			}
 		}
 		if len(busy) == 0 {
-			c.unregisterDegraded(failed)
-			break
+			if !promoting {
+				c.unregisterDegraded(failed)
+				break
+			}
+			if st.promoteErr != nil {
+				return st.promoteErr
+			}
+			p.Sleep(settlePoll)
+			continue
 		}
 		roundStart := p.Now()
 		replayed := make([]time.Duration, len(busy))
@@ -517,6 +565,10 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 		if err := sim.Parallel(p, "replay-journal", len(busy), func(sp *sim.Proc, j int) error {
 			resp, err := c.Fabric.Call(sp, via.id, busy[j], &wire.JournalReplay{Failed: failed})
 			if err = wire.AckErr(resp, err); err != nil {
+				if errors.Is(err, netsim.ErrNodeDown) && c.Fabric.Down(busy[j]) {
+					records[j] = 0 // incomplete: its promotion takes the records over
+					return nil
+				}
 				return fmt.Errorf("journal replay @%d: %w", busy[j], err)
 			}
 			rr, ok := resp.(*wire.JournalReplayResp)
@@ -541,7 +593,7 @@ func (c *Cluster) cutover(p *sim.Proc, failed wire.NodeID, via *Client, rep *Rec
 				last = j
 			}
 		}
-		rep.JournalReplayTime += replayed[last] - roundStart
+		rep.JournalReplayTime += max(replayed[last]-roundStart, 0)
 	}
 	rep.ReplayTime = p.Now() - replayStart
 	return nil

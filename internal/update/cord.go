@@ -216,6 +216,10 @@ func (e *cord) Merge(p *sim.Proc, sc Scope) error {
 // scope sc.
 func (e *cord) Pending(sc Scope) bool { return e.poolIn(e.pool, sc, true) }
 
+// Exposed reports whether the collector buffer holds a delta of a stripe
+// with a data block on f (buffersFor).
+func (e *cord) Exposed(f wire.NodeID) bool { return e.buffersFor(e.pool, f) }
+
 // MemBytes returns the collector buffer's memory footprint.
 func (e *cord) MemBytes() int64 { return e.pool.Stats().MemBytes }
 

@@ -315,6 +315,25 @@ func (b *base) poolIn(pool *logpool.Pool, sc Scope, active bool) bool {
 	return false
 }
 
+// buffersFor reports whether a unit of the pool not yet recycled holds a
+// delta of a stripe with a data block on f. Until the unit recycles, the
+// stripe's other parities miss the delta, so with f down and this node
+// dead too, the stripe's live shards disagree.
+func (b *base) buffersFor(pool *logpool.Pool, f wire.NodeID) bool {
+	k := b.h.Code().K
+	for _, u := range pool.Units() {
+		if u.State == logpool.Recycled {
+			continue
+		}
+		for _, blk := range u.Blocks() {
+			if slices.Contains(b.h.Placement(blk.StripeID())[:k], f) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // unitIn reports whether log unit u holds a record in scope sc. A byte
 // range looks up only its stripe's blocks.
 func (b *base) unitIn(u *logpool.Unit, sc Scope) bool {
@@ -490,6 +509,17 @@ type ResidencyReporter interface {
 // settling IS draining, and a drained block has no log to follow it.
 type LogMigrator interface {
 	ExtractBlockLog(p *sim.Proc, blk wire.BlockID) []wire.ReplicaItem
+}
+
+// Exposer is implemented by engines that keep acked state off the raw
+// shards with no copy beyond one other node: TSUE's DataLog replicas, and
+// the deltas TSUE's DeltaLog and CoRD's collector buffer for a stripe's
+// other parities. Exposed reports whether this node's death now would lose
+// such state because f, which is down, held the other copy or a data block
+// of the stripe: the settle of f's window has yet to merge it into the
+// stripes, where the erasure code protects it.
+type Exposer interface {
+	Exposed(f wire.NodeID) bool
 }
 
 // StripeResetter is implemented by engines that keep cross-update baseline

@@ -818,6 +818,25 @@ func (t *tsue) heldReplicas(f wire.NodeID) bool {
 	return false
 }
 
+// Exposed reports whether this node holds state that only it and f, down,
+// kept. Either f held the only replica of DataLog records it has yet to
+// recycle: Copies is 2 (with more copies the records keep a replica on a
+// live holder), f held this node's replicas (heldReplicas), and a DataLog
+// unit holds records it has not recycled; a unit that took records after f
+// died counts too, as in Merge, since a unit is not split by holder. Or
+// its DeltaLog buffers a delta of a stripe with a data block on f
+// (buffersFor).
+func (t *tsue) Exposed(f wire.NodeID) bool {
+	if t.o.Copies == 2 && t.heldReplicas(f) {
+		for _, pool := range t.data.pools {
+			if slices.ContainsFunc(pool.Units(), func(u *logpool.Unit) bool { return u.Appended > 0 && u.State != logpool.Recycled }) {
+				return true
+			}
+		}
+	}
+	return t.delta != nil && slices.ContainsFunc(t.delta.pools, func(pool *logpool.Pool) bool { return t.buffersFor(pool, f) })
+}
+
 // Pending reports whether a unit not yet recycled, in any layer, holds a
 // record in scope sc; the DataLog's active units count only with Overlay.
 // A recycling unit counts until its forwards have returned, so nothing it
